@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hpcap/internal/fuse"
 	"hpcap/internal/serve"
 	"hpcap/internal/server"
 )
@@ -185,11 +186,20 @@ func TestShardedMatchesPipeline(t *testing.T) {
 	const nSites = 6
 	seconds := 8 * window
 
-	for seed := int64(1); seed <= 3; seed++ {
+	for seed := int64(1); seed <= 120; seed++ {
 		prog := faultProgram(seed, nSites, seconds, vecs)
+		// Counter fusion on every even seed, so the differential also
+		// covers the fused ingest path (imputed NaN/Inf components,
+		// confidence accumulators, low-confidence ladder steps).
+		fused := func(cfg serve.Config) serve.Config {
+			if seed%2 == 0 {
+				cfg.Fuse = &fuse.Config{}
+			}
+			return cfg
+		}
 
 		ref := newRecorder()
-		p, err := serve.NewPipeline(mon, ref.config(window))
+		p, err := serve.NewPipeline(mon, fused(ref.config(window)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +218,7 @@ func TestShardedMatchesPipeline(t *testing.T) {
 		for _, sc := range shardConfigs {
 			t.Run(fmt.Sprintf("seed=%d/shards=%d/batch=%d", seed, sc.Shards, sc.BatchSize), func(t *testing.T) {
 				rec := newRecorder()
-				sp, err := serve.NewShardedPipeline(mon, rec.config(window), sc)
+				sp, err := serve.NewShardedPipeline(mon, fused(rec.config(window)), sc)
 				if err != nil {
 					t.Fatal(err)
 				}
