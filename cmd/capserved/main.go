@@ -154,7 +154,7 @@ func run(args []string, out io.Writer) error {
 	addr := fs.String("addr", "", "HTTP listen address for /metrics, /debug/vars, /healthz, /readyz, /models; empty disables HTTP")
 	pprofOn := fs.Bool("pprof", false, "expose Go runtime profiling at /debug/pprof/ on the -addr mux (requires -addr)")
 	hold := fs.Bool("hold", false, "keep the HTTP endpoint up after the simulated run completes")
-	shards := fs.Int("shards", 0, "ingest shards; 0 serves through the unsharded pipeline")
+	shards := fs.Int("shards", 0, "ingest shards, each a queue and a goroutine in front of its own engine; 0 applies samples to one engine in place, synchronously")
 	batch := fs.Int("batch", 0, "sharded mode: samples per batch (0 takes the default)")
 	queue := fs.Int("queue", 0, "sharded mode: per-shard queue capacity in samples (0 takes the default)")
 	listen := fs.String("listen", "", "TCP frame-listener address for capagent connections; replaces the local simulation with network ingest")

@@ -39,10 +39,7 @@
 // # Conventions
 //
 // A trained Monitor is immutable shared state; every concurrent prediction
-// stream takes its own MonitorSession via Monitor.NewSession. The
-// Monitor's own Predict/Feedback/ResetHistory are deprecated single-stream
-// compatibility shims over an internal default session; all callers have
-// migrated to sessions and the shims will be removed next cycle. For the
+// stream takes its own MonitorSession via Monitor.NewSession. For the
 // allocation-free hot path, lower the monitor once with Monitor.Compile
 // and predict through CompiledSession.PredictInto (or decide whole batches
 // with CompiledMonitor.DecideAll) — outputs are bit-identical to the

@@ -10,10 +10,12 @@
 // values the interpreted path computes identically, and the coordinated
 // predictor tables are shared — a compiled session and an interpreted
 // session over the same monitor read (and Feedback writes) the very same
-// saturating counters. The equivalence is pinned by FuzzDecideCompiled
-// and by the sharded-vs-unsharded differential goldens, since the sharded
-// engine decides through this plane while the unsharded Pipeline stays on
-// the interpreted reference path.
+// saturating counters. Every serving decision goes through this plane;
+// the interpreted Session stays in this package for the paper's batch
+// experiments and as the oracle the equivalence is pinned against —
+// TestCompiledMatchesInterpreted and FuzzDecideCompiled here, and serve's
+// TestStreamingMatchesBatch, which holds compiled serving to the
+// interpreted batch replay of the same windows.
 package core
 
 import (

@@ -114,12 +114,12 @@ func TestConcurrentSessionsIndependentHistories(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCompatAPIUnderConcurrency hammers the single-stream Monitor
-// Predict/Feedback/ResetHistory API from many goroutines at once. The
-// predictions interleave into one shared history stream — the values are
-// scheduling-dependent — but under -race this locks in that the compat path
-// is data-race-free, including Feedback's writes to the shared tables while
-// sessions read them.
+// TestCompatAPIUnderConcurrency hammers one shared Monitor from many
+// goroutines at once: sessions predicting with online feedback, alongside
+// direct readers of the predictor tables and the synopsis index. Feedback
+// makes the predicted values scheduling-dependent, but under -race this
+// locks in that the shared state is data-race-free, including Feedback's
+// writes to the shared tables while sessions read them.
 func TestCompatAPIUnderConcurrency(t *testing.T) {
 	m, windows := trainedMonitor(t)
 
@@ -130,19 +130,8 @@ func TestCompatAPIUnderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			switch g % 3 {
-			case 0:
-				// Compat single-stream callers. This is the last remaining
-				// exerciser of the deprecated Monitor shims; delete this leg
-				// when the shims are dropped.
-				for _, w := range windows {
-					if _, err := m.Predict(w.Observation); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-				m.ResetHistory()
-			case 1: // session callers with online feedback
+			switch g % 2 {
+			case 0: // session callers with online feedback
 				s := m.NewSession()
 				for _, w := range windows {
 					p, err := s.Predict(w.Observation)

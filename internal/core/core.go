@@ -210,32 +210,13 @@ func (m *Monitor) maxAttrs() int {
 }
 
 // gpv runs every synopsis over the observation, projecting through the
-// caller's scratch buffer (nil is allowed; each synopsis then allocates
-// its own projection).
+// caller's scratch buffer.
 func (m *Monitor) gpv(obs Observation, scratch []float64) []int {
 	gpv := make([]int, len(m.Synopses))
 	for i, syn := range m.Synopses {
 		gpv[i] = syn.PredictInto(scratch, obs.Vectors[syn.Tier])
 	}
 	return gpv
-}
-
-// Predict infers the system state for one window.
-//
-// Predict is the single-stream compatibility shim: it serializes all
-// callers on one shared temporal history (the monitor's default session),
-// so observations must arrive in trace order and unrelated traces need a
-// ResetHistory between them.
-//
-// Deprecated: take a Session per prediction stream via NewSession and use
-// its Predict; the shim exists only so pre-Session callers keep working.
-func (m *Monitor) Predict(obs Observation) (Prediction, error) {
-	if m.coordinator == nil {
-		return Prediction{}, fmt.Errorf("core: %w", ErrUntrained)
-	}
-	// nil scratch: the shim may be called concurrently, so it cannot
-	// share a monitor-level projection buffer.
-	return m.predict(obs, m.coordinator.Predict, nil)
 }
 
 // checkDims validates the observation against the trained metric layout.
@@ -250,25 +231,6 @@ func (m *Monitor) checkDims(obs Observation) error {
 		}
 	}
 	return nil
-}
-
-// predict folds one observation through the synopses and the given
-// coordinated-predictor entry point, projecting attribute vectors through
-// scratch (per-stream, may be nil).
-func (m *Monitor) predict(obs Observation, coord func([]int) (int, int, error), scratch []float64) (Prediction, error) {
-	if err := m.checkDims(obs); err != nil {
-		return Prediction{}, err
-	}
-	gpv := m.gpv(obs, scratch)
-	over, bott, err := coord(gpv)
-	if err != nil {
-		return Prediction{}, err
-	}
-	p := Prediction{Overload: over == 1, GPV: gpv}
-	if over == 1 {
-		p.Bottleneck = server.TierID(bott)
-	}
-	return p, nil
 }
 
 // Session is one prediction stream over a shared trained Monitor: it owns
@@ -294,13 +256,28 @@ func (m *Monitor) NewSession() *Session {
 	return s
 }
 
-// Predict infers the system state for one window of this session's stream;
-// see Monitor.Predict.
+// Predict infers the system state for one window of this session's
+// stream: the synopses vote the observation into a GPV, and the session's
+// coordinated predictor folds the GPV and its own temporal history into
+// the overload and bottleneck verdicts. Observations must arrive in trace
+// order; unrelated traces need a ResetHistory between them.
 func (s *Session) Predict(obs Observation) (Prediction, error) {
 	if s.coord == nil {
 		return Prediction{}, fmt.Errorf("core: %w", ErrUntrained)
 	}
-	return s.m.predict(obs, s.coord.Predict, s.scratch)
+	if err := s.m.checkDims(obs); err != nil {
+		return Prediction{}, err
+	}
+	gpv := s.m.gpv(obs, s.scratch)
+	over, bott, err := s.coord.Predict(gpv)
+	if err != nil {
+		return Prediction{}, err
+	}
+	p := Prediction{Overload: over == 1, GPV: gpv}
+	if over == 1 {
+		p.Bottleneck = server.TierID(bott)
+	}
+	return p, nil
 }
 
 // Feedback reinforces the session's last prediction with observed truth;
@@ -321,33 +298,6 @@ func (s *Session) Feedback(overload bool, bottleneck server.TierID) {
 func (s *Session) ResetHistory() {
 	if s.coord != nil {
 		s.coord.ResetHistory()
-	}
-}
-
-// Feedback reinforces the default session's last prediction with observed
-// truth. Like Predict, it is a single-stream compatibility shim over the
-// monitor's default session.
-//
-// Deprecated: hold a Session per prediction stream and use its Feedback.
-func (m *Monitor) Feedback(overload bool, bottleneck server.TierID) {
-	if m.coordinator == nil {
-		return
-	}
-	o := 0
-	if overload {
-		o = 1
-	}
-	m.coordinator.Feedback(o, int(bottleneck))
-}
-
-// ResetHistory clears the default session's temporal state (between traces
-// or after long gaps). It is part of the single-stream compatibility shim.
-//
-// Deprecated: a Session resets its own history independently; use
-// Session.ResetHistory on a per-stream Session from NewSession.
-func (m *Monitor) ResetHistory() {
-	if m.coordinator != nil {
-		m.coordinator.ResetHistory()
 	}
 }
 

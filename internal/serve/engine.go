@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -11,25 +12,29 @@ import (
 	"hpcap/internal/server"
 )
 
-// engine is one shard's serving state, owned by that shard's goroutine
-// (cross-goroutine access goes through shard.emu). Unlike Pipeline, which
-// keeps each site behind its own mutex in a pointer-heavy map, the engine
-// lays the fleet out densely: fixed-size site records, one flat window-sum
-// arena indexed [site][tier][dim], and sessions touched only at decision
-// time. A fleet iterated in registration order then streams through the
-// hardware prefetcher instead of chasing pointers through a 100k-entry
-// map, which is where the sharded path's single-core speedup comes from.
+// engine is the per-site serving state machine — the paper's online
+// monitor: fold 1-second counter vectors into the analysis window, decide
+// each completed window through the compiled plane, walk the degradation
+// ladder, queue the decision and health events for publication. It is the
+// only implementation: Pipeline applies samples to one engine in place,
+// ShardedPipeline runs one per shard goroutine, and all access goes
+// through the owning lane's shard.emu.
 //
-// The transition logic is a line-for-line port of Pipeline.ingestLocked /
-// closeCurrent / decide: per-site decision and health-event streams are
-// byte-identical to the unsharded pipeline (pinned by the chaos-replay
-// determinism golden and the differential property tests).
+// The engine lays its sites out densely: fixed-size site records, one flat
+// window-sum arena indexed [site][tier][dim], and sessions touched only at
+// decision time. A fleet iterated in registration order then streams
+// through the hardware prefetcher instead of chasing pointers through a
+// 100k-entry map, which is where the single-core ingest rate comes from.
+//
+// What pins the transitions: the committed decision and replay goldens,
+// TestStreamingMatchesBatch (against the interpreted batch session of core),
+// and TestShardedMatchesPipeline (sample-at-a-time against batched,
+// deferred and routed application at several shard geometries).
 type engine struct {
 	// compiled is the base monitor's lowered decision plane; sessions
 	// decide through it (or through a hot-swapped monitor's plane from
-	// cache), byte-identical to the interpreted path the unsharded
-	// Pipeline keeps — which makes every sharded-vs-unsharded
-	// differential test a compiled-vs-interpreted gate.
+	// cache), byte-identical to the interpreted session that core's batch
+	// experiments and the test oracles keep.
 	compiled  *core.CompiledMonitor
 	cache     map[*core.Monitor]*core.CompiledMonitor // hot-swap compile cache
 	dim       int
@@ -45,9 +50,9 @@ type engine struct {
 	sums  []float64    // window accumulation arena, [site][tier][dim]
 
 	// Counter fusion (nil/empty unless Config.Fuse was set): per-tier
-	// fusers laid out [site][tier], the resolved confidence floor, and
-	// the open window's confidence accumulators, consumed at decision
-	// time exactly as Pipeline.decide does.
+	// fusers laid out [site][tier], the resolved confidence floor (the raw
+	// config may carry zero meaning "default"), and the open window's
+	// confidence accumulators, consumed at decision time.
 	fuseCfg   *fuse.Config
 	fuseFloor float64
 	fusers    []*fuse.Fuser
@@ -62,7 +67,8 @@ type engine struct {
 	// Decision-path scratch, reused across batches: the single-decision
 	// prediction, and the batched DecideAll's parallel slices (positions
 	// into due, sessions, observations, predictions). All owned by the
-	// shard goroutine, so engine-level reuse is race-free.
+	// lane (touched only under shard.emu), so engine-level reuse is
+	// race-free.
 	pred  core.Prediction
 	batch core.DecideBatch
 	bpos  []int
@@ -116,6 +122,26 @@ func nonFinite(v float64) bool {
 	return math.Float64bits(v)&expMask == expMask
 }
 
+// maxWindowIndex caps the absolute window index: beyond it the int64
+// conversion of the float quotient would overflow into
+// implementation-defined territory. A stream can only reach it with an
+// absurd (but finite) timestamp, which then just reads as a gigantic gap.
+const maxWindowIndex = int64(1) << 60
+
+// windowIndex maps a sample time to its absolute window: index w covers
+// times in (w·W, (w+1)·W], matching the batch aggregation, whose windows
+// end on multiples of W. Callers have already rejected non-finite times.
+func windowIndex(t float64, window int) int64 {
+	w := math.Ceil(t / float64(window))
+	if !(w > 1) {
+		return 0
+	}
+	if w >= float64(maxWindowIndex) {
+		return maxWindowIndex
+	}
+	return int64(w) - 1
+}
+
 func newEngine(cm *core.CompiledMonitor, cfg Config, dim int) *engine {
 	e := &engine{
 		compiled:  cm,
@@ -128,7 +154,7 @@ func newEngine(cm *core.CompiledMonitor, cfg Config, dim int) *engine {
 	}
 	if cfg.Fuse != nil {
 		// Resolve the config's zero fields through one prototype fuser;
-		// NewShardedPipeline validated the config before building engines.
+		// lanes.configure validated the config before any engine is built.
 		proto, err := fuse.New(*cfg.Fuse, dim)
 		if err != nil {
 			panic(err)
@@ -161,7 +187,7 @@ func (e *engine) swapSession(i int32, m *core.Monitor) error {
 }
 
 // site returns the dense index for a site name, creating the site on
-// first use. Callers hold shard.emu or run on the shard goroutine.
+// first use. Callers hold shard.emu.
 func (e *engine) site(name string) int32 {
 	if i, ok := e.idx[name]; ok {
 		return i
@@ -201,7 +227,7 @@ func (e *engine) takePubs() []pub {
 
 // processBatch applies one drained batch and flushes its due windows.
 // Unresolvable refs are counted on the shard; everything else lands on
-// site counters, mirroring Pipeline.Ingest's never-reject contract.
+// site counters — ingest never rejects the stream.
 func (e *engine) processBatch(batch []qsample, sh *shard) []pub {
 	for k := range batch {
 		q := &batch[k]
@@ -244,11 +270,11 @@ func (e *engine) ingestSite(i int32, q *qsample) {
 	}
 }
 
-// ingestOne is the engine's port of Pipeline.ingestLocked. The one
-// structural difference: a clean window completion is deferred to the due
-// list instead of decided inline — flushed by the site's next sample (the
-// per-site barrier that keeps decision order identical) or by decideAll
-// at batch end, whichever comes first.
+// ingestOne applies one sample. A clean window completion is deferred to
+// the due list instead of decided on the spot — flushed by the site's next
+// sample (the per-site barrier that keeps decision order that of
+// sample-at-a-time application) or by decideAll at batch end, whichever
+// comes first.
 func (e *engine) ingestOne(i int32, q *qsample) {
 	if len(e.due) != 0 {
 		e.flushDueFor(i)
@@ -285,9 +311,10 @@ func (e *engine) ingestVec(i int32, tier server.TierID, t float64, wi int64, tim
 		return
 	}
 	if e.fuseCfg == nil {
-		// Without fusion a NaN/Inf component voids the sample; the fusion
-		// stage instead accepts it and imputes the bad components (see
-		// Pipeline.ingestLocked).
+		// Without fusion a NaN/Inf component voids the sample. The fusion
+		// stage instead accepts it and imputes the bad components, so the
+		// scan is skipped: losing a whole vector to one wrapped counter is
+		// exactly the noise the fuser exists to absorb.
 		for _, v := range values {
 			if nonFinite(v) {
 				ss.SamplesBadValue++
@@ -321,8 +348,8 @@ func (e *engine) ingestVec(i int32, tier server.TierID, t float64, wi int64, tim
 	st.lastTime[tier] = t
 	if e.fuseCfg != nil {
 		// Fuse after the late/dup checks so rejected samples never mutate
-		// filter state — same hook point as Pipeline.ingestLocked, so the
-		// fused streams (and every downstream decision) stay identical.
+		// filter state; the window sum reads the fuser-owned buffer before
+		// the next Fuse call overwrites it.
 		r := e.fusers[int(i)*int(server.NumTiers)+int(tier)].Fuse(values)
 		ss.SamplesFused++
 		ss.FuseImputed += uint64(r.Imputed)
@@ -372,7 +399,7 @@ func (e *engine) ingestVec(i int32, tier server.TierID, t float64, wi int64, tim
 
 // flushDueFor decides a queued due window for one site before its next
 // sample mutates the site — the barrier that keeps per-site decision and
-// session-history order identical to the sequential pipeline. The due
+// session-history order identical to sample-at-a-time application. The due
 // list only ever holds sites that completed a window in the current batch,
 // so the scan is short and allocation-free.
 func (e *engine) flushDueFor(i int32) {
@@ -453,10 +480,12 @@ func (e *engine) decideAll() {
 	e.due = e.due[:0]
 }
 
-// closeCurrent is the engine's port of Pipeline.closeCurrent: force-close
-// the in-progress window, decide degraded inside the staleness budget,
-// drop and reset beyond it. Decides inline (never deferred) because the
-// caller mutates the site immediately after.
+// closeCurrent force-closes the site's in-progress window: tiers that
+// completed contribute their full mean, the rest are flushed to a partial
+// mean. Inside the staleness budget the window is decided degraded; beyond
+// it the window is dropped and the temporal history reset. Decides on the
+// spot (never deferred) because the caller mutates the site immediately
+// after.
 func (e *engine) closeCurrent(i int32) {
 	st, ss := &e.recs[i], &e.stats[i]
 	missing, worst, held := 0, 0, 0
@@ -497,14 +526,21 @@ func (e *engine) closeCurrent(i int32) {
 	}
 	if worst > e.staleness {
 		ss.WindowsDropped++
+		// The samples the dropped window had absorbed never reach a
+		// decision; account for them so ingested = decided + skipped.
 		ss.SamplesGapReset += uint64(held)
+		// The stream went stale: clear the temporal history as the
+		// paper prescribes after long gaps.
 		e.resetSession(i)
 		return
 	}
 	e.decide(i, vecs, missing, st.cur)
 }
 
-// resetSession mirrors Pipeline.resetSession.
+// resetSession clears a site's temporal history after a stream gap and
+// fails the admission valve open: with no fresh decision, the site must
+// not keep shedding load on a stale overload verdict. The site drops to
+// the bottom of the degradation ladder.
 func (e *engine) resetSession(i int32) {
 	st, ss := &e.recs[i], &e.stats[i]
 	e.sess[i].ResetHistory()
@@ -520,8 +556,9 @@ func (e *engine) resetSession(i int32) {
 	e.setHealth(i, HealthStale, st.cur)
 }
 
-// setHealth mirrors site.setHealth, queueing the event for publication
-// outside the shard lock.
+// setHealth moves the site to a new degradation state, counting the edge
+// and queueing the event for publication outside the lane lock. A
+// same-state call is a no-op.
 func (e *engine) setHealth(i int32, to Health, seq int64) {
 	ss := &e.stats[i]
 	from := ss.Health
@@ -548,9 +585,9 @@ func assembleObs(vecs *[server.NumTiers]metrics.Sample) core.Observation {
 	return obs
 }
 
-// decide mirrors Pipeline.decide for a single site, predicting through
-// the session's compiled plane into the engine's reused prediction
-// scratch.
+// decide predicts one assembled window (absolute index seq) of a single
+// site through the session's compiled plane, into the engine's reused
+// prediction scratch.
 func (e *engine) decide(i int32, vecs [server.NumTiers]metrics.Sample, missing int, seq int64) {
 	obs := assembleObs(&vecs)
 	start := time.Now()
@@ -563,13 +600,14 @@ func (e *engine) decide(i int32, vecs [server.NumTiers]metrics.Sample, missing i
 // paths: latency and health accounting, then queueing the decision for
 // publication. pred is caller scratch — the published Decision gets its
 // own GPV copy. The decision pub is inserted ahead of the health events
-// its own outcome generated, matching the unsharded publication order
-// (decision first, then the transitions it caused).
+// its own outcome generated: subscribers see a decision first, then the
+// transitions it caused.
 func (e *engine) finishDecide(i int32, obs core.Observation, missing int, seq int64, err error, pred *core.Prediction, lat uint64) {
 	st, ss := &e.recs[i], &e.stats[i]
-	// Consume the window's fusion-confidence accumulator up front, as
-	// Pipeline.decide does: the due-window barrier (flushDueFor before
-	// every ingest) guarantees no later sample has touched it.
+	// Consume the window's fusion-confidence accumulator up front so even
+	// a prediction error leaves the next window a clean slate; the
+	// due-window barrier (flushDueFor before every ingest) guarantees no
+	// later sample has touched it.
 	conf, lowConf := 1.0, false
 	if e.fuseCfg != nil {
 		if e.confN[i] > 0 {
@@ -639,9 +677,11 @@ func (e *engine) finishDecide(i int32, obs core.Observation, missing int, seq in
 	e.pubs[mark] = pub{idx: i, d: d}
 }
 
-// flushAll force-closes every open window (end of stream), in site
-// creation order. Due windows never persist past a batch, so only the
-// half-aggregated state needs closing.
+// flushAll force-closes every open window (end of stream). Due windows
+// never persist past a batch, so only the half-aggregated state needs
+// closing. Publication is in site-name order, not creation order; the
+// sort is stable, so each site's decision stays ahead of the health
+// events it caused.
 func (e *engine) flushAll() []pub {
 	for i := range e.recs {
 		st := &e.recs[i]
@@ -656,5 +696,9 @@ func (e *engine) flushAll() []pub {
 			st.cur++
 		}
 	}
-	return e.takePubs()
+	pubs := e.takePubs()
+	sort.SliceStable(pubs, func(a, b int) bool {
+		return e.stats[pubs[a].idx].Site < e.stats[pubs[b].idx].Site
+	})
+	return pubs
 }

@@ -1,163 +1,30 @@
 package serve
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
+import "hpcap/internal/core"
 
-	"hpcap/internal/core"
-	"hpcap/internal/fuse"
-	"hpcap/internal/metrics"
-	"hpcap/internal/server"
-)
-
-// Pipeline fans a stream of per-tier 1-second samples out across per-site
-// monitor sessions and publishes per-window decisions. All methods are
-// safe for concurrent use; samples for different sites proceed in
-// parallel, samples for one site serialize on that site's state.
+// Pipeline turns a stream of per-tier 1-second samples into per-window
+// decisions for any number of sites, synchronously: it is one engine with
+// no queue and no goroutine, applied in place under one lock. A sample's
+// decision is published before Ingest returns, on the caller's goroutine.
+// All methods are safe for concurrent use (callers serialize on the lock;
+// a fleet fed from many producers belongs on a ShardedPipeline).
+//
+// Callbacks (OnDecision, OnHealth, OnSwap) run outside the lock and may
+// call any Pipeline method, including Ingest, SwapMonitor and Flush.
 type Pipeline struct {
-	monitor *core.Monitor
-	cfg     Config
-	dim     int
-	// fuseFloor is the resolved confidence floor when cfg.Fuse is set
-	// (the raw config may carry zero meaning "default").
-	fuseFloor float64
-
-	mu    sync.RWMutex
-	sites map[string]*site
-	subs  []chan Decision
-}
-
-// site is the serving state of one monitored site.
-type site struct {
-	name string
-
-	mu   sync.Mutex
-	sess *core.Session
-	agg  [server.NumTiers]*metrics.Aggregator
-	// pending holds, by value, the tiers whose current window already
-	// completed; pendingSet marks which entries are live.
-	pending    [server.NumTiers]metrics.Sample
-	pendingSet [server.NumTiers]bool
-	lastTime   [server.NumTiers]float64
-	started    bool
-	cur        int64 // current window index
-	stats      SiteStats
-	// cleanStreak counts consecutive clean decided windows, the recovery
-	// clock of the degradation ladder; events holds transitions awaiting
-	// publication outside the lock.
-	cleanStreak int
-	events      []HealthEvent
-	// fusers de-noise each tier's stream when Config.Fuse is set (nil
-	// entries otherwise); confSum/confN accumulate the open window's
-	// per-sample confidence, consumed by decide.
-	fusers  [server.NumTiers]*fuse.Fuser
-	confSum float64
-	confN   int
-
-	overloaded atomic.Bool
-	// health mirrors stats.Health for lock-free reads (admission valve).
-	health atomic.Int32
+	lanes
 }
 
 // NewPipeline builds a serving pipeline over a trained monitor.
 func NewPipeline(m *core.Monitor, cfg Config) (*Pipeline, error) {
-	if m == nil {
-		return nil, fmt.Errorf("serve: %w: nil monitor", core.ErrBadConfig)
-	}
-	if m.Coordinator() == nil {
-		return nil, fmt.Errorf("serve: %w", core.ErrUntrained)
-	}
-	if m.InputDim() <= 0 {
-		return nil, fmt.Errorf("serve: %w: monitor has no metric layout", core.ErrBadConfig)
-	}
-	cfg, err := cfg.withDefaults()
+	p := &Pipeline{}
+	cm, err := p.configure(m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	p := &Pipeline{
-		monitor: m,
-		cfg:     cfg,
-		dim:     m.InputDim(),
-		sites:   make(map[string]*site),
-	}
-	if cfg.Fuse != nil {
-		// Build one prototype to resolve the config's zero fields (the
-		// floor in particular); Validate already accepted it above.
-		proto, err := fuse.New(*cfg.Fuse, p.dim)
-		if err != nil {
-			return nil, err
-		}
-		p.fuseFloor = proto.Config().ConfidenceFloor
-	}
+	p.shards = []*shard{{eng: newEngine(cm, p.cfg, p.dim)}}
 	return p, nil
 }
-
-// Window returns the effective aggregation window in seconds.
-func (p *Pipeline) Window() int { return p.cfg.Window }
-
-// site returns the state for a site name, creating it on first use.
-func (p *Pipeline) getSite(name string) *site {
-	p.mu.RLock()
-	st, ok := p.sites[name]
-	p.mu.RUnlock()
-	if ok {
-		return st
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if st, ok = p.sites[name]; ok {
-		return st
-	}
-	st = &site{name: name, sess: p.monitor.NewSession()}
-	st.stats.LastSwapSeq = -1
-	st.stats.LastDecisionSeq = -1
-	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-		agg, err := metrics.NewValuesAggregator(p.dim, p.cfg.Window)
-		if err != nil {
-			// Window and dim were validated in NewPipeline; this cannot happen.
-			panic(err)
-		}
-		st.agg[tier] = agg
-		if p.cfg.Fuse != nil {
-			f, err := fuse.New(*p.cfg.Fuse, p.dim)
-			if err != nil {
-				// The fuse config was validated in NewPipeline; this cannot happen.
-				panic(err)
-			}
-			st.fusers[tier] = f
-		}
-	}
-	st.stats.Site = name
-	p.sites[name] = st
-	return st
-}
-
-// maxWindowIndex caps the absolute window index: beyond it the int64
-// conversion of the float quotient would overflow into
-// implementation-defined territory. A stream can only reach it with an
-// absurd (but finite) timestamp, which then just reads as a gigantic gap.
-const maxWindowIndex = int64(1) << 60
-
-// windowIndex maps a sample time to its absolute window: index w covers
-// times in (w·W, (w+1)·W], matching the batch aggregation, whose windows
-// end on multiples of W. Callers have already rejected non-finite times.
-// Shared with the sharded engine so both paths window identically.
-func windowIndex(t float64, window int) int64 {
-	w := math.Ceil(t / float64(window))
-	if !(w > 1) {
-		return 0
-	}
-	if w >= float64(maxWindowIndex) {
-		return maxWindowIndex
-	}
-	return int64(w) - 1
-}
-
-func (p *Pipeline) windowIndex(t float64) int64 { return windowIndex(t, p.cfg.Window) }
 
 // Ingest feeds one sample. It never panics and never rejects the stream:
 // malformed input (unknown tier, wrong dimension, NaN/Inf values or
@@ -165,476 +32,17 @@ func (p *Pipeline) windowIndex(t float64) int64 { return windowIndex(t, p.cfg.Wi
 // site's stats, and a sample that opens a new window first closes the
 // previous one under the staleness budget.
 func (p *Pipeline) Ingest(s Sample) {
-	st := p.getSite(s.Site)
-	st.mu.Lock()
-	d := p.ingestLocked(st, s)
-	evs := st.takeEvents()
-	st.mu.Unlock()
-	if d != nil {
-		p.publish(st, *d)
-	}
-	p.publishHealth(evs)
+	sh := p.shards[0]
+	// A batch of one, on the stack: the same path a shard goroutine runs.
+	batch := [1]qsample{{site: s.Site, tier: s.Tier, time: s.Time, values: s.Values}}
+	sh.emu.Lock()
+	pubs := sh.eng.processBatch(batch[:], sh)
+	sh.emu.Unlock()
+	p.dispatch(sh, pubs)
 }
 
-// setHealth moves the site to a new degradation state, counting the edge
-// and queueing the event for publication after the lock is released. A
-// same-state call is a no-op. Callers hold st.mu.
-func (st *site) setHealth(to Health, seq int64) {
-	from := st.stats.Health
-	if from == to {
-		return
-	}
-	st.stats.HealthTransitions[from][to]++
-	st.stats.Health = to
-	st.health.Store(int32(to))
-	st.events = append(st.events, HealthEvent{Site: st.name, From: from, To: to, Seq: seq})
-}
-
-// takeEvents drains the queued health transitions. Callers hold st.mu.
-func (st *site) takeEvents() []HealthEvent {
-	evs := st.events
-	st.events = nil
-	return evs
-}
-
-// publishHealth fires the health callback for each drained transition, in
-// order, outside all locks.
-func (p *Pipeline) publishHealth(evs []HealthEvent) {
-	if p.cfg.OnHealth == nil {
-		return
-	}
-	for _, ev := range evs {
-		p.cfg.OnHealth(ev)
-	}
-}
-
-// ingestLocked is Ingest under st.mu; it returns the decision the sample
-// triggered, if any, for publication outside the lock.
-func (p *Pipeline) ingestLocked(st *site, s Sample) *Decision {
-	st.stats.SamplesIngested++
-	if s.Tier < 0 || s.Tier >= server.NumTiers || len(s.Values) != p.dim {
-		st.stats.SamplesBadShape++
-		return nil
-	}
-	if math.IsNaN(s.Time) || math.IsInf(s.Time, 0) {
-		// A non-finite timestamp cannot be windowed (the float→int64
-		// conversion is implementation-defined); treat it like a NaN value.
-		st.stats.SamplesBadValue++
-		return nil
-	}
-	if st.fusers[0] == nil {
-		// Without fusion a NaN/Inf component voids the sample. The fusion
-		// stage instead accepts it and imputes the bad components, so the
-		// scan is skipped: losing a whole vector to one wrapped counter is
-		// exactly the noise the fuser exists to absorb.
-		for _, v := range s.Values {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				st.stats.SamplesBadValue++
-				return nil
-			}
-		}
-	}
-
-	wi := p.windowIndex(s.Time)
-	if !st.started {
-		st.started = true
-		st.cur = wi
-	}
-	var out *Decision
-	if wi > st.cur {
-		out = p.closeCurrent(st)
-		// Windows the stream skipped entirely are dropped unseen.
-		if gap := wi - st.cur - 1; gap > 0 {
-			st.stats.WindowsDropped += uint64(gap)
-			p.resetSession(st)
-		}
-		st.cur = wi
-	} else if wi < st.cur {
-		st.stats.SamplesLate++
-		return out
-	}
-	if s.Time <= st.lastTime[s.Tier] || st.pendingSet[s.Tier] {
-		// Duplicate or rewound timestamp, or a tier sending more than
-		// Window samples into one window.
-		st.stats.SamplesLate++
-		return out
-	}
-	st.lastTime[s.Tier] = s.Time
-	values := s.Values
-	if f := st.fusers[s.Tier]; f != nil {
-		// Fuse after the late/dup checks so rejected samples never mutate
-		// filter state; the aggregator reads the fuser-owned buffer before
-		// the next Fuse call overwrites it.
-		r := f.Fuse(s.Values)
-		st.stats.SamplesFused++
-		st.stats.FuseImputed += uint64(r.Imputed)
-		st.stats.FuseGated += uint64(r.Gated)
-		st.confSum += r.Confidence
-		st.confN++
-		values = r.Values
-	}
-	sample, done := st.agg[s.Tier].PushValues(s.Time, values)
-	if !done {
-		return out
-	}
-	st.pending[s.Tier] = sample
-	st.pendingSet[s.Tier] = true
-	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-		if !st.pendingSet[tier] {
-			return out
-		}
-	}
-	// Clean window: every tier delivered all its samples.
-	var vecs [server.NumTiers]metrics.Sample
-	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-		vecs[tier] = st.pending[tier]
-		st.pending[tier] = metrics.Sample{}
-		st.pendingSet[tier] = false
-	}
-	seq := st.cur
-	st.cur++
-	return p.decide(st, vecs, 0, seq)
-}
-
-// closeCurrent force-closes the site's in-progress window: tiers that
-// completed contribute their full mean, the rest are flushed to a partial
-// mean. Inside the staleness budget the window is decided degraded;
-// beyond it the window is dropped and the temporal history reset.
-func (p *Pipeline) closeCurrent(st *site) *Decision {
-	missing, worst, held := 0, 0, 0
-	var vecs [server.NumTiers]metrics.Sample
-	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-		if st.pendingSet[tier] {
-			vecs[tier] = st.pending[tier]
-			st.pending[tier] = metrics.Sample{}
-			st.pendingSet[tier] = false
-			held += p.cfg.Window
-			continue
-		}
-		sample, n := st.agg[tier].Flush()
-		vecs[tier] = sample
-		held += n
-		miss := p.cfg.Window - n
-		missing += miss
-		if miss > worst {
-			worst = miss
-		}
-	}
-	if worst == 0 {
-		// All tiers complete; the closing sample arrived exactly at the
-		// next boundary.
-		return p.decide(st, vecs, 0, st.cur)
-	}
-	if worst > p.cfg.StalenessBudget {
-		st.stats.WindowsDropped++
-		// The samples the dropped window had absorbed never reach a
-		// decision; account for them so ingested = decided + skipped.
-		st.stats.SamplesGapReset += uint64(held)
-		// The stream went stale: clear the temporal history as the
-		// paper prescribes after long gaps.
-		p.resetSession(st)
-		return nil
-	}
-	return p.decide(st, vecs, missing, st.cur)
-}
-
-// resetSession clears a site's temporal history after a stream gap and
-// fails the admission valve open: with no fresh decision, the site must
-// not keep shedding load on a stale overload verdict. The site drops to
-// the bottom of the degradation ladder.
-func (p *Pipeline) resetSession(st *site) {
-	st.sess.ResetHistory()
-	st.stats.SessionResets++
-	st.overloaded.Store(false)
-	st.cleanStreak = 0
-	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-		if st.fusers[tier] != nil {
-			st.fusers[tier].Reset()
-		}
-	}
-	st.confSum, st.confN = 0, 0
-	st.setHealth(HealthStale, st.cur)
-}
-
-// decide predicts on one assembled window (absolute index seq) and builds
-// the Decision.
-func (p *Pipeline) decide(st *site, vecs [server.NumTiers]metrics.Sample, missing int, seq int64) *Decision {
-	// Consume the window's fusion-confidence accumulator up front so even
-	// a prediction error leaves the next window a clean slate.
-	conf, lowConf := 1.0, false
-	if st.fusers[0] != nil {
-		if st.confN > 0 {
-			conf = st.confSum / float64(st.confN)
-		}
-		st.confSum, st.confN = 0, 0
-		lowConf = conf < p.fuseFloor
-	}
-	obs := core.Observation{}
-	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-		obs.Vectors[tier] = vecs[tier].Values
-		if vecs[tier].Time > obs.Time {
-			obs.Time = vecs[tier].Time
-		}
-	}
-	start := time.Now()
-	pred, err := st.sess.Predict(obs)
-	lat := uint64(time.Since(start))
-	st.stats.PredictNanos += lat
-	if lat > st.stats.PredictMaxNanos {
-		st.stats.PredictMaxNanos = lat
-	}
-	if err != nil {
-		st.stats.PredictErrors++
-		return nil
-	}
-	st.stats.WindowsDecided++
-	if st.fusers[0] != nil {
-		st.stats.FuseConfidence = conf
-	}
-	if lowConf {
-		st.stats.WindowsLowConfidence++
-	}
-	if missing > 0 || lowConf {
-		if missing > 0 {
-			st.stats.WindowsDegraded++
-		}
-		st.cleanStreak = 0
-		st.setHealth(HealthDegraded, seq)
-	} else {
-		st.cleanStreak++
-		if st.stats.Health != HealthHealthy && st.cleanStreak >= p.cfg.RecoverWindows {
-			st.setHealth(HealthHealthy, seq)
-		}
-	}
-	if pred.Overload {
-		st.stats.Overloads++
-	}
-	for _, bit := range pred.GPV {
-		if bit != pred.GPV[0] {
-			st.stats.GPVDisagreements++
-			break
-		}
-	}
-	st.overloaded.Store(pred.Overload)
-	st.stats.LastDecisionSeq = seq
-	st.stats.LastDecisionTime = obs.Time
-	return &Decision{
-		Site:          st.name,
-		Seq:           seq,
-		Time:          obs.Time,
-		Prediction:    pred,
-		Degraded:      missing > 0,
-		Missing:       missing,
-		Vectors:       obs.Vectors,
-		ModelVersion:  st.stats.ModelVersion,
-		Confidence:    conf,
-		LowConfidence: lowConf,
-	}
-}
-
-// SwapMonitor atomically replaces the model serving one site: the site's
-// session is re-bound to a fresh session of m under the site lock, so the
-// in-progress window and its half-aggregated samples are preserved and
-// every pending window is decided by the new model — the swap drops
-// nothing. The new session starts with empty temporal history (the h-bit
-// window of the old model's verdicts does not transfer). Sites created
-// after the swap still serve the pipeline's original monitor.
-func (p *Pipeline) SwapMonitor(siteName string, m *core.Monitor, version int64) (SwapEvent, error) {
-	if m == nil || m.Coordinator() == nil {
-		return SwapEvent{}, fmt.Errorf("serve: swap %s: %w", siteName, core.ErrUntrained)
-	}
-	if m.InputDim() != p.dim {
-		return SwapEvent{}, fmt.Errorf("serve: swap %s: %w: model dim %d, pipeline dim %d",
-			siteName, core.ErrDimensionMismatch, m.InputDim(), p.dim)
-	}
-	st := p.getSite(siteName)
-	st.mu.Lock()
-	st.sess = m.NewSession()
-	ev := SwapEvent{
-		Site:        siteName,
-		Version:     version,
-		PrevVersion: st.stats.ModelVersion,
-		Seq:         st.cur,
-	}
-	st.stats.ModelVersion = version
-	st.stats.ModelSwaps++
-	st.stats.LastSwapSeq = st.cur
-	st.mu.Unlock()
-	if p.cfg.OnSwap != nil {
-		p.cfg.OnSwap(ev)
-	}
-	return ev, nil
-}
-
-// NoteDrift records n drift detections against a site's counters — the
-// lifecycle manager reports signals here so they surface alongside the
-// serving metrics.
-func (p *Pipeline) NoteDrift(siteName string, n int) {
-	if n <= 0 {
-		return
-	}
-	st := p.getSite(siteName)
-	st.mu.Lock()
-	st.stats.DriftSignals += uint64(n)
-	st.mu.Unlock()
-}
-
-// NoteScale records one autoscaling action against a site's counters: the
-// pool at tier slot now runs replicas replicas, after a scale-up (up) or
-// scale-down. The registry's Autoscaler reports its actions here so
-// capacity changes surface alongside the serving metrics. Out-of-range
-// slots are ignored.
-func (p *Pipeline) NoteScale(siteName string, slot server.TierID, replicas int, up bool) {
-	if slot < 0 || slot >= server.NumTiers {
-		return
-	}
-	st := p.getSite(siteName)
-	st.mu.Lock()
-	if up {
-		st.stats.ScaleUps++
-	} else {
-		st.stats.ScaleDowns++
-	}
-	st.stats.PoolReplicas[slot] = replicas
-	st.mu.Unlock()
-}
-
-// Flush force-closes every site's in-progress window (end of stream),
-// emitting whatever decisions the staleness budget allows.
-func (p *Pipeline) Flush() {
-	p.mu.RLock()
-	sites := make([]*site, 0, len(p.sites))
-	for _, st := range p.sites {
-		sites = append(sites, st)
-	}
-	p.mu.RUnlock()
-	sort.Slice(sites, func(i, j int) bool { return sites[i].name < sites[j].name })
-	for _, st := range sites {
-		st.mu.Lock()
-		var d *Decision
-		open := false
-		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-			if st.agg[tier].Count() > 0 || st.pendingSet[tier] {
-				open = true
-			}
-		}
-		if st.started && open {
-			d = p.closeCurrent(st)
-			st.cur++
-		}
-		evs := st.takeEvents()
-		st.mu.Unlock()
-		if d != nil {
-			p.publish(st, *d)
-		}
-		p.publishHealth(evs)
-	}
-}
-
-// publish hands one decision to the synchronous callback and every
-// channel subscriber. Slow subscribers lose decisions (counted) rather
-// than stalling ingestion.
-func (p *Pipeline) publish(st *site, d Decision) {
-	if p.cfg.OnDecision != nil {
-		p.cfg.OnDecision(d)
-	}
-	p.mu.RLock()
-	subs := p.subs
-	p.mu.RUnlock()
-	dropped := 0
-	for _, ch := range subs {
-		select {
-		case ch <- d:
-		default:
-			dropped++
-		}
-	}
-	if dropped > 0 {
-		st.mu.Lock()
-		st.stats.DecisionsDropped += uint64(dropped)
-		st.mu.Unlock()
-	}
-}
-
-// Subscribe registers a decision channel with the given buffer depth and
-// returns it with a cancel function. Decisions that would block a full
-// subscriber are dropped and counted on the emitting site.
-func (p *Pipeline) Subscribe(buffer int) (<-chan Decision, func()) {
-	if buffer < 1 {
-		buffer = 1
-	}
-	ch := make(chan Decision, buffer)
-	p.mu.Lock()
-	p.subs = append(p.subs, ch)
-	p.mu.Unlock()
-	cancel := func() {
-		p.mu.Lock()
-		for i, c := range p.subs {
-			if c == ch {
-				p.subs = append(p.subs[:i], p.subs[i+1:]...)
-				break
-			}
-		}
-		p.mu.Unlock()
-	}
-	return ch, cancel
-}
-
-// Overloaded reports the most recent decision's overload verdict for a
-// site (false before the first decision).
-func (p *Pipeline) Overloaded(siteName string) bool {
-	return p.getSite(siteName).overloaded.Load()
-}
-
-// AdmissionValve returns a server.AdmissionFunc driven by the site's
-// latest decision: everything is admitted while the monitor predicts
-// underload; under predicted overload only a short pipeline is kept —
-// requests are admitted while the wait queue is empty and fewer than
-// maxBound workers are busy. While the site is stale (a tier outage or
-// stream gap dropped a window), the valve fails open regardless of the
-// last verdict: shedding load on a decision the fault already invalidated
-// would amplify the outage. Install it with Testbed.SetAdmission to close
-// the measurement→control loop.
-func (p *Pipeline) AdmissionValve(siteName string, maxBound int) server.AdmissionFunc {
-	st := p.getSite(siteName)
-	return func(as server.AdmissionState) bool {
-		if Health(st.health.Load()) == HealthStale {
-			return true
-		}
-		if !st.overloaded.Load() {
-			return true
-		}
-		return as.WaitQueue == 0 && as.BoundWorkers < maxBound
-	}
-}
-
-// SiteStats returns a snapshot of one site's counters.
-func (p *Pipeline) SiteStats(siteName string) (SiteStats, bool) {
-	p.mu.RLock()
-	st, ok := p.sites[siteName]
-	p.mu.RUnlock()
-	if !ok {
-		return SiteStats{}, false
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.stats, true
-}
-
-// Stats snapshots every site's counters, ordered by site name.
-func (p *Pipeline) Stats() []SiteStats {
-	p.mu.RLock()
-	sites := make([]*site, 0, len(p.sites))
-	for _, st := range p.sites {
-		sites = append(sites, st)
-	}
-	p.mu.RUnlock()
-	sort.Slice(sites, func(i, j int) bool { return sites[i].name < sites[j].name })
-	out := make([]SiteStats, len(sites))
-	for i, st := range sites {
-		st.mu.Lock()
-		out[i] = st.stats
-		st.mu.Unlock()
-	}
-	return out
-}
+// Flush force-closes every site's in-progress window, emitting whatever
+// decisions the staleness budget allows, in site-name order. It is the
+// fleet-wide end of stream, not a per-site one: a producer that calls it
+// when its own site is done truncates every other site's open window.
+func (p *Pipeline) Flush() { p.flushWindows() }

@@ -81,18 +81,11 @@ var skipReasons = []struct {
 	{"gap-reset", func(s SiteStats) uint64 { return s.SamplesGapReset }},
 }
 
-// WriteMetrics renders every site's serving counters in Prometheus text
-// exposition format. Sites appear as a label, ordered by name; scraping
-// is allowed at any time and sees a consistent per-site snapshot.
-func (p *Pipeline) WriteMetrics(w io.Writer) error {
-	return writeSiteMetrics(w, p.Stats(), p.cfg.Fuse != nil, p.cfg)
-}
-
-// writeSiteMetrics renders a per-site stats snapshot — shared by the
-// single-lock and sharded pipelines. fusing adds the counter-fusion
-// families; cfg resolves the pool labels for the autoscaling families,
-// which render only when some site has reported a replica count via
-// NoteScale (a scrape should not suggest an autoscaler that is not there).
+// writeSiteMetrics renders a per-site stats snapshot. fusing adds the
+// counter-fusion families; cfg resolves the pool labels for the
+// autoscaling families, which render only when some site has reported a
+// replica count via NoteScale (a scrape should not suggest an autoscaler
+// that is not there).
 func writeSiteMetrics(w io.Writer, stats []SiteStats, fusing bool, cfg Config) error {
 	families := promMetrics
 	if fusing {

@@ -2,14 +2,21 @@
 // of per-tier 1-second metric samples to a realtime overload/bottleneck
 // decision, for any number of monitored sites at once.
 //
-// A Pipeline wraps one trained core.Monitor. Each monitored site gets an
-// independent prediction stream (a core.Session) plus a per-tier
-// metrics.Aggregator that folds the raw 1-second vectors into the paper's
-// 30-second analysis windows. When a site's window completes across all
-// tiers, the pipeline predicts and publishes a Decision to subscribers;
-// an AdmissionValve adapter turns the latest decision into a
-// server.AdmissionFunc, closing the control loop against the simulated
-// testbed.
+// A Pipeline wraps one trained core.Monitor, lowered once into its
+// compiled decision plane. Each monitored site gets an independent
+// prediction stream (a core.CompiledSession) plus per-tier window sums
+// that fold the raw 1-second vectors into the paper's 30-second analysis
+// windows, by the same arithmetic as the batch metrics.Aggregator. When a
+// site's window completes across all tiers, the pipeline predicts and
+// publishes a Decision to subscribers; an AdmissionValve adapter turns the
+// latest decision into a server.AdmissionFunc, closing the control loop
+// against the simulated testbed.
+//
+// That per-site state machine is implemented once, in the engine. A
+// Pipeline applies samples to one engine in place, synchronously on the
+// caller's goroutine; a ShardedPipeline hashes sites across N engines,
+// each behind a batch queue and its own goroutine, for fleets fed by many
+// producers. Everything else the two offer is the same code.
 //
 // Deployed counter streams are noisy and lossy (samples arrive late, go
 // missing, or carry NaN after a counter wraps), so the pipeline degrades
@@ -18,8 +25,9 @@
 // decided from the partial mean (flagged Degraded), and windows missing
 // more are dropped with the site's temporal history reset, as the paper
 // prescribes after long gaps. On a clean stream the pipeline's decisions
-// are bit-identical to replaying the same windows through the batch
-// core.Session API — the serving layer adds resilience, not drift.
+// are bit-identical to replaying the same windows through the batch,
+// interpreted session API of core — the serving layer adds resilience, not
+// drift.
 //
 // Every site is instrumented: counters for samples ingested/skipped,
 // windows decided/degraded/dropped, overloads, GPV disagreement, and
@@ -52,7 +60,9 @@ type Config struct {
 	StalenessBudget int
 	// OnDecision, when set, is invoked synchronously for every decision
 	// before channel subscribers see it. It runs outside the pipeline's
-	// locks, so it may call back into the Pipeline.
+	// locks, so it may call back into the pipeline (a ShardedPipeline
+	// callback must not call the methods that wait on its own shard
+	// goroutine; see that type).
 	OnDecision func(Decision)
 	// OnSwap, when set, is invoked synchronously after every model
 	// hot-swap (SwapMonitor). Like OnDecision it runs outside the

@@ -95,14 +95,20 @@ func secondVectors(tr *experiment.Trace) [server.NumTiers][][]float64 {
 	return vecs
 }
 
-// replay streams the whole recorded trace through the pipeline as one site.
-func replay(p *serve.Pipeline, site string, tr *experiment.Trace) {
+// stream feeds the whole recorded trace to the pipeline as one site,
+// leaving the last window open.
+func stream(p *serve.Pipeline, site string, tr *experiment.Trace) {
 	vecs := secondVectors(tr)
 	for i, ts := range tr.SecTimes {
 		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
 			p.Ingest(serve.Sample{Site: site, Tier: tier, Time: ts, Values: vecs[tier][i]})
 		}
 	}
+}
+
+// replay streams the trace as one site and ends the stream.
+func replay(p *serve.Pipeline, site string, tr *experiment.Trace) {
+	stream(p, site, tr)
 	p.Flush()
 }
 
@@ -713,7 +719,8 @@ func TestValveReopensAfterSessionReset(t *testing.T) {
 // TestConcurrentSitesIndependent streams the same trace into several sites
 // from concurrent goroutines (with stats scraped throughout) and asserts
 // every site independently reproduces the identical decision counters —
-// the pipeline's per-site isolation under the race detector.
+// the pipeline's per-site isolation under the race detector. Flush closes
+// every site's open window, so it runs once, after the last producer.
 func TestConcurrentSitesIndependent(t *testing.T) {
 	_, mon, tr := fixture(t)
 	p, err := serve.NewPipeline(mon, serve.Config{})
@@ -750,10 +757,11 @@ func TestConcurrentSitesIndependent(t *testing.T) {
 		wg.Add(1)
 		go func(site string) {
 			defer wg.Done()
-			replay(p, site, tr)
+			stream(p, site, tr)
 		}(site)
 	}
 	wg.Wait()
+	p.Flush()
 	close(done)
 
 	all := p.Stats()

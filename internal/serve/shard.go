@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -137,6 +136,8 @@ type qsample struct {
 
 // shard is one ingest lane: a producer-side pending batch, a bounded
 // queue of batches, and the dense engine its goroutine applies them to.
+// Pipeline's single lane uses only emu and eng: with nothing ever queued,
+// the zero queue fields make every quiesce step a no-op.
 type shard struct {
 	id int
 
@@ -147,7 +148,7 @@ type shard struct {
 	ch   chan []qsample
 	free chan []qsample // recycled batch buffers (zero-alloc steady state)
 
-	emu sync.Mutex // engine state: held while a batch or snapshot is applied
+	emu sync.Mutex // engine state: held while samples or a snapshot are applied
 	eng *engine
 
 	enqueued  atomic.Uint64 // samples accepted into the queue
@@ -167,8 +168,9 @@ type shard struct {
 // time — steady-state ingest never takes a global lock.
 //
 // Per-site decision and health-event streams are byte-identical to
-// Pipeline's for the same per-site sample stream; only cross-site
-// interleaving differs. Ingestion is asynchronous: a sample's decision
+// Pipeline's for the same per-site sample stream (both apply the same
+// engine); only cross-site interleaving differs, whatever the shard and
+// batch geometry. Ingestion is asynchronous: a sample's decision
 // appears after its batch is drained. Sync flushes partial batches and
 // waits for everything accepted so far to be applied; Flush additionally
 // force-closes open windows. Values slices passed to Ingest/IngestRef
@@ -179,14 +181,8 @@ type shard struct {
 // except Sync, Flush, Close, and SwapMonitor, which wait on the very
 // shard goroutine the callback is running on and would self-deadlock.
 type ShardedPipeline struct {
-	monitor *core.Monitor
-	cfg     Config
-	scfg    ShardConfig
-	dim     int
-	shards  []*shard
-
-	subMu sync.RWMutex
-	subs  []chan Decision
+	lanes
+	scfg ShardConfig
 
 	badRefs atomic.Uint64 // refs rejected producer-side (bad shard or zero ref)
 	wg      sync.WaitGroup
@@ -197,36 +193,16 @@ type ShardedPipeline struct {
 // monitor. cfg carries the window/staleness/callback configuration shared
 // with NewPipeline; scfg the shard fan-out.
 func NewShardedPipeline(m *core.Monitor, cfg Config, scfg ShardConfig) (*ShardedPipeline, error) {
-	if m == nil {
-		return nil, fmt.Errorf("serve: %w: nil monitor", core.ErrBadConfig)
-	}
-	if m.Coordinator() == nil {
-		return nil, fmt.Errorf("serve: %w", core.ErrUntrained)
-	}
-	if m.InputDim() <= 0 {
-		return nil, fmt.Errorf("serve: %w: monitor has no metric layout", core.ErrBadConfig)
-	}
-	cfg, err := cfg.withDefaults()
+	sp := &ShardedPipeline{}
+	cm, err := sp.configure(m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	scfg, err = scfg.withDefaults()
-	if err != nil {
+	if scfg, err = scfg.withDefaults(); err != nil {
 		return nil, err
 	}
-	// Lower the monitor once; every shard's engine decides through the
-	// same compiled plane (immutable, safe to share).
-	cm, err := m.Compile()
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	sp := &ShardedPipeline{
-		monitor: m,
-		cfg:     cfg,
-		scfg:    scfg,
-		dim:     m.InputDim(),
-		shards:  make([]*shard, scfg.Shards),
-	}
+	sp.scfg = scfg
+	sp.shards = make([]*shard, scfg.Shards)
 	chanCap := scfg.QueueCapacity / scfg.BatchSize
 	if chanCap < 1 {
 		chanCap = 1
@@ -237,7 +213,7 @@ func NewShardedPipeline(m *core.Monitor, cfg Config, scfg ShardConfig) (*Sharded
 			pending: make([]qsample, 0, scfg.BatchSize),
 			ch:      make(chan []qsample, chanCap),
 			free:    make(chan []qsample, chanCap+2),
-			eng:     newEngine(cm, cfg, sp.dim),
+			eng:     newEngine(cm, sp.cfg, sp.dim),
 		}
 		sh.syncCond = sync.NewCond(&sh.syncMu)
 		sp.shards[i] = sh
@@ -246,9 +222,6 @@ func NewShardedPipeline(m *core.Monitor, cfg Config, scfg ShardConfig) (*Sharded
 	}
 	return sp, nil
 }
-
-// Window returns the effective aggregation window in seconds.
-func (sp *ShardedPipeline) Window() int { return sp.cfg.Window }
 
 // Shards returns the shard count.
 func (sp *ShardedPipeline) Shards() int { return len(sp.shards) }
@@ -273,52 +246,6 @@ func (sp *ShardedPipeline) drain(sh *shard) {
 		sh.syncMu.Lock()
 		sh.syncCond.Broadcast()
 		sh.syncMu.Unlock()
-	}
-}
-
-// dispatch publishes a batch's decisions and health events in generation
-// order, outside all pipeline locks. Subscriber overflows are counted
-// back onto the emitting sites afterwards.
-func (sp *ShardedPipeline) dispatch(sh *shard, pubs []pub) {
-	if len(pubs) == 0 {
-		return
-	}
-	var dropCounts map[int32]uint64
-	for k := range pubs {
-		pb := &pubs[k]
-		if pb.isEvent {
-			if sp.cfg.OnHealth != nil {
-				sp.cfg.OnHealth(pb.ev)
-			}
-			continue
-		}
-		if sp.cfg.OnDecision != nil {
-			sp.cfg.OnDecision(*pb.d)
-		}
-		sp.subMu.RLock()
-		subs := sp.subs
-		sp.subMu.RUnlock()
-		dropped := 0
-		for _, ch := range subs {
-			select {
-			case ch <- *pb.d:
-			default:
-				dropped++
-			}
-		}
-		if dropped > 0 {
-			if dropCounts == nil {
-				dropCounts = make(map[int32]uint64)
-			}
-			dropCounts[pb.idx] += uint64(dropped)
-		}
-	}
-	if dropCounts != nil {
-		sh.emu.Lock()
-		for i, n := range dropCounts {
-			sh.eng.stats[i].DecisionsDropped += n
-		}
-		sh.emu.Unlock()
 	}
 }
 
@@ -367,8 +294,7 @@ func (sh *shard) flushLocked() {
 // batch drains. The Values slice must not be mutated until then
 // (Sync/Flush guarantee it).
 func (sp *ShardedPipeline) Ingest(s Sample) {
-	sh := sp.shards[SiteShard(s.Site, len(sp.shards))]
-	sp.enqueue(sh, qsample{site: s.Site, tier: s.Tier, time: s.Time, values: s.Values})
+	sp.enqueue(sp.lane(s.Site), qsample{site: s.Site, tier: s.Tier, time: s.Time, values: s.Values})
 }
 
 // Register resolves a site to its shard once and returns the handle the
@@ -525,17 +451,14 @@ func (sp *ShardedPipeline) Sync() {
 	}
 }
 
-// Flush syncs, then force-closes every site's in-progress window (end of
-// stream), emitting whatever decisions the staleness budget allows —
-// Pipeline.Flush for the sharded path. Not callable from callbacks.
+// Flush syncs, then force-closes every site's in-progress window,
+// emitting whatever decisions the staleness budget allows. Like
+// Pipeline.Flush it is the fleet-wide end of stream, not a per-site one:
+// it truncates the open window of every site, whoever feeds it. Not
+// callable from callbacks.
 func (sp *ShardedPipeline) Flush() {
 	sp.Sync()
-	for _, sh := range sp.shards {
-		sh.emu.Lock()
-		pubs := sh.eng.flushAll()
-		sh.emu.Unlock()
-		sp.dispatch(sh, pubs)
-	}
+	sp.flushWindows()
 }
 
 // Close drains every queued sample, then stops the shard goroutines.
@@ -554,159 +477,6 @@ func (sp *ShardedPipeline) Close() {
 		close(sh.ch)
 	}
 	sp.wg.Wait()
-}
-
-// SwapMonitor atomically replaces the model serving one site, with
-// Pipeline.SwapMonitor's semantics. The owning shard is quiesced first,
-// so the swap takes effect after every sample accepted for the site
-// before the call — the swap's stream position is deterministic. Not
-// callable from callbacks.
-func (sp *ShardedPipeline) SwapMonitor(siteName string, m *core.Monitor, version int64) (SwapEvent, error) {
-	if m == nil || m.Coordinator() == nil {
-		return SwapEvent{}, fmt.Errorf("serve: swap %s: %w", siteName, core.ErrUntrained)
-	}
-	if m.InputDim() != sp.dim {
-		return SwapEvent{}, fmt.Errorf("serve: swap %s: %w: model dim %d, pipeline dim %d",
-			siteName, core.ErrDimensionMismatch, m.InputDim(), sp.dim)
-	}
-	sh := sp.shards[SiteShard(siteName, len(sp.shards))]
-	sh.mu.Lock()
-	sh.flushLocked()
-	target := sh.enqueued.Load()
-	sh.mu.Unlock()
-	sh.waitProcessed(target)
-
-	sh.emu.Lock()
-	eng := sh.eng
-	i := eng.site(siteName)
-	if err := eng.swapSession(i, m); err != nil {
-		sh.emu.Unlock()
-		return SwapEvent{}, fmt.Errorf("serve: swap %s: %w", siteName, err)
-	}
-	ss := &eng.stats[i]
-	ev := SwapEvent{
-		Site:        siteName,
-		Version:     version,
-		PrevVersion: ss.ModelVersion,
-		Seq:         eng.recs[i].cur,
-	}
-	ss.ModelVersion = version
-	ss.ModelSwaps++
-	ss.LastSwapSeq = eng.recs[i].cur
-	sh.emu.Unlock()
-	if sp.cfg.OnSwap != nil {
-		sp.cfg.OnSwap(ev)
-	}
-	return ev, nil
-}
-
-// NoteDrift records n drift detections against a site's counters.
-func (sp *ShardedPipeline) NoteDrift(siteName string, n int) {
-	if n <= 0 {
-		return
-	}
-	sh := sp.shards[SiteShard(siteName, len(sp.shards))]
-	sh.emu.Lock()
-	sh.eng.stats[sh.eng.site(siteName)].DriftSignals += uint64(n)
-	sh.emu.Unlock()
-}
-
-// NoteScale records one autoscaling action against a site's counters, as
-// Pipeline.NoteScale.
-func (sp *ShardedPipeline) NoteScale(siteName string, slot server.TierID, replicas int, up bool) {
-	if slot < 0 || slot >= server.NumTiers {
-		return
-	}
-	sh := sp.shards[SiteShard(siteName, len(sp.shards))]
-	sh.emu.Lock()
-	st := &sh.eng.stats[sh.eng.site(siteName)]
-	if up {
-		st.ScaleUps++
-	} else {
-		st.ScaleDowns++
-	}
-	st.PoolReplicas[slot] = replicas
-	sh.emu.Unlock()
-}
-
-// flagsOf returns a site's lock-free flag block, creating the site on
-// first use (mirroring Pipeline.getSite's create-on-read).
-func (sp *ShardedPipeline) flagsOf(siteName string) *siteFlags {
-	sh := sp.shards[SiteShard(siteName, len(sp.shards))]
-	sh.emu.Lock()
-	f := sh.eng.flags[sh.eng.site(siteName)]
-	sh.emu.Unlock()
-	return f
-}
-
-// Overloaded reports the most recent decision's overload verdict for a
-// site (false before the first decision).
-func (sp *ShardedPipeline) Overloaded(siteName string) bool {
-	return sp.flagsOf(siteName).overloaded.Load()
-}
-
-// AdmissionValve returns a server.AdmissionFunc driven by the site's
-// latest decision, with Pipeline.AdmissionValve's fail-open semantics.
-// The valve reads pointer-stable atomics, so it stays lock-free no
-// matter how large the shard's site table grows.
-func (sp *ShardedPipeline) AdmissionValve(siteName string, maxBound int) server.AdmissionFunc {
-	f := sp.flagsOf(siteName)
-	return func(as server.AdmissionState) bool {
-		if Health(f.health.Load()) == HealthStale {
-			return true
-		}
-		if !f.overloaded.Load() {
-			return true
-		}
-		return as.WaitQueue == 0 && as.BoundWorkers < maxBound
-	}
-}
-
-// Subscribe registers a decision channel, as Pipeline.Subscribe.
-func (sp *ShardedPipeline) Subscribe(buffer int) (<-chan Decision, func()) {
-	if buffer < 1 {
-		buffer = 1
-	}
-	ch := make(chan Decision, buffer)
-	sp.subMu.Lock()
-	sp.subs = append(sp.subs, ch)
-	sp.subMu.Unlock()
-	cancel := func() {
-		sp.subMu.Lock()
-		for i, c := range sp.subs {
-			if c == ch {
-				sp.subs = append(sp.subs[:i], sp.subs[i+1:]...)
-				break
-			}
-		}
-		sp.subMu.Unlock()
-	}
-	return ch, cancel
-}
-
-// SiteStats returns a snapshot of one site's counters.
-func (sp *ShardedPipeline) SiteStats(siteName string) (SiteStats, bool) {
-	sh := sp.shards[SiteShard(siteName, len(sp.shards))]
-	sh.emu.Lock()
-	defer sh.emu.Unlock()
-	i, ok := sh.eng.idx[siteName]
-	if !ok {
-		return SiteStats{}, false
-	}
-	return sh.eng.stats[i], true
-}
-
-// Stats snapshots every site's counters, merged across shards and
-// ordered by site name — the only point where per-shard state meets.
-func (sp *ShardedPipeline) Stats() []SiteStats {
-	var out []SiteStats
-	for _, sh := range sp.shards {
-		sh.emu.Lock()
-		out = append(out, sh.eng.stats...)
-		sh.emu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
-	return out
 }
 
 // ShardStats is a snapshot of one shard's queue and batch counters.
@@ -769,10 +539,10 @@ func (sp *ShardedPipeline) Totals() ShardStats {
 	return t
 }
 
-// WriteMetrics renders the per-site serving counters (as Pipeline) plus
-// the per-shard queue families in Prometheus text exposition format.
+// WriteMetrics renders the per-site serving counters plus the per-shard
+// queue families in Prometheus text exposition format.
 func (sp *ShardedPipeline) WriteMetrics(w io.Writer) error {
-	if err := writeSiteMetrics(w, sp.Stats(), sp.cfg.Fuse != nil, sp.cfg); err != nil {
+	if err := sp.lanes.WriteMetrics(w); err != nil {
 		return err
 	}
 	return writeShardMetrics(w, sp.ShardStats())

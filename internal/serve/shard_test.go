@@ -172,13 +172,15 @@ func scrubLatency(stats []serve.SiteStats) []serve.SiteStats {
 	return stats
 }
 
-// TestShardedMatchesPipeline is the sharded path's core guarantee,
-// checked differentially: seeded fault-storm programs (drops, dups,
-// late/NaN/Inf/misshapen samples, gaps, mid-stream hot-swaps) replay
-// through the unsharded Pipeline and through ShardedPipeline at several
-// shard/batch geometries, and every site's decision stream, health
-// ladder, swap events, and full counter snapshot must be identical —
-// batching, deferral, and shard routing may never change an outcome.
+// TestShardedMatchesPipeline is the geometry differential. Pipeline and
+// ShardedPipeline apply the same engine, so what differs is how samples
+// reach it: one at a time on the caller's goroutine, against batched,
+// deferred and hash-routed at several shard/batch geometries. Seeded
+// fault-storm programs (drops, dups, late/NaN/Inf/misshapen samples,
+// gaps, mid-stream hot-swaps) replay through both, with counter fusion
+// off and on, and every site's decision stream, health ladder, swap
+// events, and full counter snapshot must be identical — batching,
+// deferral, and shard routing may never change an outcome.
 func TestShardedMatchesPipeline(t *testing.T) {
 	lab, mon, tr := fixture(t)
 	vecs := secondVectors(tr)
@@ -186,81 +188,84 @@ func TestShardedMatchesPipeline(t *testing.T) {
 	const nSites = 6
 	seconds := 8 * window
 
-	for seed := int64(1); seed <= 120; seed++ {
+	for seed := int64(1); seed <= 3; seed++ {
 		prog := faultProgram(seed, nSites, seconds, vecs)
-		// Counter fusion on every even seed, so the differential also
-		// covers the fused ingest path (imputed NaN/Inf components,
-		// confidence accumulators, low-confidence ladder steps).
-		fused := func(cfg serve.Config) serve.Config {
-			if seed%2 == 0 {
-				cfg.Fuse = &fuse.Config{}
+		for _, leg := range []struct {
+			suffix string
+			fuse   *fuse.Config
+		}{{"", nil}, {"/fuse", &fuse.Config{}}} {
+			withFuse := func(cfg serve.Config) serve.Config {
+				cfg.Fuse = leg.fuse
+				return cfg
 			}
-			return cfg
-		}
 
-		ref := newRecorder()
-		p, err := serve.NewPipeline(mon, fused(ref.config(window)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ev := range prog {
-			if ev.swap {
-				if _, err := p.SwapMonitor(fmt.Sprintf("site-%02d", ev.site), mon, ev.version); err != nil {
-					t.Fatal(err)
-				}
-				continue
+			ref := newRecorder()
+			p, err := serve.NewPipeline(mon, withFuse(ref.config(window)))
+			if err != nil {
+				t.Fatal(err)
 			}
-			p.Ingest(ev.sample)
-		}
-		p.Flush()
-		refStats := scrubLatency(p.Stats())
-
-		for _, sc := range shardConfigs {
-			t.Run(fmt.Sprintf("seed=%d/shards=%d/batch=%d", seed, sc.Shards, sc.BatchSize), func(t *testing.T) {
-				rec := newRecorder()
-				sp, err := serve.NewShardedPipeline(mon, fused(rec.config(window)), sc)
-				if err != nil {
-					t.Fatal(err)
+			for _, ev := range prog {
+				if ev.swap {
+					if _, err := p.SwapMonitor(fmt.Sprintf("site-%02d", ev.site), mon, ev.version); err != nil {
+						t.Fatal(err)
+					}
+					continue
 				}
-				defer sp.Close()
-				for _, ev := range prog {
-					if ev.swap {
-						if _, err := sp.SwapMonitor(fmt.Sprintf("site-%02d", ev.site), mon, ev.version); err != nil {
-							t.Fatal(err)
+				p.Ingest(ev.sample)
+			}
+			p.Flush()
+			refStats := scrubLatency(p.Stats())
+
+			for _, sc := range shardConfigs {
+				t.Run(fmt.Sprintf("seed=%d/shards=%d/batch=%d%s", seed, sc.Shards, sc.BatchSize, leg.suffix), func(t *testing.T) {
+					rec := newRecorder()
+					sp, err := serve.NewShardedPipeline(mon, withFuse(rec.config(window)), sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer sp.Close()
+					for _, ev := range prog {
+						if ev.swap {
+							if _, err := sp.SwapMonitor(fmt.Sprintf("site-%02d", ev.site), mon, ev.version); err != nil {
+								t.Fatal(err)
+							}
+							continue
 						}
-						continue
+						sp.Ingest(ev.sample)
 					}
-					sp.Ingest(ev.sample)
-				}
-				sp.Flush()
+					sp.Flush()
 
-				for s := 0; s < nSites; s++ {
-					site := fmt.Sprintf("site-%02d", s)
-					want, got := ref.transcript(site), rec.transcript(site)
-					if got != want {
-						t.Errorf("%s transcript diverged\n--- unsharded ---\n%s--- sharded ---\n%s", site, want, got)
+					for s := 0; s < nSites; s++ {
+						site := fmt.Sprintf("site-%02d", s)
+						want, got := ref.transcript(site), rec.transcript(site)
+						if got != want {
+							t.Errorf("%s transcript diverged\n--- inline ---\n%s--- sharded ---\n%s", site, want, got)
+						}
 					}
-				}
-				if got := scrubLatency(sp.Stats()); !reflect.DeepEqual(got, refStats) {
-					t.Errorf("stats diverged\nunsharded: %+v\nsharded:   %+v", refStats, got)
-				}
-				if !reflect.DeepEqual(rec.swaps, ref.swaps) {
-					t.Errorf("swap events diverged\nunsharded: %+v\nsharded:   %+v", ref.swaps, rec.swaps)
-				}
-				// Nothing vanished in the queues: every accepted sample was
-				// applied, and the per-site tallies absorb all of them.
-				tot := sp.Totals()
-				if tot.Enqueued != tot.Processed {
-					t.Errorf("after Flush: enqueued %d != processed %d", tot.Enqueued, tot.Processed)
-				}
-				var ingested uint64
-				for _, s := range sp.Stats() {
-					ingested += s.SamplesIngested
-				}
-				if ingested != tot.Processed {
-					t.Errorf("site counters absorb %d samples, shards processed %d", ingested, tot.Processed)
-				}
-			})
+					if got := scrubLatency(sp.Stats()); !reflect.DeepEqual(got, refStats) {
+						t.Errorf("stats diverged\ninline:  %+v\nsharded: %+v", refStats, got)
+					}
+					if !reflect.DeepEqual(rec.swaps, ref.swaps) {
+						t.Errorf("swap events diverged\ninline:  %+v\nsharded: %+v", ref.swaps, rec.swaps)
+					}
+					if leg.fuse != nil && refStats[0].SamplesFused == 0 {
+						t.Error("fusion leg fused nothing; the differential covered one path twice")
+					}
+					// Nothing vanished in the queues: every accepted sample was
+					// applied, and the per-site tallies absorb all of them.
+					tot := sp.Totals()
+					if tot.Enqueued != tot.Processed {
+						t.Errorf("after Flush: enqueued %d != processed %d", tot.Enqueued, tot.Processed)
+					}
+					var ingested uint64
+					for _, s := range sp.Stats() {
+						ingested += s.SamplesIngested
+					}
+					if ingested != tot.Processed {
+						t.Errorf("site counters absorb %d samples, shards processed %d", ingested, tot.Processed)
+					}
+				})
+			}
 		}
 	}
 }
@@ -555,20 +560,34 @@ func TestShardedSwapQuiesce(t *testing.T) {
 	}
 }
 
+// underWatchdog runs body on its own goroutine and converts a deadlock
+// into a crisp failure. body reports through t.Error only.
+func underWatchdog(t *testing.T, body func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		body()
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("callback re-entrancy deadlocked the pipeline")
+	}
+}
+
 // TestShardedCallbackReentrancy is the deadlock regression for the
 // publish-outside-locks convention: OnDecision, OnHealth, and a channel
 // subscriber all call back into the pipeline (snapshots, flag reads,
 // drift notes, even further ingest) while their shard goroutine is
-// mid-dispatch. A watchdog converts any deadlock into a crisp failure.
+// mid-dispatch.
 func TestShardedCallbackReentrancy(t *testing.T) {
 	lab, mon, tr := fixture(t)
 	vecs := secondVectors(tr)
 	window := lab.Scale.Window
 	n := len(tr.SecTimes)
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
+	underWatchdog(t, func() {
 		var decided, healthEvents int
 		var sp *serve.ShardedPipeline
 		cfg := serve.Config{
@@ -636,13 +655,108 @@ func TestShardedCallbackReentrancy(t *testing.T) {
 		if healthEvents == 0 {
 			t.Error("no health events fired; the regression exercised nothing")
 		}
-	}()
+	})
+}
 
-	select {
-	case <-done:
-	case <-time.After(2 * time.Minute):
-		t.Fatal("callback re-entrancy deadlocked the pipeline")
-	}
+// TestPipelineCallbackReentrancy is the inline front's side of the same
+// convention, with nothing held back: a Pipeline has no shard goroutine
+// to wait on, so its callbacks may call every method — here Ingest for
+// another site (whose own decisions nest a second callback inside the
+// first), SwapMonitor, NoteDrift, Stats, AdmissionValve and Flush. A swap
+// issued from a decision callback must take effect at the very next
+// window.
+func TestPipelineCallbackReentrancy(t *testing.T) {
+	lab, mon, tr := fixture(t)
+	vecs := secondVectors(tr)
+	window := lab.Scale.Window
+	n := len(tr.SecTimes)
+	const windows, swapAfter, flushAfter = 6, 2, 4
+
+	underWatchdog(t, func() {
+		var p *serve.Pipeline
+		var aDecisions []serve.Decision
+		var swap serve.SwapEvent
+		var bDecided, healthEvents, bSec int
+		cfg := serve.Config{
+			Window:          window,
+			StalenessBudget: 2,
+			OnDecision: func(d serve.Decision) {
+				if d.Site != "a" {
+					bDecided++
+					return
+				}
+				aDecisions = append(aDecisions, d)
+				p.Stats()
+				p.NoteDrift(d.Site, 1)
+				p.AdmissionValve("b", 2)(server.AdmissionState{})
+				// One window of site b per decision of a, its app tier two
+				// samples short (degraded: b walks the health ladder).
+				for k := 0; k < window; k++ {
+					bSec++
+					for tier := server.TierID(0); tier < server.NumTiers; tier++ {
+						if tier == 0 && k < 2 {
+							continue
+						}
+						p.Ingest(serve.Sample{Site: "b", Tier: tier, Time: float64(bSec), Values: vecs[tier][bSec%n]})
+					}
+				}
+				switch len(aDecisions) {
+				case swapAfter:
+					var err error
+					if swap, err = p.SwapMonitor("a", mon, 7); err != nil {
+						t.Errorf("swap from OnDecision: %v", err)
+					}
+				case flushAfter:
+					p.Flush() // closes b's open window; a has none
+				}
+			},
+			OnHealth: func(ev serve.HealthEvent) {
+				healthEvents++
+				p.Stats()
+				p.NoteDrift(ev.Site, 1)
+				p.Ingest(serve.Sample{Site: "c", Tier: 0, Time: float64(healthEvents), Values: vecs[0][0]})
+			},
+		}
+		var err error
+		if p, err = serve.NewPipeline(mon, cfg); err != nil {
+			t.Error(err)
+			return
+		}
+		for sec := 1; sec <= windows*window; sec++ {
+			for tier := server.TierID(0); tier < server.NumTiers; tier++ {
+				p.Ingest(serve.Sample{Site: "a", Tier: tier, Time: float64(sec), Values: vecs[tier][sec%n]})
+			}
+		}
+		p.Flush()
+
+		if len(aDecisions) != windows {
+			t.Errorf("site a decided %d windows, want %d", len(aDecisions), windows)
+			return
+		}
+		if want := aDecisions[swapAfter-1].Seq + 1; swap.Seq != want || swap.Version != 7 {
+			t.Errorf("swap from the window-%d callback landed as %+v, want window %d",
+				aDecisions[swapAfter-1].Seq, swap, want)
+		}
+		for _, d := range aDecisions {
+			want := int64(0)
+			if d.Seq >= swap.Seq {
+				want = 7
+			}
+			if d.ModelVersion != want {
+				t.Errorf("window %d decided by version %d, want %d", d.Seq, d.ModelVersion, want)
+			}
+		}
+		if bDecided == 0 || healthEvents == 0 {
+			t.Errorf("nested callbacks: %d decisions for b, %d health events; the regression exercised nothing",
+				bDecided, healthEvents)
+		}
+		if st, _ := p.SiteStats("a"); st.DriftSignals != windows {
+			t.Errorf("site a counted %d drift notes from its callbacks, want %d", st.DriftSignals, windows)
+		}
+		if _, ok := p.SiteStats("c"); !ok {
+			t.Error("the sample ingested from OnHealth never created its site")
+		}
+	})
 }
 
 // TestShardedValveAndOverload mirrors the unsharded valve semantics on
