@@ -1,56 +1,213 @@
 package server
 
 import (
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hpcap/internal/tpcw"
 )
 
-// TestDAGSnapshotEquivalence pins the degenerate-DAG contract at the
-// telemetry level: the two-tier topology replays the legacy testbed
-// snapshot for snapshot, bit for bit, through load swings and admission
-// rejections. The experiment-layer differential test extends this to the
-// chaos and fusion golden transcripts.
-func TestDAGSnapshotEquivalence(t *testing.T) {
-	cfg := DefaultConfig()
-	sched := tpcw.Concat(
-		tpcw.Steady(tpcw.Browsing(), 120, 30),
-		tpcw.Ramp(tpcw.Ordering(), 120, 900, 4, 10),
-		tpcw.Steady(tpcw.Shopping(), 200, 30),
+var update = flag.Bool("update", false, "rewrite testdata/two_tier_snapshots.golden")
+
+// twoTierCase is one cell of the two-tier differential: a seed, a load
+// schedule, and whether an admission controller and the collectors'
+// periodic CPU cost are installed.
+type twoTierCase struct {
+	name      string
+	seed      int64
+	sched     tpcw.Schedule
+	admission bool
+	periodic  bool
+}
+
+// swingSchedule grows the population past both tiers' knees, retires most
+// of it while retargeting the survivors' mix, respawns under a shorter
+// think time and retires again — 100 seconds that exercise every branch
+// of applyPhase and push the admission controller into rejecting.
+func swingSchedule(mix tpcw.Mix) tpcw.Schedule {
+	return tpcw.Concat(
+		tpcw.Steady(mix, 120, 20),
+		tpcw.Ramp(mix, 200, 700, 4, 8),
+		tpcw.Steady(tpcw.Shopping(), 150, 16),
+		tpcw.Schedule{Phases: []tpcw.Phase{{Mix: mix, EBs: 400, Duration: 16, ThinkScale: 0.5}}},
+		tpcw.Steady(mix, 60, 16),
 	)
-	admit := func(s AdmissionState) bool { return s.WaitQueue < 60 }
+}
 
-	legacy, err := NewTestbed(cfg, sched)
-	if err != nil {
-		t.Fatal(err)
+// burstCycles is simsite's cruise/burst/recover rotation compressed to 14
+// seconds and repeated 40 times: most of the population is retired and
+// respawned every cycle, with retirees' think timers still pending.
+func burstCycles() tpcw.Schedule {
+	cycle := tpcw.Concat(
+		tpcw.Steady(tpcw.Shopping(), 70, 6),
+		tpcw.Steady(tpcw.Shopping(), 145, 5),
+		tpcw.Steady(tpcw.Shopping(), 55, 3),
+	)
+	sched := cycle
+	for i := 1; i < 40; i++ {
+		sched = tpcw.Concat(sched, cycle)
 	}
-	legacy.SetAdmission(admit)
-	if err := legacy.Start(); err != nil {
-		t.Fatal(err)
-	}
+	return sched
+}
 
-	dag, err := NewDAGTestbed(TwoTierTopology(cfg), sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dag.SetAdmission(admit)
-	if err := dag.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	for sec := 0; sec < 100; sec++ {
-		want := legacy.RunInterval(1)
-		got := dag.RunIntervalLegacy(1)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("second %d: DAG snapshot diverged from legacy\nlegacy: %+v\ndag:    %+v", sec, want, got)
+// twoTierGrid returns seeds 1..seeds × {browsing, shopping, ordering} ×
+// {admission off, on} × {periodic load off, on} over swingSchedule.
+func twoTierGrid(seeds int64) []twoTierCase {
+	onOff := map[bool]string{false: "off", true: "on"}
+	var cases []twoTierCase
+	for seed := int64(1); seed <= seeds; seed++ {
+		for _, mix := range []tpcw.Mix{tpcw.Browsing(), tpcw.Shopping(), tpcw.Ordering()} {
+			for _, admission := range []bool{false, true} {
+				for _, periodic := range []bool{false, true} {
+					cases = append(cases, twoTierCase{
+						name: fmt.Sprintf("swing seed=%d mix=%s admission=%s periodic=%s",
+							seed, mix.Name, onOff[admission], onOff[periodic]),
+						seed: seed, sched: swingSchedule(mix), admission: admission, periodic: periodic,
+					})
+				}
+			}
 		}
 	}
-	la, lc, lr, lf := legacy.Conservation()
-	da, dc, dr, df := dag.Conservation()
-	if la != da || lc != dc || lr != dr || lf != df {
-		t.Fatalf("conservation diverged: legacy (%d,%d,%d,%d) dag (%d,%d,%d,%d)",
-			la, lc, lr, lf, da, dc, dr, df)
+	return cases
+}
+
+// fixtureCases is the subset frozen in testdata/two_tier_snapshots.golden:
+// the seed-1 grid plus the burst-cycle run.
+func fixtureCases() []twoTierCase {
+	return append(twoTierGrid(1), twoTierCase{name: "burst-cycles seed=7", seed: 7, sched: burstCycles()})
+}
+
+// The collectors' per-second CPU cost (metrics.HPCSampleCost +
+// metrics.OSSampleCost; metrics imports this package).
+const collectCost = 0.02
+
+func admitShortQueue(s AdmissionState) bool { return s.WaitQueue < 60 }
+
+// legacy starts the case on the legacy two-tier testbed.
+func (c twoTierCase) legacy(t *testing.T) *Testbed {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Seed = c.seed
+	tb, err := NewTestbed(cfg, c.sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.admission {
+		tb.SetAdmission(admitShortQueue)
+	}
+	if c.periodic {
+		tb.AddPeriodicLoad(TierApp, 1, collectCost)
+		tb.AddPeriodicLoad(TierDB, 1, collectCost)
+	}
+	if err := tb.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
+// dag starts the case on the degenerate two-tier DAG.
+func (c twoTierCase) dag(t *testing.T) *DAGTestbed {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Seed = c.seed
+	tb, err := NewDAGTestbed(TwoTierTopology(cfg), c.sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.admission {
+		tb.SetAdmission(admitShortQueue)
+	}
+	if c.periodic {
+		tb.AddPeriodicLoad("app", 1, collectCost)
+		tb.AddPeriodicLoad("db", 1, collectCost)
+	}
+	if err := tb.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
+// digestLine is one second of the fixture: the request flows in clear and
+// an FNV-64a hash of the whole snapshot. %+v prints every float64 in its
+// shortest round-trip form, so equal hashes mean bit-equal snapshots.
+func digestLine(s Snapshot) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", s)
+	return fmt.Sprintf("%g arr=%d comp=%d rej=%d ebs=%d %016x\n",
+		s.Time, s.Arrivals, s.Completions, s.Rejections, s.ActiveEBs, h.Sum64())
+}
+
+// TestDAGSnapshotEquivalence pins the degenerate-DAG contract at the
+// telemetry level: the two-tier topology replays the legacy testbed
+// snapshot for snapshot, bit for bit, through population growth and
+// retirement, admission rejections and periodic collector load, over 20
+// seeds of every mix. The legacy testbed's stream for fixtureCases is
+// frozen in testdata/two_tier_snapshots.golden, so the contract outlives
+// the second implementation.
+func TestDAGSnapshotEquivalence(t *testing.T) {
+	cases := append(twoTierGrid(20), fixtureCases()[len(twoTierGrid(1)):]...)
+	frozen := make(map[string]bool)
+	for _, c := range fixtureCases() {
+		frozen[c.name] = true
+	}
+	var golden strings.Builder
+	passed := 0
+	for _, c := range cases {
+		legacy, dag := c.legacy(t), c.dag(t)
+		ok := true
+		if frozen[c.name] {
+			fmt.Fprintf(&golden, "case %s\n", c.name)
+		}
+		for sec := 0; sec < int(c.sched.Duration()); sec++ {
+			want := legacy.RunInterval(1)
+			got := dag.RunIntervalLegacy(1)
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s second %d: DAG snapshot diverged from legacy\nlegacy: %+v\ndag:    %+v", c.name, sec, want, got)
+				ok = false
+				break
+			}
+			if frozen[c.name] {
+				golden.WriteString(digestLine(want))
+			}
+		}
+		la, lc, lr, lf := legacy.Conservation()
+		da, dc, dr, df := dag.Conservation()
+		if la != da || lc != dc || lr != dr || lf != df {
+			t.Errorf("%s: conservation diverged: legacy (%d,%d,%d,%d) dag (%d,%d,%d,%d)",
+				c.name, la, lc, lr, lf, da, dc, dr, df)
+			ok = false
+		}
+		if frozen[c.name] {
+			fmt.Fprintf(&golden, "conservation arr=%d comp=%d rej=%d inflight=%d\n", la, lc, lr, lf)
+		}
+		if ok {
+			passed++
+		}
+	}
+	t.Logf("%d/%d two-tier cases byte-identical between legacy and DAG", passed, len(cases))
+
+	path := filepath.Join("testdata", "two_tier_snapshots.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(golden.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read fixture (run with -update to create): %v", err)
+	}
+	if golden.String() != string(want) {
+		t.Errorf("legacy snapshot stream diverged from %s", path)
 	}
 }
 
