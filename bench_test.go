@@ -197,6 +197,7 @@ func BenchmarkSimulatedSecond(b *testing.B) {
 		b.Fatal(err)
 	}
 	tb.RunInterval(60) // warm-up
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tb.RunInterval(1)

@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"hpcap/internal/chaos"
-	"hpcap/internal/cpu"
 	"hpcap/internal/experiment"
 	"hpcap/internal/fuse"
 	"hpcap/internal/metrics"
@@ -155,11 +154,10 @@ func run(args []string) error {
 			return fmt.Errorf("-chaos: %w", err)
 		}
 		inj = chaos.NewInjector(csched, *seed)
-		machines := [server.NumTiers]server.MachineConfig{cfg.App.Machine, cfg.DB.Machine}
-		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-			flaky := chaos.NewFlakyCollector(
-				cpu.NewCollector(tier, machines[tier], 0.02, *seed*10+int64(tier)+100), csched)
-			coll[tier] = metrics.NewRetryCollector(flaky, 2)
+		_, hpc := experiment.Collectors(
+			[server.NumTiers]server.MachineConfig{cfg.App.Machine, cfg.DB.Machine}, *seed)
+		for tier := range coll {
+			coll[tier] = metrics.NewRetryCollector(chaos.NewFlakyCollector(hpc[tier], csched), 2)
 		}
 	}
 
@@ -309,12 +307,9 @@ func runScale(o scaleOpts, out, progress io.Writer) error {
 	if err := tb.Start(); err != nil {
 		return err
 	}
-	machines := [server.NumTiers]server.MachineConfig{cfg.App.Machine, cfg.DB.Machine}
 	var vecs [server.NumTiers][][]float64
-	coll := [server.NumTiers]metrics.Collector{}
-	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-		coll[tier] = cpu.NewCollector(tier, machines[tier], 0.02, o.seed*10+int64(tier)+100)
-	}
+	_, coll := experiment.Collectors(
+		[server.NumTiers]server.MachineConfig{cfg.App.Machine, cfg.DB.Machine}, o.seed)
 	for i := 0; i < recordSeconds; i++ {
 		s := tb.RunInterval(1)
 		for tier := server.TierID(0); tier < server.NumTiers; tier++ {

@@ -147,7 +147,8 @@ type (
 	ServerConfig = server.Config
 	// TierConfig configures one tier.
 	TierConfig = server.TierConfig
-	// Testbed is the simulated two-tier website under TPC-W load.
+	// Testbed is the simulated two-tier website under TPC-W load: the
+	// two-slot (app, db) view of a DAGTestbed over TwoTierTopology.
 	Testbed = server.Testbed
 	// Snapshot is one interval of testbed telemetry.
 	Snapshot = server.Snapshot
@@ -170,12 +171,14 @@ const (
 // configuration (app ≈ Pentium 4 Tomcat, DB ≈ Pentium D MySQL).
 var DefaultServerConfig = server.DefaultConfig
 
-// NewTestbed builds a simulated website under the given schedule.
+// NewTestbed builds the simulated two-tier website under the given
+// schedule.
 var NewTestbed = server.NewTestbed
 
 // Tier-DAG topologies: arbitrary pool graphs (load balancer → replicated
 // app pool → caches → sharded stores) behind the same monitor and
-// serving surface as the legacy two-tier testbed. Each pool folds its
+// serving surface as the two-tier testbed, and simulated by the same
+// engine — the two-tier site is the degenerate DAG. Each pool folds its
 // replica-mean counters into one of the fixed monitor tier slots, so a
 // monitor trained on the paper's testbed serves any DAG.
 type (
@@ -187,7 +190,8 @@ type (
 	PoolConfig = server.PoolConfig
 	// PoolKind classifies a pool's role (front, cache, store).
 	PoolKind = server.PoolKind
-	// DAGTestbed is the simulated website over a TopologyConfig.
+	// DAGTestbed is the simulated website over a TopologyConfig — the
+	// one simulator behind every testbed.
 	DAGTestbed = server.DAGTestbed
 	// DAGSnapshot is one interval of per-pool testbed telemetry; Legacy
 	// folds it to the two-slot Snapshot shape.
@@ -206,11 +210,10 @@ const (
 	PoolStore = server.PoolStore
 )
 
-// Topology constructors: TwoTierTopology expresses a legacy Config as
-// the degenerate DAG (byte-identical replay, pinned by the equivalence
-// test); DefaultTopologyConfig is the calibrated four-pool reference
-// DAG; BottleneckPool picks the highest-loaded pool from a PoolLoad
-// slice.
+// Topology constructors: TwoTierTopology expresses a ServerConfig as
+// the degenerate DAG (what NewTestbed simulates); DefaultTopologyConfig
+// is the calibrated four-pool reference DAG; BottleneckPool picks the
+// highest-loaded pool from a PoolLoad slice.
 var (
 	NewDAGTestbed         = server.NewDAGTestbed
 	TwoTierTopology       = server.TwoTierTopology

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"hpcap/internal/core"
-	"hpcap/internal/cpu"
 	"hpcap/internal/metrics"
 	"hpcap/internal/ml/bayes"
 	"hpcap/internal/registry"
@@ -141,15 +140,7 @@ func (l *Lab) runAutoscaleReplay(workers, shards int) (*AutoscaleReplay, error) 
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		machines := [server.NumTiers]server.MachineConfig{l.Server.App.Machine, l.Server.DB.Machine}
-		for _, pc := range topo.Pools {
-			machines[pc.Slot] = pc.Tier.Machine
-		}
-		var coll [server.NumTiers]*cpu.Collector
-		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-			coll[tier] = cpu.NewCollector(tier, machines[tier], hpcNoise,
-				topo.Seed*10+int64(tier)+100)
-		}
+		_, coll := Collectors(topo.SlotMachines(l.Server), topo.Seed)
 
 		var decisions []serve.Decision
 		scfg := serve.Config{

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -131,6 +132,47 @@ func TestGenerateDeterministic(t *testing.T) {
 				t.Fatalf("HPC vectors diverge at window %d metric %d", i, j)
 			}
 		}
+	}
+}
+
+// TestGenerateTopologyIsData pins that TraceConfig.Topology says which
+// site to simulate and selects no code path: nil is the two-tier topology
+// of Server (spelling it out changes nothing, bit for bit), and another
+// topology yields the same windows of a different site.
+func TestGenerateTopologyIsData(t *testing.T) {
+	cfg := TraceConfig{
+		Server:          server.DefaultConfig(),
+		Schedule:        tpcw.Steady(tpcw.Shopping(), 150, 90),
+		Window:          30,
+		Seed:            5,
+		Labeler:         pi.Labeler{},
+		CollectOverhead: true,
+		RecordSeconds:   true,
+	}
+	implicit, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twoTier := server.TwoTierTopology(cfg.Server)
+	cfg.Topology = &twoTier
+	explicit, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(implicit, explicit) {
+		t.Error("explicit TwoTierTopology(Server) trace differs from the nil-topology trace")
+	}
+	fourPool := server.DefaultTopologyConfig()
+	cfg.Topology = &fourPool
+	other, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(other.Windows) != len(implicit.Windows) {
+		t.Fatalf("four-pool trace has %d windows, two-tier %d", len(other.Windows), len(implicit.Windows))
+	}
+	if reflect.DeepEqual(other.Windows, implicit.Windows) {
+		t.Error("four-pool topology generated the two-tier trace")
 	}
 }
 

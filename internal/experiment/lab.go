@@ -39,12 +39,9 @@ type Lab struct {
 	// negative selects GOMAXPROCS. Workers = 1 reproduces the strictly
 	// sequential run.
 	Workers int
-	// Topology, when non-nil, runs every generated trace on the tier-DAG
-	// testbed over this topology instead of the fixed two-tier one (see
-	// TraceConfig.Topology). The degenerate server.TwoTierTopology(Server)
-	// reproduces every nil-topology transcript byte for byte — the
-	// two-tier DAG equivalence test pins this against the chaos and
-	// fusion goldens.
+	// Topology is the site every generated trace simulates; nil means
+	// server.TwoTierTopology(Server), the paper's two-tier testbed (see
+	// TraceConfig.Topology).
 	Topology *server.TopologyConfig
 
 	mu        sync.Mutex

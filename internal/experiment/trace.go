@@ -20,6 +20,20 @@ const (
 	osNoise  = 0.05
 )
 
+// Collectors builds the OS-level and HPC-level collector of each tier slot
+// of one simulated site — the one recipe behind every trace, replay and
+// fleet site, so that equal (machines, seed) means equal sample streams:
+// 512 MB on the app machine and 1024 MB on the database, the noise levels
+// above, and a noise seed per collector derived from the site's.
+func Collectors(machines [server.NumTiers]server.MachineConfig, seed int64) (osColl, hpcColl [server.NumTiers]metrics.Collector) {
+	memMB := [server.NumTiers]float64{512, 1024}
+	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
+		osColl[tier] = osstat.NewCollector(tier, memMB[tier], osNoise, seed*10+int64(tier))
+		hpcColl[tier] = cpu.NewCollector(tier, machines[tier], hpcNoise, seed*10+int64(tier)+100)
+	}
+	return osColl, hpcColl
+}
+
 // Window is one aggregated 30-second observation of the whole testbed at
 // both metric levels, with its offline ground truth.
 type Window struct {
@@ -136,14 +150,12 @@ type TraceConfig struct {
 	// trace (SecTimes/SecOS/SecHPC) so the run can be replayed
 	// sample-by-sample through the online serving layer.
 	RecordSeconds bool
-	// Topology, when non-nil, runs the schedule on a tier-DAG testbed
-	// (server.NewDAGTestbed) instead of the fixed two-tier one; Server is
-	// then ignored except as the source of the collector machine models
-	// for slots no pool occupies. The DAG's per-pool snapshots are folded
-	// to the legacy tier slots, so the rest of the pipeline (collectors,
-	// windows, labeling) is topology-blind. Seed still comes from Seed.
-	// server.TwoTierTopology(cfg.Server) reproduces the nil path
-	// byte-for-byte.
+	// Topology is the site to simulate; nil means
+	// server.TwoTierTopology(Server), the paper's two-tier testbed. With a
+	// topology set, Server only supplies the collector machine models for
+	// slots no pool occupies. The DAG's per-pool snapshots are folded to
+	// the two tier slots, so the rest of the pipeline (collectors, windows,
+	// labeling) is topology-blind. Seed comes from Seed either way.
 	Topology *server.TopologyConfig
 }
 
@@ -207,66 +219,36 @@ func Generate(cfg TraceConfig) (*Trace, error) {
 	if errs := cfg.Validate(); len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
-	srvCfg := cfg.Server
-	srvCfg.Seed = cfg.Seed
-	machines := [server.NumTiers]server.MachineConfig{srvCfg.App.Machine, srvCfg.DB.Machine}
-	// step advances whichever testbed is behind the trace by one interval
-	// and reports it in the legacy per-slot snapshot shape.
-	var step func(dt float64) server.Snapshot
+	topo := server.TwoTierTopology(cfg.Server)
 	if cfg.Topology != nil {
-		topo := *cfg.Topology
-		topo.Seed = cfg.Seed
-		dtb, err := server.NewDAGTestbed(topo, cfg.Schedule)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.CollectOverhead {
-			// Every replica machine runs the collectors, so every pool is
-			// charged (in declaration order, keeping the event sequence
-			// deterministic).
-			for _, pc := range topo.Pools {
-				dtb.AddPeriodicLoad(pc.Name, 1.0, metrics.HPCSampleCost+metrics.OSSampleCost)
-			}
-		}
-		if err := dtb.Start(); err != nil {
-			return nil, err
-		}
-		step = dtb.RunIntervalLegacy
-		// The collectors model the machine of the first pool occupying
-		// each slot; slots no pool occupies keep the legacy machines.
-		seen := [server.NumTiers]bool{}
+		topo = *cfg.Topology
+	}
+	topo.Seed = cfg.Seed
+	tb, err := server.NewDAGTestbed(topo, cfg.Schedule)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.CollectOverhead {
+		// Every replica machine runs the collectors, so every pool is
+		// charged (in declaration order, keeping the event sequence
+		// deterministic).
 		for _, pc := range topo.Pools {
-			if pc.Slot >= 0 && pc.Slot < server.NumTiers && !seen[pc.Slot] {
-				machines[pc.Slot] = pc.Tier.Machine
-				seen[pc.Slot] = true
-			}
+			tb.AddPeriodicLoad(pc.Name, 1.0, metrics.HPCSampleCost+metrics.OSSampleCost)
 		}
-	} else {
-		tb, err := server.NewTestbed(srvCfg, cfg.Schedule)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.CollectOverhead {
-			for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-				tb.AddPeriodicLoad(tier, 1.0, metrics.HPCSampleCost+metrics.OSSampleCost)
-			}
-		}
-		if err := tb.Start(); err != nil {
-			return nil, err
-		}
-		step = func(dt float64) server.Snapshot { return tb.RunInterval(dt) }
+	}
+	if err := tb.Start(); err != nil {
+		return nil, err
 	}
 
 	type tierCollectors struct {
 		os  *metrics.Aggregator
 		hpc *metrics.Aggregator
 	}
-	memMB := [server.NumTiers]float64{512, 1024}
 	var coll [server.NumTiers]tierCollectors
 	var recOS, recHPC [server.NumTiers]*recordingCollector
+	osColls, hpcColls := Collectors(topo.SlotMachines(cfg.Server), cfg.Seed)
 	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-		var osColl metrics.Collector = osstat.NewCollector(tier, memMB[tier], osNoise, cfg.Seed*10+int64(tier))
-		var hpcColl metrics.Collector = cpu.NewCollector(tier, machines[tier], hpcNoise, cfg.Seed*10+int64(tier)+100)
+		osColl, hpcColl := osColls[tier], hpcColls[tier]
 		if cfg.RecordSeconds {
 			recOS[tier] = &recordingCollector{Collector: osColl}
 			recHPC[tier] = &recordingCollector{Collector: hpcColl}
@@ -295,7 +277,7 @@ func Generate(cfg TraceConfig) (*Trace, error) {
 	secInWindow := 0
 	var elapsed float64
 	for elapsed < total {
-		snap := step(1)
+		snap := tb.RunIntervalLegacy(1)
 		elapsed++
 		secInWindow++
 		if cfg.RecordSeconds {

@@ -202,7 +202,7 @@ func (c Config) Validate() []error {
 }
 
 // tierErrs checks one tier's machine and software constraints, returning
-// one error per violation — shared between the legacy two-tier Config and
+// one error per violation — shared between the two-tier Config and
 // the per-pool checks of TopologyConfig.
 func tierErrs(name string, t TierConfig) []error {
 	var errs []error

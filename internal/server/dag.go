@@ -8,18 +8,19 @@ import (
 	"hpcap/internal/tpcw"
 )
 
-// DAGTestbed simulates a website whose serving path is an arbitrary tier
-// DAG of replica pools (TopologyConfig): a load balancer round-robins
-// requests across the entry pool's replicas, each of which holds its
-// worker across a chain of downstream calls — caches answering some
-// visits locally, store shards executing the rest.
+// DAGTestbed is the repository's one website simulator. Its serving path
+// is an arbitrary tier DAG of replica pools (TopologyConfig): a load
+// balancer round-robins requests across the entry pool's replicas, each of
+// which holds its worker across a chain of downstream calls — caches
+// answering some visits locally, store shards executing the rest.
 //
-// The degenerate two-tier topology (TwoTierTopology) replays the legacy
-// Testbed event for event and draw for draw: pools are created in
-// declaration order with one rng fork per replica, dispatch draws the
-// app and DB demands up front exactly as Testbed.dispatch does, and the
-// cache hit coin exists only when a cache pool does. The differential
-// equivalence test pins byte-identical transcripts.
+// The paper's two-tier site is the degenerate topology (TwoTierTopology),
+// and Testbed its two-slot view. The order of random draws and scheduled
+// events is part of the contract, because every committed golden replays
+// it: pools are created in declaration order with one rng fork per
+// replica, dispatch draws the app and DB demands up front, and the cache
+// hit coin exists only when a cache pool does.
+// testdata/two_tier_snapshots.golden pins the two-tier snapshot stream.
 type DAGTestbed struct {
 	topo     TopologyConfig
 	engine   *sim.Engine
@@ -35,7 +36,7 @@ type DAGTestbed struct {
 	nextEBID  int
 	started   bool
 
-	// Per-interval request accounting (mirrors Testbed).
+	// Per-interval request accounting.
 	arrivals      int
 	completions   int
 	rejections    int
@@ -127,8 +128,8 @@ func NewDAGTestbed(topo TopologyConfig, schedule tpcw.Schedule) (*DAGTestbed, er
 		byName:   make(map[string]*pool, len(topo.Pools)),
 	}
 	// Pools in declaration order, replicas in index order: the rng fork
-	// sequence is part of the determinism contract (and, for the
-	// degenerate topology, matches NewTestbed's app-then-db forks).
+	// sequence is part of the determinism contract (app then db for the
+	// degenerate topology).
 	for _, pc := range topo.Pools {
 		p := &pool{cfg: pc}
 		for i := 0; i < pc.Replicas; i++ {
@@ -175,35 +176,32 @@ func (tb *DAGTestbed) Start() error {
 	return nil
 }
 
-// applyPhase adjusts the EB population and mix to match the phase
-// (identical to Testbed.applyPhase).
+// applyPhase adjusts the EB population and mix to match the phase.
+// browsers holds only the living, oldest first.
 func (tb *DAGTestbed) applyPhase(p tpcw.Phase) {
-	live := 0
-	for _, r := range tb.browsers {
-		if r.alive {
-			r.browser.SetMix(p.Mix)
-			r.browser.SetThinkScale(p.ThinkScale)
-			live++
-		}
+	// Retire the most recently spawned browsers first. A retiree's pending
+	// think or response event still fires and returns on !alive; dropping
+	// it from the slice (and clearing the slot) lets its browser and rng
+	// be collected once that event has, so a cyclic schedule runs in
+	// memory bounded by its peak population.
+	for len(tb.browsers) > p.EBs {
+		last := len(tb.browsers) - 1
+		tb.browsers[last].alive = false
+		tb.browsers[last] = nil
+		tb.browsers = tb.browsers[:last]
 	}
-	switch {
-	case live < p.EBs:
-		for i := live; i < p.EBs; i++ {
-			tb.spawnEB(p.Mix, p.ThinkScale)
-		}
-	case live > p.EBs:
-		toKill := live - p.EBs
-		for i := len(tb.browsers) - 1; i >= 0 && toKill > 0; i-- {
-			if tb.browsers[i].alive {
-				tb.browsers[i].alive = false
-				toKill--
-			}
-		}
+	// Retarget mixes and think times of the survivors.
+	for _, r := range tb.browsers {
+		r.browser.SetMix(p.Mix)
+		r.browser.SetThinkScale(p.ThinkScale)
+	}
+	for len(tb.browsers) < p.EBs {
+		tb.spawnEB(p.Mix, p.ThinkScale)
 	}
 }
 
-// spawnEB creates a browser with a staggered initial think (identical to
-// Testbed.spawnEB).
+// spawnEB creates a browser and starts its session loop with a staggered
+// initial think so that populations do not issue in lockstep.
 func (tb *DAGTestbed) spawnEB(mix tpcw.Mix, thinkScale float64) {
 	tb.nextEBID++
 	r := &ebRunner{
@@ -216,7 +214,8 @@ func (tb *DAGTestbed) spawnEB(mix tpcw.Mix, thinkScale float64) {
 	tb.engine.Schedule(initial, func() { tb.ebIssue(r) })
 }
 
-// ebIssue runs one browser iteration: issue, then think, while alive.
+// ebIssue runs one browser iteration: issue a request, then think, forever
+// while alive.
 func (tb *DAGTestbed) ebIssue(r *ebRunner) {
 	if !r.alive {
 		return
@@ -262,8 +261,9 @@ func (tb *DAGTestbed) dispatch(it tpcw.Interaction, done func()) {
 	}
 	tb.inFlight++
 
-	// Draw the request's actual demands once, up front — the same two
-	// draws, in the same order, as the legacy testbed.
+	// Draw the request's actual demands once, up front: two draws per
+	// request whatever the topology, so adding a pool never shifts the
+	// demand stream.
 	appDemand := tb.rng.LogNormal(prof.AppDemand, prof.CV)
 	dbDemand := tb.rng.LogNormal(prof.DBDemand, prof.CV)
 	entryDemand := appDemand * ep.cfg.DemandFrac
@@ -327,8 +327,7 @@ func (tb *DAGTestbed) descend(chain []*pool, i int, prof tpcw.Profile, dbDemand 
 	})
 }
 
-// hop models one network traversal between pools (identical draw to
-// Testbed.hop).
+// hop models one network traversal between machines.
 func (tb *DAGTestbed) hop(fn func()) {
 	tb.engine.Schedule(tb.topo.NetworkHop/2+tb.rng.Exp(tb.topo.NetworkHop/2), fn)
 }
@@ -533,9 +532,8 @@ type DAGSnapshot struct {
 // Legacy folds the DAG snapshot into the fixed two-slot Snapshot the
 // metric collectors consume: each slot carries the replica-mean counters
 // of the (non-draining) replicas of every pool feeding it. A slot backed
-// by exactly one replica is copied bit for bit — which is what makes the
-// degenerate two-tier DAG's telemetry byte-identical to the legacy
-// testbed's.
+// by exactly one replica is copied bit for bit, so the two-tier site's
+// counters reach the collectors unaveraged.
 func (s DAGSnapshot) Legacy() Snapshot {
 	out := Snapshot{
 		Time:          s.Time,
@@ -635,14 +633,15 @@ func roundDiv(a, n int) int {
 // interval's telemetry.
 func (tb *DAGTestbed) RunInterval(dt float64) DAGSnapshot {
 	target := tb.engine.Now() + dt
+	// Sentinel pins the clock to the interval boundary even if the event
+	// queue momentarily empties.
 	tb.engine.At(target, func() {})
 	tb.engine.RunUntil(target)
 	return tb.sample(dt)
 }
 
 // RunIntervalLegacy advances dt seconds and returns the interval's
-// telemetry already folded to the two-slot legacy layout — the drop-in
-// signature trace generation uses for either testbed.
+// telemetry already folded to the two-slot layout (Testbed.RunInterval).
 func (tb *DAGTestbed) RunIntervalLegacy(dt float64) Snapshot {
 	return tb.RunInterval(dt).Legacy()
 }
@@ -657,6 +656,7 @@ func (tb *DAGTestbed) sample(dt float64) DAGSnapshot {
 		ClassArrivals: tb.classArrivals,
 		MaxRT:         tb.rtMax,
 		InFlight:      tb.inFlight,
+		ActiveEBs:     len(tb.browsers),
 	}
 	if tb.completions > 0 {
 		s.MeanRT = tb.rtSum / float64(tb.completions)
@@ -681,18 +681,14 @@ func (tb *DAGTestbed) sample(dt float64) DAGSnapshot {
 		s.Pools = append(s.Pools, ps)
 		tb.lastLoads = append(tb.lastLoads, ps.Load())
 	}
-	for _, r := range tb.browsers {
-		if r.alive {
-			s.ActiveEBs++
-		}
-	}
 	tb.arrivals, tb.completions, tb.rejections = 0, 0, 0
 	tb.classArrivals = [tpcw.NumInteractions]int{}
 	tb.rtSum, tb.rtMax = 0, 0
 	return s
 }
 
-// Conservation returns lifetime totals for invariant checking.
+// Conservation returns lifetime totals for invariant checking: every
+// arrival is eventually a completion, a rejection, or still in flight.
 func (tb *DAGTestbed) Conservation() (arrivals, completions, rejections, inFlight int) {
 	return tb.totalArrivals, tb.totalCompletions, tb.totalRejections, tb.inFlight
 }

@@ -56,31 +56,24 @@ func burstCycles() tpcw.Schedule {
 	return sched
 }
 
-// twoTierGrid returns seeds 1..seeds × {browsing, shopping, ordering} ×
-// {admission off, on} × {periodic load off, on} over swingSchedule.
-func twoTierGrid(seeds int64) []twoTierCase {
+// fixtureCases is the set frozen in testdata/two_tier_snapshots.golden:
+// seed 1 × {browsing, shopping, ordering} × {admission off, on} ×
+// {periodic load off, on} over swingSchedule, plus the burst-cycle run.
+func fixtureCases() []twoTierCase {
 	onOff := map[bool]string{false: "off", true: "on"}
 	var cases []twoTierCase
-	for seed := int64(1); seed <= seeds; seed++ {
-		for _, mix := range []tpcw.Mix{tpcw.Browsing(), tpcw.Shopping(), tpcw.Ordering()} {
-			for _, admission := range []bool{false, true} {
-				for _, periodic := range []bool{false, true} {
-					cases = append(cases, twoTierCase{
-						name: fmt.Sprintf("swing seed=%d mix=%s admission=%s periodic=%s",
-							seed, mix.Name, onOff[admission], onOff[periodic]),
-						seed: seed, sched: swingSchedule(mix), admission: admission, periodic: periodic,
-					})
-				}
+	for _, mix := range []tpcw.Mix{tpcw.Browsing(), tpcw.Shopping(), tpcw.Ordering()} {
+		for _, admission := range []bool{false, true} {
+			for _, periodic := range []bool{false, true} {
+				cases = append(cases, twoTierCase{
+					name: fmt.Sprintf("swing seed=1 mix=%s admission=%s periodic=%s",
+						mix.Name, onOff[admission], onOff[periodic]),
+					seed: 1, sched: swingSchedule(mix), admission: admission, periodic: periodic,
+				})
 			}
 		}
 	}
-	return cases
-}
-
-// fixtureCases is the subset frozen in testdata/two_tier_snapshots.golden:
-// the seed-1 grid plus the burst-cycle run.
-func fixtureCases() []twoTierCase {
-	return append(twoTierGrid(1), twoTierCase{name: "burst-cycles seed=7", seed: 7, sched: burstCycles()})
+	return append(cases, twoTierCase{name: "burst-cycles seed=7", seed: 7, sched: burstCycles()})
 }
 
 // The collectors' per-second CPU cost (metrics.HPCSampleCost +
@@ -89,125 +82,116 @@ const collectCost = 0.02
 
 func admitShortQueue(s AdmissionState) bool { return s.WaitQueue < 60 }
 
-// legacy starts the case on the legacy two-tier testbed.
-func (c twoTierCase) legacy(t *testing.T) *Testbed {
+// start builds and starts the case's site: through NewTestbed with slots
+// addressed by TierID, or (viaDAG) through NewDAGTestbed over
+// TwoTierTopology with pools addressed by name.
+func (c twoTierCase) start(t *testing.T, viaDAG bool) *Testbed {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Seed = c.seed
-	tb, err := NewTestbed(cfg, c.sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.admission {
-		tb.SetAdmission(admitShortQueue)
-	}
-	if c.periodic {
-		tb.AddPeriodicLoad(TierApp, 1, collectCost)
-		tb.AddPeriodicLoad(TierDB, 1, collectCost)
-	}
-	if err := tb.Start(); err != nil {
-		t.Fatal(err)
-	}
-	return tb
-}
-
-// dag starts the case on the degenerate two-tier DAG.
-func (c twoTierCase) dag(t *testing.T) *DAGTestbed {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Seed = c.seed
-	tb, err := NewDAGTestbed(TwoTierTopology(cfg), c.sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.admission {
-		tb.SetAdmission(admitShortQueue)
-	}
-	if c.periodic {
-		tb.AddPeriodicLoad("app", 1, collectCost)
-		tb.AddPeriodicLoad("db", 1, collectCost)
-	}
-	if err := tb.Start(); err != nil {
-		t.Fatal(err)
-	}
-	return tb
-}
-
-// digestLine is one second of the fixture: the request flows in clear and
-// an FNV-64a hash of the whole snapshot. %+v prints every float64 in its
-// shortest round-trip form, so equal hashes mean bit-equal snapshots.
-func digestLine(s Snapshot) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", s)
-	return fmt.Sprintf("%g arr=%d comp=%d rej=%d ebs=%d %016x\n",
-		s.Time, s.Arrivals, s.Completions, s.Rejections, s.ActiveEBs, h.Sum64())
-}
-
-// TestDAGSnapshotEquivalence pins the degenerate-DAG contract at the
-// telemetry level: the two-tier topology replays the legacy testbed
-// snapshot for snapshot, bit for bit, through population growth and
-// retirement, admission rejections and periodic collector load, over 20
-// seeds of every mix. The legacy testbed's stream for fixtureCases is
-// frozen in testdata/two_tier_snapshots.golden, so the contract outlives
-// the second implementation.
-func TestDAGSnapshotEquivalence(t *testing.T) {
-	cases := append(twoTierGrid(20), fixtureCases()[len(twoTierGrid(1)):]...)
-	frozen := make(map[string]bool)
-	for _, c := range fixtureCases() {
-		frozen[c.name] = true
-	}
-	var golden strings.Builder
-	passed := 0
-	for _, c := range cases {
-		legacy, dag := c.legacy(t), c.dag(t)
-		ok := true
-		if frozen[c.name] {
-			fmt.Fprintf(&golden, "case %s\n", c.name)
-		}
-		for sec := 0; sec < int(c.sched.Duration()); sec++ {
-			want := legacy.RunInterval(1)
-			got := dag.RunIntervalLegacy(1)
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s second %d: DAG snapshot diverged from legacy\nlegacy: %+v\ndag:    %+v", c.name, sec, want, got)
-				ok = false
-				break
-			}
-			if frozen[c.name] {
-				golden.WriteString(digestLine(want))
-			}
-		}
-		la, lc, lr, lf := legacy.Conservation()
-		da, dc, dr, df := dag.Conservation()
-		if la != da || lc != dc || lr != dr || lf != df {
-			t.Errorf("%s: conservation diverged: legacy (%d,%d,%d,%d) dag (%d,%d,%d,%d)",
-				c.name, la, lc, lr, lf, da, dc, dr, df)
-			ok = false
-		}
-		if frozen[c.name] {
-			fmt.Fprintf(&golden, "conservation arr=%d comp=%d rej=%d inflight=%d\n", la, lc, lr, lf)
-		}
-		if ok {
-			passed++
-		}
-	}
-	t.Logf("%d/%d two-tier cases byte-identical between legacy and DAG", passed, len(cases))
-
-	path := filepath.Join("testdata", "two_tier_snapshots.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+	var tb *Testbed
+	if viaDAG {
+		dag, err := NewDAGTestbed(TwoTierTopology(cfg), c.sched)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(golden.String()), 0o644); err != nil {
+		if c.periodic {
+			dag.AddPeriodicLoad("app", 1, collectCost)
+			dag.AddPeriodicLoad("db", 1, collectCost)
+		}
+		tb = dag.TwoSlot()
+	} else {
+		var err error
+		if tb, err = NewTestbed(cfg, c.sched); err != nil {
+			t.Fatal(err)
+		}
+		if c.periodic {
+			tb.AddPeriodicLoad(TierApp, 1, collectCost)
+			tb.AddPeriodicLoad(TierDB, 1, collectCost)
+		}
+	}
+	if c.admission {
+		tb.SetAdmission(admitShortQueue)
+	}
+	if err := tb.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
+// digest runs the case to the end of its schedule and returns its fixture
+// section: one line per second — the request flows in clear and an FNV-64a
+// hash of the whole snapshot (%+v prints every float64 in its shortest
+// round-trip form, so equal hashes mean bit-equal snapshots) — then the
+// lifetime conservation totals. On the way it checks that the simulator
+// holds no more browsers than the schedule ever asks for: the retired
+// leave it.
+func (c twoTierCase) digest(t *testing.T, tb *Testbed) string {
+	t.Helper()
+	peak := 0
+	for _, p := range c.sched.Phases {
+		if p.EBs > peak {
+			peak = p.EBs
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "case %s\n", c.name)
+	for sec := 0; sec < int(c.sched.Duration()); sec++ {
+		s := tb.RunInterval(1)
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%+v", s)
+		fmt.Fprintf(&b, "%g arr=%d comp=%d rej=%d ebs=%d %016x\n",
+			s.Time, s.Arrivals, s.Completions, s.Rejections, s.ActiveEBs, h.Sum64())
+		if n := len(tb.dag.browsers); n > peak {
+			t.Fatalf("%s second %d: simulator holds %d browsers, schedule peaks at %d", c.name, sec, n, peak)
+		}
+	}
+	arr, comp, rej, inFlight := tb.Conservation()
+	fmt.Fprintf(&b, "conservation arr=%d comp=%d rej=%d inflight=%d\n", arr, comp, rej, inFlight)
+	return b.String()
+}
+
+// firstDiff names the first line at which two digests part.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d: got %q, want %q", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("length: got %d lines, want %d", len(g), len(w))
+}
+
+// TestDAGSnapshotEquivalence pins the simulator's two-tier snapshot
+// stream, bit for bit, through population growth and retirement,
+// admission rejections and periodic collector load. The fixture was
+// written by the legacy two-tier testbed in the commit before it was
+// deleted (241/241 cases of the then-differential byte-identical); both
+// ways of building the two-tier site — NewTestbed and NewDAGTestbed over
+// TwoTierTopology — must still reproduce it.
+func TestDAGSnapshotEquivalence(t *testing.T) {
+	var fresh strings.Builder
+	for _, c := range fixtureCases() {
+		want := c.digest(t, c.start(t, false))
+		if got := c.digest(t, c.start(t, true)); got != want {
+			t.Errorf("%s: NewDAGTestbed(TwoTierTopology) diverged from NewTestbed at %s",
+				c.name, firstDiff(got, want))
+		}
+		fresh.WriteString(want)
+	}
+	path := filepath.Join("testdata", "two_tier_snapshots.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(fresh.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(path)
+	golden, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read fixture (run with -update to create): %v", err)
 	}
-	if golden.String() != string(want) {
-		t.Errorf("legacy snapshot stream diverged from %s", path)
+	if fresh.String() != string(golden) {
+		t.Errorf("snapshot stream diverged from %s at %s", path, firstDiff(fresh.String(), string(golden)))
 	}
 }
 

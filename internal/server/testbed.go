@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 
 	"hpcap/internal/sim"
 	"hpcap/internal/tpcw"
@@ -21,34 +20,15 @@ type AdmissionState struct {
 // admits everything, which is the paper's uncontrolled testbed.
 type AdmissionFunc func(AdmissionState) bool
 
-// Testbed is the simulated two-tier website: a TPC-W remote browser
-// emulator in front of an application tier and a database tier.
+// Testbed is the paper's simulated two-tier website — a TPC-W remote
+// browser emulator in front of an application tier and a database tier —
+// as the two-slot view of a DAGTestbed: it simulates nothing itself. Its
+// telemetry is the DAG's snapshot folded to the fixed app/db layout the
+// metric collectors consume, and a TierID addresses the pools feeding that
+// slot. NewTestbed builds it over the degenerate TwoTierTopology, TwoSlot
+// over any DAG.
 type Testbed struct {
-	cfg      Config
-	engine   *sim.Engine
-	rng      *sim.Source
-	profiles map[tpcw.Interaction]tpcw.Profile
-	tiers    [NumTiers]*tier
-
-	schedule  tpcw.Schedule
-	admission AdmissionFunc
-	browsers  []*ebRunner
-	nextEBID  int
-	started   bool
-
-	// Per-interval request accounting.
-	arrivals      int
-	completions   int
-	rejections    int
-	classArrivals [tpcw.NumInteractions]int
-	rtSum         float64
-	rtMax         float64
-	inFlight      int
-
-	// Lifetime totals for conservation checking.
-	totalArrivals    int
-	totalCompletions int
-	totalRejections  int
+	dag *DAGTestbed
 }
 
 // ebRunner is one live emulated browser.
@@ -57,194 +37,49 @@ type ebRunner struct {
 	alive   bool
 }
 
-// NewTestbed builds a testbed for the given configuration and load
-// schedule.
+// NewTestbed builds the two-tier testbed for the given configuration and
+// load schedule.
 func NewTestbed(cfg Config, schedule tpcw.Schedule) (*Testbed, error) {
 	if errs := cfg.Validate(); len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
-	if err := schedule.Validate(); err != nil {
+	dag, err := NewDAGTestbed(TwoTierTopology(cfg), schedule)
+	if err != nil {
 		return nil, err
 	}
-	engine := sim.NewEngine()
-	rng := sim.NewSource(cfg.Seed)
-	tb := &Testbed{
-		cfg:      cfg,
-		engine:   engine,
-		rng:      rng,
-		profiles: tpcw.DefaultProfiles(),
-		schedule: schedule,
-	}
-	tb.tiers[TierApp] = newTier(TierApp, cfg.App, engine, rng.Fork())
-	tb.tiers[TierDB] = newTier(TierDB, cfg.DB, engine, rng.Fork())
-	return tb, nil
+	return dag.TwoSlot(), nil
 }
+
+// TwoSlot returns the two-slot view of the DAG testbed: the same
+// simulation, driven and sampled through the fixed app/db surface.
+func (tb *DAGTestbed) TwoSlot() *Testbed { return &Testbed{dag: tb} }
 
 // Engine exposes the simulation engine (for schedulers and samplers built
 // on top of the testbed).
-func (tb *Testbed) Engine() *sim.Engine { return tb.engine }
+func (tb *Testbed) Engine() *sim.Engine { return tb.dag.Engine() }
 
 // Now returns the current virtual time.
-func (tb *Testbed) Now() float64 { return tb.engine.Now() }
+func (tb *Testbed) Now() float64 { return tb.dag.Now() }
 
 // SetAdmission installs an admission controller. It must be called before
 // Start.
-func (tb *Testbed) SetAdmission(f AdmissionFunc) { tb.admission = f }
+func (tb *Testbed) SetAdmission(f AdmissionFunc) { tb.dag.SetAdmission(f) }
 
 // Start arms the load schedule. It must be called exactly once before
 // RunInterval.
-func (tb *Testbed) Start() error {
-	if tb.started {
-		return fmt.Errorf("server: testbed already started")
-	}
-	tb.started = true
-	var elapsed float64
-	for _, p := range tb.schedule.Phases {
-		p := p
-		tb.engine.At(elapsed, func() { tb.applyPhase(p) })
-		elapsed += p.Duration
-	}
-	return nil
-}
-
-// applyPhase adjusts the EB population and mix to match the phase.
-func (tb *Testbed) applyPhase(p tpcw.Phase) {
-	// Retarget mixes and think times of live browsers.
-	live := 0
-	for _, r := range tb.browsers {
-		if r.alive {
-			r.browser.SetMix(p.Mix)
-			r.browser.SetThinkScale(p.ThinkScale)
-			live++
-		}
-	}
-	switch {
-	case live < p.EBs:
-		for i := live; i < p.EBs; i++ {
-			tb.spawnEB(p.Mix, p.ThinkScale)
-		}
-	case live > p.EBs:
-		// Retire the most recently spawned browsers first.
-		toKill := live - p.EBs
-		for i := len(tb.browsers) - 1; i >= 0 && toKill > 0; i-- {
-			if tb.browsers[i].alive {
-				tb.browsers[i].alive = false
-				toKill--
-			}
-		}
-	}
-}
-
-// spawnEB creates a browser and starts its session loop with a staggered
-// initial think so that populations do not issue in lockstep.
-func (tb *Testbed) spawnEB(mix tpcw.Mix, thinkScale float64) {
-	tb.nextEBID++
-	r := &ebRunner{
-		browser: tpcw.NewBrowser(tb.nextEBID, mix, tb.rng.Fork()),
-		alive:   true,
-	}
-	r.browser.SetThinkScale(thinkScale)
-	tb.browsers = append(tb.browsers, r)
-	initial := tb.rng.Float64() * r.browser.MeanThink
-	tb.engine.Schedule(initial, func() { tb.ebIssue(r) })
-}
-
-// ebIssue runs one browser iteration: issue a request, then think, forever
-// while alive.
-func (tb *Testbed) ebIssue(r *ebRunner) {
-	if !r.alive {
-		return
-	}
-	interaction := r.browser.Next()
-	tb.dispatch(interaction, func() {
-		if !r.alive {
-			return
-		}
-		tb.engine.Schedule(r.browser.Think(), func() { tb.ebIssue(r) })
-	})
-}
-
-// dispatch pushes one interaction through the two tiers, calling done when
-// the response (or rejection) reaches the client.
-func (tb *Testbed) dispatch(it tpcw.Interaction, done func()) {
-	prof, ok := tb.profiles[it]
-	if !ok {
-		done()
-		return
-	}
-	app, db := tb.tiers[TierApp], tb.tiers[TierDB]
-	arrival := tb.engine.Now()
-	tb.arrivals++
-	tb.totalArrivals++
-	tb.classArrivals[it-tpcw.Home]++
-
-	if tb.admission != nil {
-		state := AdmissionState{
-			Now:          arrival,
-			WaitQueue:    len(app.waitQueue),
-			BoundWorkers: app.bound,
-		}
-		if !tb.admission(state) {
-			tb.rejections++
-			tb.totalRejections++
-			done()
-			return
-		}
-	}
-	tb.inFlight++
-
-	// Draw the request's actual demands once, up front.
-	appDemand := tb.rng.LogNormal(prof.AppDemand, prof.CV)
-	dbDemand := tb.rng.LogNormal(prof.DBDemand, prof.CV)
-	preDemand := appDemand * 0.6  // request parsing, servlet logic
-	postDemand := appDemand * 0.4 // response rendering
-
-	finish := func() {
-		app.release(prof.AppWorkMB)
-		rt := tb.engine.Now() - arrival
-		tb.completions++
-		tb.totalCompletions++
-		tb.inFlight--
-		tb.rtSum += rt
-		if rt > tb.rtMax {
-			tb.rtMax = rt
-		}
-		done()
-	}
-
-	// The servlet thread is held from admission to response — including
-	// the DB call — which is what creates the request dead time the
-	// paper describes.
-	app.acquire(prof.AppWorkMB, func() {
-		app.runBurst(preDemand, func() {
-			tb.hop(func() {
-				db.submit(dbDemand, prof.DBWorkMB, func() {
-					tb.hop(func() {
-						app.runBurst(postDemand, finish)
-					})
-				})
-			})
-		})
-	})
-}
-
-// hop models one network traversal between machines.
-func (tb *Testbed) hop(fn func()) {
-	tb.engine.Schedule(tb.cfg.NetworkHop/2+tb.rng.Exp(tb.cfg.NetworkHop/2), fn)
-}
+func (tb *Testbed) Start() error { return tb.dag.Start() }
 
 // AddPeriodicLoad schedules a recurring CPU burst of the given demand
-// (speed-1.0 CPU seconds) on a tier every period seconds — used to model
-// the cost of metric collection daemons (§V.D). It must be called before
-// the simulation advances past time zero and runs for the whole simulation.
+// (speed-1.0 CPU seconds) every period seconds on every machine feeding a
+// tier slot — used to model the cost of metric collection daemons (§V.D).
+// It must be called before the simulation advances past time zero and runs
+// for the whole simulation.
 func (tb *Testbed) AddPeriodicLoad(id TierID, period, demand float64) {
-	t := tb.tiers[id]
-	var tick func()
-	tick = func() {
-		t.runBurst(demand, nil)
-		tb.engine.Schedule(period, tick)
+	for _, p := range tb.dag.pools {
+		if p.cfg.Slot == id {
+			tb.dag.AddPeriodicLoad(p.cfg.Name, period, demand)
+		}
 	}
-	tb.engine.Schedule(period, tick)
 }
 
 // Snapshot is the testbed-wide telemetry for one sampling interval.
@@ -272,45 +107,10 @@ type Snapshot struct {
 
 // RunInterval advances the simulation dt seconds and returns the interval's
 // telemetry.
-func (tb *Testbed) RunInterval(dt float64) Snapshot {
-	target := tb.engine.Now() + dt
-	// Sentinel pins the clock to the interval boundary even if the event
-	// queue momentarily empties.
-	tb.engine.At(target, func() {})
-	tb.engine.RunUntil(target)
-	return tb.sample()
-}
-
-// sample collects and resets interval accounting.
-func (tb *Testbed) sample() Snapshot {
-	s := Snapshot{
-		Time:          tb.engine.Now(),
-		Arrivals:      tb.arrivals,
-		Completions:   tb.completions,
-		Rejections:    tb.rejections,
-		ClassArrivals: tb.classArrivals,
-		MaxRT:         tb.rtMax,
-		InFlight:      tb.inFlight,
-	}
-	if tb.completions > 0 {
-		s.MeanRT = tb.rtSum / float64(tb.completions)
-	}
-	for id, t := range tb.tiers {
-		s.Tiers[id] = t.snapshot()
-	}
-	for _, r := range tb.browsers {
-		if r.alive {
-			s.ActiveEBs++
-		}
-	}
-	tb.arrivals, tb.completions, tb.rejections = 0, 0, 0
-	tb.classArrivals = [tpcw.NumInteractions]int{}
-	tb.rtSum, tb.rtMax = 0, 0
-	return s
-}
+func (tb *Testbed) RunInterval(dt float64) Snapshot { return tb.dag.RunIntervalLegacy(dt) }
 
 // Conservation returns lifetime totals for invariant checking: every
 // arrival is eventually a completion, a rejection, or still in flight.
 func (tb *Testbed) Conservation() (arrivals, completions, rejections, inFlight int) {
-	return tb.totalArrivals, tb.totalCompletions, tb.totalRejections, tb.inFlight
+	return tb.dag.Conservation()
 }

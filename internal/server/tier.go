@@ -72,7 +72,8 @@ type tier struct {
 
 	// stopped shuts the housekeeping loop down: a drained DAG replica
 	// finishes its in-flight request bursts but accrues no further
-	// background work. Always false on the legacy testbed's tiers.
+	// background work. Always false on the two-tier site, which never
+	// scales.
 	stopped bool
 
 	acc intervalAccum

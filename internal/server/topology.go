@@ -12,14 +12,14 @@ type PoolKind int
 const (
 	// PoolFront is a request-entry pool (the replicated application
 	// tier behind the load balancer): its workers are held across every
-	// downstream call, like the legacy app tier's servlet threads.
+	// downstream call, like the two-tier site's servlet threads.
 	PoolFront PoolKind = iota + 1
 	// PoolCache is a look-aside cache pool: each visit is served locally
 	// with probability HitRatio; only misses descend into the pool's
 	// downstream tiers.
 	PoolCache
 	// PoolStore is a backing-store pool (database shards): one burst per
-	// worker hold, the legacy DB tier's connection pattern.
+	// worker hold, the two-tier site's database connection pattern.
 	PoolStore
 )
 
@@ -59,8 +59,7 @@ type PoolConfig struct {
 	Tier TierConfig
 	// DemandFrac scales the profile demand executed here: front pools
 	// execute DemandFrac of the interaction's app demand, cache and
-	// store pools DemandFrac of its DB demand. 1 reproduces the legacy
-	// tiers.
+	// store pools DemandFrac of its DB demand. 1 is the two-tier site.
 	DemandFrac float64
 	// WorkFrac scales the profile working set the pool's workers touch.
 	WorkFrac float64
@@ -90,10 +89,9 @@ type TopologyConfig struct {
 	Seed int64
 }
 
-// TwoTierTopology expresses a legacy two-tier Config as the degenerate
-// DAG — one front pool and one store pool of one replica each, no cache.
-// NewDAGTestbed over this topology replays NewTestbed over cfg event for
-// event: the equivalence test pins byte-identical transcripts.
+// TwoTierTopology expresses a two-tier Config as the degenerate DAG — one
+// front pool and one store pool of one replica each, no cache. It is what
+// NewTestbed simulates.
 func TwoTierTopology(cfg Config) TopologyConfig {
 	return TopologyConfig{
 		Pools: []PoolConfig{
@@ -115,9 +113,22 @@ func TwoTierTopology(cfg Config) TopologyConfig {
 	}
 }
 
+// SlotMachines returns the machine model behind each monitor tier slot —
+// the one that slot's collectors are calibrated to: the first pool declared
+// on the slot, or fallback's machine for a slot no pool occupies.
+func (tc TopologyConfig) SlotMachines(fallback Config) [NumTiers]MachineConfig {
+	m := [NumTiers]MachineConfig{fallback.App.Machine, fallback.DB.Machine}
+	for i := len(tc.Pools) - 1; i >= 0; i-- {
+		if pc := tc.Pools[i]; pc.Slot >= 0 && pc.Slot < NumTiers {
+			m[pc.Slot] = pc.Tier.Machine
+		}
+	}
+	return m
+}
+
 // DefaultTopologyConfig returns the calibrated four-pool reference DAG:
 // load balancer → replicated app pool → look-aside cache → sharded store,
-// built from the legacy machine calibrations. The app pool starts at two
+// built from the two-tier machine calibrations. The app pool starts at two
 // replicas and may scale between one and six; the cache absorbs seven of
 // ten store visits.
 func DefaultTopologyConfig() TopologyConfig {

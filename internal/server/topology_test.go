@@ -79,8 +79,8 @@ func TestTopologyValidateErrors(t *testing.T) {
 // contract: stacking independent defects yields independent errors.
 func TestTopologyValidateOnePerViolation(t *testing.T) {
 	tc := DefaultTopologyConfig()
-	tc.Pools[0].Replicas = 0            // zero replicas (now also outside [1,6])
-	tc.Pools[1].HitRatio = 2            // bad hit ratio
+	tc.Pools[0].Replicas = 0                 // zero replicas (now also outside [1,6])
+	tc.Pools[1].HitRatio = 2                 // bad hit ratio
 	tc.Pools[2].Downstream = []string{"app"} // cycle app->cache->db->app
 	errs := tc.Validate()
 	counts := map[string]int{}

@@ -5,17 +5,18 @@
 // deterministic and runs orders of magnitude faster than real time.
 package sim
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
-	clock  float64
-	seq    uint64
-	events eventHeap
+	clock float64
+	seq   uint64
+	// events is a binary min-heap over (time, seq), stored by value: the
+	// simulator schedules several events per request, and a heap of
+	// pointers behind container/heap's any-typed interface costs one
+	// allocation for each of them.
+	events []event
 }
 
 // NewEngine returns an Engine with the clock at zero and no pending events.
@@ -46,7 +47,7 @@ func (e *Engine) At(t float64, fn func()) {
 		t = e.clock
 	}
 	e.seq++
-	heap.Push(&e.events, &event{time: t, seq: e.seq, fn: fn})
+	e.push(event{time: t, seq: e.seq, fn: fn})
 }
 
 // Step executes the next pending event, advancing the clock to its time.
@@ -55,7 +56,7 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*event)
+	ev := e.pop()
 	e.clock = ev.time
 	ev.fn()
 	return true
@@ -89,27 +90,60 @@ type event struct {
 	fn   func()
 }
 
-// eventHeap is a min-heap over (time, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before orders events by (time, seq). seq is unique, so the order is
+// total: every correct heap pops one and the same sequence, and the queue's
+// layout can change without moving a single simulated event.
+func (a event) before(b event) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+// push inserts ev, sifting the hole up from the new last slot.
+func (e *Engine) push(ev event) {
+	h := append(e.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	e.events = h
+}
 
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+// pop removes and returns the earliest event: the last element is sifted
+// down from the root. The vacated slot is cleared so the closure of a
+// fired event does not stay reachable from the backing array.
+func (e *Engine) pop() event {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if child+1 < n && h[child+1].before(h[child]) {
+			child++
+		}
+		if !h[child].before(last) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	e.events = h
+	return top
 }

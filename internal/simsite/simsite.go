@@ -7,6 +7,8 @@
 package simsite
 
 import (
+	"errors"
+
 	"hpcap/internal/cpu"
 	"hpcap/internal/experiment"
 	"hpcap/internal/metrics"
@@ -15,9 +17,8 @@ import (
 	"hpcap/internal/tpcw"
 )
 
-// Testbed is the simulation surface a site exposes — satisfied by the
-// legacy two-tier testbed and by the tier-DAG testbed through its legacy
-// snapshot fold, so one fleet loop drives either.
+// Testbed is the simulation surface a site exposes: the two-slot view
+// (*server.Testbed) of whatever topology the site simulates.
 type Testbed interface {
 	Start() error
 	RunInterval(dt float64) server.Snapshot
@@ -25,18 +26,13 @@ type Testbed interface {
 	Conservation() (arrivals, completions, rejections, inFlight int)
 }
 
-// dagTB adapts the DAG testbed to the legacy-snapshot Testbed surface.
-type dagTB struct{ *server.DAGTestbed }
-
-func (d dagTB) RunInterval(dt float64) server.Snapshot { return d.RunIntervalLegacy(dt) }
-
 // Site is one simulated monitored website.
 type Site struct {
 	Name string
 	TB   Testbed
 	// DAG is the tier-DAG testbed behind TB when the site was built by
 	// NewDAG — the actuator surface an autoscaler grows and shrinks.
-	// Legacy sites leave it nil.
+	// Sites built by New leave it nil.
 	DAG  *server.DAGTestbed
 	coll [server.NumTiers][]metrics.Collector
 }
@@ -103,68 +99,48 @@ func rotatedSchedule(w experiment.Workload, index int, duration float64) tpcw.Sc
 	return sched
 }
 
-// buildCollectors attaches per-tier collectors for the level, seeded the
-// same way for legacy and DAG sites.
-func (s *Site) buildCollectors(level metrics.Level, machines [server.NumTiers]server.MachineConfig, seed int64) {
-	memMB := [server.NumTiers]float64{512, 1024}
-	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-		osColl := osstat.NewCollector(tier, memMB[tier], 0.05, seed*10+int64(tier))
-		hpcColl := cpu.NewCollector(tier, machines[tier], 0.02, seed*10+int64(tier)+100)
-		switch level {
-		case metrics.LevelOS:
-			s.coll[tier] = []metrics.Collector{osColl}
-		case metrics.LevelHPC:
-			s.coll[tier] = []metrics.Collector{hpcColl}
-		default: // combined: OS first, matching experiment.Trace layout
-			s.coll[tier] = []metrics.Collector{osColl, hpcColl}
-		}
-	}
-}
-
-// New builds one monitored site. Sites alternate between the browsing
-// and ordering mixes and rotate their burst phase so the fleet does not
-// overload in lockstep; each has its own seed, a pure function of the
-// master seed and the site's index.
+// New builds one monitored site on the paper's two-tier testbed. Sites
+// alternate between the browsing and ordering mixes and rotate their burst
+// phase so the fleet does not overload in lockstep; each has its own seed,
+// a pure function of the master seed and the site's index.
 func New(name string, base server.Config, level metrics.Level, index int, wb, wo experiment.Workload, seed int64, duration float64) (*Site, error) {
-	w := wb
-	if index%2 == 1 {
-		w = wo
+	if errs := base.Validate(); len(errs) > 0 {
+		return nil, errors.Join(errs...)
 	}
-	cfg := base
-	cfg.Seed = seed + 1000*int64(index+1)
-	tb, err := server.NewTestbed(cfg, rotatedSchedule(w, index, duration))
+	s, err := NewDAG(name, server.TwoTierTopology(base), level, index, wb, wo, seed, duration)
 	if err != nil {
 		return nil, err
 	}
-	s := &Site{Name: name, TB: tb}
-	s.buildCollectors(level, [server.NumTiers]server.MachineConfig{cfg.App.Machine, cfg.DB.Machine}, cfg.Seed)
+	// The two-tier site has nothing to scale: no actuator surface.
+	s.DAG = nil
 	return s, nil
 }
 
-// NewDAG builds one monitored site on the tier-DAG testbed instead of the
-// legacy two-tier one: the same rotated burst schedule and the same
-// collector seeding, but requests flow through topo's replica pools and
-// the site exposes the DAG handle for autoscaling. Collector machine
-// models come from the first pool configured on each tier slot.
+// NewDAG builds one monitored site on an arbitrary tier DAG: the same
+// rotated burst schedule and collector seeding as New, but requests flow
+// through topo's replica pools and the site exposes the DAG handle for
+// autoscaling.
 func NewDAG(name string, topo server.TopologyConfig, level metrics.Level, index int, wb, wo experiment.Workload, seed int64, duration float64) (*Site, error) {
 	w := wb
 	if index%2 == 1 {
 		w = wo
 	}
 	topo.Seed = seed + 1000*int64(index+1)
-	tb, err := server.NewDAGTestbed(topo, rotatedSchedule(w, index, duration))
+	dag, err := server.NewDAGTestbed(topo, rotatedSchedule(w, index, duration))
 	if err != nil {
 		return nil, err
 	}
-	s := &Site{Name: name, TB: dagTB{tb}, DAG: tb}
-	var machines [server.NumTiers]server.MachineConfig
-	seen := [server.NumTiers]bool{}
-	for _, pc := range topo.Pools {
-		if pc.Slot >= 0 && pc.Slot < server.NumTiers && !seen[pc.Slot] {
-			machines[pc.Slot] = pc.Tier.Machine
-			seen[pc.Slot] = true
+	s := &Site{Name: name, TB: dag.TwoSlot(), DAG: dag}
+	osColl, hpcColl := experiment.Collectors(topo.SlotMachines(server.Config{}), topo.Seed)
+	for tier := range s.coll {
+		switch level {
+		case metrics.LevelOS:
+			s.coll[tier] = []metrics.Collector{osColl[tier]}
+		case metrics.LevelHPC:
+			s.coll[tier] = []metrics.Collector{hpcColl[tier]}
+		default: // combined: OS first, matching experiment.Trace layout
+			s.coll[tier] = []metrics.Collector{osColl[tier], hpcColl[tier]}
 		}
 	}
-	s.buildCollectors(level, machines, topo.Seed)
 	return s, nil
 }
