@@ -46,17 +46,23 @@ func (l *Lab) TrainMonitorWith(level metrics.Level, coordCfg predictor.Config, l
 	return l.monitor(level, coordCfg, learner)
 }
 
-// trainMonitor performs the actual (uncached) monitor training.
+// trainMonitor performs the actual (uncached) monitor training. The
+// training traces — two knee bisections and a generation per mix — are
+// seed-isolated and once-cell cached, so they fan out across the Lab's
+// workers; the sets are assembled in mix order.
 func (l *Lab) trainMonitor(level metrics.Level, coordCfg predictor.Config, learner ml.Learner) (*core.Monitor, error) {
+	mixes := TrainingMixes()
+	traces, err := parallel.Map(context.Background(), len(mixes), l.workers(), func(i int) (*Trace, error) {
+		return l.TrainingTrace(mixes[i])
+	})
+	if err != nil {
+		return nil, err
+	}
 	var sets []core.TrainingSet
 	var names []string
-	for _, mix := range TrainingMixes() {
-		tr, err := l.TrainingTrace(mix)
-		if err != nil {
-			return nil, err
-		}
+	for i, tr := range traces {
 		names = tr.Names(level)
-		set := core.TrainingSet{Workload: mix.Name}
+		set := core.TrainingSet{Workload: mixes[i].Name}
 		for _, w := range tr.Windows {
 			set.Windows = append(set.Windows, core.LabeledWindow{
 				Observation: core.Observation{Time: w.Time, Vectors: w.Vectors(level)},

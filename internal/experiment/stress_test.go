@@ -2,9 +2,12 @@ package experiment
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"hpcap/internal/core"
 	"hpcap/internal/metrics"
 	"hpcap/internal/predictor"
 	"hpcap/internal/tpcw"
@@ -153,4 +156,42 @@ func TestPrewarmConcurrentWithExperiments(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestTrainMonitorWorkersIdentical trains a monitor on two fresh labs —
+// no Prewarm, so trainMonitor itself generates the two mixes' training
+// traces, strictly one after the other at Workers 1 and side by side at
+// Workers 8 — and replays the same test trace through both: every
+// prediction, down to the synopses' votes, must be identical.
+func TestTrainMonitorWorkersIdentical(t *testing.T) {
+	cfg := predictor.Config{HistoryBits: 3, Delta: 5, Scheme: predictor.Optimistic}
+	transcript := func(workers int) string {
+		l := NewLab(stressScale())
+		l.Workers = workers
+		m, err := l.TrainMonitor(metrics.LevelCombined, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		test, err := l.TestTrace(TestInterleaved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		sess := m.NewSession()
+		for _, w := range test.Windows {
+			p, err := sess.Predict(core.Observation{Time: w.Time, Vectors: w.Vectors(m.Level)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%g %+v\n", w.Time, p)
+		}
+		return b.String()
+	}
+	seq, par := transcript(1), transcript(8)
+	if seq == "" {
+		t.Fatal("empty test trace")
+	}
+	if seq != par {
+		t.Errorf("Workers=8 predictions diverged from Workers=1\n--- 1 ---\n%s--- 8 ---\n%s", seq, par)
+	}
 }

@@ -15,12 +15,21 @@ import (
 // answering some visits locally, store shards executing the rest.
 //
 // The paper's two-tier site is the degenerate topology (TwoTierTopology),
-// and Testbed its two-slot view. The order of random draws and scheduled
-// events is part of the contract, because every committed golden replays
-// it: pools are created in declaration order with one rng fork per
-// replica, dispatch draws the app and DB demands up front, and the cache
-// hit coin exists only when a cache pool does.
+// and Testbed its two-slot view.
+//
+// The determinism contract is the order of Schedule calls and of random
+// draws: the engine runs events in (time, scheduling order), and every
+// draw comes from the testbed's, a tier's or a browser's own source, so
+// two runs that schedule and draw in the same order are the same run, bit
+// for bit — however the state between two events is stored. Every
+// committed golden replays that order: pools are created in declaration
+// order with one rng fork per replica, dispatch draws the app and DB
+// demands up front, a hop's delay is drawn when the hop is scheduled, and
+// the cache-hit coin is tossed only on arrival at a cache pool.
 // testdata/two_tier_snapshots.golden pins the two-tier snapshot stream.
+//
+// A request travels as one pooled record (request) stepped by events, not
+// as a chain of closures, so a request in flight allocates nothing.
 type DAGTestbed struct {
 	topo     TopologyConfig
 	engine   *sim.Engine
@@ -33,6 +42,7 @@ type DAGTestbed struct {
 	schedule  tpcw.Schedule
 	admission AdmissionFunc
 	browsers  []*ebRunner
+	free      []*request // request records not in flight
 	nextEBID  int
 	started   bool
 
@@ -54,7 +64,8 @@ type DAGTestbed struct {
 	scaleUps   int
 	scaleDowns int
 
-	lastLoads []PoolLoad // loads of the last completed interval
+	lastLoads []PoolLoad     // loads of the last completed interval
+	scratch   []PoolSnapshot // RunIntervalLegacy's pool telemetry, reused
 }
 
 // pool is one replica pool at runtime.
@@ -190,53 +201,141 @@ func (tb *DAGTestbed) applyPhase(p tpcw.Phase) {
 		tb.browsers[last] = nil
 		tb.browsers = tb.browsers[:last]
 	}
-	// Retarget mixes and think times of the survivors.
+	// Retarget mixes and think times of the survivors. A sampler is
+	// immutable: the phase builds one and every browser shares it.
+	sampler := p.Mix.Sampler()
 	for _, r := range tb.browsers {
-		r.browser.SetMix(p.Mix)
+		r.browser.SetSampler(sampler)
 		r.browser.SetThinkScale(p.ThinkScale)
 	}
 	for len(tb.browsers) < p.EBs {
-		tb.spawnEB(p.Mix, p.ThinkScale)
+		tb.spawnEB(p.Mix, sampler, p.ThinkScale)
 	}
+}
+
+// ebRunner is one live emulated browser. onThink is its issue method,
+// bound once at spawn: the think timer between two requests allocates
+// nothing.
+type ebRunner struct {
+	tb      *DAGTestbed
+	browser *tpcw.Browser
+	alive   bool
+	onThink func()
 }
 
 // spawnEB creates a browser and starts its session loop with a staggered
 // initial think so that populations do not issue in lockstep.
-func (tb *DAGTestbed) spawnEB(mix tpcw.Mix, thinkScale float64) {
+func (tb *DAGTestbed) spawnEB(mix tpcw.Mix, sampler *tpcw.Sampler, thinkScale float64) {
 	tb.nextEBID++
 	r := &ebRunner{
+		tb:      tb,
 		browser: tpcw.NewBrowser(tb.nextEBID, mix, tb.rng.Fork()),
 		alive:   true,
 	}
+	r.onThink = r.issue
+	r.browser.SetSampler(sampler)
 	r.browser.SetThinkScale(thinkScale)
 	tb.browsers = append(tb.browsers, r)
 	initial := tb.rng.Float64() * r.browser.MeanThink
-	tb.engine.Schedule(initial, func() { tb.ebIssue(r) })
+	tb.engine.Schedule(initial, r.onThink)
 }
 
-// ebIssue runs one browser iteration: issue a request, then think, forever
-// while alive.
-func (tb *DAGTestbed) ebIssue(r *ebRunner) {
+// issue runs one browser iteration: issue a request, then (in respond)
+// think, forever while alive.
+func (r *ebRunner) issue() {
 	if !r.alive {
 		return
 	}
-	interaction := r.browser.Next()
-	tb.dispatch(interaction, func() {
-		if !r.alive {
-			return
-		}
-		tb.engine.Schedule(r.browser.Think(), func() { tb.ebIssue(r) })
-	})
+	r.tb.dispatch(r, r.browser.Next())
 }
 
-// dispatch pushes one interaction through the DAG, calling done when the
-// response (or rejection) reaches the client. The entry pool's worker is
-// held across the whole downstream walk — the request dead time of the
-// paper, generalized to an arbitrary call chain.
-func (tb *DAGTestbed) dispatch(it tpcw.Interaction, done func()) {
+// respond delivers the response (or rejection) to the browser, which
+// thinks and issues again.
+func (r *ebRunner) respond() {
+	if !r.alive {
+		return
+	}
+	r.tb.engine.Schedule(r.browser.Think(), r.onThink)
+}
+
+// request is one interaction in flight: everything the walk through the
+// DAG needs between two events, in one record. Its step method is bound
+// once, when the record is first made, and is the only callback the
+// request ever hands to Schedule, acquire or its burst; state says what
+// the next call to it means. Records return to the testbed's free list
+// when the response reaches the client, so a request in flight allocates
+// nothing once the list has grown to the peak concurrency.
+type request struct {
+	tb     *DAGTestbed
+	onStep func() // rq.step, bound once
+	state  reqState
+	inUse  bool // off the free list; step panics on a recycled record
+
+	owner   *ebRunner
+	arrival float64
+	// The demands drawn up front, and the profile's working set; each
+	// downstream pool takes its configured share of the DB pair.
+	entryDemand float64
+	dbDemand    float64
+	dbWorkMB    float64
+
+	// The entry replica's worker, held across the whole walk.
+	entry       *replica
+	entryWorkMB float64
+
+	// The downstream visit in progress: its replica's slot is held for
+	// one burst and released before the walk descends further.
+	visit       *replica
+	visitWorkMB float64
+	visitInner  []*pool // the visited pool's own downstream, nil if the visit ends here
+
+	// frames is the explicit stack of the walk: one frame per pool whose
+	// downstream chain is being called, innermost last.
+	frames []frame
+	burst  burst
+}
+
+// frame is a position in one pool's downstream chain.
+type frame struct {
+	chain []*pool
+	i     int
+}
+
+type reqState uint8
+
+const (
+	reqBound    reqState = iota // entry worker held: parse the request
+	reqParsed                   // pre burst done: call the entry pool's chain
+	reqArrived                  // hop out done: visit the frame's current pool
+	reqServing                  // visited pool's slot held: run the query
+	reqServed                   // query burst done: release, descend or hop back
+	reqReturned                 // hop back done: next pool of the chain
+	reqRendered                 // post burst done: respond
+)
+
+// newRequest takes a record off the free list, or makes one.
+func (tb *DAGTestbed) newRequest() *request {
+	var rq *request
+	if n := len(tb.free); n > 0 {
+		rq = tb.free[n-1]
+		tb.free = tb.free[:n-1]
+	} else {
+		rq = &request{tb: tb}
+		rq.onStep = rq.step
+		rq.burst.done = rq.onStep
+	}
+	rq.inUse = true
+	return rq
+}
+
+// dispatch pushes one interaction through the DAG; the browser hears back
+// (respond) when the response or rejection reaches it. The entry pool's
+// worker is held across the whole downstream walk — the request dead time
+// of the paper, generalized to an arbitrary call chain.
+func (tb *DAGTestbed) dispatch(r *ebRunner, it tpcw.Interaction) {
 	prof, ok := tb.profiles[it]
 	if !ok {
-		done()
+		r.respond()
 		return
 	}
 	arrival := tb.engine.Now()
@@ -249,13 +348,13 @@ func (tb *DAGTestbed) dispatch(it tpcw.Interaction, done func()) {
 	if tb.admission != nil {
 		state := AdmissionState{
 			Now:          arrival,
-			WaitQueue:    len(rep.t.waitQueue),
+			WaitQueue:    rep.t.waitQueue.len(),
 			BoundWorkers: rep.t.bound,
 		}
 		if !tb.admission(state) {
 			tb.rejections++
 			tb.totalRejections++
-			done()
+			r.respond()
 			return
 		}
 	}
@@ -267,15 +366,70 @@ func (tb *DAGTestbed) dispatch(it tpcw.Interaction, done func()) {
 	appDemand := tb.rng.LogNormal(prof.AppDemand, prof.CV)
 	dbDemand := tb.rng.LogNormal(prof.DBDemand, prof.CV)
 	entryDemand := appDemand * ep.cfg.DemandFrac
-	preDemand := entryDemand * 0.6  // request parsing, servlet logic
-	postDemand := entryDemand * 0.4 // response rendering
-	workMB := prof.AppWorkMB * ep.cfg.WorkFrac
 	ep.offered += entryDemand
 	ep.totalOffered += entryDemand
 
-	finish := func() {
-		rep.t.release(workMB)
-		rt := tb.engine.Now() - arrival
+	rq := tb.newRequest()
+	rq.owner, rq.arrival = r, arrival
+	rq.entryDemand, rq.dbDemand, rq.dbWorkMB = entryDemand, dbDemand, prof.DBWorkMB
+	rq.entry = rep
+	rq.entryWorkMB = prof.AppWorkMB * ep.cfg.WorkFrac
+	rq.state = reqBound
+	rep.t.acquire(rq.entryWorkMB, rq.onStep)
+}
+
+// step advances the request by one event: a slot granted, a burst
+// completed or a network hop traversed. The order of Schedule calls and of
+// random draws it makes is the determinism contract (see DAGTestbed).
+func (rq *request) step() {
+	if !rq.inUse {
+		panic("server: event delivered to a recycled request record")
+	}
+	tb := rq.tb
+	switch rq.state {
+	case reqBound:
+		rq.state = reqParsed
+		rq.burst.remaining = rq.entryDemand * 0.6 // request parsing, servlet logic
+		rq.entry.t.runBurst(&rq.burst)
+	case reqParsed:
+		rq.frames = append(rq.frames[:0], frame{chain: tb.entry.down})
+		rq.walk()
+	case reqArrived:
+		f := rq.frames[len(rq.frames)-1]
+		p := f.chain[f.i]
+		rep := p.route()
+		rq.visit = rep
+		rq.visitWorkMB = rq.dbWorkMB * p.cfg.WorkFrac
+		demand := rq.dbDemand * p.cfg.DemandFrac
+		rq.burst.remaining = demand // run once the slot is held
+		p.offered += demand
+		p.totalOffered += demand
+		// A cache hit is answered locally, downstream untouched. The coin
+		// is tossed only on arrival at a cache pool.
+		rq.visitInner = p.down
+		if p.cfg.Kind == PoolCache && tb.rng.Float64() < p.cfg.HitRatio {
+			rq.visitInner = nil
+		}
+		rq.state = reqServing
+		rep.t.acquire(rq.visitWorkMB, rq.onStep)
+	case reqServing:
+		rq.state = reqServed
+		rq.visit.t.runBurst(&rq.burst)
+	case reqServed:
+		rq.visit.t.release(rq.visitWorkMB)
+		if len(rq.visitInner) > 0 {
+			rq.frames = append(rq.frames, frame{chain: rq.visitInner})
+			rq.walk()
+			return
+		}
+		rq.state = reqReturned
+		tb.hop(rq.onStep)
+	case reqReturned:
+		rq.frames[len(rq.frames)-1].i++
+		rq.walk()
+	case reqRendered:
+		rq.entry.t.release(rq.entryWorkMB)
+		rt := tb.engine.Now() - rq.arrival
 		tb.completions++
 		tb.totalCompletions++
 		tb.inFlight--
@@ -283,51 +437,37 @@ func (tb *DAGTestbed) dispatch(it tpcw.Interaction, done func()) {
 		if rt > tb.rtMax {
 			tb.rtMax = rt
 		}
-		done()
+		owner := rq.owner
+		rq.owner, rq.entry, rq.visit, rq.visitInner = nil, nil, nil, nil
+		rq.inUse = false
+		tb.free = append(tb.free, rq)
+		owner.respond()
 	}
-
-	rep.t.acquire(workMB, func() {
-		rep.t.runBurst(preDemand, func() {
-			tb.descend(ep.down, 0, prof, dbDemand, func() {
-				rep.t.runBurst(postDemand, finish)
-			})
-		})
-	})
 }
 
-// descend walks one pool's downstream chain in order: hop to the next
-// pool, execute the request's share of work on one of its replicas,
-// recurse into that pool's own downstream (unless a cache hit absorbs
-// the visit), hop back, continue the chain, and finally call cont.
-func (tb *DAGTestbed) descend(chain []*pool, i int, prof tpcw.Profile, dbDemand float64, cont func()) {
-	if i >= len(chain) {
-		cont()
+// walk continues the innermost chain: hop to its next pool, or, the chain
+// exhausted, return to the caller — a hop back to the pool that called it,
+// or, for the entry pool's own chain, the response rendering.
+func (rq *request) walk() {
+	top := len(rq.frames) - 1
+	if f := rq.frames[top]; f.i < len(f.chain) {
+		rq.state = reqArrived
+		rq.tb.hop(rq.onStep)
 		return
 	}
-	p := chain[i]
-	next := func() { tb.descend(chain, i+1, prof, dbDemand, cont) }
-	demand := dbDemand * p.cfg.DemandFrac
-	workMB := prof.DBWorkMB * p.cfg.WorkFrac
-	tb.hop(func() {
-		rep := p.route()
-		p.offered += demand
-		p.totalOffered += demand
-		if p.cfg.Kind == PoolCache && tb.rng.Float64() < p.cfg.HitRatio {
-			// Cache hit: answered locally, downstream untouched.
-			rep.t.submit(demand, workMB, func() { tb.hop(next) })
-			return
-		}
-		if len(p.down) > 0 {
-			rep.t.submit(demand, workMB, func() {
-				tb.descend(p.down, 0, prof, dbDemand, func() { tb.hop(next) })
-			})
-			return
-		}
-		rep.t.submit(demand, workMB, func() { tb.hop(next) })
-	})
+	rq.frames = rq.frames[:top]
+	if top == 0 {
+		rq.state = reqRendered
+		rq.burst.remaining = rq.entryDemand * 0.4 // response rendering
+		rq.entry.t.runBurst(&rq.burst)
+		return
+	}
+	rq.state = reqReturned
+	rq.tb.hop(rq.onStep)
 }
 
-// hop models one network traversal between machines.
+// hop models one network traversal between machines; the delay is drawn
+// when the hop is scheduled.
 func (tb *DAGTestbed) hop(fn func()) {
 	tb.engine.Schedule(tb.topo.NetworkHop/2+tb.rng.Exp(tb.topo.NetworkHop/2), fn)
 }
@@ -345,7 +485,9 @@ func (tb *DAGTestbed) AddPeriodicLoad(poolName string, period, demand float64) {
 		t := r.t
 		var tick func()
 		tick = func() {
-			t.runBurst(demand, nil)
+			// A fresh burst per tick: under overload the last one may
+			// still be queued.
+			t.runBurst(&burst{remaining: demand})
 			tb.engine.Schedule(period, tick)
 		}
 		tb.engine.Schedule(period, tick)
@@ -380,12 +522,7 @@ func (tb *DAGTestbed) AddReplica(poolName string) (int, bool) {
 		// over the drained gap.
 		t.bgAccrued = tb.engine.Now()
 		if t.cfg.BackgroundRate > 0 {
-			tb.engine.Schedule(0, func() {
-				if !t.cpuBusy {
-					t.cpuBusy = true
-					t.startNext()
-				}
-			})
+			tb.engine.Schedule(0, t.kick)
 		}
 		tb.scaleUps++
 		return p.active(), true
@@ -546,7 +683,13 @@ func (s DAGSnapshot) Legacy() Snapshot {
 		InFlight:      s.InFlight,
 		ActiveEBs:     s.ActiveEBs,
 	}
+	// Stack room for four machines a slot, so that folding the usual site
+	// allocates nothing; a wider slot spills to the heap.
+	var room [NumTiers][4]TierSnapshot
 	var bySlot [NumTiers][]TierSnapshot
+	for slot := range bySlot {
+		bySlot[slot] = room[slot][:0]
+	}
 	for _, p := range s.Pools {
 		if p.Slot < 0 || p.Slot >= NumTiers {
 			continue
@@ -630,24 +773,36 @@ func roundDiv(a, n int) int {
 }
 
 // RunInterval advances the simulation dt seconds and returns the
-// interval's telemetry.
+// interval's telemetry. The snapshot's slices are the caller's to keep.
 func (tb *DAGTestbed) RunInterval(dt float64) DAGSnapshot {
+	tb.run(dt)
+	return tb.sample(dt, nil)
+}
+
+// RunIntervalLegacy advances dt seconds and returns the interval's
+// telemetry already folded to the two-slot layout (Testbed.RunInterval).
+// A Snapshot holds no slices, so the fold reads the pools from scratch the
+// testbed owns and the call allocates nothing.
+func (tb *DAGTestbed) RunIntervalLegacy(dt float64) Snapshot {
+	tb.run(dt)
+	s := tb.sample(dt, tb.scratch)
+	tb.scratch = s.Pools
+	return s.Legacy()
+}
+
+// run advances the simulation dt seconds.
+func (tb *DAGTestbed) run(dt float64) {
 	target := tb.engine.Now() + dt
 	// Sentinel pins the clock to the interval boundary even if the event
 	// queue momentarily empties.
 	tb.engine.At(target, func() {})
 	tb.engine.RunUntil(target)
-	return tb.sample(dt)
 }
 
-// RunIntervalLegacy advances dt seconds and returns the interval's
-// telemetry already folded to the two-slot layout (Testbed.RunInterval).
-func (tb *DAGTestbed) RunIntervalLegacy(dt float64) Snapshot {
-	return tb.RunInterval(dt).Legacy()
-}
-
-// sample collects and resets interval accounting.
-func (tb *DAGTestbed) sample(dt float64) DAGSnapshot {
+// sample collects and resets interval accounting. The per-pool telemetry
+// is written over buf — the slices of an earlier snapshot nobody reads any
+// more — or, buf lacking room, into new slices.
+func (tb *DAGTestbed) sample(dt float64, buf []PoolSnapshot) DAGSnapshot {
 	s := DAGSnapshot{
 		Time:          tb.engine.Now(),
 		Arrivals:      tb.arrivals,
@@ -661,24 +816,34 @@ func (tb *DAGTestbed) sample(dt float64) DAGSnapshot {
 	if tb.completions > 0 {
 		s.MeanRT = tb.rtSum / float64(tb.completions)
 	}
+	if cap(buf) < len(tb.pools) {
+		buf = make([]PoolSnapshot, len(tb.pools))
+	}
+	s.Pools = buf[:len(tb.pools)]
 	tb.lastLoads = tb.lastLoads[:0]
-	for _, p := range tb.pools {
-		ps := PoolSnapshot{
+	for i, p := range tb.pools {
+		ps := &s.Pools[i]
+		reps, draining := ps.Replicas[:0], ps.Draining[:0]
+		if cap(reps) < len(p.reps) {
+			reps, draining = make([]TierSnapshot, 0, len(p.reps)), make([]bool, 0, len(p.reps))
+		}
+		for _, r := range p.reps {
+			reps = append(reps, r.t.snapshot())
+			draining = append(draining, r.draining)
+		}
+		*ps = PoolSnapshot{
 			Pool:     p.cfg.Name,
 			Kind:     p.cfg.Kind,
 			Slot:     p.cfg.Slot,
+			Replicas: reps,
+			Draining: draining,
 			Active:   p.active(),
 			Capacity: p.capacity(),
 		}
 		if dt > 0 {
 			ps.Offered = p.offered / dt
 		}
-		for _, r := range p.reps {
-			ps.Replicas = append(ps.Replicas, r.t.snapshot())
-			ps.Draining = append(ps.Draining, r.draining)
-		}
 		p.offered = 0
-		s.Pools = append(s.Pools, ps)
 		tb.lastLoads = append(tb.lastLoads, ps.Load())
 	}
 	tb.arrivals, tb.completions, tb.rejections = 0, 0, 0

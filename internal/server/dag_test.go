@@ -125,8 +125,9 @@ func (c twoTierCase) start(t *testing.T, viaDAG bool) *Testbed {
 // round-trip form, so equal hashes mean bit-equal snapshots) — then the
 // lifetime conservation totals. On the way it checks that the simulator
 // holds no more browsers than the schedule ever asks for: the retired
-// leave it.
-func (c twoTierCase) digest(t *testing.T, tb *Testbed) string {
+// leave it. each, if not nil, runs before every second with the index of
+// the second about to be simulated.
+func (c twoTierCase) digest(t *testing.T, tb *Testbed, each func(sec int)) string {
 	t.Helper()
 	peak := 0
 	for _, p := range c.sched.Phases {
@@ -137,6 +138,9 @@ func (c twoTierCase) digest(t *testing.T, tb *Testbed) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "case %s\n", c.name)
 	for sec := 0; sec < int(c.sched.Duration()); sec++ {
+		if each != nil {
+			each(sec)
+		}
 		s := tb.RunInterval(1)
 		h := fnv.New64a()
 		fmt.Fprintf(h, "%+v", s)
@@ -172,8 +176,8 @@ func firstDiff(got, want string) string {
 func TestDAGSnapshotEquivalence(t *testing.T) {
 	var fresh strings.Builder
 	for _, c := range fixtureCases() {
-		want := c.digest(t, c.start(t, false))
-		if got := c.digest(t, c.start(t, true)); got != want {
+		want := c.digest(t, c.start(t, false), nil)
+		if got := c.digest(t, c.start(t, true), nil); got != want {
 			t.Errorf("%s: NewDAGTestbed(TwoTierTopology) diverged from NewTestbed at %s",
 				c.name, firstDiff(got, want))
 		}

@@ -31,12 +31,6 @@ type Testbed struct {
 	dag *DAGTestbed
 }
 
-// ebRunner is one live emulated browser.
-type ebRunner struct {
-	browser *tpcw.Browser
-	alive   bool
-}
-
 // NewTestbed builds the two-tier testbed for the given configuration and
 // load schedule.
 func NewTestbed(cfg Config, schedule tpcw.Schedule) (*Testbed, error) {

@@ -32,7 +32,9 @@ func (t TierID) String() string {
 
 // burst is one CPU demand placed on a tier's processor. The CPU is shared
 // round-robin in fixed quanta, approximating the Linux scheduler: light
-// bursts complete quickly even while heavy bursts are in progress.
+// bursts complete quickly even while heavy bursts are in progress. A
+// request embeds its one burst and reuses it for every demand it places,
+// so done is bound once per record, not once per burst.
 type burst struct {
 	remaining float64 // CPU seconds at speed 1.0 still to execute
 	done      func()
@@ -44,24 +46,77 @@ type waiter struct {
 	acquired func()
 }
 
+// ring is a FIFO queue over a circular buffer that doubles when full (its
+// size stays a power of two), so a queue in steady state never allocates.
+// pop clears the slot it vacates: a queued callback must not stay
+// reachable from the buffer.
+type ring[T any] struct {
+	buf  []T
+	head int
+	n    int
+}
+
+func (r *ring[T]) len() int { return r.n }
+
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		grown := make([]T, max(4, 2*len(r.buf)))
+		k := copy(grown, r.buf[r.head:])
+		copy(grown[k:], r.buf[:r.head])
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+func (r *ring[T]) pop() T {
+	var zero T
+	v := r.buf[r.head]
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v
+}
+
 // tier models one machine running one server process: a bounded worker pool
 // (servlet threads on the app tier, connections on the DB tier), a FIFO
 // queue of requests waiting for a slot, and a single FCFS CPU executing the
 // bursts of bound workers.
+//
+// The CPU is a single server, so exactly one quantum — of a request burst
+// or of housekeeping — is in flight at any time. Its parameters live in
+// the cur* fields and its completion is one of three callbacks bound once
+// in newTier (onQuantum, onBackground, onBgWake): scheduling a quantum
+// allocates nothing.
 type tier struct {
-	id     TierID
-	cfg    TierConfig
-	engine *sim.Engine
-	rng    *sim.Source
+	id      TierID
+	cfg     TierConfig
+	quantum float64 // cfg.QuantumSec, defaulted
+	engine  *sim.Engine
+	rng     *sim.Source
 
 	// Worker pool.
 	bound     int // workers currently bound (running or blocked downstream)
-	waitQueue []waiter
+	waitQueue ring[waiter]
 	activeSet float64 // total working-set MB of bound workers
 
 	// CPU.
-	cpuQueue []*burst // runnable bursts awaiting the processor
+	cpuQueue ring[*burst] // runnable bursts awaiting the processor
 	cpuBusy  bool
+
+	// The request quantum in flight (cur is nil between quanta).
+	cur         *burst
+	curConsumed float64
+	curWall     float64
+	curMiss     float64
+	curDilation float64
+
+	onQuantum, onBackground, onBgWake func()
+
+	// schedPow[r] is (r/MaxWorkers)^1.5, the scheduler-pressure term of
+	// contention for r runnable workers, r = 0..MaxWorkers: math.Pow once
+	// per table entry instead of once per quantum.
+	schedPow []float64
 
 	// Idle-priority background work: a credit of pending CPU-seconds that
 	// refills at cfg.BackgroundRate and is consumed one quantum at a time
@@ -98,18 +153,29 @@ type intervalAccum struct {
 }
 
 func newTier(id TierID, cfg TierConfig, engine *sim.Engine, rng *sim.Source) *tier {
-	t := &tier{id: id, cfg: cfg, engine: engine, rng: rng}
+	t := &tier{id: id, cfg: cfg, quantum: cfg.QuantumSec, engine: engine, rng: rng}
+	if t.quantum <= 0 {
+		t.quantum = defaultQuantumSec
+	}
+	t.onQuantum, t.onBackground, t.onBgWake = t.quantumDone, t.backgroundDone, t.bgWakeUp
+	t.schedPow = make([]float64, cfg.MaxWorkers+1)
+	for r := range t.schedPow {
+		t.schedPow[r] = math.Pow(float64(r)/float64(cfg.MaxWorkers), 1.5)
+	}
 	if cfg.BackgroundRate > 0 {
 		// Kick the idle-priority housekeeping loop once the simulation
 		// starts.
-		engine.Schedule(0, func() {
-			if !t.cpuBusy {
-				t.cpuBusy = true
-				t.startNext()
-			}
-		})
+		engine.Schedule(0, t.kick)
 	}
 	return t
+}
+
+// kick starts the housekeeping loop on an idle CPU.
+func (t *tier) kick() {
+	if !t.cpuBusy {
+		t.cpuBusy = true
+		t.startNext()
+	}
 }
 
 // acquire obtains a worker slot charged with workMB of working set, calling
@@ -121,7 +187,7 @@ func (t *tier) acquire(workMB float64, fn func()) {
 		fn()
 		return
 	}
-	t.waitQueue = append(t.waitQueue, waiter{workMB: workMB, acquired: fn})
+	t.waitQueue.push(waiter{workMB: workMB, acquired: fn})
 }
 
 // release frees a slot acquired with acquire and hands it to the next
@@ -132,36 +198,22 @@ func (t *tier) release(workMB float64) {
 	if t.activeSet < 0 {
 		t.activeSet = 0
 	}
-	if len(t.waitQueue) == 0 {
+	if t.waitQueue.len() == 0 {
 		return
 	}
-	w := t.waitQueue[0]
-	t.waitQueue[0] = waiter{}
-	t.waitQueue = t.waitQueue[1:]
+	w := t.waitQueue.pop()
 	t.bound++
 	t.activeSet += w.workMB
 	w.acquired()
 }
 
-// submit acquires a worker slot, runs one CPU burst, releases the slot, and
-// then calls done — the database-tier pattern (one query per connection
-// hold).
-func (t *tier) submit(demand, workMB float64, done func()) {
-	t.acquire(workMB, func() {
-		t.runBurst(demand, func() {
-			t.release(workMB)
-			done()
-		})
-	})
-}
-
-// runBurst places a CPU burst for a worker that already holds a slot; done
-// runs at completion. The application tier uses acquire + runBurst directly
-// because its servlet thread stays bound across the downstream database
-// call (the request "dead time" of the paper).
-func (t *tier) runBurst(demand float64, done func()) {
-	b := &burst{remaining: demand, done: done}
-	t.cpuQueue = append(t.cpuQueue, b)
+// runBurst places b's remaining demand on the processor; b.done runs at
+// completion and b is the tier's until then. Request bursts belong to
+// workers that already hold a slot: the entry tier's thread stays bound
+// across the downstream calls (the request "dead time" of the paper), a
+// downstream tier's connection for the one query.
+func (t *tier) runBurst(b *burst) {
+	t.cpuQueue.push(b)
 	if !t.cpuBusy {
 		t.startNext()
 	}
@@ -172,7 +224,7 @@ func (t *tier) runBurst(demand float64, done func()) {
 // With no runnable request burst, idle-priority background work runs
 // instead.
 func (t *tier) startNext() {
-	if len(t.cpuQueue) == 0 {
+	if t.cpuQueue.len() == 0 {
 		if t.runBackground() {
 			return
 		}
@@ -180,40 +232,39 @@ func (t *tier) startNext() {
 		return
 	}
 	t.cpuBusy = true
-	b := t.cpuQueue[0]
-	t.cpuQueue[0] = nil
-	t.cpuQueue = t.cpuQueue[1:]
+	b := t.cpuQueue.pop()
 
 	// Contention is evaluated per quantum, so a burst's dilation tracks
 	// the load around it as it executes.
 	miss, dil := t.contention()
-	quantum := t.cfg.QuantumSec
-	if quantum <= 0 {
-		quantum = defaultQuantumSec
-	}
 	// A quantum of wall time executes quantum*speed/dil of demand.
-	consumed := quantum * t.cfg.Machine.Speed / dil
-	wall := quantum
+	consumed := t.quantum * t.cfg.Machine.Speed / dil
+	wall := t.quantum
 	if consumed >= b.remaining {
 		consumed = b.remaining
 		wall = consumed / t.cfg.Machine.Speed * dil
 	}
 	b.remaining -= consumed
 
-	t.engine.Schedule(wall, func() {
-		t.account(consumed, wall, miss, dil)
-		if b.remaining > 1e-12 {
-			t.cpuQueue = append(t.cpuQueue, b)
-			t.startNext()
-			return
-		}
-		t.acc.bursts++
-		done := b.done
+	t.cur, t.curConsumed, t.curWall, t.curMiss, t.curDilation = b, consumed, wall, miss, dil
+	t.engine.Schedule(wall, t.onQuantum)
+}
+
+// quantumDone completes the request quantum in flight.
+func (t *tier) quantumDone() {
+	b := t.cur
+	t.cur = nil
+	t.account(t.curConsumed, t.curWall, t.curMiss, t.curDilation)
+	if b.remaining > 1e-12 {
+		t.cpuQueue.push(b)
 		t.startNext()
-		if done != nil {
-			done()
-		}
-	})
+		return
+	}
+	t.acc.bursts++
+	t.startNext()
+	if b.done != nil {
+		b.done()
+	}
 }
 
 // accrueBackground refills the background-work credit from elapsed virtual
@@ -239,11 +290,7 @@ func (t *tier) runBackground() bool {
 		return false
 	}
 	t.accrueBackground()
-	quantum := t.cfg.QuantumSec
-	if quantum <= 0 {
-		quantum = defaultQuantumSec
-	}
-	need := quantum * t.cfg.Machine.Speed
+	need := t.quantum * t.cfg.Machine.Speed
 	if t.bgCredit < need {
 		if !t.bgWake {
 			t.bgWake = true
@@ -251,23 +298,27 @@ func (t *tier) runBackground() bool {
 			// hair short of the quantum and re-arm at an infinitesimal
 			// delay.
 			delay := (need-t.bgCredit)/t.cfg.BackgroundRate*1.01 + 1e-6
-			t.engine.Schedule(delay, func() {
-				t.bgWake = false
-				if !t.cpuBusy {
-					t.cpuBusy = true
-					t.startNext()
-				}
-			})
+			t.engine.Schedule(delay, t.onBgWake)
 		}
 		return false
 	}
 	t.cpuBusy = true
 	t.bgCredit -= need
-	t.engine.Schedule(quantum, func() {
-		t.accountBackground(need, quantum)
-		t.startNext()
-	})
+	t.engine.Schedule(t.quantum, t.onBackground)
 	return true
+}
+
+// backgroundDone completes the housekeeping quantum in flight: always a
+// whole quantum, so it carries no state.
+func (t *tier) backgroundDone() {
+	t.accountBackground(t.quantum*t.cfg.Machine.Speed, t.quantum)
+	t.startNext()
+}
+
+// bgWakeUp fires when the background credit has refilled.
+func (t *tier) bgWakeUp() {
+	t.bgWake = false
+	t.kick()
 }
 
 // accountBackground charges one housekeeping quantum: real instructions and
@@ -298,12 +349,10 @@ func (t *tier) contention() (missRatio, dilation float64) {
 	ws := x * x / (1 + x*x)
 
 	// Scheduler pressure from runnable workers.
-	runnable := float64(len(t.cpuQueue) + 1) // including the one we start
-	frac := runnable / float64(t.cfg.MaxWorkers)
-	if frac > 1 {
-		frac = 1
-	}
-	sched := math.Pow(frac, 1.5)
+	// More runnable than workers (periodic bursts hold no slot) reads
+	// the last entry, frac = 1.
+	runnable := t.cpuQueue.len() + 1 // including the one we start
+	sched := t.schedPow[min(runnable, t.cfg.MaxWorkers)]
 
 	missRatio = t.cfg.BaseMissRatio +
 		(t.cfg.MaxMissRatio-t.cfg.BaseMissRatio)*clamp01(0.75*ws+0.35*sched)
@@ -326,7 +375,7 @@ func (t *tier) account(consumed, wall, missRatio, dilation float64) {
 	m := t.cfg.Machine
 	instr := consumed * m.InstrPerDemandSec
 	cycles := wall * m.ClockHz
-	runnable := float64(len(t.cpuQueue) + 1)
+	runnable := float64(t.cpuQueue.len() + 1)
 	// One involuntary switch per quantum boundary plus load-dependent
 	// voluntary switching (wakeups, lock handoffs).
 	cs := 1 + wall*t.cfg.CtxSwitchRate*runnable
@@ -396,7 +445,7 @@ func (t *tier) snapshot() TierSnapshot {
 	// Under cache thrash, most queued workers are asleep on locks (S
 	// state), not runnable: the OS-visible run queue shrinks exactly when
 	// the machine is most overloaded.
-	fgRunnable := len(t.cpuQueue)
+	fgRunnable := t.cpuQueue.len()
 	if t.cfg.LockBlockFrac > 0 && fgRunnable > 0 {
 		miss, _ := t.contention()
 		span := t.cfg.MaxMissRatio - t.cfg.BaseMissRatio
@@ -421,7 +470,7 @@ func (t *tier) snapshot() TierSnapshot {
 		Bursts:        t.acc.bursts,
 		RunQueue:      fgRunnable + bgRunnable,
 		BoundWorkers:  t.bound,
-		WaitQueue:     len(t.waitQueue),
+		WaitQueue:     t.waitQueue.len(),
 		WorkingSetMB:  t.activeSet,
 	}
 	if t.acc.busySeconds > 0 {

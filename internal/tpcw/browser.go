@@ -17,7 +17,10 @@ type Browser struct {
 	ID        int
 	MeanThink float64
 
-	rng     *sim.Source
+	rng *sim.Source
+	// sampler draws from mix; it is built (and the mix's weights read) on
+	// the first draw, unless SetSampler has supplied a shared one.
+	mix     Mix
 	sampler *Sampler
 	// lastOrder tracks whether the previous interaction was part of the
 	// ordering process, to emit short checkout chains.
@@ -30,14 +33,21 @@ func NewBrowser(id int, mix Mix, rng *sim.Source) *Browser {
 		ID:        id,
 		MeanThink: DefaultThinkTime,
 		rng:       rng,
-		sampler:   mix.Sampler(),
+		mix:       mix,
 	}
 }
 
 // SetMix switches the browser to a new traffic mix (used by interleaved
 // schedules).
 func (b *Browser) SetMix(mix Mix) {
-	b.sampler = mix.Sampler()
+	b.mix, b.sampler = mix, nil
+}
+
+// SetSampler switches the browser to the distribution of a prebuilt
+// sampler. Samplers are immutable, so a whole population retargeted to one
+// mix can share a single sampler where SetMix would build one per browser.
+func (b *Browser) SetSampler(s *Sampler) {
+	b.sampler = s
 }
 
 // SetThinkScale adjusts the mean think time to scale × the TPC-W default
@@ -65,6 +75,9 @@ func (b *Browser) Next() Interaction {
 	if succ, ok := checkoutSuccessor[b.lastOrder]; ok && b.rng.Float64() < 0.6 {
 		b.lastOrder = succ
 		return succ
+	}
+	if b.sampler == nil {
+		b.sampler = b.mix.Sampler()
 	}
 	next := b.sampler.Sample(b.rng)
 	b.lastOrder = next

@@ -170,6 +170,54 @@ func TestSampleMatchesMix(t *testing.T) {
 	}
 }
 
+// TestSamplerMatchesPick: a Sampler is sim.Source.Pick over the canonical
+// weight table with the total cached — the same interaction for the same
+// draw, and the same number of draws, on proper mixes and on the
+// degenerate tables Pick tolerates (empty, all zero, negative, NaN, Inf).
+func TestSamplerMatchesPick(t *testing.T) {
+	mixes := []Mix{Browsing(), Shopping(), Ordering(), Unknown(), FlashVariant(Browsing()),
+		{Name: "empty"},
+		{Name: "zeros", Weights: map[Interaction]float64{Home: 0, BuyConfirm: 0}},
+		{Name: "negative", Weights: map[Interaction]float64{Home: -1, SearchRequest: 2, AdminConfirm: 1}},
+		{Name: "nan", Weights: map[Interaction]float64{NewProducts: math.NaN(), BuyRequest: 1, OrderDisplay: 3}},
+		{Name: "inf", Weights: map[Interaction]float64{Home: 1, ShoppingCart: math.Inf(1)}},
+	}
+	for _, m := range mixes {
+		types := Interactions()
+		weights := make([]float64, len(types))
+		for i, it := range types {
+			weights[i] = m.Weights[it]
+		}
+		s := m.Sampler()
+		a, b := sim.NewSource(7), sim.NewSource(7)
+		for i := 0; i < 5000; i++ {
+			if got, want := s.Sample(a), types[b.Pick(weights)]; got != want {
+				t.Fatalf("mix %s draw %d: Sampler gives %v, Pick %v", m.Name, i, got, want)
+			}
+		}
+		if a.Float64() != b.Float64() {
+			t.Errorf("mix %s: Sampler and Pick consumed different numbers of draws", m.Name)
+		}
+	}
+}
+
+// TestBrowserSharedSampler: browsers handed one shared sampler draw what
+// browsers given the mix itself draw.
+func TestBrowserSharedSampler(t *testing.T) {
+	shared := Ordering().Sampler()
+	for seed := int64(1); seed <= 3; seed++ {
+		own := NewBrowser(1, Browsing(), sim.NewSource(seed))
+		own.SetMix(Ordering())
+		lent := NewBrowser(1, Browsing(), sim.NewSource(seed))
+		lent.SetSampler(shared)
+		for i := 0; i < 2000; i++ {
+			if a, b := own.Next(), lent.Next(); a != b {
+				t.Fatalf("seed %d draw %d: SetMix browser issued %v, SetSampler browser %v", seed, i, a, b)
+			}
+		}
+	}
+}
+
 // Property: NewMix always yields a valid distribution.
 func TestNewMixValidProperty(t *testing.T) {
 	f := func(frac float64) bool {
