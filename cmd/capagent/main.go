@@ -78,7 +78,7 @@ func run(args []string, out io.Writer) error {
 	chaosSpec := fs.String("chaos", "", `fault schedule: collector faults (stall, outage) fail reads, wire faults (partition, reorder, dupframe) corrupt the frame stream`)
 	frameSamples := fs.Int("frame-samples", def.FrameSamples, "fused scrapes batched per frame")
 	queueFrames := fs.Int("queue", def.QueueFrames, "send-queue capacity in frames; overflow evicts the oldest")
-	sendRetries := fs.Int("send-retries", def.MaxRetries, "extra write attempts per frame before dropping it")
+	sendRetries := fs.Int("send-retries", def.MaxRetries, "extra write attempts per batch of queued frames before dropping it")
 	collectRetries := fs.Int("collect-retries", 2, "extra read attempts per collector before falling back to the last good vector")
 	if err := fs.Parse(args); err != nil {
 		return err

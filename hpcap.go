@@ -412,10 +412,14 @@ type (
 	// AgentConfig tunes a FrameSender (batch size, queue depth, retry
 	// budget, backoff).
 	AgentConfig = wire.AgentConfig
-	// FrameSender is the edge agent's transmit side: a bounded send
-	// queue that batches, sequences, retries with backoff, and sheds
-	// oldest-first under backpressure so loss surfaces as sequence gaps
-	// at the server rather than a wedged agent.
+	// FrameSender is the edge agent's transmit side: Send encodes a
+	// frame the caller has built and sequenced into a bounded queue, and
+	// one goroutine writes every queued frame as a single batch — one
+	// write, one deadline, one unit of retry with backoff. A batch
+	// re-sent after a torn write can deliver its first frames twice; the
+	// server counts and drops those as duplicates. A full queue sheds
+	// oldest-first and a batch out of retries is dropped, so loss
+	// surfaces as sequence gaps at the server rather than a wedged agent.
 	FrameSender = wire.Sender
 	// SenderStats counts a FrameSender's deliveries, retries, and drops.
 	SenderStats = wire.SenderStats

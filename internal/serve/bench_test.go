@@ -6,6 +6,7 @@ import (
 
 	"hpcap/internal/serve"
 	"hpcap/internal/server"
+	"hpcap/internal/wire"
 )
 
 // BenchmarkPipelineIngest measures the steady-state per-sample cost of the
@@ -162,5 +163,69 @@ func BenchmarkFleetIngest(b *testing.B) {
 				bt.Add(refs[i], tier, ts, v)
 			}, func() { bt.Flush(); sp.Sync() })
 		})
+	}
+}
+
+// BenchmarkLoopbackFrames is the per-frame cost of the network path end
+// to end: Sender → loopback TCP → FrameServer → Ingest → a two-shard
+// pipeline, on five-scrape frames of the recorded HPC vectors, 64 sites
+// round-robin. ns/op and allocs/op are per frame (ten tier-samples) and
+// cover both ends — encode, the socket, decode, sequence accounting and
+// the engine — because on loopback they share the processors.
+func BenchmarkLoopbackFrames(b *testing.B) {
+	_, mon, tr := fixture(b)
+	vecs := secondVectors(tr)
+	n := len(tr.SecTimes)
+	sp, err := serve.NewShardedPipeline(mon, serve.Config{Window: 30}, serve.ShardConfig{Shards: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sp.Close()
+	ing := serve.NewIngest(sp)
+	fsrv, err := serve.NewFrameServer(serve.ListenConfig{}, ing, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fsrv.Close()
+	const nSites, perFrame, queue = 64, 5, 4096
+	snd, err := wire.NewSender(fsrv.Addr().String(), wire.AgentConfig{FrameSamples: perFrame, QueueFrames: queue})
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := make([]string, nSites)
+	for i := range names {
+		names[i] = fmt.Sprintf("site-%06d", i)
+	}
+	samples := make([]wire.Sample, perFrame)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round := i / nSites
+		for k := range samples {
+			sec := round*perFrame + k
+			samples[k].Time = float64(sec + 1)
+			for tier := range samples[k].Vecs {
+				samples[k].Vecs[tier] = vecs[tier][sec%n]
+			}
+		}
+		// Send has encoded the frame when it returns: samples is reused.
+		snd.Send(&wire.Frame{Site: names[i%nSites], Seq: uint64(round), Samples: samples})
+		if i%(queue/2) == queue/2-1 {
+			snd.Flush() // the generator's only brake: never outrun the queue
+		}
+	}
+	snd.Close()
+	fsrv.WaitConns(1)
+	sp.Sync()
+	b.StopTimer()
+	if st := snd.Stats(); st.Sent != uint64(b.N) || st.Dropped() != 0 {
+		b.Fatalf("sender lost frames on a clean loopback: %+v", st)
+	}
+	var got uint64
+	for _, t := range ing.TransportStats() {
+		got += t.Frames
+	}
+	if got != uint64(b.N) {
+		b.Fatalf("ingest accepted %d frames of %d", got, b.N)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -211,6 +212,160 @@ func TestFrameServerLoopback(t *testing.T) {
 	}
 	if st := fsrv.Stats(); st.ReadErrors != 0 || st.DecodeErrors != 0 || st.LogErrors != 0 {
 		t.Errorf("server counted errors on a clean loopback: %+v", st)
+	}
+}
+
+// TestWaitConnsFlushesLane: a connection counts as closed only after its
+// ingest lane has flushed. Each session ships 60 scrapes — two windows,
+// fewer than one Batcher batch, so every sample is still in the lane when
+// the stream ends — and with the server left open, WaitConns then Sync
+// must already see both decisions.
+func TestWaitConnsFlushesLane(t *testing.T) {
+	lab, mon, tr := fixture(t)
+	window := lab.Scale.Window
+	vecs := secondVectors(tr)
+	rec := newRecorder()
+	sp, err := serve.NewShardedPipeline(mon, rec.config(window), serve.ShardConfig{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	fsrv, err := serve.NewFrameServer(serve.ListenConfig{}, serve.NewIngest(sp), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fsrv.Close()
+	if 2*window >= serve.DefaultShardConfig().BatchSize {
+		t.Fatalf("two windows (%d scrapes) fill a batch: the lane would flush early", 2*window)
+	}
+	// Many sessions: the ordering this pins was a race, not a certainty.
+	for n := 1; n <= 25; n++ {
+		site := fmt.Sprintf("site-%d", n)
+		snd, err := wire.NewSender(fsrv.Addr().String(), wire.AgentConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := traceFrames(vecs, tr.SecTimes[:2*window], site, 5)
+		for i := range frames {
+			snd.Send(&frames[i])
+		}
+		snd.Close()
+		fsrv.WaitConns(uint64(n))
+		sp.Sync()
+		rec.mu.Lock()
+		got := len(rec.decisions[site])
+		rec.mu.Unlock()
+		if got != 2 {
+			t.Fatalf("session %d: %d decisions after WaitConns+Sync, want 2", n, got)
+		}
+	}
+}
+
+// TestTornBatchRedelivery replays, byte for byte, what a Sender puts on
+// the wire when a connection dies part-way through a batch
+// (wire.TestSenderRetriesBatchWhole pins that side): the dead connection
+// carries the head of the batch, cut mid-frame, and a fresh one carries
+// the batch again, whole, then the rest of the stream. Every frame that
+// arrived complete is either accepted or counted as a duplicate, the torn
+// connection is counted, and the decisions are those of a clean run.
+func TestTornBatchRedelivery(t *testing.T) {
+	lab, mon, tr := fixture(t)
+	window := lab.Scale.Window
+	vecs := secondVectors(tr)
+	sites := []string{"site-a", "site-b", "site-c"}
+	lists := make([][]wire.Frame, len(sites))
+	for i, site := range sites {
+		lists[i] = traceFrames(vecs, tr.SecTimes, site, 5)
+	}
+	// Round-robin, so a batch of len(sites) frames holds one per site.
+	var order []wire.Frame
+	for i := range lists[0] {
+		for _, l := range lists {
+			order = append(order, l[i])
+		}
+	}
+	stream := func(frames []wire.Frame) []byte {
+		var b []byte
+		for i := range frames {
+			payload := wire.AppendFrame(nil, &frames[i])
+			b = append(binary.AppendUvarint(b, uint64(len(payload))), payload...)
+		}
+		return b
+	}
+
+	// Clean run: every frame once, in order.
+	ref := newRecorder()
+	spRef, err := serve.NewShardedPipeline(mon, ref.config(window), serve.ShardConfig{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	laneRef := serve.NewIngest(spRef).Conn()
+	for i := range order {
+		laneRef.Accept(&order[i])
+	}
+	laneRef.Close()
+	spRef.Flush()
+	spRef.Close()
+
+	rec := newRecorder()
+	sp, err := serve.NewShardedPipeline(mon, rec.config(window), serve.ShardConfig{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	ing := serve.NewIngest(sp)
+	fsrv, err := serve.NewFrameServer(serve.ListenConfig{}, ing, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(conns uint64, b []byte) {
+		t.Helper()
+		conn, err := net.Dial("tcp", fsrv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+		fsrv.WaitConns(conns)
+	}
+	// The batch is the three frames of round 10; its write dies after two
+	// and a half of them.
+	at := 10 * len(sites)
+	batch := stream(order[at : at+len(sites)])
+	cut := len(stream(order[at:at+2])) + 40
+	send(1, append(stream(order[:at]), batch[:cut]...))
+	send(2, append(batch, stream(order[at+len(sites):])...))
+	if err := fsrv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sp.Flush()
+
+	written := uint64(len(order) + 2) // two frames arrived twice
+	st := fsrv.Stats()
+	if st.Frames != written || st.ReadErrors != 1 || st.DecodeErrors != 0 {
+		t.Errorf("server stats %+v: want %d complete frames, 1 torn connection", st, written)
+	}
+	var accepted, dups uint64
+	for _, tp := range ing.TransportStats() {
+		accepted += tp.Frames
+		dups += tp.DupFrames
+		if tp.OutOfOrder != 0 || tp.SeqGaps != 0 || tp.LostFrames != 0 {
+			t.Errorf("%s transport %+v: redelivery must read as duplicates only", tp.Site, tp)
+		}
+	}
+	if accepted != uint64(len(order)) || dups != 2 || accepted+dups != written {
+		t.Errorf("accepted %d + duplicates %d, want %d + 2 = %d frames written", accepted, dups, len(order), written)
+	}
+	for _, site := range sites {
+		want, got := ref.transcript(site), rec.transcript(site)
+		if want == "" {
+			t.Fatalf("%s: empty reference transcript", site)
+		}
+		if got != want {
+			t.Errorf("%s transcript diverged\n--- clean ---\n%s--- torn and redelivered ---\n%s", site, want, got)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hpcap/internal/core"
@@ -66,12 +67,18 @@ func (c ListenConfig) withDefaults() ListenConfig {
 	return c
 }
 
+// readBufferBytes is each connection's read buffer: one read call brings
+// in every frame of the batch a Sender writes (wire's batch bound is the
+// same 64 KiB). The server holds this much per open connection, and
+// nothing bounds how many connections it accepts.
+const readBufferBytes = 64 << 10
+
 // ServerStats counts a FrameServer's connection and frame traffic.
 type ServerStats struct {
 	ConnsOpened  uint64 // connections accepted
-	ConnsClosed  uint64 // connections fully drained and closed
+	ConnsClosed  uint64 // connections closed with their ingest lane flushed
 	Frames       uint64 // well-formed frames handed to ingest
-	DecodeErrors uint64 // frames rejected by wire.DecodeFrame
+	DecodeErrors uint64 // frames rejected by wire.Decoder
 	ReadErrors   uint64 // connections torn down mid-frame
 	LogErrors    uint64 // OnFrame (write-ahead log) failures
 }
@@ -97,10 +104,13 @@ type FrameServer struct {
 	frameMu sync.Mutex // serializes OnFrame + Accept across connections
 
 	mu     sync.Mutex
-	cond   *sync.Cond
+	cond   *sync.Cond // signalled under mu when connsClosed moves
 	conns  map[net.Conn]struct{}
-	stats  ServerStats
 	closed bool
+
+	// The ServerStats fields, as atomics: the per-frame ones are bumped by
+	// every connection goroutine.
+	connsOpened, connsClosed, frames, decodeErrors, readErrors, logErrors atomic.Uint64
 
 	wg sync.WaitGroup
 }
@@ -133,17 +143,24 @@ func (fs *FrameServer) Addr() net.Addr { return fs.ln.Addr() }
 
 // Stats returns a snapshot of the traffic counters.
 func (fs *FrameServer) Stats() ServerStats {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.stats
+	return ServerStats{
+		ConnsOpened:  fs.connsOpened.Load(),
+		ConnsClosed:  fs.connsClosed.Load(),
+		Frames:       fs.frames.Load(),
+		DecodeErrors: fs.decodeErrors.Load(),
+		ReadErrors:   fs.readErrors.Load(),
+		LogErrors:    fs.logErrors.Load(),
+	}
 }
 
 // WaitConns blocks until n connections have opened and fully closed —
-// how a bounded run knows every agent finished its stream.
+// how a bounded run knows every agent finished its stream. A connection
+// counts as closed only once its ingest lane has flushed, so after
+// WaitConns a pipeline Sync sees every sample the n connections carried.
 func (fs *FrameServer) WaitConns(n uint64) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	for fs.stats.ConnsClosed < n && !fs.closed {
+	for fs.connsClosed.Load() < n && !fs.closed {
 		fs.cond.Wait()
 	}
 }
@@ -182,18 +199,38 @@ func (fs *FrameServer) acceptLoop() {
 			return
 		}
 		fs.conns[conn] = struct{}{}
-		fs.stats.ConnsOpened++
+		fs.connsOpened.Add(1)
 		fs.wg.Add(1)
 		fs.mu.Unlock()
 		go fs.serveConn(conn)
 	}
 }
 
-// serveConn pumps one connection's frames into the shared ingest.
+// serveConn runs one connection: pump its frames into the shared ingest,
+// flush the lane's last partial batch, and only then count it closed.
 func (fs *FrameServer) serveConn(conn net.Conn) {
 	defer fs.wg.Done()
 	lane := fs.ingest.Conn()
-	r := bufio.NewReader(conn)
+	err := fs.pump(conn, lane)
+	conn.Close()
+	lane.Close()
+
+	fs.mu.Lock()
+	delete(fs.conns, conn)
+	// Clean EOF is a normal end of stream; so is anything Close provoked.
+	if !errors.Is(err, io.EOF) && !fs.closed {
+		fs.readErrors.Add(1)
+	}
+	fs.connsClosed.Add(1)
+	fs.cond.Broadcast()
+	fs.mu.Unlock()
+}
+
+// pump reads, decodes, logs and ingests frames until the stream ends,
+// and returns what ended it.
+func (fs *FrameServer) pump(conn net.Conn, lane *ConnIngest) error {
+	r := bufio.NewReaderSize(conn, readBufferBytes)
+	dec := wire.NewDecoder()
 	var buf []byte
 	for {
 		if fs.cfg.ReadTimeout > 0 {
@@ -201,50 +238,26 @@ func (fs *FrameServer) serveConn(conn net.Conn) {
 		}
 		payload, err := wire.ReadFrame(r, fs.cfg.MaxFrameBytes, buf)
 		if err != nil {
-			fs.connDone(conn, err)
-			break
+			return err
 		}
 		buf = payload[:0]
-		f, derr := wire.DecodeFrame(payload)
+		f, derr := dec.Decode(payload)
 		if derr != nil {
 			// Framing survived, the payload did not: skip the frame but
 			// keep the stream — the next length prefix is still aligned.
-			fs.count(func(s *ServerStats) { s.DecodeErrors++ })
+			fs.decodeErrors.Add(1)
 			continue
 		}
 		fs.frameMu.Lock()
 		if fs.onFrame != nil {
 			if werr := fs.onFrame(payload); werr != nil {
 				fs.frameMu.Unlock()
-				fs.count(func(s *ServerStats) { s.LogErrors++ })
-				fs.connDone(conn, werr)
-				break
+				fs.logErrors.Add(1)
+				return werr
 			}
 		}
 		lane.Accept(&f)
 		fs.frameMu.Unlock()
-		fs.count(func(s *ServerStats) { s.Frames++ })
+		fs.frames.Add(1)
 	}
-	lane.Close()
-}
-
-// connDone retires a connection: clean EOF is a normal end of stream,
-// anything else counts as a read error.
-func (fs *FrameServer) connDone(conn net.Conn, err error) {
-	conn.Close()
-	fs.mu.Lock()
-	delete(fs.conns, conn)
-	if err != nil && !errors.Is(err, io.EOF) && !fs.closed {
-		fs.stats.ReadErrors++
-	}
-	fs.stats.ConnsClosed++
-	fs.cond.Broadcast()
-	fs.mu.Unlock()
-}
-
-// count applies a stats mutation under the lock.
-func (fs *FrameServer) count(mut func(*ServerStats)) {
-	fs.mu.Lock()
-	mut(&fs.stats)
-	fs.mu.Unlock()
 }

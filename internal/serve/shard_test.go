@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -588,13 +589,14 @@ func TestShardedCallbackReentrancy(t *testing.T) {
 	n := len(tr.SecTimes)
 
 	underWatchdog(t, func() {
-		var decided, healthEvents int
+		// Two shards fire callbacks at once: the counters are atomic.
+		var decided, healthEvents atomic.Int64
 		var sp *serve.ShardedPipeline
 		cfg := serve.Config{
 			Window:          window,
 			StalenessBudget: 2,
 			OnDecision: func(d serve.Decision) {
-				decided++
+				decided.Add(1)
 				// Re-enter from inside dispatch: snapshots, flag reads,
 				// counters, and one more (non-flushing) sample.
 				sp.Stats()
@@ -606,7 +608,7 @@ func TestShardedCallbackReentrancy(t *testing.T) {
 				sp.IngestRef(serve.SiteRef{}, 0, 0, nil) // counted, not routed
 			},
 			OnHealth: func(ev serve.HealthEvent) {
-				healthEvents++
+				healthEvents.Add(1)
 				sp.ShardStats()
 				sp.Totals()
 			},
@@ -649,10 +651,10 @@ func TestShardedCallbackReentrancy(t *testing.T) {
 		cancel()
 		close(quit)
 		subWG.Wait()
-		if decided == 0 {
+		if decided.Load() == 0 {
 			t.Error("no decisions fired; the regression exercised nothing")
 		}
-		if healthEvents == 0 {
+		if healthEvents.Load() == 0 {
 			t.Error("no health events fired; the regression exercised nothing")
 		}
 	})

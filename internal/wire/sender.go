@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
@@ -11,7 +12,7 @@ import (
 type SenderStats struct {
 	Enqueued uint64 // frames accepted into the send queue
 	Sent     uint64 // frames written to the server
-	Retries  uint64 // extra write attempts after a failure
+	Retries  uint64 // extra attempts at a batch of frames after a failure
 
 	DroppedFull     uint64 // oldest frames evicted by a full queue
 	DroppedRetry    uint64 // frames abandoned after exhausting retries
@@ -28,15 +29,25 @@ func (s SenderStats) Dropped() uint64 {
 	return s.DroppedFull + s.DroppedRetry + s.DroppedClosed + s.DroppedOversize
 }
 
+// batchBytes bounds what the drain goroutine hands to one Write: every
+// queued frame up to this many bytes, and always at least one frame.
+const batchBytes = 64 << 10
+
 // Sender is the agent's shipping half: a bounded queue of encoded frames
-// drained by one goroutine that dials the server lazily, writes frames
-// with bounded retry and exponential backoff, and sheds load instead of
-// wedging. A full queue evicts the *oldest* frame — the freshest samples
-// always flow — and a frame that exhausts its write retries is dropped
-// and counted. Both losses surface at the server as sequence gaps, which
-// feed the site's transport staleness and health ladder; a flapping link
-// therefore degrades the site's decisions instead of stalling the
-// sampling loop.
+// drained by one goroutine that dials the server lazily and sheds load
+// instead of wedging. The goroutine takes every frame queued since its
+// last write (up to batchBytes) and delivers them with one Write under
+// one deadline; that batch is also the retry unit, written whole on each
+// of its bounded, exponentially backed-off attempts. A write that fails
+// part-way may already have delivered the batch's first frames, so a
+// retry can deliver them twice: the server's sequence accounting drops
+// and counts the repeats (serve.SiteTransport), which is why frames are
+// sequenced. A full queue evicts the *oldest* frame — the freshest
+// samples always flow — and a batch that exhausts its retries is dropped
+// and counted frame by frame. Both losses surface at the server as
+// sequence gaps, which feed the site's transport staleness and health
+// ladder; a flapping link therefore degrades the site's decisions
+// instead of stalling the sampling loop.
 //
 // Send is safe for concurrent use; a site's frames keep their relative
 // order (the queue is FIFO and a single goroutine drains it).
@@ -51,7 +62,9 @@ type Sender struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queue    [][]byte
+	ring     [][]byte // length-prefixed frames; QueueFrames slots, oldest at head
+	head     int
+	queued   int
 	closed   bool
 	inflight bool
 	stats    SenderStats
@@ -66,13 +79,15 @@ func NewSender(addr string, cfg AgentConfig) (*Sender, error) {
 	if errs := cfg.Validate(); len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
+	cfg = cfg.withDefaults()
 	s := &Sender{
 		addr: addr,
-		cfg:  cfg.withDefaults(),
+		cfg:  cfg,
 		dial: func(addr string, timeout time.Duration) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, timeout)
 		},
 		sleep: time.Sleep,
+		ring:  make([][]byte, cfg.QueueFrames),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.wg.Add(1)
@@ -80,26 +95,37 @@ func NewSender(addr string, cfg AgentConfig) (*Sender, error) {
 	return s, nil
 }
 
-// Send encodes and enqueues one frame. It never blocks: a full queue
-// evicts the oldest queued frame (counted DroppedFull), an oversized or
-// post-Close frame is dropped and counted.
+// Send encodes and enqueues one frame; f and its samples are the caller's
+// again as soon as it returns. It never blocks: a full queue evicts the
+// oldest queued frame (counted DroppedFull), an oversized or post-Close
+// frame is dropped and counted.
 func (s *Sender) Send(f *Frame) {
-	payload := AppendFrame(nil, f)
+	// Encoded here, not on the drain goroutine, because callers reuse the
+	// samples; once, into a buffer of the final size that already carries
+	// the stream's length prefix, so the drain only has to concatenate.
+	var framed []byte
+	if n := frameLen(f); n <= s.cfg.MaxFrameBytes {
+		framed = make([]byte, 0, uvarintLen(uint64(n))+n)
+		framed = AppendFrame(binary.AppendUvarint(framed, uint64(n)), f)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		s.stats.DroppedClosed++
 		return
 	}
-	if len(payload) > s.cfg.MaxFrameBytes {
+	if framed == nil {
 		s.stats.DroppedOversize++
 		return
 	}
-	if len(s.queue) >= s.cfg.QueueFrames {
-		s.queue = s.queue[1:]
+	if s.queued == len(s.ring) {
+		// The oldest frame's slot is the one this frame lands in.
+		s.head = (s.head + 1) % len(s.ring)
+		s.queued--
 		s.stats.DroppedFull++
 	}
-	s.queue = append(s.queue, payload)
+	s.ring[(s.head+s.queued)%len(s.ring)] = framed
+	s.queued++
 	s.stats.Enqueued++
 	s.cond.Signal()
 }
@@ -115,13 +141,13 @@ func (s *Sender) Stats() SenderStats {
 // dropped.
 func (s *Sender) Flush() {
 	s.mu.Lock()
-	for len(s.queue) > 0 || s.inflight {
+	for s.queued > 0 || s.inflight {
 		s.cond.Wait()
 	}
 	s.mu.Unlock()
 }
 
-// Close drains the queue (each remaining frame still gets its bounded
+// Close drains the queue (each remaining batch still gets its bounded
 // retries), stops the goroutine, and closes the connection. Frames
 // offered afterwards are dropped and counted.
 func (s *Sender) Close() {
@@ -137,32 +163,48 @@ func (s *Sender) Close() {
 	s.wg.Wait()
 }
 
-// drain is the sender goroutine: pop the queue head, deliver it with
-// bounded retry, repeat until closed and empty.
+// drain is the sender goroutine: take the queue's head frames as one
+// batch, deliver it with bounded retry, repeat until closed and empty.
 func (s *Sender) drain() {
 	defer s.wg.Done()
+	var (
+		taken [][]byte // the batch's frames, popped under the lock
+		batch []byte   // the same frames back to back: what one Write carries
+	)
 	for {
 		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed {
+		for s.queued == 0 && !s.closed {
 			s.cond.Wait()
 		}
-		if len(s.queue) == 0 && s.closed {
+		if s.queued == 0 && s.closed {
 			s.mu.Unlock()
 			break
 		}
-		payload := s.queue[0]
-		s.queue = s.queue[1:]
+		taken, batch = taken[:0], batch[:0]
+		for size := 0; s.queued > 0; {
+			framed := s.ring[s.head]
+			if size += len(framed); size > batchBytes && len(taken) > 0 {
+				break
+			}
+			taken = append(taken, framed)
+			s.ring[s.head] = nil
+			s.head = (s.head + 1) % len(s.ring)
+			s.queued--
+		}
 		s.inflight = true
 		s.mu.Unlock()
 
-		sent := s.sendOne(payload)
+		for _, framed := range taken {
+			batch = append(batch, framed...)
+		}
+		sent := s.sendBatch(batch)
 
 		s.mu.Lock()
 		s.inflight = false
 		if sent {
-			s.stats.Sent++
+			s.stats.Sent += uint64(len(taken))
 		} else {
-			s.stats.DroppedRetry++
+			s.stats.DroppedRetry += uint64(len(taken))
 		}
 		s.cond.Broadcast()
 		s.mu.Unlock()
@@ -173,11 +215,12 @@ func (s *Sender) drain() {
 	}
 }
 
-// sendOne delivers one payload with up to 1+MaxRetries attempts. Each
-// attempt dials if disconnected; a failed write tears the connection down
-// so the next attempt redials. Backoff grows exponentially between
-// attempts, capped at BackoffMax.
-func (s *Sender) sendOne(payload []byte) bool {
+// sendBatch delivers one batch with up to 1+MaxRetries attempts, each a
+// single Write of the whole batch. Each attempt dials if disconnected; a
+// failed write tears the connection down so the next attempt redials —
+// the server cannot resynchronise on a stream cut mid-frame. Backoff
+// grows exponentially between attempts, capped at BackoffMax.
+func (s *Sender) sendBatch(batch []byte) bool {
 	for attempt := 0; attempt <= s.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
 			s.mu.Lock()
@@ -198,10 +241,8 @@ func (s *Sender) sendOne(payload []byte) bool {
 			}
 			s.conn = conn
 		}
-		if s.cfg.WriteTimeout > 0 {
-			_ = s.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
-		if err := WriteFrame(s.conn, payload); err != nil {
+		_ = s.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		if _, err := s.conn.Write(batch); err != nil {
 			s.mu.Lock()
 			s.stats.WriteFailures++
 			s.mu.Unlock()

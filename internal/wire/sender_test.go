@@ -6,14 +6,15 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 )
 
-// pipeConn adapts one end of net.Pipe-like behaviour onto an in-memory
-// buffer: writes land in the script's buffer, and the script can make any
-// write fail to simulate a dead link.
+// scriptConn is a connection of the injectable network: writes land in the
+// script's buffer, and the script can make any write fail to simulate a
+// dead link.
 type scriptConn struct {
 	script *linkScript
 }
@@ -24,12 +25,22 @@ type linkScript struct {
 	mu sync.Mutex
 	// dialFailures makes the next n dials fail.
 	dialFailures int
+	// okWrites lets the next n writes through before writeFailures bites.
+	okWrites int
 	// writeFailures makes the next n writes fail (tearing the conn down).
 	writeFailures int
+	// tear makes a failing write deliver its first tear bytes before it
+	// fails, into torn: what a connection that died mid-write had carried.
+	tear int
+	torn []byte
 	// blockDial, when non-nil, parks successful dials until it is closed —
-	// a deterministic way to hold the drain goroutine mid-frame.
+	// a deterministic way to hold the drain goroutine mid-batch.
 	blockDial chan struct{}
 	buf       bytes.Buffer
+	// writes is the size of every Write call, failed ones included, and
+	// deadlines the number of write deadlines set: one of each per batch.
+	writes    []int
+	deadlines int
 	sleeps    []time.Duration
 }
 
@@ -78,22 +89,68 @@ func (l *linkScript) frames(t *testing.T, max int) []Frame {
 }
 
 func (c *scriptConn) Write(p []byte) (int, error) {
-	c.script.mu.Lock()
-	defer c.script.mu.Unlock()
-	if c.script.writeFailures > 0 {
-		c.script.writeFailures--
-		return 0, errors.New("script: write reset")
+	l := c.script
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.writes = append(l.writes, len(p))
+	switch {
+	case l.okWrites > 0:
+		l.okWrites--
+	case l.writeFailures > 0:
+		l.writeFailures--
+		n := min(l.tear, len(p))
+		l.torn = append(l.torn, p[:n]...)
+		return n, errors.New("script: write reset")
 	}
-	return c.script.buf.Write(p)
+	return l.buf.Write(p)
 }
 
-func (c *scriptConn) Read(p []byte) (int, error)         { return 0, io.EOF }
-func (c *scriptConn) Close() error                       { return nil }
-func (c *scriptConn) LocalAddr() net.Addr                { return nil }
-func (c *scriptConn) RemoteAddr() net.Addr               { return nil }
-func (c *scriptConn) SetDeadline(t time.Time) error      { return nil }
-func (c *scriptConn) SetReadDeadline(t time.Time) error  { return nil }
-func (c *scriptConn) SetWriteDeadline(t time.Time) error { return nil }
+func (c *scriptConn) Read(p []byte) (int, error)        { return 0, io.EOF }
+func (c *scriptConn) Close() error                      { return nil }
+func (c *scriptConn) LocalAddr() net.Addr               { return nil }
+func (c *scriptConn) RemoteAddr() net.Addr              { return nil }
+func (c *scriptConn) SetDeadline(t time.Time) error     { return nil }
+func (c *scriptConn) SetReadDeadline(t time.Time) error { return nil }
+func (c *scriptConn) SetWriteDeadline(t time.Time) error {
+	c.script.mu.Lock()
+	c.script.deadlines++
+	c.script.mu.Unlock()
+	return nil
+}
+
+// holdDrain sends frame seq 0 and returns once the drain goroutine is
+// parked inside its dial with that frame as its whole batch. Everything
+// sent before release() queues behind it and leaves as the next batch.
+func holdDrain(t *testing.T, s *Sender, script *linkScript) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	script.mu.Lock()
+	script.blockDial = gate
+	script.mu.Unlock()
+	s.Send(&Frame{Site: "a", Seq: 0})
+	for s.Stats().Dials == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	return func() {
+		script.mu.Lock()
+		script.blockDial = nil
+		script.mu.Unlock()
+		close(gate)
+	}
+}
+
+// wantSeqs fails unless got carries exactly the sequence numbers want, in
+// order.
+func wantSeqs(t *testing.T, got []Frame, want ...uint64) {
+	t.Helper()
+	seqs := make([]uint64, len(got))
+	for i, f := range got {
+		seqs[i] = f.Seq
+	}
+	if !slices.Equal(seqs, want) {
+		t.Fatalf("delivered seqs %v, want %v", seqs, want)
+	}
+}
 
 // newScriptedSender builds a sender wired to an in-memory link script.
 func newScriptedSender(t *testing.T, cfg AgentConfig) (*Sender, *linkScript) {
@@ -173,28 +230,16 @@ func TestSenderDropsAfterRetryBudget(t *testing.T) {
 
 func TestSenderEvictsOldestWhenFull(t *testing.T) {
 	s, script := newScriptedSender(t, AgentConfig{QueueFrames: 4})
-	// Park the drain goroutine inside its first dial so the queue fills
-	// deterministically behind it.
-	release := make(chan struct{})
-	script.mu.Lock()
-	script.blockDial = release
-	script.mu.Unlock()
-	s.Send(&Frame{Site: "a", Seq: 0})
-	for s.Stats().Dials == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	// Frame 0 is in flight; 11 more frames hit a queue of 4, so the 7
-	// oldest queued frames (seqs 1..7) are evicted.
+	release := holdDrain(t, s, script)
+	// Frame 0 is in flight; 11 more frames hit a ring of 4 slots, which
+	// wraps nearly three times: each push past the fourth evicts exactly
+	// the oldest queued frame, seqs 1..7 in turn.
 	for seq := uint64(1); seq <= 11; seq++ {
 		s.Send(&Frame{Site: "a", Seq: seq})
 	}
-	script.mu.Lock()
-	script.blockDial = nil
-	script.mu.Unlock()
-	close(release)
+	release()
 	s.Close()
 
-	got := script.frames(t, MaxFrameBytes)
 	st := s.Stats()
 	if st.Enqueued != 12 {
 		t.Errorf("enqueued %d, want 12", st.Enqueued)
@@ -202,14 +247,111 @@ func TestSenderEvictsOldestWhenFull(t *testing.T) {
 	if st.DroppedFull != 7 || st.Sent != 5 {
 		t.Errorf("stats %+v: want 7 evicted, 5 sent", st)
 	}
-	want := []uint64{0, 8, 9, 10, 11} // in-flight frame plus the newest 4
-	if len(got) != len(want) {
-		t.Fatalf("delivered %d frames, want %d", len(got), len(want))
+	if st.Enqueued != st.Sent+st.Dropped() {
+		t.Errorf("stats %+v: enqueued frames neither sent nor counted dropped", st)
 	}
-	for i, f := range got {
-		if f.Seq != want[i] {
-			t.Errorf("delivered[%d] = seq %d, want %d", i, f.Seq, want[i])
-		}
+	// The in-flight frame, then the newest 4 as one batch.
+	wantSeqs(t, script.frames(t, MaxFrameBytes), 0, 8, 9, 10, 11)
+	if len(script.writes) != 2 {
+		t.Errorf("%d writes, want 2 (the held frame, then the surviving queue)", len(script.writes))
+	}
+}
+
+// TestSenderBatchesQueuedFrames pins what one write carries: every frame
+// queued since the last one, under one deadline, split only at batchBytes.
+func TestSenderBatchesQueuedFrames(t *testing.T) {
+	s, script := newScriptedSender(t, AgentConfig{})
+	release := holdDrain(t, s, script)
+	big := hpcFrame()
+	size := uvarintLen(uint64(frameLen(&big))) + frameLen(&big)
+	perBatch := batchBytes / size
+	k := perBatch + 3 // one full batch and a remainder
+	for seq := 1; seq <= k; seq++ {
+		big.Seq = uint64(seq)
+		s.Send(&big)
+	}
+	release()
+	s.Close()
+
+	// The held frame alone, a full batch, the remainder.
+	if w := script.writes; len(w) != 3 || w[1] != perBatch*size || w[2] != 3*size || script.deadlines != 3 {
+		t.Fatalf("writes %v under %d deadlines, want [_ %d %d] under 3", w, script.deadlines, perBatch*size, 3*size)
+	}
+	inOrder := make([]uint64, k+1)
+	for i := range inOrder {
+		inOrder[i] = uint64(i)
+	}
+	wantSeqs(t, script.frames(t, MaxFrameBytes), inOrder...)
+	if st := s.Stats(); st.Sent != uint64(k+1) || st.Dropped() != 0 || st.Dials != 1 {
+		t.Errorf("stats %+v: want %d sent, 0 dropped, 1 dial", st, k+1)
+	}
+
+	// A frame larger than batchBytes still travels, alone.
+	s2, script2 := newScriptedSender(t, AgentConfig{})
+	huge := Frame{Site: "a", Samples: make([]Sample, 40)}
+	for i := range huge.Samples {
+		huge.Samples[i].Vecs[0] = make([]float64, 256)
+	}
+	s2.Send(&huge)
+	s2.Close()
+	if len(script2.writes) != 1 || script2.writes[0] <= batchBytes {
+		t.Errorf("oversize-batch frame: writes %v, want one above %d bytes", script2.writes, batchBytes)
+	}
+}
+
+// TestSenderRetriesBatchWhole: the batch is the retry unit. A write that
+// fails — here after delivering part of the batch to a connection that
+// then died — is repeated whole on a fresh connection, so the stream the
+// server keeps holds the batch once, in order.
+func TestSenderRetriesBatchWhole(t *testing.T) {
+	s, script := newScriptedSender(t, AgentConfig{MaxRetries: 3})
+	script.okWrites, script.writeFailures, script.tear = 1, 1, 100
+	release := holdDrain(t, s, script)
+	const k = 6
+	for seq := uint64(1); seq <= k; seq++ {
+		s.Send(&Frame{Site: "a", Seq: seq})
+	}
+	release()
+	s.Close()
+
+	wantSeqs(t, script.frames(t, MaxFrameBytes), 0, 1, 2, 3, 4, 5, 6)
+	if len(script.writes) != 3 || script.writes[1] != script.writes[2] {
+		t.Fatalf("writes %v, want the held frame, the failed batch, the same batch again", script.writes)
+	}
+	// The dead connection carried the batch's first bytes and no others.
+	whole := script.buf.Bytes()
+	batch := whole[len(whole)-script.writes[2]:]
+	if len(script.torn) == 0 || !bytes.Equal(script.torn, batch[:len(script.torn)]) {
+		t.Errorf("torn bytes %x are not the head of the batch %x", script.torn, batch)
+	}
+	st := s.Stats()
+	if st.Sent != k+1 || st.Retries != 1 || st.WriteFailures != 1 || st.Dials != 2 || st.Dropped() != 0 {
+		t.Errorf("stats %+v: want %d sent after 1 retry of 1 failed write, 2 dials", st, k+1)
+	}
+}
+
+// TestSenderDropsBatchAfterRetryBudget: a batch that exhausts its retries
+// is dropped and counted frame by frame, and the stream moves on.
+func TestSenderDropsBatchAfterRetryBudget(t *testing.T) {
+	s, script := newScriptedSender(t, AgentConfig{MaxRetries: 2})
+	script.okWrites, script.writeFailures = 1, 3 // the batch's 1+2 attempts
+	release := holdDrain(t, s, script)
+	const k = 5
+	for seq := uint64(1); seq <= k; seq++ {
+		s.Send(&Frame{Site: "a", Seq: seq})
+	}
+	release()
+	s.Flush()
+	s.Send(&Frame{Site: "a", Seq: k + 1})
+	s.Close()
+
+	wantSeqs(t, script.frames(t, MaxFrameBytes), 0, k+1)
+	st := s.Stats()
+	if st.DroppedRetry != k || st.Sent != 2 || st.Retries != 2 || st.WriteFailures != 3 {
+		t.Errorf("stats %+v: want %d retry-dropped, 2 sent, 2 retries, 3 write failures", st, k)
+	}
+	if st.Enqueued != st.Sent+st.Dropped() {
+		t.Errorf("stats %+v: enqueued frames neither sent nor counted dropped", st)
 	}
 }
 

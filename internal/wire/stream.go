@@ -7,20 +7,9 @@ import (
 	"io"
 )
 
-// WriteFrame writes one encoded payload with its uvarint length prefix —
-// the stream framing both the TCP transport and the WAL record body use.
-func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// ReadFrame reads one length-prefixed payload, reusing buf when it is
-// large enough. Payloads longer than max fail without allocating — a
+// ReadFrame reads one length-prefixed payload — the stream framing
+// Sender.Send writes: a uvarint length, then the payload — reusing buf when
+// it is large enough. Payloads longer than max fail without allocating — a
 // garbage length field must not let a peer balloon the receiver. io.EOF
 // is returned only at a clean frame boundary; a prefix or payload cut
 // short mid-frame surfaces as io.ErrUnexpectedEOF.

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"hpcap/internal/core"
@@ -77,7 +78,7 @@ type Frame struct {
 }
 
 // AppendFrame encodes f and appends the payload to dst (no length
-// prefix — WriteFrame adds the stream framing). The layout is:
+// prefix — Sender.Send adds the stream framing). The layout is:
 //
 //	version  byte
 //	site     uvarint length + bytes
@@ -104,100 +105,174 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 	return dst
 }
 
-// decoder walks a payload with bounds checking; every read error poisons
-// the decode.
-type decoder struct {
+// frameLen is len(AppendFrame(nil, f)) without encoding: what lets Send
+// allocate a frame's buffer once, at its final size.
+func frameLen(f *Frame) int {
+	n := 1 + uvarintLen(uint64(len(f.Site))) + len(f.Site) +
+		uvarintLen(f.Seq) + uvarintLen(uint64(len(f.Samples)))
+	for i := range f.Samples {
+		n += 8
+		for _, vec := range f.Samples[i].Vecs {
+			n += uvarintLen(uint64(len(vec))) + 8*len(vec)
+		}
+	}
+	return n
+}
+
+// uvarintLen is the bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// cursor walks a payload with bounds checking; the first failed read
+// poisons the rest of the walk.
+type cursor struct {
 	b   []byte
 	off int
 	err error
 }
 
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("wire: %w: %s", ErrFrame, fmt.Sprintf(format, args...))
+func (c *cursor) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("wire: %w: %s", ErrFrame, fmt.Sprintf(format, args...))
 	}
 }
 
-func (d *decoder) uvarint(what string, max uint64) uint64 {
-	if d.err != nil {
+func (c *cursor) uvarint(what string, max uint64) uint64 {
+	if c.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(d.b[d.off:])
+	v, n := binary.Uvarint(c.b[c.off:])
 	if n <= 0 {
-		d.fail("truncated %s", what)
+		c.fail("truncated %s", what)
 		return 0
 	}
-	d.off += n
+	c.off += n
 	if v > max {
-		d.fail("%s %d exceeds %d", what, v, max)
+		c.fail("%s %d exceeds %d", what, v, max)
 		return 0
 	}
 	return v
 }
 
-func (d *decoder) float64() float64 {
-	if d.err != nil {
-		return 0
+// skip steps over n bytes that must be there. Callers bound n (MaxSiteLen,
+// 8·MaxDim) before asking, so off+n cannot overflow.
+func (c *cursor) skip(what string, n int) {
+	if c.err != nil {
+		return
 	}
-	if d.off+8 > len(d.b) {
-		d.fail("truncated float")
-		return 0
+	if n > len(c.b)-c.off {
+		c.fail("truncated %s", what)
+		return
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-	d.off += 8
-	return v
+	c.off += n
 }
 
-// DecodeFrame parses one payload produced by AppendFrame. It never
-// panics; truncated, oversized, or trailing-garbage payloads return an
-// error wrapping ErrFrame, and a nil error guarantees the returned frame
+// Decoder decodes the frames of one stream. One made by NewDecoder
+// interns site names, so a connection that carries the same sites frame
+// after frame stops allocating their names; the zero Decoder interns
+// nothing and is what the one-shot DecodeFrame runs on. A Decoder is not
+// safe for concurrent use — the connection lane that reads the stream
+// owns it.
+//
+// Every vector of a decoded frame is carved from one slab allocated for
+// that frame. The slab is never reused: serve.Batcher.AddSite keeps the
+// vectors until a shard has applied them, long after the next frame is
+// decoded, so a frame's vectors share memory with each other and with
+// nothing else — not the payload, not another frame.
+type Decoder struct {
+	sites map[string]string // nil: intern nothing
+}
+
+// NewDecoder returns a Decoder that interns site names. The table grows
+// by one entry per distinct name the stream carries, which serve.Ingest's
+// transport table does too — it adds no exposure the server did not have.
+func NewDecoder() *Decoder { return &Decoder{sites: make(map[string]string)} }
+
+// site returns name as a string, from the intern table when there is one.
+func (d *Decoder) site(name []byte) string {
+	if d.sites == nil {
+		return string(name)
+	}
+	s, ok := d.sites[string(name)] // no allocation: the conversion is only a map key
+	if !ok {
+		s = string(name)
+		d.sites[s] = s
+	}
+	return s
+}
+
+// Decode parses one payload produced by AppendFrame. It never panics;
+// truncated, oversized, or trailing-garbage payloads return an error
+// wrapping ErrFrame, and a nil error guarantees the returned frame
 // (sequence number included) is exactly what the sender encoded.
-func DecodeFrame(payload []byte) (Frame, error) {
-	var f Frame
+//
+// The payload is walked twice. The first walk checks every length field
+// against the bytes actually present and allocates nothing, so a count or
+// dim that promises more than the payload holds fails before any memory
+// is sized by it; what the second walk allocates — one []Sample, one
+// []float64 slab — is bounded by len(payload), never by a field.
+func (d *Decoder) Decode(payload []byte) (Frame, error) {
 	if len(payload) == 0 {
-		return f, fmt.Errorf("wire: %w: empty payload", ErrFrame)
+		return Frame{}, fmt.Errorf("wire: %w: empty payload", ErrFrame)
 	}
 	if payload[0] != Version {
-		return f, fmt.Errorf("wire: %w: version %d, want %d", ErrFrame, payload[0], Version)
+		return Frame{}, fmt.Errorf("wire: %w: version %d, want %d", ErrFrame, payload[0], Version)
 	}
-	d := &decoder{b: payload, off: 1}
-	siteLen := d.uvarint("site length", MaxSiteLen)
-	if d.err == nil && d.off+int(siteLen) > len(d.b) {
-		d.fail("truncated site name")
+	c := cursor{b: payload, off: 1}
+	siteLen := int(c.uvarint("site length", MaxSiteLen))
+	siteOff := c.off
+	c.skip("site name", siteLen)
+	seq := c.uvarint("sequence", math.MaxUint64)
+	count := int(c.uvarint("sample count", MaxFrameSamples))
+	body, floats := c.off, 0
+	for i := 0; i < count && c.err == nil; i++ {
+		c.skip("sample time", 8)
+		for tier := 0; tier < int(server.NumTiers); tier++ {
+			dim := int(c.uvarint("vector length", MaxDim))
+			c.skip("vector", 8*dim)
+			floats += dim
+		}
 	}
-	if d.err == nil {
-		f.Site = string(d.b[d.off : d.off+int(siteLen)])
-		d.off += int(siteLen)
+	if c.err != nil {
+		return Frame{}, c.err
 	}
-	f.Seq = d.uvarint("sequence", math.MaxUint64)
-	count := d.uvarint("sample count", MaxFrameSamples)
-	for i := uint64(0); i < count && d.err == nil; i++ {
-		var s Sample
-		s.Time = d.float64()
+	if c.off != len(payload) {
+		return Frame{}, fmt.Errorf("wire: %w: %d trailing bytes", ErrFrame, len(payload)-c.off)
+	}
+
+	f := Frame{Site: d.site(payload[siteOff : siteOff+siteLen]), Seq: seq}
+	if count == 0 {
+		return f, nil
+	}
+	f.Samples = make([]Sample, count)
+	slab := make([]float64, floats)
+	b := payload[body:]
+	for i := range f.Samples {
+		s := &f.Samples[i]
+		s.Time = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		b = b[8:]
 		for tier := range s.Vecs {
-			dim := d.uvarint("vector length", MaxDim)
-			if d.err != nil {
-				break
+			dim, n := binary.Uvarint(b)
+			b = b[n:]
+			if dim == 0 {
+				continue
 			}
-			if dim > 0 {
-				vec := make([]float64, dim)
-				for j := range vec {
-					vec[j] = d.float64()
-				}
-				s.Vecs[tier] = vec
+			vec := slab[:dim:dim]
+			slab = slab[dim:]
+			for j := range vec {
+				vec[j] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+				b = b[8:]
 			}
+			s.Vecs[tier] = vec
 		}
-		if d.err == nil {
-			f.Samples = append(f.Samples, s)
-		}
-	}
-	if d.err != nil {
-		return Frame{}, d.err
-	}
-	if d.off != len(d.b) {
-		return Frame{}, fmt.Errorf("wire: %w: %d trailing bytes", ErrFrame, len(d.b)-d.off)
 	}
 	return f, nil
+}
+
+// DecodeFrame is Decode on a fresh Decoder: the one-shot call for a
+// payload that arrives alone — a WAL record on replay, a capture file.
+func DecodeFrame(payload []byte) (Frame, error) {
+	var d Decoder
+	return d.Decode(payload)
 }
 
 // AgentConfig tunes a Sender — the edge agent's half of the protocol.
@@ -216,9 +291,10 @@ type AgentConfig struct {
 	QueueFrames int
 	// MaxFrameBytes bounds one encoded frame. Zero selects MaxFrameBytes.
 	MaxFrameBytes int
-	// MaxRetries bounds write attempts per frame after the first; a frame
-	// failing 1+MaxRetries writes is dropped (counted) and the stream
-	// moves on. Zero selects 3; negative selects 0.
+	// MaxRetries bounds write attempts per batch of queued frames after
+	// the first; a batch failing 1+MaxRetries writes is dropped (each of
+	// its frames counted) and the stream moves on. Zero selects 3;
+	// negative selects 0.
 	MaxRetries int
 	// BackoffBase and BackoffMax shape the reconnect/retry backoff:
 	// attempt n sleeps min(BackoffBase·2ⁿ⁻¹, BackoffMax). Zero selects
@@ -227,7 +303,8 @@ type AgentConfig struct {
 	BackoffMax  time.Duration
 	// DialTimeout bounds one connection attempt. Zero selects 3s.
 	DialTimeout time.Duration
-	// WriteTimeout bounds one frame write. Zero selects 5s.
+	// WriteTimeout bounds one write — a batch of up to 64 KiB of queued
+	// frames. Zero selects 5s.
 	WriteTimeout time.Duration
 }
 

@@ -3,10 +3,12 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -89,6 +91,12 @@ func TestDecodeFramePreservesSeq(t *testing.T) {
 	}
 }
 
+// framed returns payload as the stream carries it: behind its uvarint
+// length prefix.
+func framed(payload []byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(len(payload))), payload...)
+}
+
 func TestStreamRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	want := [][]byte{
@@ -97,9 +105,7 @@ func TestStreamRoundTrip(t *testing.T) {
 		{},
 	}
 	for _, p := range want {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(framed(p))
 	}
 	r := bufio.NewReader(&buf)
 	var scratch []byte
@@ -121,12 +127,7 @@ func TestStreamRoundTrip(t *testing.T) {
 // TestReadFrameEOFSemantics pins the clean-boundary contract: io.EOF only
 // between frames, io.ErrUnexpectedEOF anywhere inside one.
 func TestReadFrameEOFSemantics(t *testing.T) {
-	var buf bytes.Buffer
-	payload := AppendFrame(nil, func() *Frame { f := frameA(); return &f }())
-	if err := WriteFrame(&buf, payload); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.Bytes()
+	whole := framed(AppendFrame(nil, func() *Frame { f := frameA(); return &f }()))
 	for cut := 1; cut < len(whole); cut++ {
 		r := bufio.NewReader(bytes.NewReader(whole[:cut]))
 		_, err := ReadFrame(r, MaxFrameBytes, nil)
@@ -135,23 +136,14 @@ func TestReadFrameEOFSemantics(t *testing.T) {
 		}
 	}
 	// A multi-byte length prefix cut after its first byte is mid-frame too.
-	big := make([]byte, 300)
-	var pref bytes.Buffer
-	if err := WriteFrame(&pref, big); err != nil {
-		t.Fatal(err)
-	}
-	r := bufio.NewReader(bytes.NewReader(pref.Bytes()[:1]))
+	r := bufio.NewReader(bytes.NewReader(framed(make([]byte, 300))[:1]))
 	if _, err := ReadFrame(r, MaxFrameBytes, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("mid-prefix cut: got %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 
 func TestReadFrameBoundsLength(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, make([]byte, 100)); err != nil {
-		t.Fatal(err)
-	}
-	r := bufio.NewReader(&buf)
+	r := bufio.NewReader(bytes.NewReader(framed(make([]byte, 100))))
 	if _, err := ReadFrame(r, 64, nil); !errors.Is(err, ErrFrame) {
 		t.Errorf("oversized frame: got %v, want ErrFrame", err)
 	}
@@ -203,5 +195,117 @@ func TestAgentConfigValidateErrors(t *testing.T) {
 	neg.MaxRetries = -5
 	if errs := neg.Validate(); len(errs) > 0 {
 		t.Errorf("negative MaxRetries should clamp, got %v", errs)
+	}
+}
+
+// TestDecodeBoundsBeforeAllocating: a count or dim field that promises
+// more than the payload's bytes hold is rejected on the first walk, before
+// anything is sized by it — neither 4096 samples nor 4096 floats' worth of
+// memory is allocated for a payload a few bytes long.
+func TestDecodeBoundsBeforeAllocating(t *testing.T) {
+	head := []byte{Version, 1, 's', 0} // site "s", seq 0
+	count := binary.AppendUvarint(append([]byte{}, head...), MaxFrameSamples)
+	dim := append(append([]byte{}, head...), 1)                          // one sample
+	dim = append(dim, make([]byte, 8)...)                                // its time
+	dim = append(binary.AppendUvarint(dim, MaxDim), make([]byte, 16)...) // 4096 floats promised, 2 there
+	dec := NewDecoder()
+	for name, payload := range map[string][]byte{"count": count, "dim": dim} {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		const runs = 100
+		for i := 0; i < runs; i++ {
+			if _, err := dec.Decode(payload); !errors.Is(err, ErrFrame) {
+				t.Fatalf("%s: got %v, want ErrFrame", name, err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		// Only the error values: far below one sample slice or one slab.
+		if per := (m1.TotalAlloc - m0.TotalAlloc) / runs; per > 1024 {
+			t.Errorf("%s: %d bytes allocated per rejected payload", name, per)
+		}
+	}
+}
+
+// TestDecoderOwnership: frames decoded through one Decoder own their
+// vectors — ten frames held at once all still read as they were sent.
+func TestDecoderOwnership(t *testing.T) {
+	dec := NewDecoder()
+	var sent, got []Frame
+	for i := 0; i < 10; i++ {
+		f := hpcFrame()
+		f.Seq = uint64(i)
+		for k := range f.Samples {
+			for _, vec := range f.Samples[k].Vecs {
+				for j := range vec {
+					vec[j] += float64(1000 * i)
+				}
+			}
+		}
+		d, err := dec.Decode(AppendFrame(nil, &f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent, got = append(sent, f), append(got, d)
+	}
+	if !reflect.DeepEqual(sent, got) {
+		t.Fatal("frames held across later decodes no longer read as sent")
+	}
+}
+
+// TestCodecAllocs pins what the byte path allocates per frame at steady
+// state: the lane's Decoder a sample slice and a slab, the one-shot
+// DecodeFrame the site name besides, Send the frame's buffer.
+func TestCodecAllocs(t *testing.T) {
+	f := hpcFrame()
+	payload := AppendFrame(nil, &f)
+	dec := NewDecoder()
+	if n := testing.AllocsPerRun(100, func() { sinkFrame, _ = dec.Decode(payload) }); n > 2 {
+		t.Errorf("Decoder.Decode: %v allocs per frame, want <= 2", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkFrame, _ = DecodeFrame(payload) }); n > 3 {
+		t.Errorf("DecodeFrame: %v allocs per frame, want <= 3", n)
+	}
+	s, script := newScriptedSender(t, AgentConfig{})
+	release := holdDrain(t, s, script) // the drain goroutine allocates nothing while parked
+	if n := testing.AllocsPerRun(100, func() { s.Send(&f) }); n > 1 {
+		t.Errorf("Sender.Send: %v allocs per frame, want <= 1", n)
+	}
+	release()
+	s.Close()
+}
+
+// hpcFrame is the frame an agent ships by default at the HPC level: five
+// scrapes, nineteen counters a tier, 1585 bytes encoded.
+func hpcFrame() Frame {
+	f := Frame{Site: "site-000000", Seq: 7}
+	for k := 0; k < 5; k++ {
+		s := Sample{Time: float64(k + 1)}
+		for tier := range s.Vecs {
+			s.Vecs[tier] = make([]float64, 19)
+			for j := range s.Vecs[tier] {
+				s.Vecs[tier][j] = float64(k*19+j) + 0.5
+			}
+		}
+		f.Samples = append(f.Samples, s)
+	}
+	return f
+}
+
+var sinkFrame Frame
+
+// BenchmarkDecodeFrame is the per-frame cost of the receive side's codec
+// as a connection lane runs it: one Decoder, the same site again and again.
+func BenchmarkDecodeFrame(b *testing.B) {
+	f := hpcFrame()
+	payload := AppendFrame(nil, &f)
+	dec := NewDecoder()
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if sinkFrame, err = dec.Decode(payload); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -5,7 +5,10 @@
 # Two kinds of rows land in the file:
 #   - go-test microbenchmarks (BenchmarkPipelineIngest, BenchmarkFleetIngest
 #     legs: unsharded / sharded / sharded-ref / sharded-site / sharded-batch
-#     at 1k/10k/100k sites): ns/op, B/op, allocs/op of steady-state ingest.
+#     at 1k/10k/100k sites): ns/op, B/op, allocs/op of steady-state ingest
+#     per tier-sample; and the network path per five-scrape frame —
+#     BenchmarkLoopbackFrames (Sender → loopback TCP → FrameServer → Ingest
+#     → two shards) and internal/wire's BenchmarkDecodeFrame.
 #   - capstress -sites scale rows: end-to-end sites/sec, samples/sec,
 #     sampled p50/p99 per-site scrape latency, allocs/op, decision counts.
 #     The SECONDS pair stays inside one 30-second window (pure steady-state
@@ -27,9 +30,9 @@ rows="$(mktemp)"
 trap 'rm -f "$tmp" "$rows"' EXIT
 
 go test -run '^$' \
-    -bench '^(BenchmarkPipelineIngest|BenchmarkFleetIngest)$' \
+    -bench '^(BenchmarkPipelineIngest|BenchmarkFleetIngest|BenchmarkLoopbackFrames|BenchmarkDecodeFrame)$' \
     -benchmem -benchtime "${BENCHTIME:-2000000x}" -count 1 \
-    ./internal/serve \
+    ./internal/serve ./internal/wire \
     | tee "$tmp"
 
 awk '
