@@ -3,8 +3,6 @@ package experiment
 import (
 	"context"
 	"flag"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -52,22 +50,5 @@ func TestDeterminismParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("parallel output diverged from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
 	}
 
-	golden := filepath.Join("testdata", "determinism_quickscale.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(seq), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", golden)
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden fixture (run with -update to regenerate): %v", err)
-	}
-	if seq != string(want) {
-		t.Fatalf("results diverged from the golden fixture (run with -update if the change is intended)\n--- got ---\n%s\n--- want ---\n%s", seq, want)
-	}
+	checkGolden(t, "determinism_quickscale", seq)
 }

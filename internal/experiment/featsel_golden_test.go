@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -63,22 +61,5 @@ func TestAttributeSelectionGolden(t *testing.T) {
 		t.Skip("32 full wrapper selections at QuickScale; skipped in -short")
 	}
 	got := selectionResults(t)
-	golden := filepath.Join("testdata", "featsel_quickscale.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", golden)
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden fixture (run with -update to regenerate): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("attribute selection diverged from the golden fixture\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
+	checkGolden(t, "featsel_quickscale", got)
 }
