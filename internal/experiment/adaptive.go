@@ -4,13 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"hpcap/internal/core"
-	"hpcap/internal/drift"
-	"hpcap/internal/metrics"
-	"hpcap/internal/ml/bayes"
 	"hpcap/internal/registry"
 	"hpcap/internal/serve"
-	"hpcap/internal/server"
 	"hpcap/internal/tpcw"
 )
 
@@ -37,35 +32,22 @@ type DriftReplay struct {
 	AdaptiveHits, FrozenHits, PostSwapWindows int
 }
 
-// driftReplaySeed offsets the mix-shift trace away from every training and
-// test trace seed the lab uses.
-const driftReplaySeed = 300
-
-// trainingSetOf converts a labeled trace into a core training set.
-func trainingSetOf(name string, tr *Trace, level metrics.Level) core.TrainingSet {
-	set := core.TrainingSet{Workload: name}
-	for _, w := range tr.Windows {
-		set.Windows = append(set.Windows, core.LabeledWindow{
-			Observation: core.Observation{Time: w.Time, Vectors: w.Vectors(level)},
-			Overload:    w.Overload,
-			Bottleneck:  w.Bottleneck,
-		})
-	}
-	return set
+// RunDriftReplay replays the adaptive model lifecycle end to end at the
+// HPC level through the inline pipeline and returns its transcript.
+// workers bounds the synopsis-build fan-out during both initial training
+// and the retrain; the transcript is bit-identical for any value, and at
+// any shard count (TestReplay pins both).
+func (l *Lab) RunDriftReplay(workers int) (*DriftReplay, error) {
+	return l.runDriftReplay(workers, front{})
 }
 
-// RunDriftReplay replays the adaptive model lifecycle end to end at the
-// HPC level and returns its transcript. workers bounds the synopsis-build
-// fan-out during both initial training and the retrain; the transcript is
-// bit-identical for any value — the drift-replay determinism golden pins
-// this.
-//
-// The initial monitor is deliberately trained on the browsing mix alone
-// (the lab's shared monitors train on both mixes, which would leave no
-// accuracy to lose when the traffic shifts).
-func (l *Lab) RunDriftReplay(workers int) (*DriftReplay, error) {
-	const level = metrics.LevelHPC
-	wb, err := l.Workload(tpcw.Browsing())
+// runDriftReplay declares the drift scenario: the mix-shift schedule, no
+// stream transform, and a lifecycle that may retrain after 32 labeled
+// windows and swaps on any shadow improvement. The frozen replay of the
+// same trace is the incumbent the swap is scored against, window by
+// window, paired by Seq.
+func (l *Lab) runDriftReplay(workers int, f front) (*DriftReplay, error) {
+	r, err := l.newReplay(workers, f)
 	if err != nil {
 		return nil, err
 	}
@@ -73,147 +55,47 @@ func (l *Lab) RunDriftReplay(workers int) (*DriftReplay, error) {
 	if err != nil {
 		return nil, err
 	}
-	btr, err := l.TrainingTrace(tpcw.Browsing())
+	tr, st, err := r.record(MixShiftSchedule(r.wb, wo, l.Scale), driftReplaySeed)
 	if err != nil {
 		return nil, err
 	}
-	names := btr.Names(level)
-	trainCfg := core.Config{
-		Learner:  bayes.TANLearner(),
-		Synopsis: core.DefaultSynopsisConfig(l.Seed),
-		Workers:  workers,
-	}
-	mon, err := core.Train(level, names, []core.TrainingSet{trainingSetOf("browsing", btr, level)}, trainCfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: train initial monitor: %w", err)
-	}
-
-	tr, err := Generate(TraceConfig{
-		Server:        l.Server,
-		Schedule:      MixShiftSchedule(wb, wo, l.Scale),
-		Window:        l.Scale.Window,
-		Warmup:        l.Scale.WarmupWindows,
-		Seed:          l.Seed + driftReplaySeed,
-		Labeler:       l.Labeler,
-		RecordSeconds: true,
-		Topology:      l.Topology,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiment: generate mix-shift trace: %w", err)
-	}
-
-	var vecs [server.NumTiers][][]float64
-	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-		vecs[tier] = tr.SecondVectors(level, tier)
-	}
-	feed := func(p *serve.Pipeline) {
-		for i, ts := range tr.SecTimes {
-			for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-				p.Ingest(serve.Sample{Site: "site", Tier: tier, Time: ts, Values: vecs[tier][i]})
-			}
-		}
-		p.Flush()
-	}
-
-	// Frozen replay: the browsing-trained monitor serves the whole shifted
-	// trace unassisted.
-	var frozen []serve.Decision
-	pf, err := serve.NewPipeline(mon, serve.Config{
-		Window:     l.Scale.Window,
-		OnDecision: func(d serve.Decision) { frozen = append(frozen, d) },
-	})
+	frozen, err := r.decide(st)
 	if err != nil {
 		return nil, err
 	}
-	feed(pf)
 
-	// Adaptive replay: the same trace through a managed pipeline, ground
-	// truth delivered one window behind the decision stream.
 	var log strings.Builder
-	var decisions []serve.Decision
 	res := &DriftReplay{FrozenWindows: len(frozen)}
-	pa, err := serve.NewPipeline(mon, serve.Config{
-		Window:     l.Scale.Window,
-		OnDecision: func(d serve.Decision) { decisions = append(decisions, d) },
-		OnSwap: func(ev serve.SwapEvent) {
+	out, err := r.run(tr, st, pass{
+		cfg: serve.Config{OnSwap: func(ev serve.SwapEvent) {
 			res.Swaps++
 			res.SwapSeq = ev.Seq
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	mgr, err := registry.NewManager(registry.Config{
-		Pipeline: pa,
-		Initial:  mon,
-		Names:    names,
-		Train: core.Config{
-			Learner:  bayes.TANLearner(),
-			Synopsis: core.DefaultSynopsisConfig(l.Seed + 1),
-			Workers:  workers,
-		},
-		// Replay-tight thresholds: the scripted shift is unambiguous, so
-		// the detectors may react far faster than the daemon defaults.
-		Drift: drift.Config{
-			PHDelta:       0.02,
-			PHLambda:      4,
-			MinWindows:    6,
-			MixRefWindows: 6,
-			MixWindow:     8,
-			MixThreshold:  0.08,
-			MixPatience:   3,
-		},
-		HistoryWindows:  64,
-		MinTrainWindows: 32,
-		ShadowWindows:   8,
-		// One retrain decides the replay; the cooldown outlasts the trace.
-		CooldownWindows: 10 * len(tr.Windows),
-		SwapMargin:      -1,
-		OnEvent: func(e registry.Event) {
-			fmt.Fprintf(&log, "  %s\n", e)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	fed := 0
-	deliver := func(upto int) {
-		for ; fed < upto; fed++ {
-			d := decisions[fed]
-			w := tr.Windows[fed]
+		}},
+		lc:     registry.Config{Drift: replayDrift, MinTrainWindows: 32, SwapMargin: -1},
+		events: &log,
+		line: func(d serve.Decision, w *Window) {
 			fmt.Fprintf(&log, "window seq=%d mix=%s predicted=%t truth=%t version=%d\n",
 				d.Seq, w.Mix, d.Prediction.Overload, w.Overload == 1, d.ModelVersion)
-			mgr.HandleDecision(d)
-			mgr.ObserveTruth(d.Site, d.Seq, registry.Truth{
-				Overload:    w.Overload == 1,
-				Bottleneck:  w.Bottleneck,
-				Throughput:  w.Throughput,
-				ClassCounts: w.Classes,
-			})
-		}
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	for i, ts := range tr.SecTimes {
-		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-			pa.Ingest(serve.Sample{Site: "site", Tier: tier, Time: ts, Values: vecs[tier][i]})
-		}
-		deliver(len(decisions) - 1)
-	}
-	pa.Flush()
-	deliver(len(decisions))
-	res.Windows = len(decisions)
+	res.Windows = len(out.decisions)
 
 	if res.Swaps > 0 {
-		for i, d := range decisions {
-			if d.Seq < res.SwapSeq || i >= len(frozen) {
+		incumbent := verdicts(frozen)
+		for _, d := range out.decisions {
+			fv, ok := incumbent[d.Seq]
+			if d.Seq < res.SwapSeq || !ok {
 				continue
 			}
-			truth := tr.Windows[i].Overload == 1
+			truth := tr.Windows[d.Seq-1].Overload == 1
 			res.PostSwapWindows++
 			if d.Prediction.Overload == truth {
 				res.AdaptiveHits++
 			}
-			if frozen[i].Prediction.Overload == truth {
+			if fv == truth {
 				res.FrozenHits++
 			}
 		}

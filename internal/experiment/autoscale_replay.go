@@ -2,15 +2,14 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
-	"hpcap/internal/core"
-	"hpcap/internal/metrics"
-	"hpcap/internal/ml/bayes"
 	"hpcap/internal/registry"
 	"hpcap/internal/serve"
 	"hpcap/internal/server"
 	"hpcap/internal/tpcw"
+	"hpcap/internal/wire"
 )
 
 // AutoscaleReplay is the result of the closed-loop capacity experiment: a
@@ -30,11 +29,6 @@ type AutoscaleReplay struct {
 	// Ups and Downs are the autoscaler's lifetime action counts.
 	Ups, Downs uint64
 }
-
-// autoscaleReplaySeed offsets the autoscale trace away from every other
-// seed the lab derives (training 0/1, test 100s, interleave 104, drift
-// 300, chaos 400, fusion 500).
-const autoscaleReplaySeed = 600
 
 // autoscaleSchedule composes the flash-crowd scenario: a healthy lead-in
 // below the knee, a geometric flash crowd cresting at more than twice the
@@ -70,60 +64,29 @@ type testbedScaler struct{ tb *server.DAGTestbed }
 func (s testbedScaler) AddReplica(_, pool string) (int, bool)    { return s.tb.AddReplica(pool) }
 func (s testbedScaler) RemoveReplica(_, pool string) (int, bool) { return s.tb.RemoveReplica(pool) }
 
-// scaleServePipeline is the serving surface the closed loop drives,
-// satisfied by both the unsharded and the sharded pipeline.
-type scaleServePipeline interface {
-	Ingest(serve.Sample)
-	Flush()
-	SiteStats(string) (serve.SiteStats, bool)
-	NoteScale(string, server.TierID, int, bool)
-	AdmissionValve(string, int) server.AdmissionFunc
-}
-
 // RunAutoscaleReplay runs the flash-crowd autoscaling experiment through
-// the unsharded pipeline. workers bounds the training fan-out only; the
-// transcript is bit-identical for any value.
+// the inline pipeline. workers bounds the training fan-out only; the
+// transcript is bit-identical for any value, and at any shard count
+// (TestReplay pins both).
 func (l *Lab) RunAutoscaleReplay(workers int) (*AutoscaleReplay, error) {
-	return l.runAutoscaleReplay(workers, 0)
+	return l.runAutoscaleReplay(workers, front{})
 }
 
-// RunAutoscaleReplaySharded runs the same experiment through the sharded
-// serving pipeline; the transcript is byte-identical to the unsharded
-// run's for any shard count.
-func (l *Lab) RunAutoscaleReplaySharded(workers, shards int) (*AutoscaleReplay, error) {
-	if shards < 1 {
-		shards = 1
-	}
-	return l.runAutoscaleReplay(workers, shards)
-}
-
-// runAutoscaleReplay is the shared body; shards == 0 selects the
-// unsharded pipeline.
-func (l *Lab) runAutoscaleReplay(workers, shards int) (*AutoscaleReplay, error) {
-	const level = metrics.LevelHPC
-	const site = "site"
+// runAutoscaleReplay declares the autoscale scenario: its traffic is the
+// live DAG testbed stepped one simulated second per scrape under the
+// flash-crowd schedule, with no stream transform and no lifecycle. Each
+// arm runs on a fresh, identically seeded testbed and pipeline; both shed
+// through the admission valve, and the scaling arm also closes the
+// replica loop.
+func (l *Lab) runAutoscaleReplay(workers int, f front) (*AutoscaleReplay, error) {
 	const valveBound = 4
-	wb, err := l.Workload(tpcw.Browsing())
+	r, err := l.newReplay(workers, f)
 	if err != nil {
 		return nil, err
 	}
-	btr, err := l.TrainingTrace(tpcw.Browsing())
-	if err != nil {
-		return nil, err
-	}
-	names := btr.Names(level)
-	mon, err := core.Train(level, names, []core.TrainingSet{trainingSetOf("browsing", btr, level)}, core.Config{
-		Learner:  bayes.TANLearner(),
-		Synopsis: core.DefaultSynopsisConfig(l.Seed),
-		Workers:  workers,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiment: train autoscale monitor: %w", err)
-	}
-
 	topo := autoscaleTopology(l.Server)
 	topo.Seed = l.Seed + autoscaleReplaySeed
-	sched := autoscaleSchedule(wb, l.Scale)
+	sched := autoscaleSchedule(r.wb, l.Scale)
 	slotOf := make(map[string]server.TierID, len(topo.Pools))
 	for _, pc := range topo.Pools {
 		slotOf[pc.Name] = pc.Slot
@@ -131,41 +94,24 @@ func (l *Lab) runAutoscaleReplay(workers, shards int) (*AutoscaleReplay, error) 
 
 	var log strings.Builder
 	fmt.Fprintf(&log, "topology pools=%d entry=%s app_max=%d peak_ebs=%d\n",
-		len(topo.Pools), topo.Entry, topo.Pools[0].MaxReplicas, frac(wb.FlashKnee, 1.8))
+		len(topo.Pools), topo.Entry, topo.Pools[0].MaxReplicas, frac(r.wb.FlashKnee, 1.8))
 
-	// arm runs the whole schedule once on a fresh, identically seeded
-	// testbed and pipeline; scaling additionally closes the replica loop.
-	arm := func(name string, scaling bool) (served int, ups, downs uint64, err error) {
+	// arm runs one arm on a fresh testbed and pipeline and returns the
+	// requests it served and, when scaling, the autoscaler that acted.
+	arm := func(name string, scaling bool) (served int, as *registry.Autoscaler, err error) {
 		tb, err := server.NewDAGTestbed(topo, sched)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, nil, err
 		}
 		_, coll := Collectors(topo.SlotMachines(l.Server), topo.Seed)
-
-		var decisions []serve.Decision
-		scfg := serve.Config{
-			Window:     l.Scale.Window,
-			OnDecision: func(d serve.Decision) { decisions = append(decisions, d) },
+		p, err := r.open(serve.Config{
 			PoolLabels: [server.NumTiers]string{topo.Pools[0].Name, topo.Pools[1].Name},
+		})
+		if err != nil {
+			return 0, nil, err
 		}
-		var p scaleServePipeline
-		sync := func() {}
-		if shards > 0 {
-			sp, err := serve.NewShardedPipeline(mon, scfg, serve.ShardConfig{Shards: shards})
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			defer sp.Close()
-			p, sync = sp, sp.Sync
-		} else {
-			up, err := serve.NewPipeline(mon, scfg)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			p = up
-		}
+		defer p.close()
 
-		var as *registry.Autoscaler
 		if scaling {
 			acfg := registry.DefaultAutoscalerConfig()
 			acfg.Scaler = testbedScaler{tb}
@@ -183,29 +129,22 @@ func (l *Lab) runAutoscaleReplay(workers, shards int) (*AutoscaleReplay, error) 
 				p.NoteScale(e.Site, slotOf[e.Pool], e.Replicas, e.Up)
 				fmt.Fprintf(&log, "  %s\n", e)
 			}
-			as, err = registry.NewAutoscaler(acfg)
-			if err != nil {
-				return 0, 0, 0, err
+			if as, err = registry.NewAutoscaler(acfg); err != nil {
+				return 0, nil, err
 			}
 		}
-
-		// Both arms shed through the valve; the scaling arm also grows
-		// the bottleneck pool, relieving the valve instead of starving
-		// behind it.
-		tb.SetAdmission(p.AdmissionValve(site, valveBound))
+		tb.SetAdmission(p.AdmissionValve(replaySite, valveBound))
 		if err := tb.Start(); err != nil {
-			return 0, 0, 0, err
+			return 0, nil, err
 		}
 
 		fmt.Fprintf(&log, "arm %s\n", name)
-		total := sched.Duration()
-		fed := 0
 		var rejected int
 		// Pool ratios averaged over the decision window: the 1-second
 		// loads are too noisy to gate scaling decisions on.
 		rsum := make([]float64, len(topo.Pools))
 		rsecs := 0
-		for elapsed := 0.0; elapsed < total; elapsed++ {
+		scrape := func(int) wire.Sample {
 			snap := tb.RunIntervalLegacy(1)
 			served += snap.Completions
 			rejected += snap.Rejections
@@ -213,62 +152,59 @@ func (l *Lab) runAutoscaleReplay(workers, shards int) (*AutoscaleReplay, error) 
 				rsum[i] += pl.Ratio()
 			}
 			rsecs++
-			for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-				vec := coll[tier].Collect(snap, 1)
+			s := wire.Sample{Time: snap.Time}
+			for tier := range s.Vecs {
 				// The sharded pipeline queues samples; hand it an owned copy.
-				p.Ingest(serve.Sample{Site: site, Tier: tier, Time: snap.Time,
-					Values: append([]float64(nil), vec...)})
+				s.Vecs[tier] = append([]float64(nil), coll[tier].Collect(snap, 1)...)
 			}
-			sync()
-			// Decisions land between simulated seconds, so every replica
-			// change takes effect at the same engine time in every mode.
-			for ; fed < len(decisions); fed++ {
-				d := decisions[fed]
-				loads := tb.PoolLoads()
-				for i := range loads {
-					loads[i].Offered = rsum[i] / float64(rsecs) * loads[i].Capacity
-					rsum[i] = 0
-				}
-				rsecs = 0
-				fmt.Fprintf(&log, "window seq=%d predicted=%t app=%.3f/%d db=%.3f/%d\n",
-					d.Seq, d.Prediction.Overload,
-					loads[0].Ratio(), loads[0].Replicas, loads[1].Ratio(), loads[1].Replicas)
-				if as != nil {
-					as.Observe(d, loads)
-				}
-			}
+			return s
 		}
-		p.Flush()
-		for ; fed < len(decisions); fed++ {
-			d := decisions[fed]
-			fmt.Fprintf(&log, "window seq=%d predicted=%t flushed\n", d.Seq, d.Prediction.Overload)
+		// Decisions are delivered between simulated seconds with no lag,
+		// so every replica change takes effect at the same engine time at
+		// every front.
+		err = p.feed(int(math.Ceil(sched.Duration())), scrape, nil, 0, func(d serve.Decision, final bool) {
+			if final {
+				fmt.Fprintf(&log, "window seq=%d predicted=%t flushed\n", d.Seq, d.Prediction.Overload)
+				return
+			}
+			loads := tb.PoolLoads()
+			for i := range loads {
+				loads[i].Offered = rsum[i] / float64(rsecs) * loads[i].Capacity
+				rsum[i] = 0
+			}
+			rsecs = 0
+			fmt.Fprintf(&log, "window seq=%d predicted=%t app=%.3f/%d db=%.3f/%d\n",
+				d.Seq, d.Prediction.Overload,
+				loads[0].Ratio(), loads[0].Replicas, loads[1].Ratio(), loads[1].Replicas)
+			if as != nil {
+				as.Observe(d, loads)
+			}
+		})
+		if err != nil {
+			return 0, nil, err
 		}
 
-		stats, _ := p.SiteStats(site)
-		if as != nil {
-			ups, downs = as.Actions()
-		}
+		stats, _ := p.SiteStats(replaySite)
 		fmt.Fprintf(&log, "arm %s served=%d rejected=%d decided=%d ups=%d downs=%d app_replicas=%d\n",
 			name, served, rejected, stats.WindowsDecided, stats.ScaleUps, stats.ScaleDowns,
 			tb.Replicas(topo.Pools[0].Name))
-		return served, ups, downs, nil
+		return served, as, nil
 	}
 
-	admServed, _, _, err := arm("admission", false)
+	admServed, _, err := arm("admission", false)
 	if err != nil {
 		return nil, err
 	}
-	autoServed, ups, downs, err := arm("autoscale", true)
+	autoServed, as, err := arm("autoscale", true)
 	if err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(&log, "served admission=%d autoscale=%d\n", admServed, autoServed)
-
-	return &AutoscaleReplay{
+	res := &AutoscaleReplay{
 		Log:             log.String(),
 		AdmissionServed: admServed,
 		AutoscaleServed: autoServed,
-		Ups:             ups,
-		Downs:           downs,
-	}, nil
+	}
+	res.Ups, res.Downs = as.Actions()
+	return res, nil
 }

@@ -6,10 +6,6 @@ import (
 	"strings"
 
 	"hpcap/internal/chaos"
-	"hpcap/internal/core"
-	"hpcap/internal/drift"
-	"hpcap/internal/metrics"
-	"hpcap/internal/ml/bayes"
 	"hpcap/internal/registry"
 	"hpcap/internal/serve"
 	"hpcap/internal/server"
@@ -45,10 +41,6 @@ type ChaosReplay struct {
 	ReconvergeSeq int64
 }
 
-// chaosReplaySeed offsets the chaos trace away from every other seed the
-// lab derives (training 0/1, test 100s, interleave 104, drift replay 300).
-const chaosReplaySeed = 400
-
 // chaosSchedule cycles browsing traffic below and above its knee — long
 // enough to cover a lead-in, an eight-window fault storm, and a recovery
 // tail.
@@ -83,98 +75,32 @@ func chaosStorm(base, w float64) chaos.Schedule {
 }
 
 // RunChaosReplay replays a scripted fault storm end to end at the HPC
-// level and returns its transcript. workers bounds the synopsis-build
-// fan-out during training only; the transcript is bit-identical for any
-// value — the chaos determinism golden pins a Workers=1 vs Workers=8
-// comparison.
+// level through the inline pipeline and returns its transcript. workers
+// bounds the synopsis-build fan-out during training only; the transcript
+// is bit-identical for any value, and at any shard count (TestReplay pins
+// both).
 func (l *Lab) RunChaosReplay(workers int) (*ChaosReplay, error) {
-	return l.runChaosReplay(workers, 0)
+	return l.runChaosReplay(workers, front{})
 }
 
-// RunChaosReplaySharded runs the same fault-storm replay through the
-// sharded serving pipeline (shards ingest lanes, batched decisions, a
-// per-second Sync standing in for the daemon's cadence). The transcript
-// is byte-identical to RunChaosReplay's: batching and deferral may never
-// change a decision, a ladder transition, or the lifecycle guard's work.
-func (l *Lab) RunChaosReplaySharded(workers, shards int) (*ChaosReplay, error) {
-	if shards < 1 {
-		shards = 1
-	}
-	return l.runChaosReplay(workers, shards)
-}
-
-// chaosServePipeline is the serving surface the replay drives, satisfied
-// by both the unsharded and the sharded pipeline (and by registry.Pipeline).
-type chaosServePipeline interface {
-	Ingest(serve.Sample)
-	Flush()
-	SiteStats(string) (serve.SiteStats, bool)
-	SwapMonitor(string, *core.Monitor, int64) (serve.SwapEvent, error)
-	NoteDrift(string, int)
-}
-
-// runChaosReplay is the shared replay body; shards == 0 selects the
-// unsharded pipeline, anything else the sharded one.
-func (l *Lab) runChaosReplay(workers, shards int) (*ChaosReplay, error) {
-	const level = metrics.LevelHPC
-	wb, err := l.Workload(tpcw.Browsing())
+// runChaosReplay declares the chaos scenario: the browsing cycle, the
+// scripted storm as a per-sample injector, and a guarded lifecycle with
+// the replay-tight detector thresholds that must not see a single
+// fault-corrupted window. The fault-free replay of the same trace is the
+// baseline the decisions must re-converge with.
+func (l *Lab) runChaosReplay(workers int, f front) (*ChaosReplay, error) {
+	r, err := l.newReplay(workers, f)
 	if err != nil {
 		return nil, err
 	}
-	btr, err := l.TrainingTrace(tpcw.Browsing())
+	tr, st, err := r.record(chaosSchedule(r.wb, l.Scale), chaosReplaySeed)
 	if err != nil {
 		return nil, err
 	}
-	names := btr.Names(level)
-	mon, err := core.Train(level, names, []core.TrainingSet{trainingSetOf("browsing", btr, level)}, core.Config{
-		Learner:  bayes.TANLearner(),
-		Synopsis: core.DefaultSynopsisConfig(l.Seed),
-		Workers:  workers,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiment: train chaos monitor: %w", err)
-	}
-
-	tr, err := Generate(TraceConfig{
-		Server:        l.Server,
-		Schedule:      chaosSchedule(wb, l.Scale),
-		Window:        l.Scale.Window,
-		Warmup:        l.Scale.WarmupWindows,
-		Seed:          l.Seed + chaosReplaySeed,
-		Labeler:       l.Labeler,
-		RecordSeconds: true,
-		Topology:      l.Topology,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiment: generate chaos trace: %w", err)
-	}
-	var vecs [server.NumTiers][][]float64
-	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-		vecs[tier] = tr.SecondVectors(level, tier)
-	}
-
-	// Fault-free baseline: the same trace, no injector.
-	var baseline []serve.Decision
-	pb, err := serve.NewPipeline(mon, serve.Config{
-		Window:     l.Scale.Window,
-		OnDecision: func(d serve.Decision) { baseline = append(baseline, d) },
-	})
+	baseline, err := r.decide(st)
 	if err != nil {
 		return nil, err
 	}
-	for i, ts := range tr.SecTimes {
-		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-			pb.Ingest(serve.Sample{Site: "site", Tier: tier, Time: ts, Values: vecs[tier][i]})
-		}
-	}
-	pb.Flush()
-	baseBySeq := make(map[int64]bool, len(baseline))
-	for _, d := range baseline {
-		baseBySeq[d.Seq] = d.Prediction.Overload
-	}
-
-	// Chaos replay: the same trace through the scripted storm, with the
-	// hardened pipeline and the guarded lifecycle behind it.
 	storm := chaosStorm(tr.SecTimes[0], float64(l.Scale.Window))
 	if errs := storm.Validate(); len(errs) > 0 {
 		return nil, fmt.Errorf("experiment: chaos storm: %w", errors.Join(errs...))
@@ -183,122 +109,44 @@ func (l *Lab) runChaosReplay(workers, shards int) (*ChaosReplay, error) {
 
 	var log strings.Builder
 	fmt.Fprintf(&log, "storm %s\n", storm)
-	var decisions []serve.Decision
-	// The sharded run touches decisions and log from shard goroutines; the
-	// per-second Sync below establishes the ordering that makes the plain
-	// slice and builder safe (nothing publishes outside ingest..Sync).
-	scfg := serve.Config{
-		Window:     l.Scale.Window,
-		OnDecision: func(d serve.Decision) { decisions = append(decisions, d) },
-		OnHealth: func(ev serve.HealthEvent) {
+	out, err := r.run(tr, st, pass{
+		cfg: serve.Config{OnHealth: func(ev serve.HealthEvent) {
 			fmt.Fprintf(&log, "  health %s->%s seq=%d\n", ev.From, ev.To, ev.Seq)
-		},
-	}
-	var pc chaosServePipeline
-	sync := func() {}
-	if shards > 0 {
-		sp, err := serve.NewShardedPipeline(mon, scfg, serve.ShardConfig{Shards: shards})
-		if err != nil {
-			return nil, err
-		}
-		defer sp.Close()
-		pc, sync = sp, sp.Sync
-	} else {
-		p, err := serve.NewPipeline(mon, scfg)
-		if err != nil {
-			return nil, err
-		}
-		pc = p
-	}
-	mgr, err := registry.NewManager(registry.Config{
-		Pipeline: pc,
-		Initial:  mon,
-		Names:    names,
-		Train: core.Config{
-			Learner:  bayes.TANLearner(),
-			Synopsis: core.DefaultSynopsisConfig(l.Seed + 1),
-			Workers:  workers,
-		},
-		// The same replay-tight detector thresholds the drift replay uses:
-		// with the lifecycle guard on, even a storm this violent must not
-		// push fault-corrupted windows into them.
-		Drift: drift.Config{
-			PHDelta:       0.02,
-			PHLambda:      4,
-			MinWindows:    6,
-			MixRefWindows: 6,
-			MixWindow:     8,
-			MixThreshold:  0.08,
-			MixPatience:   3,
-		},
+		}},
+		inject: inj,
 		// More history than the trace has windows: any retrain would be a
 		// guard failure, and the transcript would record it.
-		HistoryWindows:  64,
-		MinTrainWindows: 48,
-		ShadowWindows:   8,
-		CooldownWindows: 10 * len(tr.Windows),
-		OnEvent: func(e registry.Event) {
-			fmt.Fprintf(&log, "  %s\n", e)
+		lc:     registry.Config{Drift: replayDrift, MinTrainWindows: 48},
+		events: &log,
+		line: func(d serve.Decision, w *Window) {
+			fmt.Fprintf(&log, "window seq=%d predicted=%t truth=%t degraded=%t missing=%d\n",
+				d.Seq, d.Prediction.Overload, w.Overload == 1, d.Degraded, d.Missing)
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	fed := 0
-	deliver := func(upto int) {
-		for ; fed < upto; fed++ {
-			d := decisions[fed]
-			w := tr.Windows[d.Seq-1]
-			fmt.Fprintf(&log, "window seq=%d predicted=%t truth=%t degraded=%t missing=%d\n",
-				d.Seq, d.Prediction.Overload, w.Overload == 1, d.Degraded, d.Missing)
-			mgr.HandleDecision(d)
-			mgr.ObserveTruth(d.Site, d.Seq, registry.Truth{
-				Overload:    w.Overload == 1,
-				Bottleneck:  w.Bottleneck,
-				Throughput:  w.Throughput,
-				ClassCounts: w.Classes,
-			})
-		}
-	}
-	ingest := func(s serve.Sample) {
-		for _, out := range inj.Apply(s) {
-			pc.Ingest(out)
-		}
-	}
-	for i, ts := range tr.SecTimes {
-		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-			ingest(serve.Sample{Site: "site", Tier: tier, Time: ts, Values: vecs[tier][i]})
-		}
-		sync()
-		deliver(len(decisions) - 1)
-	}
-	for _, s := range inj.Drain() {
-		pc.Ingest(s)
-	}
-	pc.Flush()
-	deliver(len(decisions))
-
 	// Re-convergence: the longest decision suffix that matches the
 	// fault-free baseline window for window.
+	base := verdicts(baseline)
 	reconv := int64(-1)
-	for i := len(decisions) - 1; i >= 0; i-- {
-		d := decisions[i]
-		b, ok := baseBySeq[d.Seq]
-		if !ok || b != d.Prediction.Overload {
+	for i := len(out.decisions) - 1; i >= 0; i-- {
+		d := out.decisions[i]
+		if b, ok := base[d.Seq]; !ok || b != d.Prediction.Overload {
 			break
 		}
 		reconv = d.Seq
 	}
 
-	stats, _ := pc.SiteStats("site")
+	stats := out.stats
 	fs := inj.Stats()
 	res := &ChaosReplay{
-		Windows:         len(decisions),
+		Windows:         len(out.decisions),
 		BaselineWindows: len(baseline),
 		Injected:        fs.Injected(),
 		Transitions:     stats.HealthChanges(),
-		Guarded:         mgr.Guarded(),
+		Guarded:         out.guarded,
 		ReconvergeSeq:   reconv,
 	}
 	fmt.Fprintf(&log, "faults offered=%d emitted=%d dropped=%d nan=%d stuck=%d stalled=%d dup=%d skew=%d outage=%d\n",

@@ -5,16 +5,10 @@ import (
 	"math"
 	"strings"
 
-	"hpcap/internal/core"
-	"hpcap/internal/drift"
 	"hpcap/internal/fuse"
-	"hpcap/internal/metrics"
-	"hpcap/internal/ml/bayes"
 	"hpcap/internal/registry"
 	"hpcap/internal/serve"
 	"hpcap/internal/server"
-	"hpcap/internal/tpcw"
-	"hpcap/internal/wire"
 )
 
 // FusionReplay is the result of the counter-fusion ablation: the same
@@ -53,19 +47,6 @@ type FusionReplay struct {
 	RawGuarded, FusedGuarded uint64
 }
 
-// fusionReplaySeed offsets the fusion trace away from every other seed
-// the lab derives (training 0/1, test 100s, interleave 104, drift replay
-// 300, chaos replay 400).
-const fusionReplaySeed = 500
-
-// fusionStream is one corrupted copy of the recorded trace: per-second
-// timestamps (shared by both tiers, as one fused scrape) and per-tier
-// 1-second vectors.
-type fusionStream struct {
-	times []float64
-	vecs  [server.NumTiers][][]float64
-}
-
 // fusionStorm corrupts a copy of the recorded trace at scrape level —
 // the faults a fusion stage can see through, as opposed to the transport
 // faults chaosStorm scripts. Window seq covers sample indices
@@ -78,19 +59,22 @@ type fusionStream struct {
 //	        boundary sample (equal damage with fusion on or off)
 //	w16     the app tier's instr_rate and l2_miss_rate are NaN all window
 //	w17     the db tier's ipc and l2_ref_rate are NaN all window
-func fusionStorm(times []float64, vecs [server.NumTiers][][]float64, w int) fusionStream {
-	s := fusionStream{times: append([]float64(nil), times...)}
-	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-		s.vecs[tier] = append([][]float64(nil), vecs[tier]...)
-	}
+func fusionStorm(clean stream, w int) stream {
+	s := append(stream(nil), clean...)
 	// idx(seq) is the first sample index of window seq.
 	idx := func(seq int) int { return w * (seq - 1) }
+	// span applies f to every sample index of windows from..to-1.
+	span := func(from, to int, f func(i int)) {
+		for i := idx(from); i < idx(to) && i < len(s); i++ {
+			f(i)
+		}
+	}
 	corrupt := func(tier server.TierID, i int, comps ...int) {
-		v := append([]float64(nil), s.vecs[tier][i]...)
+		v := append([]float64(nil), s[i].Vecs[tier]...)
 		for _, c := range comps {
 			v[c] = math.NaN()
 		}
-		s.vecs[tier][i] = v
+		s[i].Vecs[tier] = v
 	}
 	// w8: a sparse NaN burst, under the staleness budget.
 	for _, off := range []int{3, 10, 17, 24} {
@@ -98,96 +82,49 @@ func fusionStorm(times []float64, vecs [server.NumTiers][][]float64, w int) fusi
 	}
 	// w9–w14: frozen collectors. The replayed scrape is w8's last second,
 	// which the burst above left clean.
-	frozen := idx(9) - 1
-	for i := idx(9); i < idx(15) && i < len(s.times); i++ {
-		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-			s.vecs[tier][i] = s.vecs[tier][frozen]
-		}
-	}
+	span(9, 15, func(i int) { s[i].Vecs = s[idx(9)-1].Vecs })
 	// w15: clock skew on the whole scrape stream.
-	for i := idx(15); i < idx(16) && i < len(s.times); i++ {
-		s.times[i] += 0.3
-	}
+	span(15, 16, func(i int) { s[i].Time += 0.3 })
 	// w16/w17: a counter pair lost for a full window on each tier.
-	for i := idx(16); i < idx(17) && i < len(s.times); i++ {
-		corrupt(server.TierApp, i, 0, 7)
-	}
-	for i := idx(17); i < idx(18) && i < len(s.times); i++ {
-		corrupt(server.TierDB, i, 2, 6)
-	}
+	span(16, 17, func(i int) { corrupt(server.TierApp, i, 0, 7) })
+	span(17, 18, func(i int) { corrupt(server.TierDB, i, 2, 6) })
 	return s
 }
 
-// fusionRun captures one sub-run's publication-order transcript lines,
-// decisions, and final site counters.
-type fusionRun struct {
-	lines     []string
-	decisions []serve.Decision
-	stats     serve.SiteStats
-}
-
-// fusionRunner replays one prepared stream through one pipeline variant
-// (unsharded, sharded, or wire loopback). fcfg nil means fusion off.
-type fusionRunner func(stream fusionStream, fcfg *fuse.Config) (*fusionRun, error)
-
-// RunFusionReplay replays the fusion ablation through the unsharded
+// RunFusionReplay replays the fusion ablation through the inline
 // pipeline. workers bounds the training fan-out only; the transcript is
-// bit-identical for any value.
+// bit-identical for any value, at any shard count, and over the agent
+// wire loopback (TestReplay pins all three).
 func (l *Lab) RunFusionReplay(workers int) (*FusionReplay, error) {
-	return l.runFusionReplay(workers, 0, false)
-}
-
-// RunFusionReplaySharded replays the same ablation through the sharded
-// pipeline; the transcript must be byte-identical to RunFusionReplay's.
-func (l *Lab) RunFusionReplaySharded(workers, shards int) (*FusionReplay, error) {
-	if shards < 1 {
-		shards = 1
-	}
-	return l.runFusionReplay(workers, shards, false)
-}
-
-// RunFusionReplayLoopback ships every stream as capagent wire frames
-// through a real Sender → TCP → FrameServer chain into a sharded
-// pipeline; the transcript must be byte-identical to the direct runs —
-// the transport may not change a single fused value.
-func (l *Lab) RunFusionReplayLoopback(workers int) (*FusionReplay, error) {
-	return l.runFusionReplay(workers, 2, true)
-}
-
-// fusionVecErr is the windowed vector error of one decision against its
-// fault-free counterpart: mean over tiers and counters of
-// |v−b| / (1+|b|).
-func fusionVecErr(d, base *serve.Decision) float64 {
-	var sum float64
-	n := 0
-	for tier := range d.Vectors {
-		for k, v := range d.Vectors[tier] {
-			b := base.Vectors[tier][k]
-			sum += math.Abs(v-b) / (1 + math.Abs(b))
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return l.runFusionReplay(workers, front{})
 }
 
 // fusionWindowedErr scores a corrupted run against the baseline: the
-// mean per-window vector error over every baseline-decided window, with
-// a window the run failed to decide counting as total loss (error 1).
-func fusionWindowedErr(run *fusionRun, baseline []serve.Decision) float64 {
-	bySeq := make(map[int64]*serve.Decision, len(run.decisions))
-	for i := range run.decisions {
-		bySeq[run.decisions[i].Seq] = &run.decisions[i]
+// mean over every baseline-decided window of the window's vector error —
+// the mean over tiers and counters of |v−b| / (1+|b|) — with a window the
+// run failed to decide counting as total loss (error 1).
+func fusionWindowedErr(run, baseline []serve.Decision) float64 {
+	bySeq := make(map[int64]*serve.Decision, len(run))
+	for i := range run {
+		bySeq[run[i].Seq] = &run[i]
 	}
 	var sum float64
-	for i := range baseline {
-		b := &baseline[i]
-		if d, ok := bySeq[b.Seq]; ok {
-			sum += fusionVecErr(d, b)
-		} else {
-			sum += 1
+	for _, b := range baseline {
+		d, ok := bySeq[b.Seq]
+		if !ok {
+			sum++
+			continue
+		}
+		var werr float64
+		n := 0
+		for tier := range d.Vectors {
+			for k, v := range d.Vectors[tier] {
+				werr += math.Abs(v-b.Vectors[tier][k]) / (1 + math.Abs(b.Vectors[tier][k]))
+				n++
+			}
+		}
+		if n > 0 {
+			sum += werr / float64(n)
 		}
 	}
 	if len(baseline) == 0 {
@@ -196,156 +133,81 @@ func fusionWindowedErr(run *fusionRun, baseline []serve.Decision) float64 {
 	return sum / float64(len(baseline))
 }
 
-// runFusionReplay is the shared body; shards == 0 selects the unsharded
-// pipeline, loopback additionally routes every sample over the wire.
-func (l *Lab) runFusionReplay(workers, shards int, loopback bool) (*FusionReplay, error) {
-	const level = metrics.LevelHPC
-	wb, err := l.Workload(tpcw.Browsing())
+// runFusionReplay declares the fusion scenario: the browsing cycle served
+// three times — clean, storm-corrupted with fusion off, and corrupted with
+// fusion on — each through its own pipeline and guarded lifecycle. The
+// lifecycle is the same for every section: the replay-tight thresholds
+// with a more sensitive Page–Hinkley test, tuned so that a clean run never
+// fires and every raw-run fire is a storm artifact, and retraining
+// structurally impossible (more history demanded than the trace has
+// windows).
+func (l *Lab) runFusionReplay(workers int, f front) (*FusionReplay, error) {
+	r, err := l.newReplay(workers, f)
 	if err != nil {
 		return nil, err
 	}
-	btr, err := l.TrainingTrace(tpcw.Browsing())
+	tr, clean, err := r.record(chaosSchedule(r.wb, l.Scale), fusionReplaySeed)
 	if err != nil {
 		return nil, err
 	}
-	names := btr.Names(level)
-	mon, err := core.Train(level, names, []core.TrainingSet{trainingSetOf("browsing", btr, level)}, core.Config{
-		Learner:  bayes.TANLearner(),
-		Synopsis: core.DefaultSynopsisConfig(l.Seed),
-		Workers:  workers,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiment: train fusion monitor: %w", err)
-	}
-
-	tr, err := Generate(TraceConfig{
-		Server:        l.Server,
-		Schedule:      chaosSchedule(wb, l.Scale),
-		Window:        l.Scale.Window,
-		Warmup:        l.Scale.WarmupWindows,
-		Seed:          l.Seed + fusionReplaySeed,
-		Labeler:       l.Labeler,
-		RecordSeconds: true,
-		Topology:      l.Topology,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiment: generate fusion trace: %w", err)
-	}
-	clean := fusionStream{times: tr.SecTimes}
-	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-		clean.vecs[tier] = tr.SecondVectors(level, tier)
-	}
-	storm := fusionStorm(clean.times, clean.vecs, l.Scale.Window)
-
-	winLine := func(d serve.Decision) string {
-		w := tr.Windows[d.Seq-1]
-		return fmt.Sprintf("window seq=%d predicted=%t truth=%t degraded=%t missing=%d conf=%.3f lowconf=%t\n",
-			d.Seq, d.Prediction.Overload, w.Overload == 1, d.Degraded, d.Missing, d.Confidence, d.LowConfidence)
-	}
-	runner := l.fusionRunner(mon, shards, loopback, winLine)
-
-	// The lifecycle stage is identical for every sub-run: replay-tight
-	// detector thresholds (a clean run must never fire, so every raw-run
-	// fire is a storm artifact), guard on, retraining structurally
-	// impossible (more history demanded than the trace has windows).
-	lifecycle := func(run *fusionRun, log *strings.Builder) (uint64, error) {
-		p, err := serve.NewPipeline(mon, serve.Config{Window: l.Scale.Window})
-		if err != nil {
-			return 0, err
-		}
-		mgr, err := registry.NewManager(registry.Config{
-			Pipeline: p,
-			Initial:  mon,
-			Names:    names,
-			Train: core.Config{
-				Learner:  bayes.TANLearner(),
-				Synopsis: core.DefaultSynopsisConfig(l.Seed + 1),
-				Workers:  workers,
-			},
-			Drift: drift.Config{
-				PHDelta:       0.01,
-				PHLambda:      1.5,
-				MinWindows:    6,
-				MixRefWindows: 6,
-				MixWindow:     8,
-				MixThreshold:  0.08,
-				MixPatience:   3,
-			},
-			HistoryWindows:  64,
-			MinTrainWindows: 48,
-			ShadowWindows:   8,
-			CooldownWindows: 10 * len(tr.Windows),
-			OnEvent: func(e registry.Event) {
-				fmt.Fprintf(log, "  %s\n", e)
-			},
-		})
-		if err != nil {
-			return 0, err
-		}
-		for _, d := range run.decisions {
-			mgr.HandleDecision(d)
-			w := tr.Windows[d.Seq-1]
-			mgr.ObserveTruth(d.Site, d.Seq, registry.Truth{
-				Overload:    w.Overload == 1,
-				Bottleneck:  w.Bottleneck,
-				Throughput:  w.Throughput,
-				ClassCounts: w.Classes,
-			})
-		}
-		st, _ := p.SiteStats("site")
-		run.stats.DriftSignals = st.DriftSignals
-		return mgr.Guarded(), nil
-	}
+	lc := registry.Config{Drift: replayDrift, MinTrainWindows: 48}
+	lc.Drift.PHDelta, lc.Drift.PHLambda = 0.01, 1.5
 
 	var log strings.Builder
 	fmt.Fprintln(&log, "storm nan w8 app[0]x4; stuck w9-w14; skew w15 +0.3s; nan w16 app[0,7]; nan w17 db[2,6]")
-	section := func(name string, stream fusionStream, fcfg *fuse.Config) (*fusionRun, uint64, error) {
-		run, err := runner(stream, fcfg)
-		if err != nil {
-			return nil, 0, err
-		}
-		fmt.Fprintf(&log, "--- %s ---\n", name)
-		for _, ln := range run.lines {
-			fmt.Fprint(&log, ln)
-		}
-		guarded, err := lifecycle(run, &log)
-		if err != nil {
-			return nil, 0, err
-		}
-		s := run.stats
-		fmt.Fprintf(&log, "%s decided=%d degraded=%d dropped=%d lowconf=%d fused=%d imputed=%d gated=%d skipped_nan=%d skipped_late=%d resets=%d drift=%d guarded=%d\n",
-			name, s.WindowsDecided, s.WindowsDegraded, s.WindowsDropped, s.WindowsLowConfidence,
-			s.SamplesFused, s.FuseImputed, s.FuseGated, s.SamplesBadValue, s.SamplesLate,
-			s.SessionResets, s.DriftSignals, guarded)
-		return run, guarded, nil
-	}
-
-	base, _, err := section("baseline", clean, nil)
-	if err != nil {
-		return nil, err
-	}
-	raw, rawGuarded, err := section("raw", storm, nil)
-	if err != nil {
-		return nil, err
-	}
+	storm := fusionStorm(clean, l.Scale.Window)
 	fcfg := fuse.DefaultConfig()
-	fused, fusedGuarded, err := section("fused", storm, &fcfg)
-	if err != nil {
-		return nil, err
+	sections := []struct {
+		name string
+		st   stream
+		fuse *fuse.Config
+	}{{"baseline", clean, nil}, {"raw", storm, nil}, {"fused", storm, &fcfg}}
+	// A section transcribes its decisions and ladder transitions in
+	// publication order (a decision first, then the transitions it
+	// caused), then the lifecycle's events, then its counters.
+	outs := make([]*served, len(sections))
+	for i, sec := range sections {
+		var lines, events strings.Builder
+		out, err := r.run(tr, sec.st, pass{
+			cfg: serve.Config{
+				Fuse: sec.fuse,
+				OnDecision: func(d serve.Decision) {
+					w := tr.Windows[d.Seq-1]
+					fmt.Fprintf(&lines, "window seq=%d predicted=%t truth=%t degraded=%t missing=%d conf=%.3f lowconf=%t\n",
+						d.Seq, d.Prediction.Overload, w.Overload == 1, d.Degraded, d.Missing, d.Confidence, d.LowConfidence)
+				},
+				OnHealth: func(ev serve.HealthEvent) {
+					fmt.Fprintf(&lines, "  health %s->%s seq=%d\n", ev.From, ev.To, ev.Seq)
+				},
+			},
+			lc:     lc,
+			events: &events,
+		})
+		if err != nil {
+			return nil, err
+		}
+		s := out.stats
+		fmt.Fprintf(&log, "--- %s ---\n%s%s", sec.name, lines.String(), events.String())
+		fmt.Fprintf(&log, "%s decided=%d degraded=%d dropped=%d lowconf=%d fused=%d imputed=%d gated=%d skipped_nan=%d skipped_late=%d resets=%d drift=%d guarded=%d\n",
+			sec.name, s.WindowsDecided, s.WindowsDegraded, s.WindowsDropped, s.WindowsLowConfidence,
+			s.SamplesFused, s.FuseImputed, s.FuseGated, s.SamplesBadValue, s.SamplesLate,
+			s.SessionResets, s.DriftSignals, out.guarded)
+		outs[i] = out
 	}
+	base, raw, fused := outs[0], outs[1], outs[2]
 
 	res := &FusionReplay{
 		BaselineWindows: len(base.decisions),
 		RawWindows:      len(raw.decisions),
 		FusedWindows:    len(fused.decisions),
-		RawErr:          fusionWindowedErr(raw, base.decisions),
-		FusedErr:        fusionWindowedErr(fused, base.decisions),
+		RawErr:          fusionWindowedErr(raw.decisions, base.decisions),
+		FusedErr:        fusionWindowedErr(fused.decisions, base.decisions),
 		RawDrift:        raw.stats.DriftSignals,
 		FusedDrift:      fused.stats.DriftSignals,
 		BaselineDrift:   base.stats.DriftSignals,
 		LowConfidence:   fused.stats.WindowsLowConfidence,
-		RawGuarded:      rawGuarded,
-		FusedGuarded:    fusedGuarded,
+		RawGuarded:      raw.guarded,
+		FusedGuarded:    fused.guarded,
 	}
 	fmt.Fprintf(&log, "error raw=%.6f fused=%.6f\n", res.RawErr, res.FusedErr)
 	fmt.Fprintf(&log, "drift baseline=%d raw=%d fused=%d lowconf=%d\n",
@@ -354,98 +216,4 @@ func (l *Lab) runFusionReplay(workers, shards int, loopback bool) (*FusionReplay
 		res.BaselineWindows, res.RawWindows, res.FusedWindows, res.RawGuarded, res.FusedGuarded)
 	res.Log = log.String()
 	return res, nil
-}
-
-// fusionRunner builds the variant-specific stream replayer. Every
-// variant feeds the same per-scrape stream in the same per-site order,
-// so the captured decision and health sequences are identical; only the
-// plumbing differs. winLine formats a decision's transcript line, so
-// run.lines freezes the exact publication order (decision first, then
-// the ladder transitions it caused).
-func (l *Lab) fusionRunner(mon *core.Monitor, shards int, loopback bool, winLine func(serve.Decision) string) fusionRunner {
-	return func(stream fusionStream, fcfg *fuse.Config) (*fusionRun, error) {
-		run := &fusionRun{}
-		cfg := serve.Config{
-			Window: l.Scale.Window,
-			Fuse:   fcfg,
-			OnDecision: func(d serve.Decision) {
-				run.decisions = append(run.decisions, d)
-				run.lines = append(run.lines, winLine(d))
-			},
-			OnHealth: func(ev serve.HealthEvent) {
-				run.lines = append(run.lines, fmt.Sprintf("  health %s->%s seq=%d\n", ev.From, ev.To, ev.Seq))
-			},
-		}
-		if shards == 0 {
-			p, err := serve.NewPipeline(mon, cfg)
-			if err != nil {
-				return nil, err
-			}
-			for i, ts := range stream.times {
-				for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-					p.Ingest(serve.Sample{Site: "site", Tier: tier, Time: ts, Values: stream.vecs[tier][i]})
-				}
-			}
-			p.Flush()
-			run.stats, _ = p.SiteStats("site")
-			return run, nil
-		}
-		sp, err := serve.NewShardedPipeline(mon, cfg, serve.ShardConfig{Shards: shards})
-		if err != nil {
-			return nil, err
-		}
-		defer sp.Close()
-		if !loopback {
-			for i, ts := range stream.times {
-				for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-					sp.Ingest(serve.Sample{Site: "site", Tier: tier, Time: ts, Values: stream.vecs[tier][i]})
-				}
-			}
-			sp.Flush()
-			run.stats, _ = sp.SiteStats("site")
-			return run, nil
-		}
-		// Loopback: the same stream as capagent wire frames over TCP.
-		ing := serve.NewIngest(sp)
-		fsrv, err := serve.NewFrameServer(serve.ListenConfig{}, ing, nil)
-		if err != nil {
-			return nil, err
-		}
-		snd, err := wire.NewSender(fsrv.Addr().String(), wire.AgentConfig{FrameSamples: 5, QueueFrames: 4096})
-		if err != nil {
-			fsrv.Close()
-			return nil, err
-		}
-		frame := wire.Frame{Site: "site"}
-		sent := 0
-		for i, ts := range stream.times {
-			var s wire.Sample
-			s.Time = ts
-			for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-				s.Vecs[tier] = stream.vecs[tier][i]
-			}
-			frame.Samples = append(frame.Samples, s)
-			if len(frame.Samples) == 5 {
-				snd.Send(&frame)
-				sent++
-				frame = wire.Frame{Site: "site", Seq: frame.Seq + 1}
-			}
-		}
-		if len(frame.Samples) > 0 {
-			snd.Send(&frame)
-			sent++
-		}
-		snd.Close()
-		if st := snd.Stats(); st.Dropped() != 0 || st.Sent != uint64(sent) {
-			fsrv.Close()
-			return nil, fmt.Errorf("experiment: fusion loopback sender lost frames: %+v", st)
-		}
-		fsrv.WaitConns(1)
-		if err := fsrv.Close(); err != nil {
-			return nil, err
-		}
-		sp.Flush()
-		run.stats, _ = sp.SiteStats("site")
-		return run, nil
-	}
 }

@@ -6,15 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-// front is the serving geometry a replay runs through: shards == 0 is the
-// inline pipeline, otherwise a sharded one; loopback ships every scrape
-// over the wire into it.
-type front struct {
-	shards   int
-	loopback bool
-}
+	"hpcap/internal/tpcw"
+)
 
 // replayRow is one cell of the front matrix: the training fan-out and the
 // serving front a scenario runs at.
@@ -50,12 +44,10 @@ var replayScenarios = []replayScenario{
 // detection, a retrain and exactly one loss-free hot-swap that beats the
 // frozen incumbent, and every decision is delivered in window order (the
 // k-th transcript window is seq k), so scoring by delivery position and
-// by Seq agree on this trace.
+// by Seq agree on this trace. The sharded rows hot-swap through a
+// quiesced shard lane.
 func runDriftScenario(t *testing.T, l *Lab, workers int, f front) string {
-	if f != (front{}) {
-		t.Skip("no sharded drift replay yet")
-	}
-	res, err := l.RunDriftReplay(workers)
+	res, err := l.runDriftReplay(workers, f)
 	if err != nil {
 		t.Fatalf("drift replay: %v", err)
 	}
@@ -89,13 +81,7 @@ func runDriftScenario(t *testing.T, l *Lab, workers int, f front) string {
 // guard keeps corrupted windows out of the lifecycle, nothing retrains,
 // and the decisions re-converge with the fault-free baseline.
 func runChaosScenario(t *testing.T, l *Lab, workers int, f front) string {
-	var res *ChaosReplay
-	var err error
-	if f.shards > 0 {
-		res, err = l.RunChaosReplaySharded(workers, f.shards)
-	} else {
-		res, err = l.RunChaosReplay(workers)
-	}
+	res, err := l.runChaosReplay(workers, f)
 	if err != nil {
 		t.Fatalf("chaos replay: %v", err)
 	}
@@ -125,16 +111,7 @@ func runChaosScenario(t *testing.T, l *Lab, workers int, f front) string {
 // and on drift false fires, the clean baseline never fires, and the
 // low-confidence flag routes the stuck stretch into the retrain guard.
 func runFusionScenario(t *testing.T, l *Lab, workers int, f front) string {
-	var res *FusionReplay
-	var err error
-	switch {
-	case f.loopback:
-		res, err = l.RunFusionReplayLoopback(workers)
-	case f.shards > 0:
-		res, err = l.RunFusionReplaySharded(workers, f.shards)
-	default:
-		res, err = l.RunFusionReplay(workers)
-	}
+	res, err := l.runFusionReplay(workers, f)
 	if err != nil {
 		t.Fatalf("fusion replay: %v", err)
 	}
@@ -162,13 +139,7 @@ func runFusionScenario(t *testing.T, l *Lab, workers int, f front) string {
 // runAutoscaleScenario: the flash crowd scales up, the recovery tail
 // scales down, and scaling serves strictly more than shedding.
 func runAutoscaleScenario(t *testing.T, l *Lab, workers int, f front) string {
-	var res *AutoscaleReplay
-	var err error
-	if f.shards > 0 {
-		res, err = l.RunAutoscaleReplaySharded(workers, f.shards)
-	} else {
-		res, err = l.RunAutoscaleReplay(workers)
-	}
+	res, err := l.runAutoscaleReplay(workers, f)
 	if err != nil {
 		t.Fatalf("autoscale replay: %v", err)
 	}
@@ -225,6 +196,34 @@ func TestDeterminismDriftReplay(t *testing.T)     { testReplay(t, "drift", inlin
 func TestDeterminismChaosReplay(t *testing.T)     { testReplay(t, "chaos", inlineRows) }
 func TestDeterminismFusionReplay(t *testing.T)    { testReplay(t, "fusion", inlineRows) }
 func TestDeterminismAutoscaleReplay(t *testing.T) { testReplay(t, "autoscale", inlineRows) }
+
+// TestReplaySeeds holds the replay trace seeds apart from each other and
+// from every seed the lab derives: the synopsis seeds (0, 1), the training
+// traces (one per mix name length), the test traces (100 + kind length),
+// the interleaved test (104) and Fig. 3 (55).
+func TestReplaySeeds(t *testing.T) {
+	used := map[int64]string{0: "synopsis", 1: "retrain synopsis", 104: "interleaved test", 55: "fig3"}
+	for _, m := range []tpcw.Mix{tpcw.Browsing(), tpcw.Ordering(), tpcw.Unknown()} {
+		used[int64(len(m.Name))] = "training " + m.Name
+	}
+	for _, k := range TestKinds() {
+		if k != TestInterleaved {
+			used[100+int64(len(k))] = "test " + string(k)
+		}
+	}
+	for _, s := range []struct {
+		name string
+		seed int64
+	}{
+		{"drift", driftReplaySeed}, {"chaos", chaosReplaySeed},
+		{"fusion", fusionReplaySeed}, {"autoscale", autoscaleReplaySeed},
+	} {
+		if other, ok := used[s.seed]; ok {
+			t.Errorf("%s replay seed %d collides with the %s seed", s.name, s.seed, other)
+		}
+		used[s.seed] = s.name + " replay"
+	}
+}
 
 // checkGolden compares got with testdata/<name>.golden, or rewrites the
 // fixture under -update.
