@@ -90,24 +90,12 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-sites and -first must be >= 1, got %d and %d", *sites, *first)
 	}
 
-	var scale experiment.Scale
-	switch *scaleName {
-	case "quick":
-		scale = experiment.QuickScale()
-	case "full":
-		scale = experiment.FullScale()
-	default:
+	scale, ok := experiment.ScaleByName(*scaleName)
+	if !ok {
 		return fmt.Errorf("unknown scale %q", *scaleName)
 	}
-	var level metrics.Level
-	switch *levelName {
-	case "os":
-		level = metrics.LevelOS
-	case "hpc":
-		level = metrics.LevelHPC
-	case "combined":
-		level = metrics.LevelCombined
-	default:
+	level, ok := metrics.LevelByName(*levelName)
+	if !ok {
 		return fmt.Errorf("unknown metric level %q", *levelName)
 	}
 

@@ -29,14 +29,14 @@
 //	capserved -adapt                                # retrain and hot-swap on drift
 //	capserved -chaos "outage tier=db at=120 for=30" # inject telemetry faults
 //	capserved -fuse -chaos "nan tier=app at=60 for=30 p=0.3" # de-noise the faulted stream
-//	capserved -shards 8 -sites 1000                 # sharded fleet-scale ingest
+//	capserved -shards 16 -sites 1000                # spread a large fleet over more shards
 //	capserved -listen :9106 -wal frames.wal         # network ingest from capagent, durable replay
 //
-// With -topology the simulated sites run on the tier-DAG testbed
-// (internal/server.DAGTestbed) over the reference four-pool topology —
-// load balancer, replicated app pool, look-aside cache, sharded store —
-// instead of the legacy two-tier testbed; the same monitor serves either,
-// since the DAG folds to the legacy per-slot snapshot. Adding -autoscale
+// With -topology the simulated sites run over the reference four-pool
+// topology of the tier-DAG testbed (internal/server.DAGTestbed) — load
+// balancer, replicated app pool, look-aside cache, sharded store —
+// instead of the two-tier app/db topology; the same monitor serves
+// either, since the DAG folds to the per-slot snapshot. Adding -autoscale
 // starts every pool at its minimum replica count and closes the replica
 // loop: each overload verdict feeds the registry autoscaler
 // (internal/registry.Autoscaler), which grows the pool with the highest
@@ -45,13 +45,13 @@
 // happen, surfaced per pool on /metrics (capserved_pool_replicas), and
 // summarized per site at exit.
 //
-// With -shards N (N > 0) the daemon serves through the sharded pipeline
-// (serve.ShardedPipeline): sites hash onto N single-threaded shards, each
-// draining its own bounded batch queue, with decisions published off the
-// ingest path and per-shard counters merged only at snapshot time. -batch
-// and -queue size each shard's batches and queue (0 takes the defaults).
-// The decision stream per site is byte-identical to the unsharded
-// pipeline's; only the interleaving across sites may differ.
+// The daemon serves through the sharded pipeline (serve.ShardedPipeline):
+// sites hash onto -shards single-threaded shards (0 takes the default),
+// each draining its own bounded batch queue, with decisions published off
+// the ingest path and per-shard counters merged only at snapshot time.
+// The simulation waits for every shard to drain before it advances the
+// clock, so each site's decision stream is the same at any shard count;
+// only the interleaving across sites may differ.
 //
 // With -fuse every ingested sample passes through the Bayesian
 // counter-fusion stage (internal/fuse) before aggregation: NaN and stuck
@@ -85,6 +85,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -121,128 +122,119 @@ func main() {
 	}
 }
 
-// servingPipeline is the call surface the daemon needs from a serving
-// pipeline — satisfied by both *serve.Pipeline and *serve.ShardedPipeline,
-// and a superset of registry.Pipeline so the lifecycle manager can drive
-// either. Sharded-only operations (Sync, Close, shard totals) stay off
-// the interface; the run wires them up only when -shards selects them.
-type servingPipeline interface {
-	Ingest(s serve.Sample)
-	Flush()
-	Stats() []serve.SiteStats
-	SiteStats(site string) (serve.SiteStats, bool)
-	WriteMetrics(w io.Writer) error
-	AdmissionValve(site string, limit int) server.AdmissionFunc
-	SwapMonitor(site string, m *core.Monitor, version int64) (serve.SwapEvent, error)
-	NoteDrift(site string, n int)
-	NoteScale(site string, slot server.TierID, replicas int, up bool)
+// config is the daemon's command line, one field per flag.
+type config struct {
+	scale, level                     string
+	sites, admission, shards, agents int
+	duration                         float64
+	seed                             int64
+	topology, autoscale, adapt, fuse bool
+	pprof, hold                      bool
+	chaos, addr, listen, wal         string
+}
+
+func parseConfig(args []string) (config, error) {
+	var c config
+	fs := flag.NewFlagSet("capserved", flag.ContinueOnError)
+	fs.StringVar(&c.scale, "scale", "quick", "training scale: quick|full")
+	fs.StringVar(&c.level, "level", "hpc", "metric level to monitor at: os|hpc|combined")
+	fs.IntVar(&c.sites, "sites", 2, "number of simulated monitored sites")
+	fs.Float64Var(&c.duration, "duration", 600, "simulated seconds to stream per site")
+	fs.Int64Var(&c.seed, "seed", 1, "master random seed")
+	fs.IntVar(&c.admission, "admission", 0, "admission valve worker bound under overload; 0 leaves sites uncontrolled")
+	fs.BoolVar(&c.topology, "topology", false, "simulate each site on the tier-DAG testbed (load balancer, replicated app pool, cache, sharded store) instead of the two-tier app/db topology")
+	fs.BoolVar(&c.autoscale, "autoscale", false, "close the replica loop: start every pool at its minimum and let the registry autoscaler grow the bottleneck pool on overload verdicts (requires -topology)")
+	fs.BoolVar(&c.adapt, "adapt", false, "run the adaptive model lifecycle: pair decisions with delayed truth, retrain on drift, hot-swap winners")
+	fs.StringVar(&c.chaos, "chaos", "", `fault schedule to inject into the telemetry stream, e.g. "drop tier=app at=60 for=30 p=0.25; outage at=300 for=30"`)
+	fs.BoolVar(&c.fuse, "fuse", false, "de-noise ingested samples through the Bayesian counter-fusion stage before aggregation")
+	fs.StringVar(&c.addr, "addr", "", "HTTP listen address for /metrics, /debug/vars, /healthz, /readyz, /models; empty disables HTTP")
+	fs.BoolVar(&c.pprof, "pprof", false, "expose Go runtime profiling at /debug/pprof/ on the -addr mux (requires -addr)")
+	fs.BoolVar(&c.hold, "hold", false, "keep the HTTP endpoint up after the simulated run completes (requires -addr)")
+	fs.IntVar(&c.shards, "shards", 0, "ingest shards, each a queue and a goroutine in front of its own engine; 0 takes the default")
+	fs.StringVar(&c.listen, "listen", "", "TCP frame-listener address for capagent connections; replaces the local simulation with network ingest")
+	fs.StringVar(&c.wal, "wal", "", "write-ahead sample log: append every accepted frame before ingest, replay it on restart (requires -listen)")
+	fs.IntVar(&c.agents, "agents", 0, "with -listen: exit after this many agent connections complete; 0 holds the listener open")
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	return c, errors.Join(c.validate()...)
+}
+
+// validate returns one error per violated flag constraint.
+func (c config) validate() []error {
+	var errs []error
+	bad := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
+	if _, ok := experiment.ScaleByName(c.scale); !ok {
+		bad("unknown scale %q", c.scale)
+	}
+	if _, ok := metrics.LevelByName(c.level); !ok {
+		bad("unknown metric level %q", c.level)
+	}
+	if c.sites < 1 {
+		bad("need at least one site, got %d", c.sites)
+	}
+	for _, err := range (serve.ShardConfig{Shards: c.shards}).Validate() {
+		bad("-shards: %w", err)
+	}
+	if c.chaos != "" {
+		if _, err := chaos.Parse(c.chaos); err != nil {
+			bad("-chaos: %w", err)
+		}
+	}
+	if c.pprof && c.addr == "" {
+		bad("-pprof requires -addr")
+	}
+	if c.hold && c.addr == "" {
+		bad("-hold requires -addr")
+	}
+	if c.autoscale && !c.topology {
+		bad("-autoscale requires -topology")
+	}
+	if c.listen == "" && (c.wal != "" || c.agents != 0) {
+		bad("-wal and -agents only apply with -listen")
+	}
+	// Network ingest replaces the local fleet: the agents own the testbeds,
+	// their collectors, and any chaos, so the local-only modes have nothing
+	// to act on.
+	if c.listen != "" && (c.adapt || c.admission > 0 || c.chaos != "" || c.topology) {
+		bad("-adapt, -admission, -chaos, and -topology need local simulation; run chaos at the agent (capagent -chaos)")
+	}
+	return errs
 }
 
 func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("capserved", flag.ContinueOnError)
-	scaleName := fs.String("scale", "quick", "training scale: quick|full")
-	levelName := fs.String("level", "hpc", "metric level to monitor at: os|hpc|combined")
-	sites := fs.Int("sites", 2, "number of simulated monitored sites")
-	duration := fs.Float64("duration", 600, "simulated seconds to stream per site")
-	seed := fs.Int64("seed", 1, "master random seed")
-	admission := fs.Int("admission", 0, "admission valve worker bound under overload; 0 leaves sites uncontrolled")
-	topoOn := fs.Bool("topology", false, "simulate each site on the tier-DAG testbed (load balancer, replicated app pool, cache, sharded store) instead of the legacy two-tier testbed")
-	autoscale := fs.Bool("autoscale", false, "close the replica loop: start every pool at its minimum and let the registry autoscaler grow the bottleneck pool on overload verdicts (requires -topology)")
-	adapt := fs.Bool("adapt", false, "run the adaptive model lifecycle: pair decisions with delayed truth, retrain on drift, hot-swap winners")
-	chaosSpec := fs.String("chaos", "", `fault schedule to inject into the telemetry stream, e.g. "drop tier=app at=60 for=30 p=0.25; outage at=300 for=30"`)
-	fuseOn := fs.Bool("fuse", false, "de-noise ingested samples through the Bayesian counter-fusion stage before aggregation")
-	addr := fs.String("addr", "", "HTTP listen address for /metrics, /debug/vars, /healthz, /readyz, /models; empty disables HTTP")
-	pprofOn := fs.Bool("pprof", false, "expose Go runtime profiling at /debug/pprof/ on the -addr mux (requires -addr)")
-	hold := fs.Bool("hold", false, "keep the HTTP endpoint up after the simulated run completes")
-	shards := fs.Int("shards", 0, "ingest shards, each a queue and a goroutine in front of its own engine; 0 applies samples to one engine in place, synchronously")
-	batch := fs.Int("batch", 0, "sharded mode: samples per batch (0 takes the default)")
-	queue := fs.Int("queue", 0, "sharded mode: per-shard queue capacity in samples (0 takes the default)")
-	listen := fs.String("listen", "", "TCP frame-listener address for capagent connections; replaces the local simulation with network ingest")
-	walPath := fs.String("wal", "", "write-ahead sample log: append every accepted frame before ingest, replay it on restart (requires -listen)")
-	agents := fs.Int("agents", 0, "with -listen: exit after this many agent connections complete; 0 holds the listener open")
-	if err := fs.Parse(args); err != nil {
+	c, err := parseConfig(args)
+	if err != nil {
 		return err
 	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be >= 0, got %d", *shards)
-	}
-	if (*batch != 0 || *queue != 0) && *shards == 0 {
-		return fmt.Errorf("-batch and -queue only apply with -shards > 0")
-	}
-	if *listen == "" && (*walPath != "" || *agents != 0) {
-		return fmt.Errorf("-wal and -agents only apply with -listen")
-	}
-	if *pprofOn && *addr == "" {
-		return fmt.Errorf("-pprof requires -addr")
-	}
-	if *autoscale && !*topoOn {
-		return fmt.Errorf("-autoscale requires -topology")
-	}
-	if *listen != "" {
-		// Network ingest replaces the local fleet: the agents own the
-		// testbeds, their collectors, and any chaos, so the local-only
-		// modes have nothing to act on.
-		if *adapt || *admission > 0 || *chaosSpec != "" || *topoOn {
-			return fmt.Errorf("-adapt, -admission, -chaos, and -topology need local simulation; run chaos at the agent (capagent -chaos)")
-		}
-		if *shards == 0 {
-			// The network ingest path (Register/Batcher) is sharded-only.
-			*shards = serve.DefaultShardConfig().Shards
-		}
-	}
-
-	var scale experiment.Scale
-	switch *scaleName {
-	case "quick":
-		scale = experiment.QuickScale()
-	case "full":
-		scale = experiment.FullScale()
-	default:
-		return fmt.Errorf("unknown scale %q", *scaleName)
-	}
-	var level metrics.Level
-	switch *levelName {
-	case "os":
-		level = metrics.LevelOS
-	case "hpc":
-		level = metrics.LevelHPC
-	case "combined":
-		level = metrics.LevelCombined
-	default:
-		return fmt.Errorf("unknown metric level %q", *levelName)
-	}
-	if *sites < 1 {
-		return fmt.Errorf("need at least one site, got %d", *sites)
-	}
+	scale, _ := experiment.ScaleByName(c.scale)
+	level, _ := metrics.LevelByName(c.level)
 	var inj *chaos.Injector
-	if *chaosSpec != "" {
-		sched, err := chaos.Parse(*chaosSpec)
-		if err != nil {
-			return fmt.Errorf("-chaos: %w", err)
-		}
-		inj = chaos.NewInjector(sched, *seed)
+	if c.chaos != "" {
+		sched, _ := chaos.Parse(c.chaos)
+		inj = chaos.NewInjector(sched, c.seed)
 	}
 
 	// HTTP comes up before training so /readyz can report "not ready"
 	// while the monitor is still being built — the window a load balancer
 	// must not route through.
 	state := &daemonState{}
-	if *addr != "" {
-		if err := startHTTP(*addr, state, *pprofOn); err != nil {
+	if c.addr != "" {
+		if err := startHTTP(c.addr, state, c.pprof); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "serving metrics on %s\n", *addr)
+		fmt.Fprintf(out, "serving metrics on %s\n", c.addr)
 	}
 
 	fmt.Fprintf(out, "training %s monitor at %s scale...\n", level, scale.Name)
 	lab := experiment.NewLab(scale)
-	lab.Seed = *seed
+	lab.Seed = c.seed
 	monitor, err := lab.TrainMonitor(level, predictor.Config{})
 	if err != nil {
 		return fmt.Errorf("train monitor: %w", err)
 	}
 	var wb, wo experiment.Workload
-	if *listen == "" {
+	if c.listen == "" {
 		// Only the local simulation needs the workload knees; in listen
 		// mode the agents schedule their own sites.
 		if wb, err = lab.Workload(tpcw.Browsing()); err != nil {
@@ -253,8 +245,8 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	// Decision and lifecycle-event prints interleave from different
-	// goroutines when -adapt retrains in the background.
+	// Decision and lifecycle-event prints interleave from the shard
+	// goroutines and, when -adapt retrains, from the background trainer.
 	var (
 		outMu    sync.Mutex
 		mgr      *registry.Manager
@@ -281,9 +273,8 @@ func run(args []string, out io.Writer) error {
 				d.Time, d.Site, d.Prediction.Overload, bott, d.Prediction.GPV, flag)
 			outMu.Unlock()
 			// The autoscaler reads the site's live pool loads; decisions
-			// fire while the lockstep simulation is parked (unsharded:
-			// inside Ingest; sharded: inside the per-second Sync), so the
-			// testbed is quiescent here.
+			// fire while the lockstep simulation is parked inside the
+			// per-second Sync, so the testbed is quiescent here.
 			if scaler != nil {
 				if ds := dagSites[d.Site]; ds != nil {
 					scaler.Observe(d, ds.DAG.PoolLoads())
@@ -314,50 +305,28 @@ func run(args []string, out io.Writer) error {
 			outMu.Unlock()
 		},
 	}
-	if *fuseOn {
+	if c.fuse {
 		fc := fuse.DefaultConfig()
 		serveCfg.Fuse = &fc
 	}
-	// Sharded mode adds a per-second barrier (Sync) so the lockstep
-	// simulation observes the same decision cadence as the synchronous
-	// pipeline, and a shutdown that stops the shard goroutines.
-	var (
-		pipe     servingPipeline
-		barrier  = func() {}
-		shutdown = func() {}
-		sharded  *serve.ShardedPipeline
-	)
-	if *shards > 0 {
-		sp, err := serve.NewShardedPipeline(monitor, serveCfg, serve.ShardConfig{
-			Shards: *shards, BatchSize: *batch, QueueCapacity: *queue,
-		})
-		if err != nil {
-			return fmt.Errorf("build sharded pipeline: %w", err)
-		}
-		pipe, sharded = sp, sp
-		barrier = sp.Sync
-		shutdown = sp.Close
-	} else {
-		p, err := serve.NewPipeline(monitor, serveCfg)
-		if err != nil {
-			return fmt.Errorf("build pipeline: %w", err)
-		}
-		pipe = p
+	pipe, err := serve.NewShardedPipeline(monitor, serveCfg, serve.ShardConfig{Shards: c.shards})
+	if err != nil {
+		return fmt.Errorf("build pipeline: %w", err)
 	}
-	state.setPipeline(pipe, *fuseOn)
+	state.update(func(v *daemonView) { v.pipe, v.fusing = pipe, c.fuse })
 
-	if *listen != "" {
-		return serveNetwork(out, state, sharded, *listen, *walPath, *agents)
+	if c.listen != "" {
+		return serveNetwork(out, state, pipe, c)
 	}
 
-	if *adapt {
+	if c.adapt {
 		mgr, err = registry.NewManager(registry.Config{
 			Pipeline: pipe,
 			Initial:  monitor,
 			Names:    simsite.MetricNames(level),
 			Train: core.Config{
 				Learner:  bayes.TANLearner(),
-				Synopsis: core.DefaultSynopsisConfig(*seed + 1),
+				Synopsis: core.DefaultSynopsisConfig(c.seed + 1),
 				Workers:  4,
 			},
 			// Daemon mode: detector and lifecycle thresholds at their
@@ -372,7 +341,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("build lifecycle manager: %w", err)
 		}
-		state.setManager(mgr)
+		state.update(func(v *daemonView) { v.mgr = mgr })
 		trackers = make(map[string]*truthTracker)
 	}
 
@@ -381,9 +350,9 @@ func run(args []string, out io.Writer) error {
 	// forces the autoscaler to find the right size.
 	var topo server.TopologyConfig
 	var slotOf map[string]server.TierID
-	if *topoOn {
+	if c.topology {
 		topo = server.DefaultTopologyConfig()
-		if *autoscale {
+		if c.autoscale {
 			for i := range topo.Pools {
 				if topo.Pools[i].MinReplicas > 0 {
 					topo.Pools[i].Replicas = topo.Pools[i].MinReplicas
@@ -395,7 +364,7 @@ func run(args []string, out io.Writer) error {
 			slotOf[pc.Name] = pc.Slot
 		}
 	}
-	if *autoscale {
+	if c.autoscale {
 		dagSites = make(map[string]*simsite.Site)
 		acfg := registry.DefaultAutoscalerConfig()
 		acfg.Scaler = fleetScaler{dagSites}
@@ -419,16 +388,16 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	fleet := make([]*simsite.Site, *sites)
-	names := make([]string, *sites)
+	fleet := make([]*simsite.Site, c.sites)
+	names := make([]string, c.sites)
 	for i := range fleet {
 		name := fmt.Sprintf("site-%d", i+1)
 		var s *simsite.Site
 		var err error
-		if *topoOn {
-			s, err = simsite.NewDAG(name, topo, level, i, wb, wo, *seed, *duration)
+		if c.topology {
+			s, err = simsite.NewDAG(name, topo, level, i, wb, wo, c.seed, c.duration)
 		} else {
-			s, err = simsite.New(name, lab.Server, level, i, wb, wo, *seed, *duration)
+			s, err = simsite.New(name, lab.Server, level, i, wb, wo, c.seed, c.duration)
 		}
 		if err != nil {
 			return fmt.Errorf("build %s: %w", name, err)
@@ -436,19 +405,19 @@ func run(args []string, out io.Writer) error {
 		if dagSites != nil {
 			dagSites[name] = s
 		}
-		if *admission > 0 {
-			s.TB.SetAdmission(pipe.AdmissionValve(name, *admission))
+		if c.admission > 0 {
+			s.TB.SetAdmission(pipe.AdmissionValve(name, c.admission))
 		}
 		if err := s.TB.Start(); err != nil {
 			return err
 		}
 		fleet[i] = s
 		names[i] = name
-		if *adapt {
+		if c.adapt {
 			trackers[name] = newTruthTracker(lab.Labeler, scale.Window)
 		}
 	}
-	state.setSites(names)
+	state.update(func(v *daemonView) { v.sites = names })
 
 	// Advance all sites in 1-second lockstep, streaming every tier's
 	// sample into the pipeline as it is collected — through the fault
@@ -462,7 +431,7 @@ func run(args []string, out io.Writer) error {
 			pipe.Ingest(out)
 		}
 	}
-	for elapsed := 0.0; elapsed < *duration; elapsed++ {
+	for elapsed := 0.0; elapsed < c.duration; elapsed++ {
 		for _, s := range fleet {
 			snap := s.TB.RunInterval(1)
 			for tier := server.TierID(0); tier < server.NumTiers; tier++ {
@@ -477,9 +446,9 @@ func run(args []string, out io.Writer) error {
 				tk.observe(snap)
 			}
 		}
-		// Sharded: drain every shard before advancing the clock so the
-		// simulation's decision cadence matches the synchronous pipeline.
-		barrier()
+		// Drain every shard before advancing the clock, so each second's
+		// decisions land before the simulation moves on.
+		pipe.Sync()
 	}
 	if inj != nil {
 		for _, s := range inj.Drain() {
@@ -490,33 +459,16 @@ func run(args []string, out io.Writer) error {
 	if mgr != nil {
 		mgr.Wait()
 	}
-	shutdown()
+	pipe.Close()
 
-	fmt.Fprintln(out)
-	for _, st := range pipe.Stats() {
-		fmt.Fprintf(out, "%-8s windows=%d degraded=%d dropped=%d overloads=%d disagreement=%.1f%% mean-predict=%s health=%s transitions=%d\n",
-			st.Site, st.WindowsDecided, st.WindowsDegraded, st.WindowsDropped,
-			st.Overloads, st.DisagreementRate()*100, st.MeanPredictLatency(),
-			st.Health, st.HealthChanges())
-		if *fuseOn {
-			fmt.Fprintf(out, "%-8s fusion fused=%d imputed=%d gated=%d lowconf=%d confidence=%.3f\n",
-				st.Site, st.SamplesFused, st.FuseImputed, st.FuseGated,
-				st.WindowsLowConfidence, st.FuseConfidence)
-		}
-	}
-	if sharded != nil {
-		tot := sharded.Totals()
-		fmt.Fprintf(out, "shards   n=%d enqueued=%d processed=%d batches=%d stalls=%d rejected-closed=%d rejected-ref=%d\n",
-			sharded.Shards(), tot.Enqueued, tot.Processed, tot.Batches,
-			tot.Stalls, tot.RejectedClosed, tot.RejectedRef)
-	}
+	printSummary(out, pipe, c.fuse)
 	if inj != nil {
 		fs := inj.Stats()
 		fmt.Fprintf(out, "chaos    offered=%d emitted=%d injected=%d dropped=%d nan=%d stuck=%d stalled=%d dup=%d skew=%d outage=%d\n",
 			fs.Offered, fs.Emitted, fs.Injected(), fs.Dropped, fs.Corrupted, fs.Frozen,
 			fs.Stalled, fs.Duplicated, fs.Skewed, fs.Outaged)
 	}
-	if *admission > 0 {
+	if c.admission > 0 {
 		for _, s := range fleet {
 			arrivals, completions, rejections, inFlight := s.TB.Conservation()
 			fmt.Fprintf(out, "%-8s arrivals=%d completions=%d rejections=%d in-flight=%d\n",
@@ -544,11 +496,32 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	if *hold && *addr != "" {
+	if c.hold {
 		fmt.Fprintln(out, "run complete; holding HTTP endpoint (interrupt to exit)")
 		select {}
 	}
 	return nil
+}
+
+// printSummary writes the per-site summary lines (plus each site's fusion
+// line under -fuse) and the shard totals, once the pipeline has drained.
+func printSummary(out io.Writer, pipe *serve.ShardedPipeline, fusing bool) {
+	fmt.Fprintln(out)
+	for _, st := range pipe.Stats() {
+		fmt.Fprintf(out, "%-8s windows=%d degraded=%d dropped=%d overloads=%d disagreement=%.1f%% mean-predict=%s health=%s transitions=%d\n",
+			st.Site, st.WindowsDecided, st.WindowsDegraded, st.WindowsDropped,
+			st.Overloads, st.DisagreementRate()*100, st.MeanPredictLatency(),
+			st.Health, st.HealthChanges())
+		if fusing {
+			fmt.Fprintf(out, "%-8s fusion fused=%d imputed=%d gated=%d lowconf=%d confidence=%.3f\n",
+				st.Site, st.SamplesFused, st.FuseImputed, st.FuseGated,
+				st.WindowsLowConfidence, st.FuseConfidence)
+		}
+	}
+	tot := pipe.Totals()
+	fmt.Fprintf(out, "shards   n=%d enqueued=%d processed=%d batches=%d stalls=%d rejected-closed=%d rejected-ref=%d\n",
+		pipe.Shards(), tot.Enqueued, tot.Processed, tot.Batches,
+		tot.Stalls, tot.RejectedClosed, tot.RejectedRef)
 }
 
 // fleetScaler routes the registry autoscaler's replica actions to the
@@ -577,21 +550,21 @@ func (f fleetScaler) RemoveReplica(site, pool string) (int, bool) {
 // existing log is replayed through the same ingest path first — so a
 // daemon killed mid-storm restarts into exactly the decision state it
 // crashed with, then continues from the agents' live streams.
-func serveNetwork(out io.Writer, state *daemonState, sp *serve.ShardedPipeline, listen, walPath string, agents int) error {
-	ing := serve.NewIngest(sp)
-	state.setIngest(ing)
+func serveNetwork(out io.Writer, state *daemonState, pipe *serve.ShardedPipeline, c config) error {
+	ing := serve.NewIngest(pipe)
+	state.update(func(v *daemonView) { v.ingest = ing })
 
 	var onFrame func(payload []byte) error
-	if walPath != "" {
-		log, recovered, err := wal.Open(walPath, wal.Config{})
+	if c.wal != "" {
+		log, recovered, err := wal.Open(c.wal, wal.Config{})
 		if err != nil {
-			return fmt.Errorf("wal %s: %w", walPath, err)
+			return fmt.Errorf("wal %s: %w", c.wal, err)
 		}
 		defer log.Close()
 		if recovered > 0 {
 			lane := ing.Conn()
 			undecodable := 0
-			n, rerr := wal.Replay(walPath, wal.Config{}, func(payload []byte) error {
+			n, rerr := wal.Replay(c.wal, wal.Config{}, func(payload []byte) error {
 				f, derr := wire.DecodeFrame(payload)
 				if derr != nil {
 					undecodable++
@@ -601,40 +574,34 @@ func serveNetwork(out io.Writer, state *daemonState, sp *serve.ShardedPipeline, 
 				return nil
 			})
 			if rerr != nil {
-				return fmt.Errorf("wal replay %s: %w", walPath, rerr)
+				return fmt.Errorf("wal replay %s: %w", c.wal, rerr)
 			}
 			lane.Close()
-			sp.Sync()
-			fmt.Fprintf(out, "wal: replayed %d frame(s) from %s (%d undecodable)\n", n, walPath, undecodable)
+			pipe.Sync()
+			fmt.Fprintf(out, "wal: replayed %d frame(s) from %s (%d undecodable)\n", n, c.wal, undecodable)
 		}
 		onFrame = log.Append
 	}
 
-	fsrv, err := serve.NewFrameServer(serve.ListenConfig{Addr: listen}, ing, onFrame)
+	fsrv, err := serve.NewFrameServer(serve.ListenConfig{Addr: c.listen}, ing, onFrame)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "listening for agents on %s\n", fsrv.Addr())
 
-	if agents == 0 {
+	if c.agents == 0 {
 		// Daemon mode: serve until the process is killed.
 		select {}
 	}
-	fsrv.WaitConns(uint64(agents))
+	fsrv.WaitConns(uint64(c.agents))
 	if cerr := fsrv.Close(); cerr != nil {
 		fmt.Fprintf(out, "listener close: %v\n", cerr)
 	}
 	// Decide what the final partial windows support, then stop the shards.
-	sp.Flush()
-	sp.Close()
+	pipe.Flush()
+	pipe.Close()
 
-	fmt.Fprintln(out)
-	for _, st := range sp.Stats() {
-		fmt.Fprintf(out, "%-8s windows=%d degraded=%d dropped=%d overloads=%d disagreement=%.1f%% mean-predict=%s health=%s transitions=%d\n",
-			st.Site, st.WindowsDecided, st.WindowsDegraded, st.WindowsDropped,
-			st.Overloads, st.DisagreementRate()*100, st.MeanPredictLatency(),
-			st.Health, st.HealthChanges())
-	}
+	printSummary(out, pipe, c.fuse)
 	for _, tr := range ing.TransportStats() {
 		fmt.Fprintf(out, "%-8s transport frames=%d samples=%d dup=%d reordered=%d gaps=%d lost=%d last-seq=%d last-frame-t=%.0f\n",
 			tr.Site, tr.Frames, tr.Samples, tr.DupFrames, tr.OutOfOrder,
@@ -643,10 +610,6 @@ func serveNetwork(out io.Writer, state *daemonState, sp *serve.ShardedPipeline, 
 	ss := fsrv.Stats()
 	fmt.Fprintf(out, "listener conns=%d frames=%d decode-errors=%d read-errors=%d log-errors=%d\n",
 		ss.ConnsClosed, ss.Frames, ss.DecodeErrors, ss.ReadErrors, ss.LogErrors)
-	tot := sp.Totals()
-	fmt.Fprintf(out, "shards   n=%d enqueued=%d processed=%d batches=%d stalls=%d rejected-closed=%d rejected-ref=%d\n",
-		sp.Shards(), tot.Enqueued, tot.Processed, tot.Batches,
-		tot.Stalls, tot.RejectedClosed, tot.RejectedRef)
 	return nil
 }
 
@@ -668,8 +631,8 @@ type truthTracker struct {
 	classes     [tpcw.NumInteractions]int
 
 	seq int64
-	// mu guards ready: in sharded mode take runs on shard goroutines
-	// (decision callbacks) while observe runs on the simulation loop.
+	// mu guards ready: take runs on shard goroutines (decision
+	// callbacks) while observe runs on the simulation loop.
 	mu    sync.Mutex
 	ready map[int64]registry.Truth
 }
@@ -731,70 +694,50 @@ func (t *truthTracker) observe(snap server.Snapshot) {
 	t.classes = [tpcw.NumInteractions]int{}
 }
 
-// take removes and returns the truth for a window, if labeled.
+// take removes and returns the truth for a window, if labeled, and
+// discards the truth of every earlier window: those were dropped (gaps in
+// Decision.Seq), get no decision, and would otherwise never be taken.
 func (t *truthTracker) take(seq int64) (registry.Truth, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	tr, ok := t.ready[seq]
-	if ok {
-		delete(t.ready, seq)
+	for s := range t.ready {
+		if s <= seq {
+			delete(t.ready, s)
+		}
 	}
 	return tr, ok
 }
 
-// daemonState is what the HTTP endpoints read. Fields fill in as the run
-// progresses: the pipeline exists only after training, the fleet after
-// the sites are built, the manager only under -adapt.
+// daemonState is what the HTTP endpoints read. Its view fills in as the
+// run progresses: the pipeline exists only after training, the fleet after
+// the sites are built, the manager only under -adapt, and the network
+// ingest only under -listen.
 type daemonState struct {
-	mu     sync.Mutex
-	pipe   servingPipeline
+	mu sync.Mutex
+	v  daemonView
+}
+
+// daemonView is one consistent read of the daemon's state. Its sites slice
+// is never mutated once set.
+type daemonView struct {
+	pipe   *serve.ShardedPipeline
 	mgr    *registry.Manager
 	sites  []string
 	ingest *serve.Ingest
 	fusing bool
 }
 
-func (s *daemonState) setPipeline(p servingPipeline, fusing bool) {
-	s.mu.Lock()
-	s.pipe = p
-	s.fusing = fusing
-	s.mu.Unlock()
-}
-
-func (s *daemonState) isFusing() bool {
+func (s *daemonState) update(f func(*daemonView)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.fusing
+	f(&s.v)
 }
 
-func (s *daemonState) setManager(m *registry.Manager) {
-	s.mu.Lock()
-	s.mgr = m
-	s.mu.Unlock()
-}
-
-func (s *daemonState) setIngest(in *serve.Ingest) {
-	s.mu.Lock()
-	s.ingest = in
-	s.mu.Unlock()
-}
-
-func (s *daemonState) getIngest() *serve.Ingest {
+func (s *daemonState) view() daemonView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ingest
-}
-
-func (s *daemonState) setSites(names []string) {
-	s.mu.Lock()
-	s.sites = append([]string(nil), names...)
-	s.mu.Unlock()
-}
-
-func (s *daemonState) snapshot() (servingPipeline, *registry.Manager, []string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pipe, s.mgr, append([]string(nil), s.sites...)
+	return s.v
 }
 
 // siteReadiness is one site's entry in the /readyz report.
@@ -859,26 +802,21 @@ type readinessReport struct {
 }
 
 func (s *daemonState) readiness() readinessReport {
-	pipe, _, sites := s.snapshot()
-	if pipe == nil {
+	v := s.view()
+	if v.pipe == nil {
 		return readinessReport{Reason: "training monitor"}
 	}
+	sites := v.sites
 	// Under -listen the fleet is whatever sites the agents have shipped
-	// frames for; the transport table is their registry.
-	ing := s.getIngest()
+	// frames for: the transport table (already name-ordered) is their
+	// registry.
 	var transports map[string]serve.SiteTransport
-	if ing != nil {
-		ts := ing.TransportStats()
+	if v.ingest != nil {
+		ts := v.ingest.TransportStats()
 		transports = make(map[string]serve.SiteTransport, len(ts))
 		for _, tr := range ts {
 			transports[tr.Site] = tr
-		}
-		if len(sites) == 0 {
-			// setSites is never called under -listen; the transport
-			// table (already name-ordered) is the fleet.
-			for _, tr := range ts {
-				sites = append(sites, tr.Site)
-			}
+			sites = append(sites, tr.Site)
 		}
 		if len(sites) == 0 {
 			return readinessReport{Reason: "no agent has delivered a frame"}
@@ -891,7 +829,7 @@ func (s *daemonState) readiness() readinessReport {
 	stats := make([]serve.SiteStats, len(sites))
 	var latest float64
 	for i, name := range sites {
-		st, ok := pipe.SiteStats(name)
+		st, ok := v.pipe.SiteStats(name)
 		if !ok {
 			st.LastDecisionSeq = -1
 			st.LastSwapSeq = -1
@@ -918,7 +856,7 @@ func (s *daemonState) readiness() readinessReport {
 			rep.Ready = false
 			rep.Reason = "site awaiting first decision"
 		}
-		if s.isFusing() {
+		if v.fusing {
 			sr.Fusion = &fusionReadiness{
 				Confidence:           st.FuseConfidence,
 				SamplesFused:         st.SamplesFused,
@@ -955,13 +893,13 @@ type modelInfo struct {
 }
 
 func (s *daemonState) modelHistory() map[string][]modelInfo {
-	_, mgr, sites := s.snapshot()
+	sv := s.view()
 	out := make(map[string][]modelInfo)
-	if mgr == nil {
+	if sv.mgr == nil {
 		return out
 	}
-	for _, name := range sites {
-		for _, v := range mgr.Store().History(name) {
+	for _, name := range sv.sites {
+		for _, v := range sv.mgr.Store().History(name) {
 			out[name] = append(out[name], modelInfo{
 				ID:          v.ID,
 				Reason:      v.Reason,
@@ -998,18 +936,18 @@ func newMux(st *daemonState, withPprof bool) *http.ServeMux {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		pipe, _, _ := st.snapshot()
-		if pipe == nil {
+		v := st.view()
+		if v.pipe == nil {
 			http.Error(w, "monitor still training", http.StatusServiceUnavailable)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		if err := pipe.WriteMetrics(w); err != nil {
+		if err := v.pipe.WriteMetrics(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		if ing := st.getIngest(); ing != nil {
-			if err := ing.WriteTransportMetrics(w); err != nil {
+		if v.ingest != nil {
+			if err := v.ingest.WriteTransportMetrics(w); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		}
@@ -1041,7 +979,7 @@ func startHTTP(addr string, st *daemonState, withPprof bool) error {
 	expvarOnce.Do(func() {
 		expvar.Publish("capserved", expvar.Func(func() any {
 			if s := currentState.Load(); s != nil {
-				if pipe, _, _ := s.snapshot(); pipe != nil {
+				if pipe := s.view().pipe; pipe != nil {
 					return pipe.Stats()
 				}
 			}

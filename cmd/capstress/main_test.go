@@ -1,25 +1,6 @@
 package main
 
-import (
-	"encoding/json"
-	"strings"
-	"testing"
-)
-
-func TestMixByName(t *testing.T) {
-	for _, name := range []string{"browsing", "shopping", "ordering", "unknown"} {
-		mix, err := mixByName(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := mix.Validate(); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-	if _, err := mixByName("nope"); err == nil {
-		t.Error("unknown mix not rejected")
-	}
-}
+import "testing"
 
 func TestRunRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-mix", "nope"}); err == nil {
@@ -57,90 +38,5 @@ func TestRunTrafficShort(t *testing.T) {
 	prog := "steady mix=browsing base=20 for=30; leak base=20 rate=0.5 for=30"
 	if err := run([]string{"-traffic", prog, "-window", "30"}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRunScaleLegs drives the fleet-scale ingest leg end to end at toy
-// size, unsharded and sharded, and checks the emitted JSON row: geometry
-// echoed, sample accounting exact, throughput measured, and — window and
-// stream being identical — the same number of decisions from both legs.
-func TestRunScaleLegs(t *testing.T) {
-	rows := make(map[string]scaleRow)
-	for _, shards := range []int{0, 2} {
-		var out, progress strings.Builder
-		err := runScale(scaleOpts{
-			sites: 40, seconds: 8, shards: shards, batch: 4, queue: 16,
-			window: 4, seed: 1,
-		}, &out, &progress)
-		if err != nil {
-			t.Fatalf("runScale(shards=%d): %v", shards, err)
-		}
-		var row scaleRow
-		if err := json.Unmarshal([]byte(out.String()), &row); err != nil {
-			t.Fatalf("row not JSON: %v\n%s", err, out.String())
-		}
-		rows[row.Name] = row
-		if row.Sites != 40 || row.Seconds != 8 || row.Shards != shards {
-			t.Errorf("geometry echoed wrong: %+v", row)
-		}
-		if want := 40 * 2 * 8; row.Samples != want {
-			t.Errorf("samples = %d, want %d", row.Samples, want)
-		}
-		if row.SitesPerSec <= 0 || row.NsPerOp <= 0 || row.P99IngestNs < row.P50IngestNs {
-			t.Errorf("throughput fields not measured: %+v", row)
-		}
-		// 8 measured seconds over 4-second windows: decisions must flow.
-		if row.Decisions == 0 {
-			t.Errorf("no decisions in %s", row.Name)
-		}
-	}
-	u, ok1 := rows["ScaleIngest/unsharded/sites=40"]
-	s, ok2 := rows["ScaleIngest/sharded/sites=40"]
-	if !ok1 || !ok2 {
-		t.Fatalf("row names wrong: %v", rows)
-	}
-	if u.Decisions != s.Decisions {
-		t.Errorf("decision counts diverged: unsharded %d, sharded %d", u.Decisions, s.Decisions)
-	}
-	if s.BatchSize != 4 || s.QueueCapacity != 16 {
-		t.Errorf("sharded geometry not echoed: %+v", s)
-	}
-}
-
-// TestRunScaleFuseLeg runs the sharded fleet leg with counter fusion on:
-// the row must name the fuse leg, echo the flag, and still decide every
-// window — the fusion stage sits on the ingest path, not in its way.
-func TestRunScaleFuseLeg(t *testing.T) {
-	var out, progress strings.Builder
-	err := runScale(scaleOpts{
-		sites: 40, seconds: 8, shards: 2, batch: 4, queue: 16,
-		window: 4, seed: 1, fuse: true,
-	}, &out, &progress)
-	if err != nil {
-		t.Fatalf("runScale(fuse): %v", err)
-	}
-	var row scaleRow
-	if err := json.Unmarshal([]byte(out.String()), &row); err != nil {
-		t.Fatalf("row not JSON: %v\n%s", err, out.String())
-	}
-	if row.Name != "ScaleIngest/sharded-fuse/sites=40" || !row.Fused {
-		t.Errorf("fuse leg not echoed: %+v", row)
-	}
-	if row.Decisions == 0 {
-		t.Errorf("no decisions in %s", row.Name)
-	}
-}
-
-// TestRunScaleFlagErrors pins the scale-leg flag validation.
-func TestRunScaleFlagErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"-sites", "10", "-seconds", "0"},
-		{"-shards", "2"},
-		{"-batch", "8"},
-		{"-leg", "x"},
-	} {
-		if err := run(args); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
-		}
 	}
 }

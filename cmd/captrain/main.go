@@ -42,13 +42,8 @@ func run(args []string) error {
 		return err
 	}
 
-	var scale experiment.Scale
-	switch *scaleName {
-	case "quick":
-		scale = experiment.QuickScale()
-	case "full":
-		scale = experiment.FullScale()
-	default:
+	scale, ok := experiment.ScaleByName(*scaleName)
+	if !ok {
 		return fmt.Errorf("unknown scale %q", *scaleName)
 	}
 	learner, err := learnerByName(*learnerName)

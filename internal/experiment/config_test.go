@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hpcap/internal/core"
+	"hpcap/internal/metrics"
 	"hpcap/internal/server"
 	"hpcap/internal/tpcw"
 )
@@ -61,5 +62,35 @@ func TestTraceConfigValidateErrors(t *testing.T) {
 	cfg.Server = sc
 	if errs := cfg.Validate(); len(errs) == 0 {
 		t.Fatal("zero server config not rejected")
+	}
+}
+
+// TestFlagNameLookups pins the -scale and -level spellings every command
+// shares, and that anything else is rejected.
+func TestFlagNameLookups(t *testing.T) {
+	for _, tt := range []struct {
+		name      string
+		wantScale string        // "" = not a scale
+		wantLevel metrics.Level // 0 = not a level
+	}{
+		{"quick", "quick", 0},
+		{"full", "full", 0},
+		{"os", "", metrics.LevelOS},
+		{"hpc", "", metrics.LevelHPC},
+		{"combined", "", metrics.LevelCombined},
+		{"", "", 0},
+		{"medium", "", 0},
+		{"Quick", "", 0},
+		{"HPC", "", 0},
+		{"gpu", "", 0},
+	} {
+		s, ok := ScaleByName(tt.name)
+		if ok != (tt.wantScale != "") || s.Name != tt.wantScale {
+			t.Errorf("ScaleByName(%q) = (%q, %v), want %q", tt.name, s.Name, ok, tt.wantScale)
+		}
+		l, ok := metrics.LevelByName(tt.name)
+		if ok != (tt.wantLevel != 0) || l != tt.wantLevel {
+			t.Errorf("metrics.LevelByName(%q) = (%v, %v), want %v", tt.name, l, ok, tt.wantLevel)
+		}
 	}
 }

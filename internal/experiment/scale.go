@@ -46,6 +46,18 @@ func FullScale() Scale {
 	}
 }
 
+// ScaleByName resolves a -scale flag spelling: "quick" or "full".
+func ScaleByName(name string) (Scale, bool) {
+	switch name {
+	case "quick":
+		return QuickScale(), true
+	case "full":
+		return FullScale(), true
+	default:
+		return Scale{}, false
+	}
+}
+
 // QuickScale is for tests and benchmarks: the same shapes at half the
 // dwell time.
 func QuickScale() Scale {

@@ -1,7 +1,6 @@
 package fuse
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -58,10 +57,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// normalize fills zero fields from DefaultConfig and applies the
+// withDefaults fills zero fields from DefaultConfig and applies the
 // documented clamps (negative Warmup means 0, negative ConfidenceFloor
 // disables low-confidence flagging).
-func (c Config) normalize() Config {
+func (c Config) withDefaults() Config {
 	def := DefaultConfig()
 	if c.ProcessNoise == 0 {
 		c.ProcessNoise = def.ProcessNoise
@@ -92,7 +91,7 @@ func (c Config) normalize() Config {
 // per remaining violation, each wrapping core.ErrBadConfig. A nil (or
 // empty) result means the configuration is usable as resolved.
 func (c Config) Validate() []error {
-	c = c.normalize()
+	c = c.withDefaults()
 	var errs []error
 	if !(c.ProcessNoise > 0) || math.IsInf(c.ProcessNoise, 0) {
 		errs = append(errs, fmt.Errorf("fuse: %w: process noise %v must be positive and finite", core.ErrBadConfig, c.ProcessNoise))
@@ -110,12 +109,4 @@ func (c Config) Validate() []error {
 		errs = append(errs, fmt.Errorf("fuse: %w: confidence floor %v must be in [0, 1]", core.ErrBadConfig, c.ConfidenceFloor))
 	}
 	return errs
-}
-
-// withDefaults resolves the config or reports why it cannot be.
-func (c Config) withDefaults() (Config, error) {
-	if errs := c.Validate(); len(errs) > 0 {
-		return c, errors.Join(errs...)
-	}
-	return c.normalize(), nil
 }

@@ -45,6 +45,7 @@
 package fuse
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -124,16 +125,15 @@ type Result struct {
 // graph LayoutFor(dim) selects. The configuration is validated first;
 // errors wrap core.ErrBadConfig.
 func New(cfg Config, dim int) (*Fuser, error) {
-	rc, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
+	if errs := cfg.Validate(); len(errs) > 0 {
+		return nil, errors.Join(errs...)
 	}
 	if dim <= 0 {
 		return nil, fmt.Errorf("fuse: %w: dimension %d must be positive", core.ErrBadConfig, dim)
 	}
 	lay := LayoutFor(dim)
 	return &Fuser{
-		cfg:   rc,
+		cfg:   cfg.withDefaults(),
 		lay:   lay,
 		lr:    make([]float64, len(lay.factors)),
 		lrSet: make([]bool, len(lay.factors)),

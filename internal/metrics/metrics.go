@@ -41,6 +41,20 @@ func (l Level) String() string {
 	}
 }
 
+// LevelByName resolves a -level flag spelling: "os", "hpc" or "combined".
+func LevelByName(name string) (Level, bool) {
+	switch name {
+	case "os":
+		return LevelOS, true
+	case "hpc":
+		return LevelHPC, true
+	case "combined":
+		return LevelCombined, true
+	default:
+		return 0, false
+	}
+}
+
 // Levels returns the metric levels in presentation order.
 func Levels() []Level { return []Level{LevelOS, LevelHPC, LevelCombined} }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -38,15 +39,14 @@ func (l *lanes) configure(m *core.Monitor, cfg Config) (*core.CompiledMonitor, e
 	if m.InputDim() <= 0 {
 		return nil, fmt.Errorf("serve: %w: monitor has no metric layout", core.ErrBadConfig)
 	}
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
+	if errs := cfg.Validate(); len(errs) > 0 {
+		return nil, errors.Join(errs...)
 	}
 	cm, err := m.Compile()
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	l.cfg, l.dim = cfg, m.InputDim()
+	l.cfg, l.dim = cfg.withDefaults(), m.InputDim()
 	return cm, nil
 }
 

@@ -36,7 +36,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -299,10 +298,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// normalize fills zero fields from DefaultConfig and applies the
+// withDefaults fills zero fields from DefaultConfig and applies the
 // documented clamps (negative budgets mean strict, budgets of a full
 // window clamp to Window-1, negative RecoverWindows means 1).
-func (c Config) normalize() Config {
+func (c Config) withDefaults() Config {
 	def := DefaultConfig()
 	if c.Window == 0 {
 		c.Window = def.Window
@@ -329,7 +328,7 @@ func (c Config) normalize() Config {
 // per remaining violation, each wrapping core.ErrBadConfig. A nil (or
 // empty) result means the configuration is servable as resolved.
 func (c Config) Validate() []error {
-	c = c.normalize()
+	c = c.withDefaults()
 	var errs []error
 	if c.Window < 0 {
 		errs = append(errs, fmt.Errorf("serve: %w: window %d must be positive", core.ErrBadConfig, c.Window))
@@ -347,12 +346,4 @@ func (c Config) PoolLabel(slot server.TierID) string {
 		return c.PoolLabels[slot]
 	}
 	return slot.String()
-}
-
-// withDefaults resolves the config against a pipeline window.
-func (c Config) withDefaults() (Config, error) {
-	if errs := c.Validate(); len(errs) > 0 {
-		return c, errors.Join(errs...)
-	}
-	return c.normalize(), nil
 }

@@ -45,8 +45,8 @@ func DefaultShardConfig() ShardConfig {
 	return ShardConfig{Shards: 8, BatchSize: 64, QueueCapacity: 4096}
 }
 
-// normalize resolves zero fields to DefaultShardConfig.
-func (c ShardConfig) normalize() ShardConfig {
+// withDefaults resolves zero fields to DefaultShardConfig.
+func (c ShardConfig) withDefaults() ShardConfig {
 	d := DefaultShardConfig()
 	if c.Shards == 0 {
 		c.Shards = d.Shards
@@ -63,7 +63,7 @@ func (c ShardConfig) normalize() ShardConfig {
 // Validate applies defaults first, then returns one error per violated
 // constraint, each wrapping core.ErrBadConfig. It never panics.
 func (c ShardConfig) Validate() []error {
-	c = c.normalize()
+	c = c.withDefaults()
 	var errs []error
 	if c.Shards < 0 || c.Shards > MaxShards {
 		errs = append(errs, fmt.Errorf("serve: %w: shards %d outside 1..%d", core.ErrBadConfig, c.Shards, MaxShards))
@@ -80,14 +80,6 @@ func (c ShardConfig) Validate() []error {
 			core.ErrBadConfig, c.QueueCapacity, c.BatchSize))
 	}
 	return errs
-}
-
-// withDefaults resolves zero fields and bounds-checks the rest.
-func (c ShardConfig) withDefaults() (ShardConfig, error) {
-	if errs := c.Validate(); len(errs) > 0 {
-		return c, errors.Join(errs...)
-	}
-	return c.normalize(), nil
 }
 
 // SiteShard routes a site name to its shard: FNV-1a over the name, mod
@@ -198,9 +190,10 @@ func NewShardedPipeline(m *core.Monitor, cfg Config, scfg ShardConfig) (*Sharded
 	if err != nil {
 		return nil, err
 	}
-	if scfg, err = scfg.withDefaults(); err != nil {
-		return nil, err
+	if errs := scfg.Validate(); len(errs) > 0 {
+		return nil, errors.Join(errs...)
 	}
+	scfg = scfg.withDefaults()
 	sp.scfg = scfg
 	sp.shards = make([]*shard, scfg.Shards)
 	chanCap := scfg.QueueCapacity / scfg.BatchSize
