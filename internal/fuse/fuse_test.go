@@ -283,6 +283,83 @@ func TestFuseGateAndVeto(t *testing.T) {
 	}
 }
 
+// TestFuseClampsImputedMisses: an imputed hpc_l2_miss_rate that comes
+// out above the accepted hpc_l2_ref_rate is emitted as the ref rate
+// (misses cannot exceed references). The miss rate is reconstructed as
+// miss_ratio·ref_rate, so a miss ratio above 1 drives it over; a large
+// Warmup keeps the gate from rejecting that ratio first.
+func TestFuseClampsImputedMisses(t *testing.T) {
+	dim := len(cpu.MetricNames)
+	f := newFuser(t, fuse.Config{Warmup: 1000}, dim)
+	warmUp(f, 20, hpcVec)
+	in := hpcVec(20)
+	in[8] = 1.5 // hpc_l2_miss_ratio
+	in[7] = math.NaN()
+	res := f.Fuse(in)
+	if res.Imputed != 1 || res.Gated != 0 {
+		t.Fatalf("imputed=%d gated=%d, want 1/0", res.Imputed, res.Gated)
+	}
+	if got, want := res.Values[7], in[6]; got != want {
+		t.Errorf("imputed miss rate %v, want the ref rate %v", got, want)
+	}
+	wantConf := (float64(dim-1)*fuse.ConfAccepted + fuse.ConfFactor) / float64(dim)
+	if math.Abs(res.Confidence-wantConf) > 1e-12 {
+		t.Errorf("confidence %v, want %v", res.Confidence, wantConf)
+	}
+}
+
+// TestFusePriorImputation: a missing counter that no factor covers
+// (hpc_l1d_ref_rate at 5, hpc_branch_rate at 14) emits its filter level
+// floored at 0, at ConfPrior. Both counters read a constant from birth,
+// so the level is exactly that constant.
+func TestFusePriorImputation(t *testing.T) {
+	dim := len(cpu.MetricNames)
+	f := newFuser(t, fuse.Config{}, dim)
+	vec := func(t int) []float64 {
+		v := hpcVec(t)
+		v[5], v[14] = 3.5e8, -2
+		return v
+	}
+	warmUp(f, 20, vec)
+	in := vec(20)
+	in[5], in[14] = math.NaN(), math.Inf(-1)
+	res := f.Fuse(in)
+	if res.Imputed != 2 {
+		t.Fatalf("imputed %d counters, want 2", res.Imputed)
+	}
+	if got := res.Values[5]; got != 3.5e8 {
+		t.Errorf("counter 5 emitted %v, want its level 3.5e8", got)
+	}
+	if got := res.Values[14]; got != 0 {
+		t.Errorf("counter 14 emitted %v, want its negative level floored at 0", got)
+	}
+	wantConf := (float64(dim-2)*fuse.ConfAccepted + 2*fuse.ConfPrior) / float64(dim)
+	if math.Abs(res.Confidence-wantConf) > 1e-12 {
+		t.Errorf("confidence %v, want %v", res.Confidence, wantConf)
+	}
+}
+
+// TestFuseShortVector: a vector shorter than the fuser's dimension reads
+// its missing tail as missing readings, which are imputed from their
+// accepted peers (hpc_bus_util from the bus rate, hpc_mem_per_cycle from
+// references over cycles).
+func TestFuseShortVector(t *testing.T) {
+	dim := len(cpu.MetricNames)
+	f := newFuser(t, fuse.Config{}, dim)
+	warmUp(f, 20, hpcVec)
+	clean := hpcVec(20)
+	res := f.Fuse(clean[:dim-2])
+	if res.Imputed != 2 || len(res.Values) != dim {
+		t.Fatalf("imputed=%d len=%d, want 2/%d", res.Imputed, len(res.Values), dim)
+	}
+	for _, comp := range []int{dim - 2, dim - 1} {
+		got, want := res.Values[comp], clean[comp]
+		if rel := math.Abs(got-want) / want; rel > 1e-9 {
+			t.Errorf("tail counter %d imputed %v, want %v", comp, got, want)
+		}
+	}
+}
+
 // TestFuseReset clears filter state but keeps learned coefficients.
 func TestFuseReset(t *testing.T) {
 	f := newFuser(t, fuse.Config{}, len(cpu.MetricNames))
