@@ -10,24 +10,35 @@
 //
 // A Fuser holds one scalar Kalman filter per counter (state: level m,
 // variance p, running magnitude scale) plus the factor graph for its
-// vector layout (LayoutFor). Each Fuse call is one deterministic
-// O(counters + factors) pass with no allocation in steady state:
+// vector layout (LayoutFor). Each Fuse call is deterministic, costs
+// O(counters + factors) and allocates nothing in steady state; a clean
+// sample costs one walk over the counters:
 //
-//  1. Classify every reading: non-finite values are missing; a counter
+//  1. Classify every reading, and fold an accepted one at once: non-
+//     finite values (and a short vector's tail) are missing; a counter
 //     that has previously varied but has now repeated the same bit
 //     pattern Config.StuckRun times is stuck; a reading further than
 //     Config.GateSigmas predicted standard deviations from the
-//     filter's one-step prediction is gated. If more than half the
-//     vector would be gated at once the gate stands down for the whole
-//     sample — a coherent jump across counters is a load-phase change,
-//     not corruption.
-//  2. Emit. Accepted readings pass through unchanged (fusion never
-//     perturbs a trusted stream — on a clean trace the fused output is
-//     bit-identical to the input) and update their filters. Rejected
-//     readings are imputed: first from the factor graph using accepted
-//     peers (exact for the collector's ratio couplings), else from the
-//     filter prior; the imputed value also feeds the filter so it keeps
-//     tracking through fault bursts.
+//     filter's one-step prediction is gated. Anything else is accepted:
+//     it is emitted unchanged (fusion never perturbs a trusted stream —
+//     on a clean trace the fused output is bit-identical to the input)
+//     and the same iteration runs its filter's prediction and Kalman
+//     update.
+//  2. Veto. If more than half the vector was gated the gate stands down
+//     for the whole sample — a coherent jump across counters is a
+//     load-phase change, not corruption — and the gated readings are
+//     folded exactly as accepted ones.
+//  3. Only if a reading is still rejected, a second walk imputes it:
+//     first from the factor graph using accepted peers (exact for the
+//     collector's ratio couplings), else from the filter prior; the
+//     imputed value also feeds the filter so it keeps tracking through
+//     fault bursts. Inequality clamps then bound imputed values by
+//     their accepted peers.
+//
+// Deferring the rejected readings changes no bit: the veto only turns
+// gated readings into accepted ones, so nothing accepted in the first
+// walk is ever reclassified; imputation reads only the raw values and
+// the final classes; and every filter belongs to one counter.
 //
 // Every sample carries a confidence in [0, 1]: the mean over counters
 // of 1 (accepted), ConfFactor (factor-imputed), or ConfPrior
@@ -164,13 +175,55 @@ func nonFinite(v float64) bool {
 	return math.Float64bits(v)&0x7FF0000000000000 == 0x7FF0000000000000
 }
 
-// at returns the i-th raw reading, treating a short vector's missing
-// tail as unreadable.
-func (f *Fuser) at(values []float64, i int) float64 {
-	if i < len(values) {
-		return values[i]
+// capVar holds a variance finite and at most maxVar.
+func capVar(p float64) float64 {
+	if nonFinite(p) || p > maxVar {
+		return maxVar
 	}
-	return math.NaN()
+	return p
+}
+
+// predict returns the filter's one-step predicted variance p + q²
+// (not yet capped) and its measurement noise r; q and r are the
+// configured noises scaled by the running magnitude.
+func (cs *counterState) predict(pn, mn float64) (p, r float64) {
+	q := pn * cs.scale
+	return cs.p + q*q, mn * cs.scale
+}
+
+// fold runs one Kalman measurement update with observation z on the
+// predicted variance p and measurement noise r, keeping the state
+// finite under any input. Fuse inlines the same update for the readings
+// it accepts in its first walk.
+func (cs *counterState) fold(p, r, z float64) {
+	p = capVar(p)
+	s := p + r*r
+	k := 1.0
+	if s > 0 {
+		k = p / s
+	}
+	m := cs.m + k*(z-cs.m)
+	if nonFinite(m) {
+		m = z
+	}
+	cs.m, cs.p = m, capVar(p*(1-k))
+}
+
+// track counts an accepted reading y and folds its magnitude into the
+// running scale.
+func (cs *counterState) track(y float64) {
+	ay := math.Abs(y)
+	scale := ay
+	if cs.scale != 0 {
+		scale = cs.scale + scaleEMA*(ay-cs.scale)
+	}
+	if scale > maxScale {
+		scale = maxScale
+	}
+	cs.scale = scale
+	if cs.n < math.MaxInt32 {
+		cs.n++
+	}
 }
 
 // Fuse classifies, imputes, and filters one raw vector. values is read
@@ -178,14 +231,21 @@ func (f *Fuser) at(values []float64, i int) float64 {
 // returned in Result.Values (Fuser-owned storage).
 func (f *Fuser) Fuse(values []float64) Result {
 	dim := f.lay.dim
-	gated := 0
+	if len(values) > dim {
+		values = values[:dim]
+	}
+	st, cls, out := f.st[:len(values)], f.cls[:len(values)], f.out[:len(values)]
+	pn, mn := f.cfg.ProcessNoise, f.cfg.MeasurementNoise
+	gate := f.cfg.GateSigmas * f.cfg.GateSigmas
+	gated, rejected := 0, dim-len(values)
 
-	// Pass 1: classify every reading against its filter.
-	for i := 0; i < dim; i++ {
-		y := f.at(values, i)
-		cs := &f.st[i]
+	// One pass: classify every reading against its filter, and fold an
+	// accepted one on the spot.
+	for i, y := range values {
+		cs := &st[i]
 		if nonFinite(y) {
-			f.cls[i] = clsMissing
+			cls[i] = clsMissing
+			rejected++
 			continue
 		}
 		bits := math.Float64bits(y)
@@ -203,70 +263,98 @@ func (f *Fuser) Fuse(values []float64) Result {
 		}
 		cs.lastBits = bits
 		if cs.varied && int(cs.run) >= f.cfg.StuckRun {
-			f.cls[i] = clsStuck
+			cls[i] = clsStuck
+			rejected++
 			continue
 		}
+		p, r := cs.predict(pn, mn)
+		rr := r * r
 		if int(cs.n) >= f.cfg.Warmup && cs.n > 0 {
-			q := f.cfg.ProcessNoise * cs.scale
-			r := f.cfg.MeasurementNoise * cs.scale
-			s := cs.p + q*q + r*r
 			d := y - cs.m
-			if s > 0 && d*d > f.cfg.GateSigmas*f.cfg.GateSigmas*s {
-				f.cls[i] = clsGated
+			if s := p + rr; s > 0 && d*d > gate*s {
+				cls[i] = clsGated
 				gated++
+				rejected++
 				continue
 			}
 		}
-		f.cls[i] = clsAccept
+		// Accepted: cs.fold(p, r, y), inlined and reusing p + q² and r².
+		p = capVar(p)
+		k := 1.0
+		if s := p + rr; s > 0 {
+			k = p / s
+		}
+		m := cs.m + k*(y-cs.m)
+		if nonFinite(m) {
+			m = y
+		}
+		cs.m, cs.p = m, capVar(p*(1-k))
+		cs.track(y)
+		cls[i] = clsAccept
+		out[i] = y
+	}
+	// A short vector's tail reads as missing.
+	for i := len(values); i < dim; i++ {
+		f.cls[i] = clsMissing
 	}
 
 	// Coherent-jump veto: a majority of counters moving out of gate at
-	// once is a regime change; trust the stream.
+	// once is a regime change; trust the stream, and fold the vetoed
+	// readings exactly as accepted ones.
 	if gated > dim/2 {
-		for i := 0; i < dim; i++ {
-			if f.cls[i] == clsGated {
-				f.cls[i] = clsAccept
+		for i, c := range cls {
+			if c == clsGated {
+				cs := &st[i]
+				p, r := cs.predict(pn, mn)
+				cs.fold(p, r, values[i])
+				cs.track(values[i])
+				cls[i] = clsAccept
+				out[i] = values[i]
 			}
 		}
+		rejected -= gated
 		gated = 0
 	}
 
-	// Pass 2: filter updates and emission, in counter order.
-	imputed := 0
+	// With nothing rejected the confidence sum is dim ones, exactly.
+	confSum := float64(dim)
+	if rejected > 0 {
+		confSum = f.fillRejected(values)
+	}
+
+	// Learning pass: refresh learned coefficients from samples where
+	// every participant was accepted.
+	f.learn(values)
+
+	return Result{
+		Values:     f.out,
+		Confidence: confSum / float64(dim),
+		Imputed:    rejected,
+		Gated:      gated,
+	}
+}
+
+// fillRejected runs the deferred half of a sample with rejected
+// readings: each one's filter prediction, its emission — imputed from
+// the factor graph (and folded) where accepted peers allow, else the
+// filter prior — and the inequality clamps. It returns the confidence
+// sum, accumulated in counter order.
+func (f *Fuser) fillRejected(values []float64) float64 {
+	pn, mn := f.cfg.ProcessNoise, f.cfg.MeasurementNoise
 	confSum := 0.0
-	for i := 0; i < dim; i++ {
-		cs := &f.st[i]
-		q := f.cfg.ProcessNoise * cs.scale
-		cs.p += q * q
-		if nonFinite(cs.p) || cs.p > maxVar {
-			cs.p = maxVar
-		}
-		r := f.cfg.MeasurementNoise * cs.scale
-		if f.cls[i] == clsAccept {
-			y := values[i]
-			f.fold(cs, r, y)
-			ay := math.Abs(y)
-			if cs.scale == 0 {
-				cs.scale = ay
-			} else {
-				cs.scale += scaleEMA * (ay - cs.scale)
-			}
-			if cs.scale > maxScale {
-				cs.scale = maxScale
-			}
-			if cs.n < math.MaxInt32 {
-				cs.n++
-			}
-			f.out[i] = y
+	for i, c := range f.cls {
+		if c == clsAccept {
 			confSum += ConfAccepted
 			continue
 		}
-		imputed++
+		cs := &f.st[i]
+		p, r := cs.predict(pn, mn)
 		if z, ok := f.impute(i, values); ok {
-			f.fold(cs, r, z)
+			cs.fold(p, r, z)
 			f.out[i] = z
 			confSum += ConfFactor
 		} else {
+			cs.p = capVar(p)
 			z := cs.m
 			if z < 0 || nonFinite(z) {
 				z = 0
@@ -278,43 +366,13 @@ func (f *Fuser) Fuse(values []float64) Result {
 
 	// Inequality clamps apply to imputed values only: a reconstructed
 	// reading must not violate a physical bound its accepted peer pins.
-	for _, fa := range f.lay.factors {
-		if fa.kind != kindClampLE {
-			continue
-		}
+	for _, fi := range f.lay.clamps {
+		fa := f.lay.factors[fi]
 		if f.cls[fa.a] != clsAccept && f.cls[fa.b] == clsAccept && f.out[fa.a] > values[fa.b] {
 			f.out[fa.a] = values[fa.b]
 		}
 	}
-
-	// Learning pass: refresh learned coefficients from samples where
-	// every participant was accepted.
-	f.learn(values)
-
-	return Result{
-		Values:     f.out,
-		Confidence: confSum / float64(dim),
-		Imputed:    imputed,
-		Gated:      gated,
-	}
-}
-
-// fold runs one Kalman measurement update with observation z and
-// measurement noise r, keeping the state finite under any input.
-func (f *Fuser) fold(cs *counterState, r, z float64) {
-	s := cs.p + r*r
-	k := 1.0
-	if s > 0 {
-		k = cs.p / s
-	}
-	cs.m += k * (z - cs.m)
-	cs.p *= 1 - k
-	if nonFinite(cs.m) {
-		cs.m = z
-	}
-	if nonFinite(cs.p) || cs.p > maxVar {
-		cs.p = maxVar
-	}
+	return confSum
 }
 
 // accepted reports whether counter j was accepted this sample.
@@ -410,10 +468,8 @@ func (f *Fuser) impute(i int, values []float64) (float64, bool) {
 // learn refreshes the learned factor coefficients (EMA over samples
 // where every participant was accepted).
 func (f *Fuser) learn(values []float64) {
-	for fi, fa := range f.lay.factors {
-		if !fa.learned() {
-			continue
-		}
+	for _, fi := range f.lay.learned {
+		fa := f.lay.factors[fi]
 		ratio := math.NaN()
 		switch fa.kind {
 		case kindLearnedProp:

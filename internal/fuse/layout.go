@@ -80,6 +80,10 @@ type Layout struct {
 	// byCounter[i] lists (by index into factors) the factors that can
 	// impute counter i, in imputation-preference order.
 	byCounter [][]int16
+	// learned and clamps list, in factor order, the factors that carry
+	// a learned coefficient and the inequality clamps, so the learning
+	// and clamp passes walk only the factors they act on.
+	learned, clamps []int16
 }
 
 // Dim returns the vector dimension the layout describes.
@@ -188,11 +192,15 @@ func LayoutFor(dim int) *Layout {
 	}
 }
 
-// newLayout indexes the factor list by counter.
+// newLayout indexes the factor list by counter and by role.
 func newLayout(dim int, factors []factor) *Layout {
 	l := &Layout{dim: dim, factors: factors, byCounter: make([][]int16, dim)}
 	for fi, f := range factors {
+		if f.learned() {
+			l.learned = append(l.learned, int16(fi))
+		}
 		if f.kind == kindClampLE {
+			l.clamps = append(l.clamps, int16(fi))
 			continue // clamps never impute
 		}
 		for _, leg := range f.legs() {
