@@ -38,12 +38,12 @@
 //
 // # Conventions
 //
-// A trained Monitor is immutable shared state; every concurrent prediction
-// stream takes its own MonitorSession via Monitor.NewSession. For the
-// allocation-free hot path, lower the monitor once with Monitor.Compile
-// and predict through CompiledSession.PredictInto (or decide whole batches
-// with CompiledMonitor.DecideAll) — outputs are bit-identical to the
-// interpreted session path.
+// A trained Monitor is immutable shared state whose synopses are flat
+// scoring tables; every concurrent prediction stream takes its own
+// MonitorSession via Monitor.NewSession. MonitorSession.PredictInto is the
+// allocation-free per-window decision (Predict the same decision into a
+// fresh Prediction), and Monitor.DecideAll decides whole batches of
+// sessions in one pass.
 //
 // Failures surface as wrapped sentinel errors — ErrUntrained,
 // ErrDimensionMismatch, ErrBadConfig — so callers branch with errors.Is
@@ -295,15 +295,8 @@ type (
 	// Labeler derives offline overload ground truth from
 	// application-level health.
 	Labeler = pi.Labeler
-	// CompiledMonitor is a trained Monitor lowered into branch-free
-	// scoring tables (Monitor.Compile): same decisions bit-for-bit, zero
-	// allocations per prediction.
-	CompiledMonitor = core.CompiledMonitor
-	// CompiledSession is one prediction stream over a CompiledMonitor;
-	// PredictInto reuses the caller's Prediction and scratch.
-	CompiledSession = core.CompiledSession
-	// DecideBatch is caller-owned scratch for CompiledMonitor.DecideAll,
-	// the batched whole-shard decision pass.
+	// DecideBatch is caller-owned scratch for Monitor.DecideAll, the
+	// batched whole-shard decision pass.
 	DecideBatch = core.DecideBatch
 )
 

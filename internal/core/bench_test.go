@@ -31,16 +31,12 @@ func benchMonitor(b *testing.B) (*core.Monitor, []core.Observation) {
 }
 
 // BenchmarkDecide measures one steady-state per-window decision on a
-// single site through the compiled plane: synopsis evaluation over every
-// (workload × tier) scoring table, GPV packing, and the lock-free
-// coordinated lookup — zero allocations per decision.
+// single site: synopsis evaluation over every (workload × tier) scoring
+// table, GPV packing, and the lock-free coordinated lookup — zero
+// allocations per decision.
 func BenchmarkDecide(b *testing.B) {
 	m, obs := benchMonitor(b)
-	cm, err := m.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess := cm.NewSession()
+	sess := m.NewSession()
 	var pred core.Prediction
 	if err := sess.PredictInto(obs[0], &pred); err != nil {
 		b.Fatal(err)
@@ -54,42 +50,21 @@ func BenchmarkDecide(b *testing.B) {
 	}
 }
 
-// BenchmarkDecideInterpreted is the interpreted reference path under the
-// same workload, kept for the compiled-vs-interpreted before/after row.
-func BenchmarkDecideInterpreted(b *testing.B) {
-	m, obs := benchMonitor(b)
-	sess := m.NewSession()
-	if _, err := sess.Predict(obs[0]); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sess.Predict(obs[i%len(obs)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDecideBatch measures the amortized per-decision cost of
 // deciding a whole 1000-site shard's due list in one DecideAll pass;
 // ns/op is per decision, not per batch.
 func BenchmarkDecideBatch(b *testing.B) {
 	const sites = 1000
 	m, obs := benchMonitor(b)
-	cm, err := m.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess := make([]*core.CompiledSession, sites)
+	sess := make([]*core.Session, sites)
 	batch := make([]core.Observation, sites)
 	out := make([]core.Prediction, sites)
 	var db core.DecideBatch
 	for i := range sess {
-		sess[i] = cm.NewSession()
+		sess[i] = m.NewSession()
 		batch[i] = obs[i%len(obs)]
 	}
-	cm.DecideAll(&db, sess, batch, out)
+	m.DecideAll(&db, sess, batch, out)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; {
@@ -97,7 +72,7 @@ func BenchmarkDecideBatch(b *testing.B) {
 		if rest := b.N - done; rest < n {
 			n = rest
 		}
-		cm.DecideAll(&db, sess[:n], batch[:n], out[:n])
+		m.DecideAll(&db, sess[:n], batch[:n], out[:n])
 		done += n
 	}
 }

@@ -6,13 +6,13 @@
 // Pattern Vector, and the coordinated predictor infers the system-wide
 // overload state and — when overloaded — the bottleneck tier.
 //
-// A trained Monitor is safe for concurrent use: the synopses and the
-// predictor's trained tables are read-mostly shared state, and each
-// prediction stream's temporal history lives in a Session (NewSession).
-// Sessions are the primary prediction API — one per monitored stream. The
-// Monitor's own Predict/Feedback/ResetHistory are single-stream
-// compatibility shims that serialize every caller on an internal default
-// session; prefer NewSession in new code.
+// A trained Monitor is safe for concurrent use: each synopsis is a flat
+// scoring table every stream reads, the predictor's trained tables are
+// shared read-mostly state, and each prediction stream's temporal history
+// and scratch live in a Session (NewSession). Session.PredictInto is the
+// allocation-free per-window decision, Session.Predict the same decision
+// into a fresh Prediction, and Monitor.DecideAll decides a whole batch of
+// sessions in one synopsis-major pass.
 //
 // Predict reports failures through typed sentinel errors (ErrUntrained,
 // ErrDimensionMismatch) and Train through ErrBadConfig, so callers can
@@ -182,12 +182,15 @@ func Train(level metrics.Level, names []string, sets []TrainingSet, cfg Config) 
 		return nil, fmt.Errorf("core: %w: %w", ErrBadConfig, err)
 	}
 	m.coordinator = coord
-	scratch := make([]float64, m.maxAttrs())
+	var scr ml.Scratch
+	gpv := make([]int, len(m.Synopses))
 	for pass := 0; pass < passes; pass++ {
 		for _, set := range sets {
 			coord.ResetHistory()
 			for _, w := range set.Windows {
-				gpv := m.gpv(w.Observation, scratch)
+				for i, syn := range m.Synopses {
+					gpv[i] = syn.Predict(w.Vectors[syn.Tier], &scr)
+				}
 				if err := coord.Train(gpv, w.Overload, int(w.Bottleneck)); err != nil {
 					return nil, err
 				}
@@ -196,27 +199,6 @@ func Train(level metrics.Level, names []string, sets []TrainingSet, cfg Config) 
 	}
 	coord.ResetHistory()
 	return m, nil
-}
-
-// maxAttrs is the widest synopsis projection, sizing scratch buffers.
-func (m *Monitor) maxAttrs() int {
-	max := 0
-	for _, syn := range m.Synopses {
-		if len(syn.Attrs) > max {
-			max = len(syn.Attrs)
-		}
-	}
-	return max
-}
-
-// gpv runs every synopsis over the observation, projecting through the
-// caller's scratch buffer.
-func (m *Monitor) gpv(obs Observation, scratch []float64) []int {
-	gpv := make([]int, len(m.Synopses))
-	for i, syn := range m.Synopses {
-		gpv[i] = syn.PredictInto(scratch, obs.Vectors[syn.Tier])
-	}
-	return gpv
 }
 
 // checkDims validates the observation against the trained metric layout.
@@ -234,48 +216,84 @@ func (m *Monitor) checkDims(obs Observation) error {
 }
 
 // Session is one prediction stream over a shared trained Monitor: it owns
-// its h-bit temporal history while reading the shared synopses and
-// predictor tables. Sessions are cheap; give each concurrent caller its
+// its h-bit temporal history and all per-call scratch while reading the
+// shared synopses and predictor tables, so its steady-state PredictInto
+// is allocation-free. Sessions are cheap; give each concurrent caller its
 // own. A single Session must not be used from multiple goroutines at once.
 type Session struct {
 	m     *Monitor
 	coord *predictor.Session
-	// scratch is the session-owned projection buffer; synopsis evaluation
-	// reuses it every window so steady-state projection never allocates.
-	scratch []float64
+	scr   ml.Scratch
 }
 
 // NewSession returns an independent prediction stream with a cleared
 // history register. Sessions over an untrained monitor are inert: their
 // Predict returns ErrUntrained.
 func (m *Monitor) NewSession() *Session {
-	s := &Session{m: m, scratch: make([]float64, m.maxAttrs())}
+	s := &Session{m: m}
 	if m.coordinator != nil {
 		s.coord = m.coordinator.NewSession()
 	}
 	return s
 }
 
-// Predict infers the system state for one window of this session's
-// stream: the synopses vote the observation into a GPV, and the session's
+// Monitor returns the monitor this session predicts through.
+func (s *Session) Monitor() *Monitor { return s.m }
+
+// check is the validation every decision starts with: a trained monitor
+// and an observation in its metric layout.
+func (s *Session) check(obs Observation) error {
+	if s.coord == nil {
+		return errUntrained
+	}
+	return s.m.checkDims(obs)
+}
+
+// errUntrained is what every decision on an untrained monitor returns.
+var errUntrained = fmt.Errorf("core: %w", ErrUntrained)
+
+// PredictInto infers the system state for one window of this session's
+// stream into out, reusing out's GPV storage when its capacity suffices:
+// the synopses vote the observation into a GPV, and the session's
 // coordinated predictor folds the GPV and its own temporal history into
 // the overload and bottleneck verdicts. Observations must arrive in trace
-// order; unrelated traces need a ResetHistory between them.
-func (s *Session) Predict(obs Observation) (Prediction, error) {
-	if s.coord == nil {
-		return Prediction{}, fmt.Errorf("core: %w", ErrUntrained)
+// order; unrelated traces need a ResetHistory between them. On error out
+// is unspecified.
+func (s *Session) PredictInto(obs Observation, out *Prediction) error {
+	if err := s.check(obs); err != nil {
+		return err
 	}
-	if err := s.m.checkDims(obs); err != nil {
-		return Prediction{}, err
+	n := len(s.m.Synopses)
+	gpv := out.GPV
+	if cap(gpv) < n {
+		gpv = make([]int, n)
 	}
-	gpv := s.m.gpv(obs, s.scratch)
-	over, bott, err := s.coord.Predict(gpv)
-	if err != nil {
-		return Prediction{}, err
+	gpv = gpv[:n]
+	idx := 0
+	for i, syn := range s.m.Synopses {
+		bit := syn.Predict(obs.Vectors[syn.Tier], &s.scr)
+		if bit&^1 != 0 {
+			return fmt.Errorf("core: synopsis %d predicted %d, want 0 or 1", i, bit)
+		}
+		gpv[i] = bit
+		idx |= bit << i
 	}
-	p := Prediction{Overload: over == 1, GPV: gpv}
+	over, bott := s.coord.PredictPacked(idx)
+	out.Overload = over == 1
+	out.Bottleneck = 0
 	if over == 1 {
-		p.Bottleneck = server.TierID(bott)
+		out.Bottleneck = server.TierID(bott)
+	}
+	out.GPV = gpv
+	return nil
+}
+
+// Predict is PredictInto into a fresh Prediction, whose GPV the caller
+// may keep.
+func (s *Session) Predict(obs Observation) (Prediction, error) {
+	var p Prediction
+	if err := s.PredictInto(obs, &p); err != nil {
+		return Prediction{}, err
 	}
 	return p, nil
 }
@@ -301,6 +319,78 @@ func (s *Session) ResetHistory() {
 	}
 }
 
+// DecideBatch is caller-owned scratch for DecideAll, reused across
+// batches so the batched decision path never allocates in steady state.
+type DecideBatch struct {
+	idx  []int
+	errs []error
+}
+
+// Err returns item i's outcome from the last DecideAll: nil if out[i]
+// holds a valid prediction, the item's validation error otherwise.
+func (b *DecideBatch) Err(i int) error { return b.errs[i] }
+
+// DecideAll evaluates one window for every session in a single pass over
+// the scoring tables: synopsis-major, so each synopsis's tables are loaded
+// once and stay cache-hot across the whole batch instead of being
+// re-walked per site. sess, obs and out are parallel slices; every session
+// must come from this Monitor's NewSession, and each session's per-item
+// outputs — prediction, history advance, and error outcome — are exactly
+// those of a standalone PredictInto call, since sites are independent and
+// per-item evaluation order is preserved.
+func (m *Monitor) DecideAll(b *DecideBatch, sess []*Session, obs []Observation, out []Prediction) {
+	n := len(obs)
+	if len(sess) != n || len(out) != n {
+		panic("core: DecideAll slice lengths differ")
+	}
+	if cap(b.idx) < n {
+		b.idx = make([]int, n)
+		b.errs = make([]error, n)
+	}
+	b.idx, b.errs = b.idx[:n], b.errs[:n]
+	nsyn := len(m.Synopses)
+	for i := 0; i < n; i++ {
+		if sess[i].m != m {
+			panic("core: DecideAll session from a different Monitor")
+		}
+		b.idx[i] = 0
+		if b.errs[i] = sess[i].check(obs[i]); b.errs[i] != nil {
+			continue
+		}
+		gpv := out[i].GPV
+		if cap(gpv) < nsyn {
+			gpv = make([]int, nsyn)
+		}
+		out[i].GPV = gpv[:nsyn]
+	}
+	for k, syn := range m.Synopses {
+		tier := syn.Tier
+		for i := 0; i < n; i++ {
+			if b.errs[i] != nil {
+				continue
+			}
+			bit := syn.Predict(obs[i].Vectors[tier], &sess[i].scr)
+			if bit&^1 != 0 {
+				b.errs[i] = fmt.Errorf("core: synopsis %d predicted %d, want 0 or 1", k, bit)
+				continue
+			}
+			out[i].GPV[k] = bit
+			b.idx[i] |= bit << k
+		}
+	}
+	for i := 0; i < n; i++ {
+		if b.errs[i] != nil {
+			continue
+		}
+		over, bott := sess[i].coord.PredictPacked(b.idx[i])
+		out[i].Overload = over == 1
+		out[i].Bottleneck = 0
+		if over == 1 {
+			out[i].Bottleneck = server.TierID(bott)
+		}
+	}
+}
+
 // Coordinator exposes the two-level predictor (diagnostics, ablations).
 func (m *Monitor) Coordinator() *predictor.Predictor { return m.coordinator }
 
@@ -322,4 +412,28 @@ func (m *Monitor) SynopsisByKey(key string) *synopsis.Synopsis {
 // with a deterministic seed.
 func DefaultSynopsisConfig(seed int64) synopsis.Config {
 	return synopsis.Config{Selection: featsel.Config{Seed: seed}}
+}
+
+// CompiledMonitor is Monitor, whose synopses are already the flat scoring
+// tables.
+//
+// Deprecated: use Monitor. Kept because the benchmark module (bench/)
+// still names it.
+type CompiledMonitor = Monitor
+
+// CompiledSession is Session.
+//
+// Deprecated: use Session. Kept because the benchmark module (bench/)
+// still names it.
+type CompiledSession = Session
+
+// Compile returns m itself once trained, and ErrUntrained before Train.
+//
+// Deprecated: a trained Monitor decides directly; there is nothing to
+// lower. Kept because the benchmark module (bench/) still calls it.
+func (m *Monitor) Compile() (*Monitor, error) {
+	if m.coordinator == nil {
+		return nil, errUntrained
+	}
+	return m, nil
 }

@@ -192,6 +192,10 @@ func TestSentinelErrors(t *testing.T) {
 	// Session mutators must be inert, not panic.
 	sess.Feedback(true, 0)
 	sess.ResetHistory()
+	// The deprecated Compile alias fails the same way.
+	if _, err := zero.Compile(); !errors.Is(err, core.ErrUntrained) {
+		t.Errorf("untrained Compile: got %v, want ErrUntrained", err)
+	}
 
 	// A trained monitor rejects observations of the wrong width.
 	m, err := core.Train(metrics.LevelHPC, names, sets, core.Config{

@@ -75,8 +75,9 @@ func (l *Lab) BuildSynopsis(mix tpcw.Mix, tier server.TierID, level metrics.Leve
 // EvaluateSynopsis scores a synopsis on a test trace.
 func EvaluateSynopsis(syn *synopsis.Synopsis, test *Trace) float64 {
 	var conf ml.Confusion
+	var scr ml.Scratch
 	for _, w := range test.Windows {
-		conf.Add(w.Overload, syn.Predict(w.Vectors(syn.Level)[syn.Tier]))
+		conf.Add(w.Overload, syn.Predict(w.Vectors(syn.Level)[syn.Tier], &scr))
 	}
 	return conf.BalancedAccuracy()
 }

@@ -67,10 +67,11 @@ func timeLearner(learner ml.Learner, d *ml.Dataset, seed int64) (TimingRow, erro
 
 	// Decide: median-ish estimate over repeated single decisions.
 	probe := d.Row(d.Len() / 2)
+	var scr ml.Scratch
 	const reps = 2000
 	start = time.Now()
 	for i := 0; i < reps; i++ {
-		syn.Predict(probe)
+		syn.Predict(probe, &scr)
 	}
 	decide := time.Since(start) / reps
 

@@ -80,10 +80,10 @@ func TestErrorsOnDegenerateSets(t *testing.T) {
 }
 
 func TestPredictBeforeFit(t *testing.T) {
-	if NewNaive().Predict([]float64{1}) != 0 {
+	if NewNaive().Predict([]float64{1}, &ml.Scratch{}) != 0 {
 		t.Error("unfitted Naive should predict 0")
 	}
-	if NewTAN().Predict([]float64{1}) != 0 {
+	if NewTAN().Predict([]float64{1}, &ml.Scratch{}) != 0 {
 		t.Error("unfitted TAN should predict 0")
 	}
 }
@@ -196,9 +196,10 @@ func TestTANDeterministic(t *testing.T) {
 	if err := b.Fit(d); err != nil {
 		t.Fatal(err)
 	}
+	var sa, sb ml.Scratch
 	for i := 0; i < d.Len(); i++ {
 		row := d.Row(i)
-		if a.Predict(row) != b.Predict(row) {
+		if a.Predict(row, &sa) != b.Predict(row, &sb) {
 			t.Fatalf("TAN predictions diverge at row %d", i)
 		}
 	}

@@ -14,11 +14,14 @@ import (
 	"hpcap/internal/stats"
 )
 
-// Naive is a Gaussian Naive Bayes classifier.
+// Naive is a Gaussian Naive Bayes classifier. The Gaussian likelihood
+// depends on the continuous input, so it cannot be tabled; the model is
+// the log priors and one contiguous [attr*2+class] parameter layout that
+// Predict walks in a single fused pass over both class accumulators.
 type Naive struct {
-	prior [2]float64
-	mean  [][2]float64
-	std   [][2]float64
+	logPrior [2]float64
+	mean     []float64 // [j*2+c]
+	std      []float64 // [j*2+c]
 }
 
 // NewNaive returns an untrained Gaussian Naive Bayes classifier.
@@ -40,12 +43,12 @@ func (n *Naive) Fit(d *ml.Dataset) error {
 	}
 	total := float64(d.Len())
 	// Laplace-smoothed priors.
-	n.prior[0] = (float64(n0) + 1) / (total + 2)
-	n.prior[1] = (float64(n1) + 1) / (total + 2)
+	n.logPrior[0] = math.Log((float64(n0) + 1) / (total + 2))
+	n.logPrior[1] = math.Log((float64(n1) + 1) / (total + 2))
 
 	p := d.NumAttrs()
-	n.mean = make([][2]float64, p)
-	n.std = make([][2]float64, p)
+	n.mean = make([]float64, 2*p)
+	n.std = make([]float64, 2*p)
 	col := make([]float64, d.Len())
 	var vals [2][]float64
 	vals[0] = make([]float64, 0, n0)
@@ -58,37 +61,37 @@ func (n *Naive) Fit(d *ml.Dataset) error {
 			vals[c] = append(vals[c], v)
 		}
 		for c := 0; c < 2; c++ {
-			n.mean[j][c] = stats.Mean(vals[c])
+			n.mean[j*2+c] = stats.Mean(vals[c])
 			sd := stats.StdDev(vals[c])
 			if sd < 1e-9 {
 				sd = 1e-9
 			}
-			n.std[j][c] = sd
+			n.std[j*2+c] = sd
 		}
 	}
 	return nil
 }
 
-// Predict returns the maximum-posterior class.
-func (n *Naive) Predict(x []float64) int {
-	if n.mean == nil {
-		return 0
-	}
-	var logp [2]float64
-	for c := 0; c < 2; c++ {
-		logp[c] = math.Log(n.prior[c])
-		for j, v := range x {
-			if j >= len(n.mean) {
-				break
-			}
-			pdf := stats.GaussianPDF(v, n.mean[j][c], n.std[j][c])
-			if pdf < 1e-300 {
-				pdf = 1e-300
-			}
-			logp[c] += math.Log(pdf)
+// Predict returns the maximum-posterior class; 0 before Fit.
+func (n *Naive) Predict(x []float64, _ *ml.Scratch) int {
+	p := len(n.mean) / 2
+	lp0, lp1 := n.logPrior[0], n.logPrior[1]
+	for j, v := range x {
+		if j >= p {
+			break
 		}
+		pdf0 := stats.GaussianPDF(v, n.mean[j*2], n.std[j*2])
+		if pdf0 < 1e-300 {
+			pdf0 = 1e-300
+		}
+		lp0 += math.Log(pdf0)
+		pdf1 := stats.GaussianPDF(v, n.mean[j*2+1], n.std[j*2+1])
+		if pdf1 < 1e-300 {
+			pdf1 = 1e-300
+		}
+		lp1 += math.Log(pdf1)
 	}
-	if logp[1] > logp[0] {
+	if lp1 > lp0 {
 		return 1
 	}
 	return 0

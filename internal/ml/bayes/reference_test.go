@@ -294,14 +294,8 @@ func checkPair(t testing.TB, p pair, d *ml.Dataset, rng *rand.Rand) {
 	}
 }
 
-// predict is the flat copy's prediction: its compiled plan once fitted.
-func predict(c ml.Classifier, x []float64, s *ml.Scratch) int {
-	cc, err := c.(ml.Compilable).Compile()
-	if err != nil {
-		return c.Predict(x)
-	}
-	return cc.PredictScratch(x, s)
-}
+// predict is the flat copy's prediction.
+func predict(c ml.Classifier, x []float64, s *ml.Scratch) int { return c.Predict(x, s) }
 
 // TestPredictMatchesReference holds the flat scoring tables to the frozen
 // interpreted learners on the shared synthetic sets.

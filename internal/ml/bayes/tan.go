@@ -12,19 +12,24 @@ import (
 const DefaultBins = 5
 
 // TAN is a Tree-Augmented Naive Bayes classifier over discretized
-// attributes.
+// attributes. The trained model is a set of contiguous log-probability
+// tables indexed by binned attribute values: one cut-point arena for
+// discretization, one root scoring table folding the class prior into the
+// root CPT, and one flat CPT arena addressed by
+// (parent bin × child bins + child bin) × 2 + class.
 type TAN struct {
 	// Bins is the number of discretization bins; zero selects DefaultBins.
 	Bins int
 
-	disc   []*stats.Discretizer
-	parent []int // parent attribute index, -1 for the root
-	prior  [2]float64
-	// rootCPT[c][bin] is P(root = bin | class = c).
-	// cpt[j][c][pbin][bin] is P(Aj = bin | class = c, parent(Aj) = pbin).
-	rootCPT [2][]float64
-	cpt     [][2][][]float64
-	root    int
+	root   int
+	parent []int32   // parent attribute index (the root's entry is unused)
+	cutOff []int32   // cuts[cutOff[j]:cutOff[j+1]] are attribute j's cuts
+	cuts   []float64 // ascending cut-point arena
+	jbins  []int32   // bins per attribute (len(cuts)+1)
+
+	rootScore []float64 // [bin*2+c] = log prior[c] + log P(root = bin | c)
+	cptOff    []int32   // arena offset per attribute (root unused)
+	cpt       []float64 // [(pbin*jb+bin)*2+c] = log P(Aj = bin | c, parent = pbin)
 }
 
 // NewTAN returns an untrained TAN classifier with default binning.
@@ -52,8 +57,10 @@ func (t *TAN) Fit(d *ml.Dataset) error {
 
 	// Discretize every attribute on the training distribution; each column
 	// is gathered once and binned from the same buffer.
-	t.disc = make([]*stats.Discretizer, p)
 	discX := make([][]int, p)
+	t.cuts = nil
+	t.cutOff = make([]int32, p+1)
+	t.jbins = make([]int32, p)
 	col := make([]float64, d.Len())
 	for j := 0; j < p; j++ {
 		col = d.ColumnTo(col, j)
@@ -61,82 +68,84 @@ func (t *TAN) Fit(d *ml.Dataset) error {
 		if err != nil {
 			return err
 		}
-		t.disc[j] = disc
 		discX[j] = disc.BinAll(col)
+		t.cuts = append(t.cuts, disc.Cuts...)
+		t.cutOff[j+1] = int32(len(t.cuts))
+		t.jbins[j] = int32(disc.Bins())
 	}
-
-	// Priors with Laplace smoothing.
-	total := float64(d.Len())
-	t.prior[0] = (float64(n0) + 1) / (total + 2)
-	t.prior[1] = (float64(n1) + 1) / (total + 2)
 
 	// Structure: maximum spanning tree over conditional mutual
 	// information I(Ai; Aj | C), rooted at attribute 0.
 	t.root = 0
-	t.parent = maxSpanningTree(p, func(i, j int) float64 {
+	parent := maxSpanningTree(p, func(i, j int) float64 {
 		cmi, err := stats.ConditionalMutualInformation(discX[i], discX[j], d.Y)
 		if err != nil {
 			return 0
 		}
 		return cmi
 	})
-
-	// CPTs with Laplace smoothing.
-	t.cpt = make([][2][][]float64, p)
-	for c := 0; c < 2; c++ {
-		t.rootCPT[c] = make([]float64, t.disc[t.root].Bins())
-	}
+	t.parent = make([]int32, p)
+	t.cptOff = make([]int32, p)
+	size := 0
 	for j := 0; j < p; j++ {
-		if j == t.root {
-			continue
-		}
-		pb := t.disc[t.parent[j]].Bins()
-		jb := t.disc[j].Bins()
-		for c := 0; c < 2; c++ {
-			t.cpt[j][c] = make([][]float64, pb)
-			for k := range t.cpt[j][c] {
-				t.cpt[j][c][k] = make([]float64, jb)
-			}
+		t.parent[j] = int32(parent[j])
+		if j != t.root {
+			t.cptOff[j] = int32(size)
+			size += int(t.jbins[parent[j]]*t.jbins[j]) * 2
 		}
 	}
 
-	// Count.
-	for i := range d.Y {
-		c := d.Y[i]
-		t.rootCPT[c][discX[t.root][i]]++
+	// Count into the tables, then replace each count run with its
+	// Laplace-smoothed log probabilities.
+	rb := int(t.jbins[t.root])
+	t.rootScore = make([]float64, 2*rb)
+	t.cpt = make([]float64, size)
+	for i, c := range d.Y {
+		t.rootScore[discX[t.root][i]*2+c]++
 		for j := 0; j < p; j++ {
-			if j == t.root {
-				continue
+			if j != t.root {
+				t.cpt[t.cell(j, discX[parent[j]][i], discX[j][i])+c]++
 			}
-			pbin := discX[t.parent[j]][i]
-			t.cpt[j][c][pbin][discX[j][i]]++
 		}
 	}
-	// Normalize with Laplace smoothing.
+	total := float64(d.Len())
+	logPrior := [2]float64{
+		math.Log((float64(n0) + 1) / (total + 2)),
+		math.Log((float64(n1) + 1) / (total + 2)),
+	}
 	for c := 0; c < 2; c++ {
-		normalizeLaplace(t.rootCPT[c])
+		logLaplace(t.rootScore[c:], rb)
+		for bin := 0; bin < rb; bin++ {
+			t.rootScore[bin*2+c] = logPrior[c] + t.rootScore[bin*2+c]
+		}
 		for j := 0; j < p; j++ {
 			if j == t.root {
 				continue
 			}
-			for k := range t.cpt[j][c] {
-				normalizeLaplace(t.cpt[j][c][k])
+			for pbin := 0; pbin < int(t.jbins[parent[j]]); pbin++ {
+				logLaplace(t.cpt[t.cell(j, pbin, 0)+c:], int(t.jbins[j]))
 			}
 		}
 	}
 	return nil
 }
 
-// normalizeLaplace converts counts into Laplace-smoothed probabilities in
-// place.
-func normalizeLaplace(counts []float64) {
+// cell is the arena offset of class 0's entry for attribute j at parent
+// bin pbin and own bin bin.
+func (t *TAN) cell(j, pbin, bin int) int {
+	return int(t.cptOff[j]) + (pbin*int(t.jbins[j])+bin)*2
+}
+
+// logLaplace replaces the n counts at even offsets of counts with the
+// logs of their Laplace-smoothed probabilities.
+func logLaplace(counts []float64, n int) {
 	var total float64
-	for _, v := range counts {
-		total += v
+	for i := 0; i < n; i++ {
+		total += counts[i*2]
 	}
-	denom := total + float64(len(counts))
-	for i := range counts {
-		counts[i] = (counts[i] + 1) / denom
+	denom := total + float64(n)
+	for i := 0; i < n; i++ {
+		counts[i*2] = math.Log((counts[i*2] + 1) / denom)
 	}
 }
 
@@ -147,32 +156,47 @@ func (t *TAN) Parents() []int {
 		return nil
 	}
 	out := make([]int, len(t.parent))
-	copy(out, t.parent)
+	for j, pj := range t.parent {
+		out[j] = int(pj)
+	}
 	out[t.root] = -1
 	return out
 }
 
-// Predict returns the maximum-posterior class.
-func (t *TAN) Predict(x []float64) int {
-	if t.disc == nil {
+// Predict returns the maximum-posterior class; 0 before Fit.
+func (t *TAN) Predict(x []float64, s *ml.Scratch) int {
+	if t.rootScore == nil {
 		return 0
 	}
-	p := len(t.disc)
-	bins := make([]int, p)
-	for j := 0; j < p && j < len(x); j++ {
-		bins[j] = t.disc[j].Bin(x[j])
-	}
-	var logp [2]float64
-	for c := 0; c < 2; c++ {
-		logp[c] = math.Log(t.prior[c]) + math.Log(t.rootCPT[c][bins[t.root]])
-		for j := 0; j < p; j++ {
-			if j == t.root {
-				continue
+	p := len(t.jbins)
+	bins := s.EnsureBins(p)
+	for j := 0; j < p; j++ {
+		b := 0
+		if j < len(x) {
+			// Counting the cuts ≤ v over the ascending cut arena yields
+			// the same bin as Discretizer.Bin's binary search (both are
+			// "first cut greater than v"), branch-predictably for the
+			// handful of cuts per attribute.
+			v := x[j]
+			for _, cut := range t.cuts[t.cutOff[j]:t.cutOff[j+1]] {
+				if cut <= v {
+					b++
+				}
 			}
-			logp[c] += math.Log(t.cpt[j][c][bins[t.parent[j]]][bins[j]])
 		}
+		bins[j] = b
 	}
-	if logp[1] > logp[0] {
+	rb := bins[t.root] * 2
+	lp0, lp1 := t.rootScore[rb], t.rootScore[rb+1]
+	for j := 0; j < p; j++ {
+		if j == t.root {
+			continue
+		}
+		e := t.cell(j, bins[t.parent[j]], bins[j])
+		lp0 += t.cpt[e]
+		lp1 += t.cpt[e+1]
+	}
+	if lp1 > lp0 {
 		return 1
 	}
 	return 0

@@ -1,11 +1,11 @@
 package ml
 
-// Scratch is caller-owned working storage for allocation-free prediction
-// through a Compiled classifier. A trained classifier is shared read-only
-// across every concurrent prediction stream, so the per-call temporaries
-// (projected attribute vector, standardized vector, discretized bins) must
-// live with the caller: give each stream its own Scratch and the compiled
-// predict path never allocates after the first call.
+// Scratch is caller-owned working storage for allocation-free prediction.
+// A trained classifier is shared read-only across every concurrent
+// prediction stream, so the per-call temporaries (projected attribute
+// vector, standardized vector, discretized bins) must live with the
+// caller: give each stream its own Scratch and Predict never allocates
+// after the first call.
 type Scratch struct {
 	// X is the projected attribute vector (synopsis attribute order).
 	X []float64
@@ -40,41 +40,4 @@ func (s *Scratch) EnsureBins(n int) []int {
 	}
 	s.Bins = s.Bins[:n]
 	return s.Bins
-}
-
-// Compiled is a trained classifier lowered into a flat evaluation plan:
-// contiguous parameter arrays walked without per-call allocation. A
-// Compiled plan is immutable and safe for concurrent use; callers supply
-// per-stream temporaries through their own Scratch.
-//
-// The contract is bit-exact equivalence: for every input, PredictScratch
-// returns exactly the class the source Classifier's Predict returns. The
-// compilers only precompute values the interpreted path would compute
-// identically (element-wise logs of probability tables, alpha·y kernel
-// coefficients) and never reassociate floating-point accumulations, so
-// byte-identical determinism goldens hold across both paths.
-type Compiled interface {
-	PredictScratch(x []float64, s *Scratch) int
-}
-
-// Compilable is implemented by classifiers that can lower themselves into
-// a Compiled plan. Compile fails on an untrained classifier.
-type Compilable interface {
-	Compile() (Compiled, error)
-}
-
-// compiledFallback wraps a classifier with no compiled form; it predicts
-// through the interpreted path (and inherits its allocations).
-type compiledFallback struct{ clf Classifier }
-
-func (f compiledFallback) PredictScratch(x []float64, _ *Scratch) int {
-	return f.clf.Predict(x)
-}
-
-// CompileFallback adapts any classifier to the Compiled interface by
-// delegating to its interpreted Predict. It exists so synopsis compilation
-// can lower a monitor whose classifiers predate the compiler (or are test
-// doubles) without changing any output.
-func CompileFallback(clf Classifier) Compiled {
-	return compiledFallback{clf: clf}
 }

@@ -18,8 +18,11 @@ type Classifier struct {
 	// default that guards against the near-collinear metric columns.
 	Lambda float64
 
-	scaler  *ml.Scaler
-	weights []float64 // intercept at index 0
+	// The trained model is flat: standardization parameters and weights
+	// walked in one pass, standardizing into the caller's scratch.
+	mean []float64
+	std  []float64
+	w    []float64 // intercept at index 0
 }
 
 // New returns a linear-regression classifier with default regularization.
@@ -43,8 +46,8 @@ func (c *Classifier) Fit(d *ml.Dataset) error {
 	if lambda <= 0 {
 		lambda = 1e-6
 	}
-	c.scaler = ml.FitScaler(d)
-	rows := c.scaler.ApplyAll(d)
+	scaler := ml.FitScaler(d)
+	rows := scaler.ApplyAll(d)
 
 	p := d.NumAttrs() + 1 // intercept
 	// Normal equations: A = XᵀX + λI, b = Xᵀy.
@@ -72,29 +75,37 @@ func (c *Classifier) Fit(d *ml.Dataset) error {
 	if err != nil {
 		return fmt.Errorf("linreg: %w", err)
 	}
-	c.weights = w
+	c.mean, c.std, c.w = scaler.Mean, scaler.Std, w
 	return nil
 }
 
-// Score returns the raw regression output for one instance.
-func (c *Classifier) Score(x []float64) float64 {
-	if c.weights == nil {
+// Score returns the raw regression output for one instance, using s for
+// the standardized vector; 0 before Fit.
+func (c *Classifier) Score(x []float64, s *ml.Scratch) float64 {
+	if c.w == nil {
 		return 0
 	}
-	z := c.scaler.Apply(x)
-	s := c.weights[0]
+	z := s.EnsureZ(len(x))
+	for j := range z {
+		if j < len(c.mean) {
+			z[j] = (x[j] - c.mean[j]) / c.std[j]
+		} else {
+			z[j] = 0
+		}
+	}
+	sum := c.w[0]
 	for j, v := range z {
-		if j+1 >= len(c.weights) {
+		if j+1 >= len(c.w) {
 			break
 		}
-		s += c.weights[j+1] * v
+		sum += c.w[j+1] * v
 	}
-	return s
+	return sum
 }
 
 // Predict thresholds the regression output at ½.
-func (c *Classifier) Predict(x []float64) int {
-	if c.Score(x) >= 0.5 {
+func (c *Classifier) Predict(x []float64, s *ml.Scratch) int {
+	if c.Score(x, s) >= 0.5 {
 		return 1
 	}
 	return 0

@@ -41,7 +41,7 @@ func TestEmptyAndOneClassErrors(t *testing.T) {
 }
 
 func TestPredictBeforeFit(t *testing.T) {
-	if got := New().Predict([]float64{1, 2}); got != 0 {
+	if got := New().Predict([]float64{1, 2}, &ml.Scratch{}); got != 0 {
 		t.Errorf("unfitted Predict = %d, want 0", got)
 	}
 }
@@ -74,8 +74,9 @@ func TestScoreMonotoneAlongDiscriminant(t *testing.T) {
 	if err := c.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	lo := c.Score([]float64{-0.2, -0.2})
-	hi := c.Score([]float64{1.5, 1.5})
+	var s ml.Scratch
+	lo := c.Score([]float64{-0.2, -0.2}, &s)
+	hi := c.Score([]float64{1.5, 1.5}, &s)
 	if hi <= lo {
 		t.Errorf("score not increasing toward class 1: %v vs %v", lo, hi)
 	}

@@ -134,17 +134,10 @@ func checkPair(t testing.TB, ref *refClassifier, flat *Classifier, d *ml.Dataset
 	}
 }
 
-// score and predict are the flat copy's signed value and class: the
-// compiled plan's class once fitted.
-func score(c *Classifier, x []float64, _ *ml.Scratch) float64 { return c.Score(x) }
+// score and predict are the flat copy's signed value and class.
+func score(c *Classifier, x []float64, s *ml.Scratch) float64 { return c.Score(x, s) }
 
-func predict(c *Classifier, x []float64, s *ml.Scratch) int {
-	cc, err := c.Compile()
-	if err != nil {
-		return c.Predict(x)
-	}
-	return cc.PredictScratch(x, s)
-}
+func predict(c *Classifier, x []float64, s *ml.Scratch) int { return c.Predict(x, s) }
 
 // TestPredictMatchesReference holds the flat kernel to the frozen
 // interpreted linear model on the shared synthetic sets.

@@ -166,11 +166,15 @@ func (d *Dataset) Subset(rows []int) *Dataset {
 }
 
 // Classifier is a trainable binary classifier over continuous attributes.
+// Fit leaves the model as flat scoring tables, and Predict walks them
+// with every temporary in the caller's Scratch, so a fitted classifier is
+// immutable and safe for concurrent use by callers holding distinct
+// scratches.
 type Classifier interface {
 	// Fit trains on the dataset, replacing any previous model.
 	Fit(d *Dataset) error
 	// Predict returns the predicted class (0 or 1) for one instance.
-	Predict(x []float64) int
+	Predict(x []float64, s *Scratch) int
 }
 
 // Learner constructs fresh classifiers; it is what synopsis builders and
@@ -240,9 +244,10 @@ func (c Confusion) BalancedAccuracy() float64 {
 // returns the confusion matrix.
 func Evaluate(c Classifier, test *Dataset) Confusion {
 	var conf Confusion
+	var s Scratch
 	buf := make([]float64, test.NumAttrs())
 	for i := range test.Y {
-		conf.Add(test.Y[i], c.Predict(test.RowTo(buf, i)))
+		conf.Add(test.Y[i], c.Predict(test.RowTo(buf, i), &s))
 	}
 	return conf
 }
@@ -303,6 +308,7 @@ func CrossValidateFolds(l Learner, d *Dataset, folds [][]int) (float64, error) {
 		return 0, fmt.Errorf("ml: need at least 2 folds, got %d", len(folds))
 	}
 	var conf Confusion
+	var s Scratch
 	trainRows := make([]int, 0, d.Len())
 	rowBuf := make([]float64, d.NumAttrs())
 	for fi, test := range folds {
@@ -322,7 +328,7 @@ func CrossValidateFolds(l Learner, d *Dataset, folds [][]int) (float64, error) {
 			continue
 		}
 		for _, r := range test {
-			conf.Add(d.Y[r], c.Predict(d.RowTo(rowBuf, r)))
+			conf.Add(d.Y[r], c.Predict(d.RowTo(rowBuf, r), &s))
 		}
 	}
 	return conf.BalancedAccuracy(), nil

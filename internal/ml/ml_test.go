@@ -215,7 +215,7 @@ func (m *majorityClassifier) Fit(d *ml.Dataset) error {
 	return nil
 }
 
-func (m *majorityClassifier) Predict([]float64) int { return m.class }
+func (m *majorityClassifier) Predict([]float64, *ml.Scratch) int { return m.class }
 
 func TestCrossValidateMajorityIsHalf(t *testing.T) {
 	d := mltest.LinearlySeparable(60, 0.2, 3)

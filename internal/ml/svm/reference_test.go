@@ -292,17 +292,10 @@ func checkPair(t testing.TB, ref *refClassifier, flat *Classifier, d *ml.Dataset
 	}
 }
 
-// decision and predict are the flat copy's signed value and class: the
-// compiled plan's class once fitted.
-func decision(c *Classifier, x []float64, _ *ml.Scratch) float64 { return c.Decision(x) }
+// decision and predict are the flat copy's signed value and class.
+func decision(c *Classifier, x []float64, s *ml.Scratch) float64 { return c.Decision(x, s) }
 
-func predict(c *Classifier, x []float64, s *ml.Scratch) int {
-	cc, err := c.Compile()
-	if err != nil {
-		return c.Predict(x)
-	}
-	return cc.PredictScratch(x, s)
-}
+func predict(c *Classifier, x []float64, s *ml.Scratch) int { return c.Predict(x, s) }
 
 // TestPredictMatchesReference holds the flat kernel to the frozen
 // interpreted SVM on the shared synthetic sets.

@@ -35,12 +35,15 @@ type Classifier struct {
 	// Seed drives the deterministic second-index choice.
 	Seed int64
 
-	scaler *ml.Scaler
-	x      [][]float64
-	y      []float64 // ±1
-	alpha  []float64
-	b      float64
-	gamma  float64
+	// The trained model is a flat dot-product kernel: the standardization
+	// parameters, a dense support-vector arena ([i*d+k], one
+	// cache-friendly row per SV) and the kernel coefficients alpha·y.
+	mean  []float64
+	std   []float64
+	sv    []float64 // standardized support vectors, [i*d+k]
+	coef  []float64 // alpha[i]*y[i]
+	b     float64
+	gamma float64
 }
 
 // New returns an SVM with default hyperparameters.
@@ -72,24 +75,24 @@ func (c *Classifier) Fit(d *ml.Dataset) error {
 	if maxPasses <= 0 {
 		maxPasses = 8
 	}
-	c.gamma = c.Gamma
-	if c.gamma <= 0 {
-		c.gamma = 1 / float64(d.NumAttrs())
+	gamma := c.Gamma
+	if gamma <= 0 {
+		gamma = 1 / float64(d.NumAttrs())
 	}
 
-	c.scaler = ml.FitScaler(d)
-	c.x = c.scaler.ApplyAll(d)
+	scaler := ml.FitScaler(d)
+	x := scaler.ApplyAll(d)
 	n := d.Len()
-	c.y = make([]float64, n)
+	y := make([]float64, n)
 	for i, label := range d.Y {
 		if label == 1 {
-			c.y[i] = 1
+			y[i] = 1
 		} else {
-			c.y[i] = -1
+			y[i] = -1
 		}
 	}
-	c.alpha = make([]float64, n)
-	c.b = 0
+	alpha := make([]float64, n)
+	b := 0.0
 
 	// Precompute the kernel matrix (flat n×n, pooled across fits).
 	// Each entry keeps the subtract-square ‖a−b‖² form: the algebraically
@@ -106,7 +109,7 @@ func (c *Classifier) Fit(d *ml.Dataset) error {
 	for i := 0; i < n; i++ {
 		k[i*n+i] = 1 // exp(−γ·0)
 		for j := i + 1; j < n; j++ {
-			v := c.rbf(c.x[i], c.x[j])
+			v := rbf(x[i], x[j], gamma)
 			k[i*n+j] = v
 			k[j*n+i] = v
 		}
@@ -117,8 +120,8 @@ func (c *Classifier) Fit(d *ml.Dataset) error {
 	// summation order of a full ascending scan.
 	active := make([]int, 0, n)
 	setAlpha := func(idx int, v float64) {
-		was := c.alpha[idx] > 0
-		c.alpha[idx] = v
+		was := alpha[idx] > 0
+		alpha[idx] = v
 		if now := v > 0; now != was {
 			pos := sort.SearchInts(active, idx)
 			if now {
@@ -132,10 +135,10 @@ func (c *Classifier) Fit(d *ml.Dataset) error {
 	}
 
 	fOut := func(i int) float64 {
-		s := c.b
+		s := b
 		ki := k[i*n : i*n+n]
 		for _, j := range active {
-			s += c.alpha[j] * c.y[j] * ki[j]
+			s += alpha[j] * y[j] * ki[j]
 		}
 		return s
 	}
@@ -145,18 +148,18 @@ func (c *Classifier) Fit(d *ml.Dataset) error {
 	for passes < maxPasses {
 		changed := 0
 		for i := 0; i < n; i++ {
-			ei := fOut(i) - c.y[i]
-			if (c.y[i]*ei < -tol && c.alpha[i] < cost) ||
-				(c.y[i]*ei > tol && c.alpha[i] > 0) {
+			ei := fOut(i) - y[i]
+			if (y[i]*ei < -tol && alpha[i] < cost) ||
+				(y[i]*ei > tol && alpha[i] > 0) {
 				j := rng.Intn(n - 1)
 				if j >= i {
 					j++
 				}
-				ej := fOut(j) - c.y[j]
+				ej := fOut(j) - y[j]
 
-				ai, aj := c.alpha[i], c.alpha[j]
+				ai, aj := alpha[i], alpha[j]
 				var lo, hi float64
-				if c.y[i] != c.y[j] {
+				if y[i] != y[j] {
 					lo = math.Max(0, aj-ai)
 					hi = math.Min(cost, cost+aj-ai)
 				} else {
@@ -171,7 +174,7 @@ func (c *Classifier) Fit(d *ml.Dataset) error {
 				if eta >= 0 {
 					continue
 				}
-				ajNew := aj - c.y[j]*(ei-ej)/eta
+				ajNew := aj - y[j]*(ei-ej)/eta
 				if ajNew > hi {
 					ajNew = hi
 				} else if ajNew < lo {
@@ -180,17 +183,17 @@ func (c *Classifier) Fit(d *ml.Dataset) error {
 				if math.Abs(ajNew-aj) < 1e-5 {
 					continue
 				}
-				aiNew := ai + c.y[i]*c.y[j]*(aj-ajNew)
+				aiNew := ai + y[i]*y[j]*(aj-ajNew)
 
-				b1 := c.b - ei - c.y[i]*(aiNew-ai)*kii - c.y[j]*(ajNew-aj)*kij
-				b2 := c.b - ej - c.y[i]*(aiNew-ai)*kij - c.y[j]*(ajNew-aj)*kjj
+				b1 := b - ei - y[i]*(aiNew-ai)*kii - y[j]*(ajNew-aj)*kij
+				b2 := b - ej - y[i]*(aiNew-ai)*kij - y[j]*(ajNew-aj)*kjj
 				switch {
 				case aiNew > 0 && aiNew < cost:
-					c.b = b1
+					b = b1
 				case ajNew > 0 && ajNew < cost:
-					c.b = b2
+					b = b2
 				default:
-					c.b = (b1 + b2) / 2
+					b = (b1 + b2) / 2
 				}
 				setAlpha(i, aiNew)
 				setAlpha(j, ajNew)
@@ -209,48 +212,59 @@ func (c *Classifier) Fit(d *ml.Dataset) error {
 	*kbuf = k
 	kernelPool.Put(kbuf)
 
-	// Keep only the support vectors for prediction.
-	var sx [][]float64
-	var sy, sa []float64
+	// Keep only the support vectors, as the flat kernel Predict walks.
+	c.mean, c.std, c.b, c.gamma = scaler.Mean, scaler.Std, b, gamma
+	c.sv, c.coef = nil, nil
 	for i := 0; i < n; i++ {
-		if c.alpha[i] > 1e-9 {
-			sx = append(sx, c.x[i])
-			sy = append(sy, c.y[i])
-			sa = append(sa, c.alpha[i])
+		if alpha[i] > 1e-9 {
+			c.sv = append(c.sv, x[i]...)
+			c.coef = append(c.coef, alpha[i]*y[i])
 		}
 	}
-	c.x, c.y, c.alpha = sx, sy, sa
 	return nil
 }
 
 // NumSupportVectors returns the size of the trained model.
-func (c *Classifier) NumSupportVectors() int { return len(c.alpha) }
+func (c *Classifier) NumSupportVectors() int { return len(c.coef) }
 
-// Decision returns the signed decision value for one instance.
-func (c *Classifier) Decision(x []float64) float64 {
-	if c.scaler == nil {
+// Decision returns the signed decision value for one instance, using s
+// for the standardized vector; 0 before Fit. x must carry at least the
+// trained attributes.
+func (c *Classifier) Decision(x []float64, s *ml.Scratch) float64 {
+	if c.mean == nil {
 		return 0
 	}
-	z := c.scaler.Apply(x)
-	s := c.b
-	for i := range c.alpha {
-		s += c.alpha[i] * c.y[i] * c.rbf(c.x[i], z)
+	d := len(c.mean)
+	z := s.EnsureZ(len(x))
+	for j := range z {
+		if j < d {
+			z[j] = (x[j] - c.mean[j]) / c.std[j]
+		} else {
+			z[j] = 0
+		}
 	}
-	return s
+	sum := c.b
+	for i, cf := range c.coef {
+		sum += cf * rbf(c.sv[i*d:(i+1)*d], z, c.gamma)
+	}
+	return sum
 }
 
-// Predict returns 1 for a positive decision value and 0 otherwise.
-func (c *Classifier) Predict(x []float64) int {
-	if c.Decision(x) >= 0 {
+// Predict returns 1 for a non-negative decision value and 0 otherwise.
+func (c *Classifier) Predict(x []float64, s *ml.Scratch) int {
+	if c.Decision(x, s) >= 0 {
 		return 1
 	}
 	return 0
 }
 
 // Alphas exposes the support-vector coefficients (for invariant tests).
+// Each is |alpha·y| with y = ±1, which is alpha exactly.
 func (c *Classifier) Alphas() []float64 {
-	out := make([]float64, len(c.alpha))
-	copy(out, c.alpha)
+	out := make([]float64, len(c.coef))
+	for i, cf := range c.coef {
+		out[i] = math.Abs(cf)
+	}
 	return out
 }
 
@@ -262,11 +276,13 @@ func (c *Classifier) EffectiveC() float64 {
 	return c.C
 }
 
-func (c *Classifier) rbf(a, b []float64) float64 {
+// rbf keeps the subtract-square ‖a−b‖² form both in Fit's kernel matrix
+// and in Decision; it walks a's length, so b must be at least as long.
+func rbf(a, b []float64, gamma float64) float64 {
 	var ss float64
 	for i := range a {
 		d := a[i] - b[i]
 		ss += d * d
 	}
-	return math.Exp(-c.gamma * ss)
+	return math.Exp(-gamma * ss)
 }

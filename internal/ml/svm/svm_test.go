@@ -41,7 +41,7 @@ func TestErrorsOnDegenerateSets(t *testing.T) {
 }
 
 func TestPredictBeforeFit(t *testing.T) {
-	if got := New().Predict([]float64{1, 2}); got != 1 {
+	if got := New().Predict([]float64{1, 2}, &ml.Scratch{}); got != 1 {
 		// Decision(â‰¥0 → 1); unfitted decision is 0, so 1. Just pin the
 		// behaviour so it cannot change silently.
 		t.Errorf("unfitted Predict = %d, want 1", got)
@@ -76,9 +76,10 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	if err := b.Fit(d); err != nil {
 		t.Fatal(err)
 	}
+	var s ml.Scratch
 	for i := 0; i < d.Len(); i++ {
 		row := d.Row(i)
-		if a.Decision(row) != b.Decision(row) {
+		if a.Decision(row, &s) != b.Decision(row, &s) {
 			t.Fatal("same seed produced different models")
 		}
 	}

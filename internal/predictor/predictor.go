@@ -277,7 +277,7 @@ func (s *Session) Predict(gpv []int) (overload int, bottleneck int, err error) {
 // PredictPacked is Predict over a pre-packed GPT index, with the GPV
 // validation hoisted out of the steady-state loop: the caller guarantees
 // idx was packed from m bits (bit i = synopsis i's vote), as Predict and
-// the compiled decision plane do. It is the lock-free fast path — one
+// core's sessions do. It is the lock-free fast path — one
 // atomic snapshot load, one shift-indexed counter load, λ(Hc), and only
 // on predicted overload the BPT arg-max scan.
 func (s *Session) PredictPacked(idx int) (overload int, bottleneck int) {

@@ -14,7 +14,7 @@ import (
 
 // engine is the per-site serving state machine — the paper's online
 // monitor: fold 1-second counter vectors into the analysis window, decide
-// each completed window through the compiled plane, walk the degradation
+// each completed window through the site's session, walk the degradation
 // ladder, queue the decision and health events for publication. It is the
 // only implementation: Pipeline applies samples to one engine in place,
 // ShardedPipeline runs one per shard goroutine, and all access goes
@@ -27,16 +27,13 @@ import (
 // 100k-entry map, which is where the single-core ingest rate comes from.
 //
 // What pins the transitions: the committed decision and replay goldens,
-// TestStreamingMatchesBatch (against the interpreted batch session of core),
+// TestStreamingMatchesBatch (against core's batch session replay),
 // and TestShardedMatchesPipeline (sample-at-a-time against batched,
 // deferred and routed application at several shard geometries).
 type engine struct {
-	// compiled is the base monitor's lowered decision plane; sessions
-	// decide through it (or through a hot-swapped monitor's plane from
-	// cache), byte-identical to the interpreted session that core's batch
-	// experiments and the test oracles keep.
-	compiled  *core.CompiledMonitor
-	cache     map[*core.Monitor]*core.CompiledMonitor // hot-swap compile cache
+	// mon is the base monitor; new sites decide through it, and a
+	// hot-swapped site through its own session's monitor.
+	mon       *core.Monitor
 	dim       int
 	window    int
 	staleness int
@@ -45,7 +42,7 @@ type engine struct {
 	idx   map[string]int32 // site name -> dense index
 	recs  []siteRec
 	stats []SiteStats
-	sess  []*core.CompiledSession
+	sess  []*core.Session
 	flags []*siteFlags // pointer-stable: admission valves hold them across slice growth
 	sums  []float64    // window accumulation arena, [site][tier][dim]
 
@@ -72,7 +69,7 @@ type engine struct {
 	pred  core.Prediction
 	batch core.DecideBatch
 	bpos  []int
-	bsess []*core.CompiledSession
+	bsess []*core.Session
 	bobs  []core.Observation
 	bout  []core.Prediction
 }
@@ -142,9 +139,9 @@ func windowIndex(t float64, window int) int64 {
 	return int64(w) - 1
 }
 
-func newEngine(cm *core.CompiledMonitor, cfg Config, dim int) *engine {
+func newEngine(m *core.Monitor, cfg Config, dim int) *engine {
 	e := &engine{
-		compiled:  cm,
+		mon:       m,
 		dim:       dim,
 		window:    cfg.Window,
 		staleness: cfg.StalenessBudget,
@@ -164,28 +161,6 @@ func newEngine(cm *core.CompiledMonitor, cfg Config, dim int) *engine {
 	return e
 }
 
-// swapSession rebinds site i to monitor m's compiled plane, compiling it
-// on first use and caching it so repeated swaps to the same model reuse
-// one plane. Callers hold shard.emu.
-func (e *engine) swapSession(i int32, m *core.Monitor) error {
-	cm := e.compiled
-	if m != e.compiled.Source() {
-		var ok bool
-		if cm, ok = e.cache[m]; !ok {
-			var err error
-			if cm, err = m.Compile(); err != nil {
-				return err
-			}
-			if e.cache == nil {
-				e.cache = make(map[*core.Monitor]*core.CompiledMonitor)
-			}
-			e.cache[m] = cm
-		}
-	}
-	e.sess[i] = cm.NewSession()
-	return nil
-}
-
 // site returns the dense index for a site name, creating the site on
 // first use. Callers hold shard.emu.
 func (e *engine) site(name string) int32 {
@@ -195,7 +170,7 @@ func (e *engine) site(name string) int32 {
 	i := int32(len(e.recs))
 	e.idx[name] = i
 	e.recs = append(e.recs, siteRec{})
-	e.sess = append(e.sess, e.compiled.NewSession())
+	e.sess = append(e.sess, e.mon.NewSession())
 	e.flags = append(e.flags, &siteFlags{})
 	e.sums = append(e.sums, make([]float64, int(server.NumTiers)*e.dim)...)
 	if e.fuseCfg != nil {
@@ -416,7 +391,7 @@ func (e *engine) flushDueFor(i int32) {
 // decideAll flushes the batch's remaining due windows in completion
 // order — the batched per-shard decision path. Two or more live entries
 // decide through core.DecideAll's single synopsis-major pass over the
-// compiled tables, amortizing table walks across the whole shard; results
+// scoring tables, amortizing table walks across the whole shard; results
 // are then published in due order, with any site hot-swapped onto a
 // different monitor decided inline at its position. Per-site outputs are
 // identical either way; only the predictor-latency attribution changes
@@ -426,7 +401,7 @@ func (e *engine) decideAll() {
 	nb := 0
 	for k := range e.due {
 		d := &e.due[k]
-		if d.idx >= 0 && e.sess[d.idx].Monitor() == e.compiled {
+		if d.idx >= 0 && e.sess[d.idx].Monitor() == e.mon {
 			e.bpos = append(e.bpos, nb)
 			nb++
 		} else {
@@ -442,7 +417,7 @@ func (e *engine) decideAll() {
 		}
 	} else {
 		if cap(e.bsess) < nb {
-			e.bsess = make([]*core.CompiledSession, nb)
+			e.bsess = make([]*core.Session, nb)
 			e.bobs = make([]core.Observation, nb)
 			e.bout = make([]core.Prediction, nb)
 		}
@@ -456,7 +431,7 @@ func (e *engine) decideAll() {
 			bobs[pos] = assembleObs(&d.vecs)
 		}
 		start := time.Now()
-		e.compiled.DecideAll(&e.batch, bsess, bobs, bout)
+		e.mon.DecideAll(&e.batch, bsess, bobs, bout)
 		share := uint64(time.Since(start)) / uint64(nb)
 		for k, pos := range e.bpos {
 			d := e.due[k]
@@ -586,8 +561,7 @@ func assembleObs(vecs *[server.NumTiers]metrics.Sample) core.Observation {
 }
 
 // decide predicts one assembled window (absolute index seq) of a single
-// site through the session's compiled plane, into the engine's reused
-// prediction scratch.
+// site through its session, into the engine's reused prediction scratch.
 func (e *engine) decide(i int32, vecs [server.NumTiers]metrics.Sample, missing int, seq int64) {
 	obs := assembleObs(&vecs)
 	start := time.Now()

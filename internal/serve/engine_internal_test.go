@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hpcap/internal/core"
 	"hpcap/internal/metrics"
@@ -47,62 +50,48 @@ func trainTestMonitor(t *testing.T, seed int64) *core.Monitor {
 	return m
 }
 
-// TestSwapSessionCompiledCache pins the hot-swap compile semantics: a swap
-// to a new monitor lowers it exactly once per engine (later swaps to the
-// same model reuse the cached plane), a swap back to the base monitor
-// reuses the engine's own plane, and an uncompilable monitor is rejected
-// without touching the site's session.
-func TestSwapSessionCompiledCache(t *testing.T) {
-	base := trainTestMonitor(t, 1)
-	next := trainTestMonitor(t, 2)
-	cm, err := base.Compile()
+// TestSwappedOffMonitorIsCollected pins bounded memory across hot swaps:
+// a site swapped through four monitors, each deciding a window, and then
+// onto a fifth holds none of the four once they are off it, so a
+// long-lived daemon promoting model after model keeps only the ones in
+// service.
+func TestSwappedOffMonitorIsCollected(t *testing.T) {
+	p, err := NewPipeline(trainTestMonitor(t, 0), Config{Window: 3, StalenessBudget: 1, RecoverWindows: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(cm, Config{Window: 3, StalenessBudget: 1, RecoverWindows: 2}, base.InputDim())
-	a, b := e.site("a"), e.site("b")
-
-	tests := []struct {
-		name string
-		site int32
-		to   *core.Monitor
-	}{
-		{"swap a to next", a, next},
-		{"swap b to next reuses cache", b, next},
-		{"swap a back to base", a, base},
-		{"swap a to next again", a, next},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if err := e.swapSession(tt.site, tt.to); err != nil {
-				t.Fatal(err)
+	var collected atomic.Int32
+	now := 0.0
+	feed := func() {
+		for k := 0; k < 3; k++ {
+			now++
+			for tier := server.TierID(0); tier < server.NumTiers; tier++ {
+				p.Ingest(Sample{Site: "s", Tier: tier, Time: now, Values: []float64{0.5, 1}})
 			}
-			got := e.sess[tt.site].Monitor()
-			if got.Source() != tt.to {
-				t.Fatalf("session source = %p, want %p", got.Source(), tt.to)
-			}
-			if tt.to == base && got != e.compiled {
-				t.Fatal("swap back to base did not reuse the engine's plane")
-			}
-			if tt.to != base {
-				if cached, ok := e.cache[tt.to]; !ok || got != cached {
-					t.Fatal("swapped plane not served from the compile cache")
-				}
-			}
-		})
+		}
 	}
-	if len(e.cache) != 1 {
-		t.Fatalf("cache holds %d planes, want 1 (one per swapped monitor)", len(e.cache))
+	for v := int64(1); v <= 4; v++ {
+		m := trainTestMonitor(t, v)
+		runtime.SetFinalizer(m, func(*core.Monitor) { collected.Add(1) })
+		if _, err := p.SwapMonitor("s", m, v); err != nil {
+			t.Fatal(err)
+		}
+		feed()
 	}
-
-	// A monitor whose synopses cannot compile is rejected atomically: the
-	// error surfaces and the site keeps its current session.
-	before := e.sess[a]
-	bad := &core.Monitor{Synopses: trainTestMonitor(t, 3).Synopses}
-	if err := e.swapSession(a, bad); err == nil {
-		t.Fatal("uncompilable monitor accepted")
+	if _, err := p.SwapMonitor("s", trainTestMonitor(t, 5), 5); err != nil {
+		t.Fatal(err)
 	}
-	if e.sess[a] != before {
-		t.Fatal("failed swap replaced the session")
+	feed()
+	p.Flush()
+	if got := p.Stats()[0].WindowsDecided; got < 5 {
+		t.Fatalf("site decided %d windows, want one per monitor (5)", got)
 	}
+	for try := 0; try < 50 && collected.Load() < 4; try++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := collected.Load(); got != 4 {
+		t.Fatalf("%d of 4 swapped-off monitors collected", got)
+	}
+	runtime.KeepAlive(p)
 }

@@ -26,28 +26,24 @@ type lanes struct {
 	subs  []chan Decision
 }
 
-// configure validates the monitor and serving config and lowers the
-// monitor into the compiled plane every lane's engine decides through
-// (immutable, safe to share). The caller builds the lanes.
-func (l *lanes) configure(m *core.Monitor, cfg Config) (*core.CompiledMonitor, error) {
+// configure validates the monitor every lane's engine decides through
+// (immutable apart from Feedback, safe to share) and the serving config.
+// The caller builds the lanes.
+func (l *lanes) configure(m *core.Monitor, cfg Config) error {
 	if m == nil {
-		return nil, fmt.Errorf("serve: %w: nil monitor", core.ErrBadConfig)
+		return fmt.Errorf("serve: %w: nil monitor", core.ErrBadConfig)
 	}
 	if m.Coordinator() == nil {
-		return nil, fmt.Errorf("serve: %w", core.ErrUntrained)
+		return fmt.Errorf("serve: %w", core.ErrUntrained)
 	}
 	if m.InputDim() <= 0 {
-		return nil, fmt.Errorf("serve: %w: monitor has no metric layout", core.ErrBadConfig)
+		return fmt.Errorf("serve: %w: monitor has no metric layout", core.ErrBadConfig)
 	}
 	if errs := cfg.Validate(); len(errs) > 0 {
-		return nil, errors.Join(errs...)
-	}
-	cm, err := m.Compile()
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
+		return errors.Join(errs...)
 	}
 	l.cfg, l.dim = cfg.withDefaults(), m.InputDim()
-	return cm, nil
+	return nil
 }
 
 // lane returns the lane a site lives on.
@@ -115,10 +111,12 @@ func (l *lanes) flushWindows() {
 }
 
 // SwapMonitor atomically replaces the model serving one site: the site's
-// session is re-bound to a fresh session over m's compiled plane under the
-// lane lock, so the in-progress window and its half-aggregated samples are
-// preserved and every pending window is decided by the new model — the
-// swap drops nothing. The new session starts with empty temporal history
+// session is replaced by a fresh session over m under the lane lock, so
+// the in-progress window and its half-aggregated samples are preserved
+// and every pending window is decided by the new model — the swap drops
+// nothing. Apart from the pipeline's original monitor, a model is held
+// only by the sessions serving it, so one swapped off every site is
+// garbage. The new session starts with empty temporal history
 // (the h-bit window of the old model's verdicts does not transfer). Sites
 // created after the swap still serve the pipeline's original monitor.
 //
@@ -145,10 +143,7 @@ func (l *lanes) SwapMonitor(siteName string, m *core.Monitor, version int64) (Sw
 	sh.emu.Lock()
 	eng := sh.eng
 	i := eng.site(siteName)
-	if err := eng.swapSession(i, m); err != nil {
-		sh.emu.Unlock()
-		return SwapEvent{}, fmt.Errorf("serve: swap %s: %w", siteName, err)
-	}
+	eng.sess[i] = m.NewSession()
 	ss := &eng.stats[i]
 	ev := SwapEvent{
 		Site:        siteName,

@@ -18,11 +18,10 @@ type Pipeline struct {
 // NewPipeline builds a serving pipeline over a trained monitor.
 func NewPipeline(m *core.Monitor, cfg Config) (*Pipeline, error) {
 	p := &Pipeline{}
-	cm, err := p.configure(m, cfg)
-	if err != nil {
+	if err := p.configure(m, cfg); err != nil {
 		return nil, err
 	}
-	p.shards = []*shard{{eng: newEngine(cm, p.cfg, p.dim)}}
+	p.shards = []*shard{{eng: newEngine(m, p.cfg, p.dim)}}
 	return p, nil
 }
 

@@ -2,9 +2,8 @@
 // of per-tier 1-second metric samples to a realtime overload/bottleneck
 // decision, for any number of monitored sites at once.
 //
-// A Pipeline wraps one trained core.Monitor, lowered once into its
-// compiled decision plane. Each monitored site gets an independent
-// prediction stream (a core.CompiledSession) plus per-tier window sums
+// A Pipeline wraps one trained core.Monitor. Each monitored site gets an
+// independent prediction stream (a core.Session) plus per-tier window sums
 // that fold the raw 1-second vectors into the paper's 30-second analysis
 // windows, by the same arithmetic as the batch metrics.Aggregator. When a
 // site's window completes across all tiers, the pipeline predicts and
@@ -25,9 +24,8 @@
 // decided from the partial mean (flagged Degraded), and windows missing
 // more are dropped with the site's temporal history reset, as the paper
 // prescribes after long gaps. On a clean stream the pipeline's decisions
-// are bit-identical to replaying the same windows through the batch,
-// interpreted session API of core — the serving layer adds resilience, not
-// drift.
+// are bit-identical to replaying the same windows through a batch session
+// of core — the serving layer adds resilience, not drift.
 //
 // Every site is instrumented: counters for samples ingested/skipped,
 // windows decided/degraded/dropped, overloads, GPV disagreement, and

@@ -131,9 +131,12 @@ func formatDecisions(ds []serve.Decision) string {
 }
 
 // TestStreamingMatchesBatch is the serving layer's core guarantee: replaying
-// a recorded trace sample-by-sample yields exactly the decisions the batch
-// session API computes from the aggregated windows — same prediction, same
-// GPV, same timestamps — with the sequence golden-pinned.
+// a recorded trace sample-by-sample yields exactly the decisions one core
+// Session computes from the batch-aggregated windows — same prediction,
+// same GPV, same timestamps — with the sequence golden-pinned. Both sides
+// decide through the same scoring tables, so the oracle checks the
+// streaming window arithmetic and the engine's session bookkeeping; the
+// decision kernel itself is held to core's frozen reference transcript.
 func TestStreamingMatchesBatch(t *testing.T) {
 	_, mon, tr := fixture(t)
 	var decisions []serve.Decision

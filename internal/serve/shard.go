@@ -186,8 +186,7 @@ type ShardedPipeline struct {
 // with NewPipeline; scfg the shard fan-out.
 func NewShardedPipeline(m *core.Monitor, cfg Config, scfg ShardConfig) (*ShardedPipeline, error) {
 	sp := &ShardedPipeline{}
-	cm, err := sp.configure(m, cfg)
-	if err != nil {
+	if err := sp.configure(m, cfg); err != nil {
 		return nil, err
 	}
 	if errs := scfg.Validate(); len(errs) > 0 {
@@ -206,7 +205,7 @@ func NewShardedPipeline(m *core.Monitor, cfg Config, scfg ShardConfig) (*Sharded
 			pending: make([]qsample, 0, scfg.BatchSize),
 			ch:      make(chan []qsample, chanCap),
 			free:    make(chan []qsample, chanCap+2),
-			eng:     newEngine(cm, sp.cfg, sp.dim),
+			eng:     newEngine(m, sp.cfg, sp.dim),
 		}
 		sh.syncCond = sync.NewCond(&sh.syncMu)
 		sp.shards[i] = sh

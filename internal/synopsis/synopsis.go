@@ -118,28 +118,19 @@ func selFolds(cfg featsel.Config) int {
 
 // Predict maps a full metric vector (same layout as the training collector)
 // to the predicted system state, projecting to the synopsis's selected
-// attributes internally.
-func (s *Synopsis) Predict(values []float64) int {
-	return s.PredictInto(nil, values)
-}
-
-// PredictInto is Predict projecting through dst, a caller-owned scratch
-// buffer reused across calls (grown — or allocated, when nil — only when
-// its capacity is short of len(Attrs)). Hot decision loops hold one buffer
-// per prediction stream so steady-state projection never allocates.
-func (s *Synopsis) PredictInto(dst []float64, values []float64) int {
-	if cap(dst) < len(s.Attrs) {
-		dst = make([]float64, len(s.Attrs))
-	}
-	dst = dst[:len(s.Attrs)]
+// attributes through scr, which also holds every temporary the classifier
+// needs. A trained synopsis is immutable and shared across prediction
+// streams; concurrent callers must hold distinct scratches.
+func (s *Synopsis) Predict(values []float64, scr *ml.Scratch) int {
+	x := scr.EnsureX(len(s.Attrs))
 	for i, a := range s.Attrs {
 		if a < len(values) {
-			dst[i] = values[a]
+			x[i] = values[a]
 		} else {
-			dst[i] = 0
+			x[i] = 0
 		}
 	}
-	return s.classifier.Predict(dst)
+	return s.classifier.Predict(x, scr)
 }
 
 // Key identifies the synopsis in reports, e.g. "browsing/db/HPC/TAN".

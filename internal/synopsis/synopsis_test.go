@@ -7,6 +7,7 @@ import (
 
 	"hpcap/internal/featsel"
 	"hpcap/internal/metrics"
+	"hpcap/internal/ml"
 	"hpcap/internal/ml/bayes"
 	"hpcap/internal/ml/mltest"
 	"hpcap/internal/server"
@@ -27,8 +28,9 @@ func TestBuildAndPredict(t *testing.T) {
 	}
 	// Predict takes the FULL vector and projects internally.
 	correct := 0
+	var scr ml.Scratch
 	for i := 0; i < d.Len(); i++ {
-		if s.Predict(d.Row(i)) == d.Y[i] {
+		if s.Predict(d.Row(i), &scr) == d.Y[i] {
 			correct++
 		}
 	}
@@ -103,5 +105,5 @@ func TestPredictToleratesShortVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A truncated vector must not panic; missing attributes read as zero.
-	_ = s.Predict([]float64{1, 2})
+	_ = s.Predict([]float64{1, 2}, &ml.Scratch{})
 }

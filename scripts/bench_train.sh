@@ -13,7 +13,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' \
-    -bench '^(BenchmarkSVMFit|BenchmarkTANFit|BenchmarkNaiveFit|BenchmarkFeatselSelect|BenchmarkFeatselRank|BenchmarkPipelineIngest|BenchmarkDecide|BenchmarkDecideInterpreted|BenchmarkDecideBatch|BenchmarkFuseSample|BenchmarkFuseBatch)$' \
+    -bench '^(BenchmarkSVMFit|BenchmarkTANFit|BenchmarkNaiveFit|BenchmarkFeatselSelect|BenchmarkFeatselRank|BenchmarkPipelineIngest|BenchmarkDecide|BenchmarkDecideBatch|BenchmarkFuseSample|BenchmarkFuseBatch)$' \
     -benchmem -benchtime "${BENCHTIME:-2s}" -count 1 \
     ./internal/ml/svm ./internal/ml/bayes ./internal/featsel ./internal/serve ./internal/core ./internal/fuse \
     | tee "$tmp"
