@@ -112,7 +112,6 @@ import (
 	"hpcap/internal/simsite"
 	"hpcap/internal/tpcw"
 	"hpcap/internal/wal"
-	"hpcap/internal/wire"
 )
 
 func main() {
@@ -565,12 +564,9 @@ func serveNetwork(out io.Writer, state *daemonState, pipe *serve.ShardedPipeline
 			lane := ing.Conn()
 			undecodable := 0
 			n, rerr := wal.Replay(c.wal, wal.Config{}, func(payload []byte) error {
-				f, derr := wire.DecodeFrame(payload)
-				if derr != nil {
+				if lane.AcceptPayload(payload, nil) != nil {
 					undecodable++
-					return nil
 				}
-				lane.Accept(&f)
 				return nil
 			})
 			if rerr != nil {

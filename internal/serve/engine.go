@@ -56,6 +56,10 @@ type engine struct {
 	confSum   []float64
 	confN     []int32
 
+	// spent holds the pooled frames whose last scrape the batch applied,
+	// handed back together before the batch's decisions.
+	spent []*loan
+
 	// due holds the batch's deferred clean-window decisions; pubs the
 	// decisions and health events awaiting publication outside all locks.
 	due  []dueWin
@@ -206,24 +210,37 @@ func (e *engine) takePubs() []pub {
 func (e *engine) processBatch(batch []qsample, sh *shard) []pub {
 	for k := range batch {
 		q := &batch[k]
-		var i int32
-		if q.idx > 0 {
-			if int(q.idx) > len(e.recs) {
-				sh.badRefs.Add(1)
-				continue
-			}
-			i = q.idx - 1
-		} else {
-			i = e.site(q.site)
+		switch {
+		case q.idx > int32(len(e.recs)):
+			sh.badRefs.Add(1)
+		case q.fused:
+			e.ingestSite(e.index(q), q)
+		default:
+			e.ingestOne(e.index(q), q)
 		}
-		if q.fused {
-			e.ingestSite(i, q)
-		} else {
-			e.ingestOne(i, q)
+		if q.frame != nil {
+			// The frame's last scrape is applied, and its scrapes reach
+			// this shard in order through one Batcher: nothing reads its
+			// vectors again (ingestVec reads each once), so it goes back.
+			e.spent = append(e.spent, q.frame)
 		}
+	}
+	if len(e.spent) > 0 {
+		repay(e.spent)
+		clear(e.spent)
+		e.spent = e.spent[:0]
 	}
 	e.decideAll()
 	return e.takePubs()
+}
+
+// index is the dense index of a queued sample's site, resolving a name
+// (and creating the site) when the sample was not pre-routed.
+func (e *engine) index(q *qsample) int32 {
+	if q.idx > 0 {
+		return q.idx - 1
+	}
+	return e.site(q.site)
 }
 
 // ingestSite applies one fused site scrape — one sample per tier, all
@@ -265,7 +282,7 @@ func (e *engine) ingestOne(i int32, q *qsample) {
 	if !timeBad {
 		wi = windowIndex(q.time, e.window)
 	}
-	e.ingestVec(i, q.tier, q.time, wi, timeBad, q.values)
+	e.ingestVec(i, q.tier, q.time, wi, timeBad, q.vecs[0])
 }
 
 // ingestVec is the per-tier core of ingestOne with the sample prolog

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hpcap/internal/core"
 	"hpcap/internal/metrics"
@@ -94,4 +95,12 @@ func TestSwappedOffMonitorIsCollected(t *testing.T) {
 		t.Fatalf("%d of 4 swapped-off monitors collected", got)
 	}
 	runtime.KeepAlive(p)
+}
+
+// TestQueueSlotSize pins the queue slot at 104 bytes: slots move by value
+// through every batch, and a larger one slows the in-process fleet path.
+func TestQueueSlotSize(t *testing.T) {
+	if n := unsafe.Sizeof(qsample{}); n > 104 {
+		t.Errorf("qsample is %d bytes, want <= 104", n)
+	}
 }

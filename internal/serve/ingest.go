@@ -48,9 +48,19 @@ type siteTransport struct {
 // state survives agent reconnects, so a redelivered frame after a
 // flap is still recognised as a duplicate. Accounting is keyed by the
 // frame's site name — agents, not connections, own sites.
+//
+// Its site table is the only one on the network path: entries are never
+// removed, so a connection lane resolves a decoded frame's site name to
+// the entry's string and keeps the entry for the frame's accounting.
 type Ingest struct {
 	pipe *ShardedPipeline
 	now  func() time.Time
+
+	// frameMu orders a frame's commit (the write-ahead log append) and
+	// its accounting and enqueue across lanes, so the log's frame order
+	// is exactly the order ingest observed.
+	frameMu sync.Mutex
+	frames  framePool
 
 	mu    sync.Mutex
 	sites map[string]*siteTransport
@@ -77,11 +87,13 @@ func (in *Ingest) site(name string) *siteTransport {
 }
 
 // Conn opens a per-connection ingest lane with its own Batcher. Frames
-// from one connection must be delivered to Accept in arrival order; the
-// connection's goroutine owns the lane (no internal locking on the
-// batching path beyond the shared sequence table).
+// from one connection must be delivered to AcceptPayload or Accept in
+// arrival order; the connection's goroutine owns the lane (no internal
+// locking on the batching path beyond the shared sequence table).
 func (in *Ingest) Conn() *ConnIngest {
-	return &ConnIngest{ingest: in, batch: in.pipe.NewBatcher()}
+	ci := &ConnIngest{ingest: in, batch: in.pipe.NewBatcher()}
+	ci.dec.Site = ci.siteName
+	return ci
 }
 
 // Transport returns one site's transport counters.
@@ -114,16 +126,76 @@ func (in *Ingest) TransportStats() []SiteTransport {
 type ConnIngest struct {
 	ingest *Ingest
 	batch  *Batcher
+	dec    wire.Decoder
+	st     *siteTransport // entry of the frame dec last decoded; nil if its site was new
+	spare  []*loan        // frames lent to the lane and not in use
+}
+
+// siteName is the lane decoder's site resolver: the name's entry in the
+// Ingest's table, kept for the frame's accounting, and its string.
+// Converting name inside the map index does not allocate; only a site's
+// first frame copies the name.
+func (ci *ConnIngest) siteName(name []byte) string {
+	in := ci.ingest
+	in.mu.Lock()
+	ci.st = in.sites[string(name)]
+	in.mu.Unlock()
+	if ci.st == nil {
+		return string(name)
+	}
+	return ci.st.stats.Site
+}
+
+// AcceptPayload decodes one frame payload and ingests it — the one path
+// for frames off a connection (FrameServer) and out of a write-ahead log
+// on replay. The frame is decoded into a pooled frame that goes back to
+// the pool when the shard has applied its last scrape, or at once when it
+// carries none or is dropped, so steady-state ingest allocates nothing.
+//
+// commit, when non-nil, sees the payload of every well-formed frame
+// before its accounting — the write-ahead log append — with the two
+// ordered across lanes as one step; its error drops the frame unaccounted
+// and is returned. A payload that does not decode returns an error
+// wrapping wire.ErrFrame and leaves the lane as it was.
+func (ci *ConnIngest) AcceptPayload(payload []byte, commit func(payload []byte) error) error {
+	in := ci.ingest
+	if len(ci.spare) == 0 {
+		ci.spare = in.frames.lend(ci.spare, spareFrames)
+	}
+	l := ci.spare[len(ci.spare)-1]
+	ci.spare = ci.spare[:len(ci.spare)-1]
+	if err := ci.dec.DecodeInto(&l.Frame, payload); err != nil {
+		ci.spare = append(ci.spare, l)
+		return err
+	}
+	in.frameMu.Lock()
+	defer in.frameMu.Unlock()
+	if commit != nil {
+		if err := commit(payload); err != nil {
+			ci.spare = append(ci.spare, l)
+			return fmt.Errorf("serve: commit frame: %w", err)
+		}
+	}
+	ci.accept(ci.st, &l.Frame, l)
+	return nil
 }
 
 // Accept runs one decoded frame through sequence accounting and, if it
 // advances the site's stream, enqueues its samples. Returns false for
 // frames dropped as duplicates or late reorderings — dropped frames are
-// always counted, never silent.
-func (ci *ConnIngest) Accept(f *wire.Frame) bool {
+// always counted, never silent. The frame stays the caller's: its
+// vectors must not change until the pipeline has applied them (Close,
+// then ShardedPipeline.Sync).
+func (ci *ConnIngest) Accept(f *wire.Frame) bool { return ci.accept(nil, f, nil) }
+
+// accept is Accept for a frame whose table entry may already be known
+// (st) and which may be on loan from the frame pool (l, else nil).
+func (ci *ConnIngest) accept(st *siteTransport, f *wire.Frame, l *loan) bool {
 	in := ci.ingest
 	in.mu.Lock()
-	st := in.site(f.Site)
+	if st == nil {
+		st = in.site(f.Site)
+	}
 	s := &st.stats
 	switch {
 	case s.Frames == 0:
@@ -136,10 +208,12 @@ func (ci *ConnIngest) Accept(f *wire.Frame) bool {
 	case f.Seq == s.LastSeq:
 		s.DupFrames++
 		in.mu.Unlock()
+		ci.keep(l)
 		return false
 	case f.Seq < s.LastSeq:
 		s.OutOfOrder++
 		in.mu.Unlock()
+		ci.keep(l)
 		return false
 	case f.Seq > s.LastSeq+1:
 		s.SeqGaps++
@@ -148,24 +222,108 @@ func (ci *ConnIngest) Accept(f *wire.Frame) bool {
 	s.LastSeq = f.Seq
 	s.Frames++
 	s.Samples += uint64(len(f.Samples))
-	if n := len(f.Samples); n > 0 {
+	n := len(f.Samples)
+	if n > 0 {
 		s.LastFrameTime = f.Samples[n-1].Time
 	}
 	s.LastFrameAt = in.now()
 	ref := st.ref
 	in.mu.Unlock()
 
-	for i := range f.Samples {
+	if n == 0 {
+		ci.keep(l)
+		return true
+	}
+	for i := range f.Samples[:n-1] {
 		ci.batch.AddSite(ref, f.Samples[i].Time, f.Samples[i].Vecs)
 	}
+	// The last scrape carries the frame: all of a frame's scrapes go
+	// through this Batcher to the one shard of its site, in order, so
+	// when the shard has applied the last it has read them all.
+	last := &f.Samples[n-1]
+	ci.batch.addSite(ref, last.Time, last.Vecs, l)
 	return true
+}
+
+// keep puts a frame the lane decoded but did not enqueue back among its
+// spares; nil is a frame the caller owns.
+func (ci *ConnIngest) keep(l *loan) {
+	if l != nil {
+		ci.spare = append(ci.spare, l)
+	}
+}
+
+// spareFrames is how many pooled frames a lane borrows at a time, so the
+// pool's lock is taken once per that many frames decoded.
+const spareFrames = 16
+
+// framePool recycles the frames connection lanes decode into. It never
+// holds more frames than were once on loan at the same time — bounded by
+// the lanes' spares and Batchers and the shard queues.
+type framePool struct {
+	mu   sync.Mutex
+	free []*loan
+	lent int // frames on loan now, spares included
+}
+
+// loan is a decoded frame on loan from a framePool.
+type loan struct {
+	wire.Frame
+	pool *framePool
+	out  bool // on loan; guarded by pool.mu
+}
+
+// lend appends up to n pooled frames to dst, the most recently returned
+// last, or one new frame when the pool has none.
+func (p *framePool) lend(dst []*loan, n int) []*loan {
+	p.mu.Lock()
+	k := max(len(p.free)-n, 0)
+	dst = append(dst, p.free[k:]...)
+	clear(p.free[k:])
+	p.free = p.free[:k]
+	if len(dst) == 0 {
+		dst = append(dst, &loan{pool: p})
+	}
+	for _, l := range dst {
+		l.out = true
+	}
+	p.lent += len(dst)
+	p.mu.Unlock()
+	return dst
+}
+
+// repay hands frames back to their pools, taking each pool's lock once
+// for a run of its frames. A second repayment of one loan would let two
+// later frames share one slab, so it panics.
+func repay(ls []*loan) {
+	for len(ls) > 0 {
+		p := ls[0].pool
+		k := 0
+		p.mu.Lock()
+		for ; k < len(ls) && ls[k].pool == p && ls[k].out; k++ {
+			ls[k].out = false
+		}
+		p.free = append(p.free, ls[:k]...)
+		p.lent -= k
+		p.mu.Unlock()
+		if k < len(ls) && ls[k].pool == p {
+			panic("serve: decoded frame released twice")
+		}
+		ls = ls[k:]
+	}
 }
 
 // Flush pushes the lane's pending batch into the shard queues.
 func (ci *ConnIngest) Flush() { ci.batch.Flush() }
 
-// Close flushes the lane; the ConnIngest must not be used afterwards.
-func (ci *ConnIngest) Close() { ci.batch.Flush() }
+// Close flushes the lane and returns its spare frames to the pool; the
+// ConnIngest must not be used afterwards.
+func (ci *ConnIngest) Close() {
+	ci.batch.Flush()
+	repay(ci.spare)
+	clear(ci.spare)
+	ci.spare = ci.spare[:0]
+}
 
 // transportMetric describes one exported transport counter/gauge.
 type transportMetric struct {

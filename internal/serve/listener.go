@@ -101,8 +101,6 @@ type FrameServer struct {
 	// the agent believes delivered.
 	onFrame func(payload []byte) error
 
-	frameMu sync.Mutex // serializes OnFrame + Accept across connections
-
 	mu     sync.Mutex
 	cond   *sync.Cond // signalled under mu when connsClosed moves
 	conns  map[net.Conn]struct{}
@@ -226,11 +224,10 @@ func (fs *FrameServer) serveConn(conn net.Conn) {
 	fs.mu.Unlock()
 }
 
-// pump reads, decodes, logs and ingests frames until the stream ends,
-// and returns what ended it.
+// pump reads frames and hands each payload to the lane until the stream
+// ends, and returns what ended it.
 func (fs *FrameServer) pump(conn net.Conn, lane *ConnIngest) error {
 	r := bufio.NewReaderSize(conn, readBufferBytes)
-	dec := wire.NewDecoder()
 	var buf []byte
 	for {
 		if fs.cfg.ReadTimeout > 0 {
@@ -241,23 +238,17 @@ func (fs *FrameServer) pump(conn net.Conn, lane *ConnIngest) error {
 			return err
 		}
 		buf = payload[:0]
-		f, derr := dec.Decode(payload)
-		if derr != nil {
-			// Framing survived, the payload did not: skip the frame but
-			// keep the stream — the next length prefix is still aligned.
-			fs.decodeErrors.Add(1)
-			continue
-		}
-		fs.frameMu.Lock()
-		if fs.onFrame != nil {
-			if werr := fs.onFrame(payload); werr != nil {
-				fs.frameMu.Unlock()
-				fs.logErrors.Add(1)
-				return werr
+		if err := lane.AcceptPayload(payload, fs.onFrame); err != nil {
+			if errors.Is(err, wire.ErrFrame) {
+				// Framing survived, the payload did not: skip the frame
+				// but keep the stream — the next length prefix is still
+				// aligned.
+				fs.decodeErrors.Add(1)
+				continue
 			}
+			fs.logErrors.Add(1)
+			return err
 		}
-		lane.Accept(&f)
-		fs.frameMu.Unlock()
 		fs.frames.Add(1)
 	}
 }

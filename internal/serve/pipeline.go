@@ -1,6 +1,9 @@
 package serve
 
-import "hpcap/internal/core"
+import (
+	"hpcap/internal/core"
+	"hpcap/internal/server"
+)
 
 // Pipeline turns a stream of per-tier 1-second samples into per-window
 // decisions for any number of sites, synchronously: it is one engine with
@@ -33,7 +36,7 @@ func NewPipeline(m *core.Monitor, cfg Config) (*Pipeline, error) {
 func (p *Pipeline) Ingest(s Sample) {
 	sh := p.shards[0]
 	// A batch of one, on the stack: the same path a shard goroutine runs.
-	batch := [1]qsample{{site: s.Site, tier: s.Tier, time: s.Time, values: s.Values}}
+	batch := [1]qsample{{site: s.Site, tier: s.Tier, time: s.Time, vecs: [server.NumTiers][]float64{s.Values}}}
 	sh.emu.Lock()
 	pubs := sh.eng.processBatch(batch[:], sh)
 	sh.emu.Unlock()

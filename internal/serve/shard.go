@@ -116,14 +116,21 @@ func (r SiteRef) Valid() bool { return r.index > 0 }
 
 // qsample is one queued sample: a Sample with its site either still a
 // name (resolved by the shard goroutine) or a pre-resolved dense index.
+// It is 104 bytes, and the queue moves it by value: a slot that grew to
+// 128 measurably slowed the in-process fleet path, hence the single
+// vector field shared by the two sample shapes.
 type qsample struct {
-	site   string
-	idx    int32 // dense index + 1 when pre-resolved; 0 = resolve by name
-	tier   server.TierID
-	fused  bool // one scrape carrying every tier's vector in vecs
-	time   float64
-	values []float64
-	vecs   [server.NumTiers][]float64
+	site  string
+	idx   int32 // dense index + 1 when pre-resolved; 0 = resolve by name
+	tier  server.TierID
+	fused bool // one scrape carrying every tier's vector in vecs
+	time  float64
+	// vecs holds every tier's vector of a fused scrape; a single-tier
+	// sample keeps its values in vecs[0].
+	vecs [server.NumTiers][]float64
+	// frame is set on the last scrape of a pooled decoded frame: the
+	// shard hands the frame back once it has applied this sample.
+	frame *loan
 }
 
 // shard is one ingest lane: a producer-side pending batch, a bounded
@@ -286,7 +293,7 @@ func (sh *shard) flushLocked() {
 // batch drains. The Values slice must not be mutated until then
 // (Sync/Flush guarantee it).
 func (sp *ShardedPipeline) Ingest(s Sample) {
-	sp.enqueue(sp.lane(s.Site), qsample{site: s.Site, tier: s.Tier, time: s.Time, values: s.Values})
+	sp.enqueue(sp.lane(s.Site), qsample{site: s.Site, tier: s.Tier, time: s.Time, vecs: [server.NumTiers][]float64{s.Values}})
 }
 
 // Register resolves a site to its shard once and returns the handle the
@@ -308,7 +315,7 @@ func (sp *ShardedPipeline) IngestRef(ref SiteRef, tier server.TierID, time float
 		sp.badRefs.Add(1)
 		return
 	}
-	sp.enqueue(sp.shards[ref.shard], qsample{idx: ref.index, tier: tier, time: time, values: values})
+	sp.enqueue(sp.shards[ref.shard], qsample{idx: ref.index, tier: tier, time: time, vecs: [server.NumTiers][]float64{values}})
 }
 
 // submitBatch hands a producer-built batch straight to the shard queue and
@@ -321,6 +328,11 @@ func (sp *ShardedPipeline) submitBatch(sh *shard, batch []qsample) []qsample {
 	if sh.closed {
 		sh.mu.Unlock()
 		sh.rejected.Add(uint64(len(batch)))
+		for k := range batch {
+			if f := batch[k].frame; f != nil {
+				repay([]*loan{f})
+			}
+		}
 		return batch[:0]
 	}
 	sh.flushLocked()
@@ -372,7 +384,7 @@ func (b *Batcher) Add(ref SiteRef, tier server.TierID, time float64, values []fl
 	if buf == nil {
 		buf = make([]qsample, 0, b.sp.scfg.BatchSize)
 	}
-	buf = append(buf, qsample{idx: ref.index, tier: tier, time: time, values: values})
+	buf = append(buf, qsample{idx: ref.index, tier: tier, time: time, vecs: [server.NumTiers][]float64{values}})
 	if len(buf) >= b.sp.scfg.BatchSize {
 		buf = b.sp.submitBatch(b.sp.shards[s], buf)
 	}
@@ -388,16 +400,26 @@ func (b *Batcher) Add(ref SiteRef, tier server.TierID, time float64, values []fl
 // ownership follows Add: the engine reads each vector exactly once,
 // before the next Sync returns.
 func (b *Batcher) AddSite(ref SiteRef, time float64, vecs [server.NumTiers][]float64) {
+	b.addSite(ref, time, vecs, nil)
+}
+
+// addSite is AddSite carrying a pooled frame on the frame's last scrape:
+// the frame goes back to its pool once the shard has applied the scrape
+// or the scrape is dropped (a bad ref here, a closed shard at submit).
+func (b *Batcher) addSite(ref SiteRef, time float64, vecs [server.NumTiers][]float64, frame *loan) {
 	s := int(ref.shard)
 	if ref.index <= 0 || s < 0 || s >= len(b.buf) {
 		b.sp.badRefs.Add(1)
+		if frame != nil {
+			repay([]*loan{frame})
+		}
 		return
 	}
 	buf := b.buf[s]
 	if buf == nil {
 		buf = make([]qsample, 0, b.sp.scfg.BatchSize)
 	}
-	buf = append(buf, qsample{idx: ref.index, fused: true, time: time, vecs: vecs})
+	buf = append(buf, qsample{idx: ref.index, fused: true, time: time, vecs: vecs, frame: frame})
 	if len(buf) >= b.sp.scfg.BatchSize {
 		buf = b.sp.submitBatch(b.sp.shards[s], buf)
 	}

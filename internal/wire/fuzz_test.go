@@ -40,31 +40,55 @@ func sameFrame(a, b Frame) bool {
 // sequence number above all, so no field can be silently altered or
 // dropped in flight. (The input itself may use non-minimal varints, so
 // byte-for-byte fixed-point against the raw payload is not required; the
-// canonical re-encoding is.) And a connection's reused Decoder is the
-// one-shot DecodeFrame: it accepts and rejects the same payloads, returns
-// the same frame, and a frame it returned stays bit-unchanged while it
-// decodes the next eight — the engine reads those vectors asynchronously.
+// canonical re-encoding is.) A reused Decoder is the one-shot DecodeFrame:
+// it accepts and rejects the same payloads, returns the same frame, and a
+// frame Decode returned stays bit-unchanged while it decodes the next
+// eight — Decode's frames are self-owned. And DecodeInto a dirty recycled
+// frame, left by a larger earlier frame (more samples, longer vectors, a
+// vector wherever the input has none), yields the one-shot frame too, or
+// on a rejected payload leaves the dirty frame as it was.
 func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{Version})
 	f.Add(AppendFrame(nil, &Frame{Site: "seed", Seq: 1, Samples: []Sample{
 		{Time: 30, Vecs: [server.NumTiers][]float64{{1, 2}, {3}}},
 	}}))
+	f.Add(AppendFrame(nil, &Frame{Site: "seed", Seq: 2, Samples: []Sample{
+		{Time: 31, Vecs: [server.NumTiers][]float64{nil, {4, 5, 6}}},
+		{Time: 32},
+	}}))
 	f.Add(AppendFrame(nil, &Frame{Site: "", Seq: math.MaxUint64}))
 	f.Add([]byte{Version, 0xff, 0xff, 0xff, 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		dec := NewDecoder()
+		var dec Decoder
 		held, derr := dec.Decode(payload)
 		frame, err := DecodeFrame(payload)
 		if (err == nil) != (derr == nil) {
 			t.Fatalf("reused decoder: %v, one-shot: %v", derr, err)
 		}
+
+		// The dirty frame: a larger frame than the input decoded into it.
+		dirty := Frame{Site: "dirty"}
+		if err := dec.DecodeInto(&dirty, AppendFrame(nil, larger(&frame))); err != nil {
+			t.Fatalf("larger frame does not decode: %v", err)
+		}
+		before := cloneFrame(dirty)
+		ierr := dec.DecodeInto(&dirty, payload)
+		if (ierr == nil) != (err == nil) {
+			t.Fatalf("DecodeInto: %v, one-shot: %v", ierr, err)
+		}
 		if err != nil {
-			if !errors.Is(err, ErrFrame) || !errors.Is(derr, ErrFrame) {
-				t.Fatalf("decode errors %v / %v do not wrap ErrFrame", err, derr)
+			if !errors.Is(err, ErrFrame) || !errors.Is(derr, ErrFrame) || !errors.Is(ierr, ErrFrame) {
+				t.Fatalf("decode errors %v / %v / %v do not wrap ErrFrame", err, derr, ierr)
+			}
+			if !sameFrame(dirty, before) {
+				t.Fatalf("rejected payload changed the frame: %+v, was %+v", dirty, before)
 			}
 			return
+		}
+		if !sameFrame(dirty, frame) {
+			t.Fatalf("DecodeInto a recycled frame: %+v, one-shot %+v", dirty, frame)
 		}
 		if n := frameLen(&frame); n != len(AppendFrame(nil, &frame)) {
 			t.Fatalf("frameLen %d, encoding is %d bytes", n, len(AppendFrame(nil, &frame)))
@@ -105,4 +129,45 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("held frame changed under later decodes: %+v, was %+v", held, frame)
 		}
 	})
+}
+
+// larger returns a frame with one sample more than f and every vector one
+// value longer — so a tier f leaves empty has a vector here — capped at
+// the protocol bounds; every float differs from f's.
+func larger(f *Frame) *Frame {
+	g := &Frame{Site: f.Site + "-larger", Seq: f.Seq + 1}
+	n := min(len(f.Samples)+1, MaxFrameSamples)
+	for i := 0; i < n; i++ {
+		s := Sample{Time: -float64(i + 1)}
+		for tier := range s.Vecs {
+			dim := 1
+			if i < len(f.Samples) {
+				dim = min(len(f.Samples[i].Vecs[tier])+1, MaxDim)
+			}
+			s.Vecs[tier] = make([]float64, dim)
+			for j := range s.Vecs[tier] {
+				s.Vecs[tier][j] = -float64(1000*i + j + 1)
+			}
+		}
+		g.Samples = append(g.Samples, s)
+	}
+	return g
+}
+
+// cloneFrame deep-copies a frame's fields, so a later decode into f cannot
+// reach the copy.
+func cloneFrame(f Frame) Frame {
+	c := Frame{Site: f.Site, Seq: f.Seq}
+	if f.Samples != nil {
+		c.Samples = make([]Sample, len(f.Samples))
+	}
+	for i, s := range f.Samples {
+		c.Samples[i].Time = s.Time
+		for tier, vec := range s.Vecs {
+			if vec != nil {
+				c.Samples[i].Vecs[tier] = append([]float64{}, vec...)
+			}
+		}
+	}
+	return c
 }

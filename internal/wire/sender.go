@@ -63,6 +63,7 @@ type Sender struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	ring     [][]byte // length-prefixed frames; QueueFrames slots, oldest at head
+	free     [][]byte // buffers of frames written or evicted, for Send to reuse
 	head     int
 	queued   int
 	closed   bool
@@ -99,32 +100,49 @@ func NewSender(addr string, cfg AgentConfig) (*Sender, error) {
 // again as soon as it returns. It never blocks: a full queue evicts the
 // oldest queued frame (counted DroppedFull), an oversized or post-Close
 // frame is dropped and counted.
+//
+// The frame is encoded here, not on the drain goroutine, because callers
+// reuse the samples; once, into a buffer that already carries the
+// stream's length prefix, so the drain only has to concatenate. The
+// buffer is one a frame already written or evicted gave back, so once
+// the queue has turned over Send allocates nothing.
 func (s *Sender) Send(f *Frame) {
-	// Encoded here, not on the drain goroutine, because callers reuse the
-	// samples; once, into a buffer of the final size that already carries
-	// the stream's length prefix, so the drain only has to concatenate.
-	var framed []byte
-	if n := frameLen(f); n <= s.cfg.MaxFrameBytes {
-		framed = make([]byte, 0, uvarintLen(uint64(n))+n)
-		framed = AppendFrame(binary.AppendUvarint(framed, uint64(n)), f)
-	}
+	n := frameLen(f)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		s.stats.DroppedClosed++
 		return
 	}
-	if framed == nil {
+	if n > s.cfg.MaxFrameBytes {
 		s.stats.DroppedOversize++
 		return
 	}
 	if s.queued == len(s.ring) {
-		// The oldest frame's slot is the one this frame lands in.
+		// The oldest frame's slot is the one this frame lands in, and
+		// its buffer the first in line for this frame's bytes.
+		s.free = append(s.free, s.ring[s.head][:0])
+		s.ring[s.head] = nil
 		s.head = (s.head + 1) % len(s.ring)
 		s.queued--
 		s.stats.DroppedFull++
 	}
-	s.ring[(s.head+s.queued)%len(s.ring)] = framed
+	// The newest returned buffer, or a new one when it is too small; a
+	// short one is let go, so the sender never holds more buffers than
+	// its ring and the batch in flight. A new buffer has an eighth to
+	// spare, so a frame that is a little longer — a sequence number
+	// gaining a varint byte, a longer site name — still fits.
+	size := uvarintLen(uint64(n)) + n
+	var buf []byte
+	if k := len(s.free) - 1; k >= 0 {
+		buf = s.free[k]
+		s.free[k] = nil
+		s.free = s.free[:k]
+	}
+	if cap(buf) < size {
+		buf = make([]byte, 0, size+size/8)
+	}
+	s.ring[(s.head+s.queued)%len(s.ring)] = AppendFrame(binary.AppendUvarint(buf, uint64(n)), f)
 	s.queued++
 	s.stats.Enqueued++
 	s.cond.Signal()
@@ -201,6 +219,10 @@ func (s *Sender) drain() {
 
 		s.mu.Lock()
 		s.inflight = false
+		for k, framed := range taken {
+			s.free = append(s.free, framed[:0])
+			taken[k] = nil
+		}
 		if sent {
 			s.stats.Sent += uint64(len(taken))
 		} else {

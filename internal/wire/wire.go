@@ -75,6 +75,9 @@ type Frame struct {
 	Seq uint64
 	// Samples are the fused scrapes, in stream order.
 	Samples []Sample
+
+	// slab backs the vectors DecodeInto carved; nil in any other frame.
+	slab []float64
 }
 
 // AppendFrame encodes f and appends the payload to dst (no length
@@ -166,56 +169,56 @@ func (c *cursor) skip(what string, n int) {
 	c.off += n
 }
 
-// Decoder decodes the frames of one stream. One made by NewDecoder
-// interns site names, so a connection that carries the same sites frame
-// after frame stops allocating their names; the zero Decoder interns
-// nothing and is what the one-shot DecodeFrame runs on. A Decoder is not
-// safe for concurrent use — the connection lane that reads the stream
+// Decoder decodes frames. The zero Decoder copies each frame's site name
+// into a fresh string; one whose Site is set resolves the name through it
+// instead, which is how serve's connection lanes take the name from the
+// server's one site table without allocating. A Decoder is as safe for
+// concurrent use as its Site — the connection lane that reads the stream
 // owns it.
 //
-// Every vector of a decoded frame is carved from one slab allocated for
-// that frame. The slab is never reused: serve.Batcher.AddSite keeps the
-// vectors until a shard has applied them, long after the next frame is
-// decoded, so a frame's vectors share memory with each other and with
-// nothing else — not the payload, not another frame.
+// Decode returns a self-owned frame: its []Sample and the one []float64
+// slab every vector is carved from are allocated for it and shared with
+// nothing else, so it may be held across any later decode. DecodeInto
+// decodes into a caller's frame and reuses that frame's sample slice and
+// slab, so a receiver that hands a frame back once its vectors have been
+// read decodes without allocating: the vectors of the previous frame
+// decoded into f are overwritten, and whoever read them must be done.
 type Decoder struct {
-	sites map[string]string // nil: intern nothing
+	// Site, when set, returns the string a frame's site-name bytes stand
+	// for. It is called once per successful decode, after the payload has
+	// been validated; name aliases the payload.
+	Site func(name []byte) string
 }
 
-// NewDecoder returns a Decoder that interns site names. The table grows
-// by one entry per distinct name the stream carries, which serve.Ingest's
-// transport table does too — it adds no exposure the server did not have.
-func NewDecoder() *Decoder { return &Decoder{sites: make(map[string]string)} }
-
-// site returns name as a string, from the intern table when there is one.
-func (d *Decoder) site(name []byte) string {
-	if d.sites == nil {
-		return string(name)
+// Decode parses one payload produced by AppendFrame into a new frame. It
+// never panics; truncated, oversized, or trailing-garbage payloads return
+// an error wrapping ErrFrame, and a nil error guarantees the returned
+// frame (sequence number included) is exactly what the sender encoded.
+func (d *Decoder) Decode(payload []byte) (Frame, error) {
+	var f Frame
+	if err := d.DecodeInto(&f, payload); err != nil {
+		return Frame{}, err
 	}
-	s, ok := d.sites[string(name)] // no allocation: the conversion is only a map key
-	if !ok {
-		s = string(name)
-		d.sites[s] = s
-	}
-	return s
+	f.slab = nil // self-owned: a decode into the copy must not overwrite these vectors
+	return f, nil
 }
 
-// Decode parses one payload produced by AppendFrame. It never panics;
-// truncated, oversized, or trailing-garbage payloads return an error
-// wrapping ErrFrame, and a nil error guarantees the returned frame
-// (sequence number included) is exactly what the sender encoded.
+// DecodeInto is Decode into f, reusing f's sample slice and slab when
+// they are large enough. Nothing of what f held survives a nil error: a
+// frame without samples has nil Samples, a vector of dim 0 is nil. On
+// error f is left as it was.
 //
 // The payload is walked twice. The first walk checks every length field
 // against the bytes actually present and allocates nothing, so a count or
 // dim that promises more than the payload holds fails before any memory
-// is sized by it; what the second walk allocates — one []Sample, one
-// []float64 slab — is bounded by len(payload), never by a field.
-func (d *Decoder) Decode(payload []byte) (Frame, error) {
+// is sized by it; what the second walk allocates — at most one []Sample
+// and one []float64 slab — is bounded by len(payload), never by a field.
+func (d *Decoder) DecodeInto(f *Frame, payload []byte) error {
 	if len(payload) == 0 {
-		return Frame{}, fmt.Errorf("wire: %w: empty payload", ErrFrame)
+		return fmt.Errorf("wire: %w: empty payload", ErrFrame)
 	}
 	if payload[0] != Version {
-		return Frame{}, fmt.Errorf("wire: %w: version %d, want %d", ErrFrame, payload[0], Version)
+		return fmt.Errorf("wire: %w: version %d, want %d", ErrFrame, payload[0], Version)
 	}
 	c := cursor{b: payload, off: 1}
 	siteLen := int(c.uvarint("site length", MaxSiteLen))
@@ -233,18 +236,30 @@ func (d *Decoder) Decode(payload []byte) (Frame, error) {
 		}
 	}
 	if c.err != nil {
-		return Frame{}, c.err
+		return c.err
 	}
 	if c.off != len(payload) {
-		return Frame{}, fmt.Errorf("wire: %w: %d trailing bytes", ErrFrame, len(payload)-c.off)
+		return fmt.Errorf("wire: %w: %d trailing bytes", ErrFrame, len(payload)-c.off)
 	}
 
-	f := Frame{Site: d.site(payload[siteOff : siteOff+siteLen]), Seq: seq}
-	if count == 0 {
-		return f, nil
+	if name := payload[siteOff : siteOff+siteLen]; d.Site != nil {
+		f.Site = d.Site(name)
+	} else {
+		f.Site = string(name)
 	}
-	f.Samples = make([]Sample, count)
-	slab := make([]float64, floats)
+	f.Seq = seq
+	if count == 0 {
+		f.Samples = nil
+		return nil
+	}
+	if cap(f.Samples) < count {
+		f.Samples = make([]Sample, count)
+	}
+	f.Samples = f.Samples[:count]
+	if cap(f.slab) < floats {
+		f.slab = make([]float64, floats)
+	}
+	slab := f.slab[:floats]
 	b := payload[body:]
 	for i := range f.Samples {
 		s := &f.Samples[i]
@@ -254,6 +269,7 @@ func (d *Decoder) Decode(payload []byte) (Frame, error) {
 			dim, n := binary.Uvarint(b)
 			b = b[n:]
 			if dim == 0 {
+				s.Vecs[tier] = nil
 				continue
 			}
 			vec := slab[:dim:dim]
@@ -265,10 +281,10 @@ func (d *Decoder) Decode(payload []byte) (Frame, error) {
 			s.Vecs[tier] = vec
 		}
 	}
-	return f, nil
+	return nil
 }
 
-// DecodeFrame is Decode on a fresh Decoder: the one-shot call for a
+// DecodeFrame is Decode on a zero Decoder: the one-shot call for a
 // payload that arrives alone — a WAL record on replay, a capture file.
 func DecodeFrame(payload []byte) (Frame, error) {
 	var d Decoder

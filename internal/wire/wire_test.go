@@ -208,29 +208,35 @@ func TestDecodeBoundsBeforeAllocating(t *testing.T) {
 	dim := append(append([]byte{}, head...), 1)                          // one sample
 	dim = append(dim, make([]byte, 8)...)                                // its time
 	dim = append(binary.AppendUvarint(dim, MaxDim), make([]byte, 16)...) // 4096 floats promised, 2 there
-	dec := NewDecoder()
+	var dec Decoder
 	for name, payload := range map[string][]byte{"count": count, "dim": dim} {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		const runs = 100
+		var into Frame
 		for i := 0; i < runs; i++ {
 			if _, err := dec.Decode(payload); !errors.Is(err, ErrFrame) {
 				t.Fatalf("%s: got %v, want ErrFrame", name, err)
 			}
+			if err := dec.DecodeInto(&into, payload); !errors.Is(err, ErrFrame) {
+				t.Fatalf("%s: DecodeInto got %v, want ErrFrame", name, err)
+			}
 		}
 		runtime.ReadMemStats(&m1)
 		// Only the error values: far below one sample slice or one slab.
-		if per := (m1.TotalAlloc - m0.TotalAlloc) / runs; per > 1024 {
+		if per := (m1.TotalAlloc - m0.TotalAlloc) / (2 * runs); per > 1024 {
 			t.Errorf("%s: %d bytes allocated per rejected payload", name, per)
 		}
 	}
 }
 
-// TestDecoderOwnership: frames decoded through one Decoder own their
-// vectors — ten frames held at once all still read as they were sent.
+// TestDecoderOwnership: frames Decode returns own their vectors — ten
+// frames held at once all still read as they were sent, and a frame
+// decoded into afterwards takes none of them.
 func TestDecoderOwnership(t *testing.T) {
-	dec := NewDecoder()
+	var dec Decoder
 	var sent, got []Frame
+	var into Frame
 	for i := 0; i < 10; i++ {
 		f := hpcFrame()
 		f.Seq = uint64(i)
@@ -246,20 +252,55 @@ func TestDecoderOwnership(t *testing.T) {
 			t.Fatal(err)
 		}
 		sent, got = append(sent, f), append(got, d)
+		if err := dec.DecodeInto(&into, AppendFrame(nil, &f)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !reflect.DeepEqual(sent, got) {
 		t.Fatal("frames held across later decodes no longer read as sent")
 	}
 }
 
+// TestDecodeIntoReuses: decoding into a frame that has held a frame at
+// least as large reuses its sample slice and slab, and leaves nothing of
+// what the frame held before.
+func TestDecodeIntoReuses(t *testing.T) {
+	var dec Decoder
+	big := hpcFrame()
+	big.Samples = append(big.Samples, big.Samples[0])
+	var f Frame
+	if err := dec.DecodeInto(&f, AppendFrame(nil, &big)); err != nil {
+		t.Fatal(err)
+	}
+	samples, slab := &f.Samples[0], &f.slab[0]
+	small := hpcFrame()
+	small.Site = "site-000001"
+	small.Samples[1].Vecs[0] = nil
+	if err := dec.DecodeInto(&f, AppendFrame(nil, &small)); err != nil {
+		t.Fatal(err)
+	}
+	if &f.Samples[0] != samples || &f.slab[0] != slab {
+		t.Error("DecodeInto reallocated a frame that had room")
+	}
+	if !sameFrame(f, small) {
+		t.Errorf("DecodeInto a used frame: %+v, want %+v", f, small)
+	}
+}
+
 // TestCodecAllocs pins what the byte path allocates per frame at steady
-// state: the lane's Decoder a sample slice and a slab, the one-shot
-// DecodeFrame the site name besides, Send the frame's buffer.
+// state: a decode into a reused frame nothing, Decode a sample slice and a
+// slab, the one-shot DecodeFrame the site name besides; Send nothing once
+// written frames have given their buffers back, and at most the buffer
+// before that.
 func TestCodecAllocs(t *testing.T) {
 	f := hpcFrame()
 	payload := AppendFrame(nil, &f)
-	dec := NewDecoder()
-	if n := testing.AllocsPerRun(100, func() { sinkFrame, _ = dec.Decode(payload) }); n > 2 {
+	into := Decoder{Site: func([]byte) string { return f.Site }}
+	var reused Frame
+	if n := testing.AllocsPerRun(100, func() { _ = into.DecodeInto(&reused, payload) }); n != 0 {
+		t.Errorf("Decoder.DecodeInto a reused frame: %v allocs per frame, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkFrame, _ = into.Decode(payload) }); n > 2 {
 		t.Errorf("Decoder.Decode: %v allocs per frame, want <= 2", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { sinkFrame, _ = DecodeFrame(payload) }); n > 3 {
@@ -268,9 +309,14 @@ func TestCodecAllocs(t *testing.T) {
 	s, script := newScriptedSender(t, AgentConfig{})
 	release := holdDrain(t, s, script) // the drain goroutine allocates nothing while parked
 	if n := testing.AllocsPerRun(100, func() { s.Send(&f) }); n > 1 {
-		t.Errorf("Sender.Send: %v allocs per frame, want <= 1", n)
+		t.Errorf("Sender.Send before any buffer came back: %v allocs per frame, want <= 1", n)
 	}
 	release()
+	s.Flush()
+	// Every buffer is back: the next sends reuse them.
+	if n := testing.AllocsPerRun(100, func() { s.Send(&f) }); n != 0 {
+		t.Errorf("Sender.Send with buffers returned: %v allocs per frame, want 0", n)
+	}
 	s.Close()
 }
 
@@ -294,17 +340,18 @@ func hpcFrame() Frame {
 var sinkFrame Frame
 
 // BenchmarkDecodeFrame is the per-frame cost of the receive side's codec
-// as a connection lane runs it: one Decoder, the same site again and again.
+// as a connection lane runs it: one Decoder whose site resolver answers
+// from a table, decoding into a frame that was handed back.
 func BenchmarkDecodeFrame(b *testing.B) {
 	f := hpcFrame()
 	payload := AppendFrame(nil, &f)
-	dec := NewDecoder()
+	sites := map[string]string{f.Site: f.Site}
+	dec := Decoder{Site: func(name []byte) string { return sites[string(name)] }}
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if sinkFrame, err = dec.Decode(payload); err != nil {
+		if err := dec.DecodeInto(&sinkFrame, payload); err != nil {
 			b.Fatal(err)
 		}
 	}
