@@ -669,7 +669,6 @@ func (t *truthTracker) observe(snap server.Snapshot) {
 			Throughput:  float64(t.completions) / w,
 			ArrivalRate: float64(t.arrivals) / w,
 		}) == 1,
-		Throughput:  float64(t.completions) / w,
 		ClassCounts: make([]float64, tpcw.NumInteractions),
 	}
 	for tier := server.TierID(1); tier < server.NumTiers; tier++ {

@@ -20,18 +20,6 @@ import (
 	"sort"
 )
 
-// Detector is a per-window binary overload detector. Implementations are
-// stateful where the underlying signal is (the RT detector observes the
-// previous window), so windows must be fed in trace order.
-type Detector interface {
-	Name() string
-	// Predict classifies one window given the signal value the detector
-	// consumes (PI value, mean response time, or utilization).
-	Predict(signal float64) int
-	// Reset clears temporal state between traces.
-	Reset()
-}
-
 // PIThreshold flags overload when the productivity index falls below a
 // calibrated threshold (low yield per cost = unhealthy).
 type PIThreshold struct {
@@ -99,9 +87,6 @@ func CalibratePIThreshold(piSeries []float64, labels []int) (*PIThreshold, error
 	return best, nil
 }
 
-// Name identifies the detector.
-func (p *PIThreshold) Name() string { return "pi-threshold" }
-
 // Predict flags overload when PI is below the calibrated threshold.
 func (p *PIThreshold) Predict(piValue float64) int {
 	if piValue < p.Threshold {
@@ -109,9 +94,6 @@ func (p *PIThreshold) Predict(piValue float64) int {
 	}
 	return 0
 }
-
-// Reset is a no-op: the rule is stateless.
-func (p *PIThreshold) Reset() {}
 
 // RTDetector is the conventional response-time trigger. It classifies the
 // CURRENT window using the PREVIOUS window's observed mean response time:
@@ -126,9 +108,6 @@ type RTDetector struct {
 	prevRT   float64
 	havePrev bool
 }
-
-// Name identifies the detector.
-func (d *RTDetector) Name() string { return "rt-threshold" }
 
 // Predict consumes the current window's mean response time but classifies
 // on the previous window's (observability delay).
@@ -160,9 +139,6 @@ type UtilDetector struct {
 	Threshold float64
 }
 
-// Name identifies the detector.
-func (d *UtilDetector) Name() string { return "util-threshold" }
-
 // Predict flags overload when utilization exceeds the threshold.
 func (d *UtilDetector) Predict(util float64) int {
 	th := d.Threshold
@@ -174,9 +150,6 @@ func (d *UtilDetector) Predict(util float64) int {
 	}
 	return 0
 }
-
-// Reset is a no-op: the rule is stateless.
-func (d *UtilDetector) Reset() {}
 
 // DetectionLag measures how late a detector fires: for every sustained
 // overload onset in truth (a 0→1 transition that holds for at least two

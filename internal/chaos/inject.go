@@ -66,9 +66,6 @@ func NewInjector(sched Schedule, seed int64) *Injector {
 	return &Injector{sched: sched, seed: seed, sites: make(map[string]*siteState)}
 }
 
-// Schedule returns the injector's fault program.
-func (in *Injector) Schedule() Schedule { return in.sched }
-
 // Stats returns a snapshot of the fault counters.
 func (in *Injector) Stats() Stats {
 	in.mu.Lock()

@@ -149,7 +149,7 @@ func TestCompatAPIUnderConcurrency(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					_ = m.SynopsisByKey("alpha/app/HPC")
+					_ = m.Synopses[i%len(m.Synopses)].Key()
 				}
 			}
 		}()

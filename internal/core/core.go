@@ -398,28 +398,11 @@ func (m *Monitor) Coordinator() *predictor.Predictor { return m.coordinator }
 // on (zero on a hand-assembled monitor, which disables validation).
 func (m *Monitor) InputDim() int { return m.dim }
 
-// SynopsisByKey finds a synopsis by its Key(), or nil.
-func (m *Monitor) SynopsisByKey(key string) *synopsis.Synopsis {
-	for _, s := range m.Synopses {
-		if s.Key() == key {
-			return s
-		}
-	}
-	return nil
-}
-
 // DefaultSynopsisConfig returns the paper's synopsis construction settings
 // with a deterministic seed.
 func DefaultSynopsisConfig(seed int64) synopsis.Config {
 	return synopsis.Config{Selection: featsel.Config{Seed: seed}}
 }
-
-// CompiledMonitor is Monitor, whose synopses are already the flat scoring
-// tables.
-//
-// Deprecated: use Monitor. Kept because the benchmark module (bench/)
-// still names it.
-type CompiledMonitor = Monitor
 
 // CompiledSession is Session.
 //

@@ -98,6 +98,8 @@ func TestTrainAndPredictEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSynopsisByKey checks that training keys one synopsis per (workload,
+// tier) at the monitor's level and learner.
 func TestSynopsisByKey(t *testing.T) {
 	sets, names := syntheticSets(40, 3)
 	m, err := core.Train(metrics.LevelOS, names, sets, core.Config{
@@ -107,10 +109,14 @@ func TestSynopsisByKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := m.SynopsisByKey("alpha/app/OS/Naive"); s == nil {
-		t.Error("expected synopsis alpha/app/OS/Naive")
+	keys := map[string]bool{}
+	for _, s := range m.Synopses {
+		keys[s.Key()] = true
 	}
-	if s := m.SynopsisByKey("nope/app/OS/Naive"); s != nil {
+	if !keys["alpha/app/OS/Naive"] {
+		t.Errorf("no synopsis alpha/app/OS/Naive among %v", keys)
+	}
+	if keys["nope/app/OS/Naive"] {
 		t.Error("unexpected synopsis for bogus key")
 	}
 }

@@ -28,12 +28,6 @@ func TestConfigValidateErrors(t *testing.T) {
 	}{
 		{"negative PH delta", func(c *Config) { c.PHDelta = -0.1 }},
 		{"negative min windows", func(c *Config) { c.MinWindows = -1 }},
-		{"correlation window of one", func(c *Config) { c.CorrWindow = 1 }},
-		{"negative correlation cadence", func(c *Config) { c.CorrEvery = -1 }},
-		{"negative correlation margin", func(c *Config) { c.CorrMargin = -0.5 }},
-		{"correlation floor above one", func(c *Config) { c.CorrMinBest = 1.5 }},
-		{"negative correlation floor", func(c *Config) { c.CorrMinBest = -0.5 }},
-		{"negative correlation patience", func(c *Config) { c.CorrPatience = -1 }},
 		{"negative mix reference", func(c *Config) { c.MixRefWindows = -1 }},
 		{"negative mix window", func(c *Config) { c.MixWindow = -1 }},
 		{"negative mix patience", func(c *Config) { c.MixPatience = -1 }},

@@ -1,12 +1,6 @@
 package drift
 
-import (
-	"fmt"
-	"math"
-
-	"hpcap/internal/pi"
-	"hpcap/internal/stats"
-)
+import "math"
 
 // PageHinkley is the sequential test for an upward shift of a stream's
 // mean: it accumulates m_t = Σ (x_i − mean_i − δ) and signals when m_t
@@ -57,129 +51,12 @@ func (ph *PageHinkley) Reset() {
 	ph.n, ph.mean, ph.cum, ph.min = 0, 0, 0, 0
 }
 
-// corrTracker re-runs the paper's PI reference selection (Eq. 2) for one
-// tier over a sliding window of decided windows and watches for the
-// trained choice to lose the rank competition.
-type corrTracker struct {
-	defs     []pi.Definition
-	yi, ci   []int // metric indices per candidate
-	ref      int   // index of the trained reference in defs
-	win      int
-	every    int
-	margin   float64
-	minBest  float64
-	patience int
-
-	series [][]float64 // ring of PI values per candidate
-	thr    []float64   // ring of throughput
-	head   int
-	n      int64 // windows observed (ring fills at win)
-	losing int
-}
-
-func newCorrTracker(cfg Config, reference string) (*corrTracker, error) {
-	ct := &corrTracker{
-		defs:     cfg.Candidates,
-		ref:      -1,
-		win:      cfg.CorrWindow,
-		every:    cfg.CorrEvery,
-		margin:   cfg.CorrMargin,
-		minBest:  cfg.CorrMinBest,
-		patience: cfg.CorrPatience,
-		thr:      make([]float64, cfg.CorrWindow),
-	}
-	for i, def := range ct.defs {
-		yi, ci := indexOf(cfg.Names, def.Yield), indexOf(cfg.Names, def.Cost)
-		if yi < 0 || ci < 0 {
-			return nil, fmt.Errorf("candidate %s: metrics %q/%q not in layout", def.Name, def.Yield, def.Cost)
-		}
-		ct.yi = append(ct.yi, yi)
-		ct.ci = append(ct.ci, ci)
-		if def.Name == reference {
-			ct.ref = i
-		}
-		ct.series = append(ct.series, make([]float64, cfg.CorrWindow))
-	}
-	if ct.ref < 0 {
-		return nil, fmt.Errorf("reference candidate %q unknown", reference)
-	}
-	return ct, nil
-}
-
-// observe pushes one window and reports whether the trained reference has
-// persistently lost the rank competition, along with the losing gap.
-func (ct *corrTracker) observe(vec []float64, throughput float64) (bool, float64) {
-	for i := range ct.defs {
-		v := 0.0
-		if ct.yi[i] < len(vec) && ct.ci[i] < len(vec) {
-			y, c := vec[ct.yi[i]], vec[ct.ci[i]]
-			if c > 0 && !math.IsNaN(y) && !math.IsInf(y, 0) && !math.IsInf(c, 0) {
-				v = y / c
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				v = 0
-			}
-		}
-		ct.series[i][ct.head] = v
-	}
-	if math.IsNaN(throughput) || math.IsInf(throughput, 0) {
-		throughput = 0
-	}
-	ct.thr[ct.head] = throughput
-	ct.head = (ct.head + 1) % ct.win
-	ct.n++
-	if ct.n < int64(ct.win) || ct.n%int64(ct.every) != 0 {
-		return false, 0
-	}
-
-	best, refCorr := 0.0, 0.0
-	for i := range ct.defs {
-		// Ring order does not matter: correlation is permutation-invariant,
-		// and all rings share the same permutation.
-		r, err := stats.Correlation(ct.series[i], ct.thr)
-		if err != nil {
-			continue
-		}
-		a := math.Abs(r)
-		if a > best {
-			best = a
-		}
-		if i == ct.ref {
-			refCorr = a
-		}
-	}
-	gap := best - refCorr
-	if best >= ct.minBest && gap > ct.margin {
-		ct.losing++
-		if ct.losing >= ct.patience {
-			ct.losing = 0
-			return true, gap
-		}
-	} else {
-		ct.losing = 0
-	}
-	return false, 0
-}
-
-func (ct *corrTracker) reset() {
-	ct.head, ct.n, ct.losing = 0, 0, 0
-	for i := range ct.series {
-		for j := range ct.series[i] {
-			ct.series[i][j] = 0
-		}
-	}
-	for j := range ct.thr {
-		ct.thr[j] = 0
-	}
-}
-
 // mixShift compares a reference request-class histogram against a sliding
 // recent histogram with the Jensen–Shannon divergence.
 type mixShift struct {
 	threshold  float64
 	patience   int
 	refWindows int
-	learned    bool // reference is learned from the stream (vs configured)
 
 	ref  []float64 // accumulated reference counts
 	refN int
@@ -190,24 +67,18 @@ type mixShift struct {
 }
 
 func newMixShift(cfg Config) *mixShift {
-	m := &mixShift{
+	return &mixShift{
 		threshold:  cfg.MixThreshold,
 		patience:   cfg.MixPatience,
 		refWindows: cfg.MixRefWindows,
-		learned:    cfg.MixRef == nil,
 		ring:       make([][]float64, cfg.MixWindow),
 	}
-	if cfg.MixRef != nil {
-		m.ref = sanitizeCounts(nil, cfg.MixRef)
-		m.refN = m.refWindows // configured reference is complete
-	}
-	return m
 }
 
 // observe pushes one window's class counts and reports a sustained
 // divergence, along with the JSD at the firing point.
 func (m *mixShift) observe(counts []float64) (bool, float64) {
-	clean := sanitizeCounts(nil, counts)
+	clean := sanitizeCounts(counts)
 	if m.refN < m.refWindows {
 		m.ref = accumulate(m.ref, clean)
 		m.refN++
@@ -241,20 +112,13 @@ func (m *mixShift) reset() {
 	for i := range m.ring {
 		m.ring[i] = nil
 	}
-	if m.learned {
-		m.ref, m.refN = nil, 0
-	}
+	m.ref, m.refN = nil, 0
 }
 
 // sanitizeCounts copies counts with NaN/Inf/negative entries clipped to 0.
-func sanitizeCounts(dst, counts []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, len(counts))
-	}
+func sanitizeCounts(counts []float64) []float64 {
+	dst := make([]float64, len(counts))
 	for i, v := range counts {
-		if i >= len(dst) {
-			break
-		}
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 			v = 0
 		}
@@ -316,13 +180,4 @@ func jensenShannon(a, b []float64) float64 {
 		return 0
 	}
 	return jsd
-}
-
-func indexOf(names []string, name string) int {
-	for i, n := range names {
-		if n == name {
-			return i
-		}
-	}
-	return -1
 }

@@ -2,18 +2,14 @@
 // pipeline's decision stream, closing the gap between the paper's offline
 // training and its online premise: synopses are trained per (workload,
 // tier), so when the live traffic mix moves away from the training mixes,
-// synopsis accuracy and the PI–throughput correlation (paper Eq. 2) decay
-// silently. A Detector watches three independent symptoms of that decay:
+// synopsis accuracy decays silently. A Detector watches two independent
+// symptoms of that decay:
 //
 //   - Accuracy: a Page–Hinkley test over the 0/1 error stream of the
 //     model's overload verdicts against delayed ground-truth labels. The
 //     test accumulates error in excess of the running mean and signals
 //     when the excess exceeds a threshold — the standard sequential test
 //     for an upward mean shift in a noisy stream.
-//   - Correlation: per tier, Corr(PI, throughput) is re-evaluated over a
-//     sliding window for every PI candidate; when the candidate chosen at
-//     training time persistently loses the rank competition of Eq. 2, the
-//     trained PI reference no longer measures the tier's capacity.
 //   - Mix shift: a Jensen–Shannon divergence test between a reference
 //     histogram of request-class frequencies (frozen shortly after
 //     start-up or the last model swap) and a sliding recent histogram.
@@ -21,10 +17,10 @@
 // Every detector is pure arithmetic over the observation sequence — no
 // clocks, no randomness — so replaying a stream reproduces the signal
 // sequence bit-for-bit, which the drift-replay determinism golden
-// enforces. Malformed inputs (NaN/Inf components, negative counts,
-// missing vectors) are sanitized rather than propagated: a detector never
-// panics and never signals because of a corrupt sample, a property the
-// fuzz tests pin down.
+// enforces. Malformed inputs (NaN/Inf components, negative counts) are
+// sanitized rather than propagated: a detector never panics and never
+// signals because of a corrupt sample, a property the fuzz tests pin
+// down.
 package drift
 
 import (
@@ -32,8 +28,6 @@ import (
 	"fmt"
 
 	"hpcap/internal/core"
-	"hpcap/internal/pi"
-	"hpcap/internal/server"
 )
 
 // Kind names a drift symptom.
@@ -43,8 +37,6 @@ type Kind int
 const (
 	// KindAccuracy is synopsis-accuracy decay against delayed labels.
 	KindAccuracy Kind = iota + 1
-	// KindCorrelation is per-tier loss of the trained PI reference's rank.
-	KindCorrelation
 	// KindMixShift is divergence of the request-class frequency histogram.
 	KindMixShift
 )
@@ -54,8 +46,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindAccuracy:
 		return "accuracy"
-	case KindCorrelation:
-		return "pi-correlation"
 	case KindMixShift:
 		return "mix-shift"
 	default:
@@ -73,12 +63,6 @@ type Observation struct {
 	Predicted bool
 	// Truth is the delayed application-level ground truth.
 	Truth bool
-	// Throughput is completed requests per second over the window.
-	Throughput float64
-	// Vectors holds the per-tier window-mean metric vectors in the full
-	// collector layout (nil tiers disable the correlation detector for
-	// the window).
-	Vectors [server.NumTiers][]float64
 	// ClassCounts is the window's request arrivals by class (any fixed
 	// class order; nil disables the mix-shift detector for the window).
 	ClassCounts []float64
@@ -89,8 +73,6 @@ type Signal struct {
 	Kind Kind
 	// Seq is the window at which the detector fired.
 	Seq int64
-	// Tier is the affected tier for KindCorrelation, -1 otherwise.
-	Tier server.TierID
 	// Score is the detector's test statistic at the firing point and
 	// Threshold the configured bound it exceeded.
 	Score     float64
@@ -99,15 +81,12 @@ type Signal struct {
 
 // String renders the signal for logs and replay goldens.
 func (s Signal) String() string {
-	if s.Kind == KindCorrelation {
-		return fmt.Sprintf("%s tier=%s score=%.4f threshold=%.4f", s.Kind, s.Tier, s.Score, s.Threshold)
-	}
 	return fmt.Sprintf("%s score=%.4f threshold=%.4f", s.Kind, s.Score, s.Threshold)
 }
 
-// Config tunes a Detector. The zero value enables only the accuracy test
-// at daemon-conservative thresholds; the correlation and mix-shift tests
-// switch on when their inputs (Names, reference mix) are provided.
+// Config tunes a Detector. The zero value enables both tests at
+// daemon-conservative thresholds; the mix-shift test sees only the
+// windows whose observations carry class counts.
 type Config struct {
 	// PHDelta is the Page–Hinkley drift tolerance: per-window error in
 	// excess of the running mean below this magnitude never accumulates.
@@ -122,44 +101,8 @@ type Config struct {
 	// many labeled windows. Zero selects 20.
 	MinWindows int
 
-	// Names is the metric-name layout of Observation.Vectors; empty
-	// disables the correlation detector.
-	Names []string
-	// Candidates are the PI definitions re-ranked online; nil selects
-	// pi.DefaultCandidates.
-	Candidates []pi.Definition
-	// Reference names the PI candidate chosen at training time per tier
-	// (pi.Selection.Definition.Name); an empty name disables the tier.
-	Reference [server.NumTiers]string
-	// CorrWindow is the sliding window (in decided windows) over which
-	// correlations are re-evaluated. Zero selects 64 — wide enough that a
-	// candidate reaching |corr| ≥ CorrMinBest on an uncorrelated stream is
-	// a many-σ event, so i.i.d. noise stays quiet (the fuzz invariant).
-	CorrWindow int
-	// CorrEvery evaluates the rank competition every n-th window once the
-	// sliding window is full. Zero selects 4.
-	CorrEvery int
-	// CorrMargin is how far (in |correlation|) the trained reference may
-	// trail the best candidate before an evaluation counts as lost. Zero
-	// selects 0.2.
-	CorrMargin float64
-	// CorrMinBest is the least |correlation| the winning candidate must
-	// reach for a rank loss to count: when nothing correlates with
-	// throughput, the Eq. 2 competition is noise, not evidence. Zero
-	// selects 0.7 — the paper's chosen references correlate at 0.85+, so a
-	// winner below this is not a usable reference, and at CorrWindow 64 an
-	// i.i.d. stream reaching it is a >6σ event.
-	CorrMinBest float64
-	// CorrPatience is how many consecutive lost evaluations fire the
-	// signal. Zero selects 3.
-	CorrPatience int
-
-	// MixRef is the reference request-class distribution (same order as
-	// Observation.ClassCounts). Nil learns the reference from the first
-	// MixRefWindows observed windows.
-	MixRef []float64
-	// MixRefWindows is how many initial windows build the learned
-	// reference histogram. Zero selects 8.
+	// MixRefWindows is how many initial windows (after start-up or a
+	// Reset) build the reference histogram. Zero selects 8.
 	MixRefWindows int
 	// MixWindow is the sliding recent-histogram width. Zero selects 12.
 	MixWindow int
@@ -174,18 +117,11 @@ type Config struct {
 
 // DefaultConfig returns the detector's conservative defaults — each
 // chosen so an i.i.d. decision stream stays quiet (the fuzz invariant).
-// Candidates stays nil (New resolves it to pi.DefaultCandidates) so the
-// default value carries no shared slice.
 func DefaultConfig() Config {
 	return Config{
 		PHDelta:       0.01,
 		PHLambda:      25,
 		MinWindows:    20,
-		CorrWindow:    64,
-		CorrEvery:     4,
-		CorrMargin:    0.2,
-		CorrMinBest:   0.7,
-		CorrPatience:  3,
 		MixRefWindows: 8,
 		MixWindow:     12,
 		MixThreshold:  0.08,
@@ -203,24 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinWindows == 0 {
 		c.MinWindows = def.MinWindows
-	}
-	if c.Candidates == nil {
-		c.Candidates = pi.DefaultCandidates()
-	}
-	if c.CorrWindow == 0 {
-		c.CorrWindow = def.CorrWindow
-	}
-	if c.CorrEvery == 0 {
-		c.CorrEvery = def.CorrEvery
-	}
-	if c.CorrMargin == 0 {
-		c.CorrMargin = def.CorrMargin
-	}
-	if c.CorrMinBest == 0 {
-		c.CorrMinBest = def.CorrMinBest
-	}
-	if c.CorrPatience == 0 {
-		c.CorrPatience = def.CorrPatience
 	}
 	if c.MixRefWindows == 0 {
 		c.MixRefWindows = def.MixRefWindows
@@ -253,21 +171,6 @@ func (c Config) Validate() []error {
 	if c.MinWindows < 0 {
 		bad("min windows %d, need >= 0", c.MinWindows)
 	}
-	if c.CorrWindow < 2 {
-		bad("correlation window %d, need >= 2", c.CorrWindow)
-	}
-	if c.CorrEvery < 1 {
-		bad("correlation cadence %d, need >= 1", c.CorrEvery)
-	}
-	if c.CorrMargin < 0 {
-		bad("correlation margin %g, need >= 0", c.CorrMargin)
-	}
-	if c.CorrMinBest < 0 || c.CorrMinBest > 1 {
-		bad("correlation floor %g outside [0,1]", c.CorrMinBest)
-	}
-	if c.CorrPatience < 1 {
-		bad("correlation patience %d, need >= 1", c.CorrPatience)
-	}
 	if c.MixRefWindows < 1 {
 		bad("mix reference windows %d, need >= 1", c.MixRefWindows)
 	}
@@ -280,19 +183,17 @@ func (c Config) Validate() []error {
 	return errs
 }
 
-// Detector aggregates the three drift tests over one decision stream. It
+// Detector aggregates the two drift tests over one decision stream. It
 // is not safe for concurrent use; the lifecycle manager serializes each
 // site's observations.
 type Detector struct {
-	cfg  Config
-	acc  *PageHinkley
-	corr [server.NumTiers]*corrTracker
-	mix  *mixShift
+	cfg Config
+	acc *PageHinkley
+	mix *mixShift
 }
 
-// New builds a detector. The correlation test is armed per tier when
-// Names resolve the tier's Reference candidate; the mix-shift test is
-// armed on the first observation carrying class counts.
+// New builds a detector. The mix-shift test sees only observations
+// carrying class counts.
 func New(cfg Config) (*Detector, error) {
 	if errs := cfg.Validate(); len(errs) > 0 {
 		return nil, errors.Join(errs...)
@@ -302,16 +203,6 @@ func New(cfg Config) (*Detector, error) {
 	if cfg.PHLambda >= 0 {
 		d.acc = NewPageHinkley(cfg.PHDelta, cfg.PHLambda, cfg.MinWindows)
 	}
-	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-		if cfg.Reference[tier] == "" || len(cfg.Names) == 0 {
-			continue
-		}
-		ct, err := newCorrTracker(cfg, cfg.Reference[tier])
-		if err != nil {
-			return nil, fmt.Errorf("drift: %s tier: %w", tier, err)
-		}
-		d.corr[tier] = ct
-	}
 	if cfg.MixThreshold >= 0 {
 		d.mix = newMixShift(cfg)
 	}
@@ -320,7 +211,7 @@ func New(cfg Config) (*Detector, error) {
 
 // Observe folds one labeled window into every armed test and returns the
 // signals that fired on it (usually none). Signals appear in a fixed
-// order: accuracy, correlation by tier, mix shift.
+// order: accuracy, then mix shift.
 func (d *Detector) Observe(o Observation) []Signal {
 	var out []Signal
 	if d.acc != nil {
@@ -329,24 +220,14 @@ func (d *Detector) Observe(o Observation) []Signal {
 			e = 1.0
 		}
 		if d.acc.Add(e) {
-			out = append(out, Signal{Kind: KindAccuracy, Seq: o.Seq, Tier: -1,
+			out = append(out, Signal{Kind: KindAccuracy, Seq: o.Seq,
 				Score: d.acc.Stat(), Threshold: d.cfg.PHLambda})
 			d.acc.Reset()
 		}
 	}
-	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-		ct := d.corr[tier]
-		if ct == nil || o.Vectors[tier] == nil {
-			continue
-		}
-		if fired, gap := ct.observe(o.Vectors[tier], o.Throughput); fired {
-			out = append(out, Signal{Kind: KindCorrelation, Seq: o.Seq, Tier: tier,
-				Score: gap, Threshold: d.cfg.CorrMargin})
-		}
-	}
 	if d.mix != nil && len(o.ClassCounts) > 0 {
 		if fired, jsd := d.mix.observe(o.ClassCounts); fired {
-			out = append(out, Signal{Kind: KindMixShift, Seq: o.Seq, Tier: -1,
+			out = append(out, Signal{Kind: KindMixShift, Seq: o.Seq,
 				Score: jsd, Threshold: d.cfg.MixThreshold})
 		}
 	}
@@ -354,16 +235,11 @@ func (d *Detector) Observe(o Observation) []Signal {
 }
 
 // Reset clears every test's accumulated state — called after a model
-// swap, so the new model is judged against a fresh baseline. A learned
-// mix reference is relearned from the post-swap stream.
+// swap, so the new model is judged against a fresh baseline. The mix
+// reference is relearned from the post-swap stream.
 func (d *Detector) Reset() {
 	if d.acc != nil {
 		d.acc.Reset()
-	}
-	for _, ct := range d.corr {
-		if ct != nil {
-			ct.reset()
-		}
 	}
 	if d.mix != nil {
 		d.mix.reset()

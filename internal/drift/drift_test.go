@@ -1,25 +1,12 @@
 package drift
 
 import (
+	"errors"
 	"math"
-	"strings"
 	"testing"
 
-	"hpcap/internal/pi"
-	"hpcap/internal/server"
+	"hpcap/internal/core"
 )
-
-// corrLayout is a minimal metric layout with two synthetic PI candidates:
-// "tracking" follows throughput when its yield column does, "rival" is the
-// competing candidate. Tests steer which one correlates.
-var corrLayout = []string{"y_track", "c_track", "y_rival", "c_rival"}
-
-func corrCandidates() []pi.Definition {
-	return []pi.Definition{
-		{Name: "tracking", Yield: "y_track", Cost: "c_track"},
-		{Name: "rival", Yield: "y_rival", Cost: "c_rival"},
-	}
-}
 
 func TestPageHinkleyQuietOnStationary(t *testing.T) {
 	ph := NewPageHinkley(0.01, 25, 20)
@@ -102,7 +89,7 @@ func TestDetectorAccuracySignal(t *testing.T) {
 		t.Fatalf("want exactly one signal, got %v", got)
 	}
 	s := got[0]
-	if s.Kind != KindAccuracy || s.Tier != -1 || s.Score <= s.Threshold {
+	if s.Kind != KindAccuracy || s.Score <= s.Threshold {
 		t.Fatalf("unexpected signal %+v", s)
 	}
 	if s.Seq != seq-1 {
@@ -114,79 +101,6 @@ func TestDetectorAccuracySignal(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if sigs := obs(true); len(sigs) != 0 {
 			t.Fatalf("re-fired %v right after reset", sigs)
-		}
-	}
-}
-
-// corrObservation builds a window where the tracking candidate's PI equals
-// trackPI and the rival's equals rivalPI, with the given throughput.
-func corrObservation(seq int64, trackPI, rivalPI, thr float64) Observation {
-	var o Observation
-	o.Seq = seq
-	o.Predicted, o.Truth = false, false
-	o.Throughput = thr
-	o.Vectors[server.TierApp] = []float64{trackPI, 1, rivalPI, 1}
-	return o
-}
-
-func TestCorrelationRankLoss(t *testing.T) {
-	cfg := Config{
-		Names:      corrLayout,
-		Candidates: corrCandidates(),
-	}
-	cfg.Reference[server.TierApp] = "tracking"
-	d, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	thr := func(i int64) float64 { return 10 + float64(i%7) }
-	// Phase 1: the trained reference tracks throughput, the rival is flat.
-	for i := int64(0); i < 48; i++ {
-		o := corrObservation(i, thr(i), 1.0, thr(i))
-		if sigs := d.Observe(o); len(sigs) != 0 {
-			t.Fatalf("signal while reference still wins at window %d: %v", i, sigs)
-		}
-	}
-	// Phase 2: the reference goes flat and the rival takes over.
-	var got []Signal
-	var at int64
-	for i := int64(48); i < 160 && len(got) == 0; i++ {
-		o := corrObservation(i, 1.0, thr(i), thr(i))
-		got = d.Observe(o)
-		at = i
-	}
-	if len(got) != 1 {
-		t.Fatalf("want one correlation signal, got %v", got)
-	}
-	s := got[0]
-	if s.Kind != KindCorrelation || s.Tier != server.TierApp {
-		t.Fatalf("unexpected signal %+v", s)
-	}
-	if s.Seq != at || s.Score <= s.Threshold {
-		t.Fatalf("signal %+v at window %d: score must exceed threshold", s, at)
-	}
-	if !strings.Contains(s.String(), "tier=app") {
-		t.Errorf("String() = %q, want tier rendered", s.String())
-	}
-}
-
-func TestCorrelationWeakFieldStaysQuiet(t *testing.T) {
-	// Neither candidate correlates: the rank competition is noise and must
-	// not fire even if the reference trails, because best < CorrMinBest.
-	cfg := Config{
-		Names:      corrLayout,
-		Candidates: corrCandidates(),
-	}
-	cfg.Reference[server.TierApp] = "tracking"
-	d, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 160; i++ {
-		// Both PI columns constant, throughput varies: every correlation is 0.
-		o := corrObservation(i, 1.0, 2.0, 10+float64(i%7))
-		if sigs := d.Observe(o); len(sigs) != 0 {
-			t.Fatalf("signal on uncorrelated field at window %d: %v", i, sigs)
 		}
 	}
 }
@@ -231,29 +145,6 @@ func TestMixShiftLearnedReference(t *testing.T) {
 	}
 }
 
-func TestMixShiftConfiguredReference(t *testing.T) {
-	cfg := Config{MixRef: []float64{0.9, 0.1}}
-	d, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No learning phase: a shifted stream fires as soon as the recent ring
-	// fills (12th window, index 11) and patience is exhausted 3 windows
-	// later, at index 14.
-	var got []Signal
-	fired := -1
-	for i := 0; i < 40 && len(got) == 0; i++ {
-		got = d.Observe(Observation{Seq: int64(i), ClassCounts: []float64{10, 90}})
-		fired = i
-	}
-	if len(got) != 1 || got[0].Kind != KindMixShift {
-		t.Fatalf("want one mix-shift signal, got %v", got)
-	}
-	if fired != 14 {
-		t.Errorf("fired at window %d, want 14 (ring fill + patience)", fired)
-	}
-}
-
 func TestMixShiftDisabled(t *testing.T) {
 	d, err := New(Config{MixThreshold: -1})
 	if err != nil {
@@ -271,25 +162,16 @@ func TestMixShiftDisabled(t *testing.T) {
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
-	cfg := Config{Names: corrLayout, Candidates: corrCandidates()}
-	cfg.Reference[server.TierDB] = "no_such_candidate"
-	if _, err := New(cfg); err == nil {
-		t.Fatal("unknown reference candidate accepted")
-	}
-
-	cfg = Config{Names: []string{"unrelated"}, Candidates: corrCandidates()}
-	cfg.Reference[server.TierApp] = "tracking"
-	if _, err := New(cfg); err == nil {
-		t.Fatal("layout missing candidate metrics accepted")
+	if _, err := New(Config{MixWindow: -1}); !errors.Is(err, core.ErrBadConfig) {
+		t.Fatalf("negative mix window: got %v, want ErrBadConfig", err)
 	}
 }
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
-		KindAccuracy:    "accuracy",
-		KindCorrelation: "pi-correlation",
-		KindMixShift:    "mix-shift",
-		Kind(9):         "Kind(9)",
+		KindAccuracy: "accuracy",
+		KindMixShift: "mix-shift",
+		Kind(9):      "Kind(9)",
 	}
 	for k, want := range cases {
 		if got := k.String(); got != want {

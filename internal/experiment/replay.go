@@ -345,7 +345,6 @@ func (r *replay) run(tr *Trace, st stream, ps pass) (*served, error) {
 		mgr.ObserveTruth(d.Site, d.Seq, registry.Truth{
 			Overload:    w.Overload == 1,
 			Bottleneck:  w.Bottleneck,
-			Throughput:  w.Throughput,
 			ClassCounts: w.Classes,
 		})
 	})

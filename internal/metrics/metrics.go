@@ -94,11 +94,7 @@ const DefaultWindow = 30
 // application-level health observed over the same window (used for offline
 // labeling, never shown to the classifiers).
 type Sample struct {
-	Time float64 // window end, virtual seconds
-	// Pool names the replica pool the vector was measured on (empty for a
-	// legacy two-tier testbed, where the tier slot already identifies it).
-	// Set via Aggregator.SetPool; carried through untouched otherwise.
-	Pool        string
+	Time        float64 // window end, virtual seconds
 	Values      []float64
 	Throughput  float64 // completed requests per second
 	ArrivalRate float64
@@ -113,7 +109,6 @@ type Aggregator struct {
 	appender  AppendCollector // non-nil when collector supports scratch reuse
 	scratch   []float64
 	window    int
-	pool      string // stamped onto every emitted Sample
 
 	count       int
 	sum         []float64
@@ -208,35 +203,12 @@ func (a *Aggregator) push(vec []float64, s server.Snapshot, dt float64) (Sample,
 	return a.emit(dt), true
 }
 
-// SetPool sets the replica-pool label stamped onto every Sample the
-// aggregator emits from now on (including the currently open window).
-// The empty default leaves samples unlabeled, exactly as before pools
-// existed.
-func (a *Aggregator) SetPool(name string) { a.pool = name }
-
-// Count returns how many samples the current (partial) window holds.
-func (a *Aggregator) Count() int { return a.count }
-
-// Flush closes the current window early, returning the mean over however
-// many samples have been pushed so far and that sample count. The serving
-// layer uses it to decide a window whose tail went missing instead of
-// stalling on it. An empty window returns a zero Sample and count 0. The
-// aggregator resets either way.
-func (a *Aggregator) Flush() (Sample, int) {
-	n := a.count
-	if n == 0 {
-		return Sample{}, 0
-	}
-	return a.emit(1), n
-}
-
 // emit assembles the window Sample from the accumulated state and resets.
 // The denominator for rates is the nominal window span; the metric means
 // divide by the samples actually pushed.
 func (a *Aggregator) emit(dt float64) Sample {
 	out := Sample{
 		Time:        a.lastTime,
-		Pool:        a.pool,
 		Values:      make([]float64, len(a.sum)),
 		Throughput:  float64(a.completions) / (float64(a.window) * dt),
 		ArrivalRate: float64(a.arrivals) / (float64(a.window) * dt),

@@ -174,60 +174,3 @@ func TestCollectionCostsMatchPaperShape(t *testing.T) {
 		t.Errorf("OS per-sample cost %v out of the sysstat band", OSSampleCost)
 	}
 }
-
-// staticCollector returns a fixed vector every second, so window means are
-// exactly predictable.
-type staticCollector struct{ v []float64 }
-
-func (c staticCollector) Tier() server.TierID { return server.TierApp }
-func (c staticCollector) Names() []string     { return []string{"a", "b"} }
-func (c staticCollector) Collect(server.Snapshot, float64) []float64 {
-	return c.v
-}
-
-func TestAggregatorFlushPartialWindow(t *testing.T) {
-	agg, err := NewAggregator(staticCollector{v: []float64{2, 4}}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, n := agg.Flush(); n != 0 || len(s.Values) != 0 {
-		t.Errorf("empty flush returned %d samples (%+v)", n, s)
-	}
-	for i := 1; i <= 3; i++ {
-		if _, done := agg.Push(server.Snapshot{Time: float64(i), Completions: 10}, 1); done {
-			t.Fatalf("window closed after %d of 10 pushes", i)
-		}
-	}
-	if agg.Count() != 3 {
-		t.Errorf("Count = %d, want 3", agg.Count())
-	}
-	s, n := agg.Flush()
-	if n != 3 {
-		t.Fatalf("Flush count = %d, want 3", n)
-	}
-	// Metric means divide by the samples actually pushed...
-	if s.Values[0] != 2 || s.Values[1] != 4 {
-		t.Errorf("partial means = %v, want [2 4]", s.Values)
-	}
-	// ...while rates keep the nominal window as denominator.
-	if s.Throughput != 3.0 {
-		t.Errorf("Throughput = %v, want 30 completions / 10 s window", s.Throughput)
-	}
-	if s.Time != 3 {
-		t.Errorf("Time = %v, want last pushed second", s.Time)
-	}
-	// Flush resets: a following full window is unaffected.
-	if agg.Count() != 0 {
-		t.Errorf("Count after Flush = %d, want 0", agg.Count())
-	}
-	var full Sample
-	got := 0
-	for i := 4; i <= 13; i++ {
-		if w, done := agg.Push(server.Snapshot{Time: float64(i)}, 1); done {
-			full, got = w, got+1
-		}
-	}
-	if got != 1 || full.Time != 13 || full.Values[0] != 2 {
-		t.Errorf("post-flush window: n=%d %+v", got, full)
-	}
-}

@@ -15,21 +15,17 @@ type FallibleCollector interface {
 }
 
 // RetryCollector hardens a FallibleCollector into a plain Collector with
-// bounded retry: each Collect tries the source up to 1+MaxRetries times,
-// invoking Backoff between attempts, and falls back to the last good
-// vector (initially zeros) when every attempt fails. The serving layer's
-// staleness budget then decides whether the stale vector still supports a
-// degraded decision — the collector never blocks the sampling loop and
-// never emits NaN.
+// bounded retry: each Collect tries the source up to 1+MaxRetries times
+// back to back — virtual time does not pass during a simulated read — and
+// falls back to the last good vector (initially zeros) when every attempt
+// fails. The serving layer's staleness budget then decides whether the
+// stale vector still supports a degraded decision — the collector never
+// blocks the sampling loop and never emits NaN.
 type RetryCollector struct {
 	src FallibleCollector
 	// MaxRetries bounds extra attempts per read (total attempts are
 	// 1+MaxRetries).
 	MaxRetries int
-	// Backoff, when set, runs between attempts with the 1-based retry
-	// number. Deployments install a capped sleep here; the simulator
-	// leaves it nil because virtual time does not pass during a read.
-	Backoff func(retry int)
 
 	last     []float64
 	retries  uint64
@@ -59,9 +55,6 @@ func (r *RetryCollector) Collect(s server.Snapshot, dt float64) []float64 {
 	for attempt := 0; attempt <= r.MaxRetries; attempt++ {
 		if attempt > 0 {
 			r.retries++
-			if r.Backoff != nil {
-				r.Backoff(attempt)
-			}
 		}
 		v, err := r.src.TryCollect(s, dt)
 		if err == nil {

@@ -143,12 +143,3 @@ func (l Labeler) Label(s metrics.Sample) int {
 	}
 	return 0
 }
-
-// LabelAll labels a window series.
-func (l Labeler) LabelAll(samples []metrics.Sample) []int {
-	out := make([]int, len(samples))
-	for i, s := range samples {
-		out[i] = l.Label(s)
-	}
-	return out
-}

@@ -139,15 +139,3 @@ func TestLabelerCustomThreshold(t *testing.T) {
 		t.Error("custom SLA not applied")
 	}
 }
-
-func TestLabelAll(t *testing.T) {
-	var l Labeler
-	samples := []metrics.Sample{
-		{MeanRT: 0.1, Throughput: 10, ArrivalRate: 10},
-		{MeanRT: 5, Throughput: 10, ArrivalRate: 10},
-	}
-	got := l.LabelAll(samples)
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("LabelAll = %v, want [0 1]", got)
-	}
-}

@@ -51,7 +51,7 @@ func TestRegistryConfigValidateErrors(t *testing.T) {
 		{"shadow swallows history", func(c *registry.Config) { c.HistoryWindows = 8; c.ShadowWindows = 8 }},
 		{"negative min train", func(c *registry.Config) { c.MinTrainWindows = -1 }},
 		{"negative cooldown", func(c *registry.Config) { c.CooldownWindows = -1 }},
-		{"bad drift config", func(c *registry.Config) { c.Drift.CorrWindow = 1 }},
+		{"bad drift config", func(c *registry.Config) { c.Drift.MixWindow = -1 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -21,9 +21,6 @@ import (
 type Truth struct {
 	Overload   bool
 	Bottleneck server.TierID
-	// Throughput is completed requests per second over the window; the
-	// PI-correlation drift detector re-ranks candidates against it.
-	Throughput float64
 	// ClassCounts is the window's request arrivals by class, for the
 	// mix-shift detector (nil disables it for the window).
 	ClassCounts []float64
@@ -91,15 +88,13 @@ type Config struct {
 	// registered as version 0 of every site the manager sees.
 	Initial *core.Monitor
 	// Names is the metric layout of decision vectors, used for
-	// retraining datasets and the correlation drift detector.
+	// retraining datasets.
 	Names []string
 	// Train configures candidate retraining; Learner is required. Set
 	// Train.Workers to fan the per-tier synopsis builds out over
 	// internal/parallel workers.
 	Train core.Config
-	// Drift is the per-site detector configuration; Names defaults to
-	// Config.Names. Set Drift.Reference to arm the per-tier
-	// PI-correlation test.
+	// Drift is the per-site detector configuration.
 	Drift drift.Config
 	// HistoryWindows is the labeled-window ring kept per site for
 	// retraining snapshots. Zero selects 128.
@@ -118,14 +113,6 @@ type Config struct {
 	// CooldownWindows is the least labeled windows between retrain
 	// attempts on one site. Zero selects 24.
 	CooldownWindows int
-	// AllowDegraded admits decisions made from partial (degraded) or
-	// low-confidence (mostly imputed) windows into the lifecycle. Off by
-	// default: a fault-corrupted window is evidence about the stream, not
-	// the workload, so feeding it to the
-	// drift detectors or a retraining set would let injected noise trigger
-	// model churn. Guarded decisions are counted (Manager.Guarded) and
-	// otherwise ignored.
-	AllowDegraded bool
 	// Background moves retraining to a goroutine (the daemon's mode).
 	// Synchronous retraining — the default — keeps the whole lifecycle
 	// deterministic for replays.
@@ -168,9 +155,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CooldownWindows == 0 {
 		c.CooldownWindows = def.CooldownWindows
-	}
-	if len(c.Drift.Names) == 0 {
-		c.Drift.Names = c.Names
 	}
 	return c
 }
@@ -219,7 +203,6 @@ type labeled struct {
 	predicted  bool
 	overload   int
 	bottleneck server.TierID
-	throughput float64
 	classes    []float64
 }
 
@@ -257,7 +240,7 @@ type Manager struct {
 
 // NewManager validates the configuration and returns a manager with an
 // empty store. Wire it up by calling HandleDecision from the pipeline's
-// OnDecision (or a subscriber) and ObserveTruth as labels arrive.
+// OnDecision and ObserveTruth as labels arrive.
 func NewManager(cfg Config) (*Manager, error) {
 	if errs := cfg.Validate(); len(errs) > 0 {
 		return nil, errors.Join(errs...)
@@ -314,18 +297,19 @@ func (m *Manager) ensure(site string) (*managed, error) {
 	return st, nil
 }
 
-// Guarded returns how many degraded decisions the lifecycle refused to
-// learn from (always 0 with Config.AllowDegraded set).
+// Guarded returns how many degraded or low-confidence decisions the
+// lifecycle refused to learn from.
 func (m *Manager) Guarded() uint64 { return m.guarded.Load() }
 
 // HandleDecision buffers a decision until its ground truth arrives. Safe
 // to call from the pipeline's OnDecision callback. Degraded and
-// low-confidence decisions are guarded out unless Config.AllowDegraded is
-// set: their truth, when it arrives, finds no pending decision and is
-// likewise dropped, so a fault-corrupted (or mostly imputed) window can
-// neither advance the drift detectors nor enter a retraining history.
+// low-confidence decisions are guarded out: a fault-corrupted (or mostly
+// imputed) window is evidence about the stream, not the workload, so
+// letting it advance the drift detectors or enter a retraining history
+// would let injected noise trigger model churn. Their truth, when it
+// arrives, finds no pending decision and is likewise dropped.
 func (m *Manager) HandleDecision(d serve.Decision) {
-	if (d.Degraded || d.LowConfidence) && !m.cfg.AllowDegraded {
+	if d.Degraded || d.LowConfidence {
 		m.guarded.Add(1)
 		return
 	}
@@ -370,7 +354,6 @@ func (m *Manager) ObserveTruth(site string, seq int64, tr Truth) {
 		vectors:    d.Vectors,
 		predicted:  d.Prediction.Overload,
 		bottleneck: tr.Bottleneck,
-		throughput: tr.Throughput,
 		classes:    tr.ClassCounts,
 	}
 	if tr.Overload {
@@ -384,8 +367,6 @@ func (m *Manager) ObserveTruth(site string, seq int64, tr Truth) {
 		Seq:         seq,
 		Predicted:   d.Prediction.Overload,
 		Truth:       tr.Overload,
-		Throughput:  tr.Throughput,
-		Vectors:     d.Vectors,
 		ClassCounts: tr.ClassCounts,
 	})
 	var snapshot []labeled

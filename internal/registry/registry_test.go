@@ -172,7 +172,7 @@ func runLifecycle(t *testing.T, cfg registry.Config, lieFrom int) (*registry.Man
 		if i >= lieFrom {
 			over = i%2 == 0
 		}
-		return registry.Truth{Overload: over, Bottleneck: w.Bottleneck, Throughput: w.Throughput}
+		return registry.Truth{Overload: over, Bottleneck: w.Bottleneck}
 	}
 	var vecs [server.NumTiers][][]float64
 	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
@@ -345,11 +345,11 @@ func TestManagerIgnoresUnknownTruth(t *testing.T) {
 }
 
 // TestManagerGuardsDegradedDecisions pins the lifecycle guard: decisions
-// made from partial windows never reach the drift detectors unless
-// AllowDegraded is set, and their orphaned truth is dropped silently.
+// made from partial windows never reach the drift detectors, and their
+// orphaned truth is dropped silently.
 func TestManagerGuardsDegradedDecisions(t *testing.T) {
 	lab, mon, _, names := fixture(t)
-	run := func(allow bool) (*registry.Manager, int) {
+	run := func(degraded bool) (*registry.Manager, int) {
 		pipe, err := serve.NewPipeline(mon, serve.Config{Window: lab.Scale.Window})
 		if err != nil {
 			t.Fatal(err)
@@ -357,9 +357,8 @@ func TestManagerGuardsDegradedDecisions(t *testing.T) {
 		drifts := 0
 		mgr, err := registry.NewManager(registry.Config{
 			Pipeline: pipe, Initial: mon, Names: names,
-			Train:         core.Config{Learner: bayes.TANLearner()},
-			Drift:         drift.Config{PHLambda: 3, MinWindows: 4, MixThreshold: -1},
-			AllowDegraded: allow,
+			Train: core.Config{Learner: bayes.TANLearner()},
+			Drift: drift.Config{PHLambda: 3, MinWindows: 4, MixThreshold: -1},
 			OnEvent: func(e registry.Event) {
 				if e.Kind == registry.EventDrift {
 					drifts++
@@ -369,31 +368,35 @@ func TestManagerGuardsDegradedDecisions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Degraded windows scripting an accuracy collapse: eight correct
-		// predictions, then twelve wrong ones. With the guard off the
-		// Page–Hinkley test trips on the shift; with it on, none of the
-		// windows may advance any detector state.
+		// Windows scripting an accuracy collapse: eight correct
+		// predictions, then twelve wrong ones. Clean, they trip the
+		// Page–Hinkley test on the shift; degraded, none of them may
+		// advance any detector state.
 		for seq := int64(1); seq <= 20; seq++ {
-			mgr.HandleDecision(serve.Decision{Site: "s", Seq: seq, Degraded: true, Missing: 1})
+			d := serve.Decision{Site: "s", Seq: seq}
+			if degraded {
+				d.Degraded, d.Missing = true, 1
+			}
+			mgr.HandleDecision(d)
 			mgr.ObserveTruth("s", seq, registry.Truth{Overload: seq > 8})
 		}
 		return mgr, drifts
 	}
 
-	mgr, drifts := run(false)
+	mgr, drifts := run(true)
 	if got := mgr.Guarded(); got != 20 {
-		t.Errorf("guard off-by-default: Guarded() = %d, want 20", got)
+		t.Errorf("Guarded() = %d, want 20", got)
 	}
 	if drifts != 0 {
 		t.Errorf("guarded decisions still produced %d drift events", drifts)
 	}
 
-	mgr, drifts = run(true)
+	mgr, drifts = run(false)
 	if got := mgr.Guarded(); got != 0 {
-		t.Errorf("AllowDegraded: Guarded() = %d, want 0", got)
+		t.Errorf("clean windows: Guarded() = %d, want 0", got)
 	}
 	if drifts == 0 {
-		t.Error("AllowDegraded admitted no windows: the wrong predictions never signalled drift")
+		t.Error("clean windows never signalled drift: the script exercises nothing")
 	}
 }
 
@@ -401,7 +404,7 @@ func TestManagerGuardsDegradedDecisions(t *testing.T) {
 func TestEventString(t *testing.T) {
 	e := registry.Event{
 		Kind: registry.EventDrift, Site: "s", Seq: 9,
-		Signals: []drift.Signal{{Kind: drift.KindAccuracy, Seq: 9, Tier: -1, Score: 5.5, Threshold: 3}},
+		Signals: []drift.Signal{{Kind: drift.KindAccuracy, Seq: 9, Score: 5.5, Threshold: 3}},
 	}
 	if got, want := e.String(), "drift site=s seq=9 accuracy score=5.5000 threshold=3.0000"; got != want {
 		t.Errorf("drift event = %q, want %q", got, want)

@@ -43,7 +43,7 @@ func BenchmarkPipelineIngest(b *testing.B) {
 // lockstep fleet produces. Three legs per fleet size: the unsharded
 // pipeline keyed by site name, the sharded pipeline keyed by site name
 // (hash + per-site map lookup per sample), and the sharded pipeline's
-// ref-based fast path (Register once, IngestRef per sample).
+// fused fast path (Register once, Batcher.AddSite per site scrape).
 func BenchmarkFleetIngest(b *testing.B) {
 	_, mon, tr := fixture(b)
 	vecs := secondVectors(tr)
@@ -95,20 +95,6 @@ func BenchmarkFleetIngest(b *testing.B) {
 				sp.Ingest(serve.Sample{Site: names[i], Tier: tier, Time: ts, Values: v})
 			}, sp.Sync)
 		})
-		b.Run(fmt.Sprintf("sharded-ref/sites=%d", nSites), func(b *testing.B) {
-			sp, err := serve.NewShardedPipeline(mon, serve.Config{Window: 30}, serve.DefaultShardConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sp.Close()
-			refs := make([]serve.SiteRef, nSites)
-			for i, name := range names {
-				refs[i] = sp.Register(name)
-			}
-			runLeg(b, func(i int, tier server.TierID, ts float64, v []float64) {
-				sp.IngestRef(refs[i], tier, ts, v)
-			}, sp.Sync)
-		})
 		b.Run(fmt.Sprintf("sharded-site/sites=%d", nSites), func(b *testing.B) {
 			sp, err := serve.NewShardedPipeline(mon, serve.Config{Window: 30}, serve.DefaultShardConfig())
 			if err != nil {
@@ -147,21 +133,6 @@ func BenchmarkFleetIngest(b *testing.B) {
 			}
 			bt.Flush()
 			sp.Sync()
-		})
-		b.Run(fmt.Sprintf("sharded-batch/sites=%d", nSites), func(b *testing.B) {
-			sp, err := serve.NewShardedPipeline(mon, serve.Config{Window: 30}, serve.DefaultShardConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sp.Close()
-			refs := make([]serve.SiteRef, nSites)
-			for i, name := range names {
-				refs[i] = sp.Register(name)
-			}
-			bt := sp.NewBatcher()
-			runLeg(b, func(i int, tier server.TierID, ts float64, v []float64) {
-				bt.Add(refs[i], tier, ts, v)
-			}, func() { bt.Flush(); sp.Sync() })
 		})
 	}
 }

@@ -591,8 +591,8 @@ func (e *engine) decide(i int32, vecs [server.NumTiers]metrics.Sample, missing i
 // paths: latency and health accounting, then queueing the decision for
 // publication. pred is caller scratch — the published Decision gets its
 // own GPV copy. The decision pub is inserted ahead of the health events
-// its own outcome generated: subscribers see a decision first, then the
-// transitions it caused.
+// its own outcome generated: OnDecision sees a decision first, then
+// OnHealth the transitions it caused.
 func (e *engine) finishDecide(i int32, obs core.Observation, missing int, seq int64, err error, pred *core.Prediction, lat uint64) {
 	st, ss := &e.recs[i], &e.stats[i]
 	// Consume the window's fusion-confidence accumulator up front so even

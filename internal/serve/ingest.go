@@ -313,9 +313,6 @@ func repay(ls []*loan) {
 	}
 }
 
-// Flush pushes the lane's pending batch into the shard queues.
-func (ci *ConnIngest) Flush() { ci.batch.Flush() }
-
 // Close flushes the lane and returns its spare frames to the pool; the
 // ConnIngest must not be used afterwards.
 func (ci *ConnIngest) Close() {

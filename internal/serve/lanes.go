@@ -5,25 +5,21 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"hpcap/internal/core"
 	"hpcap/internal/server"
 )
 
 // lanes is everything a serving pipeline is apart from queueing: the
-// resolved configuration, one engine per lane behind that lane's lock, and
-// the subscriber list. Pipeline is one lane applied in place on the
-// caller's goroutine; ShardedPipeline puts a batch queue and a goroutine
-// in front of each of N. Every method here is promoted to both, so the
-// state machine, its publication rules and its counters exist once.
+// resolved configuration and one engine per lane behind that lane's lock.
+// Pipeline is one lane applied in place on the caller's goroutine;
+// ShardedPipeline puts a batch queue and a goroutine in front of each of
+// N. Every method here is promoted to both, so the state machine, its
+// publication rules and its counters exist once.
 type lanes struct {
 	cfg    Config
 	dim    int
 	shards []*shard
-
-	subMu sync.RWMutex
-	subs  []chan Decision
 }
 
 // configure validates the monitor every lane's engine decides through
@@ -51,52 +47,18 @@ func (l *lanes) lane(siteName string) *shard {
 	return l.shards[SiteShard(siteName, len(l.shards))]
 }
 
-// Window returns the effective aggregation window in seconds.
-func (l *lanes) Window() int { return l.cfg.Window }
-
 // dispatch publishes a batch's decisions and health events in generation
-// order, outside all pipeline locks. Subscriber overflows are counted
-// back onto the emitting sites afterwards.
-func (l *lanes) dispatch(sh *shard, pubs []pub) {
-	if len(pubs) == 0 {
-		return
-	}
-	var dropCounts map[int32]uint64
+// order, outside all pipeline locks.
+func (l *lanes) dispatch(pubs []pub) {
 	for k := range pubs {
 		pb := &pubs[k]
 		if pb.isEvent {
 			if l.cfg.OnHealth != nil {
 				l.cfg.OnHealth(pb.ev)
 			}
-			continue
-		}
-		if l.cfg.OnDecision != nil {
+		} else if l.cfg.OnDecision != nil {
 			l.cfg.OnDecision(*pb.d)
 		}
-		l.subMu.RLock()
-		subs := l.subs
-		l.subMu.RUnlock()
-		dropped := 0
-		for _, ch := range subs {
-			select {
-			case ch <- *pb.d:
-			default:
-				dropped++
-			}
-		}
-		if dropped > 0 {
-			if dropCounts == nil {
-				dropCounts = make(map[int32]uint64)
-			}
-			dropCounts[pb.idx] += uint64(dropped)
-		}
-	}
-	if dropCounts != nil {
-		sh.emu.Lock()
-		for i, n := range dropCounts {
-			sh.eng.stats[i].DecisionsDropped += n
-		}
-		sh.emu.Unlock()
 	}
 }
 
@@ -106,7 +68,7 @@ func (l *lanes) flushWindows() {
 		sh.emu.Lock()
 		pubs := sh.eng.flushAll()
 		sh.emu.Unlock()
-		l.dispatch(sh, pubs)
+		l.dispatch(pubs)
 	}
 }
 
@@ -232,30 +194,6 @@ func (l *lanes) AdmissionValve(siteName string, maxBound int) server.AdmissionFu
 		}
 		return as.WaitQueue == 0 && as.BoundWorkers < maxBound
 	}
-}
-
-// Subscribe registers a decision channel with the given buffer depth and
-// returns it with a cancel function. Decisions that would block a full
-// subscriber are dropped and counted on the emitting site.
-func (l *lanes) Subscribe(buffer int) (<-chan Decision, func()) {
-	if buffer < 1 {
-		buffer = 1
-	}
-	ch := make(chan Decision, buffer)
-	l.subMu.Lock()
-	l.subs = append(l.subs, ch)
-	l.subMu.Unlock()
-	cancel := func() {
-		l.subMu.Lock()
-		for i, c := range l.subs {
-			if c == ch {
-				l.subs = append(l.subs[:i], l.subs[i+1:]...)
-				break
-			}
-		}
-		l.subMu.Unlock()
-	}
-	return ch, cancel
 }
 
 // SiteStats returns a snapshot of one site's counters. Unlike the other

@@ -40,7 +40,7 @@ func (p *Pipeline) Ingest(s Sample) {
 	sh.emu.Lock()
 	pubs := sh.eng.processBatch(batch[:], sh)
 	sh.emu.Unlock()
-	p.dispatch(sh, pubs)
+	p.dispatch(pubs)
 }
 
 // Flush force-closes every site's in-progress window, emitting whatever

@@ -30,8 +30,6 @@ var promMetrics = []promMetric{
 		func(s SiteStats) float64 { return float64(s.GPVDisagreements) }},
 	{"capserved_predict_errors_total", "counter", "Monitor rejections of an assembled window.",
 		func(s SiteStats) float64 { return float64(s.PredictErrors) }},
-	{"capserved_decisions_dropped_total", "counter", "Decisions lost to full subscriber buffers.",
-		func(s SiteStats) float64 { return float64(s.DecisionsDropped) }},
 	{"capserved_prediction_seconds_total", "counter", "Cumulative prediction latency.",
 		func(s SiteStats) float64 { return float64(s.PredictNanos) / 1e9 }},
 	{"capserved_prediction_max_seconds", "gauge", "Largest single prediction latency.",

@@ -7,9 +7,9 @@
 // that fold the raw 1-second vectors into the paper's 30-second analysis
 // windows, by the same arithmetic as the batch metrics.Aggregator. When a
 // site's window completes across all tiers, the pipeline predicts and
-// publishes a Decision to subscribers; an AdmissionValve adapter turns the
-// latest decision into a server.AdmissionFunc, closing the control loop
-// against the simulated testbed.
+// publishes a Decision through Config.OnDecision; an AdmissionValve
+// adapter turns the latest decision into a server.AdmissionFunc, closing
+// the control loop against the simulated testbed.
 //
 // That per-site state machine is implemented once, in the engine. A
 // Pipeline applies samples to one engine in place, synchronously on the
@@ -55,11 +55,11 @@ type Config struct {
 	// selects 0 (strict: any missing sample drops the window). Budgets
 	// of a full window or more are clamped to Window-1.
 	StalenessBudget int
-	// OnDecision, when set, is invoked synchronously for every decision
-	// before channel subscribers see it. It runs outside the pipeline's
-	// locks, so it may call back into the pipeline (a ShardedPipeline
-	// callback must not call the methods that wait on its own shard
-	// goroutine; see that type).
+	// OnDecision, when set, is invoked synchronously for every decision;
+	// it is the pipeline's one publication path. It runs outside the
+	// pipeline's locks, so it may call back into the pipeline (a
+	// ShardedPipeline callback must not call the methods that wait on its
+	// own shard goroutine; see that type).
 	OnDecision func(Decision)
 	// OnSwap, when set, is invoked synchronously after every model
 	// hot-swap (SwapMonitor). Like OnDecision it runs outside the
@@ -169,7 +169,7 @@ type Decision struct {
 	// Vectors holds the per-tier window-mean metric vectors the decision
 	// was predicted from. The slices are owned by the decision (the
 	// aggregator emits fresh storage per window); treat them as
-	// read-only, as they are shared across all subscribers.
+	// read-only.
 	Vectors [server.NumTiers][]float64
 	// ModelVersion is the site's active model version at decision time
 	// (0 until the first hot-swap).
@@ -221,9 +221,6 @@ type SiteStats struct {
 	// Prediction latency.
 	PredictNanos    uint64 // cumulative
 	PredictMaxNanos uint64
-
-	// Delivery.
-	DecisionsDropped uint64 // subscriber buffer overflows
 
 	// Model lifecycle.
 	SessionResets uint64 // temporal-history resets after stream gaps

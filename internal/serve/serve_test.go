@@ -442,43 +442,6 @@ func TestPipelineValidation(t *testing.T) {
 	}
 }
 
-// TestSubscribeDelivery checks channel fan-out: a roomy subscriber sees
-// every decision, an undersized one loses the overflow (counted), and a
-// cancelled subscription stops receiving.
-func TestSubscribeDelivery(t *testing.T) {
-	_, mon, tr := fixture(t)
-	p, err := serve.NewPipeline(mon, serve.Config{})
-	if err != nil {
-		t.Fatalf("NewPipeline: %v", err)
-	}
-	roomy, cancelRoomy := p.Subscribe(len(tr.Windows) + 1)
-	tiny, cancelTiny := p.Subscribe(1)
-	defer cancelTiny()
-	replay(p, "a", tr)
-
-	if got, want := len(roomy), len(tr.Windows); got != want {
-		t.Errorf("roomy subscriber holds %d decisions, want %d", got, want)
-	}
-	if len(tiny) != 1 {
-		t.Errorf("tiny subscriber holds %d decisions, want 1", len(tiny))
-	}
-	st, _ := p.SiteStats("a")
-	if got, want := st.DecisionsDropped, uint64(len(tr.Windows)-1); got != want {
-		t.Errorf("DecisionsDropped = %d, want %d", got, want)
-	}
-	first := <-roomy
-	if first.Site != "a" || first.Seq != 1 {
-		t.Errorf("first decision = site %q seq %d, want site a seq 1", first.Site, first.Seq)
-	}
-
-	cancelRoomy()
-	drained := len(roomy)
-	replay(p, "b", tr)
-	if len(roomy) != drained {
-		t.Errorf("cancelled subscriber still receiving (%d → %d buffered)", drained, len(roomy))
-	}
-}
-
 // TestWriteMetrics spot-checks the Prometheus text rendering.
 func TestWriteMetrics(t *testing.T) {
 	lab, mon, tr := fixture(t)
@@ -730,18 +693,7 @@ func TestConcurrentSitesIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPipeline: %v", err)
 	}
-	ch, cancel := p.Subscribe(16)
-	defer cancel()
 	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-ch:
-			case <-done:
-				return
-			}
-		}
-	}()
 	go func() {
 		for {
 			select {

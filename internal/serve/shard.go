@@ -105,7 +105,7 @@ func SiteShard(site string, shards int) int {
 // SiteRef is a pre-routed handle to one site of a ShardedPipeline,
 // resolved once by Register: the ref-based ingest path skips the
 // per-sample hash and site-table lookup entirely. The zero SiteRef is
-// invalid; feeding one to IngestRef is counted as a rejected ref.
+// invalid; feeding one to Batcher.AddSite is counted as a rejected ref.
 type SiteRef struct {
 	shard int32
 	index int32 // dense index + 1; 0 marks the invalid zero value
@@ -172,8 +172,9 @@ type shard struct {
 // batch geometry. Ingestion is asynchronous: a sample's decision
 // appears after its batch is drained. Sync flushes partial batches and
 // waits for everything accepted so far to be applied; Flush additionally
-// force-closes open windows. Values slices passed to Ingest/IngestRef
-// must not be mutated until the sample has been applied (Sync/Flush).
+// force-closes open windows. Values slices passed to Ingest and
+// Batcher.AddSite must not be mutated until the sample has been applied
+// (Sync/Flush).
 //
 // Callbacks (OnDecision, OnHealth, OnSwap) run on shard goroutines,
 // outside all pipeline locks, and may call back into the pipeline —
@@ -234,7 +235,7 @@ func (sp *ShardedPipeline) drain(sh *shard) {
 		sh.emu.Lock()
 		pubs := sh.eng.processBatch(batch, sh)
 		sh.emu.Unlock()
-		sp.dispatch(sh, pubs)
+		sp.dispatch(pubs)
 		n := uint64(len(batch))
 		select {
 		case sh.free <- batch[:0]:
@@ -308,16 +309,6 @@ func (sp *ShardedPipeline) Register(site string) SiteRef {
 	return SiteRef{shard: int32(shardID), index: i + 1}
 }
 
-// IngestRef feeds one sample through a registered handle, skipping the
-// per-sample hash and site lookup. Invalid refs are counted and dropped.
-func (sp *ShardedPipeline) IngestRef(ref SiteRef, tier server.TierID, time float64, values []float64) {
-	if ref.index <= 0 || ref.shard < 0 || int(ref.shard) >= len(sp.shards) {
-		sp.badRefs.Add(1)
-		return
-	}
-	sp.enqueue(sp.shards[ref.shard], qsample{idx: ref.index, tier: tier, time: time, vecs: [server.NumTiers][]float64{values}})
-}
-
 // submitBatch hands a producer-built batch straight to the shard queue and
 // returns a recycled buffer for the producer to refill. The shard's
 // per-sample pending batch is flushed first, so one producer mixing the
@@ -352,14 +343,14 @@ func (sp *ShardedPipeline) submitBatch(sh *shard, batch []qsample) []qsample {
 	}
 }
 
-// Batcher accumulates ref-ingested samples into producer-local per-shard
-// batches, taking each shard's lock once per BatchSize samples instead of
-// once per sample — the fleet-scale hot path. A Batcher serves exactly one
-// producer goroutine and its stream is ordered with respect to itself;
-// samples stay invisible to the pipeline (and to Sync) until the batch
-// fills or Flush is called, so call Flush before ShardedPipeline.Sync,
-// Flush, or Close. Do not interleave Batcher.Add with direct
-// Ingest/IngestRef calls for the same site: the two paths buffer
+// Batcher accumulates ref-ingested site scrapes into producer-local
+// per-shard batches, taking each shard's lock once per BatchSize scrapes
+// instead of once per sample — the fleet-scale hot path. A Batcher serves
+// exactly one producer goroutine and its stream is ordered with respect to
+// itself; samples stay invisible to the pipeline (and to Sync) until the
+// batch fills or Flush is called, so call Flush before
+// ShardedPipeline.Sync, Flush, or Close. Do not interleave Batcher.AddSite
+// with direct Ingest calls for the same site: the two paths buffer
 // independently and their relative order is fixed only at submit time.
 type Batcher struct {
 	sp  *ShardedPipeline
@@ -371,34 +362,14 @@ func (sp *ShardedPipeline) NewBatcher() *Batcher {
 	return &Batcher{sp: sp, buf: make([][]qsample, len(sp.shards))}
 }
 
-// Add buffers one sample for a registered site. Invalid refs are counted
-// and dropped, as IngestRef. The values slice must not be mutated until
-// the sample has been applied (Flush + ShardedPipeline.Sync guarantee it).
-func (b *Batcher) Add(ref SiteRef, tier server.TierID, time float64, values []float64) {
-	s := int(ref.shard)
-	if ref.index <= 0 || s < 0 || s >= len(b.buf) {
-		b.sp.badRefs.Add(1)
-		return
-	}
-	buf := b.buf[s]
-	if buf == nil {
-		buf = make([]qsample, 0, b.sp.scfg.BatchSize)
-	}
-	buf = append(buf, qsample{idx: ref.index, tier: tier, time: time, vecs: [server.NumTiers][]float64{values}})
-	if len(buf) >= b.sp.scfg.BatchSize {
-		buf = b.sp.submitBatch(b.sp.shards[s], buf)
-	}
-	b.buf[s] = buf
-}
-
 // AddSite enqueues one fused site scrape: every tier's vector for one
 // timestamp in a single queue slot. The shard applies it exactly as
-// NumTiers sequential Add calls in tier order — same counters, same
+// NumTiers sequential Ingest calls in tier order — same counters, same
 // windows, same decisions — but the per-sample prolog (queue slot,
 // time validation, window index) is paid once per site instead of once
-// per tier, which is what makes the 100k-site scale leg go. Values
-// ownership follows Add: the engine reads each vector exactly once,
-// before the next Sync returns.
+// per tier, which is what makes the 100k-site scale leg go. The vectors
+// must not be mutated until the engine has read them, before the next
+// Sync returns.
 func (b *Batcher) AddSite(ref SiteRef, time float64, vecs [server.NumTiers][]float64) {
 	b.addSite(ref, time, vecs, nil)
 }
@@ -495,16 +466,15 @@ func (sp *ShardedPipeline) Close() {
 
 // ShardStats is a snapshot of one shard's queue and batch counters.
 type ShardStats struct {
-	Shard            int
-	Sites            int
-	Enqueued         uint64 // samples accepted into the batch queue
-	Processed        uint64 // samples applied by the shard goroutine
-	Batches          uint64 // batches drained
-	Stalls           uint64 // full-queue waits producers blocked through
-	RejectedClosed   uint64 // samples offered after Close
-	RejectedRef      uint64 // invalid or unresolvable SiteRefs
-	QueueDepth       uint64 // Enqueued - Processed at snapshot time
-	DecisionsDropped uint64 // subscriber overflows on the shard's sites
+	Shard          int
+	Sites          int
+	Enqueued       uint64 // samples accepted into the batch queue
+	Processed      uint64 // samples applied by the shard goroutine
+	Batches        uint64 // batches drained
+	Stalls         uint64 // full-queue waits producers blocked through
+	RejectedClosed uint64 // samples offered after Close
+	RejectedRef    uint64 // invalid or unresolvable SiteRefs
+	QueueDepth     uint64 // Enqueued - Processed at snapshot time
 }
 
 // ShardStats snapshots every shard's counters, in shard order.
@@ -525,9 +495,6 @@ func (sp *ShardedPipeline) ShardStats() []ShardStats {
 		}
 		sh.emu.Lock()
 		s.Sites = len(sh.eng.recs)
-		for i := range sh.eng.stats {
-			s.DecisionsDropped += sh.eng.stats[i].DecisionsDropped
-		}
 		sh.emu.Unlock()
 		out[k] = s
 	}
@@ -548,7 +515,6 @@ func (sp *ShardedPipeline) Totals() ShardStats {
 		t.RejectedClosed += s.RejectedClosed
 		t.RejectedRef += s.RejectedRef
 		t.QueueDepth += s.QueueDepth
-		t.DecisionsDropped += s.DecisionsDropped
 	}
 	return t
 }

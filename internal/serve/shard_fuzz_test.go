@@ -67,12 +67,14 @@ func FuzzShardConfig(f *testing.F) {
 }
 
 // FuzzShardQueue hammers the batch queue itself: arbitrary batch sizes
-// and queue capacities, concurrent producers mixing named samples, valid
-// refs, zero refs, and refs stolen from a foreign pipeline, with Close
-// racing the producers (close-while-full). The pipeline must never
-// panic, and afterwards every offered sample must be accounted for:
-// accepted ones all processed, and each processed sample either counted
-// on a site or counted as a bad ref — nothing dropped without a reason.
+// and queue capacities, concurrent producers mixing named samples with
+// fused scrapes through valid refs, zero refs, and refs stolen from a
+// foreign pipeline, with Close racing the producers (close-while-full).
+// The pipeline must never panic, and afterwards every offered queue slot
+// must be accounted for: accepted ones all processed, and each processed
+// slot either counted on a site (one sample for a named slot, NumTiers
+// for a fused one) or counted as a bad ref — nothing dropped without a
+// reason.
 func FuzzShardQueue(f *testing.F) {
 	_, mon, tr := fixture(f)
 	vecs := secondVectors(tr)
@@ -109,7 +111,7 @@ func FuzzShardQueue(f *testing.F) {
 			foreignRefs[i] = foreign.Register(fmt.Sprintf("foreign-%03d", i))
 		}
 
-		var offered, zeroRefs atomic.Uint64
+		var offered, fused, zeroRefs atomic.Uint64
 		const nProducers = 2
 		var wg sync.WaitGroup
 		closed := make(chan struct{})
@@ -119,6 +121,12 @@ func FuzzShardQueue(f *testing.F) {
 			go func() {
 				defer wg.Done()
 				ref := sp.Register(fmt.Sprintf("own-%d", pr))
+				bt := sp.NewBatcher()
+				defer bt.Flush()
+				var scrape [server.NumTiers][]float64
+				for tier := range scrape {
+					scrape[tier] = vecs[tier][0]
+				}
 				for i := 0; i < perProducer; i++ {
 					tier := server.TierID(i % int(server.NumTiers))
 					ts := float64(i + 1)
@@ -127,14 +135,16 @@ func FuzzShardQueue(f *testing.F) {
 						sp.Ingest(serve.Sample{Site: fmt.Sprintf("own-%d", pr), Tier: tier, Time: ts, Values: vecs[tier][0]})
 						offered.Add(1)
 					case 1:
-						sp.IngestRef(ref, tier, ts, vecs[tier][0])
+						bt.AddSite(ref, ts, scrape)
 						offered.Add(1)
+						fused.Add(1)
 					case 2:
-						sp.IngestRef(serve.SiteRef{}, tier, ts, vecs[tier][0])
+						bt.AddSite(serve.SiteRef{}, ts, scrape)
 						zeroRefs.Add(1)
 					case 3:
-						sp.IngestRef(foreignRefs[i%len(foreignRefs)], tier, ts, vecs[tier][0])
+						bt.AddSite(foreignRefs[i%len(foreignRefs)], ts, scrape)
 						offered.Add(1)
+						fused.Add(1)
 					}
 				}
 			}()
@@ -163,10 +173,21 @@ func FuzzShardQueue(f *testing.F) {
 		for _, s := range sp.Stats() {
 			ingested += s.SamplesIngested
 		}
+		// Only fused slots carry refs, so each unresolvable one stands for
+		// NumTiers samples; what the sites absorbed beyond one sample per
+		// processed slot is then the fused slots' extra tiers, and the
+		// processed fused slots it implies must lie between those offered
+		// less any Close rejected and those offered.
 		engineBadRefs := tot.RejectedRef - zeroRefs.Load()
-		if ingested+engineBadRefs != tot.Processed {
-			t.Fatalf("processed %d != ingested %d + unresolvable refs %d — samples vanished without a counted reason",
+		carried := ingested + engineBadRefs*uint64(server.NumTiers)
+		if carried < tot.Processed || (carried-tot.Processed)%uint64(server.NumTiers-1) != 0 {
+			t.Fatalf("processed %d slots, but sites absorbed %d samples and %d slots had unresolvable refs — samples vanished without a counted reason",
 				tot.Processed, ingested, engineBadRefs)
+		}
+		fusedDone := (carried - tot.Processed) / uint64(server.NumTiers-1)
+		if fusedDone > fused.Load() || fusedDone+tot.RejectedClosed < fused.Load() {
+			t.Fatalf("%d fused slots offered, %d rejected by Close at most, but the counters imply %d processed — samples vanished without a counted reason",
+				fused.Load(), tot.RejectedClosed, fusedDone)
 		}
 	})
 }

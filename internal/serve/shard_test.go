@@ -330,18 +330,29 @@ func TestShardRoutingProperty(t *testing.T) {
 				}
 			}
 
+			// Each scrape goes in either tier by tier by name or as one fused
+			// slot through the site's ref; the Batcher is flushed at once so
+			// the two paths never reorder a site's stream.
 			perSite := 1 + rng.Intn(5)
-			var offered uint64
+			var offered, slots uint64
+			bt := sp.NewBatcher()
 			for name := range sites {
 				for k := 0; k < perSite; k++ {
-					for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-						if rng.Intn(2) == 0 {
-							sp.Ingest(serve.Sample{Site: name, Tier: tier, Time: float64(k + 1), Values: vecs[tier][k]})
-						} else {
-							sp.IngestRef(refs[name], tier, float64(k+1), vecs[tier][k])
-						}
-						offered++
+					var scrape [server.NumTiers][]float64
+					for tier := range scrape {
+						scrape[tier] = vecs[tier][k]
 					}
+					if rng.Intn(2) == 0 {
+						for tier := server.TierID(0); tier < server.NumTiers; tier++ {
+							sp.Ingest(serve.Sample{Site: name, Tier: tier, Time: float64(k + 1), Values: scrape[tier]})
+							slots++
+						}
+					} else {
+						bt.AddSite(refs[name], float64(k+1), scrape)
+						bt.Flush()
+						slots++
+					}
+					offered += uint64(server.NumTiers)
 				}
 			}
 			sp.Sync()
@@ -373,8 +384,8 @@ func TestShardRoutingProperty(t *testing.T) {
 			if sumSites != nSites || tot.Sites != nSites {
 				t.Errorf("sites: per-shard sum %d, totals %d, want %d", sumSites, tot.Sites, nSites)
 			}
-			if sumEnqueued != offered || sumProcessed != offered {
-				t.Errorf("offered %d samples: enqueued %d, processed %d", offered, sumEnqueued, sumProcessed)
+			if sumEnqueued != slots || sumProcessed != slots {
+				t.Errorf("offered %d queue slots: enqueued %d, processed %d", slots, sumEnqueued, sumProcessed)
 			}
 			if tot.Enqueued != sumEnqueued || tot.Processed != sumProcessed {
 				t.Errorf("totals (%d/%d) disagree with per-shard sums (%d/%d)",
@@ -578,10 +589,9 @@ func underWatchdog(t *testing.T, body func()) {
 }
 
 // TestShardedCallbackReentrancy is the deadlock regression for the
-// publish-outside-locks convention: OnDecision, OnHealth, and a channel
-// subscriber all call back into the pipeline (snapshots, flag reads,
-// drift notes, even further ingest) while their shard goroutine is
-// mid-dispatch.
+// publish-outside-locks convention: OnDecision and OnHealth both call
+// back into the pipeline (snapshots, flag reads, drift notes, even
+// further ingest) while their shard goroutine is mid-dispatch.
 func TestShardedCallbackReentrancy(t *testing.T) {
 	lab, mon, tr := fixture(t)
 	vecs := secondVectors(tr)
@@ -605,7 +615,7 @@ func TestShardedCallbackReentrancy(t *testing.T) {
 				}
 				sp.Overloaded(d.Site)
 				sp.NoteDrift(d.Site, 1)
-				sp.IngestRef(serve.SiteRef{}, 0, 0, nil) // counted, not routed
+				sp.NewBatcher().AddSite(serve.SiteRef{}, 0, [server.NumTiers][]float64{}) // counted, not routed
 			},
 			OnHealth: func(ev serve.HealthEvent) {
 				healthEvents.Add(1)
@@ -619,22 +629,6 @@ func TestShardedCallbackReentrancy(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		sub, cancel := sp.Subscribe(1)
-		quit := make(chan struct{})
-		var subWG sync.WaitGroup
-		subWG.Add(1)
-		go func() {
-			defer subWG.Done()
-			for {
-				select {
-				case d := <-sub:
-					sp.SiteStats(d.Site) // subscriber re-enters too
-				case <-quit:
-					return
-				}
-			}
-		}()
-
 		// Drive enough windows that decisions, degraded windows, and
 		// health transitions all fire (site B drops a tier periodically).
 		for sec := 1; sec <= 6*window; sec++ {
@@ -648,9 +642,6 @@ func TestShardedCallbackReentrancy(t *testing.T) {
 		}
 		sp.Flush()
 		sp.Close()
-		cancel()
-		close(quit)
-		subWG.Wait()
 		if decided.Load() == 0 {
 			t.Error("no decisions fired; the regression exercised nothing")
 		}
@@ -811,7 +802,8 @@ func TestShardedValveAndOverload(t *testing.T) {
 // with per-tier corruption (NaN/Inf components, short and nil vectors)
 // and shared timestamp faults (non-finite, rewound, duplicated) — replays
 // through the unsharded Pipeline as sequential per-tier Ingest calls,
-// through Batcher.Add per tier, and through the fused Batcher.AddSite.
+// through the sharded pipeline's per-tier Ingest, and through the fused
+// Batcher.AddSite.
 // All three must produce identical per-site transcripts and counters:
 // fusing a scrape into one queue slot may never change an outcome.
 func TestBatcherAddSite(t *testing.T) {
@@ -918,7 +910,7 @@ func TestBatcherAddSite(t *testing.T) {
 							continue
 						}
 						for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-							bt.Add(refs[ev.site], tier, ev.time, ev.vecs[tier])
+							sp.Ingest(serve.Sample{Site: names[ev.site], Tier: tier, Time: ev.time, Values: ev.vecs[tier]})
 						}
 					}
 					bt.Flush()

@@ -68,9 +68,6 @@ type TierConfig struct {
 	// CtxSwitchRate is context switches per busy second per runnable
 	// worker.
 	CtxSwitchRate float64
-	// QuantumSec is the round-robin scheduling quantum of the tier's
-	// CPU; zero selects the default.
-	QuantumSec float64
 
 	// Background models the server's housekeeping load (InnoDB purge and
 	// statistics refresh, log archiving, scheduled jobs): up to
@@ -102,8 +99,9 @@ type TierConfig struct {
 	LockBlockFrac float64
 }
 
-// defaultQuantumSec approximates a Linux 2.6 timeslice.
-const defaultQuantumSec = 0.006
+// quantumSec is every tier CPU's round-robin scheduling quantum,
+// approximating a Linux 2.6 timeslice.
+const quantumSec = 0.006
 
 // Config assembles the whole testbed.
 type Config struct {

@@ -158,15 +158,6 @@ func NewDAGTestbed(topo TopologyConfig, schedule tpcw.Schedule) (*DAGTestbed, er
 	return tb, nil
 }
 
-// Engine exposes the simulation engine.
-func (tb *DAGTestbed) Engine() *sim.Engine { return tb.engine }
-
-// Now returns the current virtual time.
-func (tb *DAGTestbed) Now() float64 { return tb.engine.Now() }
-
-// Topology returns the testbed's (immutable) topology configuration.
-func (tb *DAGTestbed) Topology() TopologyConfig { return tb.topo }
-
 // SetAdmission installs an admission controller consulted at the entry
 // pool. It must be called before Start.
 func (tb *DAGTestbed) SetAdmission(f AdmissionFunc) { tb.admission = f }

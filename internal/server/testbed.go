@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 
-	"hpcap/internal/sim"
 	"hpcap/internal/tpcw"
 )
 
@@ -47,13 +46,6 @@ func NewTestbed(cfg Config, schedule tpcw.Schedule) (*Testbed, error) {
 // TwoSlot returns the two-slot view of the DAG testbed: the same
 // simulation, driven and sampled through the fixed app/db surface.
 func (tb *DAGTestbed) TwoSlot() *Testbed { return &Testbed{dag: tb} }
-
-// Engine exposes the simulation engine (for schedulers and samplers built
-// on top of the testbed).
-func (tb *Testbed) Engine() *sim.Engine { return tb.dag.Engine() }
-
-// Now returns the current virtual time.
-func (tb *Testbed) Now() float64 { return tb.dag.Now() }
 
 // SetAdmission installs an admission controller. It must be called before
 // Start.

@@ -89,11 +89,10 @@ func (r *ring[T]) pop() T {
 // in newTier (onQuantum, onBackground, onBgWake): scheduling a quantum
 // allocates nothing.
 type tier struct {
-	id      TierID
-	cfg     TierConfig
-	quantum float64 // cfg.QuantumSec, defaulted
-	engine  *sim.Engine
-	rng     *sim.Source
+	id     TierID
+	cfg    TierConfig
+	engine *sim.Engine
+	rng    *sim.Source
 
 	// Worker pool.
 	bound     int // workers currently bound (running or blocked downstream)
@@ -153,10 +152,7 @@ type intervalAccum struct {
 }
 
 func newTier(id TierID, cfg TierConfig, engine *sim.Engine, rng *sim.Source) *tier {
-	t := &tier{id: id, cfg: cfg, quantum: cfg.QuantumSec, engine: engine, rng: rng}
-	if t.quantum <= 0 {
-		t.quantum = defaultQuantumSec
-	}
+	t := &tier{id: id, cfg: cfg, engine: engine, rng: rng}
 	t.onQuantum, t.onBackground, t.onBgWake = t.quantumDone, t.backgroundDone, t.bgWakeUp
 	t.schedPow = make([]float64, cfg.MaxWorkers+1)
 	for r := range t.schedPow {
@@ -238,8 +234,8 @@ func (t *tier) startNext() {
 	// the load around it as it executes.
 	miss, dil := t.contention()
 	// A quantum of wall time executes quantum*speed/dil of demand.
-	consumed := t.quantum * t.cfg.Machine.Speed / dil
-	wall := t.quantum
+	consumed := quantumSec * t.cfg.Machine.Speed / dil
+	wall := quantumSec
 	if consumed >= b.remaining {
 		consumed = b.remaining
 		wall = consumed / t.cfg.Machine.Speed * dil
@@ -290,7 +286,7 @@ func (t *tier) runBackground() bool {
 		return false
 	}
 	t.accrueBackground()
-	need := t.quantum * t.cfg.Machine.Speed
+	need := quantumSec * t.cfg.Machine.Speed
 	if t.bgCredit < need {
 		if !t.bgWake {
 			t.bgWake = true
@@ -304,14 +300,14 @@ func (t *tier) runBackground() bool {
 	}
 	t.cpuBusy = true
 	t.bgCredit -= need
-	t.engine.Schedule(t.quantum, t.onBackground)
+	t.engine.Schedule(quantumSec, t.onBackground)
 	return true
 }
 
 // backgroundDone completes the housekeeping quantum in flight: always a
 // whole quantum, so it carries no state.
 func (t *tier) backgroundDone() {
-	t.accountBackground(t.quantum*t.cfg.Machine.Speed, t.quantum)
+	t.accountBackground(quantumSec*t.cfg.Machine.Speed, quantumSec)
 	t.startNext()
 }
 

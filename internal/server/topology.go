@@ -70,12 +70,6 @@ type PoolConfig struct {
 	Downstream []string
 }
 
-// Capacity returns the pool's execution capacity in normalized demand
-// seconds per second: replicas times machine speed.
-func (p PoolConfig) Capacity() float64 {
-	return float64(p.Replicas) * p.Tier.Machine.Speed
-}
-
 // TopologyConfig defines an arbitrary tier DAG: named replica pools wired
 // by Downstream edges, with requests entering at Entry (the implicit load
 // balancer, which round-robins across the entry pool's replicas).

@@ -27,9 +27,6 @@ func (s *Source) Fork() *Source {
 // Float64 returns a uniform variate in [0, 1).
 func (s *Source) Float64() float64 { return s.rng.Float64() }
 
-// Intn returns a uniform int in [0, n).
-func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
-
 // Exp returns an exponential variate with the given mean.
 func (s *Source) Exp(mean float64) float64 {
 	if mean <= 0 {

@@ -7,9 +7,6 @@ import (
 )
 
 func TestDefaultConfigValid(t *testing.T) {
-	if errs := DefaultConfig().Validate(); len(errs) > 0 {
-		t.Fatalf("DefaultConfig invalid: %v", errs)
-	}
 	if errs := (Config{}).Validate(); len(errs) > 0 {
 		t.Fatalf("zero Config invalid after defaults: %v", errs)
 	}
@@ -19,10 +16,5 @@ func TestConfigValidateDelegatesToSelection(t *testing.T) {
 	bad := Config{Selection: featsel.Config{Folds: 1}}
 	if errs := bad.Validate(); len(errs) == 0 {
 		t.Fatal("invalid selection config not rejected")
-	}
-	// SkipSelection makes the selection knobs irrelevant.
-	bad.SkipSelection = true
-	if errs := bad.Validate(); len(errs) > 0 {
-		t.Fatalf("skipped selection still validated: %v", errs)
 	}
 }

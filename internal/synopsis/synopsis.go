@@ -6,7 +6,6 @@
 package synopsis
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"hpcap/internal/featsel"
@@ -39,24 +38,12 @@ type Config struct {
 	// Selection tunes attribute selection; the zero value uses the
 	// paper's defaults (information-gain ranking, 10-fold CV wrapper).
 	Selection featsel.Config
-	// SkipSelection trains on all attributes (used by ablations and the
-	// learner-timing experiment).
-	SkipSelection bool
-}
-
-// DefaultConfig returns the paper's synopsis settings: full attribute
-// selection at featsel's defaults.
-func DefaultConfig() Config {
-	return Config{Selection: featsel.DefaultConfig()}
 }
 
 // Validate applies defaults first, then returns one error per violated
 // constraint — all delegated to the selection config, which is the only
 // part with constraints to violate.
 func (c Config) Validate() []error {
-	if c.SkipSelection {
-		return nil
-	}
 	return c.Selection.Validate()
 }
 
@@ -71,29 +58,15 @@ func Build(workload string, tier server.TierID, level metrics.Level,
 		Level:    level,
 		Learner:  learner.Name,
 	}
-	var train *ml.Dataset
-	if cfg.SkipSelection {
-		s.Attrs = make([]int, d.NumAttrs())
-		for i := range s.Attrs {
-			s.Attrs[i] = i
-		}
-		train = d
-		cv, err := ml.CrossValidate(learner, d, selFolds(cfg.Selection), cfg.Selection.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("synopsis: cross-validate: %w", err)
-		}
-		s.CV = cv
-	} else {
-		res, err := featsel.Select(learner, d, cfg.Selection)
-		if err != nil {
-			return nil, fmt.Errorf("synopsis: attribute selection: %w", err)
-		}
-		s.Attrs = res.Attrs
-		s.CV = res.CV
-		train, err = d.Project(res.Attrs)
-		if err != nil {
-			return nil, err
-		}
+	res, err := featsel.Select(learner, d, cfg.Selection)
+	if err != nil {
+		return nil, fmt.Errorf("synopsis: attribute selection: %w", err)
+	}
+	s.Attrs = res.Attrs
+	s.CV = res.CV
+	train, err := d.Project(res.Attrs)
+	if err != nil {
+		return nil, err
 	}
 	s.AttrNames = make([]string, len(s.Attrs))
 	for i, a := range s.Attrs {
@@ -107,13 +80,6 @@ func Build(workload string, tier server.TierID, level metrics.Level,
 	}
 	s.classifier = clf
 	return s, nil
-}
-
-func selFolds(cfg featsel.Config) int {
-	if cfg.Folds > 0 {
-		return cfg.Folds
-	}
-	return 10
 }
 
 // Predict maps a full metric vector (same layout as the training collector)
@@ -136,27 +102,4 @@ func (s *Synopsis) Predict(values []float64, scr *ml.Scratch) int {
 // Key identifies the synopsis in reports, e.g. "browsing/db/HPC/TAN".
 func (s *Synopsis) Key() string {
 	return fmt.Sprintf("%s/%s/%s/%s", s.Workload, s.Tier, s.Level, s.Learner)
-}
-
-// Summary is the serializable description of a synopsis (model weights are
-// rebuilt from traces rather than persisted).
-type Summary struct {
-	Workload  string   `json:"workload"`
-	Tier      string   `json:"tier"`
-	Level     string   `json:"level"`
-	Learner   string   `json:"learner"`
-	AttrNames []string `json:"attrs"`
-	CV        float64  `json:"cv_balanced_accuracy"`
-}
-
-// MarshalJSON serializes the synopsis metadata.
-func (s *Synopsis) MarshalJSON() ([]byte, error) {
-	return json.Marshal(Summary{
-		Workload:  s.Workload,
-		Tier:      s.Tier.String(),
-		Level:     s.Level.String(),
-		Learner:   s.Learner,
-		AttrNames: s.AttrNames,
-		CV:        s.CV,
-	})
 }

@@ -1,8 +1,6 @@
 package synopsis
 
 import (
-	"encoding/json"
-	"strings"
 	"testing"
 
 	"hpcap/internal/featsel"
@@ -39,25 +37,10 @@ func TestBuildAndPredict(t *testing.T) {
 	}
 }
 
-func TestBuildSkipSelection(t *testing.T) {
-	d := mltest.NoisyGaussians(200, 5, 2, 3, 2)
-	s, err := Build("browsing", server.TierDB, metrics.LevelOS,
-		bayes.NaiveLearner(), d, Config{SkipSelection: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Attrs) != 5 {
-		t.Errorf("SkipSelection kept %d attrs, want all 5", len(s.Attrs))
-	}
-	if s.CV <= 0.5 {
-		t.Errorf("CV = %v, want informative", s.CV)
-	}
-}
-
 func TestBuildFailsOnOneClass(t *testing.T) {
 	d := mltest.OneClass(40, 0)
 	if _, err := Build("x", server.TierApp, metrics.LevelHPC,
-		bayes.NaiveLearner(), d, Config{SkipSelection: true}); err == nil {
+		bayes.NaiveLearner(), d, Config{Selection: featsel.Config{Seed: 1}}); err == nil {
 		t.Error("one-class training set not rejected")
 	}
 }
@@ -74,33 +57,10 @@ func TestKey(t *testing.T) {
 	}
 }
 
-func TestMarshalJSON(t *testing.T) {
-	d := mltest.NoisyGaussians(120, 4, 2, 3, 3)
-	s, err := Build("ordering", server.TierApp, metrics.LevelOS,
-		bayes.NaiveLearner(), d, Config{Selection: featsel.Config{Seed: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Summary
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Workload != "ordering" || got.Tier != "app" || got.Level != "OS" || got.Learner != "Naive" {
-		t.Errorf("round-tripped summary = %+v", got)
-	}
-	if !strings.Contains(string(raw), "cv_balanced_accuracy") {
-		t.Error("summary JSON missing accuracy field")
-	}
-}
-
 func TestPredictToleratesShortVector(t *testing.T) {
 	d := mltest.NoisyGaussians(150, 6, 2, 3, 5)
 	s, err := Build("w", server.TierApp, metrics.LevelHPC,
-		bayes.NaiveLearner(), d, Config{SkipSelection: true})
+		bayes.NaiveLearner(), d, Config{Selection: featsel.Config{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

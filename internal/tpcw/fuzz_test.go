@@ -17,14 +17,14 @@ func FuzzMixNormalize(f *testing.F) {
 	f.Add(math.NaN(), 1.0, 1.0, uint8(1))
 	f.Add(math.Inf(1), 0.0, 2.5, uint8(7))
 	f.Add(-3.0, 1e308, 1e-308, uint8(14))
-	f.Fuzz(func(t *testing.T, orderFraction, skewA, skewB float64, which uint8) {
-		m := NewMix("fuzz", orderFraction)
+	f.Fuzz(func(t *testing.T, frac, skewA, skewB float64, which uint8) {
+		m := NewMix("fuzz", frac)
 		if err := m.Validate(); err != nil {
-			t.Fatalf("NewMix(%v) invalid: %v", orderFraction, err)
+			t.Fatalf("NewMix(%v) invalid: %v", frac, err)
 		}
-		of := m.OrderFraction()
+		of := orderFraction(m)
 		if math.IsNaN(of) || of < -1e-9 || of > 1+1e-9 {
-			t.Fatalf("NewMix(%v).OrderFraction() = %v", orderFraction, of)
+			t.Fatalf("orderFraction(NewMix(%v)) = %v", frac, of)
 		}
 
 		// Skew two interactions and renormalize, as Unknown() does. Keep

@@ -90,6 +90,18 @@ func TestProfilesTierAffinity(t *testing.T) {
 	}
 }
 
+// orderFraction is the mix's total probability mass on Order-class
+// interactions, accumulated in canonical interaction order.
+func orderFraction(m Mix) float64 {
+	var f float64
+	for _, t := range Interactions() {
+		if t.IsOrder() {
+			f += m.Weights[t]
+		}
+	}
+	return f
+}
+
 func TestMixOrderFractions(t *testing.T) {
 	tests := []struct {
 		mix  Mix
@@ -100,7 +112,7 @@ func TestMixOrderFractions(t *testing.T) {
 		{Ordering(), 0.50},
 	}
 	for _, tt := range tests {
-		if got := tt.mix.OrderFraction(); math.Abs(got-tt.want) > 1e-9 {
+		if got := orderFraction(tt.mix); math.Abs(got-tt.want) > 1e-9 {
 			t.Errorf("%s OrderFraction = %v, want %v", tt.mix.Name, got, tt.want)
 		}
 		if err := tt.mix.Validate(); err != nil {
@@ -114,7 +126,7 @@ func TestUnknownMixValidAndDistinct(t *testing.T) {
 	if err := u.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	f := u.OrderFraction()
+	f := orderFraction(u)
 	if f <= 0.05 || f >= 0.50 {
 		t.Errorf("unknown mix order fraction = %v, want strictly between the training extremes", f)
 	}
@@ -130,10 +142,10 @@ func TestUnknownMixValidAndDistinct(t *testing.T) {
 }
 
 func TestNewMixClamping(t *testing.T) {
-	if f := NewMix("x", -0.5).OrderFraction(); f != 0 {
+	if f := orderFraction(NewMix("x", -0.5)); f != 0 {
 		t.Errorf("orderFraction clamped low = %v, want 0", f)
 	}
-	if f := NewMix("x", 1.5).OrderFraction(); math.Abs(f-1) > 1e-9 {
+	if f := orderFraction(NewMix("x", 1.5)); math.Abs(f-1) > 1e-9 {
 		t.Errorf("orderFraction clamped high = %v, want 1", f)
 	}
 }

@@ -3,9 +3,8 @@
 # machine-readable BENCH_serve.json.
 #
 # Rows: BenchmarkPipelineIngest and the BenchmarkFleetIngest legs
-# (unsharded / sharded / sharded-ref / sharded-site / sharded-batch at
-# 1k/10k/100k sites): ns/op, B/op, allocs/op of steady-state ingest per
-# tier-sample; and the network path per five-scrape frame —
+# (unsharded / sharded / sharded-site at 1k/10k/100k sites): ns/op, B/op,
+# allocs/op of steady-state ingest per tier-sample; and the network path per five-scrape frame —
 # BenchmarkLoopbackFrames (Sender → loopback TCP → FrameServer → Ingest →
 # two shards) and internal/wire's BenchmarkDecodeFrame. End-to-end fleet
 # ingest, with and without fusion, is the bench module's fleet-direct and
