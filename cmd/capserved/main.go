@@ -365,23 +365,15 @@ func run(args []string, out io.Writer) error {
 	}
 	if c.autoscale {
 		dagSites = make(map[string]*simsite.Site)
-		acfg := registry.DefaultAutoscalerConfig()
-		acfg.Scaler = fleetScaler{dagSites}
-		// One overload verdict arms the scaler (the valve would otherwise
-		// shed the streak away), and the ratio gates fit window CPU ratios
-		// of queue-bound overload, which sit well below 1.
-		acfg.UpWindows = 1
-		acfg.DownWindows = 4
-		acfg.CooldownWindows = 2
-		acfg.UpRatio = 0.3
-		acfg.DownRatio = 0.15
-		acfg.OnScale = func(e registry.ScaleEvent) {
-			pipe.NoteScale(e.Site, slotOf[e.Pool], e.Replicas, e.Up)
-			outMu.Lock()
-			fmt.Fprintf(out, "autoscale: %s\n", e)
-			outMu.Unlock()
-		}
-		scaler, err = registry.NewAutoscaler(acfg)
+		scaler, err = registry.NewAutoscaler(registry.AutoscalerConfig{
+			Scaler: fleetScaler{dagSites},
+			OnScale: func(e registry.ScaleEvent) {
+				pipe.NoteScale(e.Site, slotOf[e.Pool], e.Replicas, e.Up)
+				outMu.Lock()
+				fmt.Fprintf(out, "autoscale: %s\n", e)
+				outMu.Unlock()
+			},
+		})
 		if err != nil {
 			return fmt.Errorf("build autoscaler: %w", err)
 		}
@@ -413,7 +405,9 @@ func run(args []string, out io.Writer) error {
 		fleet[i] = s
 		names[i] = name
 		if c.adapt {
-			trackers[name] = newTruthTracker(lab.Labeler, scale.Window)
+			if trackers[name], err = newTruthTracker(scale.Window); err != nil {
+				return err
+			}
 		}
 	}
 	state.update(func(v *daemonView) { v.sites = names })
@@ -609,23 +603,12 @@ func serveNetwork(out io.Writer, state *daemonState, pipe *serve.ShardedPipeline
 	return nil
 }
 
-// truthTracker derives per-window ground truth for one site from its
-// testbed snapshots, mirroring the offline trace labeling: application
-// health feeds the labeler, foreground busy time attributes the
-// bottleneck, and the class-arrival histogram feeds the mix-shift
-// detector. Windows align with the pipeline's: window seq covers the
+// truthTracker holds one site's per-window ground truth, derived by
+// pi.Window as each window closes, until the pipeline's decision on that
+// window arrives. Windows align with the pipeline's: window seq covers the
 // samples in (seq·W, (seq+1)·W].
 type truthTracker struct {
-	labeler pi.Labeler
-	window  int
-
-	secs        int
-	arrivals    int
-	completions int
-	rtSum       float64
-	fgBusy      [server.NumTiers]float64
-	classes     [tpcw.NumInteractions]int
-
+	win *pi.Window
 	seq int64
 	// mu guards ready: take runs on shard goroutines (decision
 	// callbacks) while observe runs on the simulation loop.
@@ -633,60 +616,25 @@ type truthTracker struct {
 	ready map[int64]registry.Truth
 }
 
-func newTruthTracker(labeler pi.Labeler, window int) *truthTracker {
-	return &truthTracker{
-		labeler: labeler,
-		window:  window,
-		ready:   make(map[int64]registry.Truth),
+func newTruthTracker(window int) (*truthTracker, error) {
+	win, err := pi.NewWindow(window)
+	if err != nil {
+		return nil, err
 	}
+	return &truthTracker{win: win, ready: make(map[int64]registry.Truth)}, nil
 }
 
-// observe accumulates one 1-second snapshot and labels the window when it
-// completes.
+// observe folds one 1-second snapshot in and files the window's truth
+// when it closes.
 func (t *truthTracker) observe(snap server.Snapshot) {
-	t.secs++
-	t.arrivals += snap.Arrivals
-	t.completions += snap.Completions
-	t.rtSum += snap.MeanRT * float64(snap.Completions)
-	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-		t.fgBusy[tier] += snap.Tiers[tier].FgBusySeconds
-	}
-	for c, n := range snap.ClassArrivals {
-		t.classes[c] += n
-	}
-	if t.secs < t.window {
+	tr, ok := t.win.Add(snap)
+	if !ok {
 		return
 	}
-
-	w := float64(t.window)
-	var meanRT float64
-	if t.completions > 0 {
-		meanRT = t.rtSum / float64(t.completions)
-	}
-	tr := registry.Truth{
-		Overload: t.labeler.Label(metrics.Sample{
-			MeanRT:      meanRT,
-			Throughput:  float64(t.completions) / w,
-			ArrivalRate: float64(t.arrivals) / w,
-		}) == 1,
-		ClassCounts: make([]float64, tpcw.NumInteractions),
-	}
-	for tier := server.TierID(1); tier < server.NumTiers; tier++ {
-		if t.fgBusy[tier] > t.fgBusy[tr.Bottleneck] {
-			tr.Bottleneck = tier
-		}
-	}
-	for c, n := range t.classes {
-		tr.ClassCounts[c] = float64(n)
-	}
 	t.mu.Lock()
-	t.ready[t.seq] = tr
+	t.ready[t.seq] = registry.Truth{Overload: tr.Overload == 1, Bottleneck: tr.Bottleneck, ClassCounts: tr.Classes}
 	t.mu.Unlock()
 	t.seq++
-
-	t.secs, t.arrivals, t.completions, t.rtSum = 0, 0, 0, 0
-	t.fgBusy = [server.NumTiers]float64{}
-	t.classes = [tpcw.NumInteractions]int{}
 }
 
 // take removes and returns the truth for a window, if labeled, and

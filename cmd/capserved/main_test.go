@@ -14,7 +14,6 @@ import (
 	"hpcap/internal/core"
 	"hpcap/internal/metrics"
 	"hpcap/internal/ml/bayes"
-	"hpcap/internal/pi"
 	"hpcap/internal/serve"
 	"hpcap/internal/server"
 )
@@ -481,7 +480,10 @@ func TestBadFlags(t *testing.T) {
 // drops windows does: the truth of a window that never gets a decision
 // must not stay behind.
 func TestTruthTrackerDiscardsDroppedWindows(t *testing.T) {
-	tk := newTruthTracker(pi.Labeler{}, 1)
+	tk, err := newTruthTracker(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for seq := int64(0); seq < 12; seq++ {
 		tk.observe(server.Snapshot{Time: float64(seq + 1)})
 		if seq%3 == 1 {

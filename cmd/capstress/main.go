@@ -59,6 +59,10 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	win, err := pi.NewWindow(*window)
+	if err != nil {
+		return fmt.Errorf("-window: %w", err)
+	}
 
 	mix, ok := tpcw.MixByName(*mixName)
 	if !ok {
@@ -119,7 +123,6 @@ func run(args []string) error {
 		}
 	}
 
-	labeler := pi.Labeler{}
 	header := fmt.Sprintf("%8s %5s %8s %9s %7s | %6s %6s %7s %7s | %6s %6s %7s %7s | %5s",
 		"time(s)", "EBs", "thr/s", "meanRT", "inflight",
 		"appU", "appRQ", "appMiss", "appDil",
@@ -131,11 +134,10 @@ func run(args []string) error {
 	total := sched.Duration()
 	var lastInjected uint64
 	for t := 0.0; t < total; t += float64(*window) {
-		var completions, arrivals int
-		var rtW float64
+		var tr pi.Truth
 		var last server.Snapshot
-		var appBusy, dbBusy, appMiss, dbMiss, appDil, dbDil float64
-		for i := 0; i < *window; i++ {
+		var appMiss, dbMiss, appDil, dbDil float64
+		for done := false; !done; {
 			s := tb.RunInterval(1)
 			if inj != nil {
 				for tier := server.TierID(0); tier < server.NumTiers; tier++ {
@@ -147,31 +149,22 @@ func run(args []string) error {
 					})
 				}
 			}
-			completions += s.Completions
-			arrivals += s.Arrivals
-			rtW += s.MeanRT * float64(s.Completions)
-			appBusy += s.Tiers[server.TierApp].BusySeconds
-			dbBusy += s.Tiers[server.TierDB].BusySeconds
 			appMiss += s.Tiers[server.TierApp].MeanMissRatio
 			dbMiss += s.Tiers[server.TierDB].MeanMissRatio
 			appDil += s.Tiers[server.TierApp].MeanDilation
 			dbDil += s.Tiers[server.TierDB].MeanDilation
 			last = s
+			tr, done = win.Add(s)
 		}
 		w := float64(*window)
-		meanRT := 0.0
-		if completions > 0 {
-			meanRT = rtW / float64(completions)
-		}
 		state := "ok"
-		label := labeler.Label(sampleHealth(meanRT, completions, arrivals, *window))
-		if label == 1 {
+		if tr.Overload == 1 {
 			state = "OVER"
 		}
 		line := fmt.Sprintf("%8.0f %5d %8.1f %9.3f %7d | %6.2f %6d %7.3f %7.2f | %6.2f %6d %7.3f %7.2f | %5s",
-			t+w, last.ActiveEBs, float64(completions)/w, meanRT, last.InFlight,
-			appBusy/w, last.Tiers[server.TierApp].RunQueue, appMiss/w, appDil/w,
-			dbBusy/w, last.Tiers[server.TierDB].RunQueue, dbMiss/w, dbDil/w,
+			t+w, tr.ActiveEBs, tr.Throughput, tr.MeanRT, last.InFlight,
+			tr.Util[server.TierApp], last.Tiers[server.TierApp].RunQueue, appMiss/w, appDil/w,
+			tr.Util[server.TierDB], last.Tiers[server.TierDB].RunQueue, dbMiss/w, dbDil/w,
 			state)
 		if inj != nil {
 			injected := inj.Stats().Injected()
@@ -196,12 +189,4 @@ func run(args []string) error {
 			fs.Stalled, fs.Duplicated, fs.Skewed, fs.Outaged, retries, fallbacks)
 	}
 	return nil
-}
-
-func sampleHealth(meanRT float64, completions, arrivals, window int) metrics.Sample {
-	return metrics.Sample{
-		MeanRT:      meanRT,
-		Throughput:  float64(completions) / float64(window),
-		ArrivalRate: float64(arrivals) / float64(window),
-	}
 }

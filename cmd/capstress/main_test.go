@@ -40,3 +40,13 @@ func TestRunTrafficShort(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunRejectsBadWindow: a window below one second would never close,
+// so run must refuse it before simulating anything.
+func TestRunRejectsBadWindow(t *testing.T) {
+	for _, w := range []string{"0", "-5"} {
+		if err := run([]string{"-window", w, "-duration", "60"}); err == nil {
+			t.Errorf("-window %s not rejected", w)
+		}
+	}
+}

@@ -22,7 +22,6 @@ func main() {
 
 func run() error {
 	cfg := hpcap.DefaultServerConfig()
-	labeler := hpcap.Labeler{}
 
 	mixes := []hpcap.Mix{
 		hpcap.Browsing(),
@@ -33,7 +32,7 @@ func run() error {
 	fmt.Printf("%-10s %10s %14s %10s %10s %12s\n",
 		"mix", "knee EBs", "peak thr/s", "app util", "db util", "bottleneck")
 	for _, mix := range mixes {
-		knee, err := hpcap.FindKnee(cfg, mix, labeler, 40, 1400)
+		knee, err := hpcap.FindKnee(cfg, mix, 40, 1400)
 		if err != nil {
 			return err
 		}

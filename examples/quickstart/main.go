@@ -65,7 +65,7 @@ func run() error {
 			mark = "✗ "
 		}
 		fmt.Printf("%st=%5.0fs  %-9s ebs=%-4d predicted %-34s truth %s\n",
-			mark, w.Time, w.Mix, w.EBs, state, truth)
+			mark, w.Time, w.Mix, w.ActiveEBs, state, truth)
 	}
 	fmt.Printf("\noverload prediction: %d/%d windows correct\n", correct, len(test.Windows))
 	return nil

@@ -41,7 +41,6 @@ import (
 	"hpcap/internal/fuse"
 	"hpcap/internal/metrics"
 	"hpcap/internal/osstat"
-	"hpcap/internal/pi"
 	"hpcap/internal/predictor"
 	"hpcap/internal/serve"
 	"hpcap/internal/server"
@@ -121,8 +120,7 @@ type (
 	// HPCCollector synthesizes the hardware-performance-counter view of
 	// a tier (the PerfCtr substitute).
 	HPCCollector = cpu.Collector
-	// MetricSample is one aggregated window of metrics plus the
-	// application-level health observed over it.
+	// MetricSample is one aggregated window of metrics.
 	MetricSample = metrics.Sample
 )
 
@@ -147,9 +145,6 @@ type (
 	Observation = core.Observation
 	// CoordinatorConfig tunes the two-level predictor (h, δ, scheme).
 	CoordinatorConfig = predictor.Config
-	// Labeler derives offline overload ground truth from
-	// application-level health.
-	Labeler = pi.Labeler
 )
 
 // Tie-break schemes inside the predictor's ±δ band.

@@ -67,17 +67,6 @@ func TestFacadeTestbedRun(t *testing.T) {
 	}
 }
 
-// TestFacadeLabeler checks the health labeler surface.
-func TestFacadeLabeler(t *testing.T) {
-	l := hpcap.Labeler{}
-	if l.Label(hpcap.MetricSample{MeanRT: 5, Throughput: 10, ArrivalRate: 10}) != 1 {
-		t.Error("slow window not labeled overloaded")
-	}
-	if l.Label(hpcap.MetricSample{MeanRT: 0.05, Throughput: 10, ArrivalRate: 10}) != 0 {
-		t.Error("fast window labeled overloaded")
-	}
-}
-
 // TestFacadeCollectionCosts pins the re-exported window to the paper's;
 // the per-sample collection costs are pinned in internal/metrics.
 func TestFacadeCollectionCosts(t *testing.T) {

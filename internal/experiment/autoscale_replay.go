@@ -113,23 +113,14 @@ func (l *Lab) runAutoscaleReplay(workers int, f front) (*AutoscaleReplay, error)
 		defer p.close()
 
 		if scaling {
-			acfg := registry.DefaultAutoscalerConfig()
-			acfg.Scaler = testbedScaler{tb}
-			// The admission valve sheds load the moment a verdict lands, so
-			// consecutive overload windows rarely happen — one verdict must
-			// arm the scaler. The ratio gates are tuned to window-averaged
-			// CPU ratios: this overload regime is queue-bound, so the
-			// bottleneck's CPU sits well below 1 even as RT explodes.
-			acfg.UpWindows = 1
-			acfg.DownWindows = 4
-			acfg.CooldownWindows = 2
-			acfg.UpRatio = 0.3
-			acfg.DownRatio = 0.15
-			acfg.OnScale = func(e registry.ScaleEvent) {
-				p.NoteScale(e.Site, slotOf[e.Pool], e.Replicas, e.Up)
-				fmt.Fprintf(&log, "  %s\n", e)
-			}
-			if as, err = registry.NewAutoscaler(acfg); err != nil {
+			as, err = registry.NewAutoscaler(registry.AutoscalerConfig{
+				Scaler: testbedScaler{tb},
+				OnScale: func(e registry.ScaleEvent) {
+					p.NoteScale(e.Site, slotOf[e.Pool], e.Replicas, e.Up)
+					fmt.Fprintf(&log, "  %s\n", e)
+				},
+			})
+			if err != nil {
 				return 0, nil, err
 			}
 		}

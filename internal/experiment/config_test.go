@@ -10,11 +10,19 @@ import (
 	"hpcap/internal/tpcw"
 )
 
-func TestDefaultTraceConfigValid(t *testing.T) {
-	cfg := DefaultTraceConfig()
-	cfg.Schedule = tpcw.Steady(tpcw.Browsing(), 20, 60)
+// baseTraceConfig is a valid trace configuration at the paper's settings.
+func baseTraceConfig() TraceConfig {
+	return TraceConfig{
+		Server:   server.DefaultConfig(),
+		Schedule: tpcw.Steady(tpcw.Browsing(), 20, 60),
+		Window:   metrics.DefaultWindow,
+	}
+}
+
+func TestTraceConfigZeroWindowValid(t *testing.T) {
+	cfg := baseTraceConfig()
 	if errs := cfg.Validate(); len(errs) > 0 {
-		t.Fatalf("DefaultTraceConfig + schedule invalid: %v", errs)
+		t.Fatalf("base config invalid: %v", errs)
 	}
 	// Zero window resolves to the default rather than failing.
 	cfg.Window = 0
@@ -24,11 +32,6 @@ func TestDefaultTraceConfigValid(t *testing.T) {
 }
 
 func TestTraceConfigValidateErrors(t *testing.T) {
-	base := func() TraceConfig {
-		cfg := DefaultTraceConfig()
-		cfg.Schedule = tpcw.Steady(tpcw.Browsing(), 20, 60)
-		return cfg
-	}
 	tests := []struct {
 		name   string
 		mutate func(*TraceConfig)
@@ -39,7 +42,7 @@ func TestTraceConfigValidateErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			cfg := base()
+			cfg := baseTraceConfig()
 			tt.mutate(&cfg)
 			errs := cfg.Validate()
 			if len(errs) == 0 {
@@ -58,7 +61,7 @@ func TestTraceConfigValidateErrors(t *testing.T) {
 	// The server config is still validated structurally, not just passed
 	// through: a tier shape NewTestbed would reject fails here too.
 	var sc server.Config
-	cfg := base()
+	cfg := baseTraceConfig()
 	cfg.Server = sc
 	if errs := cfg.Validate(); len(errs) == 0 {
 		t.Fatal("zero server config not rejected")

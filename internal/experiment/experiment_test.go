@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hpcap/internal/metrics"
-	"hpcap/internal/pi"
 	"hpcap/internal/server"
 	"hpcap/internal/tpcw"
 )
@@ -54,10 +53,10 @@ func TestFindKneeBracketsAndOrdering(t *testing.T) {
 
 func TestFindKneeRejectsBadBracket(t *testing.T) {
 	cfg := server.DefaultConfig()
-	if _, err := FindKnee(cfg, tpcw.Browsing(), pi.Labeler{}, 0, 100); err == nil {
+	if _, err := FindKnee(cfg, tpcw.Browsing(), 0, 100); err == nil {
 		t.Error("lo=0 not rejected")
 	}
-	if _, err := FindKnee(cfg, tpcw.Browsing(), pi.Labeler{}, 100, 100); err == nil {
+	if _, err := FindKnee(cfg, tpcw.Browsing(), 100, 100); err == nil {
 		t.Error("hi=lo not rejected")
 	}
 }
@@ -110,7 +109,6 @@ func TestGenerateDeterministic(t *testing.T) {
 		Schedule: tpcw.Steady(w.Mix, w.Knee, 120),
 		Window:   30,
 		Seed:     5,
-		Labeler:  pi.Labeler{},
 	}
 	a, err := Generate(cfg)
 	if err != nil {
@@ -145,7 +143,6 @@ func TestGenerateTopologyIsData(t *testing.T) {
 		Schedule:        tpcw.Steady(tpcw.Shopping(), 150, 90),
 		Window:          30,
 		Seed:            5,
-		Labeler:         pi.Labeler{},
 		CollectOverhead: true,
 		RecordSeconds:   true,
 	}

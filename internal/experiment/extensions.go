@@ -8,6 +8,7 @@ import (
 	"hpcap/internal/baseline"
 	"hpcap/internal/core"
 	"hpcap/internal/metrics"
+	"hpcap/internal/ml"
 	"hpcap/internal/parallel"
 	"hpcap/internal/pi"
 	"hpcap/internal/predictor"
@@ -162,32 +163,12 @@ func (l *Lab) RunBaselines() (*BaselineResult, error) {
 
 // scoreRow computes balanced accuracy and detection lag for one detector.
 func scoreRow(name string, kind TestKind, truth, preds []int) BaselineRow {
-	var tp, tn, pos, neg int
+	var c ml.Confusion
 	for i := range truth {
-		if truth[i] == 1 {
-			pos++
-			if preds[i] == 1 {
-				tp++
-			}
-		} else {
-			neg++
-			if preds[i] == 0 {
-				tn++
-			}
-		}
-	}
-	ba := 0.0
-	switch {
-	case pos == 0 && neg == 0:
-	case pos == 0:
-		ba = float64(tn) / float64(neg)
-	case neg == 0:
-		ba = float64(tp) / float64(pos)
-	default:
-		ba = (float64(tp)/float64(pos) + float64(tn)/float64(neg)) / 2
+		c.Add(truth[i], preds[i])
 	}
 	lag, onsets := baseline.DetectionLag(truth, preds)
-	return BaselineRow{Detector: name, Workload: kind, Overload: ba, Lag: lag, Onsets: onsets}
+	return BaselineRow{Detector: name, Workload: kind, Overload: c.BalancedAccuracy(), Lag: lag, Onsets: onsets}
 }
 
 // Row returns the row for (detector, workload), or nil.

@@ -9,7 +9,6 @@ import (
 	"hpcap/internal/metrics"
 	"hpcap/internal/ml"
 	"hpcap/internal/parallel"
-	"hpcap/internal/pi"
 	"hpcap/internal/predictor"
 	"hpcap/internal/server"
 	"hpcap/internal/tpcw"
@@ -28,9 +27,8 @@ import (
 // Seed per key, results are bit-identical whatever Workers is set to —
 // the determinism golden tests enforce this.
 type Lab struct {
-	Server  server.Config
-	Scale   Scale
-	Labeler pi.Labeler
+	Server server.Config
+	Scale  Scale
 	// Seed separates trace randomness between training (Seed+k) and test
 	// (Seed+100+k) runs.
 	Seed int64
@@ -70,7 +68,6 @@ func NewLab(scale Scale) *Lab {
 	return &Lab{
 		Server:    server.DefaultConfig(),
 		Scale:     scale,
-		Labeler:   pi.Labeler{},
 		Seed:      1,
 		workloads: make(map[string]*cell[Workload]),
 		traces:    make(map[string]*cell[*Trace]),
@@ -102,7 +99,7 @@ func TrainingMixes() []tpcw.Mix {
 func (l *Lab) Workload(mix tpcw.Mix) (Workload, error) {
 	c := getCell(l, l.workloads, mix.Name)
 	c.once.Do(func() {
-		c.val, c.err = DefineWorkload(l.Server, mix, l.Labeler, l.Scale)
+		c.val, c.err = DefineWorkload(l.Server, mix, l.Scale)
 	})
 	return c.val, c.err
 }
@@ -117,7 +114,6 @@ func (l *Lab) generate(key string, sched tpcw.Schedule, seed int64, overheadOn b
 			Window:          l.Scale.Window,
 			Warmup:          l.Scale.WarmupWindows,
 			Seed:            seed,
-			Labeler:         l.Labeler,
 			CollectOverhead: overheadOn,
 			Topology:        l.Topology,
 		})

@@ -7,6 +7,7 @@ import (
 
 	"hpcap/internal/metrics"
 	"hpcap/internal/parallel"
+	"hpcap/internal/pi"
 	"hpcap/internal/server"
 	"hpcap/internal/tpcw"
 )
@@ -113,19 +114,15 @@ func (l *Lab) overheadRun(ebs int, duration, sampleCost float64, run int64) (thr
 		return 0, 0, err
 	}
 	tb.RunInterval(180) // settle
-	var completions int
-	var rtWeighted float64
-	seconds := int(duration)
-	for i := 0; i < seconds; i++ {
-		s := tb.RunInterval(1)
-		completions += s.Completions
-		rtWeighted += s.MeanRT * float64(s.Completions)
+	win, err := pi.NewWindow(int(duration))
+	if err != nil {
+		return 0, 0, err
 	}
-	thr = float64(completions) / float64(seconds)
-	if completions > 0 {
-		meanRT = rtWeighted / float64(completions)
+	for {
+		if tr, ok := win.Add(tb.RunInterval(1)); ok {
+			return tr.Throughput, tr.MeanRT, nil
+		}
 	}
-	return thr, meanRT, nil
 }
 
 // Row returns the row for a regime, or nil.

@@ -119,7 +119,6 @@ func (r *replay) record(sched tpcw.Schedule, seed int64) (*Trace, stream, error)
 		Window:        r.Scale.Window,
 		Warmup:        r.Scale.WarmupWindows,
 		Seed:          r.Seed + seed,
-		Labeler:       r.Labeler,
 		RecordSeconds: true,
 		Topology:      r.Topology,
 	})

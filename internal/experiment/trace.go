@@ -37,27 +37,13 @@ func Collectors(machines [server.NumTiers]server.MachineConfig, seed int64) (osC
 // Window is one aggregated 30-second observation of the whole testbed at
 // both metric levels, with its offline ground truth.
 type Window struct {
-	Time float64
+	// Truth is the window's health, utilization, bottleneck and overload
+	// label; Classes feeds the workload-mix drift detector.
+	pi.Truth
 	// OS and HPC hold the full metric vector per tier.
 	OS  [server.NumTiers][]float64
 	HPC [server.NumTiers][]float64
-
-	Overload   int
-	Bottleneck server.TierID
-
-	Throughput  float64
-	ArrivalRate float64
-	MeanRT      float64
-	Util        [server.NumTiers]float64
-	// FgUtil excludes idle-priority housekeeping; it is the ground-truth
-	// basis for bottleneck attribution.
-	FgUtil [server.NumTiers]float64
-	EBs    int
-	Mix    string
-	// Classes is the window's request arrivals by TPC-W interaction type
-	// (length tpcw.NumInteractions) — the observable the workload-mix
-	// drift detector compares across windows.
-	Classes []float64
+	Mix string
 }
 
 // Trace is a generated run of the testbed.
@@ -65,7 +51,8 @@ type Trace struct {
 	Windows  []Window
 	OSNames  []string
 	HPCNames []string
-	// Samples per tier of the HPC aggregation, for PI computations.
+	// Samples per tier of the HPC aggregation, stamped with their
+	// window's health, for PI computations.
 	HPCSamples [server.NumTiers][]metrics.Sample
 
 	// Per-second recordings, populated when TraceConfig.RecordSeconds is
@@ -142,7 +129,6 @@ type TraceConfig struct {
 	Window   int
 	Warmup   int // windows dropped from the head
 	Seed     int64
-	Labeler  pi.Labeler
 	// CollectOverhead charges the testbed the CPU cost of metric
 	// collection itself (both levels), as a deployed monitor would.
 	CollectOverhead bool
@@ -159,14 +145,7 @@ type TraceConfig struct {
 	Topology *server.TopologyConfig
 }
 
-// DefaultTraceConfig returns trace generation at the paper's settings:
-// the calibrated two-tier testbed and the 30-second window. Schedule
-// stays zero — there is no default workload; callers supply one.
-func DefaultTraceConfig() TraceConfig {
-	return TraceConfig{Server: server.DefaultConfig(), Window: metrics.DefaultWindow}
-}
-
-// withDefaults resolves zero fields to DefaultTraceConfig.
+// withDefaults resolves a zero Window to the paper's 30 seconds.
 func (c TraceConfig) withDefaults() TraceConfig {
 	if c.Window <= 0 {
 		c.Window = metrics.DefaultWindow
@@ -270,72 +249,39 @@ func Generate(cfg TraceConfig) (*Trace, error) {
 		HPCNames: cpu.MetricNames,
 	}
 
+	truth, err := pi.NewWindow(cfg.Window)
+	if err != nil {
+		return nil, err
+	}
 	total := cfg.Schedule.Duration()
-	var busyAccum [server.NumTiers]float64
-	var fgBusyAccum [server.NumTiers]float64
-	var classAccum [tpcw.NumInteractions]int
-	secInWindow := 0
 	var elapsed float64
 	for elapsed < total {
 		snap := tb.RunIntervalLegacy(1)
 		elapsed++
-		secInWindow++
 		if cfg.RecordSeconds {
 			trace.SecTimes = append(trace.SecTimes, snap.Time)
 		}
-		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-			busyAccum[tier] += snap.Tiers[tier].BusySeconds
-			fgBusyAccum[tier] += snap.Tiers[tier].FgBusySeconds
-		}
-		for c, n := range snap.ClassArrivals {
-			classAccum[c] += n
-		}
-
-		var w Window
-		complete := false
+		tr, closed := truth.Add(snap)
+		w := Window{Truth: tr}
 		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
 			osSample, osDone := coll[tier].os.Push(snap, 1)
 			hpcSample, hpcDone := coll[tier].hpc.Push(snap, 1)
-			if osDone != hpcDone {
+			if osDone != closed || hpcDone != closed {
 				return nil, fmt.Errorf("experiment: aggregators out of lockstep")
 			}
-			if !osDone {
+			if !closed {
 				continue
 			}
-			complete = true
 			w.OS[tier] = osSample.Values
 			w.HPC[tier] = hpcSample.Values
+			hpcSample.Throughput, hpcSample.ArrivalRate = tr.Throughput, tr.ArrivalRate
+			hpcSample.MeanRT, hpcSample.ActiveEBs = tr.MeanRT, tr.ActiveEBs
 			trace.HPCSamples[tier] = append(trace.HPCSamples[tier], hpcSample)
-			// App-level health is identical across aggregators; take it
-			// from the last one.
-			w.Time = hpcSample.Time
-			w.Throughput = hpcSample.Throughput
-			w.ArrivalRate = hpcSample.ArrivalRate
-			w.MeanRT = hpcSample.MeanRT
-			w.EBs = hpcSample.ActiveEBs
 		}
-		if !complete {
+		if !closed {
 			continue
 		}
-		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-			w.Util[tier] = busyAccum[tier] / float64(secInWindow)
-			w.FgUtil[tier] = fgBusyAccum[tier] / float64(secInWindow)
-			busyAccum[tier] = 0
-			fgBusyAccum[tier] = 0
-		}
-		w.Classes = make([]float64, tpcw.NumInteractions)
-		for c, n := range classAccum {
-			w.Classes[c] = float64(n)
-		}
-		classAccum = [tpcw.NumInteractions]int{}
-		secInWindow = 0
 		w.Mix = cfg.Schedule.At(w.Time - float64(cfg.Window)/2).Mix.Name
-		w.Overload = cfg.Labeler.Label(metrics.Sample{
-			MeanRT:      w.MeanRT,
-			Throughput:  w.Throughput,
-			ArrivalRate: w.ArrivalRate,
-		})
-		w.Bottleneck = busierTier(w.FgUtil)
 		trace.Windows = append(trace.Windows, w)
 	}
 
@@ -363,18 +309,6 @@ func Generate(cfg TraceConfig) (*Trace, error) {
 	return trace, nil
 }
 
-// busierTier returns the tier with the highest request-processing
-// utilization — the offline ground truth for bottleneck identification.
-func busierTier(util [server.NumTiers]float64) server.TierID {
-	best := server.TierID(0)
-	for t := server.TierID(1); t < server.NumTiers; t++ {
-		if util[t] > util[best] {
-			best = t
-		}
-	}
-	return best
-}
-
 // frac scales a knee by a fraction, never below 1 EB.
 func frac(knee int, f float64) int {
 	v := int(float64(knee)*f + 0.5)
@@ -399,13 +333,13 @@ type Workload struct {
 
 // DefineWorkload measures both knees of a mix on the given server
 // configuration.
-func DefineWorkload(cfg server.Config, mix tpcw.Mix, labeler pi.Labeler, s Scale) (Workload, error) {
-	knee, err := FindKnee(cfg, mix, labeler, s.KneeLo, s.KneeHi)
+func DefineWorkload(cfg server.Config, mix tpcw.Mix, s Scale) (Workload, error) {
+	knee, err := FindKnee(cfg, mix, s.KneeLo, s.KneeHi)
 	if err != nil {
 		return Workload{}, fmt.Errorf("experiment: knee of %s: %w", mix.Name, err)
 	}
 	flash := tpcw.FlashVariant(mix)
-	flashKnee, err := FindKnee(cfg, flash, labeler, s.KneeLo, s.KneeHi*3)
+	flashKnee, err := FindKnee(cfg, flash, s.KneeLo, s.KneeHi*3)
 	if err != nil {
 		return Workload{}, fmt.Errorf("experiment: knee of %s: %w", flash.Name, err)
 	}
@@ -509,13 +443,4 @@ func MixShiftSchedule(browsing, ordering Workload, s Scale) tpcw.Schedule {
 	}
 	shiftAt := float64(len(fracs)) * period
 	return tpcw.Schedule{Phases: phases}.ShiftAt(shiftAt, ordering.Mix)
-}
-
-// sampleFor packages window health for the labeler.
-func sampleFor(meanRT float64, completions, arrivals, seconds int) metrics.Sample {
-	return metrics.Sample{
-		MeanRT:      meanRT,
-		Throughput:  float64(completions) / float64(seconds),
-		ArrivalRate: float64(arrivals) / float64(seconds),
-	}
 }

@@ -1,8 +1,10 @@
 // Package metrics connects the testbed to the learning pipeline: it defines
 // the collector interface shared by the OS-level and hardware-counter-level
 // collectors, the per-sample collection costs used by the overhead
-// experiment (§V.D), and the aggregation of 1-second samples into the
-// 30-second windows from which the paper builds training instances (§IV.A).
+// experiment (§V.D), and the aggregation of 1-second metric vectors into
+// the 30-second windows from which the paper builds training instances
+// (§IV.A). A window's application-level health and overload label are not
+// aggregated here: internal/pi derives them from the testbed snapshots.
 package metrics
 
 import (
@@ -90,16 +92,17 @@ const (
 // a 30-second interval form one instance.
 const DefaultWindow = 30
 
-// Sample is one aggregated window: the mean metric vector plus the
-// application-level health observed over the same window (used for offline
-// labeling, never shown to the classifiers).
+// Sample is one aggregated window: the mean metric vector, and the
+// application-level health observed over the same window (used for PI
+// selection and offline labeling, never shown to the classifiers). The
+// aggregator fills only Time and Values; the health comes from the
+// window's ground truth (pi.Window).
 type Sample struct {
 	Time        float64 // window end, virtual seconds
 	Values      []float64
 	Throughput  float64 // completed requests per second
 	ArrivalRate float64
 	MeanRT      float64 // mean response time over the window, seconds
-	MaxRT       float64
 	ActiveEBs   int
 }
 
@@ -110,14 +113,9 @@ type Aggregator struct {
 	scratch   []float64
 	window    int
 
-	count       int
-	sum         []float64
-	completions int
-	arrivals    int
-	rtWeighted  float64
-	maxRT       float64
-	ebs         int
-	lastTime    float64
+	count    int
+	sum      []float64
+	lastTime float64
 }
 
 // NewAggregator returns an aggregator emitting one Sample every window
@@ -171,58 +169,34 @@ func (a *Aggregator) Push(s server.Snapshot, dt float64) (Sample, bool) {
 	} else {
 		vec = a.collector.Collect(s, dt)
 	}
-	return a.push(vec, s, dt)
+	return a.push(vec, s.Time)
 }
 
 // PushValues folds one pre-collected 1-second vector into the window,
-// bypassing the collector: identical arithmetic to Push with a telemetry
-// snapshot carrying only the timestamp. values must have the aggregator's
-// dimension; the slice is read during the call and not retained.
+// bypassing the collector: identical arithmetic to Push. values must have
+// the aggregator's dimension; the slice is read during the call and not
+// retained.
 func (a *Aggregator) PushValues(time float64, values []float64) (Sample, bool) {
-	return a.push(values, server.Snapshot{Time: time}, 1)
+	return a.push(values, time)
 }
 
 // push is the shared accumulate-and-maybe-emit tail of Push/PushValues.
-func (a *Aggregator) push(vec []float64, s server.Snapshot, dt float64) (Sample, bool) {
+// When the window fills it emits the mean vector, dividing by the samples
+// pushed, and resets.
+func (a *Aggregator) push(vec []float64, time float64) (Sample, bool) {
 	for i, v := range vec {
 		a.sum[i] += v
 	}
 	a.count++
-	a.completions += s.Completions
-	a.arrivals += s.Arrivals
-	a.rtWeighted += s.MeanRT * float64(s.Completions)
-	if s.MaxRT > a.maxRT {
-		a.maxRT = s.MaxRT
-	}
-	a.ebs = s.ActiveEBs
-	a.lastTime = s.Time
-
+	a.lastTime = time
 	if a.count < a.window {
 		return Sample{}, false
 	}
-	return a.emit(dt), true
-}
-
-// emit assembles the window Sample from the accumulated state and resets.
-// The denominator for rates is the nominal window span; the metric means
-// divide by the samples actually pushed.
-func (a *Aggregator) emit(dt float64) Sample {
-	out := Sample{
-		Time:        a.lastTime,
-		Values:      make([]float64, len(a.sum)),
-		Throughput:  float64(a.completions) / (float64(a.window) * dt),
-		ArrivalRate: float64(a.arrivals) / (float64(a.window) * dt),
-		MaxRT:       a.maxRT,
-		ActiveEBs:   a.ebs,
-	}
+	out := Sample{Time: a.lastTime, Values: make([]float64, len(a.sum))}
 	for i, v := range a.sum {
 		out.Values[i] = v / float64(a.count)
 		a.sum[i] = 0
 	}
-	if a.completions > 0 {
-		out.MeanRT = a.rtWeighted / float64(a.completions)
-	}
-	a.count, a.completions, a.arrivals = 0, 0, 0
-	a.rtWeighted, a.maxRT = 0, 0
-	return out
+	a.count = 0
+	return out, true
 }

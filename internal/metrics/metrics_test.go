@@ -108,16 +108,6 @@ func TestAggregatorWindowing(t *testing.T) {
 		if len(s.Values) != cpu.NumMetrics {
 			t.Errorf("sample vector length %d, want %d", len(s.Values), cpu.NumMetrics)
 		}
-		// 60 EBs at ~7 s think → ≈8.5/s completed.
-		if s.Throughput < 5 || s.Throughput > 12 {
-			t.Errorf("window throughput = %v, want ≈8.5", s.Throughput)
-		}
-		if s.MeanRT <= 0 || s.MeanRT > 0.5 {
-			t.Errorf("window MeanRT = %v, want small positive", s.MeanRT)
-		}
-		if s.ActiveEBs != 60 {
-			t.Errorf("ActiveEBs = %d, want 60", s.ActiveEBs)
-		}
 	}
 	// Windows are means, not sums: consecutive window values must be
 	// commensurate.

@@ -6,10 +6,13 @@
 // whose PI series correlates most strongly with application-level
 // throughput is taken as the measure of the tier's capacity.
 //
-// The package also provides the offline overload labeling used to build
-// training sets: a window is labeled overloaded from application-level
-// health alone (response time against the SLA and completion deficit), so
-// low-level metrics never participate in their own ground truth.
+// The package also derives every simulated window's ground truth, in one
+// place: Window folds 1-second testbed snapshots into a window's health,
+// per-tier utilization and bottleneck tier, and labels it overloaded from
+// application-level health alone (response time against the SLA and
+// completion deficit), so low-level metrics never participate in their own
+// ground truth. Training sets, the experiments, the stress tool and the
+// serving daemon's delayed truth all read it.
 package pi
 
 import (
@@ -18,7 +21,9 @@ import (
 	"math"
 
 	"hpcap/internal/metrics"
+	"hpcap/internal/server"
 	"hpcap/internal/stats"
+	"hpcap/internal/tpcw"
 )
 
 // Definition names one productivity-index candidate: yield and cost are
@@ -110,36 +115,121 @@ func indexOf(names []string, name string) int {
 	return -1
 }
 
+// The labeler's thresholds. A TPC-W interaction answers in tens of
+// milliseconds on a healthy site, so a window whose mean response time
+// passes slaRT is overloaded; so is a non-idle window whose arrivals
+// outrun its completions by deficitRatio.
+const (
+	slaRT        = 1.0 // seconds
+	deficitRatio = 1.3
+)
+
 // Labeler produces the offline overload ground truth from application-level
 // health, as in the paper's stress-testing classification.
-type Labeler struct {
-	// RTThreshold is the SLA bound on the window's mean response time in
-	// seconds; zero selects 1.0 s (TPC-W interactions answer in tens of
-	// milliseconds on a healthy site).
-	RTThreshold float64
-	// DeficitRatio flags a window whose arrival rate exceeds completed
-	// throughput by this factor while the site is non-idle; zero selects
-	// 1.3.
-	DeficitRatio float64
-}
+type Labeler struct{}
 
 // Label returns 1 (overload) or 0 (underload) for one aggregated window.
-func (l Labeler) Label(s metrics.Sample) int {
-	rt := l.RTThreshold
-	if rt <= 0 {
-		rt = 1.0
-	}
-	deficit := l.DeficitRatio
-	if deficit <= 0 {
-		deficit = 1.3
-	}
-	if s.MeanRT > rt {
+func (Labeler) Label(s metrics.Sample) int {
+	if s.MeanRT > slaRT {
 		return 1
 	}
 	// Completions starved while traffic arrives: the backlog is growing
 	// even though finished requests (if any) were fast.
-	if s.ArrivalRate > 1 && s.ArrivalRate > deficit*math.Max(s.Throughput, 0.1) {
+	if s.ArrivalRate > 1 && s.ArrivalRate > deficitRatio*math.Max(s.Throughput, 0.1) {
 		return 1
 	}
 	return 0
+}
+
+// Truth is one window's application-level ground truth: the operational
+// quantities of the window (rates are per second over its span), the
+// per-tier utilization, the bottleneck tier and the overload label.
+type Truth struct {
+	Time        float64 // window end: the last snapshot's time
+	Throughput  float64 // completed requests per second
+	ArrivalRate float64 // arriving requests per second
+	MeanRT      float64 // completion-weighted mean response time, seconds
+	ActiveEBs   int     // emulated browsers at the window's end
+	// Util is each tier's mean busy fraction, idle-priority housekeeping
+	// included.
+	Util [server.NumTiers]float64
+	// Bottleneck is the tier with the most request-processing (foreground)
+	// busy time; the first tier wins ties.
+	Bottleneck server.TierID
+	// Classes is the window's request arrivals by TPC-W interaction type
+	// (length tpcw.NumInteractions).
+	Classes []float64
+	// Overload is the Labeler's verdict on the window's health.
+	Overload int
+}
+
+// Window folds 1-second testbed snapshots into the ground truth of
+// fixed-length windows. It is the one place a simulated window's health,
+// overload label and bottleneck are derived.
+type Window struct {
+	seconds int
+
+	secs        int
+	arrivals    int
+	completions int
+	rtSum       float64
+	busy        [server.NumTiers]float64
+	fgBusy      [server.NumTiers]float64
+	classes     [tpcw.NumInteractions]int
+}
+
+// NewWindow returns an accumulator closing one window every seconds
+// snapshots. seconds must be positive.
+func NewWindow(seconds int) (*Window, error) {
+	if seconds < 1 {
+		return nil, fmt.Errorf("pi: window must be positive, got %d", seconds)
+	}
+	return &Window{seconds: seconds}, nil
+}
+
+// Add folds one 1-second snapshot in. When the window fills, it returns
+// the window's Truth and true, and resets.
+func (w *Window) Add(s server.Snapshot) (Truth, bool) {
+	w.secs++
+	w.arrivals += s.Arrivals
+	w.completions += s.Completions
+	w.rtSum += s.MeanRT * float64(s.Completions)
+	for tier := range w.busy {
+		w.busy[tier] += s.Tiers[tier].BusySeconds
+		w.fgBusy[tier] += s.Tiers[tier].FgBusySeconds
+	}
+	for c, n := range s.ClassArrivals {
+		w.classes[c] += n
+	}
+	if w.secs < w.seconds {
+		return Truth{}, false
+	}
+
+	span := float64(w.secs)
+	tr := Truth{
+		Time:        s.Time,
+		Throughput:  float64(w.completions) / span,
+		ArrivalRate: float64(w.arrivals) / span,
+		ActiveEBs:   s.ActiveEBs,
+		Classes:     make([]float64, tpcw.NumInteractions),
+	}
+	if w.completions > 0 {
+		tr.MeanRT = w.rtSum / float64(w.completions)
+	}
+	for tier := range w.busy {
+		tr.Util[tier] = w.busy[tier] / span
+		if w.fgBusy[tier] > w.fgBusy[tr.Bottleneck] {
+			tr.Bottleneck = server.TierID(tier)
+		}
+	}
+	for c, n := range w.classes {
+		tr.Classes[c] = float64(n)
+	}
+	tr.Overload = Labeler{}.Label(metrics.Sample{
+		MeanRT:      tr.MeanRT,
+		Throughput:  tr.Throughput,
+		ArrivalRate: tr.ArrivalRate,
+	})
+	*w = Window{seconds: w.seconds}
+	return tr, true
 }

@@ -106,7 +106,7 @@ func TestDefaultCandidatesResolve(t *testing.T) {
 }
 
 func TestLabelerRTThreshold(t *testing.T) {
-	var l Labeler // defaults: 1.0 s SLA
+	var l Labeler // 1.0 s SLA
 	healthy := metrics.Sample{MeanRT: 0.08, Throughput: 40, ArrivalRate: 41}
 	overloaded := metrics.Sample{MeanRT: 4.2, Throughput: 25, ArrivalRate: 26}
 	if l.Label(healthy) != 0 {
@@ -129,13 +129,5 @@ func TestLabelerDeficit(t *testing.T) {
 	idle := metrics.Sample{MeanRT: 0, Throughput: 0, ArrivalRate: 0.5}
 	if l.Label(idle) != 0 {
 		t.Error("idle window labeled overloaded")
-	}
-}
-
-func TestLabelerCustomThreshold(t *testing.T) {
-	l := Labeler{RTThreshold: 0.05}
-	s := metrics.Sample{MeanRT: 0.08, Throughput: 40, ArrivalRate: 40}
-	if l.Label(s) != 1 {
-		t.Error("custom SLA not applied")
 	}
 }

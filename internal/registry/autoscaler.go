@@ -3,7 +3,6 @@ package registry
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -47,100 +46,46 @@ func (e ScaleEvent) String() string {
 		e.Site, e.Seq, e.Pool, dir, e.Replicas, e.Ratio)
 }
 
-// AutoscalerConfig tunes an Autoscaler.
+// The autoscaler's thresholds. The admission valve sheds load the moment
+// an overload verdict lands, so consecutive overload windows rarely happen:
+// one verdict arms a scale-up. Scaling down waits for downWindows
+// consecutive healthy verdicts — the classic asymmetric thermostat — and
+// every action is followed by cooldownWindows quiet windows, letting the
+// new capacity show up in the counters before the next verdict counts.
+// The ratio gates bound the candidate pool's window-averaged
+// offered-load/capacity ratio: at least upRatio for a scale-up (overload
+// with every pool comfortably under capacity points at a non-capacity
+// cause, e.g. a fault storm), at most downRatio for a scale-down. Both sit
+// well below 1 because queue-bound overload leaves the bottleneck's CPU
+// far from saturated even as response times explode.
+const (
+	downWindows     = 4
+	cooldownWindows = 2
+	upRatio         = 0.3
+	downRatio       = 0.15
+)
+
+// AutoscalerConfig wires an Autoscaler.
 type AutoscalerConfig struct {
 	// Scaler is the replica control surface. Required.
 	Scaler Scaler
-	// UpWindows is how many consecutive overload verdicts arm a
-	// scale-up. Zero selects 2.
-	UpWindows int
-	// DownWindows is how many consecutive healthy verdicts arm a
-	// scale-down — deliberately slower than UpWindows, the classic
-	// asymmetric thermostat. Zero selects 6.
-	DownWindows int
-	// CooldownWindows is the quiet period after any action, letting the
-	// new capacity show up in the counters before the next verdict.
-	// Zero selects 4.
-	CooldownWindows int
-	// UpRatio is the least offered-load/capacity ratio the candidate
-	// pool must show for a scale-up (overload verdicts with every pool
-	// comfortably under capacity point at a non-capacity cause, e.g. a
-	// fault storm). Zero selects 0.75.
-	UpRatio float64
-	// DownRatio is the most the shrink candidate may show for a
-	// scale-down. Zero selects 0.4.
-	DownRatio float64
 	// OnScale, when set, receives every completed action. Called outside
 	// all autoscaler locks.
 	OnScale func(ScaleEvent)
 }
 
-// DefaultAutoscalerConfig returns the autoscaler thresholds at their
-// conservative defaults. Scaler has no default.
-func DefaultAutoscalerConfig() AutoscalerConfig {
-	return AutoscalerConfig{
-		UpWindows:       2,
-		DownWindows:     6,
-		CooldownWindows: 4,
-		UpRatio:         0.75,
-		DownRatio:       0.4,
-	}
-}
-
-func (c AutoscalerConfig) withDefaults() AutoscalerConfig {
-	def := DefaultAutoscalerConfig()
-	if c.UpWindows == 0 {
-		c.UpWindows = def.UpWindows
-	}
-	if c.DownWindows == 0 {
-		c.DownWindows = def.DownWindows
-	}
-	if c.CooldownWindows == 0 {
-		c.CooldownWindows = def.CooldownWindows
-	}
-	if c.UpRatio == 0 {
-		c.UpRatio = def.UpRatio
-	}
-	if c.DownRatio == 0 {
-		c.DownRatio = def.DownRatio
-	}
-	return c
-}
-
-// Validate applies defaults first, then returns one error per violated
-// constraint, each wrapping core.ErrBadConfig.
+// Validate returns one error per violated constraint, each wrapping
+// core.ErrBadConfig.
 func (c AutoscalerConfig) Validate() []error {
-	c = c.withDefaults()
-	var errs []error
-	bad := func(format string, args ...any) {
-		errs = append(errs, fmt.Errorf("registry: autoscaler: %w: "+format,
-			append([]any{core.ErrBadConfig}, args...)...))
-	}
 	if c.Scaler == nil {
-		bad("nil scaler")
+		return []error{fmt.Errorf("registry: autoscaler: %w: nil scaler", core.ErrBadConfig)}
 	}
-	if c.UpWindows < 1 {
-		bad("up windows %d, need >= 1", c.UpWindows)
-	}
-	if c.DownWindows < 1 {
-		bad("down windows %d, need >= 1", c.DownWindows)
-	}
-	if c.CooldownWindows < 0 {
-		bad("cooldown windows %d, need >= 0", c.CooldownWindows)
-	}
-	if math.IsNaN(c.UpRatio) || math.IsInf(c.UpRatio, 0) || c.UpRatio < 0 {
-		bad("bad up ratio %v", c.UpRatio)
-	}
-	if math.IsNaN(c.DownRatio) || math.IsInf(c.DownRatio, 0) || c.DownRatio < 0 {
-		bad("bad down ratio %v", c.DownRatio)
-	}
-	return errs
+	return nil
 }
 
 // scaled is the autoscaling state of one site.
 type scaled struct {
 	mu         sync.Mutex
-	overload   int // consecutive overload verdicts
 	healthy    int // consecutive healthy verdicts
 	cooldownAt int64
 	acting     bool // an action is in flight outside the lock
@@ -172,7 +117,7 @@ func NewAutoscaler(cfg AutoscalerConfig) (*Autoscaler, error) {
 	if errs := cfg.Validate(); len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
-	a := &Autoscaler{cfg: cfg.withDefaults()}
+	a := &Autoscaler{cfg: cfg}
 	for i := range a.stripes {
 		a.stripes[i].sites = make(map[string]*scaled)
 	}
@@ -201,7 +146,7 @@ func (a *Autoscaler) Actions() (ups, downs uint64) {
 // It returns the action taken, if any. Degraded and low-confidence
 // windows are ignored outright — scaling real machines on corrupted
 // telemetry is how fault storms turn into capacity incidents — and they
-// do not advance either verdict streak.
+// do not advance the healthy streak.
 func (a *Autoscaler) Observe(d serve.Decision, loads []server.PoolLoad) *ScaleEvent {
 	if d.Degraded || d.LowConfidence || len(loads) == 0 {
 		return nil
@@ -216,26 +161,23 @@ func (a *Autoscaler) Observe(d serve.Decision, loads []server.PoolLoad) *ScaleEv
 		st.mu.Unlock()
 		return nil
 	}
-	if d.Prediction.Overload {
-		st.overload++
+	up := d.Prediction.Overload
+	if up {
 		st.healthy = 0
 	} else {
 		st.healthy++
-		st.overload = 0
 	}
-	var up bool
 	var target int
 	switch {
-	case st.overload >= a.cfg.UpWindows:
-		up = true
+	case up:
 		target = server.BottleneckPool(loads)
-		if target < 0 || loads[target].Ratio() < a.cfg.UpRatio {
+		if target < 0 || loads[target].Ratio() < upRatio {
 			st.mu.Unlock()
 			return nil
 		}
-	case st.healthy >= a.cfg.DownWindows:
+	case st.healthy >= downWindows:
 		target = idlestPool(loads)
-		if target < 0 || loads[target].Ratio() > a.cfg.DownRatio {
+		if target < 0 || loads[target].Ratio() > downRatio {
 			st.mu.Unlock()
 			return nil
 		}
@@ -260,8 +202,8 @@ func (a *Autoscaler) Observe(d serve.Decision, loads []server.PoolLoad) *ScaleEv
 	st.mu.Lock()
 	st.acting = false
 	if ok {
-		st.cooldownAt = d.Seq + int64(a.cfg.CooldownWindows)
-		st.overload, st.healthy = 0, 0
+		st.cooldownAt = d.Seq + cooldownWindows
+		st.healthy = 0
 	}
 	st.mu.Unlock()
 

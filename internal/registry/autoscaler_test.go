@@ -58,57 +58,44 @@ func (f *fakeScaler) RemoveReplica(site, pool string) (int, bool) {
 }
 
 func TestAutoscalerConfigValidate(t *testing.T) {
-	cfg := registry.DefaultAutoscalerConfig()
-	cfg.Scaler = newFakeScaler(1, 4)
+	cfg := registry.AutoscalerConfig{Scaler: newFakeScaler(1, 4)}
 	if errs := cfg.Validate(); len(errs) > 0 {
-		t.Fatalf("default config invalid: %v", errs)
+		t.Fatalf("config with a scaler invalid: %v", errs)
 	}
-	tests := []struct {
-		name   string
-		mutate func(*registry.AutoscalerConfig)
-	}{
-		{"nil scaler", func(c *registry.AutoscalerConfig) { c.Scaler = nil }},
-		{"negative up windows", func(c *registry.AutoscalerConfig) { c.UpWindows = -1 }},
-		{"negative down windows", func(c *registry.AutoscalerConfig) { c.DownWindows = -2 }},
-		{"negative cooldown", func(c *registry.AutoscalerConfig) { c.CooldownWindows = -1 }},
-		{"negative up ratio", func(c *registry.AutoscalerConfig) { c.UpRatio = -0.5 }},
-		{"negative down ratio", func(c *registry.AutoscalerConfig) { c.DownRatio = -1 }},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			c := registry.DefaultAutoscalerConfig()
-			c.Scaler = newFakeScaler(1, 4)
-			tt.mutate(&c)
-			errs := c.Validate()
-			if len(errs) != 1 {
-				t.Fatalf("%s: got %d errors (%v), want 1", tt.name, len(errs), errs)
-			}
-			if !errors.Is(errs[0], core.ErrBadConfig) {
-				t.Errorf("%s: error does not wrap ErrBadConfig: %v", tt.name, errs[0])
-			}
-			if _, err := registry.NewAutoscaler(c); err == nil {
-				t.Errorf("%s: NewAutoscaler accepted it", tt.name)
-			}
-		})
-	}
+	t.Run("nil scaler", func(t *testing.T) {
+		errs := registry.AutoscalerConfig{}.Validate()
+		if len(errs) != 1 {
+			t.Fatalf("got %d errors (%v), want 1", len(errs), errs)
+		}
+		if !errors.Is(errs[0], core.ErrBadConfig) {
+			t.Errorf("error does not wrap ErrBadConfig: %v", errs[0])
+		}
+		if _, err := registry.NewAutoscaler(registry.AutoscalerConfig{}); err == nil {
+			t.Error("NewAutoscaler accepted it")
+		}
+	})
 }
 
-// scaleLoads builds a two-pool load vector whose app ratio is the given
-// value (capacity 2) and whose db pool idles at 0.1.
-func scaleLoads(appRatio float64) []server.PoolLoad {
+// scaleLoads builds a two-pool load vector at the given app and db
+// offered-load/capacity ratios (capacity 2 each).
+func scaleLoads(app, db float64) []server.PoolLoad {
 	return []server.PoolLoad{
-		{Pool: "app", Slot: server.TierApp, Kind: server.PoolFront, Replicas: 2, Offered: 2 * appRatio, Capacity: 2},
-		{Pool: "db", Slot: server.TierDB, Kind: server.PoolStore, Replicas: 2, Offered: 0.2, Capacity: 2},
+		{Pool: "app", Slot: server.TierApp, Kind: server.PoolFront, Replicas: 2, Offered: 2 * app, Capacity: 2},
+		{Pool: "db", Slot: server.TierDB, Kind: server.PoolStore, Replicas: 2, Offered: 2 * db, Capacity: 2},
 	}
 }
 
+// TestAutoscalerUpDown walks the autoscaler's thresholds: one overload
+// verdict scales up, two cooldown windows follow every action, the
+// bottleneck must be at least 0.3 loaded to grow, and four healthy
+// verdicts shrink the idlest pool if it is at most 0.15 loaded.
 func TestAutoscalerUpDown(t *testing.T) {
 	sc := newFakeScaler(1, 4)
-	cfg := registry.DefaultAutoscalerConfig() // up 2, down 6, cooldown 4
-	cfg.Scaler = sc
 	var events []registry.ScaleEvent
-	cfg.OnScale = func(e registry.ScaleEvent) { events = append(events, e) }
-	a, err := registry.NewAutoscaler(cfg)
+	a, err := registry.NewAutoscaler(registry.AutoscalerConfig{
+		Scaler:  sc,
+		OnScale: func(e registry.ScaleEvent) { events = append(events, e) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,62 +103,66 @@ func TestAutoscalerUpDown(t *testing.T) {
 		return serve.Decision{Site: "s", Seq: seq, Prediction: core.Prediction{Overload: overload}}
 	}
 
-	// One overload window arms nothing; the second scales the bottleneck
-	// pool up.
-	if ev := a.Observe(dec(1, true), scaleLoads(1.2)); ev != nil {
-		t.Fatalf("scaled after one overload window: %v", ev)
-	}
-	ev := a.Observe(dec(2, true), scaleLoads(1.2))
+	// One overload window scales the bottleneck pool up.
+	ev := a.Observe(dec(1, true), scaleLoads(1.2, 0.1))
 	if ev == nil || !ev.Up || ev.Pool != "app" || ev.Replicas != 3 {
 		t.Fatalf("expected app scale-up to 3, got %+v", ev)
 	}
-	// Cooldown: continued overload inside the window does nothing.
-	for seq := int64(3); seq < 6; seq++ {
-		if ev := a.Observe(dec(seq, true), scaleLoads(1.2)); ev != nil {
-			t.Fatalf("scaled during cooldown at seq %d: %v", seq, ev)
-		}
+	// Cooldown: continued overload in the next window does nothing.
+	if ev := a.Observe(dec(2, true), scaleLoads(1.2, 0.1)); ev != nil {
+		t.Fatalf("scaled during cooldown: %v", ev)
 	}
-	// Past the cooldown the streak re-arms (two more windows needed).
-	if ev := a.Observe(dec(6, true), scaleLoads(1.2)); ev != nil {
-		t.Fatalf("seq 6 scaled on a stale streak: %v", ev)
-	}
-	if ev := a.Observe(dec(7, true), scaleLoads(1.2)); ev == nil || ev.Replicas != 4 {
-		t.Fatalf("expected second scale-up to 4, got %+v", ev)
+	if ev := a.Observe(dec(3, true), scaleLoads(1.2, 0.1)); ev == nil || ev.Replicas != 4 {
+		t.Fatalf("expected second scale-up to 4 after the cooldown, got %+v", ev)
 	}
 	// Overload with every pool under the up ratio is not a capacity
 	// problem; the autoscaler must refuse.
-	for seq := int64(12); seq < 16; seq++ {
-		if ev := a.Observe(dec(seq, true), scaleLoads(0.3)); ev != nil {
-			t.Fatalf("scaled up below UpRatio: %v", ev)
+	for seq := int64(5); seq < 9; seq++ {
+		if ev := a.Observe(dec(seq, true), scaleLoads(0.29, 0.1)); ev != nil {
+			t.Fatalf("scaled up below the up ratio: %v", ev)
 		}
 	}
-	// Six healthy windows with an idle pool scale down (db is idlest).
-	var down *registry.ScaleEvent
-	for seq := int64(16); seq < 30 && down == nil; seq++ {
-		down = a.Observe(dec(seq, false), scaleLoads(0.2))
+	// Four healthy windows arm a scale-down, but not of a pool loaded
+	// above the down ratio.
+	for seq := int64(9); seq < 13; seq++ {
+		if ev := a.Observe(dec(seq, false), scaleLoads(0.5, 0.16)); ev != nil {
+			t.Fatalf("scaled down above the down ratio: %v", ev)
+		}
 	}
+	// Once the idlest pool (db, 0.1) is under it, the armed streak fires.
+	down := a.Observe(dec(13, false), scaleLoads(0.2, 0.1))
 	if down == nil || down.Up || down.Pool != "db" || down.Replicas != 1 {
 		t.Fatalf("expected db scale-down to 1, got %+v", down)
+	}
+	// An action resets the streak: three healthy windows past the
+	// cooldown are not enough, the fourth drains the now idlest app pool.
+	for seq := int64(15); seq < 18; seq++ {
+		if ev := a.Observe(dec(seq, false), scaleLoads(0.1, 0.5)); ev != nil {
+			t.Fatalf("seq %d scaled down on a stale streak: %v", seq, ev)
+		}
+	}
+	if ev := a.Observe(dec(18, false), scaleLoads(0.1, 0.5)); ev == nil || ev.Pool != "app" || ev.Replicas != 3 {
+		t.Fatalf("expected app scale-down to 3, got %+v", ev)
 	}
 	// Degraded and low-confidence windows are ignored outright.
 	d := dec(40, true)
 	d.Degraded = true
-	if ev := a.Observe(d, scaleLoads(1.2)); ev != nil {
+	if ev := a.Observe(d, scaleLoads(1.2, 0.1)); ev != nil {
 		t.Fatalf("scaled on a degraded window: %v", ev)
 	}
 	d = dec(41, true)
 	d.LowConfidence = true
-	if ev := a.Observe(d, scaleLoads(1.2)); ev != nil {
+	if ev := a.Observe(d, scaleLoads(1.2, 0.1)); ev != nil {
 		t.Fatalf("scaled on a low-confidence window: %v", ev)
 	}
 	ups, downs := a.Actions()
-	if ups != 2 || downs != 1 {
-		t.Errorf("actions = (%d,%d), want (2,1)", ups, downs)
+	if ups != 2 || downs != 2 {
+		t.Errorf("actions = (%d,%d), want (2,2)", ups, downs)
 	}
-	if len(events) != 3 {
-		t.Errorf("OnScale fired %d times, want 3", len(events))
+	if len(events) != 4 {
+		t.Errorf("OnScale fired %d times, want 4", len(events))
 	}
-	want := "scale site=s seq=2 pool=app dir=up replicas=3 ratio=1.200"
+	want := "scale site=s seq=1 pool=app dir=up replicas=3 ratio=1.200"
 	if events[0].String() != want {
 		t.Errorf("event string %q, want %q", events[0].String(), want)
 	}
@@ -207,14 +198,13 @@ func TestAutoscaleRaceStress(t *testing.T) {
 		var a *registry.Autoscaler
 		var mu sync.Mutex
 		transcripts := make(map[string]*strings.Builder)
-		acfg := registry.DefaultAutoscalerConfig()
-		acfg.Scaler = sc
+		acfg := registry.AutoscalerConfig{Scaler: sc}
 		acfg.OnScale = func(e registry.ScaleEvent) {
 			// Re-enter from inside the callback: counters and another
 			// observation for the same site. Deadlocks if OnScale ever
 			// fires under an autoscaler lock.
 			a.Actions()
-			a.Observe(serve.Decision{Site: e.Site, Seq: e.Seq}, scaleLoads(0.2))
+			a.Observe(serve.Decision{Site: e.Site, Seq: e.Seq}, scaleLoads(0.2, 0.1))
 			mu.Lock()
 			transcripts[e.Site].WriteString(e.String() + "\n")
 			mu.Unlock()
@@ -233,7 +223,7 @@ func TestAutoscaleRaceStress(t *testing.T) {
 				if d.Prediction.Overload {
 					ratio = 1.3
 				}
-				a.Observe(d, scaleLoads(ratio))
+				a.Observe(d, scaleLoads(ratio, 0.1))
 			},
 		})
 		if err != nil {

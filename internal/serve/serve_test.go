@@ -66,7 +66,6 @@ func fixture(t testing.TB) (*experiment.Lab, *core.Monitor, *experiment.Trace) {
 			Window:        lab.Scale.Window,
 			Warmup:        lab.Scale.WarmupWindows,
 			Seed:          lab.Seed + 104,
-			Labeler:       lab.Labeler,
 			RecordSeconds: true,
 		})
 		if err != nil {

@@ -210,7 +210,10 @@ func TestBrowsingOverloadHitsDBTier(t *testing.T) {
 func TestBottleneckShiftsWithMix(t *testing.T) {
 	// Interleaving browsing and ordering at a level that overloads both
 	// must move the busier tier back and forth.
-	sched := tpcw.Interleaved(tpcw.Browsing(), tpcw.Ordering(), 600, 400, 2)
+	sched := tpcw.Schedule{Phases: []tpcw.Phase{
+		{Mix: tpcw.Browsing(), EBs: 600, Duration: 400},
+		{Mix: tpcw.Ordering(), EBs: 600, Duration: 400},
+	}}
 	tb, err := NewTestbed(DefaultConfig(), sched)
 	if err != nil {
 		t.Fatal(err)

@@ -57,25 +57,6 @@ func (s *Source) Normal(mean, stddev float64) float64 {
 	return mean + stddev*s.rng.NormFloat64()
 }
 
-// BoundedPareto returns a Pareto variate with shape alpha truncated to
-// [lo, hi]. It models heavy-tailed quantities such as result-set sizes.
-func (s *Source) BoundedPareto(alpha, lo, hi float64) float64 {
-	if lo <= 0 || hi <= lo || alpha <= 0 {
-		return lo
-	}
-	u := s.rng.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-	if x < lo {
-		x = lo
-	}
-	if x > hi {
-		x = hi
-	}
-	return x
-}
-
 // Pick returns an index in [0, len(weights)) with probability proportional
 // to weights[i]. All-zero or empty weights return 0.
 func (s *Source) Pick(weights []float64) int {

@@ -75,26 +75,6 @@ func TestLogNormalDegenerate(t *testing.T) {
 	}
 }
 
-func TestBoundedParetoWithinBounds(t *testing.T) {
-	s := NewSource(11)
-	for i := 0; i < 10000; i++ {
-		x := s.BoundedPareto(1.2, 1, 100)
-		if x < 1 || x > 100 {
-			t.Fatalf("BoundedPareto out of range: %v", x)
-		}
-	}
-}
-
-func TestBoundedParetoDegenerate(t *testing.T) {
-	s := NewSource(1)
-	if got := s.BoundedPareto(1.5, 0, 10); got != 0 {
-		t.Errorf("lo<=0: got %v, want 0", got)
-	}
-	if got := s.BoundedPareto(1.5, 5, 5); got != 5 {
-		t.Errorf("hi<=lo: got %v, want 5", got)
-	}
-}
-
 func TestPickDistribution(t *testing.T) {
 	s := NewSource(3)
 	weights := []float64{1, 3, 0, 6}

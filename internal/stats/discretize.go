@@ -46,29 +46,6 @@ func NewEqualFrequency(xs []float64, bins int) (*Discretizer, error) {
 	return &Discretizer{Cuts: cuts}, nil
 }
 
-// NewEqualWidth learns an equal-width discretizer with bins bins spanning
-// [min(xs), max(xs)].
-func NewEqualWidth(xs []float64, bins int) (*Discretizer, error) {
-	if bins < 2 {
-		return nil, fmt.Errorf("stats: need at least 2 bins, got %d", bins)
-	}
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	lo, _ := Min(xs)
-	hi, _ := Max(xs)
-	if hi <= lo {
-		// Constant attribute: single bin, no cuts.
-		return &Discretizer{}, nil
-	}
-	width := (hi - lo) / float64(bins)
-	cuts := make([]float64, 0, bins-1)
-	for b := 1; b < bins; b++ {
-		cuts = append(cuts, lo+float64(b)*width)
-	}
-	return &Discretizer{Cuts: cuts}, nil
-}
-
 // Bins returns the number of bins this discretizer produces.
 func (d *Discretizer) Bins() int { return len(d.Cuts) + 1 }
 

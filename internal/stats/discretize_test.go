@@ -51,50 +51,6 @@ func TestNewEqualFrequencyErrors(t *testing.T) {
 	}
 }
 
-func TestNewEqualWidth(t *testing.T) {
-	xs := []float64{0, 10}
-	d, err := NewEqualWidth(xs, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Bins() != 5 {
-		t.Fatalf("Bins = %d, want 5", d.Bins())
-	}
-	tests := []struct {
-		v    float64
-		want int
-	}{
-		{-1, 0}, {0, 0}, {1.9, 0}, {2, 1}, {5, 2}, {9.9, 4}, {10, 4}, {100, 4},
-	}
-	for _, tt := range tests {
-		if got := d.Bin(tt.v); got != tt.want {
-			t.Errorf("Bin(%v) = %d, want %d", tt.v, got, tt.want)
-		}
-	}
-}
-
-func TestNewEqualWidthConstant(t *testing.T) {
-	d, err := NewEqualWidth([]float64{3, 3, 3}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Bins() != 1 {
-		t.Errorf("constant attribute Bins = %d, want 1", d.Bins())
-	}
-	if got := d.Bin(3); got != 0 {
-		t.Errorf("Bin(3) = %d, want 0", got)
-	}
-}
-
-func TestNewEqualWidthErrors(t *testing.T) {
-	if _, err := NewEqualWidth(nil, 3); err != ErrEmpty {
-		t.Errorf("err = %v, want ErrEmpty", err)
-	}
-	if _, err := NewEqualWidth([]float64{1}, 1); err == nil {
-		t.Error("bins < 2 should error")
-	}
-}
-
 // Property: Bin is monotone non-decreasing in its argument and always within
 // [0, Bins()).
 func TestDiscretizerMonotoneProperty(t *testing.T) {

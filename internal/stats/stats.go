@@ -154,11 +154,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) {
-	return Percentile(xs, 50)
-}
-
 // GaussianPDF returns the probability density of x under N(mean, stddev²).
 // A zero stddev is replaced by a small floor so that degenerate attributes
 // (constant in the training set) do not produce infinities in Naive Bayes.

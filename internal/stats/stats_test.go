@@ -181,13 +181,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	got, err := Median([]float64{5, 1, 3})
-	if err != nil || got != 3 {
-		t.Errorf("Median = %v, %v; want 3, nil", got, err)
-	}
-}
-
 func TestGaussianPDF(t *testing.T) {
 	// Standard normal density at 0 is 1/sqrt(2π).
 	want := 1 / math.Sqrt(2*math.Pi)

@@ -113,25 +113,6 @@ func Spike(mix Mix, baseEBs, spikeEBs int, basePeriod, spikePeriod float64, cycl
 	return Schedule{Phases: phases}
 }
 
-// Interleaved returns a schedule that switches between two mixes every
-// period seconds for the given number of switches, holding ebs browsers
-// throughout — the paper's interleaved test workload that forces the
-// bottleneck to shift between tiers.
-func Interleaved(a, b Mix, ebs int, period float64, switches int) Schedule {
-	if switches < 1 {
-		switches = 1
-	}
-	phases := make([]Phase, 0, switches)
-	for i := 0; i < switches; i++ {
-		mix := a
-		if i%2 == 1 {
-			mix = b
-		}
-		phases = append(phases, Phase{Mix: mix, EBs: ebs, Duration: period})
-	}
-	return Schedule{Phases: phases}
-}
-
 // Truncate returns a copy of the schedule cut to its first at seconds. A
 // phase straddling the cut is shortened to end exactly at it; at values
 // beyond the schedule's duration return it unchanged and non-positive

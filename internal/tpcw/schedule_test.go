@@ -69,22 +69,6 @@ func TestSpikeSchedule(t *testing.T) {
 	}
 }
 
-func TestInterleavedSchedule(t *testing.T) {
-	s := Interleaved(Browsing(), Ordering(), 80, 600, 4)
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Phases) != 4 {
-		t.Fatalf("phases = %d, want 4", len(s.Phases))
-	}
-	wantNames := []string{"browsing", "ordering", "browsing", "ordering"}
-	for i, p := range s.Phases {
-		if p.Mix.Name != wantNames[i] {
-			t.Errorf("phase %d mix = %s, want %s", i, p.Mix.Name, wantNames[i])
-		}
-	}
-}
-
 func TestScheduleAtBoundaries(t *testing.T) {
 	s := Concat(Steady(Browsing(), 10, 100), Steady(Ordering(), 20, 100))
 	if got := s.At(0).EBs; got != 10 {
