@@ -360,7 +360,7 @@ func (e *engine) ingestVec(i int32, tier server.TierID, t float64, wi int64, tim
 		return
 	}
 	// Tier window complete: emit the mean into fresh storage (decisions
-	// own their vectors), the same arithmetic as metrics.Aggregator.emit.
+	// own their vectors), the same arithmetic as metrics.Aggregator.
 	vals := make([]float64, e.dim)
 	n := float64(st.count[tier])
 	for k := range sum {
