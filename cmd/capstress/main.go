@@ -89,6 +89,9 @@ func run(args []string) error {
 		if err1 != nil || err2 != nil || err3 != nil {
 			return fmt.Errorf("bad -ramp %q", *ramp)
 		}
+		if steps < 1 {
+			return fmt.Errorf("bad -ramp %q: steps must be at least 1", *ramp)
+		}
 		sched = tpcw.Ramp(mix, start, end, steps, *step)
 	} else {
 		sched = tpcw.Steady(mix, *ebs, *duration)

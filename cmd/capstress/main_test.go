@@ -12,6 +12,19 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-ramp", "a:b:c"}); err == nil {
 		t.Error("non-numeric ramp not rejected")
 	}
+	for _, steps := range []string{"0", "-2"} {
+		if err := run([]string{"-ramp", "10:20:" + steps}); err == nil {
+			t.Errorf("-ramp with %s steps not rejected", steps)
+		}
+	}
+	for _, d := range []string{"NaN", "Inf", "-Inf", "0"} {
+		if err := run([]string{"-duration", d}); err == nil {
+			t.Errorf("-duration %s not rejected", d)
+		}
+	}
+	if err := run([]string{"-ramp", "10:20:2", "-step", "NaN"}); err == nil {
+		t.Error("-step NaN not rejected")
+	}
 	if err := run([]string{"-traffic", "bogus for=10"}); err == nil {
 		t.Error("unknown traffic shape not rejected")
 	}

@@ -17,6 +17,13 @@ type Engine struct {
 	// pointers behind container/heap's any-typed interface costs one
 	// allocation for each of them.
 	events []event
+	// vacant marks events[0] as the slot of the event whose callback is
+	// running. The first event that callback schedules takes the slot with
+	// one sift-down, where a pop and a push would sift the heap's whole
+	// height twice; it is usually the earliest pending event (a tier's
+	// next quantum, a browser's next think), so the sift stops at once.
+	// The slot is removed if the callback schedules nothing.
+	vacant bool
 }
 
 // NewEngine returns an Engine with the clock at zero and no pending events.
@@ -28,7 +35,12 @@ func NewEngine() *Engine {
 func (e *Engine) Now() float64 { return e.clock }
 
 // Pending returns the number of scheduled events not yet executed.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int {
+	if e.vacant {
+		return len(e.events) - 1
+	}
+	return len(e.events)
+}
 
 // Schedule arranges for fn to run delay seconds after the current virtual
 // time. A negative delay is treated as zero. Events scheduled for the same
@@ -53,12 +65,17 @@ func (e *Engine) At(t float64, fn func()) {
 // Step executes the next pending event, advancing the clock to its time.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
+	e.settle()
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := e.pop()
-	e.clock = ev.time
-	ev.fn()
+	top := &e.events[0]
+	fn := top.fn
+	e.clock = top.time
+	top.fn = nil
+	e.vacant = true
+	fn()
+	e.settle()
 	return true
 }
 
@@ -67,6 +84,7 @@ func (e *Engine) Step() bool {
 // clock is at min(t, time of last executed event) — callers that need the
 // clock pinned at t should schedule a sentinel event.
 func (e *Engine) RunUntil(t float64) {
+	e.settle()
 	for len(e.events) > 0 && e.events[0].time <= t {
 		e.Step()
 	}
@@ -100,8 +118,14 @@ func (a event) before(b event) bool {
 	return a.seq < b.seq
 }
 
-// push inserts ev, sifting the hole up from the new last slot.
+// push inserts ev: into the vacant root with a sift-down, otherwise
+// sifting the hole up from the new last slot.
 func (e *Engine) push(ev event) {
+	if e.vacant {
+		e.vacant = false
+		e.siftDown(ev)
+		return
+	}
 	h := append(e.events, ev)
 	i := len(h) - 1
 	for i > 0 {
@@ -116,16 +140,28 @@ func (e *Engine) push(ev event) {
 	e.events = h
 }
 
-// pop removes and returns the earliest event: the last element is sifted
-// down from the root. The vacated slot is cleared so the closure of a
-// fired event does not stay reachable from the backing array.
-func (e *Engine) pop() event {
+// settle removes a vacant root, so the heap holds pending events only: the
+// last element is sifted down from the root, and its old slot is cleared so
+// a fired closure does not stay reachable from the backing array.
+func (e *Engine) settle() {
+	if !e.vacant {
+		return
+	}
+	e.vacant = false
+	n := len(e.events) - 1
+	last := e.events[n]
+	e.events[n] = event{}
+	e.events = e.events[:n]
+	if n > 0 {
+		e.siftDown(last)
+	}
+}
+
+// siftDown places ev at the root and moves it down until the heap order
+// holds; the root's previous occupant is overwritten.
+func (e *Engine) siftDown(ev event) {
 	h := e.events
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{}
-	h = h[:n]
+	n := len(h)
 	i := 0
 	for {
 		child := 2*i + 1
@@ -135,15 +171,11 @@ func (e *Engine) pop() event {
 		if child+1 < n && h[child+1].before(h[child]) {
 			child++
 		}
-		if !h[child].before(last) {
+		if !h[child].before(ev) {
 			break
 		}
 		h[i] = h[child]
 		i = child
 	}
-	if n > 0 {
-		h[i] = last
-	}
-	e.events = h
-	return top
+	h[i] = ev
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -147,97 +148,169 @@ func TestEngineDequeueOrderProperty(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesStableSort runs random programs against the queue —
-// same-instant bursts, past and NaN times, events that schedule events,
-// Step interleaved with RunUntil — and checks that events fire in exactly
-// the order a stable sort of everything pending by time predicts (so
-// insertion order breaks ties), with Pending and the clock agreeing.
-func TestEngineMatchesStableSort(t *testing.T) {
+// checkEngineProgram runs one program against the queue — same-instant
+// bursts, past and NaN times, Step interleaved with RunUntil, callbacks that
+// schedule 0, 1 or 3 events and that call Step or RunUntil reentrantly —
+// and checks that events fire in exactly the order a stable sort of
+// everything pending by time predicts (so insertion order breaks ties),
+// with Pending and the clock agreeing with the model inside callbacks and
+// between operations. choose(n) makes each choice of the program, in
+// [0, n); budget caps the events scheduled.
+func checkEngineProgram(t *testing.T, choose func(n int) int, budget int) {
+	t.Helper()
 	type pending struct {
 		time float64
 		id   int
 	}
-	for seed := int64(1); seed <= 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		e := NewEngine()
-		var model []pending // insertion order
-		nextID, budget := 0, 400
-
-		var schedule func()
-		fire := func(id int) {
-			sorted := append([]pending(nil), model...)
-			sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].time < sorted[j].time })
-			want := sorted[0]
-			if id != want.id || e.Now() != want.time {
-				t.Fatalf("seed %d: fired event %d at %v, stable sort predicts %d at %v",
-					seed, id, e.Now(), want.id, want.time)
-			}
-			for i, p := range model {
-				if p.id == want.id {
-					model = append(model[:i], model[i+1:]...)
-					break
-				}
-			}
-			for n := rng.Intn(3); n > 0; n-- {
-				schedule()
-			}
+	e := NewEngine()
+	var model []pending // insertion order
+	var clock float64
+	nextID, depth := 0, 0
+	// bounds[len-1] is the latest time the innermost Step or RunUntil in
+	// progress may fire an event at.
+	var bounds []float64
+	check := func(where string) {
+		t.Helper()
+		if e.Pending() != len(model) {
+			t.Fatalf("%s: Pending = %d, model holds %d", where, e.Pending(), len(model))
 		}
-		// schedule adds one event through At or Schedule, drawing its time
-		// from a small grid so that ties are common, and mirrors the
-		// engine's clamps in the model.
-		schedule = func() {
-			if budget == 0 {
-				return
-			}
-			budget--
-			id := nextID
-			nextID++
-			fn := func() { fire(id) }
-			offsets := []float64{0, 0, 0.5, 1, 1, 2.5, -3, math.NaN()}
-			d := offsets[rng.Intn(len(offsets))]
-			at := e.Now()
-			if d > 0 {
-				at += d
-			}
-			if rng.Intn(2) == 0 {
-				e.Schedule(d, fn)
-			} else {
-				e.At(e.Now()+d, fn)
-			}
-			model = append(model, pending{time: at, id: id})
-		}
-
-		for budget > 0 || len(model) > 0 {
-			switch op := rng.Intn(6); {
-			case op < 3:
-				schedule()
-			case op < 5:
-				if had := len(model) > 0; e.Step() != had {
-					t.Fatalf("seed %d: Step reported %t with %d events pending", seed, !had, len(model))
-				}
-			default:
-				until := e.Now() + float64(rng.Intn(3))
-				e.RunUntil(until)
-				for _, p := range model {
-					if p.time <= until {
-						t.Fatalf("seed %d: RunUntil(%v) left event %d at %v pending", seed, until, p.id, p.time)
-					}
-				}
-				if len(model) == 0 && e.Now() != until {
-					t.Fatalf("seed %d: RunUntil(%v) on a drained queue left the clock at %v", seed, until, e.Now())
-				}
-			}
-			if e.Pending() != len(model) {
-				t.Fatalf("seed %d: Pending = %d, model holds %d", seed, e.Pending(), len(model))
-			}
-		}
-		if e.Step() {
-			t.Fatalf("seed %d: Step fired on a drained queue", seed)
-		}
-		if nextID != 400 {
-			t.Fatalf("seed %d: scheduled %d events, want 400", seed, nextID)
+		if e.Now() != clock {
+			t.Fatalf("%s: Now = %v, model clock %v", where, e.Now(), clock)
 		}
 	}
+
+	var schedule, step, runUntil func()
+	fire := func(id int) {
+		sorted := append([]pending(nil), model...)
+		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].time < sorted[j].time })
+		want := sorted[0]
+		if id != want.id || e.Now() != want.time {
+			t.Fatalf("fired event %d at %v, stable sort predicts %d at %v", id, e.Now(), want.id, want.time)
+		}
+		if bound := bounds[len(bounds)-1]; want.time > bound {
+			t.Fatalf("fired event %d at %v, past RunUntil(%v)", id, want.time, bound)
+		}
+		clock = want.time
+		for i, p := range model {
+			if p.id == want.id {
+				model = append(model[:i], model[i+1:]...)
+				break
+			}
+		}
+		check("callback entry")
+		n := []int{0, 1, 3}[choose(3)]
+		before := choose(n + 1)
+		for i := 0; i < before; i++ {
+			schedule()
+		}
+		if op := choose(4); op >= 2 && depth < 3 {
+			depth++
+			if op == 2 {
+				step()
+			} else {
+				runUntil()
+			}
+			depth--
+		}
+		for i := before; i < n; i++ {
+			schedule()
+		}
+		check("callback exit")
+	}
+	// schedule adds one event through At or Schedule, drawing its time
+	// from a small grid so that ties are common, and mirrors the
+	// engine's clamps in the model.
+	schedule = func() {
+		if budget == 0 {
+			return
+		}
+		budget--
+		id := nextID
+		nextID++
+		fn := func() { fire(id) }
+		offsets := []float64{0, 0, 0.5, 1, 1, 2.5, -3, math.NaN()}
+		d := offsets[choose(len(offsets))]
+		at := clock
+		if d > 0 {
+			at += d
+		}
+		if choose(2) == 0 {
+			e.Schedule(d, fn)
+		} else {
+			e.At(e.Now()+d, fn)
+		}
+		model = append(model, pending{time: at, id: id})
+		check("schedule")
+	}
+	step = func() {
+		had := len(model) > 0
+		bounds = append(bounds, math.Inf(1))
+		fired := e.Step()
+		bounds = bounds[:len(bounds)-1]
+		if fired != had {
+			t.Fatalf("Step reported %t with an event pending: %t", fired, had)
+		}
+		check("Step")
+	}
+	runUntil = func() {
+		until := clock + float64(choose(3))
+		bounds = append(bounds, until)
+		e.RunUntil(until)
+		bounds = bounds[:len(bounds)-1]
+		for _, p := range model {
+			if p.time <= until {
+				t.Fatalf("RunUntil(%v) left event %d at %v pending", until, p.id, p.time)
+			}
+		}
+		if len(model) == 0 && clock < until {
+			clock = until
+		}
+		check("RunUntil")
+	}
+
+	for budget > 0 || len(model) > 0 {
+		switch op := choose(6); {
+		case op < 3 && budget > 0:
+			schedule()
+		case op < 5:
+			step()
+		default:
+			runUntil()
+		}
+	}
+	if e.Step() {
+		t.Fatal("Step fired on a drained queue")
+	}
+}
+
+// TestEngineMatchesStableSort holds the queue to its stable-sort model
+// over 200 random programs of 400 events each.
+func TestEngineMatchesStableSort(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			checkEngineProgram(t, rng.Intn, 400)
+		})
+	}
+}
+
+// FuzzEngineMatchesStableSort lets the fuzzer write the program: each byte
+// is one choice, and choices past the input's end are 0.
+func FuzzEngineMatchesStableSort(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 3, 2, 1, 5, 4, 3, 3, 2, 1, 0, 7, 6})
+	f.Add([]byte("\x02\x01\x03\x00\x05\x02\x02\x03\x01\x04\x00\x02"))
+	f.Fuzz(func(t *testing.T, program []byte) {
+		choose := func(n int) int {
+			if len(program) == 0 {
+				return 0
+			}
+			c := int(program[0]) % n
+			program = program[1:]
+			return c
+		}
+		checkEngineProgram(t, choose, 200)
+	})
 }
 
 // TestEngineSteadyStateAllocs pins what storing events by value buys: once

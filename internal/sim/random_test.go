@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -135,4 +136,57 @@ func TestPickValidIndexProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// draws takes one value of every kind the simulator uses from r, as bits.
+func draws(r *rand.Rand, i int) [6]uint64 {
+	return [6]uint64{
+		uint64(r.Int63()),
+		r.Uint64(),
+		math.Float64bits(r.Float64()),
+		math.Float64bits(r.ExpFloat64()),
+		math.Float64bits(r.NormFloat64()),
+		uint64(r.Intn(1 + i%1000)),
+	}
+}
+
+// checkSourceMatchesMathRand takes n rounds of draws from NewSource(seed)
+// and from math/rand seeded alike, reseeds both with reseed, and takes n
+// rounds more.
+func checkSourceMatchesMathRand(t *testing.T, seed, reseed int64, n int) {
+	t.Helper()
+	got, want := NewSource(seed).rng, rand.New(rand.NewSource(seed))
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < n; i++ {
+			if g, w := draws(got, i), draws(want, i); g != w {
+				t.Fatalf("seed %d, pass %d, round %d: got %x, math/rand %x", seed, pass, i, g, w)
+			}
+		}
+		got.Seed(reseed)
+		want.Seed(reseed)
+	}
+}
+
+// TestSourceMatchesMathRand holds the lazily seeded source to math/rand's
+// over seeds at the edges of its normalisation and past the 607-draw
+// horizon twice, including a Seed on a source already drawn from.
+func TestSourceMatchesMathRand(t *testing.T) {
+	seeds := []int64{0, 1, -1, 89482311, math.MaxInt32, math.MaxInt32 + 1, -math.MaxInt32,
+		math.MinInt64, math.MaxInt64}
+	rng := rand.New(rand.NewSource(20081017))
+	for i := 0; i < 8; i++ {
+		seeds = append(seeds, rng.Int63()-rng.Int63())
+	}
+	for i, seed := range seeds {
+		checkSourceMatchesMathRand(t, seed, seeds[(i+1)%len(seeds)], 1300)
+	}
+}
+
+func FuzzSourceMatchesMathRand(f *testing.F) {
+	for _, s := range []int64{0, 1, -1, math.MaxInt32, math.MinInt64, math.MaxInt64} {
+		f.Add(s, -s)
+	}
+	f.Fuzz(func(t *testing.T, seed, reseed int64) {
+		checkSourceMatchesMathRand(t, seed, reseed, 1300)
+	})
 }

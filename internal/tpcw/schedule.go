@@ -3,6 +3,7 @@ package tpcw
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Phase is one segment of a load schedule: for Duration seconds the RBE
@@ -32,8 +33,8 @@ func (s Schedule) Validate() error {
 		return errors.New("tpcw: schedule has no phases")
 	}
 	for i, p := range s.Phases {
-		if p.Duration <= 0 {
-			return fmt.Errorf("tpcw: phase %d has non-positive duration %v", i, p.Duration)
+		if !positiveFinite(p.Duration) {
+			return fmt.Errorf("tpcw: phase %d has duration %v, want finite and positive", i, p.Duration)
 		}
 		if p.EBs < 0 {
 			return fmt.Errorf("tpcw: phase %d has negative EBs %d", i, p.EBs)
@@ -43,6 +44,11 @@ func (s Schedule) Validate() error {
 		}
 	}
 	return nil
+}
+
+// positiveFinite is the rule every phase and traffic-clause duration obeys.
+func positiveFinite(d float64) bool {
+	return d > 0 && !math.IsInf(d, 1)
 }
 
 // Duration returns the schedule's total duration in seconds.

@@ -90,9 +90,11 @@ func TestScheduleValidateErrors(t *testing.T) {
 	if err := (Schedule{}).Validate(); err == nil {
 		t.Error("empty schedule not rejected")
 	}
-	bad := Schedule{Phases: []Phase{{Mix: Browsing(), EBs: 10, Duration: 0}}}
-	if err := bad.Validate(); err == nil {
-		t.Error("zero duration not rejected")
+	for _, d := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := Schedule{Phases: []Phase{{Mix: Browsing(), EBs: 10, Duration: d}}}
+		if err := bad.Validate(); err == nil {
+			t.Errorf("duration %v not rejected", d)
+		}
 	}
 	bad2 := Schedule{Phases: []Phase{{Mix: Browsing(), EBs: -1, Duration: 10}}}
 	if err := bad2.Validate(); err == nil {
