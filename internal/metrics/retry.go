@@ -48,9 +48,10 @@ func (r *RetryCollector) Tier() server.TierID { return r.src.Tier() }
 func (r *RetryCollector) Names() []string { return r.src.Names() }
 
 // Collect reads the source with bounded retry. On total failure it
-// returns the last good vector (zeros before the first success), so the
-// aggregation window closes on a stale-but-finite mean instead of
-// stalling or going NaN.
+// returns a copy of the last good vector (zeros before the first
+// success), so the aggregation window closes on a stale-but-finite mean
+// instead of stalling or going NaN, and a caller that keeps the vector
+// does not see the next good read overwrite it.
 func (r *RetryCollector) Collect(s server.Snapshot, dt float64) []float64 {
 	for attempt := 0; attempt <= r.MaxRetries; attempt++ {
 		if attempt > 0 {
@@ -64,9 +65,9 @@ func (r *RetryCollector) Collect(s server.Snapshot, dt float64) []float64 {
 	}
 	r.failures++
 	if r.last == nil {
-		r.last = make([]float64, len(r.src.Names()))
+		return make([]float64, len(r.src.Names()))
 	}
-	return r.last
+	return append([]float64(nil), r.last...)
 }
 
 // Retries returns how many extra attempts were made; Failures how many

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -75,5 +76,25 @@ func TestRetryCollectorZerosBeforeFirstSuccess(t *testing.T) {
 	}
 	if r.Tier() != server.TierApp || len(r.Names()) != 2 {
 		t.Error("Tier/Names not delegated to the source")
+	}
+}
+
+// TestRetryCollectorFallbackIsACopy: a caller that keeps a fallback vector
+// does not see the next good read overwrite it.
+func TestRetryCollectorFallbackIsACopy(t *testing.T) {
+	src := &scriptedCollector{v: []float64{3, 4}}
+	r := NewRetryCollector(src, 0)
+	r.Collect(server.Snapshot{}, 1)
+	src.failN, src.reads = 1, 0
+	held := r.Collect(server.Snapshot{}, 1)
+	want := []uint64{math.Float64bits(3), math.Float64bits(4)}
+	src.v = []float64{5, -7}
+	if got := r.Collect(server.Snapshot{}, 1); !reflect.DeepEqual(got, src.v) {
+		t.Fatalf("good read after the fallback = %v, want %v", got, src.v)
+	}
+	for i, x := range held {
+		if math.Float64bits(x) != want[i] {
+			t.Fatalf("held fallback vector = %v after a good read, want [3 4] unchanged", held)
+		}
 	}
 }

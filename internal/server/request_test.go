@@ -315,3 +315,19 @@ func TestRetireWhileInFlight(t *testing.T) {
 		}
 	})
 }
+
+// TestBrowserSpawnAllocs: a spawned browser is its runner and the bound
+// think callback; its session and generator live inside the runner.
+func TestBrowserSpawnAllocs(t *testing.T) {
+	tb, err := NewDAGTestbed(TwoTierTopology(DefaultConfig()), tpcw.Steady(tpcw.Shopping(), 1, 1e9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := tpcw.Shopping()
+	sampler := mix.Sampler()
+	// The browser list and the event heap grow by doubling; over 200
+	// spawns their share rounds away.
+	if n := testing.AllocsPerRun(200, func() { tb.spawnEB(mix, sampler, 1) }); n > 2 {
+		t.Errorf("spawnEB = %v allocs, want at most 2", n)
+	}
+}

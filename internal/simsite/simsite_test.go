@@ -1,6 +1,8 @@
 package simsite
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -47,5 +49,59 @@ func TestNewIsTheTwoTierDAGSite(t *testing.T) {
 	base.DB.MaxWorkers = 0
 	if _, err := New("site", base, metrics.LevelHPC, 0, wb, wo, 42, 200); err == nil {
 		t.Error("New accepted a server config with no DB workers")
+	}
+}
+
+// failEvery3rd fails every read whose snapshot second is a multiple of 3.
+type failEvery3rd struct{ metrics.Collector }
+
+func (f failEvery3rd) TryCollect(s server.Snapshot, dt float64) ([]float64, error) {
+	if int(s.Time)%3 == 0 {
+		return nil, errors.New("scripted failure")
+	}
+	return f.Collect(s, dt), nil
+}
+
+// TestCollectVectorsAreFresh: a vector Collect returns is not changed by
+// any later Collect, at every level and behind a retrying collector that
+// falls back on every third read.
+func TestCollectVectorsAreFresh(t *testing.T) {
+	wb := experiment.Workload{Mix: tpcw.Browsing(), Knee: 120}
+	wo := experiment.Workload{Mix: tpcw.Ordering(), Knee: 160}
+	for _, level := range []metrics.Level{metrics.LevelOS, metrics.LevelHPC, metrics.LevelCombined} {
+		for _, retry := range []bool{false, true} {
+			s, err := New("site", server.DefaultConfig(), level, 0, wb, wo, 42, 60)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if retry {
+				s.WrapCollectors(func(c metrics.Collector) metrics.Collector {
+					return metrics.NewRetryCollector(failEvery3rd{c}, 1)
+				})
+			}
+			if err := s.TB.Start(); err != nil {
+				t.Fatal(err)
+			}
+			var bits [][]uint64
+			var vecs [][]float64
+			for sec := 0; sec < 60; sec++ {
+				snap := s.TB.RunInterval(1)
+				for tier := server.TierID(0); tier < server.NumTiers; tier++ {
+					v := s.Collect(tier, snap)
+					b := make([]uint64, len(v))
+					for i, x := range v {
+						b[i] = math.Float64bits(x)
+					}
+					vecs, bits = append(vecs, v), append(bits, b)
+				}
+			}
+			for k, v := range vecs {
+				for i, x := range v {
+					if math.Float64bits(x) != bits[k][i] {
+						t.Fatalf("level %v retry %v: vector %d changed after later Collects", level, retry, k)
+					}
+				}
+			}
+		}
 	}
 }

@@ -28,8 +28,9 @@ type Browser struct {
 }
 
 // NewBrowser returns an EB with its own deterministic random sub-stream.
-func NewBrowser(id int, mix Mix, rng *sim.Source) *Browser {
-	return &Browser{
+// It returns the browser by value, so an owner can hold it in place.
+func NewBrowser(id int, mix Mix, rng *sim.Source) Browser {
+	return Browser{
 		ID:        id,
 		MeanThink: DefaultThinkTime,
 		rng:       rng,
@@ -59,20 +60,23 @@ func (b *Browser) SetThinkScale(scale float64) {
 	b.MeanThink = DefaultThinkTime * scale
 }
 
-// checkoutSuccessor maps an order-process interaction to its natural
-// follow-up in the TPC-W purchase flow.
-var checkoutSuccessor = map[Interaction]Interaction{
-	ShoppingCart:         CustomerRegistration,
-	CustomerRegistration: BuyRequest,
-	BuyRequest:           BuyConfirm,
-}
-
 // Next returns the browser's next interaction type.
 func (b *Browser) Next() Interaction {
 	// With 60% probability continue an in-progress checkout chain; this
 	// produces the bursty order sequences real sessions exhibit without
-	// changing the long-run mix much (chains are short).
-	if succ, ok := checkoutSuccessor[b.lastOrder]; ok && b.rng.Float64() < 0.6 {
+	// changing the long-run mix much (chains are short). succ is the
+	// natural follow-up of an order-process interaction in the TPC-W
+	// purchase flow.
+	var succ Interaction
+	switch b.lastOrder {
+	case ShoppingCart:
+		succ = CustomerRegistration
+	case CustomerRegistration:
+		succ = BuyRequest
+	case BuyRequest:
+		succ = BuyConfirm
+	}
+	if succ != 0 && b.rng.Float64() < 0.6 {
 		b.lastOrder = succ
 		return succ
 	}
