@@ -3,16 +3,9 @@
 //
 // Usage:
 //
-//	capbench -exp all                 # every experiment
-//	capbench -exp table1a             # Table I(a): browsing-mix input
-//	capbench -exp table1b             # Table I(b): ordering-mix input
-//	capbench -exp fig3 [-csv out.csv] # Figure 3 series
-//	capbench -exp fig4                # Figures 4(a) and 4(b)
-//	capbench -exp timing              # learner build/decision cost (§V.B)
-//	capbench -exp overhead            # collection overhead (§V.D)
-//	capbench -exp ablation            # history/scheme sensitivity (§V.C)
-//	capbench -exp baselines           # single-PI / RT / util baselines vs the monitor
-//	capbench -exp levels              # OS vs HPC vs combined OS+HPC monitors
+//	capbench -exp all                 # every experiment; -h lists the names
+//	capbench -exp table1a,fig4        # named experiments, in table order
+//	capbench -exp fig3 -csv out.csv   # also write the Figure 3 series
 //	capbench -scale quick             # fast, smaller traces
 //	capbench -parallel 4              # bound experiment fan-out to 4 workers
 //	capbench -cpuprofile cpu.pprof    # write a CPU profile of the run
@@ -20,13 +13,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"hpcap/internal/experiment"
@@ -41,7 +32,11 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("capbench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: all|table1a|table1b|fig3|fig4|timing|overhead|ablation|baselines|levels")
+	names := []string{"all"}
+	for _, e := range experiment.Experiments() {
+		names = append(names, e.Name)
+	}
+	exp := fs.String("exp", "all", "comma-separated experiments: "+strings.Join(names, "|"))
 	scaleName := fs.String("scale", "full", "trace scale: quick|full")
 	seed := fs.Int64("seed", 1, "master random seed")
 	csv := fs.String("csv", "", "write the Figure 3 series to this CSV file")
@@ -86,122 +81,30 @@ func run(args []string) error {
 	lab.Seed = *seed
 	lab.Workers = *par
 
-	known := map[string]bool{
-		"all": true, "table1a": true, "table1b": true, "fig3": true,
-		"fig4": true, "fig4a": true, "fig4b": true, "timing": true,
-		"overhead": true, "ablation": true, "baselines": true, "levels": true,
+	results, err := lab.Render(os.Stdout, *exp)
+	if err != nil {
+		return err
 	}
-	wanted := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		name := strings.TrimSpace(e)
-		if !known[name] {
-			return fmt.Errorf("unknown experiment %q", name)
-		}
-		wanted[name] = true
-	}
-	all := wanted["all"]
-
-	if all {
-		// Generate every shared trace up front with full fan-out; the
-		// experiments then run over warm caches.
-		if err := lab.Prewarm(context.Background()); err != nil {
-			return err
-		}
-	}
-
-	if all || wanted["table1a"] {
-		res, err := lab.RunTable1(experiment.TestBrowsing)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-	}
-	if all || wanted["table1b"] {
-		res, err := lab.RunTable1(experiment.TestOrdering)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-	}
-	if all || wanted["fig3"] {
-		res, err := lab.RunFig3()
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		if *csv != "" {
-			if err := writeFig3CSV(*csv, res); err != nil {
+	for _, res := range results {
+		if fig3, ok := res.(*experiment.Fig3Result); ok && *csv != "" {
+			if err := writeCSV(*csv, fig3); err != nil {
 				return err
 			}
-			fmt.Println("series written to", *csv)
+			fmt.Fprintln(os.Stderr, "series written to", *csv)
 		}
-	}
-	if all || wanted["fig4"] || wanted["fig4a"] || wanted["fig4b"] {
-		res, err := lab.RunFig4()
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-	}
-	if all || wanted["timing"] {
-		res, err := lab.RunTiming()
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-	}
-	if all || wanted["overhead"] {
-		res, err := lab.RunOverhead()
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-	}
-	if all || wanted["ablation"] {
-		res, err := lab.RunAblation()
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-	}
-	if all || wanted["baselines"] {
-		res, err := lab.RunBaselines()
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-	}
-	if all || wanted["levels"] {
-		res, err := lab.RunLevelComparison()
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
 	}
 	return nil
 }
 
-func writeFig3CSV(path string, res *experiment.Fig3Result) error {
+// writeCSV writes the Figure 3 series to a new file at path.
+func writeCSV(path string, res *experiment.Fig3Result) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if _, err := f.WriteString("time_s,pi_norm,throughput_norm,pi_raw,throughput_raw,overloaded\n"); err != nil {
+	if err := res.WriteCSV(f); err != nil {
+		f.Close()
 		return err
 	}
-	for _, p := range res.Points {
-		row := strings.Join([]string{
-			strconv.FormatFloat(p.Time, 'f', 0, 64),
-			strconv.FormatFloat(p.PI, 'f', 5, 64),
-			strconv.FormatFloat(p.Throughput, 'f', 5, 64),
-			strconv.FormatFloat(p.RawPI, 'g', 6, 64),
-			strconv.FormatFloat(p.RawThroughput, 'f', 3, 64),
-			strconv.Itoa(p.Overloaded),
-		}, ",")
-		if _, err := f.WriteString(row + "\n"); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.Close()
 }

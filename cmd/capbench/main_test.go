@@ -1,14 +1,6 @@
 package main
 
-import (
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-
-	"hpcap/internal/experiment"
-	"hpcap/internal/server"
-)
+import "testing"
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-scale", "bogus"}); err == nil {
@@ -16,6 +8,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
 		t.Error("unknown flag not rejected")
+	}
+	for _, name := range []string{"bogus", "fig4a", "table1a,bogus"} {
+		if err := run([]string{"-exp", name}); err == nil {
+			t.Errorf("experiment %q not rejected", name)
+		}
 	}
 }
 
@@ -34,34 +31,5 @@ func TestRunParallelFlag(t *testing.T) {
 	}
 	if err := run([]string{"-exp", "timing", "-scale", "quick", "-parallel", "4"}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWriteFig3CSV(t *testing.T) {
-	res := &experiment.Fig3Result{
-		Workload: "ordering",
-		Tier:     server.TierApp,
-		Points: []experiment.Fig3Point{
-			{Time: 30, PI: 1.2, Throughput: 1.1, RawPI: 40, RawThroughput: 22, Overloaded: 0},
-			{Time: 60, PI: 0.4, Throughput: 0.8, RawPI: 12, RawThroughput: 18, Overloaded: 1},
-		},
-	}
-	path := filepath.Join(t.TempDir(), "fig3.csv")
-	if err := writeFig3CSV(path, res); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV has %d lines, want header + 2 points", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "time_s,") {
-		t.Errorf("bad header %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[2], "60,") || !strings.HasSuffix(lines[2], ",1") {
-		t.Errorf("bad data row %q", lines[2])
 	}
 }

@@ -64,14 +64,6 @@ type testbedScaler struct{ tb *server.DAGTestbed }
 func (s testbedScaler) AddReplica(_, pool string) (int, bool)    { return s.tb.AddReplica(pool) }
 func (s testbedScaler) RemoveReplica(_, pool string) (int, bool) { return s.tb.RemoveReplica(pool) }
 
-// RunAutoscaleReplay runs the flash-crowd autoscaling experiment through
-// the inline pipeline. workers bounds the training fan-out only; the
-// transcript is bit-identical for any value, and at any shard count
-// (TestReplay pins both).
-func (l *Lab) RunAutoscaleReplay(workers int) (*AutoscaleReplay, error) {
-	return l.runAutoscaleReplay(workers, front{})
-}
-
 // runAutoscaleReplay declares the autoscale scenario: its traffic is the
 // live DAG testbed stepped one simulated second per scrape under the
 // flash-crowd schedule, with no stream transform and no lifecycle. Each

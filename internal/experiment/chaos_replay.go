@@ -74,15 +74,6 @@ func chaosStorm(base, w float64) chaos.Schedule {
 	}}
 }
 
-// RunChaosReplay replays a scripted fault storm end to end at the HPC
-// level through the inline pipeline and returns its transcript. workers
-// bounds the synopsis-build fan-out during training only; the transcript
-// is bit-identical for any value, and at any shard count (TestReplay pins
-// both).
-func (l *Lab) RunChaosReplay(workers int) (*ChaosReplay, error) {
-	return l.runChaosReplay(workers, front{})
-}
-
 // runChaosReplay declares the chaos scenario: the browsing cycle, the
 // scripted storm as a per-sample injector, and a guarded lifecycle with
 // the replay-tight detector thresholds that must not see a single

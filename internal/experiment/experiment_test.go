@@ -3,6 +3,7 @@ package experiment
 import (
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -295,6 +296,31 @@ func TestFig3Shape(t *testing.T) {
 	}
 	if res.String() == "" {
 		t.Error("empty fig3 rendering")
+	}
+}
+
+func TestWriteFig3CSV(t *testing.T) {
+	res := &Fig3Result{
+		Workload: "ordering",
+		Tier:     server.TierApp,
+		Points: []Fig3Point{
+			{Time: 30, PI: 1.2, Throughput: 1.1, RawPI: 40, RawThroughput: 22, Overloaded: 0},
+			{Time: 60, PI: 0.4, Throughput: 0.8, RawPI: 12, RawThroughput: 18, Overloaded: 1},
+		},
+	}
+	var raw strings.Builder
+	if err := res.WriteCSV(&raw); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(raw.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("CSV has %d lines, want header + 2 points", len(lines))
+	}
+	if !strings.HasPrefix(lines[0], "time_s,") {
+		t.Errorf("bad header %q", lines[0])
+	}
+	if !strings.HasPrefix(lines[2], "60,") || !strings.HasSuffix(lines[2], ",1") {
+		t.Errorf("bad data row %q", lines[2])
 	}
 }
 

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"fmt"
+	"io"
+	"strconv"
 	"strings"
 
 	"hpcap/internal/pi"
@@ -131,4 +133,24 @@ func (r *Fig3Result) String() string {
 		fmt.Fprintf(&b, "%8.0f %10.3f %12.3f %5d\n", p.Time, p.PI, p.Throughput, p.Overloaded)
 	}
 	return b.String()
+}
+
+// WriteCSV writes the series as CSV, one row per window, with the raw PI
+// and throughput beside the normalized ones.
+func (r *Fig3Result) WriteCSV(w io.Writer) error {
+	var b strings.Builder
+	b.WriteString("time_s,pi_norm,throughput_norm,pi_raw,throughput_raw,overloaded\n")
+	for _, p := range r.Points {
+		b.WriteString(strings.Join([]string{
+			strconv.FormatFloat(p.Time, 'f', 0, 64),
+			strconv.FormatFloat(p.PI, 'f', 5, 64),
+			strconv.FormatFloat(p.Throughput, 'f', 5, 64),
+			strconv.FormatFloat(p.RawPI, 'g', 6, 64),
+			strconv.FormatFloat(p.RawThroughput, 'f', 3, 64),
+			strconv.Itoa(p.Overloaded),
+		}, ","))
+		b.WriteByte('\n')
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }

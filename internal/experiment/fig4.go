@@ -38,12 +38,7 @@ type Fig4Result struct {
 // (core.Monitor.NewSession). Callers that adapt a monitor online with
 // Feedback should train a private one via core.Train instead.
 func (l *Lab) TrainMonitor(level metrics.Level, coordCfg predictor.Config) (*core.Monitor, error) {
-	return l.TrainMonitorWith(level, coordCfg, bayes.TANLearner())
-}
-
-// TrainMonitorWith is TrainMonitor with an explicit synopsis learner.
-func (l *Lab) TrainMonitorWith(level metrics.Level, coordCfg predictor.Config, learner ml.Learner) (*core.Monitor, error) {
-	return l.monitor(level, coordCfg, learner)
+	return l.monitor(level, coordCfg, bayes.TANLearner())
 }
 
 // trainMonitor performs the actual (uncached) monitor training. The
@@ -115,17 +110,12 @@ func EvaluateMonitor(m *core.Monitor, test *Trace) (overloadBA, bottleneckAcc fl
 }
 
 // RunFig4 reproduces Figures 4(a) and 4(b) with the paper's configuration:
-// TAN synopses, 3 history bits, δ=5, optimistic scheme.
+// TAN synopses, 3 history bits, δ=5, optimistic scheme. The (level ×
+// workload) cells fan out across the Lab's workers; rows are assembled in
+// the sequential order, and every cell's inputs are cached once-guarded,
+// so the result is identical to a sequential run.
 func (l *Lab) RunFig4() (*Fig4Result, error) {
-	return l.RunFig4With(predictor.Config{HistoryBits: 3, Delta: 5, Scheme: predictor.Optimistic})
-}
-
-// RunFig4With runs the Figure 4 grid under a custom coordinator
-// configuration (used by the ablation). The (level × workload) cells fan
-// out across the Lab's workers; rows are assembled in the sequential
-// order, and every cell's inputs are cached once-guarded, so the result is
-// identical to a sequential run.
-func (l *Lab) RunFig4With(cfg predictor.Config) (*Fig4Result, error) {
+	cfg := predictor.Config{HistoryBits: 3, Delta: 5, Scheme: predictor.Optimistic}
 	type spec struct {
 		level metrics.Level
 		kind  TestKind

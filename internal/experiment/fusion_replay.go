@@ -91,14 +91,6 @@ func fusionStorm(clean stream, w int) stream {
 	return s
 }
 
-// RunFusionReplay replays the fusion ablation through the inline
-// pipeline. workers bounds the training fan-out only; the transcript is
-// bit-identical for any value, at any shard count, and over the agent
-// wire loopback (TestReplay pins all three).
-func (l *Lab) RunFusionReplay(workers int) (*FusionReplay, error) {
-	return l.runFusionReplay(workers, front{})
-}
-
 // fusionWindowedErr scores a corrupted run against the baseline: the
 // mean over every baseline-decided window of the window's vector error —
 // the mean over tiers and counters of |v−b| / (1+|b|) — with a window the
