@@ -18,6 +18,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"hpcap/internal/experiment"
@@ -39,12 +40,19 @@ func run(args []string) error {
 	exp := fs.String("exp", "all", "comma-separated experiments: "+strings.Join(names, "|"))
 	scaleName := fs.String("scale", "full", "trace scale: quick|full")
 	seed := fs.Int64("seed", 1, "master random seed")
-	csv := fs.String("csv", "", "write the Figure 3 series to this CSV file")
+	csv := fs.String("csv", "", "write the Figure 3 series to this CSV file (needs fig3 in -exp)")
 	par := fs.Int("parallel", 0, "worker bound for experiment fan-out; 0 = GOMAXPROCS, 1 = sequential (results are identical either way)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	exps, err := experiment.Select(*exp)
+	if err != nil {
+		return err
+	}
+	if *csv != "" && !slices.ContainsFunc(exps, func(e experiment.Experiment) bool { return e.Name == "fig3" }) {
+		return fmt.Errorf("-csv writes the Figure 3 series, but -exp %q does not run fig3", *exp)
 	}
 
 	if *cpuProfile != "" {

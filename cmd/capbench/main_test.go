@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-scale", "bogus"}); err == nil {
@@ -13,6 +19,15 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		if err := run([]string{"-exp", name}); err == nil {
 			t.Errorf("experiment %q not rejected", name)
 		}
+	}
+	// -csv writes only fig3's series: without fig3 it is refused before any
+	// experiment runs, and no file appears.
+	csv := filepath.Join(t.TempDir(), "x.csv")
+	if err := run([]string{"-scale", "quick", "-exp", "table1a", "-csv", csv}); err == nil {
+		t.Error("-csv without fig3 not rejected")
+	}
+	if _, err := os.Stat(csv); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("-csv without fig3 left %s behind (stat: %v)", csv, err)
 	}
 }
 

@@ -172,6 +172,9 @@ func (c config) validate() []error {
 	if c.sites < 1 {
 		bad("need at least one site, got %d", c.sites)
 	}
+	if c.listen == "" && !tpcw.PositiveFinite(c.duration) {
+		bad("-duration %v must be finite and positive", c.duration)
+	}
 	for _, err := range (serve.ShardConfig{Shards: c.shards}).Validate() {
 		bad("-shards: %w", err)
 	}

@@ -462,10 +462,19 @@ func TestBadFlags(t *testing.T) {
 		{"-autoscale"},                      // the replica loop needs the DAG testbed (-topology)
 		{"-wal", "frames.wal"},              // the log records network frames (-listen)
 		{"-topology", "-listen", "0:bogus"}, // topology sites are local-simulation only
+		{"-duration", "Inf"},                // would stream until killed
+		{"-duration", "NaN"},                // would train, stream nothing and exit 0
+		{"-duration", "-5"},
+		{"-duration", "0"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
+	}
+	// Network ingest streams no simulated seconds, so -duration is not its
+	// business there.
+	if _, err := parseConfig([]string{"-listen", "127.0.0.1:0", "-duration", "0"}); err != nil {
+		t.Errorf("-duration 0 with -listen: %v", err)
 	}
 	err := run([]string{"-scale", "medium", "-sites", "0", "-hold"}, io.Discard)
 	for _, want := range []string{`unknown scale "medium"`, "need at least one site", "-hold requires -addr"} {

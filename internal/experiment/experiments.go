@@ -42,13 +42,10 @@ func Experiments() []Experiment {
 	}
 }
 
-// Render runs the experiments spec names, a comma-separated list ("all"
-// for the whole table), each once and in table order, and writes each
-// result's text and a newline to w: capbench's stdout. It returns the
-// results in the same order. A run of the whole table first prewarms
-// every shared trace with full fan-out, so the experiments run over warm
-// caches.
-func (l *Lab) Render(w io.Writer, spec string) ([]fmt.Stringer, error) {
+// Select resolves spec, a comma-separated list of experiment names ("all"
+// for the whole table), to its entries in table order, each once. An
+// unknown name is an error.
+func Select(spec string) ([]Experiment, error) {
 	table := Experiments()
 	known := map[string]bool{"all": true}
 	for _, e := range table {
@@ -68,7 +65,20 @@ func (l *Lab) Render(w io.Writer, spec string) ([]fmt.Stringer, error) {
 			exps = append(exps, e)
 		}
 	}
-	if len(exps) == len(table) {
+	return exps, nil
+}
+
+// Render runs the experiments spec names (see Select) and writes each
+// result's text and a newline to w: capbench's stdout. It returns the
+// results in the same order. A run of the whole table first prewarms
+// every shared trace with full fan-out, so the experiments run over warm
+// caches.
+func (l *Lab) Render(w io.Writer, spec string) ([]fmt.Stringer, error) {
+	exps, err := Select(spec)
+	if err != nil {
+		return nil, err
+	}
+	if len(exps) == len(Experiments()) {
 		if err := l.Prewarm(context.Background()); err != nil {
 			return nil, err
 		}

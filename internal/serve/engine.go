@@ -62,8 +62,15 @@ type engine struct {
 
 	// due holds the batch's deferred clean-window decisions; pubs the
 	// decisions and health events awaiting publication outside all locks.
+	// A dispatched pubs slice comes back through recycle.
 	due  []dueWin
 	pubs []pub
+
+	// Decision storage: every window's tier means and GPV copy are carved
+	// from these, so a decided window allocates nothing until a chunk is
+	// spent (see chunk).
+	means chunk[float64]
+	gpvs  chunk[int]
 
 	// Decision-path scratch, reused across batches: the single-decision
 	// prediction, and the batched DecideAll's parallel slices (positions
@@ -88,7 +95,34 @@ type siteRec struct {
 	lastTime    [server.NumTiers]float64
 	count       [server.NumTiers]int32 // samples in the open window, per tier
 	pendTime    [server.NumTiers]float64
-	pendVals    [server.NumTiers][]float64 // emitted tier means awaiting the full window
+	means       []float64 // the open window's tier means, [tier][dim]; nil until first needed
+}
+
+// chunkWindows is how many decided windows' storage one chunk holds.
+const chunkWindows = 32
+
+// chunk carves a decision's storage out of shared backing arrays. A carved
+// slice belongs to its decision from then on: a spent chunk is replaced,
+// never reused or rewritten, so a retained decision keeps at most one
+// chunk of each kind alive, and the allocation is paid once per
+// chunkWindows windows instead of once per window.
+type chunk[T any] struct {
+	free []T
+}
+
+// carve returns n fresh elements, capacity-limited to n, starting a new
+// chunk of chunkWindows·n elements when the current one is short. n == 0
+// carves nil.
+func (c *chunk[T]) carve(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if len(c.free) < n {
+		c.free = make([]T, chunkWindows*n)
+	}
+	s := c.free[:n:n]
+	c.free = c.free[n:]
+	return s
 }
 
 // siteFlags is the lock-free face of one site (admission valve reads).
@@ -110,7 +144,7 @@ type dueWin struct {
 type pub struct {
 	idx     int32
 	isEvent bool
-	d       *Decision
+	d       Decision
 	ev      HealthEvent
 }
 
@@ -197,17 +231,38 @@ func (e *engine) site(name string) int32 {
 	return i
 }
 
-// takePubs drains the queued publications.
+// takePubs hands the queued publications to the caller, who dispatches
+// them outside the lane lock and gives the slice back through recycle. An
+// empty queue stays with the engine, so nothing needs giving back.
 func (e *engine) takePubs() []pub {
+	if len(e.pubs) == 0 {
+		return nil
+	}
 	out := e.pubs
 	e.pubs = nil
 	return out
 }
 
-// processBatch applies one drained batch and flushes its due windows.
-// Unresolvable refs are counted on the shard; everything else lands on
-// site counters — ingest never rejects the stream.
-func (e *engine) processBatch(batch []qsample, sh *shard) []pub {
+// recycle takes back a dispatched publication slice. Its entries are
+// cleared so the decisions they held pin no storage, and it replaces the
+// engine's own queue when it is larger (the queue is empty between calls;
+// a reentrant callback may have started a smaller one meanwhile).
+func (e *engine) recycle(done []pub) {
+	if done == nil {
+		return
+	}
+	clear(done)
+	if cap(done) > cap(e.pubs) {
+		e.pubs = done[:0]
+	}
+}
+
+// processBatch applies one drained batch and flushes its due windows,
+// after taking back done, the caller's previously dispatched publications
+// (nil if none). Unresolvable refs are counted on the shard; everything
+// else lands on site counters — ingest never rejects the stream.
+func (e *engine) processBatch(batch []qsample, sh *shard, done []pub) []pub {
+	e.recycle(done)
 	for k := range batch {
 		q := &batch[k]
 		switch {
@@ -359,16 +414,16 @@ func (e *engine) ingestVec(i int32, tier server.TierID, t float64, wi int64, tim
 	if int(st.count[tier]) < e.window {
 		return
 	}
-	// Tier window complete: emit the mean into fresh storage (decisions
-	// own their vectors), the same arithmetic as metrics.Aggregator.
-	vals := make([]float64, e.dim)
+	// Tier window complete: emit the mean into the window's carved storage
+	// (decisions own their vectors), the same arithmetic as
+	// metrics.Aggregator.
+	vals := e.meanOf(st, tier)
 	n := float64(st.count[tier])
 	for k := range sum {
 		vals[k] = sum[k] / n
 		sum[k] = 0
 	}
 	st.count[tier] = 0
-	st.pendVals[tier] = vals
 	st.pendTime[tier] = t
 	st.pendSet[tier] = true
 	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
@@ -379,11 +434,11 @@ func (e *engine) ingestVec(i int32, tier server.TierID, t float64, wi int64, tim
 	// Clean window: every tier delivered all its samples.
 	var vecs [server.NumTiers]metrics.Sample
 	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-		vecs[tier] = metrics.Sample{Time: st.pendTime[tier], Values: st.pendVals[tier]}
-		st.pendVals[tier] = nil
+		vecs[tier] = metrics.Sample{Time: st.pendTime[tier], Values: e.meanOf(st, tier)}
 		st.pendTime[tier] = 0
 		st.pendSet[tier] = false
 	}
+	st.means = nil
 	seq := st.cur
 	st.cur++
 	e.due = append(e.due, dueWin{idx: i, seq: seq, vecs: vecs})
@@ -484,8 +539,7 @@ func (e *engine) closeCurrent(i int32) {
 	var vecs [server.NumTiers]metrics.Sample
 	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
 		if st.pendSet[tier] {
-			vecs[tier] = metrics.Sample{Time: st.pendTime[tier], Values: st.pendVals[tier]}
-			st.pendVals[tier] = nil
+			vecs[tier] = metrics.Sample{Time: st.pendTime[tier], Values: e.meanOf(st, tier)}
 			st.pendTime[tier] = 0
 			st.pendSet[tier] = false
 			held += e.window
@@ -495,7 +549,7 @@ func (e *engine) closeCurrent(i int32) {
 		if n > 0 {
 			base := (int(i)*int(server.NumTiers) + int(tier)) * e.dim
 			sum := e.sums[base : base+e.dim : base+e.dim]
-			vals := make([]float64, e.dim)
+			vals := e.meanOf(st, tier)
 			for k := range sum {
 				vals[k] = sum[k] / float64(n)
 				sum[k] = 0
@@ -510,6 +564,7 @@ func (e *engine) closeCurrent(i int32) {
 			worst = miss
 		}
 	}
+	st.means = nil
 	if worst == 0 {
 		// All tiers complete; the closing sample arrived exactly at the
 		// next boundary.
@@ -527,6 +582,17 @@ func (e *engine) closeCurrent(i int32) {
 		return
 	}
 	e.decide(i, vecs, missing, st.cur)
+}
+
+// meanOf returns the slot for one tier's mean of the site's open window,
+// carving the whole window's means at once on first use so that one
+// decision's vectors share a chunk.
+func (e *engine) meanOf(st *siteRec, tier server.TierID) []float64 {
+	if st.means == nil {
+		st.means = e.means.carve(int(server.NumTiers) * e.dim)
+	}
+	lo := int(tier) * e.dim
+	return st.means[lo : lo+e.dim : lo+e.dim]
 }
 
 // resetSession clears a site's temporal history after a stream gap and
@@ -590,9 +656,10 @@ func (e *engine) decide(i int32, vecs [server.NumTiers]metrics.Sample, missing i
 // finishDecide is the decision epilog shared by the single and batched
 // paths: latency and health accounting, then queueing the decision for
 // publication. pred is caller scratch — the published Decision gets its
-// own GPV copy. The decision pub is inserted ahead of the health events
-// its own outcome generated: OnDecision sees a decision first, then
-// OnHealth the transitions it caused.
+// own GPV copy, carved like the window means. The decision pub is
+// inserted ahead of the health events its own outcome generated:
+// OnDecision sees a decision first, then OnHealth the transitions it
+// caused.
 func (e *engine) finishDecide(i int32, obs core.Observation, missing int, seq int64, err error, pred *core.Prediction, lat uint64) {
 	st, ss := &e.recs[i], &e.stats[i]
 	// Consume the window's fusion-confidence accumulator up front so even
@@ -647,14 +714,18 @@ func (e *engine) finishDecide(i int32, obs core.Observation, missing int, seq in
 	e.flags[i].overloaded.Store(pred.Overload)
 	ss.LastDecisionSeq = seq
 	ss.LastDecisionTime = obs.Time
-	d := &Decision{
+	gpv := e.gpvs.carve(len(pred.GPV))
+	copy(gpv, pred.GPV)
+	e.pubs = append(e.pubs, pub{})
+	copy(e.pubs[mark+1:], e.pubs[mark:])
+	e.pubs[mark] = pub{idx: i, d: Decision{
 		Site: ss.Site,
 		Seq:  seq,
 		Time: obs.Time,
 		Prediction: core.Prediction{
 			Overload:   pred.Overload,
 			Bottleneck: pred.Bottleneck,
-			GPV:        append([]int(nil), pred.GPV...),
+			GPV:        gpv,
 		},
 		Degraded:      missing > 0,
 		Missing:       missing,
@@ -662,10 +733,7 @@ func (e *engine) finishDecide(i int32, obs core.Observation, missing int, seq in
 		ModelVersion:  ss.ModelVersion,
 		Confidence:    conf,
 		LowConfidence: lowConf,
-	}
-	e.pubs = append(e.pubs, pub{})
-	copy(e.pubs[mark+1:], e.pubs[mark:])
-	e.pubs[mark] = pub{idx: i, d: d}
+	}}
 }
 
 // flushAll force-closes every open window (end of stream). Due windows

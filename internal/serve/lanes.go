@@ -57,7 +57,7 @@ func (l *lanes) dispatch(pubs []pub) {
 				l.cfg.OnHealth(pb.ev)
 			}
 		} else if l.cfg.OnDecision != nil {
-			l.cfg.OnDecision(*pb.d)
+			l.cfg.OnDecision(pb.d)
 		}
 	}
 }
@@ -68,8 +68,22 @@ func (l *lanes) flushWindows() {
 		sh.emu.Lock()
 		pubs := sh.eng.flushAll()
 		sh.emu.Unlock()
-		l.dispatch(pubs)
+		l.publish(sh, pubs)
 	}
+}
+
+// publish dispatches publications taken from a lane's engine outside its
+// lock, then gives the slice back. Only a non-empty batch costs the second
+// lock, so the per-sample path of Pipeline.Ingest pays it once per
+// published window, not once per sample.
+func (l *lanes) publish(sh *shard, pubs []pub) {
+	if pubs == nil {
+		return
+	}
+	l.dispatch(pubs)
+	sh.emu.Lock()
+	sh.eng.recycle(pubs)
+	sh.emu.Unlock()
 }
 
 // SwapMonitor atomically replaces the model serving one site: the site's

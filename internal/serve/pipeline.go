@@ -38,9 +38,9 @@ func (p *Pipeline) Ingest(s Sample) {
 	// A batch of one, on the stack: the same path a shard goroutine runs.
 	batch := [1]qsample{{site: s.Site, tier: s.Tier, time: s.Time, vecs: [server.NumTiers][]float64{s.Values}}}
 	sh.emu.Lock()
-	pubs := sh.eng.processBatch(batch[:], sh)
+	pubs := sh.eng.processBatch(batch[:], sh, nil)
 	sh.emu.Unlock()
-	p.dispatch(pubs)
+	p.publish(sh, pubs)
 }
 
 // Flush force-closes every site's in-progress window, emitting whatever

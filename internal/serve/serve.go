@@ -167,9 +167,11 @@ type Decision struct {
 	// over tiers (0 unless Degraded).
 	Missing int
 	// Vectors holds the per-tier window-mean metric vectors the decision
-	// was predicted from. The slices are owned by the decision (the
-	// aggregator emits fresh storage per window); treat them as
-	// read-only.
+	// was predicted from. The slices, like Prediction.GPV, are owned by
+	// the decision and may be retained: the engine carves them from
+	// chunks it shares across windows but never rewrites, replacing a
+	// spent chunk rather than reusing it, so a retained decision keeps at
+	// most one chunk of each kind alive. Treat them as read-only.
 	Vectors [server.NumTiers][]float64
 	// ModelVersion is the site's active model version at decision time
 	// (0 until the first hot-swap).

@@ -228,14 +228,17 @@ func (sp *ShardedPipeline) Shards() int { return len(sp.shards) }
 
 // drain is one shard's goroutine: apply batches under the shard lock,
 // publish the resulting decisions and events outside it, then advance
-// the processed watermark (so Sync returns only after publication).
+// the processed watermark (so Sync returns only after publication). The
+// dispatched publications go back to the engine with the next batch.
 func (sp *ShardedPipeline) drain(sh *shard) {
 	defer sp.wg.Done()
+	var done []pub
 	for batch := range sh.ch {
 		sh.emu.Lock()
-		pubs := sh.eng.processBatch(batch, sh)
+		pubs := sh.eng.processBatch(batch, sh, done)
 		sh.emu.Unlock()
 		sp.dispatch(pubs)
+		done = pubs
 		n := uint64(len(batch))
 		select {
 		case sh.free <- batch[:0]:

@@ -33,7 +33,7 @@ func (s Schedule) Validate() error {
 		return errors.New("tpcw: schedule has no phases")
 	}
 	for i, p := range s.Phases {
-		if !positiveFinite(p.Duration) {
+		if !PositiveFinite(p.Duration) {
 			return fmt.Errorf("tpcw: phase %d has duration %v, want finite and positive", i, p.Duration)
 		}
 		if p.EBs < 0 {
@@ -46,8 +46,10 @@ func (s Schedule) Validate() error {
 	return nil
 }
 
-// positiveFinite is the rule every phase and traffic-clause duration obeys.
-func positiveFinite(d float64) bool {
+// PositiveFinite is the rule every phase and traffic-clause duration
+// obeys, and any other simulated duration should: above zero, not +Inf,
+// not NaN.
+func PositiveFinite(d float64) bool {
 	return d > 0 && !math.IsInf(d, 1)
 }
 

@@ -234,7 +234,7 @@ func (tr Traffic) Validate() []error {
 		// maxEBs keeps integer phase arithmetic far from overflow while
 		// still allowing flash crowds of many millions of browsers.
 		const maxEBs = 100_000_000
-		durOK := positiveFinite(sh.Dur)
+		durOK := PositiveFinite(sh.Dur)
 		stepsOK := sh.Steps >= 1 && sh.Steps <= 10000
 		if sh.Base < 0 || sh.Base > maxEBs {
 			bad(i, "base %d outside [0,%d]", sh.Base, maxEBs)
