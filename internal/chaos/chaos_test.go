@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"hpcap/internal/chunk"
 	"hpcap/internal/core"
 	"hpcap/internal/metrics"
 	"hpcap/internal/serve"
@@ -172,6 +173,44 @@ func TestInjectorStallBoundedLatency(t *testing.T) {
 	rest := in.Drain()
 	if len(rest) != 1 || rest[0].Time != 6 {
 		t.Fatalf("Drain released %v, want the one held sample t=6", rest)
+	}
+}
+
+// TestInjectorOutputsOwnTheirValues: Apply returns per-tier scratch, but
+// the samples in it are the caller's to keep. The NaN and stuck copies are
+// carved from the injector's chunk, so every emitted sample retained over
+// several chunk turnovers (stalls, dups and clean samples among them) must
+// stay bit-identical through 100 more Apply calls.
+func TestInjectorOutputsOwnTheirValues(t *testing.T) {
+	const kept, more = 400, 100
+	in := NewInjector(mustParse(t, "nan tier=app at=0 for=500 p=0.5; stuck tier=db at=100 for=200; "+
+		"stall tier=app at=200 for=50 n=3; dup at=300 for=50 p=0.5"), 3)
+	var emitted []serve.Sample
+	var bits [][]uint64
+	for i := 0; i < kept+more; i++ {
+		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
+			for _, out := range in.Apply(sampleAt("s", tier, float64(i))) {
+				if i >= kept {
+					continue
+				}
+				b := make([]uint64, len(out.Values))
+				for j, x := range out.Values {
+					b[j] = math.Float64bits(x)
+				}
+				emitted, bits = append(emitted, out), append(bits, b)
+			}
+		}
+	}
+	st := in.Stats()
+	if st.Corrupted < 3*chunk.Carves || st.Frozen < 3*chunk.Carves || st.Stalled == 0 || st.Duplicated == 0 {
+		t.Fatalf("stats %+v: want several chunks of NaN and stuck copies, and stalls and dups", st)
+	}
+	for k, s := range emitted {
+		for j, x := range s.Values {
+			if math.Float64bits(x) != bits[k][j] {
+				t.Fatalf("emitted sample %d (tier %s, t=%g) changed after later Apply calls", k, s.Tier, s.Time)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"hpcap/internal/chunk"
 	"hpcap/internal/serve"
 	"hpcap/internal/server"
 )
@@ -37,6 +38,7 @@ type tierState struct {
 	ord  uint64         // samples seen, the hash counter
 	last []float64      // last clean vector (KindStuck replays it)
 	held []serve.Sample // samples queued by KindStall, delivery order
+	out  []serve.Sample // Apply's result, reused by the tier's next Apply
 }
 
 // siteState is the injector's per-site memory.
@@ -57,6 +59,7 @@ type Injector struct {
 	mu    sync.Mutex
 	sites map[string]*siteState
 	stats Stats
+	vals  chunk.Of[float64] // the NaN and stuck copies
 }
 
 // NewInjector builds an injector for a validated schedule. The seed
@@ -90,7 +93,12 @@ func (in *Injector) site(name string) *siteState {
 // actually deliver: usually the sample itself (possibly corrupted, frozen,
 // or skewed), preceded by any stalled backlog due for release, duplicated
 // or dropped as the active faults dictate. The input sample's Values slice
-// is never mutated; corruption copies first.
+// is never mutated; corruption copies first, into a vector the sample
+// owns for good (carved, see package chunk).
+//
+// The returned slice is scratch of the sample's site and tier: it is
+// valid until the next Apply for that site and tier, so range over it at
+// once. The samples in it, and their Values, may be kept.
 func (in *Injector) Apply(s serve.Sample) []serve.Sample {
 	if s.Tier < 0 || s.Tier >= server.NumTiers {
 		// Malformed tier: pass through untouched, the pipeline's shape
@@ -107,10 +115,15 @@ func (in *Injector) Apply(s serve.Sample) []serve.Sample {
 	in.stats.Offered++
 	site := in.site(s.Site)
 	ts := site.tiers[s.Tier]
+	ts.out = in.apply(site, ts, s, ts.out[:0])
+	return ts.out
+}
+
+// apply is Apply's body under in.mu: it appends the samples to deliver
+// to out.
+func (in *Injector) apply(site *siteState, ts *tierState, s serve.Sample, out []serve.Sample) []serve.Sample {
 	ord := ts.ord
 	ts.ord++
-
-	var out []serve.Sample
 	stalled := false
 	for i, f := range in.sched.Faults {
 		// Wire-level kinds act on frames (LinkInjector), not samples.
@@ -129,12 +142,12 @@ func (in *Injector) Apply(s serve.Sample) []serve.Sample {
 			}
 		case KindStuck:
 			if ts.last != nil {
-				s.Values = append([]float64(nil), ts.last...)
+				s.Values = in.copyValues(ts.last)
 				in.stats.Frozen++
 			}
 		case KindNaN:
 			if u < f.P {
-				s.Values = append([]float64(nil), s.Values...)
+				s.Values = in.copyValues(s.Values)
 				s.Values[0] = math.NaN()
 				in.stats.Corrupted++
 			}
@@ -169,6 +182,14 @@ func (in *Injector) Apply(s serve.Sample) []serve.Sample {
 	out = append(out, s)
 	in.stats.Emitted++
 	return out
+}
+
+// copyValues returns a copy of v carved from the injector's chunk (nil
+// for an empty v). Callers hold in.mu.
+func (in *Injector) copyValues(v []float64) []float64 {
+	c := in.vals.Carve(len(v))
+	copy(c, v)
+	return c
 }
 
 // release appends the tier's held samples to out in arrival order and

@@ -13,6 +13,7 @@
 package cpu
 
 import (
+	"hpcap/internal/chunk"
 	"hpcap/internal/server"
 	"hpcap/internal/sim"
 )
@@ -51,6 +52,7 @@ type Collector struct {
 	machine server.MachineConfig
 	noise   float64 // relative measurement noise (std dev)
 	rng     *sim.Source
+	vecs    chunk.Of[float64] // Collect's vectors
 }
 
 // NewCollector returns a counter collector for the given tier. noise is the
@@ -84,9 +86,10 @@ func (c *Collector) jitter(v float64) float64 {
 }
 
 // Collect derives the counter metrics for one sampling interval of length
-// dt seconds.
+// dt seconds into a fresh vector the caller owns for good, carved from the
+// collector's chunk (see package chunk).
 func (c *Collector) Collect(s server.Snapshot, dt float64) []float64 {
-	return c.CollectTo(nil, s, dt)
+	return c.CollectTo(c.vecs.Carve(NumMetrics), s, dt)
 }
 
 // CollectTo derives the counter metrics into dst (metrics.AppendCollector),

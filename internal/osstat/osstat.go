@@ -19,6 +19,7 @@ package osstat
 import (
 	"math"
 
+	"hpcap/internal/chunk"
 	"hpcap/internal/server"
 	"hpcap/internal/sim"
 )
@@ -72,6 +73,8 @@ type Collector struct {
 
 	ld1, ld5, ld15 float64
 	timeWait       float64
+
+	vecs chunk.Of[float64] // Collect's vectors
 }
 
 // NewCollector returns an OS metric collector for a tier. memMB is the
@@ -111,9 +114,10 @@ func (c *Collector) noisefloor(mean float64) float64 {
 }
 
 // Collect derives the 64 OS metrics for one sampling interval of dt
-// seconds.
+// seconds into a fresh vector the caller owns for good, carved from the
+// collector's chunk (see package chunk).
 func (c *Collector) Collect(s server.Snapshot, dt float64) []float64 {
-	return c.CollectTo(nil, s, dt)
+	return c.CollectTo(c.vecs.Carve(NumMetrics), s, dt)
 }
 
 // CollectTo derives the 64 OS metrics into dst (metrics.AppendCollector),

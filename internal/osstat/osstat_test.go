@@ -1,8 +1,10 @@
 package osstat
 
 import (
+	"math"
 	"testing"
 
+	"hpcap/internal/chunk"
 	"hpcap/internal/server"
 	"hpcap/internal/tpcw"
 )
@@ -153,6 +155,38 @@ func TestNoNegativeMetrics(t *testing.T) {
 		for i, v := range c.Collect(s, 1) {
 			if v < 0 {
 				t.Fatalf("metric %s negative: %v", MetricNames[i], v)
+			}
+		}
+	}
+}
+
+// TestCollectOwnsItsVector: Collect carves its vectors from a shared
+// chunk, so every vector retained over several chunk turnovers must stay
+// bit-identical through 100 more collects, and each is capacity-limited,
+// so appending to one cannot write into the next.
+func TestCollectOwnsItsVector(t *testing.T) {
+	s := snapshotAt(t, tpcw.Shopping(), 60, 60)
+	c := NewCollector(server.TierApp, 512, 0.05, 5)
+	var kept [][]float64
+	var bits [][]uint64
+	for range 4 * chunk.Carves {
+		v := c.Collect(s, 1)
+		if cap(v) != len(v) {
+			t.Fatalf("vector %d has capacity %d beyond its length %d", len(kept), cap(v), len(v))
+		}
+		b := make([]uint64, len(v))
+		for i, x := range v {
+			b[i] = math.Float64bits(x)
+		}
+		kept, bits = append(kept, v), append(bits, b)
+	}
+	for range 100 {
+		_ = append(c.Collect(s, 1), 1)
+	}
+	for k, v := range kept {
+		for i, x := range v {
+			if math.Float64bits(x) != bits[k][i] {
+				t.Fatalf("vector %d changed at %s after later collects", k, MetricNames[i])
 			}
 		}
 	}

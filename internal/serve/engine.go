@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hpcap/internal/chunk"
 	"hpcap/internal/core"
 	"hpcap/internal/fuse"
 	"hpcap/internal/metrics"
@@ -68,9 +69,9 @@ type engine struct {
 
 	// Decision storage: every window's tier means and GPV copy are carved
 	// from these, so a decided window allocates nothing until a chunk is
-	// spent (see chunk).
-	means chunk[float64]
-	gpvs  chunk[int]
+	// spent (see package chunk).
+	means chunk.Of[float64]
+	gpvs  chunk.Of[int]
 
 	// Decision-path scratch, reused across batches: the single-decision
 	// prediction, and the batched DecideAll's parallel slices (positions
@@ -96,33 +97,6 @@ type siteRec struct {
 	count       [server.NumTiers]int32 // samples in the open window, per tier
 	pendTime    [server.NumTiers]float64
 	means       []float64 // the open window's tier means, [tier][dim]; nil until first needed
-}
-
-// chunkWindows is how many decided windows' storage one chunk holds.
-const chunkWindows = 32
-
-// chunk carves a decision's storage out of shared backing arrays. A carved
-// slice belongs to its decision from then on: a spent chunk is replaced,
-// never reused or rewritten, so a retained decision keeps at most one
-// chunk of each kind alive, and the allocation is paid once per
-// chunkWindows windows instead of once per window.
-type chunk[T any] struct {
-	free []T
-}
-
-// carve returns n fresh elements, capacity-limited to n, starting a new
-// chunk of chunkWindows·n elements when the current one is short. n == 0
-// carves nil.
-func (c *chunk[T]) carve(n int) []T {
-	if n == 0 {
-		return nil
-	}
-	if len(c.free) < n {
-		c.free = make([]T, chunkWindows*n)
-	}
-	s := c.free[:n:n]
-	c.free = c.free[n:]
-	return s
 }
 
 // siteFlags is the lock-free face of one site (admission valve reads).
@@ -589,7 +563,7 @@ func (e *engine) closeCurrent(i int32) {
 // decision's vectors share a chunk.
 func (e *engine) meanOf(st *siteRec, tier server.TierID) []float64 {
 	if st.means == nil {
-		st.means = e.means.carve(int(server.NumTiers) * e.dim)
+		st.means = e.means.Carve(int(server.NumTiers) * e.dim)
 	}
 	lo := int(tier) * e.dim
 	return st.means[lo : lo+e.dim : lo+e.dim]
@@ -714,7 +688,7 @@ func (e *engine) finishDecide(i int32, obs core.Observation, missing int, seq in
 	e.flags[i].overloaded.Store(pred.Overload)
 	ss.LastDecisionSeq = seq
 	ss.LastDecisionTime = obs.Time
-	gpv := e.gpvs.carve(len(pred.GPV))
+	gpv := e.gpvs.Carve(len(pred.GPV))
 	copy(gpv, pred.GPV)
 	e.pubs = append(e.pubs, pub{})
 	copy(e.pubs[mark+1:], e.pubs[mark:])

@@ -426,8 +426,12 @@ func (sh *shard) waitProcessed(target uint64) {
 // accepted before the call has been applied and its decisions published.
 // Do not call it from a pipeline callback (it would wait on the shard
 // goroutine running the callback).
+//
+// The per-shard targets live on the caller's stack (Config caps the
+// geometry at MaxShards), so concurrent callers share nothing and a Sync
+// allocates nothing.
 func (sp *ShardedPipeline) Sync() {
-	targets := make([]uint64, len(sp.shards))
+	var targets [MaxShards]uint64
 	for i, sh := range sp.shards {
 		sh.mu.Lock()
 		sh.flushLocked()

@@ -42,7 +42,8 @@ type DAGTestbed struct {
 	schedule  tpcw.Schedule
 	admission AdmissionFunc
 	browsers  []*ebRunner
-	free      []*request // request records not in flight
+	retired   []*ebRunner // runners whose last callback has fired, for spawnEB to reuse
+	free      []*request  // request records not in flight
 	nextEBID  int
 	started   bool
 
@@ -182,10 +183,11 @@ func (tb *DAGTestbed) Start() error {
 // browsers holds only the living, oldest first.
 func (tb *DAGTestbed) applyPhase(p tpcw.Phase) {
 	// Retire the most recently spawned browsers first. A retiree's pending
-	// think or response event still fires and returns on !alive; dropping
-	// it from the slice (and clearing the slot) lets its browser and rng
-	// be collected once that event has, so a cyclic schedule runs in
-	// memory bounded by its peak population.
+	// think or response event still fires and, finding !alive, hands the
+	// runner to the retired list for a later spawn to reuse; dropping it
+	// from the slice (and clearing the slot) keeps it out of every phase
+	// change until then, so a cyclic schedule runs in memory bounded by
+	// its peak population.
 	for len(tb.browsers) > p.EBs {
 		last := len(tb.browsers) - 1
 		tb.browsers[last].alive = false
@@ -206,7 +208,12 @@ func (tb *DAGTestbed) applyPhase(p tpcw.Phase) {
 
 // ebRunner is one live emulated browser, with its session and its
 // generator in the same object. onThink is its issue method, bound once at
-// spawn: the think timer between two requests allocates nothing.
+// the runner's first spawn: the think timer between two requests allocates
+// nothing. A browser has exactly one pending continuation — its think
+// timer, its request in flight, or a response about to be delivered — so
+// when a retired runner's continuation fires (issue or respond finding
+// !alive) nothing of it is left in the engine, and it joins the testbed's
+// retired list for spawnEB to reuse.
 type ebRunner struct {
 	tb      *DAGTestbed
 	alive   bool
@@ -216,13 +223,22 @@ type ebRunner struct {
 }
 
 // spawnEB creates a browser and starts its session loop with a staggered
-// initial think so that populations do not issue in lockstep.
+// initial think so that populations do not issue in lockstep. The runner
+// is the most recently retired one, re-seeded in place, or a new one.
 func (tb *DAGTestbed) spawnEB(mix tpcw.Mix, sampler *tpcw.Sampler, thinkScale float64) {
 	tb.nextEBID++
-	r := &ebRunner{tb: tb, alive: true}
+	var r *ebRunner
+	if n := len(tb.retired); n > 0 {
+		r = tb.retired[n-1]
+		tb.retired[n-1] = nil
+		tb.retired = tb.retired[:n-1]
+		r.alive = true
+	} else {
+		r = &ebRunner{tb: tb, alive: true}
+		r.onThink = r.issue
+	}
 	tb.rng.ForkInto(&r.src)
 	r.browser = tpcw.NewBrowser(tb.nextEBID, mix, &r.src)
-	r.onThink = r.issue
 	r.browser.SetSampler(sampler)
 	r.browser.SetThinkScale(thinkScale)
 	tb.browsers = append(tb.browsers, r)
@@ -234,6 +250,7 @@ func (tb *DAGTestbed) spawnEB(mix tpcw.Mix, sampler *tpcw.Sampler, thinkScale fl
 // think, forever while alive.
 func (r *ebRunner) issue() {
 	if !r.alive {
+		r.tb.retired = append(r.tb.retired, r)
 		return
 	}
 	r.tb.dispatch(r, r.browser.Next())
@@ -243,6 +260,7 @@ func (r *ebRunner) issue() {
 // thinks and issues again.
 func (r *ebRunner) respond() {
 	if !r.alive {
+		r.tb.retired = append(r.tb.retired, r)
 		return
 	}
 	r.tb.engine.Schedule(r.browser.Think(), r.onThink)

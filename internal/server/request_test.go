@@ -1,6 +1,8 @@
 package server
 
 import (
+	"hash/fnv"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -316,8 +318,9 @@ func TestRetireWhileInFlight(t *testing.T) {
 	})
 }
 
-// TestBrowserSpawnAllocs: a spawned browser is its runner and the bound
-// think callback; its session and generator live inside the runner.
+// TestBrowserSpawnAllocs: a new browser is its runner and the bound think
+// callback; its session and generator live inside the runner. A spawn that
+// reuses a retired runner allocates nothing.
 func TestBrowserSpawnAllocs(t *testing.T) {
 	tb, err := NewDAGTestbed(TwoTierTopology(DefaultConfig()), tpcw.Steady(tpcw.Shopping(), 1, 1e9))
 	if err != nil {
@@ -329,5 +332,67 @@ func TestBrowserSpawnAllocs(t *testing.T) {
 	// spawns their share rounds away.
 	if n := testing.AllocsPerRun(200, func() { tb.spawnEB(mix, sampler, 1) }); n > 2 {
 		t.Errorf("spawnEB = %v allocs, want at most 2", n)
+	}
+	// Retire the whole population before any of it has issued, and let
+	// every retiree's initial think fire: each runner joins the retired
+	// list, and the next 201 spawns reuse them.
+	spawned := len(tb.browsers)
+	tb.applyPhase(tpcw.Phase{Mix: mix, EBs: 0})
+	tb.run(2 * tpcw.DefaultThinkTime)
+	if len(tb.retired) != spawned {
+		t.Fatalf("%d of %d retired runners came back", len(tb.retired), spawned)
+	}
+	if n := testing.AllocsPerRun(200, func() { tb.spawnEB(mix, sampler, 1) }); n != 0 {
+		t.Errorf("spawnEB reusing a retired runner = %v allocs, want 0", n)
+	}
+}
+
+// respawnPeak is respawnCycles' peak population.
+const respawnPeak = 450
+
+// respawnCycles retires most of a population and respawns it every 12
+// seconds, 25 times over, switching mix and think time each phase: under
+// admission, retirees die thinking, with a request in flight and with a
+// request just rejected.
+func respawnCycles() tpcw.Schedule {
+	cycle := tpcw.Concat(
+		tpcw.Steady(tpcw.Browsing(), 60, 5),
+		tpcw.Schedule{Phases: []tpcw.Phase{{Mix: tpcw.Ordering(), EBs: respawnPeak, Duration: 4, ThinkScale: 0.5}}},
+		tpcw.Steady(tpcw.Shopping(), 25, 3),
+	)
+	sched := cycle
+	for i := 1; i < 25; i++ {
+		sched = tpcw.Concat(sched, cycle)
+	}
+	return sched
+}
+
+// TestRespawnReusesRetiredRunners holds the retire/respawn cycle to the
+// snapshot stream the simulator made before retired runners were reused:
+// the FNV-64a of the case's digest (see twoTierCase.digest), recorded at
+// the commit before the change, through both constructors. The run must
+// actually reuse runners, and keep no more of them than twice the
+// schedule's peak population (the living plus retirees still pending).
+func TestRespawnReusesRetiredRunners(t *testing.T) {
+	const want = 0x461291b4ee41b533
+	c := twoTierCase{name: "respawn-cycles seed=11", seed: 11, sched: respawnCycles(), admission: true}
+	for _, viaDAG := range []bool{false, true} {
+		tb := c.start(t, viaDAG)
+		runners := map[*ebRunner]bool{}
+		got := c.digest(t, tb, func(int) {
+			for _, r := range tb.dag.browsers {
+				runners[r] = true
+			}
+		})
+		h := fnv.New64a()
+		io.WriteString(h, got)
+		if h.Sum64() != want {
+			t.Errorf("viaDAG=%v: snapshot digest %#016x, want %#016x", viaDAG, h.Sum64(), uint64(want))
+		}
+		t.Logf("viaDAG=%v: %d spawns on %d runners", viaDAG, tb.dag.nextEBID, len(runners))
+		if spawned := tb.dag.nextEBID; len(runners) > 2*respawnPeak || spawned <= 2*respawnPeak {
+			t.Errorf("viaDAG=%v: %d spawns used %d runners, want more than %d spawns on at most %d runners",
+				viaDAG, spawned, len(runners), 2*respawnPeak, 2*respawnPeak)
+		}
 	}
 }

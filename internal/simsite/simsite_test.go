@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hpcap/internal/chunk"
 	"hpcap/internal/experiment"
 	"hpcap/internal/metrics"
 	"hpcap/internal/server"
@@ -64,13 +65,17 @@ func (f failEvery3rd) TryCollect(s server.Snapshot, dt float64) ([]float64, erro
 
 // TestCollectVectorsAreFresh: a vector Collect returns is not changed by
 // any later Collect, at every level and behind a retrying collector that
-// falls back on every third read.
+// falls back on every third read. The collectors carve their vectors from
+// shared chunks, so the vectors are kept over several chunk turnovers and
+// checked after 100 more seconds of collects; at the combined level the
+// OS vector's append must reallocate, not spill into its neighbour.
 func TestCollectVectorsAreFresh(t *testing.T) {
+	const kept, more = 4 * chunk.Carves, 100
 	wb := experiment.Workload{Mix: tpcw.Browsing(), Knee: 120}
 	wo := experiment.Workload{Mix: tpcw.Ordering(), Knee: 160}
 	for _, level := range []metrics.Level{metrics.LevelOS, metrics.LevelHPC, metrics.LevelCombined} {
 		for _, retry := range []bool{false, true} {
-			s, err := New("site", server.DefaultConfig(), level, 0, wb, wo, 42, 60)
+			s, err := New("site", server.DefaultConfig(), level, 0, wb, wo, 42, kept+more)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,10 +89,13 @@ func TestCollectVectorsAreFresh(t *testing.T) {
 			}
 			var bits [][]uint64
 			var vecs [][]float64
-			for sec := 0; sec < 60; sec++ {
+			for sec := 0; sec < kept+more; sec++ {
 				snap := s.TB.RunInterval(1)
 				for tier := server.TierID(0); tier < server.NumTiers; tier++ {
 					v := s.Collect(tier, snap)
+					if sec >= kept {
+						continue
+					}
 					b := make([]uint64, len(v))
 					for i, x := range v {
 						b[i] = math.Float64bits(x)

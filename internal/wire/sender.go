@@ -6,6 +6,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"hpcap/internal/chunk"
 )
 
 // SenderStats counts what a Sender did with the frames offered to it.
@@ -62,8 +64,9 @@ type Sender struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	ring     [][]byte // length-prefixed frames; QueueFrames slots, oldest at head
-	free     [][]byte // buffers of frames written or evicted, for Send to reuse
+	ring     [][]byte       // length-prefixed frames; QueueFrames slots, oldest at head
+	free     [][]byte       // buffers of frames written or evicted, for Send to reuse
+	bufs     chunk.Of[byte] // where Send carves a buffer when free has none to fit
 	head     int
 	queued   int
 	closed   bool
@@ -105,7 +108,9 @@ func NewSender(addr string, cfg AgentConfig) (*Sender, error) {
 // reuse the samples; once, into a buffer that already carries the
 // stream's length prefix, so the drain only has to concatenate. The
 // buffer is one a frame already written or evicted gave back, so once
-// the queue has turned over Send allocates nothing.
+// the queue has turned over Send allocates nothing; before that, new
+// buffers are carved from the sender's chunk (see package chunk), one
+// allocation per chunk.Carves frames.
 func (s *Sender) Send(f *Frame) {
 	n := frameLen(f)
 	s.mu.Lock()
@@ -131,7 +136,9 @@ func (s *Sender) Send(f *Frame) {
 	// short one is let go, so the sender never holds more buffers than
 	// its ring and the batch in flight. A new buffer has an eighth to
 	// spare, so a frame that is a little longer — a sequence number
-	// gaining a varint byte, a longer site name — still fits.
+	// gaining a varint byte, a longer site name — still fits; it is
+	// capacity-limited, so a frame that outgrows it never writes into a
+	// neighbour.
 	size := uvarintLen(uint64(n)) + n
 	var buf []byte
 	if k := len(s.free) - 1; k >= 0 {
@@ -140,7 +147,7 @@ func (s *Sender) Send(f *Frame) {
 		s.free = s.free[:k]
 	}
 	if cap(buf) < size {
-		buf = make([]byte, 0, size+size/8)
+		buf = s.bufs.Carve(size + size/8)[:0]
 	}
 	s.ring[(s.head+s.queued)%len(s.ring)] = AppendFrame(binary.AppendUvarint(buf, uint64(n)), f)
 	s.queued++

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"hpcap/internal/chunk"
 	"hpcap/internal/core"
 	"hpcap/internal/server"
 )
@@ -290,8 +291,10 @@ func TestDecodeIntoReuses(t *testing.T) {
 // TestCodecAllocs pins what the byte path allocates per frame at steady
 // state: a decode into a reused frame nothing, Decode a sample slice and a
 // slab, the one-shot DecodeFrame the site name besides; Send nothing once
-// written frames have given their buffers back, and at most the buffer
-// before that.
+// written frames have given their buffers back, and before that one chunk
+// of buffers per chunk.Carves frames — counted by ReadMemStats over
+// sends enough to turn dozens of chunks, since AllocsPerRun rounds the
+// fraction down to zero.
 func TestCodecAllocs(t *testing.T) {
 	f := hpcFrame()
 	payload := AppendFrame(nil, &f)
@@ -306,10 +309,17 @@ func TestCodecAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { sinkFrame, _ = DecodeFrame(payload) }); n > 3 {
 		t.Errorf("DecodeFrame: %v allocs per frame, want <= 3", n)
 	}
-	s, script := newScriptedSender(t, AgentConfig{})
+	const sends = 1024
+	s, script := newScriptedSender(t, AgentConfig{QueueFrames: 2 * sends})
 	release := holdDrain(t, s, script) // the drain goroutine allocates nothing while parked
-	if n := testing.AllocsPerRun(100, func() { s.Send(&f) }); n > 1 {
-		t.Errorf("Sender.Send before any buffer came back: %v allocs per frame, want <= 1", n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range sends {
+		s.Send(&f)
+	}
+	runtime.ReadMemStats(&after)
+	if n := float64(after.Mallocs-before.Mallocs) / sends; n > 2.0/chunk.Carves {
+		t.Errorf("Sender.Send before any buffer came back: %.4f allocs per frame, want <= %g", n, 2.0/chunk.Carves)
 	}
 	release()
 	s.Flush()
