@@ -366,3 +366,17 @@ func BenchmarkDecodeFrame(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAppendFrame is the per-frame cost of the send side's codec as
+// Sender.Send runs it: the default HPC frame encoded into a buffer that
+// already has room.
+func BenchmarkAppendFrame(b *testing.B) {
+	f := hpcFrame()
+	buf := AppendFrame(nil, &f)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = AppendFrame(buf[:0], &f)
+	}
+}
