@@ -89,6 +89,10 @@ type Frame struct {
 //	count    uvarint
 //	samples  count × { time float64-bits LE8,
 //	                   NumTiers × (dim uvarint + dim × float64-bits LE8) }
+//
+// A vector's dim × LE8 run is its memory on a little-endian host, so each
+// vector is appended as one copy (floats_le.go); other hosts convert value
+// by value (floats_be.go). The bytes are the same on every host.
 func AppendFrame(dst []byte, f *Frame) []byte {
 	dst = append(dst, Version)
 	dst = binary.AppendUvarint(dst, uint64(len(f.Site)))
@@ -100,9 +104,7 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.Time))
 		for tier := range s.Vecs {
 			dst = binary.AppendUvarint(dst, uint64(len(s.Vecs[tier])))
-			for _, v := range s.Vecs[tier] {
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-			}
+			dst = appendFloats(dst, s.Vecs[tier])
 		}
 	}
 	return dst
@@ -213,6 +215,8 @@ func (d *Decoder) Decode(payload []byte) (Frame, error) {
 // dim that promises more than the payload holds fails before any memory
 // is sized by it; what the second walk allocates — at most one []Sample
 // and one []float64 slab — is bounded by len(payload), never by a field.
+// The second walk fills each vector with one copy from the payload on a
+// little-endian host, as AppendFrame wrote it.
 func (d *Decoder) DecodeInto(f *Frame, payload []byte) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("wire: %w: empty payload", ErrFrame)
@@ -274,10 +278,7 @@ func (d *Decoder) DecodeInto(f *Frame, payload []byte) error {
 			}
 			vec := slab[:dim:dim]
 			slab = slab[dim:]
-			for j := range vec {
-				vec[j] = math.Float64frombits(binary.LittleEndian.Uint64(b))
-				b = b[8:]
-			}
+			b = decodeFloats(vec, b)
 			s.Vecs[tier] = vec
 		}
 	}
