@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"hpcap/internal/chunk"
 	"hpcap/internal/server"
 )
 
@@ -12,6 +13,14 @@ import (
 type FallibleCollector interface {
 	Collector
 	TryCollect(s server.Snapshot, dt float64) ([]float64, error)
+}
+
+// FallibleAppendCollector is the AppendCollector extension of a
+// FallibleCollector: TryCollectTo is TryCollect writing into dst
+// (reallocating only when dst is too small).
+type FallibleAppendCollector interface {
+	FallibleCollector
+	TryCollectTo(dst []float64, s server.Snapshot, dt float64) ([]float64, error)
 }
 
 // RetryCollector hardens a FallibleCollector into a plain Collector with
@@ -28,6 +37,7 @@ type RetryCollector struct {
 	MaxRetries int
 
 	last     []float64
+	vecs     chunk.Of[float64] // Collect's vectors
 	retries  uint64
 	failures uint64
 }
@@ -47,17 +57,25 @@ func (r *RetryCollector) Tier() server.TierID { return r.src.Tier() }
 // Names returns the wrapped collector's metric names.
 func (r *RetryCollector) Names() []string { return r.src.Names() }
 
-// Collect reads the source with bounded retry. On total failure it
-// returns a copy of the last good vector (zeros before the first
-// success), so the aggregation window closes on a stale-but-finite mean
-// instead of stalling or going NaN, and a caller that keeps the vector
-// does not see the next good read overwrite it.
+// Collect reads the source with bounded retry into a fresh vector the
+// caller owns for good, carved from the collector's chunk (see package
+// chunk). On total failure the vector holds the last good values (zeros
+// before the first success), so the aggregation window closes on a
+// stale-but-finite mean instead of stalling or going NaN, and a caller
+// that keeps the vector does not see the next good read overwrite it.
 func (r *RetryCollector) Collect(s server.Snapshot, dt float64) []float64 {
+	return r.CollectTo(r.vecs.Carve(len(r.src.Names())), s, dt)
+}
+
+// CollectTo is Collect into dst (AppendCollector), reallocating only when
+// dst is too small. A source that is a FallibleAppendCollector writes
+// into dst itself; any other source's vector is copied there.
+func (r *RetryCollector) CollectTo(dst []float64, s server.Snapshot, dt float64) []float64 {
 	for attempt := 0; attempt <= r.MaxRetries; attempt++ {
 		if attempt > 0 {
 			r.retries++
 		}
-		v, err := r.src.TryCollect(s, dt)
+		v, err := r.try(dst, s, dt)
 		if err == nil {
 			r.last = append(r.last[:0], v...)
 			return v
@@ -65,9 +83,21 @@ func (r *RetryCollector) Collect(s server.Snapshot, dt float64) []float64 {
 	}
 	r.failures++
 	if r.last == nil {
-		return make([]float64, len(r.src.Names()))
+		return append(dst[:0], make([]float64, len(r.src.Names()))...)
 	}
-	return append([]float64(nil), r.last...)
+	return append(dst[:0], r.last...)
+}
+
+// try makes one read attempt into dst.
+func (r *RetryCollector) try(dst []float64, s server.Snapshot, dt float64) ([]float64, error) {
+	if ac, ok := r.src.(FallibleAppendCollector); ok {
+		return ac.TryCollectTo(dst, s, dt)
+	}
+	v, err := r.src.TryCollect(s, dt)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst[:0], v...), nil
 }
 
 // Retries returns how many extra attempts were made; Failures how many

@@ -98,3 +98,24 @@ func TestRetryCollectorFallbackIsACopy(t *testing.T) {
 		}
 	}
 }
+
+// TestRetryCollectorCollectToOverwritesScratch: CollectTo into a dirty
+// scratch vector leaves nothing of it behind — zeros before the first
+// success, the good read, then the last good values on failure — and
+// writes in place when the scratch has room.
+func TestRetryCollectorCollectToOverwritesScratch(t *testing.T) {
+	src := &scriptedCollector{failN: 1, v: []float64{3, 4}}
+	r := NewRetryCollector(src, 0)
+	scratch := []float64{-1, -1}
+	for i, want := range [][]float64{{0, 0}, {3, 4}} {
+		got := r.CollectTo(scratch, server.Snapshot{}, 1)
+		if !reflect.DeepEqual(got, want) || &got[0] != &scratch[0] {
+			t.Fatalf("read %d: CollectTo = %v (in place %v), want %v in place", i, got, &got[0] == &scratch[0], want)
+		}
+		scratch[0], scratch[1] = -1, -1
+	}
+	src.failN, src.reads = 1, 0
+	if got := r.CollectTo(scratch, server.Snapshot{}, 1); !reflect.DeepEqual(got, []float64{3, 4}) {
+		t.Fatalf("fallback CollectTo = %v, want last good [3 4]", got)
+	}
+}

@@ -20,10 +20,13 @@ import (
 // as the serving daemon and the live benchmark run it: simulate a second,
 // collect each tier through a retrying collector over a chaos-flaky
 // source, run the vector through the fault injector (NaN, stuck, drop,
-// dup and skew faults all active while measuring) and ingest what it
-// returns into a fusing Pipeline. Once every site has run a whole burst
-// cycle, its browsers retired and respawned, the path must cost at most
-// one allocation per 16 tier-samples, counted by ReadMemStats.
+// dup, skew and stall faults all active while measuring, the stall
+// failing every read of the app tier for 30 s) and ingest what it returns
+// into a fusing Pipeline. Once every site has run a whole burst cycle, its
+// browsers retired and respawned, the path must cost at most one
+// allocation per 16 tier-samples, counted by ReadMemStats, at the HPC
+// level and at the combined level, where each sample is both collectors'
+// vectors in one.
 func TestLivePathAllocs(t *testing.T) {
 	const (
 		sites    = 4
@@ -31,10 +34,6 @@ func TestLivePathAllocs(t *testing.T) {
 		measured = 300
 	)
 	lab := experiment.NewLab(experiment.QuickScale())
-	mon, err := lab.TrainMonitor(metrics.LevelHPC, predictor.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	wb, err := lab.Workload(tpcw.Browsing())
 	if err != nil {
 		t.Fatal(err)
@@ -44,60 +43,80 @@ func TestLivePathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	storm, err := chaos.Parse(fmt.Sprintf("nan at=0 for=%d p=0.3; stuck tier=db at=%d for=60; "+
-		"drop tier=app at=%d for=60 p=0.5; dup at=%d for=60 p=0.3; skew tier=app at=%d for=30 p=0.25",
-		warm+measured, warm+20, warm+100, warm+160, warm+240))
+		"drop tier=app at=%d for=60 p=0.5; dup at=%d for=60 p=0.3; stall tier=app at=%d for=30; "+
+		"skew tier=app at=%d for=30 p=0.25",
+		warm+measured, warm+20, warm+100, warm+160, warm+200, warm+240))
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := chaos.NewInjector(storm, 7)
-	decided := 0
-	fc := fuse.DefaultConfig()
-	pipe, err := serve.NewPipeline(mon, serve.Config{Fuse: &fc, OnDecision: func(serve.Decision) { decided++ }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ss []*simsite.Site
-	for i := 0; i < sites; i++ {
-		s, err := simsite.New(fmt.Sprintf("site-%d", i), lab.Server, metrics.LevelHPC, i, wb, wo, 7, warm+measured)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.WrapCollectors(func(c metrics.Collector) metrics.Collector {
-			return metrics.NewRetryCollector(chaos.NewFlakyCollector(c, storm), 2)
-		})
-		if err := s.TB.Start(); err != nil {
-			t.Fatal(err)
-		}
-		ss = append(ss, s)
-	}
-	second := func() {
-		for _, s := range ss {
-			snap := s.TB.RunInterval(1)
-			for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-				for _, out := range inj.Apply(serve.Sample{Site: s.Name, Tier: tier, Time: snap.Time, Values: s.Collect(tier, snap)}) {
-					pipe.Ingest(out)
+	for _, level := range []metrics.Level{metrics.LevelHPC, metrics.LevelCombined} {
+		t.Run(level.String(), func(t *testing.T) {
+			mon, err := lab.TrainMonitor(level, predictor.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj := chaos.NewInjector(storm, 7)
+			decided := 0
+			fc := fuse.DefaultConfig()
+			pipe, err := serve.NewPipeline(mon, serve.Config{Fuse: &fc, OnDecision: func(serve.Decision) { decided++ }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ss []*simsite.Site
+			var retries []*metrics.RetryCollector
+			for i := 0; i < sites; i++ {
+				s, err := simsite.New(fmt.Sprintf("site-%d", i), lab.Server, level, i, wb, wo, 7, warm+measured)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.WrapCollectors(func(c metrics.Collector) metrics.Collector {
+					r := metrics.NewRetryCollector(chaos.NewFlakyCollector(c, storm), 2)
+					retries = append(retries, r)
+					return r
+				})
+				if err := s.TB.Start(); err != nil {
+					t.Fatal(err)
+				}
+				ss = append(ss, s)
+			}
+			failures := func() (n uint64) {
+				for _, r := range retries {
+					n += r.Failures()
+				}
+				return n
+			}
+			second := func() {
+				for _, s := range ss {
+					snap := s.TB.RunInterval(1)
+					for tier := server.TierID(0); tier < server.NumTiers; tier++ {
+						for _, out := range inj.Apply(serve.Sample{Site: s.Name, Tier: tier, Time: snap.Time, Values: s.Collect(tier, snap)}) {
+							pipe.Ingest(out)
+						}
+					}
 				}
 			}
-		}
-	}
-	for range warm {
-		second()
-	}
-	before, st0 := decided, inj.Stats()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for range measured {
-		second()
-	}
-	runtime.ReadMemStats(&m1)
-	st := inj.Stats()
-	if decided == before || st.Corrupted == st0.Corrupted || st.Frozen == st0.Frozen || st.Dropped == st0.Dropped || st.Duplicated == st0.Duplicated {
-		t.Fatalf("measured stretch decided %d windows and injected %+v: want decisions and every fault kind", decided-before, st)
-	}
-	samples := float64(sites * measured * int(server.NumTiers))
-	per := float64(m1.Mallocs-m0.Mallocs) / samples
-	t.Logf("%d allocations over %.0f tier-samples: %.4f per sample", m1.Mallocs-m0.Mallocs, samples, per)
-	if per > 1.0/16 {
-		t.Errorf("live path: %.4f allocations per tier-sample, want <= 1/16", per)
+			for range warm {
+				second()
+			}
+			before, st0, failed0 := decided, inj.Stats(), failures()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for range measured {
+				second()
+			}
+			runtime.ReadMemStats(&m1)
+			st := inj.Stats()
+			if decided == before || st.Corrupted == st0.Corrupted || st.Frozen == st0.Frozen || st.Dropped == st0.Dropped ||
+				st.Duplicated == st0.Duplicated || st.Stalled == st0.Stalled || failures() == failed0 {
+				t.Fatalf("measured stretch decided %d windows, failed %d reads and injected %+v: want decisions, failed reads and every fault kind",
+					decided-before, failures()-failed0, st)
+			}
+			samples := float64(sites * measured * int(server.NumTiers))
+			per := float64(m1.Mallocs-m0.Mallocs) / samples
+			t.Logf("%d allocations over %.0f tier-samples: %.4f per sample", m1.Mallocs-m0.Mallocs, samples, per)
+			if per > 1.0/16 {
+				t.Errorf("live path: %.4f allocations per tier-sample, want <= 1/16", per)
+			}
+		})
 	}
 }

@@ -9,6 +9,7 @@ package simsite
 import (
 	"errors"
 
+	"hpcap/internal/chunk"
 	"hpcap/internal/cpu"
 	"hpcap/internal/experiment"
 	"hpcap/internal/metrics"
@@ -35,17 +36,35 @@ type Site struct {
 	// Sites built by New leave it nil.
 	DAG  *server.DAGTestbed
 	coll [server.NumTiers][]metrics.Collector
+	vecs chunk.Of[float64] // combined-level vectors
 }
 
 // Collect concatenates the site's tier collectors into one sample vector
 // (one collector at the OS or HPC level; both, OS first, at the combined
-// level — matching experiment.Trace vector layout). The result is the
-// first collector's vector, fresh on every read, with the others appended.
+// level — matching experiment.Trace vector layout), fresh on every read.
+// A lone collector's vector is returned as it is; at the combined level
+// the collectors write into one vector carved from the site's chunk (see
+// package chunk), each into its own span.
 func (s *Site) Collect(tier server.TierID, snap server.Snapshot) []float64 {
 	cs := s.coll[tier]
-	v := cs[0].Collect(snap, 1)
-	for _, c := range cs[1:] {
-		v = append(v, c.Collect(snap, 1)...)
+	if len(cs) == 1 {
+		return cs[0].Collect(snap, 1)
+	}
+	n := 0
+	for _, c := range cs {
+		n += len(c.Names())
+	}
+	v := s.vecs.Carve(n)
+	off := 0
+	for _, c := range cs {
+		end := off + len(c.Names())
+		span := v[off:end:end]
+		if ac, ok := c.(metrics.AppendCollector); ok {
+			copy(span, ac.CollectTo(span, snap, 1))
+		} else {
+			copy(span, c.Collect(snap, 1))
+		}
+		off = end
 	}
 	return v
 }

@@ -94,7 +94,7 @@ func (c Config) withDefaults() Config {
 type Log struct {
 	f       *os.File
 	cfg     Config
-	hdr     []byte // scratch for the length prefix + checksum
+	rec     []byte // scratch one whole record is assembled in, written at once
 	appends uint64
 	unsynct int // appends since the last fsync
 }
@@ -219,24 +219,19 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// Append writes one record — length prefix, payload, checksum — and
-// fsyncs per Config.SyncEvery. The payload is durable (fsync permitting)
-// before Append returns; callers ingest it only afterwards, which is
-// what makes replay an exact reconstruction.
+// Append writes one record — length prefix, payload, checksum — in one
+// write and fsyncs per Config.SyncEvery. The payload is durable (fsync
+// permitting) before Append returns; callers ingest it only afterwards,
+// which is what makes replay an exact reconstruction.
 func (l *Log) Append(payload []byte) error {
 	if len(payload) > l.cfg.MaxRecordBytes {
 		return fmt.Errorf("wal: %w: record %d bytes exceeds %d",
 			core.ErrBadConfig, len(payload), l.cfg.MaxRecordBytes)
 	}
-	l.hdr = binary.AppendUvarint(l.hdr[:0], uint64(len(payload)))
-	if _, err := l.f.Write(l.hdr); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	if _, err := l.f.Write(payload); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	l.hdr = binary.LittleEndian.AppendUint32(l.hdr[:0], crc32.Checksum(payload, castagnoli))
-	if _, err := l.f.Write(l.hdr); err != nil {
+	l.rec = binary.AppendUvarint(l.rec[:0], uint64(len(payload)))
+	l.rec = append(l.rec, payload...)
+	l.rec = binary.LittleEndian.AppendUint32(l.rec, crc32.Checksum(payload, castagnoli))
+	if _, err := l.f.Write(l.rec); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	l.appends++
