@@ -12,11 +12,15 @@
 // profiling of the decision plane.
 //
 // With -adapt the daemon also runs the adaptive model lifecycle
-// (internal/registry): each decided window is paired with the ground
-// truth the simulator derives as the window closes, drift detectors watch
-// the labeled stream, and a detected drift retrains a candidate monitor
-// in the background, shadow-evaluates it against the incumbent, and
-// hot-swaps it into the pipeline if it wins.
+// (internal/registry): the daemon pairs each decided window with the
+// ground truth the simulator derives as the window closes — the truth is
+// filed one sample before the decision arrives, so nothing waits on it —
+// and hands the pair to the manager; drift detectors watch the labeled
+// stream, and a detected drift retrains a candidate monitor in the
+// background, shadow-evaluates it against the incumbent, and hot-swaps it
+// into the pipeline if it wins. A deployment whose truth comes later would
+// buffer its decisions until it arrives. The summary's lifecycle line
+// counts the decisions labeled, left unlabeled and guarded out.
 //
 // Usage:
 //
@@ -255,6 +259,10 @@ func run(args []string, out io.Writer) error {
 		trackers map[string]*truthTracker
 		scaler   *registry.Autoscaler
 		dagSites map[string]*simsite.Site
+
+		// paired and unlabeled count -adapt's decisions that did and did
+		// not find their truth; the manager counts the guarded ones.
+		paired, unlabeled atomic.Uint64
 	)
 	serveCfg := serve.Config{
 		Window: scale.Window,
@@ -285,14 +293,15 @@ func run(args []string, out io.Writer) error {
 			if mgr == nil {
 				return
 			}
-			mgr.HandleDecision(d)
 			// The simulator labels each window as it closes, one sample
 			// before the pipeline publishes its decision, so the truth is
-			// always ready by the time the decision arrives.
-			if tk := trackers[d.Site]; tk != nil {
-				if tr, ok := tk.take(d.Seq); ok {
-					mgr.ObserveTruth(d.Site, d.Seq, tr)
-				}
+			// ready by the time the decision arrives; a decision that finds
+			// none is counted, never silently lost.
+			if tr, ok := trackers[d.Site].take(d.Seq); ok {
+				mgr.Observe(d, tr)
+				paired.Add(1)
+			} else {
+				unlabeled.Add(1)
 			}
 		},
 		OnSwap: func(ev serve.SwapEvent) {
@@ -490,6 +499,8 @@ func run(args []string, out io.Writer) error {
 					s.Name, v.ID, v.Reason, v.Windows, v.Swapped)
 			}
 		}
+		g := mgr.Guarded()
+		fmt.Fprintf(out, "lifecycle labeled=%d unlabeled=%d guarded=%d\n", paired.Load()-g, unlabeled.Load(), g)
 	}
 
 	if c.hold {
@@ -616,7 +627,7 @@ type truthTracker struct {
 	// mu guards ready: take runs on shard goroutines (decision
 	// callbacks) while observe runs on the simulation loop.
 	mu    sync.Mutex
-	ready map[int64]registry.Truth
+	ready map[int64]pi.Truth
 }
 
 func newTruthTracker(window int) (*truthTracker, error) {
@@ -624,7 +635,7 @@ func newTruthTracker(window int) (*truthTracker, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &truthTracker{win: win, ready: make(map[int64]registry.Truth)}, nil
+	return &truthTracker{win: win, ready: make(map[int64]pi.Truth)}, nil
 }
 
 // observe folds one 1-second snapshot in and files the window's truth
@@ -635,7 +646,7 @@ func (t *truthTracker) observe(snap server.Snapshot) {
 		return
 	}
 	t.mu.Lock()
-	t.ready[t.seq] = registry.Truth{Overload: tr.Overload == 1, Bottleneck: tr.Bottleneck, ClassCounts: tr.Classes}
+	t.ready[t.seq] = tr
 	t.mu.Unlock()
 	t.seq++
 }
@@ -643,7 +654,7 @@ func (t *truthTracker) observe(snap server.Snapshot) {
 // take removes and returns the truth for a window, if labeled, and
 // discards the truth of every earlier window: those were dropped (gaps in
 // Decision.Seq), get no decision, and would otherwise never be taken.
-func (t *truthTracker) take(seq int64) (registry.Truth, bool) {
+func (t *truthTracker) take(seq int64) (pi.Truth, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	tr, ok := t.ready[seq]

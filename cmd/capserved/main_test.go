@@ -132,6 +132,52 @@ func TestRunSharded(t *testing.T) {
 	}
 }
 
+// TestLifecycleAccounting runs the adapt row, clean and under a 40-s
+// collector stall, at 1 and 4 shards: every decision must find its truth,
+// and the summary's lifecycle line must account for every decided window
+// as labeled, unlabeled or guarded.
+func TestLifecycleAccounting(t *testing.T) {
+	var adapt []string
+	for _, row := range daemonRows {
+		if row.name == "adapt" {
+			adapt = row.args
+		}
+	}
+	stall := []string{"-duration", "300", "-adapt", "-chaos", "stall tier=app at=120 for=40"}
+	for _, shards := range []string{"1", "4"} {
+		for _, rowArgs := range [][]string{adapt, stall} {
+			args := append([]string{"-scale", "quick", "-sites", "3", "-seed", "7", "-shards", shards}, rowArgs...)
+			var out strings.Builder
+			if err := run(args, &out); err != nil {
+				t.Fatalf("%v: %v", args, err)
+			}
+			windows, found := 0, false
+			var labeled, unlabeled, guarded int
+			for _, line := range strings.Split(out.String(), "\n") {
+				var site string
+				var n int
+				if _, err := fmt.Sscanf(line, "%s windows=%d ", &site, &n); err == nil {
+					windows += n
+				}
+				if _, err := fmt.Sscanf(line, "lifecycle labeled=%d unlabeled=%d guarded=%d",
+					&labeled, &unlabeled, &guarded); err == nil {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("%v: summary missing lifecycle line in:\n%s", args, out.String())
+			}
+			if unlabeled != 0 {
+				t.Errorf("%v: %d decisions found no truth", args, unlabeled)
+			}
+			if windows == 0 || labeled+unlabeled+guarded != windows {
+				t.Errorf("%v: labeled=%d + unlabeled=%d + guarded=%d, want the %d decided windows",
+					args, labeled, unlabeled, guarded, windows)
+			}
+		}
+	}
+}
+
 // TestHTTPEndpoints binds a loopback port and probes /healthz and
 // /metrics after a short run.
 func TestHTTPEndpoints(t *testing.T) {

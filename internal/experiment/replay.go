@@ -340,12 +340,7 @@ func (r *replay) run(tr *Trace, st stream, ps pass) (*served, error) {
 		if ps.line != nil {
 			ps.line(d, w)
 		}
-		mgr.HandleDecision(d)
-		mgr.ObserveTruth(d.Site, d.Seq, registry.Truth{
-			Overload:    w.Overload == 1,
-			Bottleneck:  w.Bottleneck,
-			ClassCounts: w.Classes,
-		})
+		mgr.Observe(d, w.Truth)
 	})
 	if err != nil {
 		return nil, err

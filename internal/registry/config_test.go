@@ -50,6 +50,7 @@ func TestRegistryConfigValidateErrors(t *testing.T) {
 		{"negative shadow", func(c *registry.Config) { c.ShadowWindows = -1 }},
 		{"shadow swallows history", func(c *registry.Config) { c.HistoryWindows = 8; c.ShadowWindows = 8 }},
 		{"negative min train", func(c *registry.Config) { c.MinTrainWindows = -1 }},
+		{"retrain unreachable", func(c *registry.Config) { c.MinTrainWindows = 200 }},
 		{"negative cooldown", func(c *registry.Config) { c.CooldownWindows = -1 }},
 		{"bad drift config", func(c *registry.Config) { c.Drift.MixWindow = -1 }},
 	}

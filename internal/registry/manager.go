@@ -10,21 +10,9 @@ import (
 	"hpcap/internal/core"
 	"hpcap/internal/drift"
 	"hpcap/internal/ml"
+	"hpcap/internal/pi"
 	"hpcap/internal/serve"
-	"hpcap/internal/server"
 )
-
-// Truth is the delayed ground truth for one decided window, assembled by
-// the caller once the application-level labels become available (the
-// simulator produces them directly; a deployment derives them from SLA
-// bookkeeping a window or two after the fact).
-type Truth struct {
-	Overload   bool
-	Bottleneck server.TierID
-	// ClassCounts is the window's request arrivals by class, for the
-	// mix-shift detector (nil disables it for the window).
-	ClassCounts []float64
-}
 
 // EventKind labels lifecycle events.
 type EventKind int
@@ -97,7 +85,8 @@ type Config struct {
 	// Drift is the per-site detector configuration.
 	Drift drift.Config
 	// HistoryWindows is the labeled-window ring kept per site for
-	// retraining snapshots. Zero selects 128.
+	// retraining snapshots; it must hold MinTrainWindows+ShadowWindows.
+	// Zero selects 128.
 	HistoryWindows int
 	// MinTrainWindows is the least labeled windows (beyond the shadow
 	// tail) required before a drift signal triggers a retrain. Zero
@@ -182,11 +171,14 @@ func (c Config) Validate() []error {
 	if c.ShadowWindows < 1 {
 		bad("shadow windows %d, need >= 1", c.ShadowWindows)
 	}
-	if c.ShadowWindows >= c.HistoryWindows {
-		bad("shadow windows %d must fit inside history windows %d", c.ShadowWindows, c.HistoryWindows)
-	}
 	if c.MinTrainWindows < 1 {
 		bad("min train windows %d, need >= 1", c.MinTrainWindows)
+	}
+	// A retrain needs MinTrainWindows+ShadowWindows labeled windows, and
+	// the history never holds more than HistoryWindows.
+	if c.MinTrainWindows+c.ShadowWindows > c.HistoryWindows {
+		bad("retrain unreachable: min train windows %d + shadow windows %d exceed history windows %d",
+			c.MinTrainWindows, c.ShadowWindows, c.HistoryWindows)
 	}
 	if c.CooldownWindows < 0 {
 		bad("cooldown windows %d, need >= 0", c.CooldownWindows)
@@ -195,23 +187,11 @@ func (c Config) Validate() []error {
 	return errs
 }
 
-// labeled is one decided window paired with its ground truth.
-type labeled struct {
-	seq        int64
-	time       float64
-	vectors    [server.NumTiers][]float64
-	predicted  bool
-	overload   int
-	bottleneck server.TierID
-	classes    []float64
-}
-
 // managed is the lifecycle state of one site.
 type managed struct {
 	mu         sync.Mutex
 	det        *drift.Detector
-	pending    map[int64]serve.Decision
-	hist       []labeled
+	hist       []core.LabeledWindow
 	incumbent  *core.Monitor
 	retraining bool
 	cooldownAt int64 // no retrain before this window seq
@@ -239,8 +219,8 @@ type Manager struct {
 }
 
 // NewManager validates the configuration and returns a manager with an
-// empty store. Wire it up by calling HandleDecision from the pipeline's
-// OnDecision and ObserveTruth as labels arrive.
+// empty store. Wire it up by calling Observe with each decision and its
+// ground truth.
 func NewManager(cfg Config) (*Manager, error) {
 	if errs := cfg.Validate(); len(errs) > 0 {
 		return nil, errors.Join(errs...)
@@ -285,7 +265,6 @@ func (m *Manager) ensure(site string) (*managed, error) {
 	}
 	st := &managed{
 		det:       det,
-		pending:   make(map[int64]serve.Decision),
 		incumbent: m.cfg.Initial,
 	}
 	sp.sites[site] = st
@@ -301,87 +280,55 @@ func (m *Manager) ensure(site string) (*managed, error) {
 // lifecycle refused to learn from.
 func (m *Manager) Guarded() uint64 { return m.guarded.Load() }
 
-// HandleDecision buffers a decision until its ground truth arrives. Safe
-// to call from the pipeline's OnDecision callback. Degraded and
-// low-confidence decisions are guarded out: a fault-corrupted (or mostly
-// imputed) window is evidence about the stream, not the workload, so
-// letting it advance the drift detectors or enter a retraining history
-// would let injected noise trigger model churn. Their truth, when it
-// arrives, finds no pending decision and is likewise dropped.
-func (m *Manager) HandleDecision(d serve.Decision) {
+// Observe hands the lifecycle one decided window and its ground truth:
+// it advances the site's drift detectors and — when drift fires outside
+// the cooldown with enough labeled history — retrains and possibly swaps
+// the site's model. The caller pairs each decision with its truth; one
+// whose truth comes late buffers the decision until it does. Safe to call
+// from the pipeline's OnDecision callback. Degraded and low-confidence
+// decisions are guarded out: a fault-corrupted (or mostly imputed) window
+// is evidence about the stream, not the workload, so letting it advance
+// the drift detectors or enter a retraining history would let injected
+// noise trigger model churn.
+func (m *Manager) Observe(d serve.Decision, tr pi.Truth) {
+	// A site is registered on first contact, guarded or not, so its
+	// initial model shows in the store even while its stream is faulted.
+	st, err := m.ensure(d.Site)
 	if d.Degraded || d.LowConfidence {
 		m.guarded.Add(1)
 		return
 	}
-	st, err := m.ensure(d.Site)
 	if err != nil {
 		return
 	}
 	st.mu.Lock()
-	st.pending[d.Seq] = d
-	// Truth that never arrives (dropped windows, restarts) must not leak:
-	// forget decisions far older than the history the manager keeps.
-	if len(st.pending) > 2*m.cfg.HistoryWindows {
-		floor := d.Seq - int64(2*m.cfg.HistoryWindows)
-		for seq := range st.pending {
-			if seq < floor {
-				delete(st.pending, seq)
-			}
-		}
-	}
-	st.mu.Unlock()
-}
-
-// ObserveTruth pairs a window's delayed ground truth with its buffered
-// decision, advances the drift detectors, and — when drift fires outside
-// the cooldown with enough labeled history — retrains and possibly swaps
-// the site's model. Unknown (site, seq) pairs are ignored.
-func (m *Manager) ObserveTruth(site string, seq int64, tr Truth) {
-	st, err := m.ensure(site)
-	if err != nil {
-		return
-	}
-	st.mu.Lock()
-	d, ok := st.pending[seq]
-	if !ok {
-		st.mu.Unlock()
-		return
-	}
-	delete(st.pending, seq)
-	lw := labeled{
-		seq:        seq,
-		time:       d.Time,
-		vectors:    d.Vectors,
-		predicted:  d.Prediction.Overload,
-		bottleneck: tr.Bottleneck,
-		classes:    tr.ClassCounts,
-	}
-	if tr.Overload {
-		lw.overload = 1
-	}
-	st.hist = append(st.hist, lw)
+	st.hist = append(st.hist, core.LabeledWindow{
+		Observation: core.Observation{Time: d.Time, Vectors: d.Vectors},
+		Overload:    tr.Overload,
+		Bottleneck:  tr.Bottleneck,
+	})
 	if over := len(st.hist) - m.cfg.HistoryWindows; over > 0 {
 		st.hist = append(st.hist[:0], st.hist[over:]...)
 	}
 	sigs := st.det.Observe(drift.Observation{
-		Seq:         seq,
+		Seq:         d.Seq,
 		Predicted:   d.Prediction.Overload,
-		Truth:       tr.Overload,
-		ClassCounts: tr.ClassCounts,
+		Truth:       tr.Overload == 1,
+		ClassCounts: tr.Classes,
 	})
-	var snapshot []labeled
+	var snapshot []core.LabeledWindow
 	retrain := false
-	if len(sigs) > 0 && !st.retraining && seq >= st.cooldownAt &&
+	if len(sigs) > 0 && !st.retraining && d.Seq >= st.cooldownAt &&
 		len(st.hist) >= m.cfg.MinTrainWindows+m.cfg.ShadowWindows {
 		st.retraining = true
 		retrain = true
-		snapshot = append([]labeled(nil), st.hist...)
+		snapshot = append([]core.LabeledWindow(nil), st.hist...)
 	}
 	st.mu.Unlock()
 
 	if len(sigs) > 0 {
-		m.cfg.Pipeline.NoteDrift(site, len(sigs))
-		m.emit(Event{Kind: EventDrift, Site: site, Seq: seq, Signals: sigs})
+		m.cfg.Pipeline.NoteDrift(d.Site, len(sigs))
+		m.emit(Event{Kind: EventDrift, Site: d.Site, Seq: d.Seq, Signals: sigs})
 	}
 	if !retrain {
 		return
@@ -391,28 +338,21 @@ func (m *Manager) ObserveTruth(site string, seq int64, tr Truth) {
 		m.wg.Add(1)
 		go func() {
 			defer m.wg.Done()
-			m.retrain(site, st, snapshot, seq, reason)
+			m.retrain(d.Site, st, snapshot, d.Seq, reason)
 		}()
 		return
 	}
-	m.retrain(site, st, snapshot, seq, reason)
+	m.retrain(d.Site, st, snapshot, d.Seq, reason)
 }
 
 // retrain builds a candidate from the history snapshot, shadow-evaluates
 // it against the incumbent on the held-out tail, and swaps it in if it
 // wins. hist holds at least MinTrainWindows+ShadowWindows windows.
-func (m *Manager) retrain(site string, st *managed, hist []labeled, seq int64, reason string) {
+func (m *Manager) retrain(site string, st *managed, hist []core.LabeledWindow, seq int64, reason string) {
 	cut := len(hist) - m.cfg.ShadowWindows
 	train, shadow := hist[:cut], hist[cut:]
 
-	set := core.TrainingSet{Workload: "retrain", Windows: make([]core.LabeledWindow, len(train))}
-	for i, lw := range train {
-		set.Windows[i] = core.LabeledWindow{
-			Observation: core.Observation{Time: lw.time, Vectors: lw.vectors},
-			Overload:    lw.overload,
-			Bottleneck:  lw.bottleneck,
-		}
-	}
+	set := core.TrainingSet{Workload: "retrain", Windows: train}
 	cand, err := core.Train(m.cfg.Initial.Level, m.cfg.Names, []core.TrainingSet{set}, m.cfg.Train)
 
 	st.mu.Lock()
@@ -467,11 +407,11 @@ func (m *Manager) emit(e Event) {
 // monitor and returns the balanced accuracy of its overload verdicts.
 // Both models start the shadow slice with empty temporal history, so the
 // comparison is symmetric.
-func shadowScore(mon *core.Monitor, shadow []labeled) float64 {
+func shadowScore(mon *core.Monitor, shadow []core.LabeledWindow) float64 {
 	sess := mon.NewSession()
 	var conf ml.Confusion
 	for _, lw := range shadow {
-		p, err := sess.Predict(core.Observation{Time: lw.time, Vectors: lw.vectors})
+		p, err := sess.Predict(lw.Observation)
 		if err != nil {
 			continue
 		}
@@ -479,7 +419,7 @@ func shadowScore(mon *core.Monitor, shadow []labeled) float64 {
 		if p.Overload {
 			pred = 1
 		}
-		conf.Add(lw.overload, pred)
+		conf.Add(lw.Overload, pred)
 	}
 	return conf.BalancedAccuracy()
 }

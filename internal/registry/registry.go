@@ -1,17 +1,20 @@
 // Package registry closes the paper's train→serve loop: it keeps a
 // versioned store of trained monitors per site and runs the adaptive model
-// lifecycle on top of the serving pipeline. A Manager pairs each published
-// decision with its delayed ground-truth label, feeds the pair to the
-// internal/drift detectors, and — when drift fires — snapshots the site's
-// recent labeled windows into a training set, retrains a candidate monitor
-// (through the zero-copy training fast path, fanned out over
-// internal/parallel workers), shadow-evaluates the candidate against the
-// serving incumbent on a held-out tail of the same history, and hot-swaps
-// the site's model via serve.Pipeline.SwapMonitor when the candidate wins.
+// lifecycle on top of the serving pipeline. The caller pairs each published
+// decision with its ground truth and hands the labeled window to
+// Manager.Observe; a caller whose truth comes late buffers the decisions
+// until it arrives, and the manager keeps no pending state of its own.
+// Observe feeds the pair to the internal/drift detectors and — when drift
+// fires — snapshots the site's recent labeled windows into a training set,
+// retrains a candidate monitor (through the zero-copy training fast path,
+// fanned out over internal/parallel workers), shadow-evaluates the
+// candidate against the serving incumbent on a held-out tail of the same
+// history, and hot-swaps the site's model via serve.Pipeline.SwapMonitor
+// when the candidate wins.
 //
 // The whole lifecycle is deterministic given the observation sequence when
 // run synchronously (Config.Background false): retraining happens inline
-// on the ObserveTruth call that crossed the drift threshold, so replays
+// on the Observe call that crossed the drift threshold, so replays
 // reproduce the identical event sequence — the drift-replay golden in
 // internal/experiment pins this end to end. The daemon runs with
 // Background true, which moves retraining to a goroutine and publishes

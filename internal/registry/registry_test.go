@@ -11,6 +11,7 @@ import (
 	"hpcap/internal/experiment"
 	"hpcap/internal/metrics"
 	"hpcap/internal/ml/bayes"
+	"hpcap/internal/pi"
 	"hpcap/internal/predictor"
 	"hpcap/internal/registry"
 	"hpcap/internal/serve"
@@ -165,13 +166,12 @@ func runLifecycle(t *testing.T, cfg registry.Config, lieFrom int) (*registry.Man
 		t.Fatal(err)
 	}
 
-	truth := func(i int) registry.Truth {
-		w := tr.Windows[i]
-		over := w.Overload == 1
+	truth := func(i int) pi.Truth {
+		w := tr.Windows[i].Truth
 		if i >= lieFrom {
-			over = i%2 == 0
+			w.Overload = 1 - i%2
 		}
-		return registry.Truth{Overload: over, Bottleneck: w.Bottleneck}
+		return w
 	}
 	var vecs [server.NumTiers][][]float64
 	for tier := server.TierID(0); tier < server.NumTiers; tier++ {
@@ -187,16 +187,14 @@ func runLifecycle(t *testing.T, cfg registry.Config, lieFrom int) (*registry.Man
 		ready := len(decisions) - 1
 		mu.Unlock()
 		for ; fedTruth < ready; fedTruth++ {
-			mgr.HandleDecision(decisions[fedTruth])
-			mgr.ObserveTruth("s", decisions[fedTruth].Seq, truth(fedTruth))
+			mgr.Observe(decisions[fedTruth], truth(fedTruth))
 		}
 	}
 	pipe.Flush()
 	mu.Lock()
 	for ; fedTruth < len(decisions); fedTruth++ {
 		mu.Unlock()
-		mgr.HandleDecision(decisions[fedTruth])
-		mgr.ObserveTruth("s", decisions[fedTruth].Seq, truth(fedTruth))
+		mgr.Observe(decisions[fedTruth], truth(fedTruth))
 		mu.Lock()
 	}
 	mu.Unlock()
@@ -317,9 +315,9 @@ func TestManagerLifecycleBackground(t *testing.T) {
 	}
 }
 
-// TestManagerIgnoresUnknownTruth pins the pairing contract: truth for a
-// window the manager never saw a decision for is dropped silently.
-func TestManagerIgnoresUnknownTruth(t *testing.T) {
+// TestManagerRegistersOnFirstObserve pins first contact: a site's first
+// labeled window registers the initial model as v0 and emits no event.
+func TestManagerRegistersOnFirstObserve(t *testing.T) {
 	lab, mon, _, names := fixture(t)
 	pipe, err := serve.NewPipeline(mon, serve.Config{Window: lab.Scale.Window})
 	if err != nil {
@@ -334,9 +332,9 @@ func TestManagerIgnoresUnknownTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr.ObserveTruth("ghost", 7, registry.Truth{Overload: true})
+	mgr.Observe(serve.Decision{Site: "ghost", Seq: 7}, pi.Truth{Overload: 1})
 	if fired {
-		t.Error("unknown truth produced an event")
+		t.Error("first labeled window produced an event")
 	}
 	if got := mgr.Store().History("ghost"); len(got) != 1 {
 		t.Errorf("ghost site has %d versions, want 1 (initial registered on first contact)", len(got))
@@ -344,8 +342,8 @@ func TestManagerIgnoresUnknownTruth(t *testing.T) {
 }
 
 // TestManagerGuardsDegradedDecisions pins the lifecycle guard: decisions
-// made from partial windows never reach the drift detectors, and their
-// orphaned truth is dropped silently.
+// made from partial windows never reach the drift detectors, whatever
+// truth they are paired with.
 func TestManagerGuardsDegradedDecisions(t *testing.T) {
 	lab, mon, _, names := fixture(t)
 	run := func(degraded bool) (*registry.Manager, int) {
@@ -376,8 +374,11 @@ func TestManagerGuardsDegradedDecisions(t *testing.T) {
 			if degraded {
 				d.Degraded, d.Missing = true, 1
 			}
-			mgr.HandleDecision(d)
-			mgr.ObserveTruth("s", seq, registry.Truth{Overload: seq > 8})
+			truth := pi.Truth{}
+			if seq > 8 {
+				truth.Overload = 1
+			}
+			mgr.Observe(d, truth)
 		}
 		return mgr, drifts
 	}
@@ -388,6 +389,9 @@ func TestManagerGuardsDegradedDecisions(t *testing.T) {
 	}
 	if drifts != 0 {
 		t.Errorf("guarded decisions still produced %d drift events", drifts)
+	}
+	if got := mgr.Store().History("s"); len(got) != 1 {
+		t.Errorf("fully guarded site has %d versions, want 1 (initial registered on first contact)", len(got))
 	}
 
 	mgr, drifts = run(false)
