@@ -334,7 +334,7 @@ func run(args []string, out io.Writer) error {
 		mgr, err = registry.NewManager(registry.Config{
 			Pipeline: pipe,
 			Initial:  monitor,
-			Names:    simsite.MetricNames(level),
+			Names:    experiment.MetricNames(level),
 			Train: core.Config{
 				Learner:  bayes.TANLearner(),
 				Synopsis: core.DefaultSynopsisConfig(c.seed + 1),

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -217,4 +218,176 @@ func TestFacadeNamesHaveCallers(t *testing.T) {
 			t.Errorf("hpcap.%s (%s) has no caller in examples/ or bench_test.go", name, obj.Kind)
 		}
 	}
+}
+
+// TestConfigFieldsHaveSetters keeps the serving path's configs to the
+// knobs some program turns: every exported field of the five configs
+// below must be set by a non-test .go file under cmd/, internal/ or
+// bench/, as a `Field:` key or a `.Field =` assignment (see setFields).
+// The declaring package's own defaults do not count. A field that only
+// tests set is a constant with a config's cost; make it one. The
+// exceptions are listed with their reasons.
+func TestConfigFieldsHaveSetters(t *testing.T) {
+	configs := []struct{ dir, typ string }{
+		{"internal/serve", "Config"},
+		{"internal/serve", "ShardConfig"},
+		{"internal/serve", "ListenConfig"},
+		{"internal/wire", "AgentConfig"},
+		{"internal/wal", "Config"},
+	}
+	const deployment = "a deployment setting the bounded-tail and overload work will set"
+	unset := map[string]string{
+		"serve.ListenConfig.ReadTimeout": deployment,
+		"wire.AgentConfig.BackoffBase":   deployment,
+		"wire.AgentConfig.BackoffMax":    deployment,
+		"wire.AgentConfig.DialTimeout":   deployment,
+		"wire.AgentConfig.WriteTimeout":  deployment,
+	}
+
+	set := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, root := range []string{"cmd", "internal", "bench"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err == nil {
+				setFields(f, set)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fields := 0
+	for _, c := range configs {
+		st := structType(t, fset, c.dir, c.typ)
+		for _, field := range st.Fields.List {
+			for _, name := range field.Names {
+				if !name.IsExported() {
+					continue
+				}
+				fields++
+				key := filepath.Base(c.dir) + "." + c.typ + "." + name.Name
+				reason, excepted := unset[key]
+				delete(unset, key)
+				switch {
+				case !set[key] && !excepted:
+					t.Errorf("%s: no program sets it", key)
+				case set[key] && excepted:
+					t.Errorf("%s is set now; drop its exception (%s)", key, reason)
+				}
+			}
+		}
+	}
+	for key := range unset {
+		t.Errorf("exception %s names no field of the configs", key)
+	}
+	t.Logf("%d exported fields across %d configs", fields, len(configs))
+}
+
+// setFields adds to set each "pkg.Type.Field" that f sets: as a key of a
+// pkg.Type literal, or by assigning x.Field where f gave x the type
+// pkg.Type (by a literal, a pkg.DefaultType() call, a var declaration, a
+// parameter or a struct field). Names are matched, not types checked.
+func setFields(f *ast.File, set map[string]bool) {
+	bound := map[string]string{} // identifier -> "pkg.Type"
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			if typ := qualifiedType(n); typ != "" {
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							set[typ+"."+key.Name] = true
+						}
+					}
+				}
+			}
+		case *ast.Field:
+			for _, name := range n.Names {
+				bound[name.Name] = qualifiedType(n.Type)
+			}
+		case *ast.ValueSpec:
+			for i, name := range n.Names {
+				typ := qualifiedType(n.Type)
+				if typ == "" && i < len(n.Values) {
+					typ = qualifiedType(n.Values[i])
+				}
+				bound[name.Name] = typ
+			}
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				switch lhs := lhs.(type) {
+				case *ast.Ident:
+					if len(n.Rhs) == len(n.Lhs) {
+						bound[lhs.Name] = qualifiedType(n.Rhs[i])
+					}
+				case *ast.SelectorExpr:
+					var x string
+					switch recv := lhs.X.(type) {
+					case *ast.Ident:
+						x = recv.Name
+					case *ast.SelectorExpr:
+						x = recv.Sel.Name
+					}
+					if typ := bound[x]; typ != "" {
+						set[typ+"."+lhs.Sel.Name] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+}
+
+// qualifiedType names the package-qualified type an expression denotes or
+// builds: "pkg.Type" for pkg.Type, *pkg.Type, pkg.Type{...}, &pkg.Type{...}
+// and pkg.DefaultType(); "" otherwise.
+func qualifiedType(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return qualifiedType(e.X)
+	case *ast.UnaryExpr:
+		return qualifiedType(e.X)
+	case *ast.CompositeLit:
+		return qualifiedType(e.Type)
+	case *ast.CallExpr:
+		if pkg, fn, ok := strings.Cut(qualifiedType(e.Fun), ".Default"); ok {
+			return pkg + "." + fn
+		}
+	case *ast.SelectorExpr:
+		if pkg, ok := e.X.(*ast.Ident); ok {
+			return pkg.Name + "." + e.Sel.Name
+		}
+	}
+	return ""
+}
+
+// structType finds the struct type named typ among dir's non-test files.
+func structType(t *testing.T, fset *token.FileSet, dir, typ string) *ast.StructType {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if obj := f.Scope.Lookup(typ); obj != nil && obj.Kind == ast.Typ {
+			if st, ok := obj.Decl.(*ast.TypeSpec).Type.(*ast.StructType); ok {
+				return st
+			}
+		}
+	}
+	t.Fatalf("no struct %s in %s", typ, dir)
+	return nil
 }

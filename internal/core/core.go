@@ -186,18 +186,17 @@ func Train(level metrics.Level, names []string, sets []TrainingSet, cfg Config) 
 	gpv := make([]int, len(m.Synopses))
 	for pass := 0; pass < passes; pass++ {
 		for _, set := range sets {
-			coord.ResetHistory()
+			sess := coord.NewSession()
 			for _, w := range set.Windows {
 				for i, syn := range m.Synopses {
 					gpv[i] = syn.Predict(w.Vectors[syn.Tier], &scr)
 				}
-				if err := coord.Train(gpv, w.Overload, int(w.Bottleneck)); err != nil {
+				if err := sess.Train(gpv, w.Overload, int(w.Bottleneck)); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
-	coord.ResetHistory()
 	return m, nil
 }
 

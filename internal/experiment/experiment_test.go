@@ -3,6 +3,7 @@ package experiment
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -72,13 +73,14 @@ func TestGenerateTraceStructure(t *testing.T) {
 		t.Fatalf("training trace has %d windows, want a rich trace", len(tr.Windows))
 	}
 	var over, under int
+	nOS, nHPC := len(MetricNames(metrics.LevelOS)), len(MetricNames(metrics.LevelHPC))
 	for _, w := range tr.Windows {
-		if len(w.OS[server.TierApp]) != len(tr.OSNames) ||
-			len(w.OS[server.TierDB]) != len(tr.OSNames) {
+		if len(w.OS[server.TierApp]) != nOS ||
+			len(w.OS[server.TierDB]) != nOS {
 			t.Fatal("OS vector width mismatch")
 		}
-		if len(w.HPC[server.TierApp]) != len(tr.HPCNames) ||
-			len(w.HPC[server.TierDB]) != len(tr.HPCNames) {
+		if len(w.HPC[server.TierApp]) != nHPC ||
+			len(w.HPC[server.TierDB]) != nHPC {
 			t.Fatal("HPC vector width mismatch")
 		}
 		if w.Overload == 1 {
@@ -528,9 +530,10 @@ func TestCombinedLevelVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := tr.Names(metrics.LevelCombined)
-	if len(names) != len(tr.OSNames)+len(tr.HPCNames) {
-		t.Fatalf("combined names = %d, want %d", len(names), len(tr.OSNames)+len(tr.HPCNames))
+	names := MetricNames(metrics.LevelCombined)
+	osNames, hpcNames := MetricNames(metrics.LevelOS), MetricNames(metrics.LevelHPC)
+	if !slices.Equal(names, slices.Concat(osNames, hpcNames)) {
+		t.Fatalf("combined names = %v, want the OS names then the HPC names", names)
 	}
 	w := tr.Windows[0]
 	vecs := w.Vectors(metrics.LevelCombined)
@@ -541,7 +544,7 @@ func TestCombinedLevelVectors(t *testing.T) {
 	if vecs[server.TierApp][0] != w.OS[server.TierApp][0] {
 		t.Error("combined vector does not start with the OS vector")
 	}
-	if vecs[server.TierApp][len(tr.OSNames)] != w.HPC[server.TierApp][0] {
+	if vecs[server.TierApp][len(osNames)] != w.HPC[server.TierApp][0] {
 		t.Error("combined vector does not continue with the HPC vector")
 	}
 }

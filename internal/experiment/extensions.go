@@ -40,6 +40,7 @@ type BaselineResult struct {
 // Lab's workers; the coordinated monitor is shared and each evaluation
 // replays through a private session, so rows match a sequential run.
 func (l *Lab) RunBaselines() (*BaselineResult, error) {
+	hpcNames := MetricNames(metrics.LevelHPC)
 	// Calibrate PI thresholds per tier on the concatenated training data.
 	type calibration struct {
 		def pi.Definition
@@ -55,12 +56,12 @@ func (l *Lab) RunBaselines() (*BaselineResult, error) {
 			if err != nil {
 				return calibration{}, err
 			}
-			sel, err := pi.Select(pi.DefaultCandidates(), tr.HPCNames, tr.HPCSamples[tier])
+			sel, err := pi.Select(pi.DefaultCandidates(), hpcNames, tr.HPCSamples[tier])
 			if err != nil {
 				return calibration{}, err
 			}
 			def = sel.Definition
-			s, err := pi.Series(sel.Definition, tr.HPCNames, tr.HPCSamples[tier])
+			s, err := pi.Series(sel.Definition, hpcNames, tr.HPCSamples[tier])
 			if err != nil {
 				return calibration{}, err
 			}
@@ -100,7 +101,7 @@ func (l *Lab) RunBaselines() (*BaselineResult, error) {
 		// Single-PI thresholds, one per tier; report the better tier.
 		bestPI := BaselineRow{Detector: "pi-threshold", Workload: kind, Overload: -1}
 		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-			series, err := pi.Series(cals[tier].def, test.HPCNames, test.HPCSamples[tier])
+			series, err := pi.Series(cals[tier].def, hpcNames, test.HPCSamples[tier])
 			if err != nil {
 				return nil, err
 			}

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"hpcap/internal/metrics"
 	"hpcap/internal/pi"
 	"hpcap/internal/server"
 	"hpcap/internal/stats"
@@ -59,12 +60,12 @@ func (l *Lab) RunFig3() (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	samples := tr.HPCSamples[tier]
-	sel, err := pi.Select(pi.DefaultCandidates(), tr.HPCNames, samples)
+	samples, names := tr.HPCSamples[tier], MetricNames(metrics.LevelHPC)
+	sel, err := pi.Select(pi.DefaultCandidates(), names, samples)
 	if err != nil {
 		return nil, err
 	}
-	series, err := pi.Series(sel.Definition, tr.HPCNames, samples)
+	series, err := pi.Series(sel.Definition, names, samples)
 	if err != nil {
 		return nil, err
 	}

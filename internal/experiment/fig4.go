@@ -54,9 +54,7 @@ func (l *Lab) trainMonitor(level metrics.Level, coordCfg predictor.Config, learn
 		return nil, err
 	}
 	var sets []core.TrainingSet
-	var names []string
 	for i, tr := range traces {
-		names = tr.Names(level)
 		set := core.TrainingSet{Workload: mixes[i].Name}
 		for _, w := range tr.Windows {
 			set.Windows = append(set.Windows, core.LabeledWindow{
@@ -67,7 +65,7 @@ func (l *Lab) trainMonitor(level metrics.Level, coordCfg predictor.Config, learn
 		}
 		sets = append(sets, set)
 	}
-	return core.Train(level, names, sets, core.Config{
+	return core.Train(level, MetricNames(level), sets, core.Config{
 		Learner:     learner,
 		Synopsis:    core.DefaultSynopsisConfig(l.Seed),
 		Coordinator: coordCfg,

@@ -77,7 +77,7 @@ func (l *Lab) newReplay(workers int, f front) (*replay, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &replay{Lab: l, workers: workers, front: f, wb: wb, names: btr.Names(replayLevel)}
+	r := &replay{Lab: l, workers: workers, front: f, wb: wb, names: MetricNames(replayLevel)}
 	set := core.TrainingSet{Workload: "browsing"}
 	for _, w := range btr.Windows {
 		set.Windows = append(set.Windows, core.LabeledWindow{

@@ -48,7 +48,7 @@ type Table1Result struct {
 
 // Dataset converts one tier/level slice of a trace into an ml.Dataset.
 func Dataset(tr *Trace, tier server.TierID, level metrics.Level) (*ml.Dataset, error) {
-	d := ml.NewDataset(tr.Names(level))
+	d := ml.NewDataset(MetricNames(level))
 	for _, w := range tr.Windows {
 		if err := d.Add(w.Vectors(level)[tier], w.Overload); err != nil {
 			return nil, err

@@ -13,7 +13,8 @@ import (
 )
 
 // TimingRow is one learner's measured cost (§V.B): the wall time to build a
-// synopsis from the training set and to make a single online decision. The
+// synopsis from the training set (the fastest of three builds) and to make
+// a single online decision. The
 // paper reports 90 ms (LR), 10 ms (Naive), 1710 ms (SVM) and 50 ms (TAN) on
 // 2006 hardware; on modern hardware the absolute numbers shrink but the
 // ordering — SVM far slower than the rest, Naive cheapest — must hold.
@@ -56,20 +57,28 @@ func (l *Lab) RunTiming() (*TimingResult, error) {
 // for a stable reading.
 func timeLearner(learner ml.Learner, d *ml.Dataset, seed int64) (TimingRow, error) {
 	// Build: attribute selection plus model fitting, as the online system
-	// performs it.
-	start := time.Now()
-	syn, err := synopsis.Build("timing", server.TierApp, metrics.LevelHPC, learner, d,
-		synopsis.Config{Selection: selection(seed)})
-	if err != nil {
-		return TimingRow{}, err
+	// performs it. The fastest of three equal builds is the cost: one
+	// build's wall clock also holds whatever else the host ran meanwhile.
+	var syn *synopsis.Synopsis
+	var build time.Duration
+	for i := range 3 {
+		start := time.Now()
+		s, err := synopsis.Build("timing", server.TierApp, metrics.LevelHPC, learner, d,
+			synopsis.Config{Selection: selection(seed)})
+		if err != nil {
+			return TimingRow{}, err
+		}
+		if took := time.Since(start); i == 0 || took < build {
+			build = took
+		}
+		syn = s
 	}
-	build := time.Since(start)
 
 	// Decide: median-ish estimate over repeated single decisions.
 	probe := d.Row(d.Len() / 2)
 	var scr ml.Scratch
 	const reps = 2000
-	start = time.Now()
+	start := time.Now()
 	for i := 0; i < reps; i++ {
 		syn.Predict(probe, &scr)
 	}

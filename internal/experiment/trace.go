@@ -3,6 +3,7 @@ package experiment
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hpcap/internal/core"
 	"hpcap/internal/cpu"
@@ -34,6 +35,21 @@ func Collectors(machines [server.NumTiers]server.MachineConfig, seed int64) (osC
 	return osColl, hpcColl
 }
 
+// MetricNames returns the metric layout the collectors produce at a
+// level: the OS metrics, the hardware counters, or at the combined level
+// both, OS first — the order of Window.Vectors, Trace.SecondVectors and
+// a simulated site's combined sample.
+func MetricNames(level metrics.Level) []string {
+	switch level {
+	case metrics.LevelOS:
+		return osstat.MetricNames
+	case metrics.LevelCombined:
+		return slices.Concat(osstat.MetricNames, cpu.MetricNames)
+	default:
+		return cpu.MetricNames
+	}
+}
+
 // Window is one aggregated 30-second observation of the whole testbed at
 // both metric levels, with its offline ground truth.
 type Window struct {
@@ -48,9 +64,7 @@ type Window struct {
 
 // Trace is a generated run of the testbed.
 type Trace struct {
-	Windows  []Window
-	OSNames  []string
-	HPCNames []string
+	Windows []Window
 	// Samples per tier of the HPC aggregation, stamped with their
 	// window's health, for PI computations.
 	HPCSamples [server.NumTiers][]metrics.Sample
@@ -104,21 +118,6 @@ func (t *Trace) SecondVectors(level metrics.Level, tier server.TierID) [][]float
 		return out
 	default:
 		return t.SecHPC[tier]
-	}
-}
-
-// Names returns the metric names for a level.
-func (t *Trace) Names(level metrics.Level) []string {
-	switch level {
-	case metrics.LevelOS:
-		return t.OSNames
-	case metrics.LevelCombined:
-		names := make([]string, 0, len(t.OSNames)+len(t.HPCNames))
-		names = append(names, t.OSNames...)
-		names = append(names, t.HPCNames...)
-		return names
-	default:
-		return t.HPCNames
 	}
 }
 
@@ -244,10 +243,7 @@ func Generate(cfg TraceConfig) (*Trace, error) {
 		coll[tier] = tierCollectors{os: osAgg, hpc: hpcAgg}
 	}
 
-	trace := &Trace{
-		OSNames:  osstat.MetricNames,
-		HPCNames: cpu.MetricNames,
-	}
+	trace := &Trace{}
 
 	truth, err := pi.NewWindow(cfg.Window)
 	if err != nil {

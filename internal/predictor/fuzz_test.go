@@ -4,8 +4,8 @@ import (
 	"testing"
 )
 
-// FuzzPredictorUpdate drives a predictor with an arbitrary byte-encoded
-// stream of Train/Predict/Feedback operations, including malformed GPVs and
+// FuzzPredictorUpdate drives a predictor through two sessions with an
+// arbitrary byte-encoded stream of Train/Predict/Feedback operations, including malformed GPVs and
 // labels. The predictor must never panic, must reject bad inputs with
 // errors, and every saturating counter must stay inside ±CounterMax.
 func FuzzPredictorUpdate(f *testing.F) {
@@ -20,7 +20,7 @@ func FuzzPredictorUpdate(f *testing.F) {
 		if err != nil {
 			t.Fatalf("New(%d, 2, h=%d): %v", m, h, err)
 		}
-		sess := p.NewSession()
+		a, b := p.NewSession(), p.NewSession()
 		gpv := make([]int, m)
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, arg := ops[i], int(ops[i+1])
@@ -36,17 +36,17 @@ func FuzzPredictorUpdate(f *testing.F) {
 			bottleneck := (arg >> 1) & 3 // 0..3: sometimes out of tier range
 			switch op % 4 {
 			case 0:
-				_ = p.Train(gpv, overload, bottleneck)
+				_ = a.Train(gpv, overload, bottleneck)
 			case 1:
-				_, _, _ = p.Predict(gpv)
+				_, _, _ = a.Predict(gpv)
 			case 2:
-				_, _, _ = sess.Predict(gpv)
-				sess.Feedback(overload, bottleneck%2)
+				_, _, _ = b.Predict(gpv)
+				b.Feedback(overload, bottleneck%2)
 			default:
-				p.Feedback(overload, bottleneck%2)
+				a.Feedback(overload, bottleneck%2)
 				if op == 0xff {
-					p.ResetHistory()
-					sess.ResetHistory()
+					a.ResetHistory()
+					b.ResetHistory()
 				}
 			}
 		}

@@ -24,9 +24,8 @@
 // Session. The prediction hot path is lock-free: the tables live in flat
 // fixed-point arrays behind an atomic snapshot pointer, readers load
 // individual counters atomically, and only the writers (Train, Feedback)
-// serialize on a mutex. The Predictor's own Predict/Feedback/ResetHistory
-// methods operate on a mutex-guarded default session, which keeps the
-// historical single-stream API safe (if serialized) under concurrent use.
+// serialize on a mutex. Training runs through a Session too: its register
+// records the predictions made along the trace.
 package predictor
 
 import (
@@ -151,11 +150,6 @@ type Predictor struct {
 
 	mu  sync.Mutex
 	tab atomic.Pointer[tables]
-
-	// def is the default session behind the Predictor's own
-	// Predict/Feedback/ResetHistory methods; defMu serializes it.
-	defMu sync.Mutex
-	def   Session
 }
 
 // clamp32 saturates a non-negative config value into the int32 counters.
@@ -190,7 +184,6 @@ func New(m, tiers int, cfg Config) (*Predictor, error) {
 	t.lht = make([]int32, gptSize<<t.hbits)
 	t.bpt = make([]int32, gptSize*tiers)
 	p.tab.Store(t)
-	p.def.p = p
 	return p, nil
 }
 
@@ -342,24 +335,15 @@ func (t *tables) updateBPT(idx, bottleneck int) {
 	}
 }
 
-// ResetHistory clears the default session's local-history register (e.g.
-// between traces).
-func (p *Predictor) ResetHistory() {
-	p.defMu.Lock()
-	defer p.defMu.Unlock()
-	p.def.ResetHistory()
-}
-
 // Train consumes one training instance: the synopses' GPV, the true
 // overload label, and the bottleneck tier (ignored unless the instance is
 // overloaded, mirroring the paper's training of the BPT on overloaded
 // instances). The history register records the coordinated predictions
 // made along the way ("the last h prediction results", §III.C), exactly as
-// online prediction does, so instances must be presented in trace order.
-// Train drives the default session's register.
-func (p *Predictor) Train(gpv []int, overload int, bottleneck int) error {
-	p.defMu.Lock()
-	defer p.defMu.Unlock()
+// online prediction does, so instances must be presented in trace order,
+// one session per trace. Train drives this session's register.
+func (s *Session) Train(gpv []int, overload int, bottleneck int) error {
+	p := s.p
 	idx, err := p.gpvIndex(gpv)
 	if err != nil {
 		return err
@@ -373,7 +357,7 @@ func (p *Predictor) Train(gpv []int, overload int, bottleneck int) error {
 	t := p.tab.Load()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	cell := &t.lht[idx<<t.hbits|p.def.history]
+	cell := &t.lht[idx<<t.hbits|s.history]
 	hc := atomic.LoadInt32(cell)
 	pred := t.lambda(hc)
 	// Saturating update toward the truth.
@@ -389,25 +373,8 @@ func (p *Predictor) Train(gpv []int, overload int, bottleneck int) error {
 	if overload == 1 {
 		t.updateBPT(idx, bottleneck)
 	}
-	p.def.shift(pred)
+	s.shift(pred)
 	return nil
-}
-
-// Predict makes the coordinated prediction on the default session; see
-// Session.Predict. Concurrent callers are serialized — give each its own
-// Session instead.
-func (p *Predictor) Predict(gpv []int) (overload int, bottleneck int, err error) {
-	p.defMu.Lock()
-	defer p.defMu.Unlock()
-	return p.def.Predict(gpv)
-}
-
-// Feedback reinforces the default session's most recent Predict; see
-// Session.Feedback.
-func (p *Predictor) Feedback(overload int, bottleneck int) {
-	p.defMu.Lock()
-	defer p.defMu.Unlock()
-	p.def.Feedback(overload, bottleneck)
 }
 
 // argmaxBottleneck returns λb(bK...b1) = arg max over tier counters.

@@ -50,19 +50,20 @@ func TestSchemeString(t *testing.T) {
 
 func TestGPVValidation(t *testing.T) {
 	p := mustNew(t, 4, 2, Config{})
-	if err := p.Train([]int{1, 0}, 1, 0); err == nil {
+	s := p.NewSession()
+	if err := s.Train([]int{1, 0}, 1, 0); err == nil {
 		t.Error("short GPV not rejected")
 	}
-	if err := p.Train([]int{1, 0, 2, 0}, 1, 0); err == nil {
+	if err := s.Train([]int{1, 0, 2, 0}, 1, 0); err == nil {
 		t.Error("non-binary GPV not rejected")
 	}
-	if err := p.Train([]int{1, 0, 1, 0}, 2, 0); err == nil {
+	if err := s.Train([]int{1, 0, 1, 0}, 2, 0); err == nil {
 		t.Error("bad label not rejected")
 	}
-	if err := p.Train([]int{1, 0, 1, 0}, 1, 5); err == nil {
+	if err := s.Train([]int{1, 0, 1, 0}, 1, 5); err == nil {
 		t.Error("bad bottleneck not rejected")
 	}
-	if _, _, err := p.Predict([]int{1}); err == nil {
+	if _, _, err := s.Predict([]int{1}); err == nil {
 		t.Error("short GPV in Predict not rejected")
 	}
 }
@@ -72,16 +73,17 @@ func TestLearnsConsistentPattern(t *testing.T) {
 	// bottleneck; [0,0,0,0] always means underload. After training, the
 	// predictor must reproduce both.
 	p := mustNew(t, 4, 2, Config{})
+	s := p.NewSession()
 	for i := 0; i < 50; i++ {
-		if err := p.Train([]int{1, 0, 1, 0}, 1, 1); err != nil {
+		if err := s.Train([]int{1, 0, 1, 0}, 1, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Train([]int{0, 0, 0, 0}, 0, 0); err != nil {
+		if err := s.Train([]int{0, 0, 0, 0}, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p.ResetHistory()
-	over, bott, err := p.Predict([]int{1, 0, 1, 0})
+	s.ResetHistory()
+	over, bott, err := s.Predict([]int{1, 0, 1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestLearnsConsistentPattern(t *testing.T) {
 	if bott != 1 {
 		t.Errorf("bottleneck = %d, want 1", bott)
 	}
-	over, bott, err = p.Predict([]int{0, 0, 0, 0})
+	over, bott, err = s.Predict([]int{0, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,21 +110,22 @@ func TestMasksInaccurateSynopses(t *testing.T) {
 	// truth. The coordinated predictor must learn both variants of each
 	// pattern — "masking" the bad synopsis, as the paper puts it.
 	p := mustNew(t, 4, 2, Config{})
+	s := p.NewSession()
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 400; i++ {
 		noise := rng.Intn(2)
 		truth := i % 2
 		gpv := []int{truth, truth, truth, noise}
-		if err := p.Train(gpv, truth, 0); err != nil {
+		if err := s.Train(gpv, truth, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p.ResetHistory()
+	s.ResetHistory()
 	correct := 0
 	for i := 0; i < 100; i++ {
 		noise := rng.Intn(2)
 		truth := i % 2
-		over, _, err := p.Predict([]int{truth, truth, truth, noise})
+		over, _, err := s.Predict([]int{truth, truth, truth, noise})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,8 +141,8 @@ func TestMasksInaccurateSynopses(t *testing.T) {
 func TestDeltaUncertaintyBand(t *testing.T) {
 	// With only a couple of training updates, |Hc| stays within δ=5 and
 	// the tie-break decides.
-	opt := mustNew(t, 2, 2, Config{Scheme: Optimistic})
-	pes := mustNew(t, 2, 2, Config{Scheme: Pessimistic})
+	opt := mustNew(t, 2, 2, Config{Scheme: Optimistic}).NewSession()
+	pes := mustNew(t, 2, 2, Config{Scheme: Pessimistic}).NewSession()
 	for i := 0; i < 3; i++ {
 		if err := opt.Train([]int{1, 1}, 1, 0); err != nil {
 			t.Fatal(err)
@@ -168,8 +171,9 @@ func TestDeltaUncertaintyBand(t *testing.T) {
 
 func TestCounterSaturates(t *testing.T) {
 	p := mustNew(t, 1, 1, Config{CounterMax: 8, Delta: 1})
+	s := p.NewSession()
 	for i := 0; i < 100; i++ {
-		if err := p.Train([]int{1}, 1, 0); err != nil {
+		if err := s.Train([]int{1}, 1, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,8 +194,9 @@ func TestCounterMaxClampsToInt32(t *testing.T) {
 	// A CounterMax beyond the 32-bit cell range must clamp, not wrap: the
 	// predictor constructs fine and counters keep their sign and magnitude.
 	p := mustNew(t, 1, 1, Config{CounterMax: math.MaxInt, Delta: 1, HistoryBits: 1})
+	s := p.NewSession()
 	for i := 0; i < 50; i++ {
-		if err := p.Train([]int{1}, 1, 0); err != nil {
+		if err := s.Train([]int{1}, 1, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,41 +214,42 @@ func TestHistoryDistinguishesTemporalPatterns(t *testing.T) {
 	// pattern continues overloaded; after a run of underloads it is a
 	// transient blip. h-bit history should separate the two.
 	p := mustNew(t, 1, 1, Config{HistoryBits: 2, Delta: 0})
+	s := p.NewSession()
 	// Build: GPV=1 following history "11" → overload; GPV=1 following
 	// history "00" → underload (flaky synopsis during recovery).
 	for i := 0; i < 60; i++ {
 		// Sequence: 1,1,1 (overloads) then 0,0,1-but-underloaded.
-		if err := p.Train([]int{1}, 1, 0); err != nil {
+		if err := s.Train([]int{1}, 1, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Train([]int{1}, 1, 0); err != nil {
+		if err := s.Train([]int{1}, 1, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Train([]int{1}, 1, 0); err != nil {
+		if err := s.Train([]int{1}, 1, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Train([]int{0}, 0, 0); err != nil {
+		if err := s.Train([]int{0}, 0, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Train([]int{0}, 0, 0); err != nil {
+		if err := s.Train([]int{0}, 0, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Train([]int{1}, 0, 0); err != nil {
+		if err := s.Train([]int{1}, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Drive history to "11" via two observed overloads (online feedback
 	// corrects the history register with the truth).
-	p.ResetHistory()
-	if _, _, err := p.Predict([]int{1}); err != nil {
+	s.ResetHistory()
+	if _, _, err := s.Predict([]int{1}); err != nil {
 		t.Fatal(err)
 	}
-	p.Feedback(1, 0)
-	if _, _, err := p.Predict([]int{1}); err != nil {
+	s.Feedback(1, 0)
+	if _, _, err := s.Predict([]int{1}); err != nil {
 		t.Fatal(err)
 	}
-	p.Feedback(1, 0)
-	over, _, err := p.Predict([]int{1})
+	s.Feedback(1, 0)
+	over, _, err := s.Predict([]int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,17 +283,18 @@ func abs(v int) int {
 
 func TestFeedbackAdapts(t *testing.T) {
 	p := mustNew(t, 1, 2, Config{Delta: 0})
-	p.ResetHistory()
+	s := p.NewSession()
+	s.ResetHistory()
 	// Untrained: Hc=0, optimistic default → underload. Feed back truth
 	// "overload" repeatedly; prediction must flip.
 	for i := 0; i < 10; i++ {
-		if _, _, err := p.Predict([]int{1}); err != nil {
+		if _, _, err := s.Predict([]int{1}); err != nil {
 			t.Fatal(err)
 		}
-		p.Feedback(1, 0)
-		p.ResetHistory()
+		s.Feedback(1, 0)
+		s.ResetHistory()
 	}
-	over, bott, err := p.Predict([]int{1})
+	over, bott, err := s.Predict([]int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +308,8 @@ func TestFeedbackAdapts(t *testing.T) {
 
 func TestFeedbackBeforePredictIsNoop(t *testing.T) {
 	p := mustNew(t, 2, 2, Config{})
-	p.Feedback(1, 0) // must not panic or corrupt state
+	s := p.NewSession()
+	s.Feedback(1, 0) // must not panic or corrupt state
 	hc, err := p.Counter([]int{0, 0}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -337,9 +345,10 @@ func TestGPVIsolationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		s := p.NewSession()
 		for i := 0; i < 20; i++ {
-			p.ResetHistory()
-			if err := p.Train(gpv, 1, 0); err != nil {
+			s.ResetHistory()
+			if err := s.Train(gpv, 1, 0); err != nil {
 				return false
 			}
 		}
@@ -359,6 +368,7 @@ func TestSaturationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		s := p.NewSession()
 		rng := rand.New(rand.NewSource(seed))
 		for _, l := range labels {
 			gpv := []int{rng.Intn(2), rng.Intn(2)}
@@ -366,7 +376,7 @@ func TestSaturationProperty(t *testing.T) {
 			if l {
 				label = 1
 			}
-			if err := p.Train(gpv, label, rng.Intn(2)); err != nil {
+			if err := s.Train(gpv, label, rng.Intn(2)); err != nil {
 				return false
 			}
 		}

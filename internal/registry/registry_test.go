@@ -63,7 +63,7 @@ func fixture(t testing.TB) (*experiment.Lab, *core.Monitor, *experiment.Trace, [
 			fx.err = err
 			return
 		}
-		fx.lab, fx.mon, fx.tr, fx.names = lab, mon, tr, tr.Names(fixtureLevel)
+		fx.lab, fx.mon, fx.tr, fx.names = lab, mon, tr, experiment.MetricNames(fixtureLevel)
 	})
 	if fx.err != nil {
 		t.Fatalf("fixture: %v", fx.err)

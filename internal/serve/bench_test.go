@@ -86,7 +86,7 @@ func BenchmarkFleetIngest(b *testing.B) {
 			}, func() {})
 		})
 		b.Run(fmt.Sprintf("sharded/sites=%d", nSites), func(b *testing.B) {
-			sp, err := serve.NewShardedPipeline(mon, serve.Config{Window: 30}, serve.DefaultShardConfig())
+			sp, err := serve.NewShardedPipeline(mon, serve.Config{Window: 30}, serve.ShardConfig{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func BenchmarkFleetIngest(b *testing.B) {
 			}, sp.Sync)
 		})
 		b.Run(fmt.Sprintf("sharded-site/sites=%d", nSites), func(b *testing.B) {
-			sp, err := serve.NewShardedPipeline(mon, serve.Config{Window: 30}, serve.DefaultShardConfig())
+			sp, err := serve.NewShardedPipeline(mon, serve.Config{Window: 30}, serve.ShardConfig{})
 			if err != nil {
 				b.Fatal(err)
 			}

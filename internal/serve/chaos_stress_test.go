@@ -282,13 +282,15 @@ func TestSkipReasonExclusive(t *testing.T) {
 // TestHealthLadderProperty drives randomized window-outcome scripts
 // through the pipeline and checks the degradation ladder against a model
 // state machine: degraded windows move the site to degraded, dropped
-// windows and gaps to stale, RecoverWindows consecutive clean decisions
-// back to healthy — and every transition the model predicts shows up both
+// windows and gaps to stale, three consecutive clean decisions back to
+// healthy — and every transition the model predicts shows up both
 // as an OnHealth event and as exactly one increment of the matching
 // HealthTransitions cell (the Prometheus counter's source).
 func TestHealthLadderProperty(t *testing.T) {
 	_, mon, _ := fixture(t)
 	dim := mon.InputDim()
+	// budget and recoverN are the pipeline's staleness budget and
+	// recovery streak at a 30-second window.
 	const (
 		window   = 30
 		recoverN = 3
@@ -297,6 +299,7 @@ func TestHealthLadderProperty(t *testing.T) {
 		nWin     = 36
 	)
 	outcomes := []string{"clean", "degraded", "dropped", "gap"}
+	var reached [serve.NumHealthStates]uint64 // transitions into each state, all seeds
 
 	for seedIdx := 0; seedIdx < nSeeds; seedIdx++ {
 		seed := int64(seedIdx)
@@ -313,10 +316,8 @@ func TestHealthLadderProperty(t *testing.T) {
 
 			var events []serve.HealthEvent
 			p, err := serve.NewPipeline(mon, serve.Config{
-				Window:          window,
-				StalenessBudget: budget,
-				RecoverWindows:  recoverN,
-				OnHealth:        func(ev serve.HealthEvent) { events = append(events, ev) },
+				Window:   window,
+				OnHealth: func(ev serve.HealthEvent) { events = append(events, ev) },
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -384,6 +385,11 @@ func TestHealthLadderProperty(t *testing.T) {
 				t.Errorf("transition counters %v, model says %v (script %v)",
 					st.HealthTransitions, wantTrans, script)
 			}
+			for from := range wantTrans {
+				for to, n := range wantTrans[from] {
+					reached[to] += n
+				}
+			}
 			if len(events) != len(wantEdges) {
 				t.Fatalf("observed %d OnHealth events, model says %d (script %v)",
 					len(events), len(wantEdges), script)
@@ -402,5 +408,10 @@ func TestHealthLadderProperty(t *testing.T) {
 				t.Errorf("counter increments %d != events %d — a transition skipped its counter", got, want)
 			}
 		})
+	}
+	for h, n := range reached {
+		if n == 0 {
+			t.Errorf("no script moved the site to %s", serve.Health(h))
+		}
 	}
 }

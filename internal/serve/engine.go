@@ -37,8 +37,7 @@ type engine struct {
 	mon       *core.Monitor
 	dim       int
 	window    int
-	staleness int
-	recover   int
+	staleness int // stalenessBudget, clamped below the window
 
 	idx   map[string]int32 // site name -> dense index
 	recs  []siteRec
@@ -156,8 +155,7 @@ func newEngine(m *core.Monitor, cfg Config, dim int) *engine {
 		mon:       m,
 		dim:       dim,
 		window:    cfg.Window,
-		staleness: cfg.StalenessBudget,
-		recover:   cfg.RecoverWindows,
+		staleness: min(stalenessBudget, cfg.Window-1),
 		idx:       make(map[string]int32),
 		fuseCfg:   cfg.Fuse,
 	}
@@ -672,7 +670,7 @@ func (e *engine) finishDecide(i int32, obs core.Observation, missing int, seq in
 		e.setHealth(i, HealthDegraded, seq)
 	} else {
 		st.cleanStreak++
-		if ss.Health != HealthHealthy && st.cleanStreak >= e.recover {
+		if ss.Health != HealthHealthy && st.cleanStreak >= recoverWindows {
 			e.setHealth(i, HealthHealthy, seq)
 		}
 	}

@@ -57,7 +57,7 @@ func trainTestMonitor(t *testing.T, seed int64) *core.Monitor {
 // long-lived daemon promoting model after model keeps only the ones in
 // service.
 func TestSwappedOffMonitorIsCollected(t *testing.T) {
-	p, err := NewPipeline(trainTestMonitor(t, 0), Config{Window: 3, StalenessBudget: 1, RecoverWindows: 2})
+	p, err := NewPipeline(trainTestMonitor(t, 0), Config{Window: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,7 +238,7 @@ func TestWaitConnsFlushesLane(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fsrv.Close()
-	if 2*window >= serve.DefaultShardConfig().BatchSize {
+	if batch, _ := serve.DefaultGeometry(); 2*window >= batch {
 		t.Fatalf("two windows (%d scrapes) fill a batch: the lane would flush early", 2*window)
 	}
 	// Many sessions: the ordering this pins was a race, not a certainty.
@@ -577,9 +577,7 @@ func newDigestRecorder() *digestRecorder {
 // goroutine before the shard may go on.
 func (r *digestRecorder) config(window int, hold func()) serve.Config {
 	return serve.Config{
-		Window:          window,
-		StalenessBudget: 2,
-		RecoverWindows:  2,
+		Window: window,
 		OnDecision: func(d serve.Decision) {
 			r.mu.Lock()
 			h, ok := r.digest[d.Site]
@@ -637,14 +635,10 @@ func TestPooledFrameOwnership(t *testing.T) {
 	sites := []string{"site-a", "site-b"}
 	seconds := min(len(tr.SecTimes), 20*window)
 	order := roundRobin(distinctFrames(vecs, tr.SecTimes[:seconds], sites, 5))
-	geom := serve.ShardConfig{Shards: 1, BatchSize: 1, QueueCapacity: 1}
 	at := 10 * len(sites) // a round boundary in the middle of the stream
 
 	ref := newDigestRecorder()
-	spRef, err := serve.NewShardedPipeline(mon, ref.config(window, nil), geom)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spRef := newSharded(t, mon, ref.config(window, nil), geometry{shards: 1, batch: 1, queue: 1})
 	refs := make(map[string]serve.SiteRef)
 	for _, site := range sites {
 		refs[site] = spRef.Register(site)
@@ -661,10 +655,7 @@ func TestPooledFrameOwnership(t *testing.T) {
 
 	serveFrames := func(t *testing.T, rec *digestRecorder, hold func()) (*serve.ShardedPipeline, *serve.Ingest, *serve.FrameServer) {
 		t.Helper()
-		sp, err := serve.NewShardedPipeline(mon, rec.config(window, hold), geom)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sp := newSharded(t, mon, rec.config(window, hold), geometry{shards: 1, batch: 1, queue: 1})
 		t.Cleanup(sp.Close)
 		ing := serve.NewIngest(sp)
 		fsrv, err := serve.NewFrameServer(serve.ListenConfig{}, ing, nil)
@@ -773,10 +764,8 @@ func TestLoopbackSteadyStateAllocs(t *testing.T) {
 	const warm, measured = 4096, 12800
 	// Short shard queues bound the frames in flight, so the warm-up has
 	// already made every frame the measured stretch can need.
-	sp, err := serve.NewShardedPipeline(mon, serve.Config{Window: 1 << 20}, serve.ShardConfig{Shards: 2, QueueCapacity: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch, _ := serve.DefaultGeometry()
+	sp := newSharded(t, mon, serve.Config{Window: 1 << 20}, geometry{shards: 2, batch: batch, queue: 512})
 	defer sp.Close()
 	fsrv, err := serve.NewFrameServer(serve.ListenConfig{}, serve.NewIngest(sp), nil)
 	if err != nil {

@@ -20,11 +20,6 @@ type ListenConfig struct {
 	// back with Addr() — that is how tests wire agent to server.
 	Addr string
 
-	// MaxFrameBytes bounds one frame's encoded payload. Oversized
-	// length prefixes fail before allocating, so a corrupt or hostile
-	// peer cannot balloon memory.
-	MaxFrameBytes int
-
 	// ReadTimeout bounds the wait for each frame; 0 means wait forever.
 	// Deterministic tests leave it 0 and close connections explicitly.
 	ReadTimeout time.Duration
@@ -32,27 +27,16 @@ type ListenConfig struct {
 
 // DefaultListenConfig returns the canonical FrameServer settings.
 func DefaultListenConfig() ListenConfig {
-	return ListenConfig{
-		Addr:          "127.0.0.1:0",
-		MaxFrameBytes: wire.MaxFrameBytes,
-	}
+	return ListenConfig{Addr: "127.0.0.1:0"}
 }
 
-// Validate applies defaults for zero fields and returns one error per
-// violated constraint, each wrapping core.ErrBadConfig.
+// Validate returns an error wrapping core.ErrBadConfig when ReadTimeout
+// is negative; every other value is servable.
 func (c ListenConfig) Validate() []error {
-	c = c.withDefaults()
-	var errs []error
-	if c.Addr == "" {
-		errs = append(errs, fmt.Errorf("%w: listen: empty address", core.ErrBadConfig))
-	}
-	if c.MaxFrameBytes <= 0 {
-		errs = append(errs, fmt.Errorf("%w: listen: max frame bytes %d, need > 0", core.ErrBadConfig, c.MaxFrameBytes))
-	}
 	if c.ReadTimeout < 0 {
-		errs = append(errs, fmt.Errorf("%w: listen: read timeout %v, need >= 0", core.ErrBadConfig, c.ReadTimeout))
+		return []error{fmt.Errorf("%w: listen: read timeout %v, need >= 0", core.ErrBadConfig, c.ReadTimeout)}
 	}
-	return errs
+	return nil
 }
 
 // withDefaults fills zero fields from DefaultListenConfig.
@@ -60,9 +44,6 @@ func (c ListenConfig) withDefaults() ListenConfig {
 	def := DefaultListenConfig()
 	if c.Addr == "" {
 		c.Addr = def.Addr
-	}
-	if c.MaxFrameBytes == 0 {
-		c.MaxFrameBytes = def.MaxFrameBytes
 	}
 	return c
 }
@@ -233,7 +214,7 @@ func (fs *FrameServer) pump(conn net.Conn, lane *ConnIngest) error {
 		if fs.cfg.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(fs.cfg.ReadTimeout))
 		}
-		payload, err := wire.ReadFrame(r, fs.cfg.MaxFrameBytes, buf)
+		payload, err := wire.ReadFrame(r, buf)
 		if err != nil {
 			return err
 		}

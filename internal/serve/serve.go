@@ -20,7 +20,7 @@
 // Deployed counter streams are noisy and lossy (samples arrive late, go
 // missing, or carry NaN after a counter wraps), so the pipeline degrades
 // rather than crashes: malformed samples are skipped and counted, windows
-// missing no more than Config.StalenessBudget samples per tier are still
+// missing no more than stalenessBudget (5) samples per tier are still
 // decided from the partial mean (flagged Degraded), and windows missing
 // more are dropped with the site's temporal history reset, as the paper
 // prescribes after long gaps. On a clean stream the pipeline's decisions
@@ -48,13 +48,6 @@ type Config struct {
 	// Window is the aggregation window in seconds; zero selects
 	// metrics.DefaultWindow (the paper's 30).
 	Window int
-	// StalenessBudget is the most samples a window may be missing per
-	// tier and still be decided (flagged Degraded) from the partial
-	// mean; a window missing more in any tier is dropped undecided and
-	// the site's temporal history is reset. Zero selects 5; negative
-	// selects 0 (strict: any missing sample drops the window). Budgets
-	// of a full window or more are clamped to Window-1.
-	StalenessBudget int
 	// OnDecision, when set, is invoked synchronously for every decision;
 	// it is the pipeline's one publication path. It runs outside the
 	// pipeline's locks, so it may call back into the pipeline (a
@@ -69,10 +62,6 @@ type Config struct {
 	// degradation-state transition, after the decision (if any) that
 	// caused it. Like OnDecision it runs outside the pipeline's locks.
 	OnHealth func(HealthEvent)
-	// RecoverWindows is how many consecutive clean (non-degraded) decided
-	// windows move a degraded or stale site back to healthy. Zero selects
-	// 3; negative selects 1 (the first clean window recovers).
-	RecoverWindows int
 	// Fuse, when non-nil, inserts a per-site, per-tier counter-fusion
 	// stage (internal/fuse) between ingest and window aggregation: each
 	// 1-second vector is de-noised through the counter factor graph
@@ -96,7 +85,7 @@ type Config struct {
 // Health is a site's position on the degradation ladder. The serving
 // pipeline walks it from window outcomes alone: a partial (degraded)
 // window moves the site to HealthDegraded, a dropped window or stream gap
-// to HealthStale, and Config.RecoverWindows consecutive clean decisions
+// to HealthStale, and recoverWindows consecutive clean decisions
 // from either state back to HealthHealthy. Every transition increments a
 // per-edge counter (SiteStats.HealthTransitions, exported as the
 // capserved_health_transitions_total Prometheus family) and fires
@@ -284,46 +273,37 @@ func (s SiteStats) MeanPredictLatency() time.Duration {
 	return time.Duration(s.PredictNanos / s.WindowsDecided)
 }
 
+// The degradation ladder's two constants, the values every deployment
+// runs on.
+const (
+	// stalenessBudget is the most samples a window may be missing per
+	// tier and still be decided (flagged Degraded) from the partial
+	// mean; a window missing more in any tier is dropped undecided and
+	// the site's temporal history is reset. A window of five seconds or
+	// fewer takes Window-1.
+	stalenessBudget = 5
+	// recoverWindows is how many consecutive clean (non-degraded)
+	// decided windows move a degraded or stale site back to healthy.
+	recoverWindows = 3
+)
+
 // DefaultConfig returns the canonical serving settings: the paper's
-// window, a budget of five missing samples, three clean windows to
-// recover. Callbacks default to nil.
+// window. Callbacks default to nil.
 func DefaultConfig() Config {
-	return Config{
-		Window:          metrics.DefaultWindow,
-		StalenessBudget: 5,
-		RecoverWindows:  3,
-	}
+	return Config{Window: metrics.DefaultWindow}
 }
 
-// withDefaults fills zero fields from DefaultConfig and applies the
-// documented clamps (negative budgets mean strict, budgets of a full
-// window clamp to Window-1, negative RecoverWindows means 1).
+// withDefaults fills a zero Window from DefaultConfig.
 func (c Config) withDefaults() Config {
-	def := DefaultConfig()
 	if c.Window == 0 {
-		c.Window = def.Window
-	}
-	switch {
-	case c.StalenessBudget == 0:
-		c.StalenessBudget = def.StalenessBudget
-	case c.StalenessBudget < 0:
-		c.StalenessBudget = 0
-	}
-	if c.Window > 0 && c.StalenessBudget >= c.Window {
-		c.StalenessBudget = c.Window - 1
-	}
-	switch {
-	case c.RecoverWindows == 0:
-		c.RecoverWindows = def.RecoverWindows
-	case c.RecoverWindows < 0:
-		c.RecoverWindows = 1
+		c.Window = DefaultConfig().Window
 	}
 	return c
 }
 
-// Validate applies defaults and clamps first, then returns one error
-// per remaining violation, each wrapping core.ErrBadConfig. A nil (or
-// empty) result means the configuration is servable as resolved.
+// Validate applies defaults first, then returns one error per remaining
+// violation, each wrapping core.ErrBadConfig. A nil (or empty) result
+// means the configuration is servable as resolved.
 func (c Config) Validate() []error {
 	c = c.withDefaults()
 	var errs []error

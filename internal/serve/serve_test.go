@@ -307,8 +307,8 @@ func TestMalformedStreamDegradesGracefully(t *testing.T) {
 }
 
 // TestFlushPartialWindow closes a half-filled window at end of stream: a
-// partial mean inside the budget is decided degraded; under a strict
-// (negative) budget the same tail is dropped instead.
+// partial mean inside the staleness budget is decided degraded; a tail
+// missing more than the budget is dropped instead.
 func TestFlushPartialWindow(t *testing.T) {
 	lab, mon, tr := fixture(t)
 	W := lab.Scale.Window
@@ -345,23 +345,61 @@ func TestFlushPartialWindow(t *testing.T) {
 		t.Errorf("second Flush decided %d windows, want 0", len(decisions))
 	}
 
-	// Strict budget: any missing sample drops the window.
+	// A tail missing six samples per tier is beyond the budget of five:
+	// Flush drops it.
 	decisions = nil
-	strict, err := serve.NewPipeline(mon, serve.Config{
-		StalenessBudget: -1,
-		OnDecision:      func(d serve.Decision) { decisions = append(decisions, d) },
+	q, err := serve.NewPipeline(mon, serve.Config{
+		OnDecision: func(d serve.Decision) { decisions = append(decisions, d) },
 	})
 	if err != nil {
 		t.Fatalf("NewPipeline: %v", err)
 	}
-	feed(strict, W+27)
-	strict.Flush()
+	feed(q, W+24)
+	q.Flush()
 	if len(decisions) != 1 {
-		t.Fatalf("strict budget decided %d windows, want 1", len(decisions))
+		t.Fatalf("over-budget tail: decided %d windows, want 1", len(decisions))
 	}
-	st, _ := strict.SiteStats("s")
+	st, _ := q.SiteStats("s")
 	if st.WindowsDropped != 1 {
-		t.Errorf("strict budget WindowsDropped = %d, want 1", st.WindowsDropped)
+		t.Errorf("over-budget tail: WindowsDropped = %d, want 1", st.WindowsDropped)
+	}
+}
+
+// TestShortWindowClampsBudget: under a window of W ≤ 5 seconds the
+// staleness budget is W-1, so a window with one tier silent throughout is
+// dropped, never decided from an empty mean, while one missing second
+// still decides degraded.
+func TestShortWindowClampsBudget(t *testing.T) {
+	_, mon, tr := fixture(t)
+	vecs := secondVectors(tr)
+	var decisions []serve.Decision
+	p, err := serve.NewPipeline(mon, serve.Config{
+		Window:     3,
+		OnDecision: func(d serve.Decision) { decisions = append(decisions, d) },
+	})
+	if err != nil {
+		t.Fatalf("NewPipeline: %v", err)
+	}
+	for sec := 1; sec <= 9; sec++ {
+		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
+			if tier == server.TierApp && sec <= 4 {
+				continue // window 0: app silent; window 1: one second short
+			}
+			p.Ingest(serve.Sample{Site: "s", Tier: tier, Time: float64(sec), Values: vecs[tier][sec]})
+		}
+	}
+	p.Flush()
+	if len(decisions) != 2 {
+		t.Fatalf("decided %d windows, want 2 (window 0 dropped)", len(decisions))
+	}
+	if d := decisions[0]; d.Seq != 1 || !d.Degraded || d.Missing != 1 {
+		t.Errorf("first decision: seq %d degraded=%t missing=%d, want seq 1 degraded with 1 missing", d.Seq, d.Degraded, d.Missing)
+	}
+	if d := decisions[1]; d.Seq != 2 || d.Degraded {
+		t.Errorf("second decision: seq %d degraded=%t, want seq 2 clean", d.Seq, d.Degraded)
+	}
+	if st, _ := p.SiteStats("s"); st.WindowsDropped != 1 {
+		t.Errorf("WindowsDropped = %d, want 1", st.WindowsDropped)
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -11,12 +12,17 @@ import (
 	"hpcap/internal/server"
 )
 
-// MaxShards bounds the shard fan-out; MaxQueueCapacity bounds the
-// samples a single shard may buffer (a queue beyond it only hides
-// backpressure the producer should be feeling).
 const (
-	MaxShards        = 256
-	MaxQueueCapacity = 1 << 20
+	// MaxShards bounds the shard fan-out.
+	MaxShards = 256
+	// batchSize is how many samples a producer accumulates per shard
+	// before handing the batch to the shard goroutine. Larger batches
+	// amortize the queue handoff; smaller ones cut decision latency.
+	batchSize = 64
+	// queueBatches bounds the batches buffered in a shard's queue (4096
+	// samples). A producer hitting a full queue blocks — backpressure,
+	// counted as a stall — rather than dropping samples.
+	queueBatches = 64
 )
 
 // ShardConfig tunes the sharded ingest fan-out.
@@ -26,60 +32,15 @@ type ShardConfig struct {
 	// hash to shards by name (SiteShard). Zero selects 8; the maximum is
 	// MaxShards.
 	Shards int
-	// BatchSize is how many samples a producer accumulates per shard
-	// before handing the batch to the shard goroutine. Larger batches
-	// amortize the queue handoff; smaller ones cut decision latency.
-	// Zero selects 64.
-	BatchSize int
-	// QueueCapacity bounds the samples buffered in a shard's queue
-	// (rounded down to whole batches, at least one). A producer hitting
-	// a full queue blocks — backpressure, counted as a stall — rather
-	// than dropping samples. Zero selects 4096; it must not be smaller
-	// than BatchSize.
-	QueueCapacity int
 }
 
-// DefaultShardConfig returns the defaults Validate and the pipeline
-// resolve zero fields to.
-func DefaultShardConfig() ShardConfig {
-	return ShardConfig{Shards: 8, BatchSize: 64, QueueCapacity: 4096}
-}
-
-// withDefaults resolves zero fields to DefaultShardConfig.
-func (c ShardConfig) withDefaults() ShardConfig {
-	d := DefaultShardConfig()
-	if c.Shards == 0 {
-		c.Shards = d.Shards
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = d.BatchSize
-	}
-	if c.QueueCapacity == 0 {
-		c.QueueCapacity = d.QueueCapacity
-	}
-	return c
-}
-
-// Validate applies defaults first, then returns one error per violated
-// constraint, each wrapping core.ErrBadConfig. It never panics.
+// Validate returns an error wrapping core.ErrBadConfig when the shard
+// count is outside 0..MaxShards. It never panics.
 func (c ShardConfig) Validate() []error {
-	c = c.withDefaults()
-	var errs []error
 	if c.Shards < 0 || c.Shards > MaxShards {
-		errs = append(errs, fmt.Errorf("serve: %w: shards %d outside 1..%d", core.ErrBadConfig, c.Shards, MaxShards))
+		return []error{fmt.Errorf("serve: %w: shards %d outside 1..%d", core.ErrBadConfig, c.Shards, MaxShards)}
 	}
-	if c.BatchSize < 0 {
-		errs = append(errs, fmt.Errorf("serve: %w: batch size %d must be positive", core.ErrBadConfig, c.BatchSize))
-	}
-	if c.QueueCapacity < 0 || c.QueueCapacity > MaxQueueCapacity {
-		errs = append(errs, fmt.Errorf("serve: %w: queue capacity %d outside 1..%d",
-			core.ErrBadConfig, c.QueueCapacity, MaxQueueCapacity))
-	}
-	if c.QueueCapacity >= 0 && c.BatchSize >= 0 && c.QueueCapacity < c.BatchSize {
-		errs = append(errs, fmt.Errorf("serve: %w: queue capacity %d below batch size %d",
-			core.ErrBadConfig, c.QueueCapacity, c.BatchSize))
-	}
-	return errs
+	return nil
 }
 
 // SiteShard routes a site name to its shard: FNV-1a over the name, mod
@@ -182,7 +143,7 @@ type shard struct {
 // shard goroutine the callback is running on and would self-deadlock.
 type ShardedPipeline struct {
 	lanes
-	scfg ShardConfig
+	batch int // samples per queued batch
 
 	badRefs atomic.Uint64 // refs rejected producer-side (bad shard or zero ref)
 	wg      sync.WaitGroup
@@ -190,7 +151,7 @@ type ShardedPipeline struct {
 }
 
 // NewShardedPipeline builds a sharded serving pipeline over a trained
-// monitor. cfg carries the window/staleness/callback configuration shared
+// monitor. cfg carries the window and callback configuration shared
 // with NewPipeline; scfg the shard fan-out.
 func NewShardedPipeline(m *core.Monitor, cfg Config, scfg ShardConfig) (*ShardedPipeline, error) {
 	sp := &ShardedPipeline{}
@@ -200,19 +161,22 @@ func NewShardedPipeline(m *core.Monitor, cfg Config, scfg ShardConfig) (*Sharded
 	if errs := scfg.Validate(); len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
-	scfg = scfg.withDefaults()
-	sp.scfg = scfg
-	sp.shards = make([]*shard, scfg.Shards)
-	chanCap := scfg.QueueCapacity / scfg.BatchSize
-	if chanCap < 1 {
-		chanCap = 1
-	}
+	sp.geometry(m, cmp.Or(scfg.Shards, 8), batchSize, queueBatches)
+	return sp, nil
+}
+
+// geometry starts the shards: each with a pending batch of up to batch
+// samples, a queue of queueBatches batches, an engine and its goroutine.
+// The pipeline runs on batchSize and queueBatches; tests choose others.
+func (sp *ShardedPipeline) geometry(m *core.Monitor, shards, batch, queueBatches int) {
+	sp.batch = batch
+	sp.shards = make([]*shard, shards)
 	for i := range sp.shards {
 		sh := &shard{
 			id:      i,
-			pending: make([]qsample, 0, scfg.BatchSize),
-			ch:      make(chan []qsample, chanCap),
-			free:    make(chan []qsample, chanCap+2),
+			pending: make([]qsample, 0, batch),
+			ch:      make(chan []qsample, queueBatches),
+			free:    make(chan []qsample, queueBatches+2),
 			eng:     newEngine(m, sp.cfg, sp.dim),
 		}
 		sh.syncCond = sync.NewCond(&sh.syncMu)
@@ -220,7 +184,6 @@ func NewShardedPipeline(m *core.Monitor, cfg Config, scfg ShardConfig) (*Sharded
 		sp.wg.Add(1)
 		go sp.drain(sh)
 	}
-	return sp, nil
 }
 
 // Shards returns the shard count.
@@ -263,7 +226,7 @@ func (sp *ShardedPipeline) enqueue(sh *shard, q qsample) {
 	}
 	sh.pending = append(sh.pending, q)
 	sh.enqueued.Add(1)
-	if len(sh.pending) >= sp.scfg.BatchSize {
+	if len(sh.pending) >= sp.batch {
 		sh.flushLocked()
 	}
 	sh.mu.Unlock()
@@ -342,12 +305,12 @@ func (sp *ShardedPipeline) submitBatch(sh *shard, batch []qsample) []qsample {
 	case buf := <-sh.free:
 		return buf[:0]
 	default:
-		return make([]qsample, 0, sp.scfg.BatchSize)
+		return make([]qsample, 0, sp.batch)
 	}
 }
 
 // Batcher accumulates ref-ingested site scrapes into producer-local
-// per-shard batches, taking each shard's lock once per BatchSize scrapes
+// per-shard batches, taking each shard's lock once per batchSize scrapes
 // instead of once per sample — the fleet-scale hot path. A Batcher serves
 // exactly one producer goroutine and its stream is ordered with respect to
 // itself; samples stay invisible to the pipeline (and to Sync) until the
@@ -391,10 +354,10 @@ func (b *Batcher) addSite(ref SiteRef, time float64, vecs [server.NumTiers][]flo
 	}
 	buf := b.buf[s]
 	if buf == nil {
-		buf = make([]qsample, 0, b.sp.scfg.BatchSize)
+		buf = make([]qsample, 0, b.sp.batch)
 	}
 	buf = append(buf, qsample{idx: ref.index, fused: true, time: time, vecs: vecs, frame: frame})
-	if len(buf) >= b.sp.scfg.BatchSize {
+	if len(buf) >= b.sp.batch {
 		buf = b.sp.submitBatch(b.sp.shards[s], buf)
 	}
 	b.buf[s] = buf

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,23 +13,18 @@ import (
 	"hpcap/internal/server"
 )
 
-// FuzzShardConfig throws arbitrary shard geometries at Validate and the
+// FuzzShardConfig throws arbitrary shard counts at Validate and the
 // constructor: Validate must never panic, it must agree with
 // NewShardedPipeline about what is buildable, and every buildable
-// geometry must round-trip a sample per shard without losing it.
+// count must round-trip a sample per shard without losing it.
 func FuzzShardConfig(f *testing.F) {
 	_, mon, tr := fixture(f)
 	vecs := secondVectors(tr)
-	f.Add(0, 0, 0)
-	f.Add(1, 1, 1)
-	f.Add(serve.MaxShards, 64, 4096)
-	f.Add(serve.MaxShards+1, 64, 4096)
-	f.Add(-1, -1, -1)
-	f.Add(8, 64, 63)
-	f.Add(8, 1, serve.MaxQueueCapacity+1)
-	f.Add(3, 1<<30, 1<<30)
-	f.Fuzz(func(t *testing.T, shards, batch, queue int) {
-		cfg := serve.ShardConfig{Shards: shards, BatchSize: batch, QueueCapacity: queue}
+	for _, shards := range []int{0, 1, serve.MaxShards, serve.MaxShards + 1, -1, 8, 3, math.MinInt} {
+		f.Add(shards)
+	}
+	f.Fuzz(func(t *testing.T, shards int) {
+		cfg := serve.ShardConfig{Shards: shards}
 		verrs := cfg.Validate()
 		sp, perr := serve.NewShardedPipeline(mon, serve.Config{Window: 30}, cfg)
 		if (len(verrs) == 0) != (perr == nil) {
@@ -67,7 +63,7 @@ func FuzzShardConfig(f *testing.F) {
 }
 
 // FuzzShardQueue hammers the batch queue itself: arbitrary batch sizes
-// and queue capacities, concurrent producers mixing named samples with
+// and queue capacities (a geometry only tests choose), concurrent producers mixing named samples with
 // fused scrapes through valid refs, zero refs, and refs stolen from a
 // foreign pipeline, with Close racing the producers (close-while-full).
 // The pipeline must never panic, and afterwards every offered queue slot
@@ -83,28 +79,16 @@ func FuzzShardQueue(f *testing.F) {
 	f.Add(uint16(64), uint16(64), uint16(1000), uint16(1))
 	f.Add(uint16(100), uint16(400), uint16(2000), uint16(1999))
 	f.Fuzz(func(t *testing.T, batchRaw, queueRaw, nRaw, closeRaw uint16) {
-		cfg := serve.ShardConfig{
-			Shards:        3,
-			BatchSize:     1 + int(batchRaw%128),
-			QueueCapacity: 1 + int(queueRaw%512),
-		}
-		if len(cfg.Validate()) > 0 {
-			cfg.QueueCapacity = cfg.BatchSize
-		}
+		g := geometry{shards: 3, batch: 1 + int(batchRaw%128), queue: 1 + int(queueRaw%512)}
+		g.queue = max(g.queue, g.batch)
 		perProducer := int(nRaw % 2048)
 		closeAfter := int(closeRaw) % (perProducer + 1)
 
-		sp, err := serve.NewShardedPipeline(mon, serve.Config{Window: 30}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sp := newSharded(t, mon, serve.Config{Window: 30}, g)
 		// A foreign pipeline with a larger site table: its refs aimed at sp
 		// either resolve to the wrong site (counted as ingested there) or
 		// overrun the shard's table (counted as bad refs) — never panic.
-		foreign, err := serve.NewShardedPipeline(mon, serve.Config{Window: 30}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		foreign := newSharded(t, mon, serve.Config{Window: 30}, g)
 		defer foreign.Close()
 		foreignRefs := make([]serve.SiteRef, 40)
 		for i := range foreignRefs {

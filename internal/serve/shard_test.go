@@ -11,18 +11,43 @@ import (
 	"testing"
 	"time"
 
+	"hpcap/internal/core"
 	"hpcap/internal/fuse"
 	"hpcap/internal/serve"
 	"hpcap/internal/server"
 )
 
+// geometry is one shard layout: shards, samples per batch, and samples a
+// shard's queue holds (rounded down to whole batches, at least one).
+type geometry struct{ shards, batch, queue int }
+
+// newSharded builds a sharded pipeline at the geometry g.
+func newSharded(t testing.TB, mon *core.Monitor, cfg serve.Config, g geometry) *serve.ShardedPipeline {
+	t.Helper()
+	sp, err := serve.NewShardedGeometry(mon, cfg, g.shards, g.batch, max(1, g.queue/g.batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
 // shardConfigs is the matrix the differential tests sweep: degenerate
 // single-shard single-sample batches, awkward non-dividing counts, and
-// the defaults.
-var shardConfigs = []serve.ShardConfig{
-	{Shards: 1, BatchSize: 1, QueueCapacity: 1},
-	{Shards: 3, BatchSize: 7, QueueCapacity: 21},
-	{Shards: 8, BatchSize: 64, QueueCapacity: 4096},
+// the pipeline's own batch and queue sizes.
+var shardConfigs = []geometry{
+	{shards: 1, batch: 1, queue: 1},
+	{shards: 3, batch: 7, queue: 21},
+	{shards: 8, batch: 64, queue: 4096},
+}
+
+// outcomes tallies, across sites, the windows decided degraded and the
+// windows dropped.
+func outcomes(stats []serve.SiteStats) (degraded, dropped uint64) {
+	for _, st := range stats {
+		degraded += st.WindowsDegraded
+		dropped += st.WindowsDropped
+	}
+	return degraded, dropped
 }
 
 // faultEvent is one step of a generated stream program: feed a (possibly
@@ -129,9 +154,7 @@ func newRecorder() *transcriptRecorder {
 
 func (r *transcriptRecorder) config(window int) serve.Config {
 	return serve.Config{
-		Window:          window,
-		StalenessBudget: 2,
-		RecoverWindows:  2,
+		Window: window,
 		OnDecision: func(d serve.Decision) {
 			r.mu.Lock()
 			r.decisions[d.Site] = append(r.decisions[d.Site], d)
@@ -216,14 +239,14 @@ func TestShardedMatchesPipeline(t *testing.T) {
 			}
 			p.Flush()
 			refStats := scrubLatency(p.Stats())
+			if deg, drop := outcomes(refStats); deg == 0 || drop == 0 {
+				t.Errorf("seed %d%s: %d degraded and %d dropped windows; the storm misses a rung of the ladder", seed, leg.suffix, deg, drop)
+			}
 
 			for _, sc := range shardConfigs {
-				t.Run(fmt.Sprintf("seed=%d/shards=%d/batch=%d%s", seed, sc.Shards, sc.BatchSize, leg.suffix), func(t *testing.T) {
+				t.Run(fmt.Sprintf("seed=%d/shards=%d/batch=%d%s", seed, sc.shards, sc.batch, leg.suffix), func(t *testing.T) {
 					rec := newRecorder()
-					sp, err := serve.NewShardedPipeline(mon, withFuse(rec.config(window)), sc)
-					if err != nil {
-						t.Fatal(err)
-					}
+					sp := newSharded(t, mon, withFuse(rec.config(window)), sc)
 					defer sp.Close()
 					for _, ev := range prog {
 						if ev.swap {
@@ -303,11 +326,7 @@ func TestShardRoutingProperty(t *testing.T) {
 				sites[randomName(rng)] = true
 			}
 
-			sp, err := serve.NewShardedPipeline(mon, serve.Config{Window: 30},
-				serve.ShardConfig{Shards: shards, BatchSize: 1 + rng.Intn(16), QueueCapacity: 64})
-			if err != nil {
-				t.Fatal(err)
-			}
+			sp := newSharded(t, mon, serve.Config{Window: 30}, geometry{shards: shards, batch: 1 + rng.Intn(16), queue: 64})
 			defer sp.Close()
 
 			wantPerShard := make([]int, shards)
@@ -450,11 +469,7 @@ func TestShardedRaceStress(t *testing.T) {
 
 	// Concurrent run through the sharded pipeline.
 	rec := newRecorder()
-	sp, err := serve.NewShardedPipeline(mon, rec.config(window),
-		serve.ShardConfig{Shards: 5, BatchSize: 16, QueueCapacity: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := newSharded(t, mon, rec.config(window), geometry{shards: 5, batch: 16, queue: 64})
 	stop := make(chan struct{})
 	var scraper sync.WaitGroup
 	scraper.Add(1)
@@ -517,12 +532,9 @@ func TestShardedSwapQuiesce(t *testing.T) {
 	window := lab.Scale.Window
 	n := len(tr.SecTimes)
 	for _, sc := range shardConfigs {
-		t.Run(fmt.Sprintf("shards=%d/batch=%d", sc.Shards, sc.BatchSize), func(t *testing.T) {
+		t.Run(fmt.Sprintf("shards=%d/batch=%d", sc.shards, sc.batch), func(t *testing.T) {
 			rec := newRecorder()
-			sp, err := serve.NewShardedPipeline(mon, rec.config(window), sc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sp := newSharded(t, mon, rec.config(window), sc)
 			defer sp.Close()
 			const site = "quiesce"
 			const preWindows, postWindows = 2, 2
@@ -603,8 +615,7 @@ func TestShardedCallbackReentrancy(t *testing.T) {
 		var decided, healthEvents atomic.Int64
 		var sp *serve.ShardedPipeline
 		cfg := serve.Config{
-			Window:          window,
-			StalenessBudget: 2,
+			Window: window,
 			OnDecision: func(d serve.Decision) {
 				decided.Add(1)
 				// Re-enter from inside dispatch: snapshots, flag reads,
@@ -624,7 +635,7 @@ func TestShardedCallbackReentrancy(t *testing.T) {
 			},
 		}
 		var err error
-		sp, err = serve.NewShardedPipeline(mon, cfg, serve.ShardConfig{Shards: 2, BatchSize: 4, QueueCapacity: 8})
+		sp, err = serve.NewShardedGeometry(mon, cfg, 2, 4, 2)
 		if err != nil {
 			t.Error(err)
 			return
@@ -644,6 +655,9 @@ func TestShardedCallbackReentrancy(t *testing.T) {
 		sp.Close()
 		if decided.Load() == 0 {
 			t.Error("no decisions fired; the regression exercised nothing")
+		}
+		if deg, drop := outcomes(sp.Stats()); deg == 0 || drop == 0 {
+			t.Errorf("%d degraded and %d dropped windows; b's outages miss a rung of the ladder", deg, drop)
 		}
 		if healthEvents.Load() == 0 {
 			t.Error("no health events fired; the regression exercised nothing")
@@ -671,8 +685,7 @@ func TestPipelineCallbackReentrancy(t *testing.T) {
 		var swap serve.SwapEvent
 		var bDecided, healthEvents, bSec int
 		cfg := serve.Config{
-			Window:          window,
-			StalenessBudget: 2,
+			Window: window,
 			OnDecision: func(d serve.Decision) {
 				if d.Site != "a" {
 					bDecided++
@@ -738,6 +751,9 @@ func TestPipelineCallbackReentrancy(t *testing.T) {
 			if d.ModelVersion != want {
 				t.Errorf("window %d decided by version %d, want %d", d.Seq, d.ModelVersion, want)
 			}
+		}
+		if deg, drop := outcomes(p.Stats()); deg == 0 || drop == 0 {
+			t.Errorf("%d degraded and %d dropped windows; b's short windows miss a rung of the ladder", deg, drop)
 		}
 		if bDecided == 0 || healthEvents == 0 {
 			t.Errorf("nested callbacks: %d decisions for b, %d health events; the regression exercised nothing",
@@ -883,16 +899,16 @@ func TestBatcherAddSite(t *testing.T) {
 		}
 		p.Flush()
 		refStats := scrubLatency(p.Stats())
+		if deg, drop := outcomes(refStats); deg == 0 || drop == 0 {
+			t.Errorf("seed %d: %d degraded and %d dropped windows; the storm misses a rung of the ladder", seed, deg, drop)
+		}
 
 		for _, sc := range shardConfigs {
 			for _, fusedPath := range []bool{false, true} {
-				name := fmt.Sprintf("seed=%d/shards=%d/batch=%d/fused=%t", seed, sc.Shards, sc.BatchSize, fusedPath)
+				name := fmt.Sprintf("seed=%d/shards=%d/batch=%d/fused=%t", seed, sc.shards, sc.batch, fusedPath)
 				t.Run(name, func(t *testing.T) {
 					rec := newRecorder()
-					sp, err := serve.NewShardedPipeline(mon, rec.config(window), sc)
-					if err != nil {
-						t.Fatal(err)
-					}
+					sp := newSharded(t, mon, rec.config(window), sc)
 					defer sp.Close()
 					refs := make([]serve.SiteRef, nSites)
 					for i, nm := range names {

@@ -36,7 +36,7 @@ func TestDecisionOwnsItsStorage(t *testing.T) {
 		gpv     []int
 	}
 	var all []kept
-	cfg := Config{Window: 3, StalenessBudget: 1, RecoverWindows: 2, OnDecision: func(d Decision) {
+	cfg := Config{Window: 3, OnDecision: func(d Decision) {
 		k := kept{d: d, gpv: slices.Clone(d.Prediction.GPV)}
 		for tier := range d.Vectors {
 			k.vectors[tier] = slices.Clone(d.Vectors[tier])
@@ -97,6 +97,11 @@ func TestDecisionOwnsItsStorage(t *testing.T) {
 	if degraded == 0 || len(gpvs) < 2 {
 		t.Fatalf("%d degraded decisions and %d distinct GPVs: the stream does not exercise partial windows and changing verdicts", degraded, len(gpvs))
 	}
+	for _, st := range p.Stats() {
+		if n := st.HealthTransitions[HealthDegraded][HealthHealthy]; n == 0 {
+			t.Fatalf("%s never recovered from a partial window", st.Site)
+		}
+	}
 	check("at once")
 	feed(150)
 	p.Flush()
@@ -147,7 +152,7 @@ func TestDecidedWindowAllocs(t *testing.T) {
 			}
 		}
 
-		sp, err := NewShardedPipeline(mon, cfg, ShardConfig{Shards: 2, BatchSize: 16})
+		sp, err := NewShardedGeometry(mon, cfg, 2, 16, 4096/16)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,10 +10,8 @@ import (
 	"errors"
 
 	"hpcap/internal/chunk"
-	"hpcap/internal/cpu"
 	"hpcap/internal/experiment"
 	"hpcap/internal/metrics"
-	"hpcap/internal/osstat"
 	"hpcap/internal/server"
 	"hpcap/internal/tpcw"
 )
@@ -41,7 +39,7 @@ type Site struct {
 
 // Collect concatenates the site's tier collectors into one sample vector
 // (one collector at the OS or HPC level; both, OS first, at the combined
-// level — matching experiment.Trace vector layout), fresh on every read.
+// level — the layout experiment.MetricNames names), fresh on every read.
 // A lone collector's vector is returned as it is; at the combined level
 // the collectors write into one vector carved from the site's chunk (see
 // package chunk), each into its own span.
@@ -78,21 +76,6 @@ func (s *Site) WrapCollectors(wrap func(metrics.Collector) metrics.Collector) {
 		for i, c := range s.coll[tier] {
 			s.coll[tier][i] = wrap(c)
 		}
-	}
-}
-
-// MetricNames returns the metric layout the collectors produce at a
-// level (OS first at the combined level, matching Collect).
-func MetricNames(level metrics.Level) []string {
-	switch level {
-	case metrics.LevelOS:
-		return osstat.MetricNames
-	case metrics.LevelCombined:
-		names := make([]string, 0, len(osstat.MetricNames)+len(cpu.MetricNames))
-		names = append(names, osstat.MetricNames...)
-		return append(names, cpu.MetricNames...)
-	default:
-		return cpu.MetricNames
 	}
 }
 

@@ -91,7 +91,7 @@ func TestCombinedIsOSThenHPC(t *testing.T) {
 				os, hpc := sites[0].Collect(tier, snaps[0]), sites[1].Collect(tier, snaps[1])
 				want := append(append([]float64{}, os...), hpc...)
 				got := sites[2].Collect(tier, snaps[2])
-				if len(got) != len(want) || len(got) != len(MetricNames(metrics.LevelCombined)) {
+				if len(got) != len(want) || len(got) != len(experiment.MetricNames(metrics.LevelCombined)) {
 					t.Fatalf("flaky %v second %d tier %s: combined vector has %d values, want %d", flaky, sec, tier, len(got), len(want))
 				}
 				for j := range want {

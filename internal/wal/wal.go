@@ -42,9 +42,13 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // validation — a wrong magic or a bad checksum before the final record.
 var ErrCorrupt = errors.New("corrupt WAL")
 
+// maxRecordBytes bounds one record's payload, guarding replay against
+// garbage length fields. It equals wire.MaxFrameBytes: a record is one
+// frame payload.
+const maxRecordBytes = 1 << 20
+
 // Config tunes a Log. The zero value selects every default
-// (DefaultConfig); Validate reports each invalid field as an
-// ErrBadConfig-wrapped error.
+// (DefaultConfig).
 type Config struct {
 	// SyncEvery fsyncs after every n-th append. 1 — the default — makes
 	// every accepted frame durable before it is ingested; larger values
@@ -52,40 +56,20 @@ type Config struct {
 	// SyncEvery-1 records, which replay then simply lacks). Zero selects
 	// 1; negative disables fsync entirely (tests, tmpfs).
 	SyncEvery int
-	// MaxRecordBytes bounds one record's payload, guarding replay
-	// against garbage length fields. Zero selects 1<<20.
-	MaxRecordBytes int
 }
 
-// DefaultConfig returns the defaults Validate and Open resolve zero
-// fields to.
+// DefaultConfig returns the defaults Open resolves zero fields to.
 func DefaultConfig() Config {
-	return Config{SyncEvery: 1, MaxRecordBytes: 1 << 20}
-}
-
-// Validate reports every invalid field (after zero fields resolve to
-// defaults) as an ErrBadConfig-wrapped error. It never panics.
-func (c Config) Validate() []error {
-	c = c.withDefaults()
-	var errs []error
-	if c.MaxRecordBytes < 16 {
-		errs = append(errs, fmt.Errorf("wal: %w: max record bytes %d below 16",
-			core.ErrBadConfig, c.MaxRecordBytes))
-	}
-	return errs
+	return Config{SyncEvery: 1}
 }
 
 // withDefaults resolves zero fields to DefaultConfig values.
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
 	switch {
 	case c.SyncEvery == 0:
-		c.SyncEvery = d.SyncEvery
+		c.SyncEvery = DefaultConfig().SyncEvery
 	case c.SyncEvery < 0:
 		c.SyncEvery = 0 // fsync disabled
-	}
-	if c.MaxRecordBytes == 0 {
-		c.MaxRecordBytes = d.MaxRecordBytes
 	}
 	return c
 }
@@ -108,15 +92,12 @@ type Log struct {
 // ErrCorrupt — Open never destroys data that does not parse as a WAL
 // tail.
 func Open(path string, cfg Config) (log *Log, recovered int, err error) {
-	if errs := cfg.Validate(); len(errs) > 0 {
-		return nil, 0, errors.Join(errs...)
-	}
 	cfg = cfg.withDefaults()
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, 0, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	end, recovered, err := scan(f, cfg.MaxRecordBytes, nil)
+	end, recovered, err := scan(f, nil)
 	if err != nil {
 		f.Close()
 		return nil, 0, err
@@ -137,7 +118,7 @@ func Open(path string, cfg Config) (log *Log, recovered int, err error) {
 // record (calling fn if non-nil) and returns the offset just past the
 // last complete record. A torn tail ends the scan cleanly; a bad
 // checksum on any record but the last is ErrCorrupt.
-func scan(f *os.File, maxRecord int, fn func(payload []byte) error) (end int64, n int, err error) {
+func scan(f *os.File, fn func(payload []byte) error) (end int64, n int, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, 0, fmt.Errorf("wal: seek: %w", err)
 	}
@@ -173,7 +154,7 @@ func scan(f *os.File, maxRecord int, fn func(payload []byte) error) (end int64, 
 			// EOF at a record boundary or a torn prefix: tail ends here.
 			return end, n, nil
 		}
-		if length > uint64(maxRecord) {
+		if length > maxRecordBytes {
 			// A garbage length is indistinguishable from a torn prefix;
 			// treat it as the tail unless records follow (they cannot —
 			// we cannot skip an unreadable length).
@@ -224,9 +205,9 @@ func uvarintLen(v uint64) int {
 // permitting) before Append returns; callers ingest it only afterwards,
 // which is what makes replay an exact reconstruction.
 func (l *Log) Append(payload []byte) error {
-	if len(payload) > l.cfg.MaxRecordBytes {
+	if len(payload) > maxRecordBytes {
 		return fmt.Errorf("wal: %w: record %d bytes exceeds %d",
-			core.ErrBadConfig, len(payload), l.cfg.MaxRecordBytes)
+			core.ErrBadConfig, len(payload), maxRecordBytes)
 	}
 	l.rec = binary.AppendUvarint(l.rec[:0], uint64(len(payload)))
 	l.rec = append(l.rec, payload...)
@@ -273,24 +254,21 @@ func (l *Log) Close() error {
 // calling fn on each payload, and reports how many records it visited.
 // A torn tail ends the replay cleanly (the lost tail was never ingested
 // either — the WAL is written before the pipeline sees a frame); a
-// corrupt body or fn error aborts it. Replay never modifies the file.
-func Replay(path string, cfg Config, fn func(payload []byte) error) (int, error) {
-	if errs := cfg.Validate(); len(errs) > 0 {
-		return 0, errors.Join(errs...)
-	}
-	cfg = cfg.withDefaults()
+// corrupt body or fn error aborts it. Replay never modifies the file,
+// and no Config field affects a read.
+func Replay(path string, _ Config, fn func(payload []byte) error) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, fmt.Errorf("wal: open %s: %w", path, err)
 	}
 	defer f.Close()
-	_, n, err := scanReadOnly(f, cfg.MaxRecordBytes, fn)
+	_, n, err := scanReadOnly(f, fn)
 	return n, err
 }
 
 // scanReadOnly is scan without the header-rewrite side effect, for
 // Replay's read-only contract.
-func scanReadOnly(f *os.File, maxRecord int, fn func(payload []byte) error) (int64, int, error) {
+func scanReadOnly(f *os.File, fn func(payload []byte) error) (int64, int, error) {
 	st, err := f.Stat()
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: stat: %w", err)
@@ -305,5 +283,5 @@ func scanReadOnly(f *os.File, maxRecord int, fn func(payload []byte) error) (int
 		}
 		return st.Size(), 0, nil
 	}
-	return scan(f, maxRecord, fn)
+	return scan(f, fn)
 }

@@ -219,15 +219,15 @@ func TestOpenRejectsBadMagic(t *testing.T) {
 
 func TestAppendRejectsOversizeRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "w.wal")
-	log, _, err := Open(path, Config{SyncEvery: -1, MaxRecordBytes: 64})
+	log, _, err := Open(path, Config{SyncEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	if err := log.Append(make([]byte, 65)); !errors.Is(err, core.ErrBadConfig) {
+	if err := log.Append(make([]byte, 1<<20+1)); !errors.Is(err, core.ErrBadConfig) {
 		t.Errorf("oversize append: got %v, want ErrBadConfig", err)
 	}
-	if err := log.Append(make([]byte, 64)); err != nil {
+	if err := log.Append(make([]byte, 1<<20)); err != nil {
 		t.Errorf("at-limit append: %v", err)
 	}
 }
@@ -252,38 +252,20 @@ func TestReplayStopsOnCallbackError(t *testing.T) {
 	}
 }
 
+// TestDefaultConfigValid opens a log under the default, zero and
+// never-fsync configs; no Config value is an error.
 func TestDefaultConfigValid(t *testing.T) {
-	if errs := DefaultConfig().Validate(); len(errs) > 0 {
-		t.Fatalf("DefaultConfig invalid: %v", errs)
-	}
-	if errs := (Config{}).Validate(); len(errs) > 0 {
-		t.Fatalf("zero Config invalid after defaults: %v", errs)
-	}
-	// Negative SyncEvery means "never fsync", not an error.
-	if errs := (Config{SyncEvery: -1}).Validate(); len(errs) > 0 {
-		t.Fatalf("SyncEvery -1 rejected: %v", errs)
-	}
-}
-
-func TestConfigValidateErrors(t *testing.T) {
-	tests := []struct {
-		name string
-		cfg  Config
-	}{
-		{"tiny max record", Config{MaxRecordBytes: 8}},
-		{"negative max record", Config{MaxRecordBytes: -1}},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			errs := tt.cfg.Validate()
-			if len(errs) == 0 {
-				t.Fatalf("%s not rejected", tt.name)
-			}
-			for _, err := range errs {
-				if !errors.Is(err, core.ErrBadConfig) {
-					t.Errorf("error %v does not wrap ErrBadConfig", err)
-				}
-			}
-		})
+	for _, cfg := range []Config{DefaultConfig(), {}, {SyncEvery: -1}} {
+		path := filepath.Join(t.TempDir(), "w.wal")
+		log, _, err := Open(path, cfg)
+		if err != nil {
+			t.Fatalf("Open(%+v): %v", cfg, err)
+		}
+		if err := log.Append([]byte("x")); err != nil {
+			t.Errorf("Append under %+v: %v", cfg, err)
+		}
+		if err := log.Close(); err != nil {
+			t.Errorf("Close under %+v: %v", cfg, err)
+		}
 	}
 }

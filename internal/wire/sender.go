@@ -119,7 +119,7 @@ func (s *Sender) Send(f *Frame) {
 		s.stats.DroppedClosed++
 		return
 	}
-	if n > s.cfg.MaxFrameBytes {
+	if n > MaxFrameBytes {
 		s.stats.DroppedOversize++
 		return
 	}

@@ -65,7 +65,7 @@ func (l *linkScript) sleep(d time.Duration) {
 	l.mu.Unlock()
 }
 
-func (l *linkScript) frames(t *testing.T, max int) []Frame {
+func (l *linkScript) frames(t *testing.T) []Frame {
 	t.Helper()
 	l.mu.Lock()
 	data := append([]byte(nil), l.buf.Bytes()...)
@@ -73,7 +73,7 @@ func (l *linkScript) frames(t *testing.T, max int) []Frame {
 	r := bufio.NewReader(bytes.NewReader(data))
 	var out []Frame
 	for {
-		payload, err := ReadFrame(r, max, nil)
+		payload, err := ReadFrame(r, nil)
 		if err == io.EOF {
 			return out
 		}
@@ -173,7 +173,7 @@ func TestSenderDeliversInOrder(t *testing.T) {
 		s.Send(&Frame{Site: "a", Seq: seq})
 	}
 	s.Close()
-	got := script.frames(t, MaxFrameBytes)
+	got := script.frames(t)
 	if len(got) != 10 {
 		t.Fatalf("delivered %d frames, want 10", len(got))
 	}
@@ -194,7 +194,7 @@ func TestSenderRetriesThenDelivers(t *testing.T) {
 	script.writeFailures = 1
 	s.Send(&Frame{Site: "a", Seq: 0})
 	s.Flush()
-	got := script.frames(t, MaxFrameBytes)
+	got := script.frames(t)
 	if len(got) != 1 || got[0].Seq != 0 {
 		t.Fatalf("frames %+v, want the one frame delivered", got)
 	}
@@ -218,7 +218,7 @@ func TestSenderDropsAfterRetryBudget(t *testing.T) {
 	s.Flush()
 	s.Send(&Frame{Site: "a", Seq: 1})
 	s.Close()
-	got := script.frames(t, MaxFrameBytes)
+	got := script.frames(t)
 	if len(got) != 1 || got[0].Seq != 1 {
 		t.Fatalf("frames %+v, want only seq 1 (seq 0 dropped)", got)
 	}
@@ -251,7 +251,7 @@ func TestSenderEvictsOldestWhenFull(t *testing.T) {
 		t.Errorf("stats %+v: enqueued frames neither sent nor counted dropped", st)
 	}
 	// The in-flight frame, then the newest 4 as one batch.
-	wantSeqs(t, script.frames(t, MaxFrameBytes), 0, 8, 9, 10, 11)
+	wantSeqs(t, script.frames(t), 0, 8, 9, 10, 11)
 	if len(script.writes) != 2 {
 		t.Errorf("%d writes, want 2 (the held frame, then the surviving queue)", len(script.writes))
 	}
@@ -281,7 +281,7 @@ func TestSenderBatchesQueuedFrames(t *testing.T) {
 	for i := range inOrder {
 		inOrder[i] = uint64(i)
 	}
-	wantSeqs(t, script.frames(t, MaxFrameBytes), inOrder...)
+	wantSeqs(t, script.frames(t), inOrder...)
 	if st := s.Stats(); st.Sent != uint64(k+1) || st.Dropped() != 0 || st.Dials != 1 {
 		t.Errorf("stats %+v: want %d sent, 0 dropped, 1 dial", st, k+1)
 	}
@@ -314,7 +314,7 @@ func TestSenderRetriesBatchWhole(t *testing.T) {
 	release()
 	s.Close()
 
-	wantSeqs(t, script.frames(t, MaxFrameBytes), 0, 1, 2, 3, 4, 5, 6)
+	wantSeqs(t, script.frames(t), 0, 1, 2, 3, 4, 5, 6)
 	if len(script.writes) != 3 || script.writes[1] != script.writes[2] {
 		t.Fatalf("writes %v, want the held frame, the failed batch, the same batch again", script.writes)
 	}
@@ -345,7 +345,7 @@ func TestSenderDropsBatchAfterRetryBudget(t *testing.T) {
 	s.Send(&Frame{Site: "a", Seq: k + 1})
 	s.Close()
 
-	wantSeqs(t, script.frames(t, MaxFrameBytes), 0, k+1)
+	wantSeqs(t, script.frames(t), 0, k+1)
 	st := s.Stats()
 	if st.DroppedRetry != k || st.Sent != 2 || st.Retries != 2 || st.WriteFailures != 3 {
 		t.Errorf("stats %+v: want %d retry-dropped, 2 sent, 2 retries, 3 write failures", st, k)
@@ -356,10 +356,11 @@ func TestSenderDropsBatchAfterRetryBudget(t *testing.T) {
 }
 
 func TestSenderDropsOversizeAndAfterClose(t *testing.T) {
-	s, script := newScriptedSender(t, AgentConfig{MaxFrameBytes: 64})
+	s, script := newScriptedSender(t, AgentConfig{})
 	big := Frame{Site: "a", Seq: 0, Samples: []Sample{{Time: 1}}}
-	for len(AppendFrame(nil, &big)) <= 64 {
-		big.Samples = append(big.Samples, Sample{Time: float64(len(big.Samples))})
+	big.Samples[0].Vecs[0] = make([]float64, MaxFrameBytes/8)
+	if n := len(AppendFrame(nil, &big)); n <= MaxFrameBytes {
+		t.Fatalf("big frame encodes to %d bytes, want > %d", n, MaxFrameBytes)
 	}
 	s.Send(&big)
 	s.Send(&Frame{Site: "a", Seq: 1})
@@ -369,7 +370,7 @@ func TestSenderDropsOversizeAndAfterClose(t *testing.T) {
 	if st.DroppedOversize != 1 || st.DroppedClosed != 1 || st.Sent != 1 {
 		t.Errorf("stats %+v: want 1 oversize-dropped, 1 closed-dropped, 1 sent", st)
 	}
-	if got := script.frames(t, MaxFrameBytes); len(got) != 1 || got[0].Seq != 1 {
+	if got := script.frames(t); len(got) != 1 || got[0].Seq != 1 {
 		t.Errorf("frames %+v, want only seq 1", got)
 	}
 }

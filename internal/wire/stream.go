@@ -9,11 +9,11 @@ import (
 
 // ReadFrame reads one length-prefixed payload — the stream framing
 // Sender.Send writes: a uvarint length, then the payload — reusing buf when
-// it is large enough. Payloads longer than max fail without allocating — a
-// garbage length field must not let a peer balloon the receiver. io.EOF
-// is returned only at a clean frame boundary; a prefix or payload cut
-// short mid-frame surfaces as io.ErrUnexpectedEOF.
-func ReadFrame(r *bufio.Reader, max int, buf []byte) ([]byte, error) {
+// it is large enough. Payloads longer than MaxFrameBytes fail without
+// allocating — a garbage length field must not let a peer balloon the
+// receiver. io.EOF is returned only at a clean frame boundary; a prefix
+// or payload cut short mid-frame surfaces as io.ErrUnexpectedEOF.
+func ReadFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 	n, err := readUvarint(r)
 	if err != nil {
 		if err == io.EOF {
@@ -21,8 +21,8 @@ func ReadFrame(r *bufio.Reader, max int, buf []byte) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("wire: read frame length: %w", err)
 	}
-	if n > uint64(max) {
-		return nil, fmt.Errorf("wire: %w: frame length %d exceeds %d", ErrFrame, n, max)
+	if n > MaxFrameBytes {
+		return nil, fmt.Errorf("wire: %w: frame length %d exceeds %d", ErrFrame, n, MaxFrameBytes)
 	}
 	if uint64(cap(buf)) < n {
 		buf = make([]byte, n)

@@ -46,8 +46,8 @@ const (
 	MaxFrameSamples = 4096
 	// MaxDim bounds one tier's metric-vector length.
 	MaxDim = 4096
-	// MaxFrameBytes is the default bound on one encoded frame, enforced
-	// by ReadFrame and AgentConfig.
+	// MaxFrameBytes bounds one encoded frame: Sender drops a longer
+	// frame and ReadFrame rejects one.
 	MaxFrameBytes = 1 << 20
 )
 
@@ -306,8 +306,6 @@ type AgentConfig struct {
 	// channel is lossy by design; the server's sequence accounting and
 	// health ladder absorb the gap. Zero selects 256.
 	QueueFrames int
-	// MaxFrameBytes bounds one encoded frame. Zero selects MaxFrameBytes.
-	MaxFrameBytes int
 	// MaxRetries bounds write attempts per batch of queued frames after
 	// the first; a batch failing 1+MaxRetries writes is dropped (each of
 	// its frames counted) and the stream moves on. Zero selects 3;
@@ -329,14 +327,13 @@ type AgentConfig struct {
 // zero fields to.
 func DefaultAgentConfig() AgentConfig {
 	return AgentConfig{
-		FrameSamples:  5,
-		QueueFrames:   256,
-		MaxFrameBytes: MaxFrameBytes,
-		MaxRetries:    3,
-		BackoffBase:   100 * time.Millisecond,
-		BackoffMax:    5 * time.Second,
-		DialTimeout:   3 * time.Second,
-		WriteTimeout:  5 * time.Second,
+		FrameSamples: 5,
+		QueueFrames:  256,
+		MaxRetries:   3,
+		BackoffBase:  100 * time.Millisecond,
+		BackoffMax:   5 * time.Second,
+		DialTimeout:  3 * time.Second,
+		WriteTimeout: 5 * time.Second,
 	}
 }
 
@@ -352,10 +349,6 @@ func (c AgentConfig) Validate() []error {
 	if c.QueueFrames < 1 {
 		errs = append(errs, fmt.Errorf("wire: %w: queue frames %d must be positive",
 			core.ErrBadConfig, c.QueueFrames))
-	}
-	if c.MaxFrameBytes < 64 {
-		errs = append(errs, fmt.Errorf("wire: %w: max frame bytes %d below 64",
-			core.ErrBadConfig, c.MaxFrameBytes))
 	}
 	if c.BackoffBase <= 0 {
 		errs = append(errs, fmt.Errorf("wire: %w: backoff base %v must be positive",
@@ -384,9 +377,6 @@ func (c AgentConfig) withDefaults() AgentConfig {
 	}
 	if c.QueueFrames == 0 {
 		c.QueueFrames = d.QueueFrames
-	}
-	if c.MaxFrameBytes == 0 {
-		c.MaxFrameBytes = d.MaxFrameBytes
 	}
 	switch {
 	case c.MaxRetries == 0:

@@ -111,7 +111,7 @@ func TestStreamRoundTrip(t *testing.T) {
 	r := bufio.NewReader(&buf)
 	var scratch []byte
 	for i, p := range want {
-		got, err := ReadFrame(r, MaxFrameBytes, scratch)
+		got, err := ReadFrame(r, scratch)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -120,7 +120,7 @@ func TestStreamRoundTrip(t *testing.T) {
 		}
 		scratch = got
 	}
-	if _, err := ReadFrame(r, MaxFrameBytes, scratch); err != io.EOF {
+	if _, err := ReadFrame(r, scratch); err != io.EOF {
 		t.Errorf("stream end: got %v, want io.EOF", err)
 	}
 }
@@ -131,22 +131,26 @@ func TestReadFrameEOFSemantics(t *testing.T) {
 	whole := framed(AppendFrame(nil, func() *Frame { f := frameA(); return &f }()))
 	for cut := 1; cut < len(whole); cut++ {
 		r := bufio.NewReader(bytes.NewReader(whole[:cut]))
-		_, err := ReadFrame(r, MaxFrameBytes, nil)
+		_, err := ReadFrame(r, nil)
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("cut at %d/%d: got %v, want io.ErrUnexpectedEOF", cut, len(whole), err)
 		}
 	}
 	// A multi-byte length prefix cut after its first byte is mid-frame too.
 	r := bufio.NewReader(bytes.NewReader(framed(make([]byte, 300))[:1]))
-	if _, err := ReadFrame(r, MaxFrameBytes, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := ReadFrame(r, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("mid-prefix cut: got %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 
 func TestReadFrameBoundsLength(t *testing.T) {
-	r := bufio.NewReader(bytes.NewReader(framed(make([]byte, 100))))
-	if _, err := ReadFrame(r, 64, nil); !errors.Is(err, ErrFrame) {
+	r := bufio.NewReader(bytes.NewReader(framed(make([]byte, MaxFrameBytes+1))))
+	if _, err := ReadFrame(r, nil); !errors.Is(err, ErrFrame) {
 		t.Errorf("oversized frame: got %v, want ErrFrame", err)
+	}
+	r = bufio.NewReader(bytes.NewReader(framed(make([]byte, MaxFrameBytes))))
+	if got, err := ReadFrame(r, nil); err != nil || len(got) != MaxFrameBytes {
+		t.Errorf("at-limit frame: %d bytes, %v; want %d bytes", len(got), err, MaxFrameBytes)
 	}
 }
 
@@ -167,7 +171,6 @@ func TestAgentConfigValidateErrors(t *testing.T) {
 		{"negative frame samples", func(c *AgentConfig) { c.FrameSamples = -1 }},
 		{"frame samples over cap", func(c *AgentConfig) { c.FrameSamples = MaxFrameSamples + 1 }},
 		{"negative queue", func(c *AgentConfig) { c.QueueFrames = -1 }},
-		{"tiny max frame bytes", func(c *AgentConfig) { c.MaxFrameBytes = 8 }},
 		{"negative backoff base", func(c *AgentConfig) { c.BackoffBase = -time.Second }},
 		{"backoff max below base", func(c *AgentConfig) {
 			c.BackoffBase = time.Second
