@@ -56,3 +56,30 @@ func BenchmarkFuseBatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBankSample measures one fused HPC sample the way a serving
+// shard pays it: round robin over 750 streams of one Bank (a 3000-site
+// fleet's two tiers over eight shards), so each call finds its
+// stream's filters cold in cache.
+func BenchmarkBankSample(b *testing.B) {
+	const streams = 750
+	bank, err := fuse.NewBank(fuse.Config{}, 19)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for range streams {
+		bank.Add()
+	}
+	var stream [16][]float64
+	for i := range stream {
+		stream[i] = hpcVec(i)
+	}
+	for i := 0; i < 32*streams; i++ {
+		bank.Fuse(i%streams, stream[i/streams%len(stream)])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bank.Fuse(i%streams, stream[i/streams%len(stream)])
+	}
+}

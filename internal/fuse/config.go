@@ -7,7 +7,7 @@ import (
 	"hpcap/internal/core"
 )
 
-// Config tunes a Fuser. The defaults are deliberately permissive: the
+// Config tunes a Bank. The defaults are deliberately permissive: the
 // gate is a safety net against wildly scaled reads, not a tracking
 // filter, so legitimate load-phase steps (which move every counter
 // coherently) must pass untouched.

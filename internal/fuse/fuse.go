@@ -8,9 +8,10 @@
 // fills + write-backs, CPU shares sum to 100%, …) lets a rejected
 // reading be reconstructed from its accepted peers.
 //
-// A Fuser holds one scalar Kalman filter per counter (state: level m,
-// variance p, running magnitude scale) plus the factor graph for its
-// vector layout (LayoutFor). Each Fuse call is deterministic, costs
+// A Bank holds, per stream, one scalar Kalman filter per counter (state:
+// level m, variance p, running magnitude scale) and the learned factor
+// coefficients, plus the factor graph for its vector layout
+// (layoutFor). Each Fuse call is deterministic, costs
 // O(counters + factors) and allocates nothing in steady state; a clean
 // sample costs one walk over the counters:
 //
@@ -48,7 +49,7 @@
 // de-noising must not let a fault storm masquerade as clean training
 // data.
 //
-// Determinism: Fuse is a pure function of the Fuser's state and its
+// Determinism: Fuse is a pure function of the stream's state and its
 // input — no clocks, no randomness, no map iteration — so per-site
 // fused streams are byte-reproducible across goroutine interleavings,
 // worker counts, shard counts, and the network ingest path, like every
@@ -93,34 +94,50 @@ const (
 	lrEMA    = 0.1
 )
 
-// counterState is one scalar filter.
+// counterState is one scalar filter, 40 bytes.
 type counterState struct {
 	m, p, scale float64
 	lastBits    uint64
-	run         int32
-	n           int32
-	varied      bool
-	seen        bool
+	// run counts the consecutive readings with bits lastBits in its low
+	// 31 bits (0: no reading since the last reset) and sets runVaried
+	// once the counter has read two different values.
+	run uint32
+	n   int32
 }
 
-// Fuser fuses one stream of fixed-dimension counter vectors (one site,
-// one tier). Not safe for concurrent use; the serving pipelines hold
-// one per (site, tier) under the site's ingest ordering.
-type Fuser struct {
-	cfg   Config
-	lay   *Layout
-	lr    []float64 // learned factor coefficients
-	lrSet []bool
-	st    []counterState
-	out   []float64
-	cls   []uint8
+const (
+	runVaried = 1 << 31
+	runMax    = runVaried - 1
+)
+
+// pageStreams is how many streams one arena page of a Bank holds.
+const pageStreams = 64
+
+// Bank fuses many streams of fixed-dimension counter vectors — in
+// serving, every (site, tier) of one engine — under one config and one
+// layout. Each stream's filters and learned coefficients live in paged
+// arenas: a page holds pageStreams streams, is allocated whole when Add
+// opens it, and never moves. The fused-vector and classification
+// scratch is shared by all streams. Not safe for concurrent use.
+type Bank struct {
+	cfg Config
+	lay *layout
+	n   int
+	st  [][]counterState // pages of [stream][dim] filter state
+	lr  [][]float64      // pages of [stream][learned factor] coefficients; non-finite: not learned
+	out []float64
+	cls []uint8
 }
+
+// Fuser fuses one stream: a Bank holding a single stream in a page of
+// its own size.
+type Fuser struct{ b *Bank }
 
 // Result is one fused sample.
 type Result struct {
-	// Values is the fused vector, always finite. It is owned by the
-	// Fuser and valid only until the next Fuse call; callers must copy
-	// or fold it immediately.
+	// Values is the fused vector, always finite. It is the Bank's
+	// scratch, valid only until the next Fuse on the same Bank; callers
+	// must copy or fold it immediately.
 	Values []float64
 	// Confidence is the mean per-counter confidence in [0, 1].
 	Confidence float64
@@ -132,43 +149,84 @@ type Result struct {
 	Gated int
 }
 
-// New returns a Fuser for vectors of dim counters, with the factor
-// graph LayoutFor(dim) selects. The configuration is validated first;
-// errors wrap core.ErrBadConfig.
-func New(cfg Config, dim int) (*Fuser, error) {
+// NewBank returns an empty Bank for vectors of dim counters, with the
+// factor graph layoutFor(dim) selects. The configuration is validated
+// first; errors wrap core.ErrBadConfig.
+func NewBank(cfg Config, dim int) (*Bank, error) {
 	if errs := cfg.Validate(); len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
 	if dim <= 0 {
 		return nil, fmt.Errorf("fuse: %w: dimension %d must be positive", core.ErrBadConfig, dim)
 	}
-	lay := LayoutFor(dim)
-	return &Fuser{
-		cfg:   cfg.withDefaults(),
-		lay:   lay,
-		lr:    make([]float64, len(lay.factors)),
-		lrSet: make([]bool, len(lay.factors)),
-		st:    make([]counterState, dim),
-		out:   make([]float64, dim),
-		cls:   make([]uint8, dim),
+	// The scratch is written on every Fuse. Its allocations are rounded
+	// up to whole 64-byte lines, which the allocator places line-aligned,
+	// so the banks of shards running in parallel never write one line.
+	return &Bank{
+		cfg: cfg.withDefaults(),
+		lay: layoutFor(dim),
+		out: make([]float64, (dim+7)&^7)[:dim:dim],
+		cls: make([]uint8, (dim+63)&^63)[:dim:dim],
 	}, nil
 }
 
-// Config returns the resolved configuration the Fuser runs with.
-func (f *Fuser) Config() Config { return f.cfg }
+// New returns a Fuser for vectors of dim counters; see NewBank.
+func New(cfg Config, dim int) (*Fuser, error) {
+	b, err := NewBank(cfg, dim)
+	if err != nil {
+		return nil, err
+	}
+	b.addPage(1)
+	b.n = 1
+	return &Fuser{b}, nil
+}
 
-// Dim returns the vector dimension.
-func (f *Fuser) Dim() int { return f.lay.dim }
+// Config returns the resolved configuration the Bank runs with.
+func (b *Bank) Config() Config { return b.cfg }
 
-// Reset clears the per-counter filter state (after a stream gap resets
-// the site's temporal history, stale levels must not gate the fresh
+// Add opens a new stream, in its reset state with nothing learned, and
+// returns its index: streams are numbered 0, 1, 2, … in the order
+// added. It allocates only when it opens a page.
+func (b *Bank) Add() int {
+	s := b.n
+	if s%pageStreams == 0 {
+		b.addPage(pageStreams)
+	}
+	b.n++
+	return s
+}
+
+// addPage appends one page for the given number of streams.
+func (b *Bank) addPage(streams int) {
+	lr := make([]float64, streams*len(b.lay.learned))
+	for i := range lr {
+		lr[i] = math.NaN()
+	}
+	b.st = append(b.st, make([]counterState, streams*b.lay.dim))
+	b.lr = append(b.lr, lr)
+}
+
+// stream returns stream s's filters and learned coefficients.
+func (b *Bank) stream(s int) ([]counterState, []float64) {
+	dim, nl := b.lay.dim, len(b.lay.learned)
+	pg, off := s/pageStreams, s%pageStreams
+	return b.st[pg][off*dim : (off+1)*dim : (off+1)*dim], b.lr[pg][off*nl : (off+1)*nl : (off+1)*nl]
+}
+
+// Reset clears stream s's filter state (after a stream gap resets the
+// site's temporal history, stale levels must not gate the fresh
 // stream). Learned factor coefficients are machine constants and
 // survive the reset.
-func (f *Fuser) Reset() {
-	for i := range f.st {
-		f.st[i] = counterState{}
-	}
+func (b *Bank) Reset(s int) {
+	st, _ := b.stream(s)
+	clear(st)
 }
+
+// Reset clears the filter state; see Bank.Reset.
+func (f *Fuser) Reset() { f.b.Reset(0) }
+
+// Fuse fuses one vector; see Bank.Fuse.
+func (f *Fuser) Fuse(values []float64) Result { return f.b.Fuse(0, values) }
 
 // nonFinite reports NaN or ±Inf without branching on both.
 func nonFinite(v float64) bool {
@@ -226,17 +284,20 @@ func (cs *counterState) track(y float64) {
 	}
 }
 
-// Fuse classifies, imputes, and filters one raw vector. values is read
-// during the call and never retained or mutated; the fused vector is
-// returned in Result.Values (Fuser-owned storage).
-func (f *Fuser) Fuse(values []float64) Result {
-	dim := f.lay.dim
+// Fuse classifies, imputes, and filters one raw vector of stream s, an
+// index Add returned. values is read during the call and never retained
+// or mutated; the fused vector is returned in Result.Values (the Bank's
+// scratch).
+func (b *Bank) Fuse(s int, values []float64) Result {
+	dim := b.lay.dim
 	if len(values) > dim {
 		values = values[:dim]
 	}
-	st, cls, out := f.st[:len(values)], f.cls[:len(values)], f.out[:len(values)]
-	pn, mn := f.cfg.ProcessNoise, f.cfg.MeasurementNoise
-	gate := f.cfg.GateSigmas * f.cfg.GateSigmas
+	all, coef := b.stream(s)
+	st, cls, out := all[:len(values)], b.cls[:len(values)], b.out[:len(values)]
+	pn, mn := b.cfg.ProcessNoise, b.cfg.MeasurementNoise
+	gate := b.cfg.GateSigmas * b.cfg.GateSigmas
+	stuckAt := runVaried + uint64(b.cfg.StuckRun) // the run of a varied counter that reads stuck
 	gated, rejected := 0, dim-len(values)
 
 	// One pass: classify every reading against its filter, and fold an
@@ -250,26 +311,24 @@ func (f *Fuser) Fuse(values []float64) Result {
 		}
 		bits := math.Float64bits(y)
 		switch {
-		case !cs.seen:
-			cs.seen = true
+		case cs.run == 0:
 			cs.run = 1
 		case bits == cs.lastBits:
-			if cs.run < math.MaxInt32 {
+			if cs.run&runMax != runMax {
 				cs.run++
 			}
 		default:
-			cs.varied = true
-			cs.run = 1
+			cs.run = runVaried | 1
 		}
 		cs.lastBits = bits
-		if cs.varied && int(cs.run) >= f.cfg.StuckRun {
+		if uint64(cs.run) >= stuckAt {
 			cls[i] = clsStuck
 			rejected++
 			continue
 		}
 		p, r := cs.predict(pn, mn)
 		rr := r * r
-		if int(cs.n) >= f.cfg.Warmup && cs.n > 0 {
+		if int(cs.n) >= b.cfg.Warmup && cs.n > 0 {
 			d := y - cs.m
 			if s := p + rr; s > 0 && d*d > gate*s {
 				cls[i] = clsGated
@@ -295,7 +354,7 @@ func (f *Fuser) Fuse(values []float64) Result {
 	}
 	// A short vector's tail reads as missing.
 	for i := len(values); i < dim; i++ {
-		f.cls[i] = clsMissing
+		b.cls[i] = clsMissing
 	}
 
 	// Coherent-jump veto: a majority of counters moving out of gate at
@@ -319,15 +378,15 @@ func (f *Fuser) Fuse(values []float64) Result {
 	// With nothing rejected the confidence sum is dim ones, exactly.
 	confSum := float64(dim)
 	if rejected > 0 {
-		confSum = f.fillRejected(values)
+		confSum = b.fillRejected(all, coef, values)
 	}
 
 	// Learning pass: refresh learned coefficients from samples where
 	// every participant was accepted.
-	f.learn(values)
+	b.learn(coef, values)
 
 	return Result{
-		Values:     f.out,
+		Values:     b.out,
 		Confidence: confSum / float64(dim),
 		Imputed:    rejected,
 		Gated:      gated,
@@ -339,19 +398,19 @@ func (f *Fuser) Fuse(values []float64) Result {
 // the factor graph (and folded) where accepted peers allow, else the
 // filter prior — and the inequality clamps. It returns the confidence
 // sum, accumulated in counter order.
-func (f *Fuser) fillRejected(values []float64) float64 {
-	pn, mn := f.cfg.ProcessNoise, f.cfg.MeasurementNoise
+func (b *Bank) fillRejected(st []counterState, coef, values []float64) float64 {
+	pn, mn := b.cfg.ProcessNoise, b.cfg.MeasurementNoise
 	confSum := 0.0
-	for i, c := range f.cls {
+	for i, c := range b.cls {
 		if c == clsAccept {
 			confSum += ConfAccepted
 			continue
 		}
-		cs := &f.st[i]
+		cs := &st[i]
 		p, r := cs.predict(pn, mn)
-		if z, ok := f.impute(i, values); ok {
+		if z, ok := b.impute(i, coef, values); ok {
 			cs.fold(p, r, z)
-			f.out[i] = z
+			b.out[i] = z
 			confSum += ConfFactor
 		} else {
 			cs.p = capVar(p)
@@ -359,70 +418,71 @@ func (f *Fuser) fillRejected(values []float64) float64 {
 			if z < 0 || nonFinite(z) {
 				z = 0
 			}
-			f.out[i] = z
+			b.out[i] = z
 			confSum += ConfPrior
 		}
 	}
 
 	// Inequality clamps apply to imputed values only: a reconstructed
 	// reading must not violate a physical bound its accepted peer pins.
-	for _, fi := range f.lay.clamps {
-		fa := f.lay.factors[fi]
-		if f.cls[fa.a] != clsAccept && f.cls[fa.b] == clsAccept && f.out[fa.a] > values[fa.b] {
-			f.out[fa.a] = values[fa.b]
+	for _, fi := range b.lay.clamps {
+		fa := b.lay.factors[fi]
+		if b.cls[fa.a] != clsAccept && b.cls[fa.b] == clsAccept && b.out[fa.a] > values[fa.b] {
+			b.out[fa.a] = values[fa.b]
 		}
 	}
 	return confSum
 }
 
 // accepted reports whether counter j was accepted this sample.
-func (f *Fuser) accepted(j int) bool { return f.cls[j] == clsAccept }
+func (b *Bank) accepted(j int) bool { return b.cls[j] == clsAccept }
 
 // impute reconstructs counter i from the first factor whose other
-// participants were all accepted and whose solution is finite.
-func (f *Fuser) impute(i int, values []float64) (float64, bool) {
-	for _, fi := range f.lay.byCounter[i] {
-		fa := f.lay.factors[fi]
+// participants were all accepted and whose solution is finite; coef
+// holds the stream's learned coefficients.
+func (b *Bank) impute(i int, coef, values []float64) (float64, bool) {
+	for _, fi := range b.lay.byCounter[i] {
+		fa := b.lay.factors[fi]
 		z := math.NaN()
 		switch fa.kind {
 		case kindRatio: // x[a] = K·x[b]/x[c]
 			switch {
-			case i == fa.a && f.accepted(fa.b) && f.accepted(fa.c):
+			case i == fa.a && b.accepted(fa.b) && b.accepted(fa.c):
 				z = fa.k * values[fa.b] / values[fa.c]
-			case i == fa.b && f.accepted(fa.a) && f.accepted(fa.c):
+			case i == fa.b && b.accepted(fa.a) && b.accepted(fa.c):
 				z = values[fa.a] * values[fa.c] / fa.k
-			case i == fa.c && f.accepted(fa.a) && f.accepted(fa.b):
+			case i == fa.c && b.accepted(fa.a) && b.accepted(fa.b):
 				z = fa.k * values[fa.b] / values[fa.a]
 			}
 		case kindProp: // x[a] = K·x[b]
 			switch {
-			case i == fa.a && f.accepted(fa.b):
+			case i == fa.a && b.accepted(fa.b):
 				z = fa.k * values[fa.b]
-			case i == fa.b && f.accepted(fa.a):
+			case i == fa.b && b.accepted(fa.a):
 				z = values[fa.a] / fa.k
 			}
 		case kindLearnedProp: // x[a] = lr·x[b]
-			if !f.lrSet[fi] {
+			lr := coef[fa.slot]
+			if nonFinite(lr) {
 				break
 			}
-			lr := f.lr[fi]
 			switch {
-			case i == fa.a && f.accepted(fa.b):
+			case i == fa.a && b.accepted(fa.b):
 				z = lr * values[fa.b]
-			case i == fa.b && f.accepted(fa.a):
+			case i == fa.b && b.accepted(fa.a):
 				z = values[fa.a] / lr
 			}
 		case kindLearnedDiff: // x[a] = x[b] − lr·x[c]
-			if !f.lrSet[fi] {
+			lr := coef[fa.slot]
+			if nonFinite(lr) {
 				break
 			}
-			lr := f.lr[fi]
 			switch {
-			case i == fa.a && f.accepted(fa.b) && f.accepted(fa.c):
+			case i == fa.a && b.accepted(fa.b) && b.accepted(fa.c):
 				z = values[fa.b] - lr*values[fa.c]
-			case i == fa.b && f.accepted(fa.a) && f.accepted(fa.c):
+			case i == fa.b && b.accepted(fa.a) && b.accepted(fa.c):
 				z = values[fa.a] + lr*values[fa.c]
-			case i == fa.c && f.accepted(fa.a) && f.accepted(fa.b):
+			case i == fa.c && b.accepted(fa.a) && b.accepted(fa.b):
 				z = (values[fa.b] - values[fa.a]) / lr
 			}
 		case kindShare4: // x[a]+x[a+1]+x[a+2]+x[a+3] = K
@@ -432,7 +492,7 @@ func (f *Fuser) impute(i int, values []float64) (float64, bool) {
 				if j == i {
 					continue
 				}
-				if !f.accepted(j) {
+				if !b.accepted(j) {
 					ok = false
 					break
 				}
@@ -442,16 +502,16 @@ func (f *Fuser) impute(i int, values []float64) (float64, bool) {
 				z = math.NaN()
 			}
 		case kindLearnedSum2: // x[a] = lr·(x[b]+x[c])
-			if !f.lrSet[fi] {
+			lr := coef[fa.slot]
+			if nonFinite(lr) {
 				break
 			}
-			lr := f.lr[fi]
 			switch {
-			case i == fa.a && f.accepted(fa.b) && f.accepted(fa.c):
+			case i == fa.a && b.accepted(fa.b) && b.accepted(fa.c):
 				z = lr * (values[fa.b] + values[fa.c])
-			case i == fa.b && f.accepted(fa.a) && f.accepted(fa.c):
+			case i == fa.b && b.accepted(fa.a) && b.accepted(fa.c):
 				z = values[fa.a]/lr - values[fa.c]
-			case i == fa.c && f.accepted(fa.a) && f.accepted(fa.b):
+			case i == fa.c && b.accepted(fa.a) && b.accepted(fa.b):
 				z = values[fa.a]/lr - values[fa.b]
 			}
 		}
@@ -465,36 +525,34 @@ func (f *Fuser) impute(i int, values []float64) (float64, bool) {
 	return 0, false
 }
 
-// learn refreshes the learned factor coefficients (EMA over samples
-// where every participant was accepted).
-func (f *Fuser) learn(values []float64) {
-	for _, fi := range f.lay.learned {
-		fa := f.lay.factors[fi]
+// learn refreshes a stream's learned factor coefficients (EMA over
+// samples where every participant was accepted); a coefficient that is
+// not finite is unlearned and takes the next ratio as it is.
+func (b *Bank) learn(coef, values []float64) {
+	for j, fi := range b.lay.learned {
+		fa := b.lay.factors[fi]
 		ratio := math.NaN()
 		switch fa.kind {
 		case kindLearnedProp:
-			if f.accepted(fa.a) && f.accepted(fa.b) {
+			if b.accepted(fa.a) && b.accepted(fa.b) {
 				ratio = values[fa.a] / values[fa.b]
 			}
 		case kindLearnedDiff:
-			if f.accepted(fa.a) && f.accepted(fa.b) && f.accepted(fa.c) {
+			if b.accepted(fa.a) && b.accepted(fa.b) && b.accepted(fa.c) {
 				ratio = (values[fa.b] - values[fa.a]) / values[fa.c]
 			}
 		case kindLearnedSum2:
-			if f.accepted(fa.a) && f.accepted(fa.b) && f.accepted(fa.c) {
+			if b.accepted(fa.a) && b.accepted(fa.b) && b.accepted(fa.c) {
 				ratio = values[fa.a] / (values[fa.b] + values[fa.c])
 			}
 		}
 		if nonFinite(ratio) {
 			continue
 		}
-		if !f.lrSet[fi] {
-			f.lr[fi], f.lrSet[fi] = ratio, true
+		if nonFinite(coef[j]) {
+			coef[j] = ratio
 		} else {
-			f.lr[fi] += lrEMA * (ratio - f.lr[fi])
-			if nonFinite(f.lr[fi]) {
-				f.lr[fi], f.lrSet[fi] = 0, false
-			}
+			coef[j] += lrEMA * (ratio - coef[j])
 		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 
 // FuzzFuseConfig pins the config contract under arbitrary settings:
 // every validation error wraps core.ErrBadConfig, a config that
-// validates cleanly constructs a Fuser, and validation is stable (a
-// valid config stays valid when re-validated).
+// validates cleanly constructs a Bank and a Fuser, and validation is
+// stable (a valid config stays valid when re-validated).
 func FuzzFuseConfig(f *testing.F) {
 	f.Add(0.25, 0.05, 8.0, 4, 5, 0.7)
 	f.Add(0.0, 0.0, 0.0, 0, 0, 0.0)
@@ -34,17 +34,20 @@ func FuzzFuseConfig(f *testing.F) {
 				t.Fatalf("error %v does not wrap ErrBadConfig", err)
 			}
 		}
-		fr, err := fuse.New(cfg, 19)
-		if (err == nil) != (len(errs) == 0) {
+		if _, err := fuse.New(cfg, 19); (err == nil) != (len(errs) == 0) {
 			t.Fatalf("Validate found %d errors but New said %v", len(errs), err)
+		}
+		b, err := fuse.NewBank(cfg, 19)
+		if (err == nil) != (len(errs) == 0) {
+			t.Fatalf("Validate found %d errors but NewBank said %v", len(errs), err)
 		}
 		if err != nil {
 			if !errors.Is(err, core.ErrBadConfig) {
-				t.Fatalf("New error %v does not wrap ErrBadConfig", err)
+				t.Fatalf("NewBank error %v does not wrap ErrBadConfig", err)
 			}
 			return
 		}
-		if errs := fr.Config().Validate(); len(errs) > 0 {
+		if errs := b.Config().Validate(); len(errs) > 0 {
 			t.Fatalf("resolved config invalid: %v", errs)
 		}
 	})

@@ -44,11 +44,13 @@ const (
 )
 
 // factor is one edge set of the graph. a, b, c index counters in the
-// fused vector; K is the fixed coefficient (unused by learned kinds).
+// fused vector; K is the fixed coefficient (unused by learned kinds);
+// slot indexes a learned kind's coefficient in its stream's slots.
 type factor struct {
 	kind    int
 	a, b, c int
 	k       float64
+	slot    int
 }
 
 // legs lists the counters the factor touches.
@@ -73,8 +75,8 @@ func (f factor) learned() bool {
 	return false
 }
 
-// Layout is the factor graph for one vector dimension.
-type Layout struct {
+// layout is the factor graph for one vector dimension.
+type layout struct {
 	dim     int
 	factors []factor
 	// byCounter[i] lists (by index into factors) the factors that can
@@ -85,12 +87,6 @@ type Layout struct {
 	// and clamp passes walk only the factors they act on.
 	learned, clamps []int16
 }
-
-// Dim returns the vector dimension the layout describes.
-func (l *Layout) Dim() int { return l.dim }
-
-// NumFactors returns how many factors the layout carries.
-func (l *Layout) NumFactors() int { return len(l.factors) }
 
 // Indices of the hardware counter metrics inside cpu.MetricNames. The
 // layout test pins these against the collector's actual name order so a
@@ -162,8 +158,8 @@ func osFactors(o int) []factor {
 	}
 }
 
-// layouts built once; Layout carries no mutable state (learned
-// coefficients live in the Fuser), so sharing across sites is safe.
+// layouts built once; layout carries no mutable state (learned
+// coefficients live in the Bank), so sharing across sites is safe.
 var (
 	layoutHPC      = newLayout(hpcDim, hpcFactors(0))
 	layoutOS       = newLayout(osDim, osFactors(0))
@@ -173,13 +169,13 @@ var (
 		factor{kind: kindLearnedSum2, a: osDim + hpcBusyFrac, b: osCPUUser, c: osCPUSystem})...))
 )
 
-// LayoutFor returns the factor graph for a fused vector of dim counters:
+// layoutFor returns the factor graph for a fused vector of dim counters:
 // the hardware-counter layout for the cpu collector's dimension, the OS
 // layout for osstat's, and their concatenation (OS first, then HPC — the
 // metrics.LevelCombined order) for the combined dimension. Any other
 // dimension gets a factor-free layout: per-counter filtering still
 // applies, cross-counter imputation does not.
-func LayoutFor(dim int) *Layout {
+func layoutFor(dim int) *layout {
 	switch dim {
 	case hpcDim:
 		return layoutHPC
@@ -193,10 +189,11 @@ func LayoutFor(dim int) *Layout {
 }
 
 // newLayout indexes the factor list by counter and by role.
-func newLayout(dim int, factors []factor) *Layout {
-	l := &Layout{dim: dim, factors: factors, byCounter: make([][]int16, dim)}
+func newLayout(dim int, factors []factor) *layout {
+	l := &layout{dim: dim, factors: factors, byCounter: make([][]int16, dim)}
 	for fi, f := range factors {
 		if f.learned() {
+			factors[fi].slot = len(l.learned)
 			l.learned = append(l.learned, int16(fi))
 		}
 		if f.kind == kindClampLE {

@@ -10,26 +10,57 @@ import (
 // refFuser is a frozen copy of the two-pass fuser: every reading is
 // classified in a first walk and filtered, imputed and emitted in a
 // second. Its methods are kept verbatim as the reference the one-pass
-// kernel is held to; it shares counterState, Layout and Config with the
-// Fuser, so a state comparison is field by field.
+// kernel is held to, over its own copy of the unpacked 48-byte filter
+// state and a coefficient slot per factor; it shares layout and Config
+// with the Bank, and a state comparison reads the Bank's packed state
+// through the accessors below.
 type refFuser struct {
 	cfg   Config
-	lay   *Layout
+	lay   *layout
 	lr    []float64 // learned factor coefficients
 	lrSet []bool
-	st    []counterState
+	st    []refCounterState
 	out   []float64
 	cls   []uint8
 }
 
+// refCounterState is one scalar filter as the reference keeps it.
+type refCounterState struct {
+	m, p, scale float64
+	lastBits    uint64
+	run         int32
+	n           int32
+	varied      bool
+	seen        bool
+}
+
+// seen, varied and runLen read the packed run in refCounterState's terms.
+func (cs counterState) seen() bool    { return cs.run != 0 }
+func (cs counterState) varied() bool  { return cs.run&runVaried != 0 }
+func (cs counterState) runLen() int32 { return int32(cs.run & runMax) }
+
+// coef reads stream s's coefficient for factor fi in the reference's
+// terms: an unlearned one, or a factor that learns nothing, reads 0.
+func (b *Bank) coef(s, fi int) (float64, bool) {
+	fa := b.lay.factors[fi]
+	if !fa.learned() {
+		return 0, false
+	}
+	_, coef := b.stream(s)
+	if c := coef[fa.slot]; !nonFinite(c) {
+		return c, true
+	}
+	return 0, false
+}
+
 func newRefFuser(cfg Config, dim int) *refFuser {
-	lay := LayoutFor(dim)
+	lay := layoutFor(dim)
 	return &refFuser{
 		cfg:   cfg.withDefaults(),
 		lay:   lay,
 		lr:    make([]float64, len(lay.factors)),
 		lrSet: make([]bool, len(lay.factors)),
-		st:    make([]counterState, dim),
+		st:    make([]refCounterState, dim),
 		out:   make([]float64, dim),
 		cls:   make([]uint8, dim),
 	}
@@ -41,7 +72,7 @@ func newRefFuser(cfg Config, dim int) *refFuser {
 // survive the reset.
 func (f *refFuser) Reset() {
 	for i := range f.st {
-		f.st[i] = counterState{}
+		f.st[i] = refCounterState{}
 	}
 }
 
@@ -182,7 +213,7 @@ func (f *refFuser) Fuse(values []float64) Result {
 
 // fold runs one Kalman measurement update with observation z and
 // measurement noise r, keeping the state finite under any input.
-func (f *refFuser) fold(cs *counterState, r, z float64) {
+func (f *refFuser) fold(cs *refCounterState, r, z float64) {
 	s := cs.p + r*r
 	k := 1.0
 	if s > 0 {
@@ -337,10 +368,10 @@ func pairFusers(t testing.TB, cfg Config, dim int) (*Fuser, *refFuser) {
 // sameBits reports whether two floats are the same bit pattern.
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// checkSameStep fails unless the two results and the two fusers' whole
-// state — every counter filter and every learned coefficient — agree
-// bit for bit.
-func checkSameStep(t testing.TB, step int, f *Fuser, ref *refFuser, got, want Result) {
+// checkSameStep fails unless the two results and the whole state of
+// stream s of b and of ref — every counter filter and every learned
+// coefficient — agree bit for bit.
+func checkSameStep(t testing.TB, step int, b *Bank, s int, ref *refFuser, got, want Result) {
 	t.Helper()
 	if len(got.Values) != len(want.Values) {
 		t.Fatalf("step %d: %d values, reference %d", step, len(got.Values), len(want.Values))
@@ -354,16 +385,24 @@ func checkSameStep(t testing.TB, step int, f *Fuser, ref *refFuser, got, want Re
 		t.Fatalf("step %d: confidence/imputed/gated %v/%d/%d, reference %v/%d/%d",
 			step, got.Confidence, got.Imputed, got.Gated, want.Confidence, want.Imputed, want.Gated)
 	}
+	checkState(t, step, b, s, ref)
+}
+
+// checkState fails unless stream s of b and ref hold the same state:
+// every counter filter and every learned coefficient, bit for bit.
+func checkState(t testing.TB, step int, b *Bank, s int, ref *refFuser) {
+	t.Helper()
+	st, _ := b.stream(s)
 	for i := range ref.st {
-		g, w := f.st[i], ref.st[i]
+		g, w := st[i], ref.st[i]
 		if !sameBits(g.m, w.m) || !sameBits(g.p, w.p) || !sameBits(g.scale, w.scale) ||
-			g.lastBits != w.lastBits || g.run != w.run || g.n != w.n || g.varied != w.varied || g.seen != w.seen {
-			t.Fatalf("step %d counter %d: state %+v, reference %+v", step, i, g, w)
+			g.lastBits != w.lastBits || g.runLen() != w.run || g.n != w.n || g.varied() != w.varied || g.seen() != w.seen {
+			t.Fatalf("step %d stream %d counter %d: state %+v, reference %+v", step, s, i, g, w)
 		}
 	}
 	for fi := range ref.lr {
-		if !sameBits(f.lr[fi], ref.lr[fi]) || f.lrSet[fi] != ref.lrSet[fi] {
-			t.Fatalf("step %d factor %d: lr %v/%v, reference %v/%v", step, fi, f.lr[fi], f.lrSet[fi], ref.lr[fi], ref.lrSet[fi])
+		if lr, set := b.coef(s, fi); !sameBits(lr, ref.lr[fi]) || set != ref.lrSet[fi] {
+			t.Fatalf("step %d stream %d factor %d: lr %v/%v, reference %v/%v", step, s, fi, lr, set, ref.lr[fi], ref.lrSet[fi])
 		}
 	}
 }
@@ -465,7 +504,7 @@ func TestFuseMatchesReference(t *testing.T) {
 						continue
 					}
 					got := f.Fuse(vec)
-					checkSameStep(t, step, f, ref, got, ref.Fuse(vec))
+					checkSameStep(t, step, f.b, 0, ref, got, ref.Fuse(vec))
 				}
 			}
 		}
@@ -519,7 +558,7 @@ func FuzzFuseMatchesReference(f *testing.F) {
 				fu.Reset()
 				ref.Reset()
 			}
-			checkSameStep(t, step, fu, ref, fu.Fuse(in), ref.Fuse(in))
+			checkSameStep(t, step, fu.b, 0, ref, fu.Fuse(in), ref.Fuse(in))
 			step++
 		}
 	})

@@ -46,15 +46,12 @@ type engine struct {
 	flags []*siteFlags // pointer-stable: admission valves hold them across slice growth
 	sums  []float64    // window accumulation arena, [site][tier][dim]
 
-	// Counter fusion (nil/empty unless Config.Fuse was set): per-tier
-	// fusers laid out [site][tier], the resolved confidence floor (the raw
-	// config may carry zero meaning "default"), and the open window's
-	// confidence accumulators, consumed at decision time.
-	fuseCfg   *fuse.Config
-	fuseFloor float64
-	fusers    []*fuse.Fuser
-	confSum   []float64
-	confN     []int32
+	// Counter fusion (nil/empty unless Config.Fuse was set): one filter
+	// bank whose stream i*NumTiers+tier fuses site i's tier, and the open
+	// window's confidence accumulators, consumed at decision time.
+	bank    *fuse.Bank
+	confSum []float64
+	confN   []int32
 
 	// spent holds the pooled frames whose last scrape the batch applied,
 	// handed back together before the batch's decisions.
@@ -157,16 +154,14 @@ func newEngine(m *core.Monitor, cfg Config, dim int) *engine {
 		window:    cfg.Window,
 		staleness: min(stalenessBudget, cfg.Window-1),
 		idx:       make(map[string]int32),
-		fuseCfg:   cfg.Fuse,
 	}
 	if cfg.Fuse != nil {
-		// Resolve the config's zero fields through one prototype fuser;
 		// lanes.configure validated the config before any engine is built.
-		proto, err := fuse.New(*cfg.Fuse, dim)
+		bank, err := fuse.NewBank(*cfg.Fuse, dim)
 		if err != nil {
 			panic(err)
 		}
-		e.fuseFloor = proto.Config().ConfidenceFloor
+		e.bank = bank
 	}
 	return e
 }
@@ -183,14 +178,9 @@ func (e *engine) site(name string) int32 {
 	e.sess = append(e.sess, e.mon.NewSession())
 	e.flags = append(e.flags, &siteFlags{})
 	e.sums = append(e.sums, make([]float64, int(server.NumTiers)*e.dim)...)
-	if e.fuseCfg != nil {
-		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-			f, err := fuse.New(*e.fuseCfg, e.dim)
-			if err != nil {
-				// Validated when the pipeline was built; this cannot happen.
-				panic(err)
-			}
-			e.fusers = append(e.fusers, f)
+	if e.bank != nil {
+		for range server.NumTiers {
+			e.bank.Add()
 		}
 		e.confSum = append(e.confSum, 0)
 		e.confN = append(e.confN, 0)
@@ -329,7 +319,7 @@ func (e *engine) ingestVec(i int32, tier server.TierID, t float64, wi int64, tim
 		ss.SamplesBadValue++
 		return
 	}
-	if e.fuseCfg == nil {
+	if e.bank == nil {
 		// Without fusion a NaN/Inf component voids the sample. The fusion
 		// stage instead accepts it and imputes the bad components, so the
 		// scan is skipped: losing a whole vector to one wrapped counter is
@@ -365,11 +355,11 @@ func (e *engine) ingestVec(i int32, tier server.TierID, t float64, wi int64, tim
 		return
 	}
 	st.lastTime[tier] = t
-	if e.fuseCfg != nil {
+	if e.bank != nil {
 		// Fuse after the late/dup checks so rejected samples never mutate
-		// filter state; the window sum reads the fuser-owned buffer before
-		// the next Fuse call overwrites it.
-		r := e.fusers[int(i)*int(server.NumTiers)+int(tier)].Fuse(values)
+		// filter state; the window sum reads the bank's scratch before the
+		// next Fuse call overwrites it.
+		r := e.bank.Fuse(int(i)*int(server.NumTiers)+int(tier), values)
 		ss.SamplesFused++
 		ss.FuseImputed += uint64(r.Imputed)
 		ss.FuseGated += uint64(r.Gated)
@@ -577,9 +567,9 @@ func (e *engine) resetSession(i int32) {
 	ss.SessionResets++
 	e.flags[i].overloaded.Store(false)
 	st.cleanStreak = 0
-	if e.fuseCfg != nil {
-		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-			e.fusers[int(i)*int(server.NumTiers)+int(tier)].Reset()
+	if e.bank != nil {
+		for tier := range server.NumTiers {
+			e.bank.Reset(int(i)*server.NumTiers + tier)
 		}
 		e.confSum[i], e.confN[i] = 0, 0
 	}
@@ -639,12 +629,12 @@ func (e *engine) finishDecide(i int32, obs core.Observation, missing int, seq in
 	// due-window barrier (flushDueFor before every ingest) guarantees no
 	// later sample has touched it.
 	conf, lowConf := 1.0, false
-	if e.fuseCfg != nil {
+	if e.bank != nil {
 		if e.confN[i] > 0 {
 			conf = e.confSum[i] / float64(e.confN[i])
 		}
 		e.confSum[i], e.confN[i] = 0, 0
-		lowConf = conf < e.fuseFloor
+		lowConf = conf < e.bank.Config().ConfidenceFloor
 	}
 	ss.PredictNanos += lat
 	if lat > ss.PredictMaxNanos {
@@ -655,7 +645,7 @@ func (e *engine) finishDecide(i int32, obs core.Observation, missing int, seq in
 		return
 	}
 	ss.WindowsDecided++
-	if e.fuseCfg != nil {
+	if e.bank != nil {
 		ss.FuseConfidence = conf
 	}
 	if lowConf {

@@ -16,6 +16,7 @@ import (
 	"hpcap/internal/core"
 	"hpcap/internal/cpu"
 	"hpcap/internal/experiment"
+	"hpcap/internal/fuse"
 	"hpcap/internal/metrics"
 	"hpcap/internal/predictor"
 	"hpcap/internal/serve"
@@ -400,6 +401,95 @@ func TestShortWindowClampsBudget(t *testing.T) {
 	}
 	if st, _ := p.SiteStats("s"); st.WindowsDropped != 1 {
 		t.Errorf("WindowsDropped = %d, want 1", st.WindowsDropped)
+	}
+}
+
+// smoothVec returns one recorded second of a tier scaled by a hair more
+// each second: a stream in which no reading repeats or jumps, so the
+// fuser accepts every one.
+func smoothVec(vecs [server.NumTiers][][]float64, tier server.TierID, sec int) []float64 {
+	v := make([]float64, len(vecs[tier][1]))
+	for k, x := range vecs[tier][1] {
+		v[k] = x * (1 + 1e-6*float64(sec))
+	}
+	return v
+}
+
+// TestLowConfidenceAtFloor: a window is flagged LowConfidence only when
+// its confidence falls strictly below the floor. At a floor of 1 a clean
+// window reads exactly the floor and stays unflagged, while a window
+// with one imputed reading reads below it and is flagged.
+func TestLowConfidenceAtFloor(t *testing.T) {
+	lab, mon, tr := fixture(t)
+	vecs := secondVectors(tr)
+	var decisions []serve.Decision
+	p, err := serve.NewPipeline(mon, serve.Config{
+		Fuse:       &fuse.Config{ConfidenceFloor: 1},
+		OnDecision: func(d serve.Decision) { decisions = append(decisions, d) },
+	})
+	if err != nil {
+		t.Fatalf("NewPipeline: %v", err)
+	}
+	w := lab.Scale.Window
+	for sec := 1; sec <= 6*w; sec++ {
+		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
+			v := smoothVec(vecs, tier, sec)
+			if sec > 3*w && sec%w == 1 && tier == server.TierDB {
+				v[0] = math.NaN() // one imputed reading in each of the last three windows
+			}
+			p.Ingest(serve.Sample{Site: "s", Tier: tier, Time: float64(sec), Values: v})
+		}
+	}
+	p.Flush()
+	atFloor, below := 0, 0
+	for _, d := range decisions {
+		if d.LowConfidence != (d.Confidence < 1) {
+			t.Errorf("window %d: confidence %v flagged LowConfidence=%t at floor 1", d.Seq, d.Confidence, d.LowConfidence)
+		}
+		if d.Confidence == 1 {
+			atFloor++
+		} else {
+			below++
+		}
+	}
+	if atFloor == 0 || below == 0 {
+		t.Errorf("%d windows at the floor and %d below it; the test needs both", atFloor, below)
+	}
+}
+
+// TestStaleResetClearsEveryTier: a stream gap that drops a window resets
+// the fusion filters of every tier of the site, so a stream that resumes
+// at a new level is learned afresh rather than gated against the old
+// one. After two clean windows the site falls silent for two windows and
+// resumes with its first counter a thousand times higher on both tiers:
+// nothing may be imputed.
+func TestStaleResetClearsEveryTier(t *testing.T) {
+	lab, mon, tr := fixture(t)
+	vecs := secondVectors(tr)
+	p, err := serve.NewPipeline(mon, serve.Config{Fuse: &fuse.Config{}})
+	if err != nil {
+		t.Fatalf("NewPipeline: %v", err)
+	}
+	w := lab.Scale.Window
+	for sec := 1; sec <= 6*w; sec++ {
+		if sec > 2*w && sec <= 4*w {
+			continue
+		}
+		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
+			v := smoothVec(vecs, tier, sec)
+			if sec > 4*w {
+				v[0] *= 1000
+			}
+			p.Ingest(serve.Sample{Site: "s", Tier: tier, Time: float64(sec), Values: v})
+		}
+	}
+	p.Flush()
+	st, _ := p.SiteStats("s")
+	if st.SessionResets == 0 || st.WindowsDecided < 4 {
+		t.Fatalf("resets=%d decided=%d: the gap did not reset the site, or the stream did not resume", st.SessionResets, st.WindowsDecided)
+	}
+	if st.FuseImputed != 0 {
+		t.Errorf("%d readings imputed after the gap; a tier's filters survived the reset", st.FuseImputed)
 	}
 }
 

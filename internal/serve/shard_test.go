@@ -40,6 +40,32 @@ var shardConfigs = []geometry{
 	{shards: 8, batch: 64, queue: 4096},
 }
 
+// recoveries tallies, across sites, the degraded → healthy and the
+// stale → healthy edges of the health ladder.
+func recoveries(stats []serve.SiteStats) (fromDegraded, fromStale uint64) {
+	for _, st := range stats {
+		fromDegraded += st.HealthTransitions[serve.HealthDegraded][serve.HealthHealthy]
+		fromStale += st.HealthTransitions[serve.HealthStale][serve.HealthHealthy]
+	}
+	return fromDegraded, fromStale
+}
+
+// scripted says how a storm's site s behaves at second sec, under the
+// given window: sites 0 and 1 weather three windows of storm and then
+// run calm, without faults. Site 0 loses one whole second of its fourth
+// window, which is decided degraded; site 1 loses that window's last ten
+// seconds, so the window is dropped and the site goes stale. Each then
+// has the clean windows it needs to recover to healthy.
+func scripted(s, sec, window int) (calm, drop bool) {
+	if s > 1 || sec <= 3*window {
+		return false, false
+	}
+	if s == 0 {
+		return true, sec == 3*window+5
+	}
+	return true, sec > 4*window-10 && sec <= 4*window
+}
+
 // outcomes tallies, across sites, the windows decided degraded and the
 // windows dropped.
 func outcomes(stats []serve.SiteStats) (degraded, dropped uint64) {
@@ -62,10 +88,12 @@ type faultEvent struct {
 // faultProgram generates a deterministic stream over nSites sites with
 // seeded faults of every malformed-input class the pipeline counts:
 // drops (gaps), duplicates, late and skewed timestamps, NaN/Inf values,
-// short and nil vectors, bad tiers — plus mid-stream model swaps. The
-// same program replays into any pipeline implementation.
-func faultProgram(seed int64, nSites, seconds int, vecs [server.NumTiers][][]float64) []faultEvent {
+// short and nil vectors, bad tiers — plus mid-stream model swaps, over
+// eight windows; the sites scripted says are calm recover. The same
+// program replays into any pipeline implementation.
+func faultProgram(seed int64, nSites, window int, vecs [server.NumTiers][][]float64) []faultEvent {
 	rng := rand.New(rand.NewSource(seed))
+	seconds := 8 * window
 	n := len(vecs[0])
 	var prog []faultEvent
 	names := make([]string, nSites)
@@ -86,6 +114,7 @@ func faultProgram(seed int64, nSites, seconds int, vecs [server.NumTiers][][]flo
 					Time:   float64(sec),
 					Values: vecs[tier][sec%n],
 				}
+				mark := len(prog)
 				switch roll := rng.Float64(); {
 				case roll < 0.04: // drop: the window goes degraded or stale
 				case roll < 0.06: // burst gap: drop plus a late echo of an old second
@@ -128,6 +157,14 @@ func faultProgram(seed int64, nSites, seconds int, vecs [server.NumTiers][][]flo
 					prog = append(prog, faultEvent{site: s, sample: bad})
 				default:
 					prog = append(prog, faultEvent{site: s, sample: base})
+				}
+				// A calm site's draws are made all the same, so the other
+				// sites' storms do not depend on the script.
+				if calm, drop := scripted(s, sec, window); calm {
+					prog = prog[:mark]
+					if !drop {
+						prog = append(prog, faultEvent{site: s, sample: base})
+					}
 				}
 			}
 		}
@@ -201,19 +238,19 @@ func scrubLatency(stats []serve.SiteStats) []serve.SiteStats {
 // reach it: one at a time on the caller's goroutine, against batched,
 // deferred and hash-routed at several shard/batch geometries. Seeded
 // fault-storm programs (drops, dups, late/NaN/Inf/misshapen samples,
-// gaps, mid-stream hot-swaps) replay through both, with counter fusion
-// off and on, and every site's decision stream, health ladder, swap
-// events, and full counter snapshot must be identical — batching,
-// deferral, and shard routing may never change an outcome.
+// gaps, mid-stream hot-swaps, and two sites that recover from degraded
+// and from stale) replay through both, with counter fusion off and on,
+// and every site's decision stream, health ladder, swap events, and full
+// counter snapshot must be identical — batching, deferral, and shard
+// routing may never change an outcome.
 func TestShardedMatchesPipeline(t *testing.T) {
 	lab, mon, tr := fixture(t)
 	vecs := secondVectors(tr)
 	window := lab.Scale.Window
 	const nSites = 6
-	seconds := 8 * window
 
 	for seed := int64(1); seed <= 3; seed++ {
-		prog := faultProgram(seed, nSites, seconds, vecs)
+		prog := faultProgram(seed, nSites, window, vecs)
 		for _, leg := range []struct {
 			suffix string
 			fuse   *fuse.Config
@@ -241,6 +278,9 @@ func TestShardedMatchesPipeline(t *testing.T) {
 			refStats := scrubLatency(p.Stats())
 			if deg, drop := outcomes(refStats); deg == 0 || drop == 0 {
 				t.Errorf("seed %d%s: %d degraded and %d dropped windows; the storm misses a rung of the ladder", seed, leg.suffix, deg, drop)
+			}
+			if fromDeg, fromStale := recoveries(refStats); fromDeg == 0 || fromStale == 0 {
+				t.Errorf("seed %d%s: %d degraded→healthy and %d stale→healthy edges; the storm misses a recovery", seed, leg.suffix, fromDeg, fromStale)
 			}
 
 			for _, sc := range shardConfigs {
@@ -819,7 +859,8 @@ func TestShardedValveAndOverload(t *testing.T) {
 // and shared timestamp faults (non-finite, rewound, duplicated) — replays
 // through the unsharded Pipeline as sequential per-tier Ingest calls,
 // through the sharded pipeline's per-tier Ingest, and through the fused
-// Batcher.AddSite.
+// Batcher.AddSite, with counter fusion off and on; two sites calm down
+// and recover from degraded and from stale (scripted).
 // All three must produce identical per-site transcripts and counters:
 // fusing a scrape into one queue slot may never change an outcome.
 func TestBatcherAddSite(t *testing.T) {
@@ -864,6 +905,7 @@ func TestBatcherAddSite(t *testing.T) {
 					}
 					ev.vecs[tier] = v
 				}
+				mark := len(prog)
 				switch roll := rng.Float64(); {
 				case roll < 0.02: // non-finite scrape timestamp
 					if rng.Intn(2) == 0 {
@@ -877,90 +919,112 @@ func TestBatcherAddSite(t *testing.T) {
 					prog = append(prog, ev)
 				}
 				prog = append(prog, ev)
+				if calm, drop := scripted(s, sec, window); calm {
+					prog = prog[:mark]
+					if !drop {
+						clean := scrape{site: s, time: float64(sec)}
+						for tier := range clean.vecs {
+							clean.vecs[tier] = vecs[tier][sec%n]
+						}
+						prog = append(prog, clean)
+					}
+				}
 			}
 			if rng.Float64() < 0.1 { // mid-stream barrier
 				prog = append(prog, scrape{sync: true})
 			}
 		}
 
-		// Reference: the unsharded pipeline fed tier by tier.
-		ref := newRecorder()
-		p, err := serve.NewPipeline(mon, ref.config(window))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ev := range prog {
-			if ev.sync {
-				continue
+		for _, leg := range []struct {
+			suffix string
+			fuse   *fuse.Config
+		}{{"", nil}, {"/fuse", &fuse.Config{}}} {
+			// Reference: the unsharded pipeline fed tier by tier.
+			ref := newRecorder()
+			refCfg := ref.config(window)
+			refCfg.Fuse = leg.fuse
+			p, err := serve.NewPipeline(mon, refCfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-				p.Ingest(serve.Sample{Site: names[ev.site], Tier: tier, Time: ev.time, Values: ev.vecs[tier]})
+			for _, ev := range prog {
+				if ev.sync {
+					continue
+				}
+				for tier := server.TierID(0); tier < server.NumTiers; tier++ {
+					p.Ingest(serve.Sample{Site: names[ev.site], Tier: tier, Time: ev.time, Values: ev.vecs[tier]})
+				}
 			}
-		}
-		p.Flush()
-		refStats := scrubLatency(p.Stats())
-		if deg, drop := outcomes(refStats); deg == 0 || drop == 0 {
-			t.Errorf("seed %d: %d degraded and %d dropped windows; the storm misses a rung of the ladder", seed, deg, drop)
-		}
+			p.Flush()
+			refStats := scrubLatency(p.Stats())
+			if deg, drop := outcomes(refStats); deg == 0 || drop == 0 {
+				t.Errorf("seed %d%s: %d degraded and %d dropped windows; the storm misses a rung of the ladder", seed, leg.suffix, deg, drop)
+			}
+			if fromDeg, fromStale := recoveries(refStats); fromDeg == 0 || fromStale == 0 {
+				t.Errorf("seed %d%s: %d degraded→healthy and %d stale→healthy edges; the storm misses a recovery", seed, leg.suffix, fromDeg, fromStale)
+			}
 
-		for _, sc := range shardConfigs {
-			for _, fusedPath := range []bool{false, true} {
-				name := fmt.Sprintf("seed=%d/shards=%d/batch=%d/fused=%t", seed, sc.shards, sc.batch, fusedPath)
-				t.Run(name, func(t *testing.T) {
-					rec := newRecorder()
-					sp := newSharded(t, mon, rec.config(window), sc)
-					defer sp.Close()
-					refs := make([]serve.SiteRef, nSites)
-					for i, nm := range names {
-						refs[i] = sp.Register(nm)
-					}
-					bt := sp.NewBatcher()
-					for _, ev := range prog {
-						if ev.sync {
-							bt.Flush()
-							sp.Sync()
-							continue
+			for _, sc := range shardConfigs {
+				for _, fusedPath := range []bool{false, true} {
+					name := fmt.Sprintf("seed=%d/shards=%d/batch=%d/fused=%t%s", seed, sc.shards, sc.batch, fusedPath, leg.suffix)
+					t.Run(name, func(t *testing.T) {
+						rec := newRecorder()
+						cfg := rec.config(window)
+						cfg.Fuse = leg.fuse
+						sp := newSharded(t, mon, cfg, sc)
+						defer sp.Close()
+						refs := make([]serve.SiteRef, nSites)
+						for i, nm := range names {
+							refs[i] = sp.Register(nm)
 						}
+						bt := sp.NewBatcher()
+						for _, ev := range prog {
+							if ev.sync {
+								bt.Flush()
+								sp.Sync()
+								continue
+							}
+							if fusedPath {
+								bt.AddSite(refs[ev.site], ev.time, ev.vecs)
+								continue
+							}
+							for tier := server.TierID(0); tier < server.NumTiers; tier++ {
+								sp.Ingest(serve.Sample{Site: names[ev.site], Tier: tier, Time: ev.time, Values: ev.vecs[tier]})
+							}
+						}
+						bt.Flush()
+						sp.Flush()
+
+						for s := 0; s < nSites; s++ {
+							want, got := ref.transcript(names[s]), rec.transcript(names[s])
+							if got != want {
+								t.Errorf("%s transcript diverged\n--- ingest ---\n%s--- batcher ---\n%s", names[s], want, got)
+							}
+						}
+						if got := scrubLatency(sp.Stats()); !reflect.DeepEqual(got, refStats) {
+							t.Errorf("stats diverged\ningest:  %+v\nbatcher: %+v", refStats, got)
+						}
+						tot := sp.Totals()
+						if tot.Enqueued == 0 || tot.Enqueued != tot.Processed {
+							t.Errorf("queue slots lost: enqueued %d != processed %d", tot.Enqueued, tot.Processed)
+						}
+						if tot.RejectedClosed != 0 || tot.RejectedRef != 0 {
+							t.Errorf("unexpected rejections: %+v", tot)
+						}
+						// Slot accounting: a fused slot carries NumTiers samples.
+						var ingested uint64
+						for _, st := range sp.Stats() {
+							ingested += st.SamplesIngested
+						}
+						want := tot.Processed
 						if fusedPath {
-							bt.AddSite(refs[ev.site], ev.time, ev.vecs)
-							continue
+							want *= uint64(server.NumTiers)
 						}
-						for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-							sp.Ingest(serve.Sample{Site: names[ev.site], Tier: tier, Time: ev.time, Values: ev.vecs[tier]})
+						if ingested != want {
+							t.Errorf("site counters absorb %d samples from %d slots (fused=%t)", ingested, tot.Processed, fusedPath)
 						}
-					}
-					bt.Flush()
-					sp.Flush()
-
-					for s := 0; s < nSites; s++ {
-						want, got := ref.transcript(names[s]), rec.transcript(names[s])
-						if got != want {
-							t.Errorf("%s transcript diverged\n--- ingest ---\n%s--- batcher ---\n%s", names[s], want, got)
-						}
-					}
-					if got := scrubLatency(sp.Stats()); !reflect.DeepEqual(got, refStats) {
-						t.Errorf("stats diverged\ningest:  %+v\nbatcher: %+v", refStats, got)
-					}
-					tot := sp.Totals()
-					if tot.Enqueued == 0 || tot.Enqueued != tot.Processed {
-						t.Errorf("queue slots lost: enqueued %d != processed %d", tot.Enqueued, tot.Processed)
-					}
-					if tot.RejectedClosed != 0 || tot.RejectedRef != 0 {
-						t.Errorf("unexpected rejections: %+v", tot)
-					}
-					// Slot accounting: a fused slot carries NumTiers samples.
-					var ingested uint64
-					for _, st := range sp.Stats() {
-						ingested += st.SamplesIngested
-					}
-					want := tot.Processed
-					if fusedPath {
-						want *= uint64(server.NumTiers)
-					}
-					if ingested != want {
-						t.Errorf("site counters absorb %d samples from %d slots (fused=%t)", ingested, tot.Processed, fusedPath)
-					}
-				})
+					})
+				}
 			}
 		}
 	}
