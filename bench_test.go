@@ -30,6 +30,18 @@ func sharedLab(b *testing.B) *hpcap.Lab {
 	return benchLab
 }
 
+// cell reads one cell of an experiment's table by row and column name.
+func cell(b *testing.B, res interface {
+	Cell(row, col string) (float64, bool)
+}, row, col string) float64 {
+	b.Helper()
+	v, ok := res.Cell(row, col)
+	if !ok {
+		b.Fatalf("no cell (%q, %q)", row, col)
+	}
+	return v
+}
+
 // BenchmarkTable1aBrowsingInput regenerates Table I(a): individual synopsis
 // accuracy under the browsing-mix test input.
 func BenchmarkTable1aBrowsingInput(b *testing.B) {
@@ -39,7 +51,7 @@ func BenchmarkTable1aBrowsingInput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Cell("browsing", hpcap.TierDB, hpcap.LevelHPC, "TAN"), "BA/browsing-db-hpc-tan")
+		b.ReportMetric(cell(b, res, "browsing db", "HPC:TAN"), "BA/browsing-db-hpc-tan")
 	}
 }
 
@@ -52,7 +64,7 @@ func BenchmarkTable1bOrderingInput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Cell("ordering", hpcap.TierApp, hpcap.LevelHPC, "TAN"), "BA/ordering-app-hpc-tan")
+		b.ReportMetric(cell(b, res, "ordering app", "HPC:TAN"), "BA/ordering-app-hpc-tan")
 	}
 }
 
@@ -82,9 +94,9 @@ func BenchmarkFig4aCoordinatedOverload(b *testing.B) {
 		}
 		var sum float64
 		for _, kind := range []hpcap.TestKind{hpcap.TestOrdering, hpcap.TestBrowsing, hpcap.TestInterleaved, hpcap.TestUnknown} {
-			sum += res.Row(kind, hpcap.LevelHPC).Overload
+			sum += cell(b, res, string(kind), "HPC overload")
 		}
-		b.ReportMetric(sum/4*100, "%BA/hpc-mean")
+		b.ReportMetric(sum/4, "%BA/hpc-mean")
 	}
 }
 
@@ -99,9 +111,9 @@ func BenchmarkFig4bBottleneckID(b *testing.B) {
 		}
 		var sum float64
 		for _, kind := range []hpcap.TestKind{hpcap.TestOrdering, hpcap.TestBrowsing, hpcap.TestInterleaved, hpcap.TestUnknown} {
-			sum += res.Row(kind, hpcap.LevelHPC).Bottleneck
+			sum += cell(b, res, string(kind), "HPC bottleneck")
 		}
-		b.ReportMetric(sum/4*100, "%acc/hpc-mean")
+		b.ReportMetric(sum/4, "%acc/hpc-mean")
 	}
 }
 
@@ -114,11 +126,11 @@ func BenchmarkTimingLearnerCost(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		svm, tan := res.Row("SVM"), res.Row("TAN")
-		if svm == nil || tan == nil || tan.Build == 0 {
-			b.Fatal("missing timing rows")
+		tan := cell(b, res, "TAN", "build")
+		if tan == 0 {
+			b.Fatal("TAN build took no time")
 		}
-		b.ReportMetric(float64(svm.Build)/float64(tan.Build), "x/svm-vs-tan-build")
+		b.ReportMetric(cell(b, res, "SVM", "build")/tan, "x/svm-vs-tan-build")
 	}
 }
 
@@ -131,8 +143,8 @@ func BenchmarkOverheadCollection(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric((1-res.Row("hpc").RelThroughput)*100, "%loss/hpc")
-		b.ReportMetric((1-res.Row("os").RelThroughput)*100, "%loss/os")
+		b.ReportMetric(cell(b, res, "hpc", "thr loss %"), "%loss/hpc")
+		b.ReportMetric(cell(b, res, "os", "thr loss %"), "%loss/os")
 	}
 }
 
@@ -145,11 +157,7 @@ func BenchmarkAblationHistory(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		row := res.Row(3, hpcap.Optimistic, hpcap.TestInterleaved)
-		if row == nil {
-			b.Fatal("missing ablation row")
-		}
-		b.ReportMetric(row.Overload*100, "%BA/h3-optimistic")
+		b.ReportMetric(cell(b, res, hpcap.Optimistic.String()+" "+string(hpcap.TestInterleaved), "h=3"), "%BA/h3-optimistic")
 	}
 }
 
@@ -162,9 +170,9 @@ func BenchmarkBaselineComparison(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.MeanBA("coordinated-hpc")*100, "%BA/coordinated")
-		b.ReportMetric(res.MeanBA("pi-threshold")*100, "%BA/single-pi")
-		b.ReportMetric(res.MeanLag("rt-threshold"), "windows/rt-lag")
+		b.ReportMetric(cell(b, res, "mean", "coordinated-hpc"), "%BA/coordinated")
+		b.ReportMetric(cell(b, res, "mean", "pi-threshold"), "%BA/single-pi")
+		b.ReportMetric(cell(b, res, "mean", "rt-threshold lag"), "windows/rt-lag")
 	}
 }
 
@@ -177,11 +185,7 @@ func BenchmarkLevelComparison(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		row := res.Row(hpcap.LevelCombined, hpcap.TestInterleaved)
-		if row == nil {
-			b.Fatal("missing combined row")
-		}
-		b.ReportMetric(row.Overload*100, "%BA/combined-interleaved")
+		b.ReportMetric(cell(b, res, string(hpcap.TestInterleaved), hpcap.LevelCombined.String()), "%BA/combined-interleaved")
 	}
 }
 

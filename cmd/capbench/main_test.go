@@ -5,7 +5,10 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"hpcap/internal/experiment"
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -28,6 +31,33 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if _, err := os.Stat(csv); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("-csv without fig3 left %s behind (stat: %v)", csv, err)
+	}
+}
+
+// TestRunWritesFig3CSV checks -csv's success path: the file holds the
+// Figure 3 series of a fresh lab at the same scale and seed.
+func TestRunWritesFig3CSV(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a trace generation")
+	}
+	path := filepath.Join(t.TempDir(), "fig3.csv")
+	if err := run([]string{"-exp", "fig3", "-scale", "quick", "-csv", path}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := experiment.NewLab(experiment.QuickScale()).RunFig3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	if err := res.WriteCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want.String() {
+		t.Errorf("-csv wrote %d bytes that differ from RunFig3's %d-byte series", len(got), want.Len())
 	}
 }
 

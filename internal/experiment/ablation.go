@@ -1,111 +1,48 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
-	"strings"
 
 	"hpcap/internal/metrics"
-	"hpcap/internal/parallel"
 	"hpcap/internal/predictor"
 )
 
-// AblationRow is the coordinated accuracy for one (history length, scheme)
-// configuration on one test workload, at the HPC level.
-type AblationRow struct {
-	HistoryBits int
-	Scheme      predictor.Scheme
-	Workload    TestKind
-	Overload    float64
-}
-
-// AblationResult reproduces the paper's §V.C sensitivity study: the
-// tie-break schemes barely matter, short histories behave differently from
-// the 3-bit default, and histories beyond a few bits yield only marginal
-// movement.
-type AblationResult struct {
-	Rows []AblationRow
-}
-
-// RunAblation sweeps history length h ∈ {1..5} and both schemes on the
-// interleaved and ordering test workloads with HPC metrics. All
-// (scheme × h × workload) cells fan out across the Lab's workers; the two
-// cells sharing a configuration share its once-trained monitor, and rows
-// assemble in the sequential sweep order.
-func (l *Lab) RunAblation() (*AblationResult, error) {
-	type spec struct {
-		scheme predictor.Scheme
-		h      int
-		kind   TestKind
+// RunAblation reproduces the paper's §V.C sensitivity study: it sweeps
+// history length h ∈ {1..5} and both tie-break schemes on the ordering
+// and interleaved test workloads with HPC metrics. The schemes barely
+// matter, short histories behave differently from the 3-bit default, and
+// histories beyond a few bits yield only marginal movement. A row is a
+// (scheme, workload), a column "h=1".."h=5", and a cell the overload
+// balanced accuracy in percent.
+func (l *Lab) RunAblation() (*Table, error) {
+	schemes := []predictor.Scheme{predictor.Optimistic, predictor.Pessimistic}
+	kinds := []TestKind{TestOrdering, TestInterleaved}
+	const maxH = 5
+	t := &Table{
+		Title: "History-length and tie-break ablation (§V.C) — HPC metrics, overload BA %\n",
+		Keys:  []Column{{Name: "scheme", HeadFmt: "%-12s"}, {Name: "workload", HeadFmt: " %-12s"}},
 	}
-	var specs []spec
-	for _, scheme := range []predictor.Scheme{predictor.Optimistic, predictor.Pessimistic} {
-		for h := 1; h <= 5; h++ {
-			for _, kind := range []TestKind{TestOrdering, TestInterleaved} {
-				specs = append(specs, spec{scheme, h, kind})
+	var cells []monitorCell
+	for _, scheme := range schemes {
+		for _, kind := range kinds {
+			for h := 1; h <= maxH; h++ {
+				cells = append(cells, monitorCell{metrics.LevelHPC, predictor.Config{HistoryBits: h, Delta: 5, Scheme: scheme}, kind})
 			}
 		}
 	}
-	rows, err := parallel.Map(context.Background(), len(specs), l.workers(), func(i int) (AblationRow, error) {
-		sp := specs[i]
-		cfg := predictor.Config{HistoryBits: sp.h, Delta: 5, Scheme: sp.scheme}
-		monitor, err := l.TrainMonitor(metrics.LevelHPC, cfg)
-		if err != nil {
-			return AblationRow{}, fmt.Errorf("experiment: ablation h=%d %s: %w", sp.h, sp.scheme, err)
-		}
-		test, err := l.TestTrace(sp.kind)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		over, _, err := EvaluateMonitor(monitor, test)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		return AblationRow{
-			HistoryBits: sp.h,
-			Scheme:      sp.scheme,
-			Workload:    sp.kind,
-			Overload:    over,
-		}, nil
-	})
+	for h := 1; h <= maxH; h++ {
+		t.Cols = append(t.Cols, Column{Name: fmt.Sprintf("h=%d", h), HeadFmt: " %6s", ValFmt: " %6.1f"})
+	}
+	scores, err := l.scoreMonitors(cells)
 	if err != nil {
 		return nil, err
 	}
-	return &AblationResult{Rows: rows}, nil
-}
-
-// Row returns the row for (h, scheme, workload), or nil.
-func (r *AblationResult) Row(h int, scheme predictor.Scheme, kind TestKind) *AblationRow {
-	for i := range r.Rows {
-		row := &r.Rows[i]
-		if row.HistoryBits == h && row.Scheme == scheme && row.Workload == kind {
-			return row
+	for i := 0; i < len(cells); i += maxH {
+		vals := make([]float64, maxH)
+		for h := range vals {
+			vals[h] = scores[i+h].overload * 100
 		}
+		t.Add([]string{cells[i].cfg.Scheme.String(), cells[i].kind.String()}, vals...)
 	}
-	return nil
-}
-
-// String renders the ablation grid.
-func (r *AblationResult) String() string {
-	var b strings.Builder
-	b.WriteString("History-length and tie-break ablation (§V.C) — HPC metrics, overload BA %\n")
-	fmt.Fprintf(&b, "%-12s %-12s", "scheme", "workload")
-	for h := 1; h <= 5; h++ {
-		fmt.Fprintf(&b, " %6s", fmt.Sprintf("h=%d", h))
-	}
-	b.WriteString("\n")
-	for _, scheme := range []predictor.Scheme{predictor.Optimistic, predictor.Pessimistic} {
-		for _, kind := range []TestKind{TestOrdering, TestInterleaved} {
-			fmt.Fprintf(&b, "%-12s %-12s", scheme, kind)
-			for h := 1; h <= 5; h++ {
-				if row := r.Row(h, scheme, kind); row != nil {
-					fmt.Fprintf(&b, " %6.1f", row.Overload*100)
-				} else {
-					fmt.Fprintf(&b, " %6s", "-")
-				}
-			}
-			b.WriteString("\n")
-		}
-	}
-	return b.String()
+	return t, nil
 }

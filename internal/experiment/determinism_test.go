@@ -15,11 +15,15 @@ var (
 	record = flag.Bool("record", false, "run TestFullScaleRecord: the whole table at full scale against the committed record")
 )
 
-// quickResults renders Table I(a), Table I(b), and Figure 4 on one fresh
-// QuickScale lab — the surface the determinism guarantee covers — as
-// capbench -exp table1a,table1b,fig4 prints them, less the final newline,
-// which the golden predates.
-func quickResults(t *testing.T, workers int, prewarm bool) string {
+// goldenEntries are the entries the determinism golden holds, as
+// capbench -exp table1a,table1b,fig4 prints them.
+var goldenEntries = map[string]bool{"table1a": true, "table1b": true, "fig4": true}
+
+// quickResults renders every entry that is not host-timed on one fresh
+// QuickScale lab and returns the whole text and the golden part: the
+// golden entries' blocks, less the final newline, which the golden
+// predates.
+func quickResults(t *testing.T, workers int, prewarm bool) (all, golden string) {
 	t.Helper()
 	l := NewLab(QuickScale())
 	l.Workers = workers
@@ -28,38 +32,51 @@ func quickResults(t *testing.T, workers int, prewarm bool) string {
 			t.Fatalf("Prewarm: %v", err)
 		}
 	}
-	var b strings.Builder
-	if _, err := l.Render(&b, "table1a,table1b,fig4"); err != nil {
+	var names []string
+	for _, e := range Experiments() {
+		if !e.HostTimed {
+			names = append(names, e.Name)
+		}
+	}
+	var b, g strings.Builder
+	tables, err := l.Render(&b, strings.Join(names, ","))
+	if err != nil {
 		t.Fatalf("Render: %v", err)
 	}
-	return strings.TrimSuffix(b.String(), "\n")
+	for i, name := range names {
+		if goldenEntries[name] {
+			g.WriteString(tables[i].String() + "\n")
+		}
+	}
+	return b.String(), strings.TrimSuffix(g.String(), "\n")
 }
 
 // TestDeterminismParallelMatchesSequential is the tentpole guarantee: a
 // Workers=8 run (with Prewarm racing the cache fills) produces output
-// byte-identical to the strictly sequential Workers=1 run, and both match
-// the committed golden fixture. Regenerate the fixture with
+// byte-identical to the strictly sequential Workers=1 run for every entry
+// that is not host-timed, and the Table I and Figure 4 blocks match the
+// committed golden fixture. Regenerate the fixture with
 //
 //	go test ./internal/experiment -run TestDeterminism -update
 func TestDeterminismParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full QuickScale evaluations; skipped in -short")
 	}
-	seq := quickResults(t, 1, false)
-	par := quickResults(t, 8, true)
+	seq, golden := quickResults(t, 1, false)
+	par, _ := quickResults(t, 8, true)
 	if seq != par {
-		t.Fatalf("parallel output diverged from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
+		t.Fatalf("parallel output diverged from sequential\n%s", firstDiff(par, seq))
 	}
 
-	checkGolden(t, "determinism_quickscale", seq)
+	checkGolden(t, "determinism_quickscale", golden)
 }
 
 // TestFullScaleRecord runs the whole experiment table on a full-scale lab,
 // as capbench -exp all -scale full does, and holds the output to the
 // committed record byte for byte: results_full.txt for the text and
 // fig3_series.csv for the Figure 3 series. A host-timed block is held
-// only to its header line and the first field of every other line (the
-// learner names). It takes about 8 s on two CPUs, so it runs only with
+// only to its title, its header and its rows' names. It takes about 8 s
+// on two CPUs, so it runs only with
 //
 //	go test ./internal/experiment -run TestFullScaleRecord -record
 //
@@ -70,28 +87,33 @@ func TestFullScaleRecord(t *testing.T) {
 	if !*record || testing.Short() {
 		t.Skip("full-scale run; opt in with -record")
 	}
+	l := NewLab(FullScale())
 	var text, csv strings.Builder
-	results, err := NewLab(FullScale()).Render(&text, "all")
+	tables, err := l.Render(&text, "all")
 	if err != nil {
 		t.Fatalf("Render: %v", err)
 	}
-	for _, res := range results {
-		if fig3, ok := res.(*Fig3Result); ok {
-			if err := fig3.WriteCSV(&csv); err != nil {
-				t.Fatal(err)
-			}
-		}
+	fig3, err := l.RunFig3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fig3.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
 	}
 
+	// Render writes each table's text and a newline, so the record splits
+	// into blocks at the tables' lengths; a host-timed block ends at its
+	// blank line instead.
 	want := readRecord(t, "results_full.txt")
 	got := text.String()
 	for i, e := range Experiments() {
-		n := len(results[i].String()) + 1 // Render's block: the text and a newline
+		tab := tables[i]
+		n := len(tab.String()) + 1
 		gotBlock := got[:n]
 		got = got[n:]
 		end := n
 		if e.HostTimed {
-			end = strings.Index(want, "\n\n") + 2 // the block ends at its blank line
+			end = strings.Index(want, "\n\n") + 2
 			if end < 2 {
 				end = len(want)
 			}
@@ -100,7 +122,8 @@ func TestFullScaleRecord(t *testing.T) {
 		wantBlock := want[:end]
 		want = want[end:]
 		if e.HostTimed {
-			gotBlock, wantBlock = rowNames(gotBlock), rowNames(wantBlock)
+			checkHostTimed(t, e.Name, tab, wantBlock)
+			continue
 		}
 		if gotBlock != wantBlock {
 			t.Fatalf("results_full.txt: %s block differs\n%s", e.Name, firstDiff(gotBlock, wantBlock))
@@ -114,6 +137,26 @@ func TestFullScaleRecord(t *testing.T) {
 	}
 }
 
+// checkHostTimed holds a host-timed record block to what no host changes:
+// the table's title and header (the table rendered with no rows), then
+// one line per row that starts with the row's keys.
+func checkHostTimed(t *testing.T, name string, tab *Table, block string) {
+	t.Helper()
+	head := (&Table{Title: tab.Title, Keys: tab.Keys, Cols: tab.Cols}).String()
+	if !strings.HasPrefix(block, head) {
+		t.Fatalf("results_full.txt: %s title or header differs\n%s", name, firstDiff(block[:min(len(head), len(block))], head))
+	}
+	lines := strings.Split(strings.TrimSuffix(strings.TrimPrefix(block, head), "\n\n"), "\n")
+	if len(lines) != len(tab.Rows) {
+		t.Fatalf("results_full.txt: %s has %d rows, the table %d", name, len(lines), len(tab.Rows))
+	}
+	for i, r := range tab.Rows {
+		if f := strings.Fields(lines[i]); len(f) < len(r.Keys) || strings.Join(f[:len(r.Keys)], " ") != strings.Join(r.Keys, " ") {
+			t.Errorf("results_full.txt: %s row %d is %q, want row %q", name, i+1, lines[i], strings.Join(r.Keys, " "))
+		}
+	}
+}
+
 // readRecord reads a committed record file from the repository root.
 func readRecord(t *testing.T, name string) string {
 	t.Helper()
@@ -122,18 +165,6 @@ func readRecord(t *testing.T, name string) string {
 		t.Fatal(err)
 	}
 	return string(raw)
-}
-
-// rowNames keeps a block's header line and the first field of every
-// other line: the part of a host-timed block that no host changes.
-func rowNames(block string) string {
-	lines := strings.Split(block, "\n")
-	for i := 1; i < len(lines); i++ {
-		if f := strings.Fields(lines[i]); len(f) > 0 {
-			lines[i] = f[0]
-		}
-	}
-	return strings.Join(lines, "\n")
 }
 
 // firstDiff names the first line on which got and want differ.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hpcap/internal/metrics"
 	"hpcap/internal/server"
@@ -212,6 +213,17 @@ func TestBottleneckGroundTruthFollowsMix(t *testing.T) {
 	}
 }
 
+// mustCell reads one cell of a table by row and column name, failing the test
+// when either is absent.
+func mustCell(t testing.TB, tab *Table, row, col string) float64 {
+	t.Helper()
+	v, ok := tab.Cell(row, col)
+	if !ok {
+		t.Fatalf("%q: no cell (%q, %q)", strings.SplitN(tab.Title, "\n", 2)[0], row, col)
+	}
+	return v
+}
+
 func TestTable1Shape(t *testing.T) {
 	l := testLab(t)
 	t1a, err := l.RunTable1(TestBrowsing)
@@ -224,40 +236,38 @@ func TestTable1Shape(t *testing.T) {
 	}
 
 	// Ordering input: only the ordering/app synopses are reliable.
-	for _, level := range []metrics.Level{metrics.LevelOS, metrics.LevelHPC} {
-		if ba := t1b.Cell("ordering", server.TierApp, level, "Naive"); ba < 0.8 {
+	for _, level := range []string{"OS", "HPC"} {
+		if ba := mustCell(t, t1b, "ordering app", level+":Naive"); ba < 0.8 {
 			t.Errorf("table1b ordering/app/%s Naive = %.3f, want ≥0.8", level, ba)
 		}
 		// Synopses from the wrong workload+tier transfer poorly.
-		if ba := t1b.Cell("browsing", server.TierDB, level, "TAN"); ba > 0.75 {
+		if ba := mustCell(t, t1b, "browsing db", level+":TAN"); ba > 0.75 {
 			t.Errorf("table1b browsing/db/%s TAN = %.3f, want poor transfer", level, ba)
 		}
 	}
 	// Browsing input: the browsing/db synopses carry the signal.
-	if ba := t1a.Cell("browsing", server.TierDB, metrics.LevelHPC, "LR"); ba < 0.75 {
+	if ba := mustCell(t, t1a, "browsing db", "HPC:LR"); ba < 0.75 {
 		t.Errorf("table1a browsing/db/HPC LR = %.3f, want ≥0.75", ba)
 	}
-	if ba := t1a.Cell("ordering", server.TierApp, metrics.LevelHPC, "TAN"); ba > 0.75 {
+	if ba := mustCell(t, t1a, "ordering app", "HPC:TAN"); ba > 0.75 {
 		t.Errorf("table1a ordering/app/HPC TAN = %.3f, want poor transfer", ba)
 	}
 	// Every cell is a defined balanced accuracy.
-	for _, res := range []*Table1Result{t1a, t1b} {
-		if len(res.Cells) != 32 {
-			t.Fatalf("table has %d cells, want 2 workloads × 2 tiers × 2 levels × 4 learners = 32",
-				len(res.Cells))
+	for _, res := range []*Table{t1a, t1b} {
+		if len(res.Rows) != 4 || len(res.Cols) != 8 {
+			t.Fatalf("table has %d rows × %d columns, want 2 workloads × 2 tiers by 2 levels × 4 learners",
+				len(res.Rows), len(res.Cols))
 		}
-		for _, c := range res.Cells {
-			if c.BA < 0 || c.BA > 1 || math.IsNaN(c.BA) {
-				t.Errorf("cell %s/%s/%s/%s BA = %v out of range",
-					c.Workload, c.Tier, c.Level, c.Learner, c.BA)
+		for _, r := range res.Rows {
+			for i, ba := range r.Vals {
+				if ba < 0 || ba > 1 || math.IsNaN(ba) {
+					t.Errorf("cell %v/%s BA = %v out of range", r.Keys, res.Cols[i].Name, ba)
+				}
 			}
 		}
 	}
-	if t1a.Cell("missing", server.TierApp, metrics.LevelOS, "LR") != -1 {
-		t.Error("missing cell should return -1")
-	}
-	if t1a.String() == "" || t1b.String() == "" {
-		t.Error("empty table rendering")
+	if _, ok := t1a.Cell("missing app", "OS:LR"); ok {
+		t.Error("missing row found")
 	}
 }
 
@@ -296,8 +306,8 @@ func TestFig3Shape(t *testing.T) {
 			t.Errorf("normalized throughput geometric mean = %v, want ≈1", gm)
 		}
 	}
-	if res.String() == "" {
-		t.Error("empty fig3 rendering")
+	if tab := res.Table(); len(tab.Rows) != len(res.Points) {
+		t.Errorf("fig3 table has %d rows for %d points", len(tab.Rows), len(res.Points))
 	}
 }
 
@@ -332,31 +342,24 @@ func TestFig4Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 8 {
-		t.Fatalf("fig4 has %d rows, want 4 workloads × 2 levels", len(res.Rows))
+	if len(res.Rows) != 4 {
+		t.Fatalf("fig4 has %d rows, want 4 workloads", len(res.Rows))
 	}
 	// HPC metrics must give useful coordinated accuracy on the known and
 	// interleaved workloads even at quick scale.
 	for _, kind := range []TestKind{TestOrdering, TestBrowsing, TestInterleaved} {
-		row := res.Row(kind, metrics.LevelHPC)
-		if row == nil {
-			t.Fatalf("missing row %s/HPC", kind)
-		}
-		if row.Overload < 0.65 {
-			t.Errorf("fig4a HPC %s = %.3f, want ≥0.65 at quick scale", kind, row.Overload)
+		if ba := mustCell(t, res, kind.String(), "HPC overload"); ba < 65 {
+			t.Errorf("fig4a HPC %s = %.1f%%, want ≥65%% at quick scale", kind, ba)
 		}
 	}
 	// Averaged over the four workloads, HPC must not lose to OS.
 	var osSum, hpcSum float64
 	for _, kind := range TestKinds() {
-		osSum += res.Row(kind, metrics.LevelOS).Overload
-		hpcSum += res.Row(kind, metrics.LevelHPC).Overload
+		osSum += mustCell(t, res, kind.String(), "OS overload")
+		hpcSum += mustCell(t, res, kind.String(), "HPC overload")
 	}
-	if hpcSum < osSum-0.05 {
-		t.Errorf("mean HPC coordinated accuracy %.3f below OS %.3f", hpcSum/4, osSum/4)
-	}
-	if res.String() == "" {
-		t.Error("empty fig4 rendering")
+	if hpcSum < osSum-5 {
+		t.Errorf("mean HPC coordinated accuracy %.1f%% below OS %.1f%%", hpcSum/4, osSum/4)
 	}
 }
 
@@ -369,29 +372,21 @@ func TestTimingShape(t *testing.T) {
 	if len(res.Rows) != 4 {
 		t.Fatalf("timing has %d rows, want 4", len(res.Rows))
 	}
-	svm := res.Row("SVM")
-	naive := res.Row("Naive")
-	tan := res.Row("TAN")
-	if svm == nil || naive == nil || tan == nil {
-		t.Fatal("missing learner rows")
-	}
+	svm, naive, tan := mustCell(t, res, "SVM", "build"), mustCell(t, res, "Naive", "build"), mustCell(t, res, "TAN", "build")
 	// The paper's cost ordering: SVM training is an order of magnitude
 	// beyond the others; Naive is cheapest.
-	if svm.Build < 5*naive.Build {
-		t.Errorf("SVM build %v not ≫ Naive build %v", svm.Build, naive.Build)
+	if svm < 5*naive {
+		t.Errorf("SVM build %v not ≫ Naive build %v", time.Duration(svm), time.Duration(naive))
 	}
-	if svm.Build < tan.Build {
-		t.Errorf("SVM build %v not above TAN build %v", svm.Build, tan.Build)
+	if svm < tan {
+		t.Errorf("SVM build %v not above TAN build %v", time.Duration(svm), time.Duration(tan))
 	}
 	for _, row := range res.Rows {
 		// The paper's online decisions take ≤50 ms; ours must be far
 		// below even that.
-		if row.Decide.Milliseconds() > 50 {
-			t.Errorf("%s decision %v exceeds the paper's 50 ms budget", row.Learner, row.Decide)
+		if decide := time.Duration(mustCell(t, res, row.Keys[0], "single decide")); decide > 50*time.Millisecond {
+			t.Errorf("%s decision %v exceeds the paper's 50 ms budget", row.Keys[0], decide)
 		}
-	}
-	if res.String() == "" {
-		t.Error("empty timing rendering")
 	}
 }
 
@@ -404,23 +399,19 @@ func TestOverheadShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	none, hpc, osRow := res.Row("none"), res.Row("hpc"), res.Row("os")
-	if none == nil || hpc == nil || osRow == nil {
-		t.Fatal("missing overhead rows")
+	hpcLoss := mustCell(t, res, "hpc", "thr loss %")
+	osLoss := mustCell(t, res, "os", "thr loss %")
+	if none := mustCell(t, res, "none", "thr loss %"); none != 0 {
+		t.Errorf("baseline loss %.2f%%, want 0", none)
 	}
-	hpcLoss := 1 - hpc.RelThroughput
-	osLoss := 1 - osRow.RelThroughput
 	if osLoss <= hpcLoss {
-		t.Errorf("OS collection loss %.3f not above HPC loss %.3f", osLoss, hpcLoss)
+		t.Errorf("OS collection loss %.2f%% not above HPC loss %.2f%%", osLoss, hpcLoss)
 	}
-	if osLoss <= 0.005 || osLoss > 0.25 {
-		t.Errorf("OS collection loss %.3f out of the plausible band", osLoss)
+	if osLoss <= 0.5 || osLoss > 25 {
+		t.Errorf("OS collection loss %.2f%% out of the plausible band", osLoss)
 	}
-	if hpcLoss > 0.05 {
-		t.Errorf("HPC collection loss %.3f too large", hpcLoss)
-	}
-	if res.String() == "" {
-		t.Error("empty overhead rendering")
+	if hpcLoss > 5 {
+		t.Errorf("HPC collection loss %.2f%% too large", hpcLoss)
 	}
 }
 
@@ -475,33 +466,31 @@ func TestBaselinesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 16 {
-		t.Fatalf("baseline rows = %d, want 4 detectors × 4 workloads", len(res.Rows))
+	if len(res.Rows) != 5 || len(res.Cols) != 8 {
+		t.Fatalf("baselines table is %d rows × %d columns, want 4 workloads and the mean by 4 detectors × (BA, lag)",
+			len(res.Rows), len(res.Cols))
 	}
 	// The coordinated monitor must beat every baseline on mean balanced
 	// accuracy — the paper's raison d'être.
-	coord := res.MeanBA("coordinated-hpc")
+	coord := mustCell(t, res, "mean", "coordinated-hpc")
 	for _, d := range []string{"pi-threshold", "rt-threshold", "util-threshold"} {
-		if ba := res.MeanBA(d); ba >= coord {
-			t.Errorf("%s mean BA %.3f not below the coordinated monitor's %.3f", d, ba, coord)
+		if ba := mustCell(t, res, "mean", d); ba >= coord {
+			t.Errorf("%s mean BA %.1f%% not below the coordinated monitor's %.1f%%", d, ba, coord)
 		}
 	}
 	// The single-PI rule must collapse off its calibration regime
 	// ("the single PI metric is not enough", §II.A).
-	if row := res.Row("pi-threshold", TestUnknown); row == nil || row.Overload > 0.75 {
-		t.Errorf("pi-threshold on unknown input should be weak, got %+v", row)
+	if ba := mustCell(t, res, "unknown", "pi-threshold"); ba > 75 {
+		t.Errorf("pi-threshold on unknown input should be weak, got %.1f%%", ba)
 	}
 	// The response-time trigger observes completed requests only, so it
 	// fires at least a window late on average (the dead-time effect).
-	if lag := res.MeanLag("rt-threshold"); lag < 0.5 {
-		t.Errorf("rt-threshold mean lag = %.2f windows, want the dead-time delay", lag)
+	rtLag := mustCell(t, res, "mean", "rt-threshold lag")
+	if rtLag < 0.5 {
+		t.Errorf("rt-threshold mean lag = %.2f windows, want the dead-time delay", rtLag)
 	}
-	if lag := res.MeanLag("coordinated-hpc"); lag > res.MeanLag("rt-threshold") {
-		t.Errorf("coordinated lag %.2f not below the RT trigger's %.2f",
-			lag, res.MeanLag("rt-threshold"))
-	}
-	if res.String() == "" {
-		t.Error("empty baseline rendering")
+	if lag := mustCell(t, res, "mean", "coordinated-hpc lag"); lag > rtLag {
+		t.Errorf("coordinated lag %.2f not below the RT trigger's %.2f", lag, rtLag)
 	}
 }
 
@@ -511,16 +500,15 @@ func TestLevelComparisonShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 12 {
-		t.Fatalf("level rows = %d, want 3 levels × 4 workloads", len(res.Rows))
+	if len(res.Rows) != 4 || len(res.Cols) != 3 {
+		t.Fatalf("level table is %d rows × %d columns, want 4 workloads by 3 levels", len(res.Rows), len(res.Cols))
 	}
-	for _, row := range res.Rows {
-		if row.Overload < 0.4 || row.Overload > 1 {
-			t.Errorf("%s/%s BA = %.3f out of plausible range", row.Level, row.Workload, row.Overload)
+	for _, r := range res.Rows {
+		for i, ba := range r.Vals {
+			if ba < 40 || ba > 100 {
+				t.Errorf("%s/%s BA = %.1f%% out of plausible range", res.Cols[i].Name, r.Keys[0], ba)
+			}
 		}
-	}
-	if res.String() == "" {
-		t.Error("empty level rendering")
 	}
 }
 

@@ -8,14 +8,14 @@ import (
 )
 
 // Experiment is one named entry of the evaluation: a run over a Lab whose
-// result renders as the text capbench prints for that name.
+// table renders as the text capbench prints for that name.
 type Experiment struct {
 	Name string
 	// HostTimed marks an entry whose numbers are wall-clock readings of
 	// the host it runs on. Every other entry's text is a pure function of
 	// the Lab's scale and seed.
 	HostTimed bool
-	Run       func(*Lab) (fmt.Stringer, error)
+	Run       func(*Lab) (*Table, error)
 }
 
 // Experiments returns the evaluation in the order capbench runs it.
@@ -23,22 +23,28 @@ func Experiments() []Experiment {
 	return []Experiment{
 		// Table I(a) and I(b): individual synopses on the browsing and
 		// ordering test inputs.
-		{Name: "table1a", Run: func(l *Lab) (fmt.Stringer, error) { return l.RunTable1(TestBrowsing) }},
-		{Name: "table1b", Run: func(l *Lab) (fmt.Stringer, error) { return l.RunTable1(TestOrdering) }},
+		{Name: "table1a", Run: func(l *Lab) (*Table, error) { return l.RunTable1(TestBrowsing) }},
+		{Name: "table1b", Run: func(l *Lab) (*Table, error) { return l.RunTable1(TestOrdering) }},
 		// Figure 3: the PI series against throughput.
-		{Name: "fig3", Run: func(l *Lab) (fmt.Stringer, error) { return l.RunFig3() }},
+		{Name: "fig3", Run: func(l *Lab) (*Table, error) {
+			r, err := l.RunFig3()
+			if err != nil {
+				return nil, err
+			}
+			return r.Table(), nil
+		}},
 		// Figures 4(a) and 4(b): coordinated overload and bottleneck.
-		{Name: "fig4", Run: func(l *Lab) (fmt.Stringer, error) { return l.RunFig4() }},
+		{Name: "fig4", Run: func(l *Lab) (*Table, error) { return l.RunFig4() }},
 		// §V.B: learner build and decision cost.
-		{Name: "timing", HostTimed: true, Run: func(l *Lab) (fmt.Stringer, error) { return l.RunTiming() }},
+		{Name: "timing", HostTimed: true, Run: func(l *Lab) (*Table, error) { return l.RunTiming() }},
 		// §V.D: collection overhead.
-		{Name: "overhead", Run: func(l *Lab) (fmt.Stringer, error) { return l.RunOverhead() }},
+		{Name: "overhead", Run: func(l *Lab) (*Table, error) { return l.RunOverhead() }},
 		// §V.C: history length and tie-break scheme.
-		{Name: "ablation", Run: func(l *Lab) (fmt.Stringer, error) { return l.RunAblation() }},
+		{Name: "ablation", Run: func(l *Lab) (*Table, error) { return l.RunAblation() }},
 		// Single-PI, response-time and utilization detectors vs the monitor.
-		{Name: "baselines", Run: func(l *Lab) (fmt.Stringer, error) { return l.RunBaselines() }},
+		{Name: "baselines", Run: func(l *Lab) (*Table, error) { return l.RunBaselines() }},
 		// OS vs HPC vs combined OS+HPC monitors.
-		{Name: "levels", Run: func(l *Lab) (fmt.Stringer, error) { return l.RunLevelComparison() }},
+		{Name: "levels", Run: func(l *Lab) (*Table, error) { return l.RunLevelComparison() }},
 	}
 }
 
@@ -69,11 +75,11 @@ func Select(spec string) ([]Experiment, error) {
 }
 
 // Render runs the experiments spec names (see Select) and writes each
-// result's text and a newline to w: capbench's stdout. It returns the
-// results in the same order. A run of the whole table first prewarms
+// table's text and a newline to w: capbench's stdout. It returns the
+// tables in the same order. A run of the whole table first prewarms
 // every shared trace with full fan-out, so the experiments run over warm
 // caches.
-func (l *Lab) Render(w io.Writer, spec string) ([]fmt.Stringer, error) {
+func (l *Lab) Render(w io.Writer, spec string) ([]*Table, error) {
 	exps, err := Select(spec)
 	if err != nil {
 		return nil, err
@@ -83,7 +89,7 @@ func (l *Lab) Render(w io.Writer, spec string) ([]fmt.Stringer, error) {
 			return nil, err
 		}
 	}
-	var out []fmt.Stringer
+	var out []*Table
 	for _, e := range exps {
 		res, err := e.Run(l)
 		if err != nil {

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"hpcap/internal/baseline"
 	"hpcap/internal/core"
@@ -15,31 +14,26 @@ import (
 	"hpcap/internal/server"
 )
 
-// BaselineRow is one detector's performance on one test workload.
-type BaselineRow struct {
-	Detector string
-	Workload TestKind
-	Overload float64 // balanced accuracy
-	Lag      float64 // mean detection lag at sustained onsets, windows
-	Onsets   int
+// baselineScore is one detector's performance on one test workload.
+type baselineScore struct {
+	overload float64 // balanced accuracy
+	lag      float64 // mean detection lag at sustained onsets, windows
+	onsets   int
 }
 
-// BaselineResult compares the conventional overload detectors the paper
+// RunBaselines compares the conventional overload detectors the paper
 // argues against (single-PI threshold, response-time threshold,
-// utilization threshold) with the coordinated hardware-counter monitor.
-type BaselineResult struct {
-	Rows []BaselineRow
-}
-
-// RunBaselines evaluates each baseline detector and the coordinated HPC
-// monitor on the four test workloads, reporting balanced accuracy and
-// detection lag at overload onsets. The PI threshold is calibrated
-// offline, per tier, on the training traces, and the better tier is
-// reported — the strongest version of the single-PI rule. The per-tier
+// utilization threshold) with the coordinated hardware-counter monitor on
+// the four test workloads, reporting balanced accuracy and detection lag
+// at overload onsets. A row is a workload, then "mean"; each detector has
+// a column of balanced accuracy in percent, named after it, and a
+// header-less lag column named "<detector> lag". The PI threshold is
+// calibrated offline, per tier, on the training traces, and the better
+// tier is reported — the strongest version of the single-PI rule. The per-tier
 // calibrations and the per-workload evaluations each fan out across the
 // Lab's workers; the coordinated monitor is shared and each evaluation
 // replays through a private session, so rows match a sequential run.
-func (l *Lab) RunBaselines() (*BaselineResult, error) {
+func (l *Lab) RunBaselines() (*Table, error) {
 	hpcNames := MetricNames(metrics.LevelHPC)
 	// Calibrate PI thresholds per tier on the concatenated training data.
 	type calibration struct {
@@ -86,7 +80,7 @@ func (l *Lab) RunBaselines() (*BaselineResult, error) {
 	}
 
 	kinds := TestKinds()
-	rowGroups, err := parallel.Map(context.Background(), len(kinds), l.workers(), func(k int) ([]BaselineRow, error) {
+	scores, err := parallel.Map(context.Background(), len(kinds), l.workers(), func(k int) ([]baselineScore, error) {
 		kind := kinds[k]
 		test, err := l.TestTrace(kind)
 		if err != nil {
@@ -96,10 +90,10 @@ func (l *Lab) RunBaselines() (*BaselineResult, error) {
 		for i, w := range test.Windows {
 			truth[i] = w.Overload
 		}
-		var rows []BaselineRow
+		var rows []baselineScore
 
 		// Single-PI thresholds, one per tier; report the better tier.
-		bestPI := BaselineRow{Detector: "pi-threshold", Workload: kind, Overload: -1}
+		bestPI := baselineScore{overload: -1}
 		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
 			series, err := pi.Series(cals[tier].def, hpcNames, test.HPCSamples[tier])
 			if err != nil {
@@ -109,8 +103,8 @@ func (l *Lab) RunBaselines() (*BaselineResult, error) {
 			for i, v := range series {
 				preds[i] = cals[tier].th.Predict(v)
 			}
-			row := scoreRow("pi-threshold", kind, truth, preds)
-			if row.Overload > bestPI.Overload {
+			row := scoreDetector(truth, preds)
+			if row.overload > bestPI.overload {
 				bestPI = row
 			}
 		}
@@ -123,7 +117,7 @@ func (l *Lab) RunBaselines() (*BaselineResult, error) {
 		for i, w := range test.Windows {
 			preds[i] = rt.Predict(w.MeanRT)
 		}
-		rows = append(rows, scoreRow("rt-threshold", kind, truth, preds))
+		rows = append(rows, scoreDetector(truth, preds))
 
 		// Utilization trigger on the busier tier's total utilization.
 		util := &baseline.UtilDetector{}
@@ -134,7 +128,7 @@ func (l *Lab) RunBaselines() (*BaselineResult, error) {
 			}
 			preds[i] = util.Predict(u)
 		}
-		rows = append(rows, scoreRow("util-threshold", kind, truth, preds))
+		rows = append(rows, scoreDetector(truth, preds))
 
 		// The coordinated hardware-counter monitor, through a private
 		// session so concurrent workloads don't share a history stream.
@@ -149,178 +143,93 @@ func (l *Lab) RunBaselines() (*BaselineResult, error) {
 				preds[i] = 1
 			}
 		}
-		rows = append(rows, scoreRow("coordinated-hpc", kind, truth, preds))
+		rows = append(rows, scoreDetector(truth, preds))
 		return rows, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &BaselineResult{}
-	for _, rows := range rowGroups {
-		res.Rows = append(res.Rows, rows...)
+	detectors := []string{"pi-threshold", "rt-threshold", "util-threshold", "coordinated-hpc"}
+	t := &Table{
+		Title: "Baseline comparison — overload BA % (detection lag, windows)\n",
+		Keys:  []Column{{Name: "workload", HeadFmt: "%-12s"}},
 	}
-	return res, nil
+	for _, d := range detectors {
+		t.Cols = append(t.Cols,
+			Column{Name: d, HeadFmt: " %18s", ValFmt: " %11.1f"},
+			Column{Name: d + " lag", ValFmt: " (%3.1f)"})
+	}
+	for k, kind := range kinds {
+		var vals []float64
+		for _, s := range scores[k] {
+			vals = append(vals, s.overload*100, s.lag)
+		}
+		t.Add([]string{kind.String()}, vals...)
+	}
+	// The mean row: balanced accuracy over every workload, lag over the
+	// workloads with at least one onset.
+	var mean []float64
+	for d := range detectors {
+		var ba, lag float64
+		lagged := 0
+		for k := range kinds {
+			s := scores[k][d]
+			ba += s.overload
+			if s.onsets > 0 {
+				lag += s.lag
+				lagged++
+			}
+		}
+		if lagged > 0 {
+			lag /= float64(lagged)
+		}
+		mean = append(mean, ba/float64(len(kinds))*100, lag)
+	}
+	t.Add([]string{"mean"}, mean...)
+	return t, nil
 }
 
-// scoreRow computes balanced accuracy and detection lag for one detector.
-func scoreRow(name string, kind TestKind, truth, preds []int) BaselineRow {
+// scoreDetector computes balanced accuracy and detection lag for one
+// detector's predictions.
+func scoreDetector(truth, preds []int) baselineScore {
 	var c ml.Confusion
 	for i := range truth {
 		c.Add(truth[i], preds[i])
 	}
 	lag, onsets := baseline.DetectionLag(truth, preds)
-	return BaselineRow{Detector: name, Workload: kind, Overload: c.BalancedAccuracy(), Lag: lag, Onsets: onsets}
+	return baselineScore{c.BalancedAccuracy(), lag, onsets}
 }
 
-// Row returns the row for (detector, workload), or nil.
-func (r *BaselineResult) Row(detector string, kind TestKind) *BaselineRow {
-	for i := range r.Rows {
-		if r.Rows[i].Detector == detector && r.Rows[i].Workload == kind {
-			return &r.Rows[i]
+// RunLevelComparison compares OS, HPC, and combined OS+HPC monitors — the
+// combination the paper's conclusion proposes for future work: it trains
+// a coordinated monitor per metric level and evaluates all four test
+// workloads. A row is a workload, a column a level, and a cell the
+// overload balanced accuracy in percent.
+func (l *Lab) RunLevelComparison() (*Table, error) {
+	levels, kinds := metrics.Levels(), TestKinds()
+	var cells []monitorCell
+	for _, kind := range kinds {
+		for _, level := range levels {
+			cells = append(cells, monitorCell{level, predictor.Config{}, kind})
 		}
 	}
-	return nil
-}
-
-// MeanBA averages one detector's balanced accuracy over the four test
-// workloads.
-func (r *BaselineResult) MeanBA(detector string) float64 {
-	var sum float64
-	n := 0
-	for _, row := range r.Rows {
-		if row.Detector == detector {
-			sum += row.Overload
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// MeanLag averages one detector's detection lag over workloads with at
-// least one onset.
-func (r *BaselineResult) MeanLag(detector string) float64 {
-	var sum float64
-	n := 0
-	for _, row := range r.Rows {
-		if row.Detector == detector && row.Onsets > 0 {
-			sum += row.Lag
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// String renders the baseline comparison.
-func (r *BaselineResult) String() string {
-	var b strings.Builder
-	b.WriteString("Baseline comparison — overload BA % (detection lag, windows)\n")
-	detectors := []string{"pi-threshold", "rt-threshold", "util-threshold", "coordinated-hpc"}
-	fmt.Fprintf(&b, "%-12s", "workload")
-	for _, d := range detectors {
-		fmt.Fprintf(&b, " %18s", d)
-	}
-	b.WriteString("\n")
-	for _, kind := range TestKinds() {
-		fmt.Fprintf(&b, "%-12s", kind)
-		for _, d := range detectors {
-			if row := r.Row(d, kind); row != nil {
-				fmt.Fprintf(&b, " %11.1f (%3.1f)", row.Overload*100, row.Lag)
-			} else {
-				fmt.Fprintf(&b, " %18s", "-")
-			}
-		}
-		b.WriteString("\n")
-	}
-	fmt.Fprintf(&b, "%-12s", "mean")
-	for _, d := range detectors {
-		fmt.Fprintf(&b, " %11.1f (%3.1f)", r.MeanBA(d)*100, r.MeanLag(d))
-	}
-	b.WriteString("\n")
-	return b.String()
-}
-
-// LevelRow is the coordinated monitor's accuracy at one metric level on
-// one workload.
-type LevelRow struct {
-	Level    metrics.Level
-	Workload TestKind
-	Overload float64
-}
-
-// LevelResult compares OS, HPC, and combined OS+HPC monitors — the
-// combination the paper's conclusion proposes for future work.
-type LevelResult struct {
-	Rows []LevelRow
-}
-
-// RunLevelComparison trains a coordinated monitor per metric level
-// (including the combined level) and evaluates all four test workloads.
-// The (level × workload) cells fan out across the Lab's workers; rows
-// assemble in the sequential sweep order.
-func (l *Lab) RunLevelComparison() (*LevelResult, error) {
-	type spec struct {
-		level metrics.Level
-		kind  TestKind
-	}
-	var specs []spec
-	for _, level := range metrics.Levels() {
-		for _, kind := range TestKinds() {
-			specs = append(specs, spec{level, kind})
-		}
-	}
-	rows, err := parallel.Map(context.Background(), len(specs), l.workers(), func(i int) (LevelRow, error) {
-		sp := specs[i]
-		monitor, err := l.TrainMonitor(sp.level, predictor.Config{})
-		if err != nil {
-			return LevelRow{}, fmt.Errorf("experiment: level %s: %w", sp.level, err)
-		}
-		test, err := l.TestTrace(sp.kind)
-		if err != nil {
-			return LevelRow{}, err
-		}
-		over, _, err := EvaluateMonitor(monitor, test)
-		if err != nil {
-			return LevelRow{}, err
-		}
-		return LevelRow{Level: sp.level, Workload: sp.kind, Overload: over}, nil
-	})
+	scores, err := l.scoreMonitors(cells)
 	if err != nil {
 		return nil, err
 	}
-	return &LevelResult{Rows: rows}, nil
-}
-
-// Row returns the row for (level, workload), or nil.
-func (r *LevelResult) Row(level metrics.Level, kind TestKind) *LevelRow {
-	for i := range r.Rows {
-		if r.Rows[i].Level == level && r.Rows[i].Workload == kind {
-			return &r.Rows[i]
-		}
+	t := &Table{
+		Title: "Metric-level comparison (paper's future-work extension) — overload BA %\n",
+		Keys:  []Column{{Name: "workload", HeadFmt: "%-12s"}},
 	}
-	return nil
-}
-
-// String renders the level comparison.
-func (r *LevelResult) String() string {
-	var b strings.Builder
-	b.WriteString("Metric-level comparison (paper's future-work extension) — overload BA %\n")
-	fmt.Fprintf(&b, "%-12s %8s %8s %8s\n", "workload", "OS", "HPC", "OS+HPC")
-	for _, kind := range TestKinds() {
-		fmt.Fprintf(&b, "%-12s", kind)
-		for _, level := range metrics.Levels() {
-			if row := r.Row(level, kind); row != nil {
-				fmt.Fprintf(&b, " %8.1f", row.Overload*100)
-			} else {
-				fmt.Fprintf(&b, " %8s", "-")
-			}
-		}
-		b.WriteString("\n")
+	for _, level := range levels {
+		t.Cols = append(t.Cols, Column{Name: level.String(), HeadFmt: " %8s", ValFmt: " %8.1f"})
 	}
-	return b.String()
+	for k, kind := range kinds {
+		vals := make([]float64, len(levels))
+		for i := range vals {
+			vals[i] = scores[k*len(levels)+i].overload * 100
+		}
+		t.Add([]string{kind.String()}, vals...)
+	}
+	return t, nil
 }

@@ -123,17 +123,24 @@ func leadOf(a, b []float64, maxLag int) int {
 	return bestLag
 }
 
-// String renders the series compactly, one row per window.
-func (r *Fig3Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig 3 — PI vs throughput (%s mix, %s tier)\n", r.Workload, r.Tier)
-	fmt.Fprintf(&b, "PI = %s selected with Corr = %.3f; series agreement r = %.3f; PI leads by %d window(s)\n",
-		r.PIName, r.Corr, r.Agreement, r.LeadWindows)
-	fmt.Fprintf(&b, "%8s %10s %12s %5s\n", "time(s)", "PI(norm)", "thr(norm)", "over")
-	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%8.0f %10.3f %12.3f %5d\n", p.Time, p.PI, p.Throughput, p.Overloaded)
+// Table renders the series compactly, one row per window, under the
+// selected PI and its agreement with throughput.
+func (r *Fig3Result) Table() *Table {
+	t := &Table{
+		Title: fmt.Sprintf("Fig 3 — PI vs throughput (%s mix, %s tier)\n", r.Workload, r.Tier) +
+			fmt.Sprintf("PI = %s selected with Corr = %.3f; series agreement r = %.3f; PI leads by %d window(s)\n",
+				r.PIName, r.Corr, r.Agreement, r.LeadWindows),
+		Cols: []Column{
+			{Name: "time(s)", HeadFmt: "%8s", ValFmt: "%8.0f"},
+			{Name: "PI(norm)", HeadFmt: " %10s", ValFmt: " %10.3f"},
+			{Name: "thr(norm)", HeadFmt: " %12s", ValFmt: " %12.3f"},
+			{Name: "over", HeadFmt: " %5s", ValFmt: " %5.0f"},
+		},
 	}
-	return b.String()
+	for _, p := range r.Points {
+		t.Add(nil, p.Time, p.PI, p.Throughput, float64(p.Overloaded))
+	}
+	return t
 }
 
 // WriteCSV writes the series as CSV, one row per window, with the raw PI

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"hpcap/internal/core"
 	"hpcap/internal/metrics"
@@ -12,23 +11,6 @@ import (
 	"hpcap/internal/parallel"
 	"hpcap/internal/predictor"
 )
-
-// Fig4Row is the coordinated predictor's accuracy on one test workload at
-// one metric level.
-type Fig4Row struct {
-	Workload   TestKind
-	Level      metrics.Level
-	Overload   float64 // balanced accuracy of overload prediction (Fig 4a)
-	Bottleneck float64 // bottleneck identification accuracy (Fig 4b)
-}
-
-// Fig4Result reproduces the paper's Figure 4: coordinated overload
-// prediction and bottleneck identification accuracy over the four test
-// workloads, for OS-level and hardware-counter-level metrics.
-type Fig4Result struct {
-	Config predictor.Config
-	Rows   []Fig4Row
-}
 
 // TrainMonitor assembles the paper's coordinated system at one metric
 // level: TAN synopses per (training mix × tier), a coordinated predictor
@@ -107,76 +89,73 @@ func EvaluateMonitor(m *core.Monitor, test *Trace) (overloadBA, bottleneckAcc fl
 	return conf.BalancedAccuracy(), bott, nil
 }
 
-// RunFig4 reproduces Figures 4(a) and 4(b) with the paper's configuration:
-// TAN synopses, 3 history bits, δ=5, optimistic scheme. The (level ×
-// workload) cells fan out across the Lab's workers; rows are assembled in
-// the sequential order, and every cell's inputs are cached once-guarded,
-// so the result is identical to a sequential run.
-func (l *Lab) RunFig4() (*Fig4Result, error) {
-	cfg := predictor.Config{HistoryBits: 3, Delta: 5, Scheme: predictor.Optimistic}
-	type spec struct {
-		level metrics.Level
-		kind  TestKind
-	}
-	var specs []spec
-	for _, level := range []metrics.Level{metrics.LevelOS, metrics.LevelHPC} {
-		for _, kind := range TestKinds() {
-			specs = append(specs, spec{level, kind})
-		}
-	}
-	rows, err := parallel.Map(context.Background(), len(specs), l.workers(), func(i int) (Fig4Row, error) {
-		sp := specs[i]
-		monitor, err := l.TrainMonitor(sp.level, cfg)
+// monitorCell is one coordinated monitor, named by its metric level and
+// coordinator configuration, replayed over one test workload.
+type monitorCell struct {
+	level metrics.Level
+	cfg   predictor.Config
+	kind  TestKind
+}
+
+// monitorScore is one monitorCell's overload balanced accuracy and
+// bottleneck identification accuracy (see EvaluateMonitor).
+type monitorScore struct{ overload, bottleneck float64 }
+
+// scoreMonitors trains (once per level and configuration) each cell's
+// monitor and scores it on the cell's test trace. The cells fan out
+// across the Lab's workers; cells that share a monitor share its
+// once-trained instance, and scores return in cell order, so the result
+// is identical to a sequential run.
+func (l *Lab) scoreMonitors(cells []monitorCell) ([]monitorScore, error) {
+	return parallel.Map(context.Background(), len(cells), l.workers(), func(i int) (monitorScore, error) {
+		c := cells[i]
+		monitor, err := l.TrainMonitor(c.level, c.cfg)
 		if err != nil {
-			return Fig4Row{}, fmt.Errorf("experiment: train %s monitor: %w", sp.level, err)
+			return monitorScore{}, fmt.Errorf("experiment: train %s monitor (h=%d, δ=%d, %s): %w",
+				c.level, c.cfg.HistoryBits, c.cfg.Delta, c.cfg.Scheme, err)
 		}
-		test, err := l.TestTrace(sp.kind)
+		test, err := l.TestTrace(c.kind)
 		if err != nil {
-			return Fig4Row{}, err
+			return monitorScore{}, err
 		}
 		over, bott, err := EvaluateMonitor(monitor, test)
-		if err != nil {
-			return Fig4Row{}, err
-		}
-		return Fig4Row{
-			Workload:   sp.kind,
-			Level:      sp.level,
-			Overload:   over,
-			Bottleneck: bott,
-		}, nil
+		return monitorScore{over, bott}, err
 	})
+}
+
+// RunFig4 reproduces Figures 4(a) and 4(b) with the paper's configuration:
+// TAN synopses, 3 history bits, δ=5, optimistic scheme. A row is a test
+// workload; the columns "OS overload", "HPC overload", "OS bottleneck" and
+// "HPC bottleneck" hold the two panels' accuracies in percent.
+func (l *Lab) RunFig4() (*Table, error) {
+	cfg := predictor.Config{HistoryBits: 3, Delta: 5, Scheme: predictor.Optimistic}
+	levels := []metrics.Level{metrics.LevelOS, metrics.LevelHPC}
+	kinds := TestKinds()
+	var cells []monitorCell
+	for _, level := range levels {
+		for _, kind := range kinds {
+			cells = append(cells, monitorCell{level, cfg, kind})
+		}
+	}
+	scores, err := l.scoreMonitors(cells)
 	if err != nil {
 		return nil, err
 	}
-	return &Fig4Result{Config: cfg, Rows: rows}, nil
-}
-
-// Row returns the row for (workload, level), or nil.
-func (r *Fig4Result) Row(kind TestKind, level metrics.Level) *Fig4Row {
-	for i := range r.Rows {
-		if r.Rows[i].Workload == kind && r.Rows[i].Level == level {
-			return &r.Rows[i]
-		}
+	t := &Table{
+		Title: fmt.Sprintf("Fig 4 — coordinated prediction (h=%d, δ=%d, %s)\n", cfg.HistoryBits, cfg.Delta, cfg.Scheme) +
+			fmt.Sprintf("%-12s | %-22s | %-22s\n", "", "(a) overload BA %", "(b) bottleneck acc %"),
+		Keys: []Column{{Name: "workload", HeadFmt: "%-12s"}},
+		Cols: []Column{
+			{Name: "OS overload", Head: "OS", HeadFmt: " | %-10s", ValFmt: " | %-10.1f"},
+			{Name: "HPC overload", Head: "HPC", HeadFmt: " %-10s", ValFmt: " %-10.1f"},
+			{Name: "OS bottleneck", Head: "OS", HeadFmt: " | %-10s", ValFmt: " | %-10.1f"},
+			{Name: "HPC bottleneck", Head: "HPC", HeadFmt: " %-10s", ValFmt: " %-10.1f"},
+		},
 	}
-	return nil
-}
-
-// String renders both panels of Figure 4.
-func (r *Fig4Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig 4 — coordinated prediction (h=%d, δ=%d, %s)\n",
-		r.Config.HistoryBits, r.Config.Delta, r.Config.Scheme)
-	fmt.Fprintf(&b, "%-12s | %-22s | %-22s\n", "", "(a) overload BA %", "(b) bottleneck acc %")
-	fmt.Fprintf(&b, "%-12s | %-10s %-10s | %-10s %-10s\n", "workload", "OS", "HPC", "OS", "HPC")
-	for _, kind := range TestKinds() {
-		osRow := r.Row(kind, metrics.LevelOS)
-		hpcRow := r.Row(kind, metrics.LevelHPC)
-		if osRow == nil || hpcRow == nil {
-			continue
-		}
-		fmt.Fprintf(&b, "%-12s | %-10.1f %-10.1f | %-10.1f %-10.1f\n",
-			kind, osRow.Overload*100, hpcRow.Overload*100,
-			osRow.Bottleneck*100, hpcRow.Bottleneck*100)
+	for k, kind := range kinds {
+		osScore, hpcScore := scores[k], scores[len(kinds)+k]
+		t.Add([]string{kind.String()}, osScore.overload*100, hpcScore.overload*100,
+			osScore.bottleneck*100, hpcScore.bottleneck*100)
 	}
-	return b.String()
+	return t, nil
 }

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"hpcap/internal/metrics"
 	"hpcap/internal/parallel"
@@ -12,29 +11,15 @@ import (
 	"hpcap/internal/tpcw"
 )
 
-// OverheadRow is the testbed's performance under one collection regime,
-// normalized to the no-collection baseline (§V.D).
-type OverheadRow struct {
-	Regime        string
-	Throughput    float64 // requests/s
-	MeanRT        float64 // seconds
-	RelThroughput float64 // vs baseline (1.0 = no loss)
-	RelLatency    float64 // vs baseline (1.0 = no inflation)
-}
-
-// OverheadResult reproduces the runtime-overhead experiment: the paper
-// measures under 0.5% performance loss for hardware counter collection
-// versus about 4% for OS-level collection.
-type OverheadResult struct {
-	EBs  int
-	Rows []OverheadRow
-}
-
-// RunOverhead drives the testbed near the ordering-mix saturation knee —
-// where collection cost is most visible — under three regimes: no
-// collection, hardware counter collection, and Sysstat collection, sampling
-// once per second on both machines as the paper's tools do.
-func (l *Lab) RunOverhead() (*OverheadResult, error) {
+// RunOverhead reproduces the runtime-overhead experiment (§V.D), where the
+// paper measures under 0.5% performance loss for hardware counter
+// collection versus about 4% for OS-level collection. It drives the
+// testbed near the ordering-mix saturation knee — where collection cost is
+// most visible — under three regimes: no collection, hardware counter
+// collection, and Sysstat collection, sampling once per second on both
+// machines as the paper's tools do. A row is a regime; "thr loss %" and
+// "RT inflation" compare it with the no-collection row.
+func (l *Lab) RunOverhead() (*Table, error) {
 	w, err := l.Workload(tpcw.Ordering())
 	if err != nil {
 		return nil, err
@@ -73,27 +58,35 @@ func (l *Lab) RunOverhead() (*OverheadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &OverheadResult{EBs: ebs}
+	t := &Table{
+		Title: fmt.Sprintf("Metric collection overhead (§V.D) — ordering mix at %d EBs\n", ebs),
+		Keys:  []Column{{Name: "regime", HeadFmt: "%-8s"}},
+		Cols: []Column{
+			{Name: "thr (req/s)", HeadFmt: " %12s", ValFmt: " %12.2f"},
+			{Name: "mean RT", HeadFmt: " %12s", ValFmt: " %12.4f"},
+			{Name: "thr loss %", HeadFmt: " %14s", ValFmt: " %14.2f"},
+			{Name: "RT inflation", HeadFmt: " %12s", ValFmt: " %12.3f"},
+		},
+	}
+	var base measurement
 	for ri, regime := range regimes {
-		var thrSum, rtSum float64
+		var m measurement
 		for r := 0; r < runs; r++ {
-			thrSum += samples[ri*runs+r].thr
-			rtSum += samples[ri*runs+r].rt
+			m.thr += samples[ri*runs+r].thr
+			m.rt += samples[ri*runs+r].rt
 		}
-		res.Rows = append(res.Rows, OverheadRow{
-			Regime:     regime.name,
-			Throughput: thrSum / runs,
-			MeanRT:     rtSum / runs,
-		})
-	}
-	base := res.Rows[0]
-	for i := range res.Rows {
-		res.Rows[i].RelThroughput = res.Rows[i].Throughput / base.Throughput
-		if base.MeanRT > 0 {
-			res.Rows[i].RelLatency = res.Rows[i].MeanRT / base.MeanRT
+		m.thr /= runs
+		m.rt /= runs
+		if ri == 0 {
+			base = m
 		}
+		relLatency := 0.0
+		if base.rt > 0 {
+			relLatency = m.rt / base.rt
+		}
+		t.Add([]string{regime.name}, m.thr, m.rt, (1-m.thr/base.thr)*100, relLatency)
 	}
-	return res, nil
+	return t, nil
 }
 
 // overheadRun runs one steady workload with a per-second collection cost on
@@ -123,26 +116,4 @@ func (l *Lab) overheadRun(ebs int, duration, sampleCost float64, run int64) (thr
 			return tr.Throughput, tr.MeanRT, nil
 		}
 	}
-}
-
-// Row returns the row for a regime, or nil.
-func (r *OverheadResult) Row(regime string) *OverheadRow {
-	for i := range r.Rows {
-		if r.Rows[i].Regime == regime {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
-// String renders the overhead table.
-func (r *OverheadResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Metric collection overhead (§V.D) — ordering mix at %d EBs\n", r.EBs)
-	fmt.Fprintf(&b, "%-8s %12s %12s %14s %12s\n", "regime", "thr (req/s)", "mean RT", "thr loss %", "RT inflation")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-8s %12.2f %12.4f %14.2f %12.3f\n",
-			row.Regime, row.Throughput, row.MeanRT, (1-row.RelThroughput)*100, row.RelLatency)
-	}
-	return b.String()
 }

@@ -3,8 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"hpcap/internal/featsel"
 	"hpcap/internal/metrics"
@@ -27,23 +26,6 @@ func Learners() []ml.Learner {
 		svm.Learner(),
 		bayes.TANLearner(),
 	}
-}
-
-// Table1Cell is one accuracy cell: a synopsis trained on (workload, tier,
-// level) with one learner, evaluated on the test input.
-type Table1Cell struct {
-	Workload string
-	Tier     server.TierID
-	Level    metrics.Level
-	Learner  string
-	BA       float64
-}
-
-// Table1Result reproduces one half of the paper's Table I: the balanced
-// accuracy of every individual synopsis on one test mix.
-type Table1Result struct {
-	TestInput string
-	Cells     []Table1Cell
 }
 
 // Dataset converts one tier/level slice of a trace into an ml.Dataset.
@@ -87,11 +69,29 @@ func EvaluateSynopsis(syn *synopsis.Synopsis, test *Trace) float64 {
 // synopsis evaluated on the test input. The 32 cells are independent given
 // the cached traces, so they fan out across the Lab's workers; cells are
 // assembled in the sequential loop order, making the result byte-identical
-// to a Workers=1 run.
-func (l *Lab) RunTable1(testKind TestKind) (*Table1Result, error) {
+// to a Workers=1 run. A row is a (workload, tier), ordering first as in the
+// paper; a column is a level and learner, named like "HPC:TAN".
+func (l *Lab) RunTable1(testKind TestKind) (*Table, error) {
 	test, err := l.TestTrace(testKind)
 	if err != nil {
 		return nil, err
+	}
+	levels := []metrics.Level{metrics.LevelOS, metrics.LevelHPC}
+	learners := Learners()
+	t := &Table{
+		Title: fmt.Sprintf("Prediction accuracy of individual synopses — %s mix input\n", testKind),
+		Keys:  []Column{{Name: "Workload", HeadFmt: "%-10s"}, {Name: "Tier", HeadFmt: " %-5s"}},
+	}
+	for _, level := range levels {
+		for i, learner := range learners {
+			c := Column{Name: level.String() + ":" + learner.Name, HeadFmt: " %-7s", ValFmt: " %-7.3f"}
+			if i == 0 {
+				c.HeadFmt, c.ValFmt = " | %-7s", " | %-7.3f"
+			} else {
+				c.Head = learner.Name
+			}
+			t.Cols = append(t.Cols, c)
+		}
 	}
 	type spec struct {
 		mix     tpcw.Mix
@@ -100,80 +100,34 @@ func (l *Lab) RunTable1(testKind TestKind) (*Table1Result, error) {
 		learner ml.Learner
 	}
 	var specs []spec
-	for _, mix := range TrainingMixes() {
+	mixes := TrainingMixes()
+	slices.Reverse(mixes) // ordering first, as in the paper
+	for _, mix := range mixes {
 		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-			for _, level := range []metrics.Level{metrics.LevelOS, metrics.LevelHPC} {
-				for _, learner := range Learners() {
+			for _, level := range levels {
+				for _, learner := range learners {
 					specs = append(specs, spec{mix, tier, level, learner})
 				}
 			}
 		}
 	}
-	cells, err := parallel.Map(context.Background(), len(specs), l.workers(), func(i int) (Table1Cell, error) {
+	cells, err := parallel.Map(context.Background(), len(specs), l.workers(), func(i int) (float64, error) {
 		sp := specs[i]
 		syn, err := l.BuildSynopsis(sp.mix, sp.tier, sp.level, sp.learner)
 		if err != nil {
-			return Table1Cell{}, fmt.Errorf("experiment: table1 %s/%s/%s/%s: %w",
+			return 0, fmt.Errorf("experiment: table1 %s/%s/%s/%s: %w",
 				sp.mix.Name, sp.tier, sp.level, sp.learner.Name, err)
 		}
-		return Table1Cell{
-			Workload: sp.mix.Name,
-			Tier:     sp.tier,
-			Level:    sp.level,
-			Learner:  sp.learner.Name,
-			BA:       EvaluateSynopsis(syn, test),
-		}, nil
+		return EvaluateSynopsis(syn, test), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Table1Result{TestInput: string(testKind), Cells: cells}, nil
-}
-
-// Cell returns the accuracy of one cell, or -1 if absent.
-func (r *Table1Result) Cell(workload string, tier server.TierID, level metrics.Level, learner string) float64 {
-	for _, c := range r.Cells {
-		if c.Workload == workload && c.Tier == tier && c.Level == level && c.Learner == learner {
-			return c.BA
-		}
+	for i := 0; i < len(cells); i += len(t.Cols) {
+		sp := specs[i]
+		t.Add([]string{sp.mix.Name, sp.tier.String()}, cells[i:i+len(t.Cols)]...)
 	}
-	return -1
-}
-
-// String formats the result like the paper's Table I.
-func (r *Table1Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Prediction accuracy of individual synopses — %s mix input\n", r.TestInput)
-	fmt.Fprintf(&b, "%-10s %-5s | %-7s %-7s %-7s %-7s | %-7s %-7s %-7s %-7s\n",
-		"Workload", "Tier", "OS:LR", "Naive", "SVM", "TAN", "HPC:LR", "Naive", "SVM", "TAN")
-	type rowKey struct {
-		workload string
-		tier     server.TierID
-	}
-	rows := map[rowKey]map[string]float64{}
-	var order []rowKey
-	for _, c := range r.Cells {
-		k := rowKey{c.Workload, c.Tier}
-		if rows[k] == nil {
-			rows[k] = map[string]float64{}
-			order = append(order, k)
-		}
-		rows[k][c.Level.String()+c.Learner] = c.BA
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		if order[i].workload != order[j].workload {
-			return order[i].workload > order[j].workload // ordering first, as in the paper
-		}
-		return order[i].tier < order[j].tier
-	})
-	for _, k := range order {
-		m := rows[k]
-		fmt.Fprintf(&b, "%-10s %-5s | %-7.3f %-7.3f %-7.3f %-7.3f | %-7.3f %-7.3f %-7.3f %-7.3f\n",
-			k.workload, k.tier,
-			m["OSLR"], m["OSNaive"], m["OSSVM"], m["OSTAN"],
-			m["HPCLR"], m["HPCNaive"], m["HPCSVM"], m["HPCTAN"])
-	}
-	return b.String()
+	return t, nil
 }
 
 // selection returns the standard attribute-selection config.

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"hpcap/internal/metrics"
@@ -12,28 +11,24 @@ import (
 	"hpcap/internal/tpcw"
 )
 
-// TimingRow is one learner's measured cost (§V.B): the wall time to build a
-// synopsis from the training set (the fastest of three builds) and to make
-// a single online decision. The
-// paper reports 90 ms (LR), 10 ms (Naive), 1710 ms (SVM) and 50 ms (TAN) on
-// 2006 hardware; on modern hardware the absolute numbers shrink but the
-// ordering — SVM far slower than the rest, Naive cheapest — must hold.
-type TimingRow struct {
+// timingRow is one learner's measured cost (§V.B): the wall time to build
+// a synopsis from the training set (the fastest of three builds) and to
+// make a single online decision. The paper reports 90 ms (LR), 10 ms
+// (Naive), 1710 ms (SVM) and 50 ms (TAN) on 2006 hardware; on modern
+// hardware the absolute numbers shrink but the ordering — SVM far slower
+// than the rest, Naive cheapest — must hold.
+type timingRow struct {
 	Learner string
 	Build   time.Duration
 	Decide  time.Duration
 }
 
-// TimingResult reproduces the learner cost comparison of §V.B.
-type TimingResult struct {
-	TrainingInstances int
-	Rows              []TimingRow
-}
-
-// RunTiming measures synopsis build and single-decision wall time for each
-// learner on the ordering-mix training set (app tier, HPC level — the
-// bottleneck-tier synopsis the online system exercises most).
-func (l *Lab) RunTiming() (*TimingResult, error) {
+// RunTiming reproduces the learner cost comparison of §V.B: it measures
+// synopsis build and single-decision wall time for each learner on the
+// ordering-mix training set (app tier, HPC level — the bottleneck-tier
+// synopsis the online system exercises most). A row is a learner; the
+// "build" and "single decide" cells are durations in nanoseconds.
+func (l *Lab) RunTiming() (*Table, error) {
 	tr, err := l.TrainingTrace(tpcw.Ordering())
 	if err != nil {
 		return nil, err
@@ -42,20 +37,24 @@ func (l *Lab) RunTiming() (*TimingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &TimingResult{TrainingInstances: d.Len()}
+	t := &Table{
+		Title: fmt.Sprintf("Learner cost (§V.B) — %d training instances\n", d.Len()),
+		Keys:  []Column{{Name: "learner", HeadFmt: "%-8s"}},
+		Cols:  []Column{{Name: "build", HeadFmt: " %14s"}, {Name: "single decide", HeadFmt: " %14s"}},
+	}
 	for _, learner := range Learners() {
 		row, err := timeLearner(learner, d, l.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: timing %s: %w", learner.Name, err)
 		}
-		res.Rows = append(res.Rows, row)
+		t.Add([]string{row.Learner}, float64(row.Build), float64(row.Decide))
 	}
-	return res, nil
+	return t, nil
 }
 
 // timeLearner measures one learner, repeating short operations enough times
 // for a stable reading.
-func timeLearner(learner ml.Learner, d *ml.Dataset, seed int64) (TimingRow, error) {
+func timeLearner(learner ml.Learner, d *ml.Dataset, seed int64) (timingRow, error) {
 	// Build: attribute selection plus model fitting, as the online system
 	// performs it. The fastest of three equal builds is the cost: one
 	// build's wall clock also holds whatever else the host ran meanwhile.
@@ -66,7 +65,7 @@ func timeLearner(learner ml.Learner, d *ml.Dataset, seed int64) (TimingRow, erro
 		s, err := synopsis.Build("timing", server.TierApp, metrics.LevelHPC, learner, d,
 			synopsis.Config{Selection: selection(seed)})
 		if err != nil {
-			return TimingRow{}, err
+			return timingRow{}, err
 		}
 		if took := time.Since(start); i == 0 || took < build {
 			build = took
@@ -84,26 +83,5 @@ func timeLearner(learner ml.Learner, d *ml.Dataset, seed int64) (TimingRow, erro
 	}
 	decide := time.Since(start) / reps
 
-	return TimingRow{Learner: learner.Name, Build: build, Decide: decide}, nil
-}
-
-// Row returns the row for a learner, or nil.
-func (r *TimingResult) Row(learner string) *TimingRow {
-	for i := range r.Rows {
-		if r.Rows[i].Learner == learner {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
-// String renders the timing table.
-func (r *TimingResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Learner cost (§V.B) — %d training instances\n", r.TrainingInstances)
-	fmt.Fprintf(&b, "%-8s %14s %14s\n", "learner", "build", "single decide")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-8s %14s %14s\n", row.Learner, row.Build, row.Decide)
-	}
-	return b.String()
+	return timingRow{Learner: learner.Name, Build: build, Decide: decide}, nil
 }

@@ -190,6 +190,26 @@ func TestCounterSaturates(t *testing.T) {
 	}
 }
 
+// TestFeedbackSaturates checks that online Feedback, like Train, stops
+// at ±CounterMax: one-bit history makes cell 1 take every overload update
+// and cell 0 every underload one.
+func TestFeedbackSaturates(t *testing.T) {
+	p := mustNew(t, 1, 1, Config{CounterMax: 8, Delta: 1, HistoryBits: 1})
+	s := p.NewSession()
+	for _, tc := range []struct{ overload, history, want int }{{1, 1, 8}, {0, 0, -8}} {
+		for i := 0; i < 100; i++ {
+			if _, _, err := s.Predict([]int{1}); err != nil {
+				t.Fatal(err)
+			}
+			s.Feedback(tc.overload, 0)
+		}
+		if hc, err := p.Counter([]int{1}, tc.history); err != nil || hc != tc.want {
+			t.Fatalf("after 100 Feedback(%d, 0): Hc[history %d] = %d (err %v), want %d",
+				tc.overload, tc.history, hc, err, tc.want)
+		}
+	}
+}
+
 func TestCounterMaxClampsToInt32(t *testing.T) {
 	// A CounterMax beyond the 32-bit cell range must clamp, not wrap: the
 	// predictor constructs fine and counters keep their sign and magnitude.
