@@ -336,9 +336,9 @@ func run(args []string, out io.Writer) error {
 			Initial:  monitor,
 			Names:    experiment.MetricNames(level),
 			Train: core.Config{
-				Learner:  bayes.TANLearner(),
-				Synopsis: core.DefaultSynopsisConfig(c.seed + 1),
-				Workers:  4,
+				Learner: bayes.TANLearner(),
+				Seed:    c.seed + 1,
+				Workers: 4,
 			},
 			// Daemon mode: detector and lifecycle thresholds at their
 			// conservative defaults, retraining off the serving path.

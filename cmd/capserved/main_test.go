@@ -242,8 +242,8 @@ func newTestPipeline(t *testing.T) *serve.ShardedPipeline {
 		})
 	}
 	mon, err := core.Train(metrics.LevelHPC, names, []core.TrainingSet{set}, core.Config{
-		Learner:  bayes.TANLearner(),
-		Synopsis: core.DefaultSynopsisConfig(1),
+		Learner: bayes.TANLearner(),
+		Seed:    1,
 	})
 	if err != nil {
 		t.Fatalf("train synthetic monitor: %v", err)

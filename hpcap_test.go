@@ -9,7 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"hpcap"
@@ -187,6 +190,86 @@ func trainTinyMonitor(t *testing.T) *hpcap.Monitor {
 	return m
 }
 
+// The surface census keeps the module's surface to what its programs
+// use, in three checks:
+//
+//   - TestFacadeNamesHaveCallers: every name hpcap.go exports is used as
+//     hpcap.<Name> by an example program or the root benchmarks;
+//   - TestInternalNamesHaveCallers: every exported func, method, type,
+//     var and const declared under internal/ is referenced by a non-test
+//     file, in bench/, cmd/ and examples/ too;
+//   - TestConfigFieldsHaveSetters: every exported field of the serving,
+//     training and lifecycle configs is set by a non-test file outside
+//     the declaring package.
+//
+// The last two read one parse of every non-test .go file of the module
+// and of bench/ (moduleFiles).
+//
+// A name or a field that only tests use costs upkeep and serves no
+// program: delete it, move it into the package's export_test.go, or make
+// the field a constant. A test-support package (a directory named *test,
+// after net/http/httptest) is test code here, as scripts/loc.sh counts
+// it. Names are matched, not types checked. The exceptions are listed
+// with their reasons.
+
+// srcFile is one parsed non-test .go file.
+type srcFile struct {
+	dir     string            // slash path of its directory from the module root
+	imports map[string]string // local package name -> import path
+	ast     *ast.File
+}
+
+var moduleFiles = sync.OnceValues(func() ([]srcFile, error) {
+	var files []srcFile
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || strings.HasSuffix(name, "test")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, srcFile{dir: filepath.ToSlash(filepath.Dir(path)), imports: imports(f), ast: f})
+		return nil
+	})
+	return files, err
+})
+
+// census returns the module's parsed non-test files.
+func census(t *testing.T) []srcFile {
+	t.Helper()
+	files, err := moduleFiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// imports maps each package name f imports under to its import path.
+func imports(f *ast.File) map[string]string {
+	out := map[string]string{}
+	for _, imp := range f.Imports {
+		ipath := strings.Trim(imp.Path.Value, `"`)
+		name := ipath[strings.LastIndex(ipath, "/")+1:]
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		out[name] = ipath
+	}
+	return out
+}
+
 // TestFacadeNamesHaveCallers keeps the facade to its callers: every name
 // hpcap.go exports must be used as hpcap.<Name> by an example program or
 // the root benchmarks, except the sentinel errors the package doc
@@ -220,13 +303,206 @@ func TestFacadeNamesHaveCallers(t *testing.T) {
 	}
 }
 
-// TestConfigFieldsHaveSetters keeps the serving path's configs to the
-// knobs some program turns: every exported field of the five configs
-// below must be set by a non-test .go file under cmd/, internal/ or
-// bench/, as a `Field:` key or a `.Field =` assignment (see setFields).
+// implicitMethods are methods a program uses without selecting them: the
+// standard library calls them through its own interfaces (fmt.Stringer,
+// error, http.Handler, sort and heap), and go vet's copylocks check reads
+// Lock and Unlock off a noCopy marker.
+var implicitMethods = map[string]bool{
+	"String": true, "Error": true, "Unwrap": true, "ServeHTTP": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"Lock": true, "Unlock": true,
+}
+
+// TestInternalNamesHaveCallers fails on an exported func, method, type,
+// var or const under internal/ that no non-test file references.
+func TestInternalNamesHaveCallers(t *testing.T) {
+	allowed := map[string]string{
+		"experiment.Table.Cell": "the seed-robust claims will read cells by row and column name (ROADMAP: \"Ten seeds are 21 seconds\")",
+	}
+
+	// What non-test code references: qualified names (import path + "." +
+	// name; a package's own identifiers count under its own path), the
+	// directories selecting each name off a value, the module packages
+	// each directory imports, and the method names interfaces declare.
+	refs := map[string]bool{}
+	selectedIn := map[string]map[string]bool{}
+	dirImports := map[string]map[string]bool{}
+	ifaceMethods := map[string]bool{}
+	for _, f := range census(t) {
+		if dirImports[f.dir] == nil {
+			dirImports[f.dir] = map[string]bool{}
+		}
+		for _, ipath := range f.imports {
+			if dir, ok := moduleDir(ipath); ok {
+				dirImports[f.dir][dir] = true
+			}
+		}
+		self := importPath(f.dir)
+		declared := map[*ast.Ident]bool{}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				declared[n.Name] = true
+			case *ast.TypeSpec:
+				declared[n.Name] = true
+			case *ast.ValueSpec:
+				for _, name := range n.Names {
+					declared[name] = true
+				}
+			case *ast.Field:
+				for _, name := range n.Names {
+					declared[name] = true
+				}
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, name := range m.Names {
+						ifaceMethods[name.Name] = true
+					}
+				}
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok {
+					if ipath, ok := f.imports[x.Name]; ok {
+						refs[ipath+"."+n.Sel.Name] = true
+						return false
+					}
+				}
+				if selectedIn[n.Sel.Name] == nil {
+					selectedIn[n.Sel.Name] = map[string]bool{}
+				}
+				selectedIn[n.Sel.Name][f.dir] = true
+				declared[n.Sel] = true
+			case *ast.Ident:
+				if !declared[n] {
+					refs[self+"."+n.Name] = true
+				}
+			}
+			return true
+		})
+	}
+
+	// reaches reports whether in imports dir, directly or through other
+	// module packages: the facade's aliases and the types a package's API
+	// hands out carry methods across packages.
+	reach := map[string]map[string]bool{}
+	var reachable func(in string) map[string]bool
+	reachable = func(in string) map[string]bool {
+		if r, ok := reach[in]; ok {
+			return r
+		}
+		r := map[string]bool{}
+		reach[in] = r
+		for dir := range dirImports[in] {
+			r[dir] = true
+			for d := range reachable(dir) {
+				r[d] = true
+			}
+		}
+		return r
+	}
+	// A method counts as used where its name is selected in its own
+	// package or in one that reaches it, or anywhere if an interface
+	// declares the name.
+	methodUsed := func(dir, name string) bool {
+		if implicitMethods[name] {
+			return true
+		}
+		for in := range selectedIn[name] {
+			if ifaceMethods[name] || in == dir || reachable(in)[dir] {
+				return true
+			}
+		}
+		return false
+	}
+
+	checked := 0
+	report := func(name, kind string, used bool) {
+		checked++
+		reason, excepted := allowed[name]
+		delete(allowed, name)
+		switch {
+		case !used && !excepted:
+			t.Errorf("%s (%s) has no caller outside tests", name, kind)
+		case used && excepted:
+			t.Errorf("%s has a caller now; drop its exception (%s)", name, reason)
+		}
+	}
+	for _, f := range census(t) {
+		if !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		pkg, self := f.ast.Name.Name, importPath(f.dir)
+		for _, d := range f.ast.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				switch {
+				case !d.Name.IsExported():
+				case d.Recv == nil:
+					report(pkg+"."+d.Name.Name, "func", refs[self+"."+d.Name.Name])
+				default:
+					report(pkg+"."+recvType(d.Recv)+"."+d.Name.Name, "method", methodUsed(f.dir, d.Name.Name))
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					names := []*ast.Ident{}
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						names = append(names, s.Name)
+					case *ast.ValueSpec:
+						names = s.Names
+					}
+					for _, name := range names {
+						if name.IsExported() {
+							report(pkg+"."+name.Name, d.Tok.String(), refs[self+"."+name.Name])
+						}
+					}
+				}
+			}
+		}
+	}
+	for name := range allowed {
+		t.Errorf("exception %s names no exported declaration", name)
+	}
+	t.Logf("%d exported names under internal/", checked)
+}
+
+// importPath is the import path of the package in module directory dir.
+func importPath(dir string) string {
+	if dir == "." {
+		return "hpcap"
+	}
+	return "hpcap/" + dir
+}
+
+// moduleDir is the module directory of import path ipath, if the module
+// holds it.
+func moduleDir(ipath string) (string, bool) {
+	if ipath == "hpcap" {
+		return ".", true
+	}
+	return strings.CutPrefix(ipath, "hpcap/")
+}
+
+// recvType names a method's receiver type: T for T, *T, T[K] and *T[K].
+func recvType(recv *ast.FieldList) string {
+	e := recv.List[0].Type
+	if star, ok := e.(*ast.StarExpr); ok {
+		e = star.X
+	}
+	switch x := e.(type) {
+	case *ast.IndexExpr:
+		e = x.X
+	case *ast.IndexListExpr:
+		e = x.X
+	}
+	return e.(*ast.Ident).Name
+}
+
+// TestConfigFieldsHaveSetters keeps the serving, training and lifecycle
+// configs to the knobs some program turns: every exported field of the
+// configs below must be set by a non-test .go file under cmd/, internal/
+// or bench/, as a `Field:` key or a `.Field =` assignment (see setFields).
 // The declaring package's own defaults do not count. A field that only
-// tests set is a constant with a config's cost; make it one. The
-// exceptions are listed with their reasons.
+// tests set is a constant with a config's cost; make it one.
 func TestConfigFieldsHaveSetters(t *testing.T) {
 	configs := []struct{ dir, typ string }{
 		{"internal/serve", "Config"},
@@ -234,38 +510,37 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 		{"internal/serve", "ListenConfig"},
 		{"internal/wire", "AgentConfig"},
 		{"internal/wal", "Config"},
+		{"internal/core", "Config"},
+		{"internal/predictor", "Config"},
+		{"internal/registry", "Config"},
+		{"internal/registry", "AutoscalerConfig"},
+		{"internal/drift", "Config"},
+		{"internal/fuse", "Config"},
 	}
 	const deployment = "a deployment setting the bounded-tail and overload work will set"
+	const benchFuse = "bench/ builds serve.Config.Fuse from fuse.DefaultConfig(); a constant once the benchmark changes (ROADMAP: \"Clear bench/'s queue\")"
 	unset := map[string]string{
 		"serve.ListenConfig.ReadTimeout": deployment,
 		"wire.AgentConfig.BackoffBase":   deployment,
 		"wire.AgentConfig.BackoffMax":    deployment,
 		"wire.AgentConfig.DialTimeout":   deployment,
 		"wire.AgentConfig.WriteTimeout":  deployment,
+		"fuse.Config.ProcessNoise":       benchFuse,
+		"fuse.Config.MeasurementNoise":   benchFuse,
+		"fuse.Config.GateSigmas":         benchFuse,
+		"fuse.Config.StuckRun":           benchFuse,
+		"fuse.Config.Warmup":             benchFuse,
+		"fuse.Config.ConfidenceFloor":    benchFuse,
 	}
 
+	files := census(t)
 	set := map[string]bool{}
-	fset := token.NewFileSet()
-	for _, root := range []string{"cmd", "internal", "bench"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
-			}
-			f, err := parser.ParseFile(fset, path, nil, 0)
-			if err == nil {
-				setFields(f, set)
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, f := range files {
+		setFields(f.ast, set)
 	}
-
 	fields := 0
 	for _, c := range configs {
-		st := structType(t, fset, c.dir, c.typ)
-		for _, field := range st.Fields.List {
+		for _, field := range structType(t, files, c.dir, c.typ).Fields.List {
 			for _, name := range field.Names {
 				if !name.IsExported() {
 					continue
@@ -292,13 +567,28 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 // setFields adds to set each "pkg.Type.Field" that f sets: as a key of a
 // pkg.Type literal, or by assigning x.Field where f gave x the type
 // pkg.Type (by a literal, a pkg.DefaultType() call, a var declaration, a
-// parameter or a struct field). Names are matched, not types checked.
+// parameter, a struct field, or a copy of a variable or field so bound).
+// Only types qualified by one of f's imports count, so a package's own
+// defaults never set its fields.
 func setFields(f *ast.File, set map[string]bool) {
-	bound := map[string]string{} // identifier -> "pkg.Type"
+	pkgs := imports(f)
+	bound := map[string]string{} // identifier or field name -> "pkg.Type"
+	typeOf := func(e ast.Expr) string {
+		if typ := qualifiedType(e, pkgs); typ != "" {
+			return typ
+		}
+		switch e := e.(type) {
+		case *ast.Ident:
+			return bound[e.Name]
+		case *ast.SelectorExpr:
+			return bound[e.Sel.Name]
+		}
+		return ""
+	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CompositeLit:
-			if typ := qualifiedType(n); typ != "" {
+			if typ := qualifiedType(n, pkgs); typ != "" {
 				for _, elt := range n.Elts {
 					if kv, ok := elt.(*ast.KeyValueExpr); ok {
 						if key, ok := kv.Key.(*ast.Ident); ok {
@@ -309,13 +599,13 @@ func setFields(f *ast.File, set map[string]bool) {
 			}
 		case *ast.Field:
 			for _, name := range n.Names {
-				bound[name.Name] = qualifiedType(n.Type)
+				bound[name.Name] = qualifiedType(n.Type, pkgs)
 			}
 		case *ast.ValueSpec:
 			for i, name := range n.Names {
-				typ := qualifiedType(n.Type)
+				typ := qualifiedType(n.Type, pkgs)
 				if typ == "" && i < len(n.Values) {
-					typ = qualifiedType(n.Values[i])
+					typ = typeOf(n.Values[i])
 				}
 				bound[name.Name] = typ
 			}
@@ -324,17 +614,10 @@ func setFields(f *ast.File, set map[string]bool) {
 				switch lhs := lhs.(type) {
 				case *ast.Ident:
 					if len(n.Rhs) == len(n.Lhs) {
-						bound[lhs.Name] = qualifiedType(n.Rhs[i])
+						bound[lhs.Name] = typeOf(n.Rhs[i])
 					}
 				case *ast.SelectorExpr:
-					var x string
-					switch recv := lhs.X.(type) {
-					case *ast.Ident:
-						x = recv.Name
-					case *ast.SelectorExpr:
-						x = recv.Sel.Name
-					}
-					if typ := bound[x]; typ != "" {
+					if typ := typeOf(lhs.X); typ != "" {
 						set[typ+"."+lhs.Sel.Name] = true
 					}
 				}
@@ -346,48 +629,94 @@ func setFields(f *ast.File, set map[string]bool) {
 
 // qualifiedType names the package-qualified type an expression denotes or
 // builds: "pkg.Type" for pkg.Type, *pkg.Type, pkg.Type{...}, &pkg.Type{...}
-// and pkg.DefaultType(); "" otherwise.
-func qualifiedType(e ast.Expr) string {
+// and pkg.DefaultType(), where pkg is a name in pkgs; "" otherwise.
+func qualifiedType(e ast.Expr, pkgs map[string]string) string {
 	switch e := e.(type) {
 	case *ast.StarExpr:
-		return qualifiedType(e.X)
+		return qualifiedType(e.X, pkgs)
 	case *ast.UnaryExpr:
-		return qualifiedType(e.X)
+		return qualifiedType(e.X, pkgs)
 	case *ast.CompositeLit:
-		return qualifiedType(e.Type)
+		return qualifiedType(e.Type, pkgs)
 	case *ast.CallExpr:
-		if pkg, fn, ok := strings.Cut(qualifiedType(e.Fun), ".Default"); ok {
+		if pkg, fn, ok := strings.Cut(qualifiedType(e.Fun, pkgs), ".Default"); ok {
 			return pkg + "." + fn
 		}
 	case *ast.SelectorExpr:
-		if pkg, ok := e.X.(*ast.Ident); ok {
+		if pkg, ok := e.X.(*ast.Ident); ok && pkgs[pkg.Name] != "" {
 			return pkg.Name + "." + e.Sel.Name
 		}
 	}
 	return ""
 }
 
-// structType finds the struct type named typ among dir's non-test files.
-func structType(t *testing.T, fset *token.FileSet, dir, typ string) *ast.StructType {
+// structType finds the struct type named typ among dir's parsed files.
+func structType(t *testing.T, files []srcFile, dir, typ string) *ast.StructType {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range paths {
-		if strings.HasSuffix(path, "_test.go") {
+	for _, f := range files {
+		if f.dir != dir {
 			continue
 		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if obj := f.Scope.Lookup(typ); obj != nil && obj.Kind == ast.Typ {
-			if st, ok := obj.Decl.(*ast.TypeSpec).Type.(*ast.StructType); ok {
-				return st
+		for _, d := range f.ast.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					if st, ok := ts.Type.(*ast.StructType); ok && ts.Name.Name == typ {
+						return st
+					}
+				}
 			}
 		}
 	}
 	t.Fatalf("no struct %s in %s", typ, dir)
 	return nil
+}
+
+// TestSetFields pins the config-field matcher on the ways a program sets
+// a field.
+func TestSetFields(t *testing.T) {
+	tests := []struct {
+		name, src string
+		want      []string
+	}{
+		{"literal key", `
+import "hpcap/internal/serve"
+var _ = serve.Config{Window: 3}`,
+			[]string{"serve.Config.Window"}},
+		{"default then assign", `
+import "hpcap/internal/wire"
+func f() { c := wire.DefaultAgentConfig(); c.QueueLen = 4 }`,
+			[]string{"wire.AgentConfig.QueueLen"}},
+		{"typed parameter", `
+import "hpcap/internal/wal"
+func f(c *wal.Config) { c.SyncEvery = 1 }`,
+			[]string{"wal.Config.SyncEvery"}},
+		{"copy of a typed field", `
+import "hpcap/internal/registry"
+type scenario struct{ lc registry.Config }
+func (ps scenario) f() { lc := ps.lc; lc.HistoryWindows = 64 }`,
+			[]string{"registry.Config.HistoryWindows"}},
+		{"own package's literal", `
+type Config struct{ Window int }
+var _ = Config{Window: 3}`,
+			nil},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			f, err := parser.ParseFile(token.NewFileSet(), "x.go", "package x\n"+tt.src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set := map[string]bool{}
+			setFields(f, set)
+			var got []string
+			for key := range set {
+				got = append(got, key)
+			}
+			sort.Strings(got)
+			if !slices.Equal(got, tt.want) {
+				t.Errorf("setFields = %q, want %q", got, tt.want)
+			}
+		})
+	}
 }

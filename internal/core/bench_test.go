@@ -15,8 +15,8 @@ func benchMonitor(b *testing.B) (*core.Monitor, []core.Observation) {
 	b.Helper()
 	sets, names := syntheticSets(80, 7)
 	m, err := core.Train(metrics.LevelHPC, names, sets, core.Config{
-		Learner:  bayes.TANLearner(),
-		Synopsis: core.DefaultSynopsisConfig(7),
+		Learner: bayes.TANLearner(),
+		Seed:    7,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -15,8 +15,8 @@ func trainedMonitor(t *testing.T) (*core.Monitor, []core.LabeledWindow) {
 	t.Helper()
 	sets, names := syntheticSets(80, 2)
 	m, err := core.Train(metrics.LevelHPC, names, sets, core.Config{
-		Learner:  bayes.NaiveLearner(),
-		Synopsis: core.DefaultSynopsisConfig(1),
+		Learner: bayes.NaiveLearner(),
+		Seed:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestCompatAPIUnderConcurrency(t *testing.T) {
 			default: // table readers
 				gpv := make([]int, len(m.Synopses))
 				for i := 0; i < len(windows); i++ {
-					if _, err := m.Coordinator().Counter(gpv, i%8); err != nil {
+					if _, _, err := m.Coordinator().NewSession().Predict(gpv); err != nil {
 						t.Error(err)
 						return
 					}

@@ -5,25 +5,20 @@ import (
 	"testing"
 
 	"hpcap/internal/core"
-	"hpcap/internal/featsel"
 	"hpcap/internal/ml/bayes"
 	"hpcap/internal/predictor"
-	"hpcap/internal/synopsis"
 )
 
 func TestDefaultConfigValid(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.Learner = bayes.TANLearner()
+	cfg := core.Config{Learner: bayes.TANLearner()}
 	if errs := cfg.Validate(); len(errs) > 0 {
-		t.Fatalf("DefaultConfig + learner invalid: %v", errs)
+		t.Fatalf("zero Config + learner invalid: %v", errs)
 	}
 }
 
 func TestConfigValidateErrors(t *testing.T) {
 	base := func() core.Config {
-		cfg := core.DefaultConfig()
-		cfg.Learner = bayes.TANLearner()
-		return cfg
+		return core.Config{Learner: bayes.TANLearner()}
 	}
 	tests := []struct {
 		name   string
@@ -31,9 +26,6 @@ func TestConfigValidateErrors(t *testing.T) {
 	}{
 		{"missing learner", func(c *core.Config) { c.Learner.New = nil }},
 		{"bad coordinator", func(c *core.Config) { c.Coordinator = predictor.Config{HistoryBits: 13} }},
-		{"bad synopsis selection", func(c *core.Config) {
-			c.Synopsis = synopsis.Config{Selection: featsel.Config{Folds: 1}}
-		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 
-	"hpcap/internal/featsel"
 	"hpcap/internal/metrics"
 	"hpcap/internal/ml"
 	"hpcap/internal/parallel"
@@ -69,16 +68,11 @@ type Config struct {
 	// Learner builds the synopses; zero value is invalid — callers pick
 	// one of the four (the paper recommends TAN).
 	Learner ml.Learner
-	// Synopsis tunes attribute selection.
-	Synopsis synopsis.Config
+	// Seed shuffles attribute selection's cross-validation folds.
+	Seed int64
 	// Coordinator tunes the two-level predictor (h=3, δ=5, optimistic by
 	// default, as in §V.C).
 	Coordinator predictor.Config
-	// TrainPasses is how many passes over the training traces the
-	// coordinated predictor takes; zero selects 12. The GPT×LHT cells
-	// partition the training instances finely, so saturating counters
-	// need several passes to accumulate past the ±δ confidence band.
-	TrainPasses int
 	// Workers bounds the goroutines building the (training set × tier)
 	// synopses, which are independent of each other; values below 2 train
 	// sequentially. The result is identical either way — synopses are
@@ -86,33 +80,19 @@ type Config struct {
 	Workers int
 }
 
-// DefaultConfig returns the training knobs at their defaults. Learner
-// stays zero — there is no default learner; callers pick one of the
-// four (the paper recommends TAN).
-func DefaultConfig() Config {
-	return Config{TrainPasses: 12}
-}
+// trainPasses is how many passes over the training traces the coordinated
+// predictor takes. The GPT×LHT cells partition the training instances
+// finely, so saturating counters need several passes to accumulate past
+// the ±δ confidence band.
+const trainPasses = 12
 
-// withDefaults resolves zero fields to DefaultConfig.
-func (c Config) withDefaults() Config {
-	if c.TrainPasses <= 0 {
-		c.TrainPasses = DefaultConfig().TrainPasses
-	}
-	return c
-}
-
-// Validate applies defaults first, then returns one error per violated
-// constraint, each wrapping ErrBadConfig. The nested synopsis and
-// coordinator configs are validated too, their violations wrapped so
-// one errors.Is check covers the whole training configuration.
+// Validate returns one error per violated constraint, each wrapping
+// ErrBadConfig. The coordinator config is validated too, its violations
+// wrapped so one errors.Is check covers the whole training configuration.
 func (c Config) Validate() []error {
-	c = c.withDefaults()
 	var errs []error
 	if c.Learner.New == nil {
 		errs = append(errs, fmt.Errorf("core: %w: Config.Learner is required", ErrBadConfig))
-	}
-	for _, err := range c.Synopsis.Validate() {
-		errs = append(errs, fmt.Errorf("core: %w: %v", ErrBadConfig, err))
 	}
 	for _, err := range c.Coordinator.Validate() {
 		errs = append(errs, fmt.Errorf("core: %w: %v", ErrBadConfig, err))
@@ -140,8 +120,6 @@ func Train(level metrics.Level, names []string, sets []TrainingSet, cfg Config) 
 	if len(sets) == 0 {
 		return nil, fmt.Errorf("core: %w: no training sets", ErrBadConfig)
 	}
-	passes := cfg.withDefaults().TrainPasses
-
 	m := &Monitor{Level: level, dim: len(names)}
 	buildOne := func(set TrainingSet, tier server.TierID) (*synopsis.Synopsis, error) {
 		d := ml.NewDataset(names)
@@ -150,7 +128,7 @@ func Train(level metrics.Level, names []string, sets []TrainingSet, cfg Config) 
 				return nil, fmt.Errorf("core: training set %s: %w", set.Workload, err)
 			}
 		}
-		syn, err := synopsis.Build(set.Workload, tier, level, cfg.Learner, d, cfg.Synopsis)
+		syn, err := synopsis.Build(set.Workload, tier, level, cfg.Learner, d, cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("core: build synopsis %s/%s: %w", set.Workload, tier, err)
 		}
@@ -184,7 +162,7 @@ func Train(level metrics.Level, names []string, sets []TrainingSet, cfg Config) 
 	m.coordinator = coord
 	var scr ml.Scratch
 	gpv := make([]int, len(m.Synopses))
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < trainPasses; pass++ {
 		for _, set := range sets {
 			sess := coord.NewSession()
 			for _, w := range set.Windows {
@@ -396,12 +374,6 @@ func (m *Monitor) Coordinator() *predictor.Predictor { return m.coordinator }
 // InputDim is the per-tier metric-vector length the monitor was trained
 // on (zero on a hand-assembled monitor, which disables validation).
 func (m *Monitor) InputDim() int { return m.dim }
-
-// DefaultSynopsisConfig returns the paper's synopsis construction settings
-// with a deterministic seed.
-func DefaultSynopsisConfig(seed int64) synopsis.Config {
-	return synopsis.Config{Selection: featsel.Config{Seed: seed}}
-}
 
 // CompiledSession is Session.
 //

@@ -59,8 +59,8 @@ func TestTrainValidation(t *testing.T) {
 func TestTrainAndPredictEndToEnd(t *testing.T) {
 	sets, names := syntheticSets(80, 2)
 	m, err := core.Train(metrics.LevelHPC, names, sets, core.Config{
-		Learner:  bayes.NaiveLearner(),
-		Synopsis: core.DefaultSynopsisConfig(1),
+		Learner: bayes.NaiveLearner(),
+		Seed:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +103,8 @@ func TestTrainAndPredictEndToEnd(t *testing.T) {
 func TestSynopsisByKey(t *testing.T) {
 	sets, names := syntheticSets(40, 3)
 	m, err := core.Train(metrics.LevelOS, names, sets, core.Config{
-		Learner:  bayes.NaiveLearner(),
-		Synopsis: core.DefaultSynopsisConfig(1),
+		Learner: bayes.NaiveLearner(),
+		Seed:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,12 +124,11 @@ func TestSynopsisByKey(t *testing.T) {
 func TestMonitorFeedbackAdapts(t *testing.T) {
 	sets, names := syntheticSets(80, 4)
 	m, err := core.Train(metrics.LevelHPC, names, sets, core.Config{
-		Learner:  bayes.NaiveLearner(),
-		Synopsis: core.DefaultSynopsisConfig(1),
+		Learner: bayes.NaiveLearner(),
+		Seed:    1,
 		// A wide uncertainty band: predictions start at the optimistic
 		// default and must be steered out of the band by online feedback.
-		Coordinator: predictor.Config{Delta: 32, CounterMax: 64},
-		TrainPasses: 1,
+		Coordinator: predictor.Config{Delta: 32},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,8 +204,8 @@ func TestSentinelErrors(t *testing.T) {
 
 	// A trained monitor rejects observations of the wrong width.
 	m, err := core.Train(metrics.LevelHPC, names, sets, core.Config{
-		Learner:  bayes.NaiveLearner(),
-		Synopsis: core.DefaultSynopsisConfig(1),
+		Learner: bayes.NaiveLearner(),
+		Seed:    1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -37,8 +37,8 @@ func monitorFor(t testing.TB, learner ml.Learner) *core.Monitor {
 		sets, names := syntheticSets(60, 11)
 		for _, l := range learners {
 			m, err := core.Train(metrics.LevelHPC, names, sets, core.Config{
-				Learner:  l,
-				Synopsis: core.DefaultSynopsisConfig(11),
+				Learner: l,
+				Seed:    11,
 			})
 			if err != nil {
 				panic(err)

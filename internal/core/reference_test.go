@@ -23,8 +23,8 @@ func learnerTranscript(t *testing.T, learner ml.Learner) string {
 	t.Helper()
 	sets, names := syntheticSets(60, 11)
 	m, err := core.Train(metrics.LevelHPC, names, sets, core.Config{
-		Learner:  learner,
-		Synopsis: core.DefaultSynopsisConfig(11),
+		Learner: learner,
+		Seed:    11,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -92,7 +92,7 @@ func (c *Collector) Collect(s server.Snapshot, dt float64) []float64 {
 	return c.CollectTo(c.vecs.Carve(NumMetrics), s, dt)
 }
 
-// CollectTo derives the counter metrics into dst (metrics.AppendCollector),
+// CollectTo derives the counter metrics into dst (metrics.Collector),
 // reallocating only when dst is too small.
 func (c *Collector) CollectTo(dst []float64, s server.Snapshot, dt float64) []float64 {
 	ts := s.Tiers[c.tier]

@@ -43,9 +43,6 @@ func (ph *PageHinkley) Add(x float64) bool {
 // Stat returns the current test statistic m_t − min m.
 func (ph *PageHinkley) Stat() float64 { return ph.cum - ph.min }
 
-// N returns how many values the test has absorbed since the last reset.
-func (ph *PageHinkley) N() int { return ph.n }
-
 // Reset clears the test to its initial state.
 func (ph *PageHinkley) Reset() {
 	ph.n, ph.mean, ph.cum, ph.min = 0, 0, 0, 0

@@ -20,8 +20,8 @@ func TestPageHinkleyQuietOnStationary(t *testing.T) {
 			t.Fatalf("signal on stationary stream at window %d (stat %.3f)", i, ph.Stat())
 		}
 	}
-	if ph.N() != 500 {
-		t.Fatalf("N = %d, want 500", ph.N())
+	if ph.n != 500 {
+		t.Fatalf("N = %d, want 500", ph.n)
 	}
 }
 
@@ -48,8 +48,8 @@ func TestPageHinkleyFiresOnShift(t *testing.T) {
 		t.Errorf("fired after %d error windows, want within [25, 80]", fired)
 	}
 	ph.Reset()
-	if ph.N() != 0 || ph.Stat() != 0 {
-		t.Errorf("reset left N=%d stat=%.3f", ph.N(), ph.Stat())
+	if ph.n != 0 || ph.Stat() != 0 {
+		t.Errorf("reset left N=%d stat=%.3f", ph.n, ph.Stat())
 	}
 }
 
@@ -60,8 +60,8 @@ func TestPageHinkleyIgnoresNonFinite(t *testing.T) {
 			t.Fatalf("signal on non-finite input %v", x)
 		}
 	}
-	if ph.N() != 0 {
-		t.Fatalf("non-finite inputs were counted: N=%d", ph.N())
+	if ph.n != 0 {
+		t.Fatalf("non-finite inputs were counted: N=%d", ph.n)
 	}
 }
 

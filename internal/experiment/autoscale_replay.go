@@ -138,7 +138,7 @@ func (l *Lab) runAutoscaleReplay(workers int, f front) (*AutoscaleReplay, error)
 			s := wire.Sample{Time: snap.Time}
 			for tier := range s.Vecs {
 				// The sharded pipeline queues samples; hand it an owned copy.
-				s.Vecs[tier] = append([]float64(nil), coll[tier].Collect(snap, 1)...)
+				s.Vecs[tier] = coll[tier].CollectTo(nil, snap, 1)
 			}
 			return s
 		}

@@ -29,7 +29,7 @@ func selectionResults(t *testing.T) string {
 					t.Fatalf("Dataset(%s/%s/%s): %v", mix.Name, tier, level, err)
 				}
 				for _, learner := range Learners() {
-					res, err := featsel.Select(learner, d, selection(l.Seed))
+					res, err := featsel.Select(learner, d, l.Seed)
 					if err != nil {
 						t.Fatalf("Select(%s/%s/%s/%s): %v",
 							mix.Name, tier, level, learner.Name, err)

@@ -49,7 +49,7 @@ func (l *Lab) trainMonitor(level metrics.Level, coordCfg predictor.Config, learn
 	}
 	return core.Train(level, MetricNames(level), sets, core.Config{
 		Learner:     learner,
-		Synopsis:    core.DefaultSynopsisConfig(l.Seed),
+		Seed:        l.Seed,
 		Coordinator: coordCfg,
 	})
 }

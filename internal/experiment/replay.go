@@ -97,9 +97,9 @@ func (l *Lab) newReplay(workers int, f front) (*replay, error) {
 // and of every retrain candidate (1).
 func (r *replay) trainConfig(seed int64) core.Config {
 	return core.Config{
-		Learner:  bayes.TANLearner(),
-		Synopsis: core.DefaultSynopsisConfig(r.Seed + seed),
-		Workers:  r.workers,
+		Learner: bayes.TANLearner(),
+		Seed:    r.Seed + seed,
+		Workers: r.workers,
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"hpcap/internal/featsel"
 	"hpcap/internal/metrics"
 	"hpcap/internal/ml"
 	"hpcap/internal/ml/bayes"
@@ -50,8 +49,7 @@ func (l *Lab) BuildSynopsis(mix tpcw.Mix, tier server.TierID, level metrics.Leve
 	if err != nil {
 		return nil, err
 	}
-	return synopsis.Build(mix.Name, tier, level, learner, d,
-		synopsis.Config{Selection: selection(l.Seed)})
+	return synopsis.Build(mix.Name, tier, level, learner, d, l.Seed)
 }
 
 // EvaluateSynopsis scores a synopsis on a test trace.
@@ -128,9 +126,4 @@ func (l *Lab) RunTable1(testKind TestKind) (*Table, error) {
 		t.Add([]string{sp.mix.Name, sp.tier.String()}, cells[i:i+len(t.Cols)]...)
 	}
 	return t, nil
-}
-
-// selection returns the standard attribute-selection config.
-func selection(seed int64) featsel.Config {
-	return featsel.Config{Seed: seed}
 }

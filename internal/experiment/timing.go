@@ -62,8 +62,7 @@ func timeLearner(learner ml.Learner, d *ml.Dataset, seed int64) (timingRow, erro
 	var build time.Duration
 	for i := range 3 {
 		start := time.Now()
-		s, err := synopsis.Build("timing", server.TierApp, metrics.LevelHPC, learner, d,
-			synopsis.Config{Selection: selection(seed)})
+		s, err := synopsis.Build("timing", server.TierApp, metrics.LevelHPC, learner, d, seed)
 		if err != nil {
 			return timingRow{}, err
 		}

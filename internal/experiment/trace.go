@@ -184,8 +184,8 @@ type recordingCollector struct {
 	rec [][]float64
 }
 
-func (r *recordingCollector) Collect(s server.Snapshot, dt float64) []float64 {
-	v := r.Collector.Collect(s, dt)
+func (r *recordingCollector) CollectTo(dst []float64, s server.Snapshot, dt float64) []float64 {
+	v := r.Collector.CollectTo(dst, s, dt)
 	r.rec = append(r.rec, append([]float64(nil), v...))
 	return v
 }

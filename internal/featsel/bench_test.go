@@ -16,7 +16,7 @@ func BenchmarkFeatselSelect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Select(bayes.TANLearner(), d, Config{Seed: 1}); err != nil {
+		if _, err := Select(bayes.TANLearner(), d, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -28,7 +28,7 @@ func BenchmarkFeatselRank(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RankByInformationGain(d, 10); err != nil {
+		if _, err := RankByInformationGain(d); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,75 +8,29 @@ package featsel
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 
 	"hpcap/internal/ml"
 	"hpcap/internal/stats"
 )
 
-// Config tunes the selection loop.
-type Config struct {
-	// MaxAttrs caps the number of selected attributes (the paper keeps
-	// synopses small); zero selects 8.
-	MaxAttrs int
-	// Folds is the cross-validation fold count; zero selects 10, as in
-	// the paper.
-	Folds int
-	// MinGain is the minimum CV balanced-accuracy improvement required to
-	// keep a newly added attribute; zero selects 0.01 (additions must buy
-	// real accuracy, or synopses overfit the training workload).
-	MinGain float64
-	// Patience is how many consecutive non-improving candidates to try
-	// before stopping; zero selects 3.
-	Patience int
-	// Bins is the discretization granularity for information gain; zero
-	// selects 10.
-	Bins int
-	// Seed drives fold shuffling.
-	Seed int64
-}
-
-// DefaultConfig returns the paper's selection settings: at most 8
-// attributes, 10-fold cross validation, 10 discretization bins.
-func DefaultConfig() Config {
-	return Config{MaxAttrs: 8, Folds: 10, MinGain: 0.01, Patience: 3, Bins: 10}
-}
-
-func (c Config) withDefaults() Config {
-	def := DefaultConfig()
-	if c.MaxAttrs <= 0 {
-		c.MaxAttrs = def.MaxAttrs
-	}
-	if c.Folds <= 0 {
-		c.Folds = def.Folds
-	}
-	if c.MinGain <= 0 {
-		c.MinGain = def.MinGain
-	}
-	if c.Patience <= 0 {
-		c.Patience = def.Patience
-	}
-	if c.Bins <= 0 {
-		c.Bins = def.Bins
-	}
-	return c
-}
-
-// Validate applies defaults first, then returns one error per violated
-// constraint. Like predictor, this package sits below core in the
-// import graph, so the errors carry no shared sentinel.
-func (c Config) Validate() []error {
-	c = c.withDefaults()
-	var errs []error
-	if c.Folds < 2 {
-		errs = append(errs, fmt.Errorf("featsel: %d folds, cross validation needs >= 2", c.Folds))
-	}
-	if c.Bins < 2 {
-		errs = append(errs, fmt.Errorf("featsel: %d bins, discretization needs >= 2", c.Bins))
-	}
-	return errs
-}
+// The paper's selection settings.
+const (
+	// maxAttrs caps the number of selected attributes (the paper keeps
+	// synopses small).
+	maxAttrs = 8
+	// folds is the cross-validation fold count, as in the paper.
+	folds = 10
+	// minGain is the minimum CV balanced-accuracy improvement required to
+	// keep a newly added attribute: additions must buy real accuracy, or
+	// synopses overfit the training workload.
+	minGain = 0.01
+	// patience is how many consecutive non-improving candidates to try
+	// before stopping.
+	patience = 3
+	// bins is the discretization granularity for information gain.
+	bins = 10
+)
 
 // Ranked is one attribute with its information gain.
 type Ranked struct {
@@ -88,12 +42,9 @@ type Ranked struct {
 // information gain with the class variable, computed on equal-frequency
 // discretized values. Every column is gathered and binned once, through
 // reused scratch buffers.
-func RankByInformationGain(d *ml.Dataset, bins int) ([]Ranked, error) {
+func RankByInformationGain(d *ml.Dataset) ([]Ranked, error) {
 	if d.Len() == 0 {
 		return nil, ml.ErrNoData
-	}
-	if bins <= 1 {
-		bins = 10
 	}
 	out := make([]Ranked, 0, d.NumAttrs())
 	col := make([]float64, d.Len())
@@ -123,26 +74,23 @@ type Result struct {
 
 // Select runs the paper's iterative wrapper: walk candidates in information
 // gain order, adding each attribute and keeping it only if the learner's
-// cross-validated balanced accuracy improves.
+// cross-validated balanced accuracy improves. The seed drives fold
+// shuffling.
 //
 // The stratified folds are computed once and reused for every candidate
 // evaluation: they depend only on the labels and the seed, never on the
 // projected attributes, so the scores are identical to stratifying per
 // candidate — at a tenth of the partitioning work. Candidate projections
 // are zero-copy column views of d.
-func Select(l ml.Learner, d *ml.Dataset, cfg Config) (Result, error) {
-	if errs := cfg.Validate(); len(errs) > 0 {
-		return Result{}, errors.Join(errs...)
-	}
-	cfg = cfg.withDefaults()
-	if d.Len() < cfg.Folds {
+func Select(l ml.Learner, d *ml.Dataset, seed int64) (Result, error) {
+	if d.Len() < folds {
 		return Result{}, errors.New("featsel: too few instances for cross validation")
 	}
-	ranked, err := RankByInformationGain(d, cfg.Bins)
+	ranked, err := RankByInformationGain(d)
 	if err != nil {
 		return Result{}, err
 	}
-	folds, err := ml.StratifiedFolds(d, cfg.Folds, cfg.Seed)
+	parts, err := ml.StratifiedFolds(d, folds, seed)
 	if err != nil {
 		return Result{}, err
 	}
@@ -151,7 +99,7 @@ func Select(l ml.Learner, d *ml.Dataset, cfg Config) (Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		return ml.CrossValidateFolds(l, proj, folds)
+		return ml.CrossValidateFolds(l, proj, parts)
 	}
 
 	var selected []int
@@ -162,10 +110,10 @@ func Select(l ml.Learner, d *ml.Dataset, cfg Config) (Result, error) {
 	best := 0.5 // balanced accuracy of an empty (constant) synopsis
 	misses := 0
 	for _, cand := range ranked {
-		if len(selected) >= cfg.MaxAttrs {
+		if len(selected) >= maxAttrs {
 			break
 		}
-		if misses >= cfg.Patience && len(selected) > 0 {
+		if misses >= patience && len(selected) > 0 {
 			break
 		}
 		trial := append(append(make([]int, 0, len(selected)+1), selected...), cand.Attr)
@@ -176,7 +124,7 @@ func Select(l ml.Learner, d *ml.Dataset, cfg Config) (Result, error) {
 		if len(selected) == 0 {
 			singleCV[cand.Attr] = cv
 		}
-		if cv >= best+cfg.MinGain {
+		if cv >= best+minGain {
 			selected = trial
 			best = cv
 			misses = 0

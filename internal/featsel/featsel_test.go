@@ -11,7 +11,7 @@ import (
 func TestRankByInformationGain(t *testing.T) {
 	// Attributes 0 and 1 are informative; the rest are noise.
 	d := mltest.NoisyGaussians(300, 8, 2, 3, 1)
-	ranked, err := RankByInformationGain(d, 10)
+	ranked, err := RankByInformationGain(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +36,14 @@ func TestRankByInformationGain(t *testing.T) {
 }
 
 func TestRankEmptyDataset(t *testing.T) {
-	if _, err := RankByInformationGain(ml.NewDataset([]string{"a"}), 10); err != ml.ErrNoData {
+	if _, err := RankByInformationGain(ml.NewDataset([]string{"a"})); err != ml.ErrNoData {
 		t.Errorf("err = %v, want ErrNoData", err)
 	}
 }
 
 func TestSelectPrefersInformativeAttrs(t *testing.T) {
 	d := mltest.NoisyGaussians(300, 10, 2, 3, 2)
-	res, err := Select(bayes.NaiveLearner(), d, Config{Seed: 1})
+	res, err := Select(bayes.NaiveLearner(), d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,19 +60,21 @@ func TestSelectPrefersInformativeAttrs(t *testing.T) {
 	if res.CV < 0.85 {
 		t.Errorf("final CV = %v, want ≥0.85", res.CV)
 	}
-	if len(res.Attrs) > 8 {
-		t.Errorf("selected %d attributes, exceeds default cap", len(res.Attrs))
+	if len(res.Attrs) > maxAttrs {
+		t.Errorf("selected %d attributes, exceeds the cap of %d", len(res.Attrs), maxAttrs)
 	}
 }
 
 func TestSelectRespectsMaxAttrs(t *testing.T) {
-	d := mltest.NoisyGaussians(200, 10, 6, 2, 3)
-	res, err := Select(bayes.NaiveLearner(), d, Config{MaxAttrs: 2, Seed: 1})
+	// Sixteen weak informative attributes: each one still buys accuracy,
+	// so only the cap stops the selection.
+	d := mltest.NoisyGaussians(400, 20, 16, 0.8, 3)
+	res, err := Select(bayes.NaiveLearner(), d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Attrs) > 2 {
-		t.Errorf("selected %d attributes, want ≤2", len(res.Attrs))
+	if len(res.Attrs) != maxAttrs {
+		t.Errorf("selected %d attributes, want the cap of %d", len(res.Attrs), maxAttrs)
 	}
 }
 
@@ -80,7 +82,7 @@ func TestSelectFallsBackOnUselessData(t *testing.T) {
 	// Pure noise: nothing improves CV, but selection must still return
 	// one attribute so a synopsis has an input.
 	d := mltest.NoisyGaussians(100, 5, 0, 0, 4)
-	res, err := Select(bayes.NaiveLearner(), d, Config{Seed: 1})
+	res, err := Select(bayes.NaiveLearner(), d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,18 +98,18 @@ func TestSelectFallsBackOnUselessData(t *testing.T) {
 
 func TestSelectTooFewInstances(t *testing.T) {
 	d := mltest.LinearlySeparable(5, 0.3, 1)
-	if _, err := Select(bayes.NaiveLearner(), d, Config{Folds: 10}); err == nil {
+	if _, err := Select(bayes.NaiveLearner(), d, 1); err == nil {
 		t.Error("too-few-instances not rejected")
 	}
 }
 
 func TestSelectDeterministic(t *testing.T) {
 	d := mltest.NoisyGaussians(200, 8, 2, 2.5, 5)
-	a, err := Select(bayes.TANLearner(), d, Config{Seed: 9})
+	a, err := Select(bayes.TANLearner(), d, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Select(bayes.TANLearner(), d, Config{Seed: 9})
+	b, err := Select(bayes.TANLearner(), d, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

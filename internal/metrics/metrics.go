@@ -61,20 +61,13 @@ func LevelByName(name string) (Level, bool) {
 func Levels() []Level { return []Level{LevelOS, LevelHPC, LevelCombined} }
 
 // Collector converts one interval of testbed telemetry into a metric
-// vector. Both osstat.Collector and cpu.Collector satisfy it.
+// vector. Both osstat.Collector and cpu.Collector satisfy it. CollectTo
+// writes the vector into dst (reallocating only when dst is too small)
+// and returns it, so a caller that feeds the same scratch buffer back
+// every second — the aggregator does — pays no vector allocation.
 type Collector interface {
 	Tier() server.TierID
 	Names() []string
-	Collect(s server.Snapshot, dt float64) []float64
-}
-
-// AppendCollector is an optional Collector extension for the per-second hot
-// path: CollectTo writes the metric vector into dst (reallocating only when
-// dst is too small) and returns it. The aggregator feeds the same scratch
-// buffer back every push, so a window costs zero vector allocations instead
-// of one per second. The returned slice is only valid until the next call.
-type AppendCollector interface {
-	Collector
 	CollectTo(dst []float64, s server.Snapshot, dt float64) []float64
 }
 
@@ -109,7 +102,6 @@ type Sample struct {
 // Aggregator folds per-second collector vectors into window Samples.
 type Aggregator struct {
 	collector Collector
-	appender  AppendCollector // non-nil when collector supports scratch reuse
 	scratch   []float64
 	window    int
 
@@ -124,10 +116,8 @@ func NewAggregator(c Collector, window int) (*Aggregator, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("metrics: window must be positive, got %d", window)
 	}
-	ac, _ := c.(AppendCollector)
 	return &Aggregator{
 		collector: c,
-		appender:  ac,
 		window:    window,
 		sum:       make([]float64, len(c.Names())),
 	}, nil
@@ -162,14 +152,8 @@ func (a *Aggregator) Names() []string {
 // Push feeds one interval of telemetry (of length dt seconds). When the
 // window fills, it returns the aggregated Sample and true, and resets.
 func (a *Aggregator) Push(s server.Snapshot, dt float64) (Sample, bool) {
-	var vec []float64
-	if a.appender != nil {
-		a.scratch = a.appender.CollectTo(a.scratch, s, dt)
-		vec = a.scratch
-	} else {
-		vec = a.collector.Collect(s, dt)
-	}
-	return a.push(vec, s.Time)
+	a.scratch = a.collector.CollectTo(a.scratch, s, dt)
+	return a.push(a.scratch, s.Time)
 }
 
 // PushValues folds one pre-collected 1-second vector into the window,

@@ -22,9 +22,6 @@ func TestCollectorInterfaceCompliance(t *testing.T) {
 	cfg := server.DefaultConfig()
 	var _ Collector = cpu.NewCollector(server.TierApp, cfg.App.Machine, 0, 1)
 	var _ Collector = osstat.NewCollector(server.TierDB, 1024, 0, 1)
-	// Both real collectors support the zero-allocation aggregation path.
-	var _ AppendCollector = cpu.NewCollector(server.TierApp, cfg.App.Machine, 0, 1)
-	var _ AppendCollector = osstat.NewCollector(server.TierDB, 1024, 0, 1)
 }
 
 // TestCollectToMatchesCollect pins the scratch path to the allocating path:

@@ -7,19 +7,12 @@ import (
 
 // FallibleCollector is a Collector whose reads can fail transiently — a
 // PMU driver returning EAGAIN, a /proc scrape racing a reboot, a metrics
-// transport timing out. TryCollect returns the vector or an error;
-// Collect (from the embedded Collector contract) must still succeed by
+// transport timing out. TryCollectTo writes the vector into dst
+// (reallocating only when dst is too small) or returns an error;
+// CollectTo (from the embedded Collector contract) must still succeed by
 // whatever fallback the implementation chooses.
 type FallibleCollector interface {
 	Collector
-	TryCollect(s server.Snapshot, dt float64) ([]float64, error)
-}
-
-// FallibleAppendCollector is the AppendCollector extension of a
-// FallibleCollector: TryCollectTo is TryCollect writing into dst
-// (reallocating only when dst is too small).
-type FallibleAppendCollector interface {
-	FallibleCollector
 	TryCollectTo(dst []float64, s server.Snapshot, dt float64) ([]float64, error)
 }
 
@@ -67,15 +60,14 @@ func (r *RetryCollector) Collect(s server.Snapshot, dt float64) []float64 {
 	return r.CollectTo(r.vecs.Carve(len(r.src.Names())), s, dt)
 }
 
-// CollectTo is Collect into dst (AppendCollector), reallocating only when
-// dst is too small. A source that is a FallibleAppendCollector writes
-// into dst itself; any other source's vector is copied there.
+// CollectTo is Collect into dst, reallocating only when dst is too small;
+// the source writes into dst itself.
 func (r *RetryCollector) CollectTo(dst []float64, s server.Snapshot, dt float64) []float64 {
 	for attempt := 0; attempt <= r.MaxRetries; attempt++ {
 		if attempt > 0 {
 			r.retries++
 		}
-		v, err := r.try(dst, s, dt)
+		v, err := r.src.TryCollectTo(dst, s, dt)
 		if err == nil {
 			r.last = append(r.last[:0], v...)
 			return v
@@ -86,18 +78,6 @@ func (r *RetryCollector) CollectTo(dst []float64, s server.Snapshot, dt float64)
 		return append(dst[:0], make([]float64, len(r.src.Names()))...)
 	}
 	return append(dst[:0], r.last...)
-}
-
-// try makes one read attempt into dst.
-func (r *RetryCollector) try(dst []float64, s server.Snapshot, dt float64) ([]float64, error) {
-	if ac, ok := r.src.(FallibleAppendCollector); ok {
-		return ac.TryCollectTo(dst, s, dt)
-	}
-	v, err := r.src.TryCollect(s, dt)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst[:0], v...), nil
 }
 
 // Retries returns how many extra attempts were made; Failures how many

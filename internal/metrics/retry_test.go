@@ -18,19 +18,19 @@ type scriptedCollector struct {
 
 func (c *scriptedCollector) Tier() server.TierID { return server.TierApp }
 func (c *scriptedCollector) Names() []string     { return []string{"a", "b"} }
-func (c *scriptedCollector) Collect(s server.Snapshot, dt float64) []float64 {
-	v, err := c.TryCollect(s, dt)
+func (c *scriptedCollector) CollectTo(dst []float64, s server.Snapshot, dt float64) []float64 {
+	v, err := c.TryCollectTo(dst, s, dt)
 	if err != nil {
-		return make([]float64, 2)
+		return append(dst[:0], 0, 0)
 	}
 	return v
 }
-func (c *scriptedCollector) TryCollect(server.Snapshot, float64) ([]float64, error) {
+func (c *scriptedCollector) TryCollectTo(dst []float64, _ server.Snapshot, _ float64) ([]float64, error) {
 	c.reads++
 	if c.reads <= c.failN {
 		return nil, errors.New("scripted failure")
 	}
-	return c.v, nil
+	return append(dst[:0], c.v...), nil
 }
 
 func TestRetryCollectorRecoversWithinBudget(t *testing.T) {

@@ -171,14 +171,14 @@ func TestTANCustomBins(t *testing.T) {
 	if err := c.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	if ba := ml.Evaluate(c, d).BalancedAccuracy(); ba < 0.85 {
+	if ba := mltest.Evaluate(c, d).BalancedAccuracy(); ba < 0.85 {
 		t.Errorf("3-bin TAN BA = %v, want ≥0.85", ba)
 	}
 }
 
 func TestNaiveCrossValidation(t *testing.T) {
 	d := mltest.NoisyGaussians(200, 10, 2, 2.5, 17)
-	ba, err := ml.CrossValidate(NaiveLearner(), d, 10, 2)
+	ba, err := mltest.CrossValidate(NaiveLearner(), d, 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

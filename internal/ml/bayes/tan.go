@@ -149,20 +149,6 @@ func logLaplace(counts []float64, n int) {
 	}
 }
 
-// Parents exposes the learned tree structure (parent attribute per
-// attribute; -1 for the root). It is nil before Fit.
-func (t *TAN) Parents() []int {
-	if t.parent == nil {
-		return nil
-	}
-	out := make([]int, len(t.parent))
-	for j, pj := range t.parent {
-		out[j] = int(pj)
-	}
-	out[t.root] = -1
-	return out
-}
-
 // Predict returns the maximum-posterior class; 0 before Fit.
 func (t *TAN) Predict(x []float64, s *ml.Scratch) int {
 	if t.rootScore == nil {

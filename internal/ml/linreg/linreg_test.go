@@ -63,7 +63,7 @@ func TestCollinearAttributesHandled(t *testing.T) {
 	if err := c.Fit(d); err != nil {
 		t.Fatalf("collinear fit failed: %v", err)
 	}
-	if ba := ml.Evaluate(c, d).BalancedAccuracy(); ba < 0.9 {
+	if ba := mltest.Evaluate(c, d).BalancedAccuracy(); ba < 0.9 {
 		t.Errorf("collinear BA = %v, want ≥0.9", ba)
 	}
 }
@@ -84,7 +84,7 @@ func TestScoreMonotoneAlongDiscriminant(t *testing.T) {
 
 func TestCrossValidationOnNoisyData(t *testing.T) {
 	d := mltest.NoisyGaussians(200, 6, 2, 2.5, 11)
-	ba, err := ml.CrossValidate(Learner(), d, 10, 3)
+	ba, err := mltest.CrossValidate(Learner(), d, 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,11 +117,6 @@ func (d *Dataset) ClassCounts() (n0, n1 int) {
 	return n0, n1
 }
 
-// Column returns a copy of one attribute column.
-func (d *Dataset) Column(j int) []float64 {
-	return d.ColumnTo(make([]float64, len(d.x)), j)
-}
-
 // ColumnTo gathers one attribute column into buf (grown as needed) and
 // returns it.
 func (d *Dataset) ColumnTo(buf []float64, j int) []float64 {
@@ -210,15 +205,6 @@ func (c *Confusion) Add(truth, pred int) {
 	}
 }
 
-// Accuracy returns plain accuracy; 0 if empty.
-func (c Confusion) Accuracy() float64 {
-	total := c.TP + c.TN + c.FP + c.FN
-	if total == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(total)
-}
-
 // BalancedAccuracy returns the mean of the true-positive and true-negative
 // rates — the paper's evaluation metric (§IV.A). If one class is absent
 // from the truth, the other class's rate is reported alone so that a
@@ -238,18 +224,6 @@ func (c Confusion) BalancedAccuracy() float64 {
 		tnr := float64(c.TN) / float64(neg)
 		return (tpr + tnr) / 2
 	}
-}
-
-// Evaluate trains nothing: it runs a fitted classifier over a test set and
-// returns the confusion matrix.
-func Evaluate(c Classifier, test *Dataset) Confusion {
-	var conf Confusion
-	var s Scratch
-	buf := make([]float64, test.NumAttrs())
-	for i := range test.Y {
-		conf.Add(test.Y[i], c.Predict(test.RowTo(buf, i), &s))
-	}
-	return conf
 }
 
 // StratifiedFolds partitions row indices into k folds preserving class
@@ -287,22 +261,13 @@ func StratifiedFolds(d *Dataset, k int, seed int64) ([][]int, error) {
 	return folds, nil
 }
 
-// CrossValidate runs stratified k-fold cross validation of the learner on
-// the dataset and returns the pooled balanced accuracy. A fold whose
-// training partition fails to fit (e.g. one-class) falls back to
-// majority-class prediction for that fold, as WEKA does.
-func CrossValidate(l Learner, d *Dataset, k int, seed int64) (float64, error) {
-	folds, err := StratifiedFolds(d, k, seed)
-	if err != nil {
-		return 0, err
-	}
-	return CrossValidateFolds(l, d, folds)
-}
-
-// CrossValidateFolds is CrossValidate over a precomputed fold partition,
-// letting callers that evaluate many views of one dataset (the attribute
-// selection wrapper) stratify once and reuse the folds — the scores are
-// identical because the folds depend only on labels and seed.
+// CrossValidateFolds runs cross validation of the learner over a fold
+// partition (StratifiedFolds) and returns the pooled balanced accuracy. A
+// fold whose training partition fails to fit (e.g. one-class) falls back
+// to majority-class prediction for that fold, as WEKA does. Callers that
+// evaluate many views of one dataset (the attribute selection wrapper)
+// stratify once and reuse the folds: the folds depend only on labels and
+// seed.
 func CrossValidateFolds(l Learner, d *Dataset, folds [][]int) (float64, error) {
 	if len(folds) < 2 {
 		return 0, fmt.Errorf("ml: need at least 2 folds, got %d", len(folds))

@@ -93,13 +93,35 @@ func OneClass(n int, label int) *ml.Dataset {
 	return d
 }
 
+// Evaluate trains nothing: it runs a fitted classifier over a test set and
+// returns the confusion matrix.
+func Evaluate(c ml.Classifier, test *ml.Dataset) ml.Confusion {
+	var conf ml.Confusion
+	var s ml.Scratch
+	buf := make([]float64, test.NumAttrs())
+	for i := range test.Y {
+		conf.Add(test.Y[i], c.Predict(test.RowTo(buf, i), &s))
+	}
+	return conf
+}
+
+// CrossValidate runs stratified k-fold cross validation of the learner on
+// the dataset and returns the pooled balanced accuracy.
+func CrossValidate(l ml.Learner, d *ml.Dataset, k int, seed int64) (float64, error) {
+	folds, err := ml.StratifiedFolds(d, k, seed)
+	if err != nil {
+		return 0, err
+	}
+	return ml.CrossValidateFolds(l, d, folds)
+}
+
 // TrainAccuracy fits the classifier and returns its balanced accuracy on
 // the training set itself.
 func TrainAccuracy(c ml.Classifier, d *ml.Dataset) (float64, error) {
 	if err := c.Fit(d); err != nil {
 		return 0, err
 	}
-	return ml.Evaluate(c, d).BalancedAccuracy(), nil
+	return Evaluate(c, d).BalancedAccuracy(), nil
 }
 
 func itoa(v int) string {

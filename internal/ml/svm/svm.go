@@ -224,9 +224,6 @@ func (c *Classifier) Fit(d *ml.Dataset) error {
 	return nil
 }
 
-// NumSupportVectors returns the size of the trained model.
-func (c *Classifier) NumSupportVectors() int { return len(c.coef) }
-
 // Decision returns the signed decision value for one instance, using s
 // for the standardized vector; 0 before Fit. x must carry at least the
 // trained attributes.
@@ -256,24 +253,6 @@ func (c *Classifier) Predict(x []float64, s *ml.Scratch) int {
 		return 1
 	}
 	return 0
-}
-
-// Alphas exposes the support-vector coefficients (for invariant tests).
-// Each is |alpha·y| with y = ±1, which is alpha exactly.
-func (c *Classifier) Alphas() []float64 {
-	out := make([]float64, len(c.coef))
-	for i, cf := range c.coef {
-		out[i] = math.Abs(cf)
-	}
-	return out
-}
-
-// EffectiveC returns the soft-margin penalty in use.
-func (c *Classifier) EffectiveC() float64 {
-	if c.C <= 0 {
-		return 1
-	}
-	return c.C
 }
 
 // rbf keeps the subtract-square ‖a−b‖² form both in Fit's kernel matrix

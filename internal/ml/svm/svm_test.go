@@ -87,7 +87,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 
 func TestSoftMarginToleratesNoise(t *testing.T) {
 	d := mltest.NoisyGaussians(300, 6, 2, 2.5, 9)
-	ba, err := ml.CrossValidate(Learner(), d, 5, 2)
+	ba, err := mltest.CrossValidate(Learner(), d, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCustomHyperparameters(t *testing.T) {
 	if err := c.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	if ba := ml.Evaluate(c, d).BalancedAccuracy(); ba < 0.95 {
+	if ba := mltest.Evaluate(c, d).BalancedAccuracy(); ba < 0.95 {
 		t.Errorf("custom-hyperparameter BA = %v, want ≥0.95", ba)
 	}
 }

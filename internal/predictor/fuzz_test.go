@@ -7,7 +7,7 @@ import (
 // FuzzPredictorUpdate drives a predictor through two sessions with an
 // arbitrary byte-encoded stream of Train/Predict/Feedback operations, including malformed GPVs and
 // labels. The predictor must never panic, must reject bad inputs with
-// errors, and every saturating counter must stay inside ±CounterMax.
+// errors, and every saturating counter must stay inside ±counterMax.
 func FuzzPredictorUpdate(f *testing.F) {
 	f.Add([]byte{0x00, 0x12, 0x34, 0x56}, 3, 2)
 	f.Add([]byte{0xff, 0xfe, 0x01, 0x80, 0x7f}, 1, 5)
@@ -15,8 +15,7 @@ func FuzzPredictorUpdate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte, m, h int) {
 		m = 1 + abs(m)%4 // 1..4 synopses
 		h = 1 + abs(h)%5 // 1..5 history bits
-		const counterMax = 16
-		p, err := New(m, 2, Config{HistoryBits: h, Delta: 3, CounterMax: counterMax})
+		p, err := New(m, 2, Config{HistoryBits: h, Delta: 3})
 		if err != nil {
 			t.Fatalf("New(%d, 2, h=%d): %v", m, h, err)
 		}

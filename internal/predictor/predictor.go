@@ -69,16 +69,15 @@ type Config struct {
 	Delta int
 	// Scheme is the tie-break; zero selects Optimistic.
 	Scheme Scheme
-	// CounterMax saturates |Hc|; zero selects 64. The counters are 32-bit
-	// fixed point, so values above 2³¹−1 clamp to 2³¹−1 (saturation keeps
-	// every reachable counter within the clamp regardless).
-	CounterMax int
 }
 
+// counterMax saturates |Hc| and every Bottleneck Vector entry.
+const counterMax = 64
+
 // DefaultConfig returns the paper's §V.C settings: h=3, δ=5, optimistic
-// tie-break, counters saturating at 64.
+// tie-break.
 func DefaultConfig() Config {
-	return Config{HistoryBits: 3, Delta: 5, Scheme: Optimistic, CounterMax: 64}
+	return Config{HistoryBits: 3, Delta: 5, Scheme: Optimistic}
 }
 
 func (c Config) withDefaults() Config {
@@ -94,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Scheme == 0 {
 		c.Scheme = def.Scheme
-	}
-	if c.CounterMax <= 0 {
-		c.CounterMax = def.CounterMax
 	}
 	return c
 }
@@ -137,7 +133,6 @@ type tables struct {
 	// struct.
 	delta       int32
 	pessimistic bool
-	counterMax  int32
 }
 
 // Predictor is the trained two-level coordinated predictor. The tables are
@@ -179,16 +174,12 @@ func New(m, tiers int, cfg Config) (*Predictor, error) {
 		tiers:       tiers,
 		delta:       clamp32(cfg.Delta),
 		pessimistic: cfg.Scheme == Pessimistic,
-		counterMax:  clamp32(cfg.CounterMax),
 	}
 	t.lht = make([]int32, gptSize<<t.hbits)
 	t.bpt = make([]int32, gptSize*tiers)
 	p.tab.Store(t)
 	return p, nil
 }
-
-// Config returns the effective configuration.
-func (p *Predictor) Config() Config { return p.cfg }
 
 // Session is one prediction stream over a shared trained Predictor: the
 // h-bit register of the stream's last coordinated predictions plus the
@@ -306,13 +297,13 @@ func (s *Session) Feedback(overload int, bottleneck int) {
 	cell := &t.lht[s.lastGPV<<t.hbits|s.lastHistory]
 	hc := atomic.LoadInt32(cell)
 	if overload == 1 {
-		if hc < t.counterMax {
+		if hc < counterMax {
 			atomic.StoreInt32(cell, hc+1)
 		}
 		if bottleneck >= 0 && bottleneck < p.tiers {
 			t.updateBPT(s.lastGPV, bottleneck)
 		}
-	} else if hc > -t.counterMax {
+	} else if hc > -counterMax {
 		atomic.StoreInt32(cell, hc-1)
 	}
 }
@@ -326,10 +317,10 @@ func (t *tables) updateBPT(idx, bottleneck int) {
 		cell := &t.bpt[base+tr]
 		v := atomic.LoadInt32(cell)
 		if tr == bottleneck {
-			if v < t.counterMax {
+			if v < counterMax {
 				atomic.StoreInt32(cell, v+1)
 			}
-		} else if v > -t.counterMax {
+		} else if v > -counterMax {
 			atomic.StoreInt32(cell, v-1)
 		}
 	}
@@ -362,10 +353,10 @@ func (s *Session) Train(gpv []int, overload int, bottleneck int) error {
 	pred := t.lambda(hc)
 	// Saturating update toward the truth.
 	if overload == 1 {
-		if hc < t.counterMax {
+		if hc < counterMax {
 			atomic.StoreInt32(cell, hc+1)
 		}
-	} else if hc > -t.counterMax {
+	} else if hc > -counterMax {
 		atomic.StoreInt32(cell, hc-1)
 	}
 	// Bottleneck vector: reinforce the true bottleneck on overloaded
@@ -388,17 +379,4 @@ func (t *tables) argmaxBottleneck(idx int) int {
 		}
 	}
 	return best
-}
-
-// Counter exposes one Hc value (for tests and diagnostics).
-func (p *Predictor) Counter(gpv []int, history int) (int, error) {
-	idx, err := p.gpvIndex(gpv)
-	if err != nil {
-		return 0, err
-	}
-	t := p.tab.Load()
-	if history < 0 || history >= 1<<t.hbits {
-		return 0, fmt.Errorf("predictor: history index %d out of range", history)
-	}
-	return int(atomic.LoadInt32(&t.lht[idx<<t.hbits|history])), nil
 }

@@ -1,7 +1,6 @@
 package predictor
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -33,7 +32,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	p := mustNew(t, 4, 2, Config{})
-	cfg := p.Config()
+	cfg := p.cfg
 	if cfg.HistoryBits != 3 || cfg.Delta != 5 || cfg.Scheme != Optimistic {
 		t.Errorf("defaults = %+v, want paper's h=3, δ=5, optimistic", cfg)
 	}
@@ -170,9 +169,9 @@ func TestDeltaUncertaintyBand(t *testing.T) {
 }
 
 func TestCounterSaturates(t *testing.T) {
-	p := mustNew(t, 1, 1, Config{CounterMax: 8, Delta: 1})
+	p := mustNew(t, 1, 1, Config{Delta: 1})
 	s := p.NewSession()
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 3*counterMax; i++ {
 		if err := s.Train([]int{1}, 1, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -184,48 +183,30 @@ func TestCounterSaturates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hc > 8 || hc < -8 {
-			t.Fatalf("Hc = %d exceeds saturation ±8", hc)
+		if hc > counterMax || hc < -counterMax {
+			t.Fatalf("Hc = %d exceeds saturation ±%d", hc, counterMax)
 		}
 	}
 }
 
 // TestFeedbackSaturates checks that online Feedback, like Train, stops
-// at ±CounterMax: one-bit history makes cell 1 take every overload update
+// at ±counterMax: one-bit history makes cell 1 take every overload update
 // and cell 0 every underload one.
 func TestFeedbackSaturates(t *testing.T) {
-	p := mustNew(t, 1, 1, Config{CounterMax: 8, Delta: 1, HistoryBits: 1})
+	p := mustNew(t, 1, 1, Config{Delta: 1, HistoryBits: 1})
 	s := p.NewSession()
-	for _, tc := range []struct{ overload, history, want int }{{1, 1, 8}, {0, 0, -8}} {
-		for i := 0; i < 100; i++ {
+	const n = 3 * counterMax
+	for _, tc := range []struct{ overload, history, want int }{{1, 1, counterMax}, {0, 0, -counterMax}} {
+		for i := 0; i < n; i++ {
 			if _, _, err := s.Predict([]int{1}); err != nil {
 				t.Fatal(err)
 			}
 			s.Feedback(tc.overload, 0)
 		}
 		if hc, err := p.Counter([]int{1}, tc.history); err != nil || hc != tc.want {
-			t.Fatalf("after 100 Feedback(%d, 0): Hc[history %d] = %d (err %v), want %d",
-				tc.overload, tc.history, hc, err, tc.want)
+			t.Fatalf("after %d Feedback(%d, 0): Hc[history %d] = %d (err %v), want %d",
+				n, tc.overload, tc.history, hc, err, tc.want)
 		}
-	}
-}
-
-func TestCounterMaxClampsToInt32(t *testing.T) {
-	// A CounterMax beyond the 32-bit cell range must clamp, not wrap: the
-	// predictor constructs fine and counters keep their sign and magnitude.
-	p := mustNew(t, 1, 1, Config{CounterMax: math.MaxInt, Delta: 1, HistoryBits: 1})
-	s := p.NewSession()
-	for i := 0; i < 50; i++ {
-		if err := s.Train([]int{1}, 1, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hc, err := p.Counter([]int{1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hc <= 0 || hc > 50 {
-		t.Fatalf("Hc = %d after 50 overload updates, want in (0, 50]", hc)
 	}
 }
 
@@ -384,7 +365,7 @@ func TestGPVIsolationProperty(t *testing.T) {
 // training sequences.
 func TestSaturationProperty(t *testing.T) {
 	f := func(seed int64, labels []bool) bool {
-		p, err := New(2, 2, Config{CounterMax: 16})
+		p, err := New(2, 2, Config{})
 		if err != nil {
 			return false
 		}
@@ -404,7 +385,7 @@ func TestSaturationProperty(t *testing.T) {
 			gpv := []int{g & 1, g >> 1}
 			for h := 0; h < 8; h++ {
 				hc, err := p.Counter(gpv, h)
-				if err != nil || hc > 16 || hc < -16 {
+				if err != nil || hc > counterMax || hc < -counterMax {
 					return false
 				}
 			}

@@ -84,19 +84,6 @@ func (s *Store) RecordSwap(site string, id, seq int64) {
 	}
 }
 
-// Active returns the site's most recently swapped-in version.
-func (s *Store) Active(site string) (Version, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	vs := s.sites[site]
-	for i := len(vs) - 1; i >= 0; i-- {
-		if vs[i].Swapped {
-			return vs[i], true
-		}
-	}
-	return Version{}, false
-}
-
 // History returns a copy of the site's full version history in build order.
 func (s *Store) History(site string) []Version {
 	s.mu.RLock()

@@ -71,9 +71,20 @@ func fixture(t testing.TB) (*experiment.Lab, *core.Monitor, *experiment.Trace, [
 	return fx.lab, fx.mon, fx.tr, fx.names
 }
 
+// active returns the site's most recently swapped-in version.
+func active(s *registry.Store, site string) (registry.Version, bool) {
+	vs := s.History(site)
+	for i := len(vs) - 1; i >= 0; i-- {
+		if vs[i].Swapped {
+			return vs[i], true
+		}
+	}
+	return registry.Version{}, false
+}
+
 func TestStoreVersioning(t *testing.T) {
 	s := registry.NewStore()
-	if _, ok := s.Active("shop"); ok {
+	if _, ok := active(s, "shop"); ok {
 		t.Fatal("empty store has an active version")
 	}
 	v0 := s.Register("shop", registry.Version{Reason: "initial", Swapped: true})
@@ -84,11 +95,11 @@ func TestStoreVersioning(t *testing.T) {
 	if v1.ID != 1 {
 		t.Fatalf("second version ID = %d, want 1", v1.ID)
 	}
-	if a, ok := s.Active("shop"); !ok || a.ID != 0 {
+	if a, ok := active(s, "shop"); !ok || a.ID != 0 {
 		t.Fatalf("active = %+v, want version 0", a)
 	}
 	s.RecordSwap("shop", 1, 42)
-	if a, ok := s.Active("shop"); !ok || a.ID != 1 || a.SwapSeq != 42 {
+	if a, ok := active(s, "shop"); !ok || a.ID != 1 || a.SwapSeq != 42 {
 		t.Fatalf("after swap active = %+v, want version 1 at seq 42", a)
 	}
 	if h := s.History("shop"); len(h) != 2 || h[0].ID != 0 || h[1].ID != 1 {
@@ -155,7 +166,7 @@ func runLifecycle(t *testing.T, cfg registry.Config, lieFrom int) (*registry.Man
 	cfg.Pipeline = pipe
 	cfg.Initial = mon
 	cfg.Names = names
-	cfg.Train = core.Config{Learner: bayes.TANLearner(), Synopsis: core.DefaultSynopsisConfig(lab.Seed)}
+	cfg.Train = core.Config{Learner: bayes.TANLearner(), Seed: lab.Seed}
 	cfg.OnEvent = func(e registry.Event) {
 		mu.Lock()
 		events = append(events, e)
@@ -261,7 +272,7 @@ func TestManagerLifecycleSync(t *testing.T) {
 	if hist[0].Reason != "initial" || !hist[0].Swapped {
 		t.Errorf("version 0 = %+v, want swapped initial", hist[0])
 	}
-	active, ok := mgr.Store().Active("s")
+	cur, ok := active(mgr.Store(), "s")
 	if !ok {
 		t.Fatal("no active version")
 	}
@@ -269,8 +280,8 @@ func TestManagerLifecycleSync(t *testing.T) {
 	if st.DriftSignals == 0 {
 		t.Error("drift signals never reached the pipeline counters")
 	}
-	if active.ID != st.ModelVersion {
-		t.Errorf("store active version %d, pipeline serving %d", active.ID, st.ModelVersion)
+	if cur.ID != st.ModelVersion {
+		t.Errorf("store active version %d, pipeline serving %d", cur.ID, st.ModelVersion)
 	}
 	if st.ModelSwaps != uint64(countSwapped(hist))-1 {
 		t.Errorf("pipeline swaps %d, store has %d swapped candidates", st.ModelSwaps, countSwapped(hist)-1)

@@ -42,8 +42,8 @@ func trainTestMonitor(t *testing.T, seed int64) *core.Monitor {
 	}
 	m, err := core.Train(metrics.LevelHPC, names,
 		[]core.TrainingSet{mk("a", 0), mk("b", 1)}, core.Config{
-			Learner:  bayes.NaiveLearner(),
-			Synopsis: core.DefaultSynopsisConfig(seed),
+			Learner: bayes.NaiveLearner(),
+			Seed:    seed,
 		})
 	if err != nil {
 		t.Fatal(err)

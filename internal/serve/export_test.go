@@ -1,6 +1,10 @@
 package serve
 
-import "hpcap/internal/core"
+import (
+	"time"
+
+	"hpcap/internal/core"
+)
 
 // FramePool reports an Ingest's decoded-frame pool: the frames on loan to
 // lanes and shards now, and every frame the pool has made.
@@ -26,3 +30,10 @@ func NewShardedGeometry(m *core.Monitor, cfg Config, shards, batch, queueBatches
 // DefaultGeometry reports the batch size and queue depth NewShardedPipeline
 // runs on.
 func DefaultGeometry() (batch, queueBatches int) { return batchSize, queueBatches }
+
+// SetNow replaces the wall clock used to stamp LastFrameAt. Reporting
+// only — nothing on the decision path reads it. Call before serving.
+func (in *Ingest) SetNow(now func() time.Time) { in.now = now }
+
+// Valid reports whether the ref came from Register.
+func (r SiteRef) Valid() bool { return r.index > 0 }

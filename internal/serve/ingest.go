@@ -71,10 +71,6 @@ func NewIngest(pipe *ShardedPipeline) *Ingest {
 	return &Ingest{pipe: pipe, now: time.Now, sites: make(map[string]*siteTransport)}
 }
 
-// SetNow replaces the wall clock used to stamp LastFrameAt. Reporting
-// only — nothing on the decision path reads it. Call before serving.
-func (in *Ingest) SetNow(now func() time.Time) { in.now = now }
-
 // site returns the transport entry, creating (and registering the site
 // with the pipeline) on first use. Callers hold in.mu.
 func (in *Ingest) site(name string) *siteTransport {

@@ -531,7 +531,7 @@ func TestAdmissionValveClosesLoop(t *testing.T) {
 	for elapsed := 0.0; elapsed < total; elapsed++ {
 		snap := tb.RunInterval(1)
 		for tier := server.TierID(0); tier < server.NumTiers; tier++ {
-			v := colls[tier].Collect(snap, 1)
+			v := colls[tier].CollectTo(nil, snap, 1)
 			p.Ingest(serve.Sample{
 				Site: "site", Tier: tier, Time: snap.Time,
 				Values: append([]float64(nil), v...),

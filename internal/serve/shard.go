@@ -72,9 +72,6 @@ type SiteRef struct {
 	index int32 // dense index + 1; 0 marks the invalid zero value
 }
 
-// Valid reports whether the ref came from Register.
-func (r SiteRef) Valid() bool { return r.index > 0 }
-
 // qsample is one queued sample: a Sample with its site either still a
 // name (resolved by the shard goroutine) or a pre-resolved dense index.
 // It is 104 bytes, and the queue moves it by value: a slot that grew to

@@ -408,11 +408,13 @@ func TestClassArrivalsAccounting(t *testing.T) {
 	if err := tb.Start(); err != nil {
 		t.Fatal(err)
 	}
+	// An all-order mix weighs exactly the Order-class interactions.
+	orderClass := tpcw.NewMix("order", 1).Weights
 	orderShare := func(s Snapshot) float64 {
 		total, order := 0, 0
 		for c, n := range s.ClassArrivals {
 			total += n
-			if (tpcw.Interaction(c) + tpcw.Home).IsOrder() {
+			if orderClass[tpcw.Interaction(c)+tpcw.Home] > 0 {
 				order += n
 			}
 		}

@@ -34,14 +34,6 @@ func NewEngine() *Engine {
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.clock }
 
-// Pending returns the number of scheduled events not yet executed.
-func (e *Engine) Pending() int {
-	if e.vacant {
-		return len(e.events) - 1
-	}
-	return len(e.events)
-}
-
 // Schedule arranges for fn to run delay seconds after the current virtual
 // time. A negative delay is treated as zero. Events scheduled for the same
 // instant run in scheduling order.
@@ -90,14 +82,6 @@ func (e *Engine) RunUntil(t float64) {
 	}
 	if e.clock < t && len(e.events) == 0 {
 		e.clock = t
-	}
-}
-
-// Run executes all pending events, including events scheduled by events, and
-// returns when the queue is empty. Simulations with self-perpetuating event
-// chains (e.g. periodic samplers) must use RunUntil instead.
-func (e *Engine) Run() {
-	for e.Step() {
 	}
 }
 

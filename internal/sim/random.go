@@ -84,28 +84,3 @@ func (s *Source) LogNormal(mean, cv float64) float64 {
 func (s *Source) Normal(mean, stddev float64) float64 {
 	return mean + stddev*s.rng.NormFloat64()
 }
-
-// Pick returns an index in [0, len(weights)) with probability proportional
-// to weights[i]. All-zero or empty weights return 0.
-func (s *Source) Pick(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return 0
-	}
-	r := s.rng.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		if r < w {
-			return i
-		}
-		r -= w
-	}
-	return len(weights) - 1
-}

@@ -34,20 +34,16 @@ type Site struct {
 	// Sites built by New leave it nil.
 	DAG  *server.DAGTestbed
 	coll [server.NumTiers][]metrics.Collector
-	vecs chunk.Of[float64] // combined-level vectors
+	vecs chunk.Of[float64] // Collect's vectors
 }
 
 // Collect concatenates the site's tier collectors into one sample vector
 // (one collector at the OS or HPC level; both, OS first, at the combined
-// level — the layout experiment.MetricNames names), fresh on every read.
-// A lone collector's vector is returned as it is; at the combined level
+// level — the layout experiment.MetricNames names), fresh on every read:
 // the collectors write into one vector carved from the site's chunk (see
 // package chunk), each into its own span.
 func (s *Site) Collect(tier server.TierID, snap server.Snapshot) []float64 {
 	cs := s.coll[tier]
-	if len(cs) == 1 {
-		return cs[0].Collect(snap, 1)
-	}
 	n := 0
 	for _, c := range cs {
 		n += len(c.Names())
@@ -57,11 +53,7 @@ func (s *Site) Collect(tier server.TierID, snap server.Snapshot) []float64 {
 	for _, c := range cs {
 		end := off + len(c.Names())
 		span := v[off:end:end]
-		if ac, ok := c.(metrics.AppendCollector); ok {
-			copy(span, ac.CollectTo(span, snap, 1))
-		} else {
-			copy(span, c.Collect(snap, 1))
-		}
+		copy(span, c.CollectTo(span, snap, 1))
 		off = end
 	}
 	return v

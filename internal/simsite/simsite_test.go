@@ -107,18 +107,17 @@ func TestCombinedIsOSThenHPC(t *testing.T) {
 // failEvery3rd fails every read whose snapshot second is a multiple of 3.
 type failEvery3rd struct{ metrics.Collector }
 
-func (f failEvery3rd) TryCollect(s server.Snapshot, dt float64) ([]float64, error) {
+func (f failEvery3rd) TryCollectTo(dst []float64, s server.Snapshot, dt float64) ([]float64, error) {
 	if int(s.Time)%3 == 0 {
 		return nil, errors.New("scripted failure")
 	}
-	return f.Collect(s, dt), nil
+	return f.CollectTo(dst, s, dt), nil
 }
 
 // TestCollectVectorsAreFresh: a vector Collect returns is not changed by
 // any later Collect, at every level and behind a retrying collector that
-// falls back on every third read — over a source that hands it a vector
-// to copy, and over a chaos-flaky one, failing every read in 10-second
-// outages, that writes into the retrier's vector. The vectors are carved
+// falls back on every third read, and behind one over a chaos-flaky
+// source that fails every read in 10-second outages. The vectors are carved
 // from shared chunks, so they are kept over several chunk turnovers and
 // checked after 100 more seconds of collects; at the combined level each
 // collector writes its own span of the site's vector, not its neighbour's.

@@ -79,19 +79,6 @@ func (a *axis) index(v int) int {
 	return a.rank[v]
 }
 
-// EntropyLabels returns the Shannon entropy (base 2) of a label sequence.
-func EntropyLabels(labels []int) float64 {
-	if len(labels) == 0 {
-		return 0
-	}
-	ax := newAxis(labels)
-	counts := make([]int, ax.width)
-	for _, l := range labels {
-		counts[ax.index(l)]++
-	}
-	return Entropy(counts)
-}
-
 // InformationGain returns IG(C; A) = H(C) - H(C|A) for a discretized
 // attribute with values xs (bin indices) and class labels cs. This is the
 // relevance measure the paper borrows from information theory for attribute
@@ -128,42 +115,6 @@ func InformationGain(xs, cs []int) (float64, error) {
 		hcGivenA += float64(nv) / n * Entropy(row)
 	}
 	return hc - hcGivenA, nil
-}
-
-// MutualInformation returns I(X; Y) in bits for two discrete variables.
-func MutualInformation(xs, ys []int) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, ErrLengthMismatch
-	}
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	axX, axY := newAxis(xs), newAxis(ys)
-	joint := make([]int, axX.width*axY.width)
-	px := make([]int, axX.width)
-	py := make([]int, axY.width)
-	for i := range xs {
-		x, y := axX.index(xs[i]), axY.index(ys[i])
-		joint[x*axY.width+y]++
-		px[x]++
-		py[y]++
-	}
-	n := float64(len(xs))
-	var mi float64
-	for x := 0; x < axX.width; x++ {
-		row := joint[x*axY.width : (x+1)*axY.width]
-		for y, cnt := range row {
-			if cnt == 0 {
-				continue
-			}
-			pxy := float64(cnt) / n
-			mi += pxy * math.Log2(pxy/((float64(px[x])/n)*(float64(py[y])/n)))
-		}
-	}
-	if mi < 0 { // floating-point noise on independent variables
-		mi = 0
-	}
-	return mi, nil
 }
 
 // ConditionalMutualInformation returns I(X; Y | Z) in bits for discrete

@@ -132,55 +132,6 @@ func TestCorrelationBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 4, 1, 5}
-	lo, err := Min(xs)
-	if err != nil || lo != -1 {
-		t.Errorf("Min = %v, %v; want -1, nil", lo, err)
-	}
-	hi, err := Max(xs)
-	if err != nil || hi != 5 {
-		t.Errorf("Max = %v, %v; want 5, nil", hi, err)
-	}
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Errorf("Min(nil) err = %v, want ErrEmpty", err)
-	}
-	if _, err := Max(nil); err != ErrEmpty {
-		t.Errorf("Max(nil) err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1},
-		{100, 10},
-		{50, 5.5},
-		{25, 3.25},
-	}
-	for _, tt := range tests {
-		got, err := Percentile(xs, tt.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(got, tt.want, 1e-12) {
-			t.Errorf("Percentile(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	if _, err := Percentile(xs, -1); err == nil {
-		t.Error("Percentile(-1) should error")
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Error("Percentile(101) should error")
-	}
-	if _, err := Percentile(nil, 50); err != ErrEmpty {
-		t.Error("Percentile on empty should return ErrEmpty")
-	}
-}
-
 func TestGaussianPDF(t *testing.T) {
 	// Standard normal density at 0 is 1/sqrt(2π).
 	want := 1 / math.Sqrt(2*math.Pi)

@@ -33,24 +33,11 @@ type Synopsis struct {
 	classifier ml.Classifier
 }
 
-// Config tunes synopsis construction.
-type Config struct {
-	// Selection tunes attribute selection; the zero value uses the
-	// paper's defaults (information-gain ranking, 10-fold CV wrapper).
-	Selection featsel.Config
-}
-
-// Validate applies defaults first, then returns one error per violated
-// constraint — all delegated to the selection config, which is the only
-// part with constraints to violate.
-func (c Config) Validate() []error {
-	return c.Selection.Validate()
-}
-
 // Build selects attributes and trains a synopsis on the labeled dataset,
 // whose columns must correspond to the collector vector for (tier, level).
+// The seed shuffles the selection's cross-validation folds.
 func Build(workload string, tier server.TierID, level metrics.Level,
-	learner ml.Learner, d *ml.Dataset, cfg Config) (*Synopsis, error) {
+	learner ml.Learner, d *ml.Dataset, seed int64) (*Synopsis, error) {
 
 	s := &Synopsis{
 		Workload: workload,
@@ -58,7 +45,7 @@ func Build(workload string, tier server.TierID, level metrics.Level,
 		Level:    level,
 		Learner:  learner.Name,
 	}
-	res, err := featsel.Select(learner, d, cfg.Selection)
+	res, err := featsel.Select(learner, d, seed)
 	if err != nil {
 		return nil, fmt.Errorf("synopsis: attribute selection: %w", err)
 	}

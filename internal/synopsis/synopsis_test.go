@@ -3,7 +3,6 @@ package synopsis
 import (
 	"testing"
 
-	"hpcap/internal/featsel"
 	"hpcap/internal/metrics"
 	"hpcap/internal/ml"
 	"hpcap/internal/ml/bayes"
@@ -14,7 +13,7 @@ import (
 func TestBuildAndPredict(t *testing.T) {
 	d := mltest.NoisyGaussians(300, 10, 2, 3, 1)
 	s, err := Build("ordering", server.TierApp, metrics.LevelHPC,
-		bayes.TANLearner(), d, Config{Selection: featsel.Config{Seed: 1}})
+		bayes.TANLearner(), d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +39,7 @@ func TestBuildAndPredict(t *testing.T) {
 func TestBuildFailsOnOneClass(t *testing.T) {
 	d := mltest.OneClass(40, 0)
 	if _, err := Build("x", server.TierApp, metrics.LevelHPC,
-		bayes.NaiveLearner(), d, Config{Selection: featsel.Config{Seed: 1}}); err == nil {
+		bayes.NaiveLearner(), d, 1); err == nil {
 		t.Error("one-class training set not rejected")
 	}
 }
@@ -48,7 +47,7 @@ func TestBuildFailsOnOneClass(t *testing.T) {
 func TestKey(t *testing.T) {
 	d := mltest.NoisyGaussians(120, 4, 2, 3, 3)
 	s, err := Build("browsing", server.TierDB, metrics.LevelHPC,
-		bayes.TANLearner(), d, Config{Selection: featsel.Config{Seed: 1}})
+		bayes.TANLearner(), d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +59,7 @@ func TestKey(t *testing.T) {
 func TestPredictToleratesShortVector(t *testing.T) {
 	d := mltest.NoisyGaussians(150, 6, 2, 3, 5)
 	s, err := Build("w", server.TierApp, metrics.LevelHPC,
-		bayes.NaiveLearner(), d, Config{Selection: featsel.Config{Seed: 1}})
+		bayes.NaiveLearner(), d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,15 +38,9 @@ func NewBrowser(id int, mix Mix, rng *sim.Source) Browser {
 	}
 }
 
-// SetMix switches the browser to a new traffic mix (used by interleaved
-// schedules).
-func (b *Browser) SetMix(mix Mix) {
-	b.mix, b.sampler = mix, nil
-}
-
 // SetSampler switches the browser to the distribution of a prebuilt
 // sampler. Samplers are immutable, so a whole population retargeted to one
-// mix can share a single sampler where SetMix would build one per browser.
+// mix shares a single sampler instead of building one per browser.
 func (b *Browser) SetSampler(s *Sampler) {
 	b.sampler = s
 }

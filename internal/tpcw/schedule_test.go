@@ -136,7 +136,7 @@ func TestBrowserMixRoughlyPreserved(t *testing.T) {
 	const n = 100000
 	var orders int
 	for i := 0; i < n; i++ {
-		if b.Next().IsOrder() {
+		if isOrder(b.Next()) {
 			orders++
 		}
 	}
@@ -153,7 +153,7 @@ func TestBrowserSetMix(t *testing.T) {
 	const n = 50000
 	var orders int
 	for i := 0; i < n; i++ {
-		if b.Next().IsOrder() {
+		if isOrder(b.Next()) {
 			orders++
 		}
 	}

@@ -67,19 +67,6 @@ func (i Interaction) Valid() bool {
 	return i >= Home && i <= AdminConfirm
 }
 
-// IsOrder reports whether the interaction plays an explicit role in the
-// ordering process per the TPC-W classification; the rest are Browse
-// interactions (browsing and searching the site).
-func (i Interaction) IsOrder() bool {
-	switch i {
-	case ShoppingCart, CustomerRegistration, BuyRequest, BuyConfirm,
-		OrderInquiry, OrderDisplay, AdminRequest, AdminConfirm:
-		return true
-	default:
-		return false
-	}
-}
-
 // Interactions returns all 14 interaction types in canonical order.
 func Interactions() []Interaction {
 	out := make([]Interaction, 0, NumInteractions)

@@ -29,7 +29,7 @@ func TestInteractionClassification(t *testing.T) {
 	// TPC-W classifies 6 interactions as Browse and 8 as Order.
 	var browse, order int
 	for _, i := range Interactions() {
-		if i.IsOrder() {
+		if isOrder(i) {
 			order++
 		} else {
 			browse++
@@ -95,7 +95,7 @@ func TestProfilesTierAffinity(t *testing.T) {
 func orderFraction(m Mix) float64 {
 	var f float64
 	for _, t := range Interactions() {
-		if t.IsOrder() {
+		if isOrder(t) {
 			f += m.Weights[t]
 		}
 	}
@@ -172,7 +172,7 @@ func TestSampleMatchesMix(t *testing.T) {
 	const n = 200000
 	var orders int
 	for i := 0; i < n; i++ {
-		if sampler.Sample(rng).IsOrder() {
+		if isOrder(sampler.Sample(rng)) {
 			orders++
 		}
 	}
@@ -182,10 +182,36 @@ func TestSampleMatchesMix(t *testing.T) {
 	}
 }
 
-// TestSamplerMatchesPick: a Sampler is sim.Source.Pick over the canonical
+// pick is the reference weighted draw: an index in [0, len(weights)) with
+// probability proportional to weights[i], from one Float64 of s. All-zero
+// or empty weights return 0.
+func pick(s *sim.Source, weights []float64) int {
+	var total float64
+	for _, w := range weights {
+		if w > 0 {
+			total += w
+		}
+	}
+	if total <= 0 {
+		return 0
+	}
+	r := s.Float64() * total
+	for i, w := range weights {
+		if w <= 0 {
+			continue
+		}
+		if r < w {
+			return i
+		}
+		r -= w
+	}
+	return len(weights) - 1
+}
+
+// TestSamplerMatchesPick: a Sampler is the reference pick over the canonical
 // weight table with the total cached — the same interaction for the same
 // draw, and the same number of draws, on proper mixes and on the
-// degenerate tables Pick tolerates (empty, all zero, negative, NaN, Inf).
+// degenerate tables pick tolerates (empty, all zero, negative, NaN, Inf).
 func TestSamplerMatchesPick(t *testing.T) {
 	mixes := []Mix{Browsing(), Shopping(), Ordering(), Unknown(), FlashVariant(Browsing()),
 		{Name: "empty"},
@@ -203,12 +229,12 @@ func TestSamplerMatchesPick(t *testing.T) {
 		s := m.Sampler()
 		a, b := sim.NewSource(7), sim.NewSource(7)
 		for i := 0; i < 5000; i++ {
-			if got, want := s.Sample(a), types[b.Pick(weights)]; got != want {
-				t.Fatalf("mix %s draw %d: Sampler gives %v, Pick %v", m.Name, i, got, want)
+			if got, want := s.Sample(a), types[pick(b, weights)]; got != want {
+				t.Fatalf("mix %s draw %d: Sampler gives %v, pick %v", m.Name, i, got, want)
 			}
 		}
 		if a.Float64() != b.Float64() {
-			t.Errorf("mix %s: Sampler and Pick consumed different numbers of draws", m.Name)
+			t.Errorf("mix %s: Sampler and pick consumed different numbers of draws", m.Name)
 		}
 	}
 }

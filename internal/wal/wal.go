@@ -79,8 +79,7 @@ type Log struct {
 	f       *os.File
 	cfg     Config
 	rec     []byte // scratch one whole record is assembled in, written at once
-	appends uint64
-	unsynct int // appends since the last fsync
+	unsynct int    // appends since the last fsync
 }
 
 // Open opens (creating if absent) the WAL at path, recovers its tail,
@@ -215,7 +214,6 @@ func (l *Log) Append(payload []byte) error {
 	if _, err := l.f.Write(l.rec); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	l.appends++
 	l.unsynct++
 	if l.cfg.SyncEvery > 0 && l.unsynct >= l.cfg.SyncEvery {
 		return l.Sync()
@@ -231,10 +229,6 @@ func (l *Log) Sync() error {
 	}
 	return nil
 }
-
-// Appends returns how many records this Log appended (recovered records
-// are not counted; Open reports those).
-func (l *Log) Appends() uint64 { return l.appends }
 
 // Close syncs and closes the log.
 func (l *Log) Close() error {

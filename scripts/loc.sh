@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # loc.sh — count the module's non-test Go lines: every .go file outside
-# bench/ (its own module) whose name does not end in _test.go, less blank
-# lines and comment lines (// lines and lines inside /* */ blocks).
+# bench/ (its own module) and outside test-support packages (a directory
+# named *test, such as internal/ml/mltest, after net/http/httptest) whose
+# name does not end in _test.go, less blank lines and comment lines (//
+# lines and lines inside /* */ blocks).
 # Prints one "lines  package-dir" row per directory, in file-path order,
 # then the total.
 #
@@ -11,6 +13,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 find . -path ./bench -prune -o -path './.*' -prune -o \
+    -type d -name '*test' -prune -o \
     -name '*.go' ! -name '*_test.go' -type f -print |
     LC_ALL=C sort |
     awk '
